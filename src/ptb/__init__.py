@@ -110,42 +110,3 @@ from .worldline import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # shell
-    "MassShell", "mass_shell_from_lambda", "lambda_from_M2", "mass_excess",
-    "nonrel_check", "individual_energy_limits",
-    # kinematics
-    "FourVector", "lorentz_dot", "tilde_project", "boost_to_rest",
-    "boost_from_rest", "CanonicalState", "ExternalInternal", "ScalarQuintet",
-    "split", "merge", "scalar_quintet", "angular_momentum_L2", "noether_N",
-    "center_of_mass",
-    # models
-    "PotentialSpec", "PotentialEval", "FreePotential", "HarmonicPotential",
-    "CentralPowerPotential", "builtin",
-    # dynamics
-    "IntegratorOptions", "ReducedState", "TrajectorySample", "Trajectory",
-    "integrate", "synchronize", "rhs", "rest_quintet", "dT_dlambda",
-    # world lines
-    "WorldlineSample", "WorldlineSet", "worldlines", "lambda_from_T",
-    "resample_uniform_T", "export_lab_frame",
-    # circular orbits
-    "CircularOrbit", "find_circular", "verify_constancy", "verify_periodicity",
-    "ConstancyReport", "PeriodicityReport",
-    # self-consistency
-    "lambda_shell", "binding_energy", "self_consistent_M",
-    "self_consistent_shell", "self_consistent_circular",
-    # oscillator oracle
-    "ToyParams", "analytic_state", "analytic_T", "intF_analytic",
-    "dT_dlambda_analytic", "min_dT_dlambda", "sufficient_condition_margin",
-    "shell_for_toy", "toy_from_masses",
-    # mass ratio
-    "RatioAnalysis", "RatioRow", "analyze", "offset_limit", "limit_report",
-    # errors
-    "PtbError", "NonTimelikeP", "AdmissibilityViolation", "RealityViolation",
-    "LambdaBoundViolation", "EnergyConditionViolation", "MassBoundViolation",
-    "InadmissibleAlpha", "DomainError", "BadParameter", "StepFailure",
-    "NonMonotoneTime", "NotSynchronized", "OutOfRange", "FrameMismatch",
-    "NoRoot", "NotCentral", "DegenerateOrbit", "ConfigError",
-]

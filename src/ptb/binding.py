@@ -11,13 +11,12 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence, Tuple
 
-from scipy.optimize import brentq
-
 from .circular import CircularOrbit, find_circular
-from .errors import NoRoot
+from .errors import NoRoot, PtbError
 from .kinematics import ScalarQuintet
 from .mass_shell import MassShell, lambda_from_M2, mass_shell_from_lambda
 from .potentials import PotentialSpec
+from .roots import first_root
 
 __all__ = [
     "lambda_shell",
@@ -51,7 +50,7 @@ def self_consistent_M(m1: float, m2: float,
     for k in range(max_iter):
         try:
             M_new = mass_shell_from_lambda(m1, m2, lambda_of_M(M)).M
-        except Exception:
+        except PtbError:
             break
         if abs(M_new - M) <= rtol * M_new:
             return M_new
@@ -64,21 +63,11 @@ def _bracketed_M(m1, m2, lambda_of_M):
         return mass_shell_from_lambda(m1, m2, lambda_of_M(M)).M - M
 
     scale = m1 + m2
-    grid = [scale * math.exp(u) for u in
-            [x * 0.1 for x in range(-40, 41)]]
-    prev = None
-    for M in grid:
-        try:
-            val = g(M)
-        except Exception:
-            prev = None
-            continue
-        if val == 0.0:
-            return M
-        if prev is not None and prev[1] * val < 0.0:
-            return brentq(g, prev[0], M, xtol=1e-15, rtol=8.9e-16)
-        prev = (M, val)
-    raise NoRoot("no self-consistent collective mass found near m1 + m2")
+    grid = [scale * math.exp(x * 0.1) for x in range(-40, 41)]
+    M = first_root(g, grid, skip=PtbError)
+    if M is None:
+        raise NoRoot("no self-consistent collective mass found near m1 + m2")
+    return M
 
 
 def _state_lambda(model: PotentialSpec, nu: float,
@@ -88,9 +77,7 @@ def _state_lambda(model: PotentialSpec, nu: float,
     ze = sum(a * b for a, b in zip(zeta0, eta0))
 
     def lam(M: float) -> float:
-        M2 = M * M
-        q = ScalarQuintet(P2=M2, ztil2=-z2, ytil2=-e2, zy=-ze,
-                          w=nu * nu / M2, yP=nu)
+        q = ScalarQuintet.at_rest(M * M, nu, z2, e2, ze)
         return e2 - 2.0 * model.evaluate(q).value
 
     return lam
@@ -118,9 +105,7 @@ def self_consistent_circular(m1: float, m2: float, model: PotentialSpec,
         M2 = M * M
         shell_M = mass_shell_from_lambda(m1, m2, lambda_from_M2(m1, m2, M2))
         orbit = find_circular(model, shell_M, l2)
-        q = ScalarQuintet(P2=M2, ztil2=-orbit.rho * orbit.rho,
-                          ytil2=-l2 / (orbit.rho * orbit.rho), zy=0.0,
-                          w=nu * nu / M2, yP=nu)
+        q = ScalarQuintet.at_rest(M2, nu, orbit.rho * orbit.rho, orbit.speed2, 0.0)
         return orbit.speed2 - 2.0 * model.evaluate(q).value
 
     M = self_consistent_M(m1, m2, lam, **kw)

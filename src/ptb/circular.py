@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BadParameter, DegenerateOrbit, DomainError, NoRoot, NotCentral
 from .kinematics import ScalarQuintet
@@ -31,6 +30,7 @@ from .reduced import (
     rest_quintet,
     synchronize,
 )
+from .roots import first_root
 
 __all__ = [
     "CircularOrbit",
@@ -62,18 +62,6 @@ class CircularOrbit:
         )
 
 
-def _orbit_quintet(rho: float, l2: float, shell: MassShell) -> ScalarQuintet:
-    """Quintet on a candidate circular orbit: speed fixed by l2 = rho^2 |eta|^2."""
-    return ScalarQuintet(
-        P2=shell.M2,
-        ztil2=-rho * rho,
-        ytil2=-l2 / (rho * rho),
-        zy=0.0,
-        w=shell.nu ** 2 / shell.M2,
-        yP=shell.nu,
-    )
-
-
 def find_circular(model: PotentialSpec, shell: MassShell, l2: float) -> CircularOrbit:
     """Radius, rate and clock data of the circular orbit with angular
     momentum squared l2.
@@ -88,36 +76,18 @@ def find_circular(model: PotentialSpec, shell: MassShell, l2: float) -> Circular
     if not (l2 > 0.0):
         raise BadParameter(f"need l2 > 0, got {l2!r}")
 
+    def quintet(rho: float) -> ScalarQuintet:
+        # speed fixed by l2 = rho^2 |eta|^2
+        return ScalarQuintet.at_rest(shell.M2, shell.nu, rho * rho, l2 / (rho * rho), 0.0)
+
     def residual(rho: float) -> float:
-        ev = model.evaluate(_orbit_quintet(rho, l2, shell))
-        return 2.0 * ev.dztil2 * rho ** 4 - l2
+        return 2.0 * model.evaluate(quintet(rho)).dztil2 * rho ** 4 - l2
 
-    grid = np.logspace(-6.0, 6.0, 241)
-    vals = np.full(grid.shape, math.nan)
-    for i, rho in enumerate(grid):
-        try:
-            vals[i] = residual(float(rho))
-        except DomainError:
-            continue
-    bracket = None
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if math.isnan(a) or math.isnan(b):
-            continue
-        if a == 0.0:
-            bracket = (grid[i], grid[i])
-            break
-        if a * b < 0.0:
-            bracket = (grid[i], grid[i + 1])
-            break
-    if bracket is None:
+    rho = first_root(residual, np.logspace(-6.0, 6.0, 241), skip=DomainError)
+    if rho is None:
         raise NoRoot(f"no circular-orbit radius for l2 = {l2!r} in [1e-6, 1e6]")
-    if bracket[0] == bracket[1]:
-        rho = float(bracket[0])
-    else:
-        rho = float(brentq(residual, bracket[0], bracket[1], xtol=1e-15, rtol=8.9e-16))
 
-    ev = model.evaluate(_orbit_quintet(rho, l2, shell))
+    ev = model.evaluate(quintet(rho))
     if abs(1.0 + 2.0 * ev.dytil2) <= 1e-12:
         raise DegenerateOrbit(
             "orbit sits at 1 + 2 dV/dytil2 = 0; lambda does not advance zeta")
@@ -169,21 +139,12 @@ def verify_constancy(orbit: CircularOrbit, model: PotentialSpec, shell: MassShel
     the quadrature rates stay."""
     opts = IntegratorOptions(tol=tol, sample_interval=orbit.period_lambda / n_samples)
     traj = integrate(orbit.initial_state(), shell, model, orbit.period_lambda, opts)
-    series = {name: [] for name in _QUANTITIES}
-    for s in traj.samples:
-        q = rest_quintet(s.state.ztil, s.state.ytil, shell)
-        series["P2"].append(q.P2)
-        series["ztil2"].append(q.ztil2)
-        series["ytil2"].append(q.ytil2)
-        series["zy"].append(q.zy)
-        series["w"].append(q.w)
-        series["F"].append(s.F)
-        series["G"].append(s.G)
-    q0 = rest_quintet(traj.samples[0].state.ztil, traj.samples[0].state.ytil, shell)
-    scales = _scales(q0, traj.samples[0].F, traj.samples[0].G)
+    qs = [rest_quintet(s.state.ztil, s.state.ytil, shell) for s in traj.samples]
+    scales = _scales(qs[0], traj.samples[0].F, traj.samples[0].G)
     variations = {}
     for name in _QUANTITIES:
-        arr = np.array(series[name])
+        source = traj.samples if name in ("F", "G") else qs
+        arr = np.array([getattr(x, name) for x in source])
         variations[name] = float((arr.max() - arr.min()) / scales[name])
     return ConstancyReport(variations=variations,
                            max_variation=max(variations.values()))

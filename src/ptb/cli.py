@@ -39,7 +39,7 @@ from .errors import (
     PtbError,
 )
 from .mass_ratio import limit_report
-from .mass_shell import MassShell, mass_shell_from_lambda
+from .mass_shell import MassShell, mass_shell_from_lambda, shell_from_M
 from .minkowski import FourVector
 from .output import (
     diagnostics,
@@ -308,11 +308,11 @@ def run_scenario(sc: Scenario) -> tuple[str, dict, Trajectory]:
     return path, diag, traj
 
 
-def _print_diag(diag: dict) -> None:
-    for key, val in diag.items():
+def _print_fields(fields: dict, indent: str = "") -> None:
+    for key, val in fields.items():
         if isinstance(val, float):
             val = format_float(val)
-        print(f"  {key} = {val}")
+        print(f"{indent}{key} = {val}")
 
 
 # ---------------------------------------------------------------- simulate
@@ -402,21 +402,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sc = build_scenario(cfg)
     path, diag, _ = run_scenario(sc)
     print(f"wrote {path} ({diag['n_samples']} samples)")
-    _print_diag(diag)
+    _print_fields(diag, indent="  ")
     return 0
 
 
 # ---------------------------------------------------------------- circular
-
-def _shell_from_M(M: float, nu: float = 0.0) -> MassShell:
-    """Shell with prescribed collective mass; masses chosen to match exactly."""
-    if not (M > 0.0 and math.isfinite(M)):
-        raise BadParameter(f"need M > 0, got {M!r}")
-    if nu > 0.0 or 2.0 * abs(nu) >= M * M:
-        raise BadParameter("requires nu <= 0 and M^2 > 2 |nu|")
-    mu = M * M / 4.0 + nu * nu / (M * M)
-    return mass_shell_from_lambda(math.sqrt(mu + nu), math.sqrt(mu - nu), 0.0)
-
 
 def cmd_circular(args: argparse.Namespace) -> int:
     params = {}
@@ -433,7 +423,7 @@ def cmd_circular(args: argparse.Namespace) -> int:
     if args.M is not None:
         if args.m1 is not None or args.m2 is not None:
             raise ConfigError("give either --M or --m1/--m2, not both")
-        shell = _shell_from_M(args.M, args.nu)
+        shell = shell_from_M(args.M, args.nu)
         orbit = find_circular(model, shell, args.l2)
     elif args.m1 is not None and args.m2 is not None:
         shell, orbit = self_consistent_circular(args.m1, args.m2, model, args.l2)
@@ -461,10 +451,7 @@ def cmd_circular(args: argparse.Namespace) -> int:
         "T_linear_residual": period.linear_residual,
         "periodic": period.ok(),
     }
-    for key, val in report.items():
-        if isinstance(val, float):
-            val = format_float(val)
-        print(f"{key} = {val}")
+    _print_fields(report)
     if args.out:
         write_json(_resolve_out(args.out), {"schema": 1, "circular": report})
     return 0

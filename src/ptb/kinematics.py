@@ -60,6 +60,17 @@ class ScalarQuintet:
     w: float
     yP: float
 
+    @classmethod
+    def at_rest(cls, M2: float, nu: float, z2: float, y2: float, zy: float) -> "ScalarQuintet":
+        """Quintet in the rest frame of P from the spatial products of zeta
+        and eta; there P^2 = M^2 and y.P is the first integral nu."""
+        return cls(P2=M2, ztil2=-z2, ytil2=-y2, zy=-zy, w=nu * nu / M2, yP=nu)
+
+    @property
+    def L2(self) -> float:
+        """Angular momentum squared, ztil2 ytil2 - zy^2."""
+        return self.ztil2 * self.ytil2 - self.zy * self.zy
+
 
 def split(state: CanonicalState) -> ExternalInternal:
     return ExternalInternal(

@@ -26,6 +26,7 @@ __all__ = [
     "MassShell",
     "mass_shell_from_lambda",
     "lambda_from_M2",
+    "shell_from_M",
     "mass_excess",
     "nonrel_check",
     "individual_energy_limits",
@@ -106,6 +107,22 @@ def lambda_from_M2(m1: float, m2: float, M2: float) -> float:
         raise MassBoundViolation(
             f"requires M^2 > m2^2 - m1^2 = 2|nu|, got M^2 = {M2!r}, 2|nu| = {2.0 * abs(nu)!r}")
     return 0.25 * M2 + nu * nu / M2 - mu
+
+
+def shell_from_M(M: float, nu: float, lambda_: float = 0.0) -> MassShell:
+    """Shell with prescribed collective mass, asymmetry and lambda.
+
+    Inverts mu = M^2/4 + nu^2/M^2 - lambda for the masses, m1^2 = mu + nu
+    and m2^2 = mu - nu; the forward shell then reproduces M.
+    """
+    if not (M > 0.0 and math.isfinite(M)):
+        raise BadParameter(f"need M > 0, got {M!r}")
+    if nu > 0.0 or 2.0 * abs(nu) >= M * M:
+        raise BadParameter("requires nu <= 0 and M^2 > 2 |nu|")
+    mu = M * M / 4.0 + nu * nu / (M * M) - lambda_
+    if mu + nu <= 0.0:
+        raise BadParameter("no real masses reproduce this shell: mu + nu <= 0")
+    return mass_shell_from_lambda(math.sqrt(mu + nu), math.sqrt(mu - nu), lambda_)
 
 
 def mass_excess(m1: float, m2: float, lambda_: float) -> float:

@@ -46,13 +46,6 @@ def format_float(x: float) -> str:
     return "%.17g" % x
 
 
-def _L2_spatial(z: np.ndarray, y: np.ndarray) -> float:
-    z2 = float(z @ z)
-    y2 = float(y @ y)
-    zy = float(z @ y)
-    return z2 * y2 - zy * zy
-
-
 def trajectory_rows(traj: Trajectory, ws: WorldlineSet) -> list[tuple[float, ...]]:
     """One 25-tuple per sample, aligned between trajectory and world lines."""
     if len(ws) != len(traj.samples):
@@ -64,7 +57,6 @@ def trajectory_rows(traj: Trajectory, ws: WorldlineSet) -> list[tuple[float, ...
             raise ValueError("sample grids diverged between trajectory and world lines")
         q = rest_quintet(st.ztil, st.ytil, traj.shell)
         N = noether_N(q, traj.model.evaluate(q).value)
-        L2 = _L2_spatial(st.ztil, st.ytil)
         if w.flagged:
             pos = _NAN_BLOCK
         else:
@@ -74,7 +66,7 @@ def trajectory_rows(traj: Trajectory, ws: WorldlineSet) -> list[tuple[float, ...
             st.ztil[0], st.ztil[1], st.ztil[2],
             st.ytil[0], st.ytil[1], st.ytil[2],
             *pos,
-            N, L2, s.dTdlambda,
+            N, q.L2, s.dTdlambda,
         ))
     return rows
 
@@ -91,7 +83,7 @@ def diagnostics(traj: Trajectory) -> dict:
     for s in traj.samples:
         q = rest_quintet(s.state.ztil, s.state.ytil, shell)
         Ns.append(noether_N(q, traj.model.evaluate(q).value))
-        L2s.append(_L2_spatial(s.state.ztil, s.state.ytil))
+        L2s.append(q.L2)
     N0, L20 = Ns[0], L2s[0]
     N_scale = max(abs(N0), 1e-300)
     L2_scale = max(abs(L20), 1e-300)

@@ -37,6 +37,7 @@ __all__ = [
     "rest_quintet",
     "rhs",
     "dT_dlambda",
+    "equal_time_clock",
     "integrate",
     "synchronize",
 ]
@@ -140,17 +141,8 @@ def _vector_from_state(s: ReducedState) -> np.ndarray:
 
 def rest_quintet(ztil: np.ndarray, ytil: np.ndarray, shell: MassShell) -> ScalarQuintet:
     """Scalar quintet of a rest-frame state; y.P is the first integral nu."""
-    z2 = float(ztil @ ztil)
-    y2 = float(ytil @ ytil)
-    zy = float(ztil @ ytil)
-    return ScalarQuintet(
-        P2=shell.M2,
-        ztil2=-z2,
-        ytil2=-y2,
-        zy=-zy,
-        w=shell.nu * shell.nu / shell.M2,
-        yP=shell.nu,
-    )
+    return ScalarQuintet.at_rest(shell.M2, shell.nu, float(ztil @ ztil),
+                                 float(ytil @ ytil), float(ztil @ ytil))
 
 
 def rhs(state: ReducedState, shell: MassShell, model: PotentialSpec):
@@ -243,17 +235,21 @@ def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
     )
 
 
+def equal_time_clock(lam: float, intF: float, intG: float, shell: MassShell):
+    """(tau1, tau2, Q.P, T) at lambda on the equal-time slice.
+
+    z.P = 0 along the whole slice pins tau1 - tau2; constants vanish at
+    lambda = 0 where both quadratures start from zero.
+    """
+    M, M2, nu = shell.M, shell.M2, shell.nu
+    delta = -(2.0 / M2) * (nu * lam + intG)
+    QdotP = 0.5 * nu * delta + 0.25 * M2 * lam + intF
+    return 0.5 * (lam + delta), 0.5 * (lam - delta), QdotP, QdotP / M
+
+
 def _synchronized_sample(state: ReducedState, F: float, G: float,
                          shell: MassShell) -> TrajectorySample:
-    M, M2, nu = shell.M, shell.M2, shell.nu
-    lam = state.lambda_
-    # z.P = 0 along the whole slice pins tau1 - tau2; constants vanish at
-    # lambda = 0 where both quadratures start from zero.
-    delta = -(2.0 / M2) * (nu * lam + state.intG)
-    tau1 = 0.5 * (lam + delta)
-    tau2 = 0.5 * (lam - delta)
-    QdotP = 0.5 * nu * delta + 0.25 * M2 * lam + state.intF
-    T = QdotP / M
+    tau1, tau2, QdotP, T = equal_time_clock(state.lambda_, state.intF, state.intG, shell)
     rate = dT_dlambda(F, G, shell)
     return TrajectorySample(
         state=state, F=F, G=G, zdotP=0.0, QdotP=QdotP,

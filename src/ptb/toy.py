@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from .errors import BadParameter
-from .mass_shell import MassShell, mass_shell_from_lambda
+from .mass_shell import MassShell, shell_from_M
 
 __all__ = [
     "ToyParams",
@@ -153,18 +153,9 @@ def sufficient_condition_margin(p: ToyParams) -> float:
 
 
 def shell_for_toy(p: ToyParams) -> MassShell:
-    """Masses that make the shell consistent with this oscillator.
-
-    Inverts mu = M^2/4 + nu^2/M^2 - Lambda, then m1^2 = mu + nu,
-    m2^2 = mu - nu.  The forward shell reproduces p.M exactly.
-    """
-    mu = p.M * p.M / 4.0 + p.nu * p.nu / (p.M * p.M) - p.Lambda
-    m1sq = mu + p.nu
-    m2sq = mu - p.nu
-    if m1sq <= 0.0:
-        raise BadParameter(
-            "no real masses reproduce this oscillator: mu + nu <= 0")
-    return mass_shell_from_lambda(math.sqrt(m1sq), math.sqrt(m2sq), p.Lambda)
+    """Masses that make the shell consistent with this oscillator, whose
+    constant |eta|^2 - 2 V is the shell's lambda."""
+    return shell_from_M(p.M, p.nu, p.Lambda)
 
 
 def toy_from_masses(m1: float, m2: float, chi: float,

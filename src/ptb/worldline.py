@@ -12,16 +12,15 @@ The energy-weighted mean (E1 x1 + E2 x2)/M reproduces Xi identically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import FrameMismatch, NonMonotoneTime, OutOfRange
 from .minkowski import FourVector, boost_from_rest, lorentz_dot
-from .reduced import Trajectory, require_synchronized
+from .reduced import Trajectory, equal_time_clock, require_synchronized
+from .roots import brent
 
 __all__ = [
     "WorldlineSample",
@@ -91,14 +90,6 @@ def worldlines(traj: Trajectory, Xi0: Sequence[float] = (0.0, 0.0, 0.0)) -> Worl
     return WorldlineSet(shell=shell, samples=tuple(out), frame=rest)
 
 
-def _T_of_lambda(traj: Trajectory, lam: float) -> float:
-    shell = traj.shell
-    state = traj.state_at(lam)
-    M, M2, nu = shell.M, shell.M2, shell.nu
-    return (lam * (0.25 * M - nu * nu / (M * M2))
-            - nu * state.intG / (M * M2) + state.intF / M)
-
-
 def lambda_from_T(traj: Trajectory, T_query: float) -> float:
     """Invert the clock map T(lambda) on a monotone trajectory.
 
@@ -116,8 +107,13 @@ def lambda_from_T(traj: Trajectory, T_query: float) -> float:
     if i == 0:
         return float(lams[0])
     lo, hi = float(lams[i - 1]), float(lams[i])
-    f_lo = _T_of_lambda(traj, lo) - T_query
-    f_hi = _T_of_lambda(traj, hi) - T_query
+
+    def residual(lam: float) -> float:
+        state = traj.state_at(lam)
+        return equal_time_clock(lam, state.intF, state.intG, traj.shell)[3] - T_query
+
+    f_lo = residual(lo)
+    f_hi = residual(hi)
     if f_lo == 0.0:
         return lo
     if f_hi == 0.0:
@@ -125,8 +121,7 @@ def lambda_from_T(traj: Trajectory, T_query: float) -> float:
     if f_lo * f_hi > 0.0:
         # only reachable through interpolation noise right at a sample point
         return lo if abs(f_lo) <= abs(f_hi) else hi
-    return float(brentq(lambda lam: _T_of_lambda(traj, lam) - T_query,
-                        lo, hi, xtol=1e-15 * max(1.0, hi), rtol=8.9e-16))
+    return brent(residual, lo, hi, xtol=1e-15 * max(1.0, hi))
 
 
 def resample_uniform_T(traj: Trajectory, n: Optional[int] = None) -> Trajectory:

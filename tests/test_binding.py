@@ -53,6 +53,22 @@ def test_fixed_point_linear_lambda():
     assert sh.M == pytest.approx(M, rel=1e-12)
 
 
+def test_programming_errors_in_lambda_of_M_propagate():
+    # only package errors mean "no shell here"; a bug is not a missing root
+    def broken(M):
+        return 1.0 / 0.0
+
+    with pytest.raises(ZeroDivisionError):
+        self_consistent_M(1.0, 2.0, broken)
+
+    # the fixed point fails on a shell bound, then the bracket scan hits the bug
+    def broken_below(M):
+        return -2.0 * M * M - 10.0 if M >= 3.0 else 1.0 / 0.0
+
+    with pytest.raises(ZeroDivisionError):
+        self_consistent_M(1.0, 2.0, broken_below)
+
+
 def test_no_root_when_constraint_is_absurd():
     # lambda(M) so negative everywhere that the shell never closes
     with pytest.raises(NoRoot):

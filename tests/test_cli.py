@@ -291,3 +291,13 @@ def test_verify_toy_impossible_threshold():
 def test_no_subcommand_is_usage_error():
     r = run_cli()
     assert r.returncode == 2
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only reference
+    code = ("import sys, ptb.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, timeout=120, cwd=PKG)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

@@ -20,6 +20,7 @@ from ptb.mass_shell import (
     mass_excess,
     mass_shell_from_lambda,
     nonrel_check,
+    shell_from_M,
 )
 
 from conftest import random_shell_args
@@ -169,3 +170,20 @@ def test_shell_invariants(m1, ratio, lam_scale):
     assert sh.M >= (m1 + m2) * (1.0 - 1e-12) if lam >= 0 else sh.M <= (m1 + m2) * (1.0 + 1e-12)
     sh_up = mass_shell_from_lambda(m1, m2, lam + 0.1 * m1 * m1)
     assert sh_up.M > sh.M
+
+
+@pytest.mark.parametrize("M, nu, lam", [(3.0, 0.0, 0.0), (4.0, -1.5, 1.25), (2.0, -0.5, -0.4)])
+def test_shell_from_M_reproduces_M(M, nu, lam):
+    shell = shell_from_M(M, nu, lam)
+    assert shell.M == pytest.approx(M, rel=1e-14)
+    assert shell.nu == pytest.approx(nu, abs=1e-14 * M * M)
+    assert shell.lambda_ == lam
+
+
+@pytest.mark.parametrize("M, nu, lam", [
+    (0.0, 0.0, 0.0), (math.inf, 0.0, 0.0), (2.0, 0.5, 0.0), (2.0, -2.0, 0.0),
+    (1.0, 0.0, 10.0),  # mu + nu <= 0: no real masses
+])
+def test_shell_from_M_refuses(M, nu, lam):
+    with pytest.raises(BadParameter):
+        shell_from_M(M, nu, lam)

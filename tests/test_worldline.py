@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from ptb.errors import FrameMismatch, NonMonotoneTime, NotSynchronized, OutOfRange
+from ptb.kinematics import CanonicalState, center_of_mass, scalar_quintet, split
 from ptb.mass_shell import mass_shell_from_lambda
-from ptb.minkowski import FourVector, lorentz_dot
+from ptb.minkowski import FourVector, boost_from_rest, lorentz_dot
 from ptb.potentials import HarmonicPotential
-from ptb.reduced import IntegratorOptions, ReducedState, integrate, synchronize
+from ptb.reduced import IntegratorOptions, ReducedState, integrate, rest_quintet, synchronize
 from ptb.toy import ToyParams, initial_state, shell_for_toy
 from ptb.worldline import (
     export_lab_frame,
@@ -126,6 +127,36 @@ def test_export_lab_frame(toy_traj):
                    + shell.E2 * np.append(w_lab.x2.t, w_lab.x2.spatial)) / shell.M
         Xi_lab = np.append(w_lab.Xi.t, w_lab.Xi.spatial)
         assert np.allclose(mean_sp, Xi_lab, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.6])
+def test_covariant_layer_recovers_the_reduction(toy_traj, beta):
+    """Rebuild (q1, q2, p1, p2) from emitted world lines and check the
+    rest-frame reduction against the covariant formulas."""
+    shell = toy_traj.shell
+    M, nu = shell.M, shell.nu
+    n = np.array([1.0, -2.0, 2.0]) / 3.0
+    gamma = 1.0 / math.sqrt(1.0 - beta * beta)
+    k = FourVector(M * gamma, *(M * gamma * beta * n))
+    ws = worldlines(toy_traj, Xi0=(0.3, -1.0, 2.0))
+    if beta:
+        ws = export_lab_frame(ws, k)
+    worst = 0.0
+    for w, s in zip(ws, toy_traj.samples):
+        y = boost_from_rest(FourVector.from_spatial(nu / M, s.state.ytil), k)
+        state = CanonicalState(q1=w.x1, q2=w.x2, p1=0.5 * k + y, p2=0.5 * k - y)
+        ei = split(state)
+        got = scalar_quintet(ei)
+        want = rest_quintet(s.state.ztil, s.state.ytil, shell)
+        scale = 1.0 + abs(w.T)
+        worst = max(
+            worst,
+            abs(lorentz_dot(ei.z, ei.P)) / (M * scale),
+            *(abs(getattr(got, f) - getattr(want, f)) / (1.0 + abs(getattr(want, f)))
+              for f in ("P2", "ztil2", "ytil2", "zy", "w", "yP")),
+            *(abs(a - b) / scale for a, b in zip(center_of_mass(state), w.Xi)),
+        )
+    assert worst <= 1e-12
 
 
 def test_export_lab_frame_validates_k(toy_traj):
