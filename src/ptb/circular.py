@@ -179,8 +179,7 @@ def verify_periodicity(orbit: CircularOrbit, model: PotentialSpec, shell: MassSh
     closure_z = float(np.max(np.abs(last.state.ztil - first.state.ztil)))
     closure_y = float(np.max(np.abs(last.state.ytil - first.state.ytil)))
     T_err = abs((last.T - first.T) - orbit.period_T)
-    lams = np.array([s.state.lambda_ for s in traj.samples])
-    Ts = np.array([s.T for s in traj.samples])
+    Ts, lams = traj.clock_columns
     coeffs = np.polyfit(lams, Ts, 1)
     resid = float(np.max(np.abs(Ts - np.polyval(coeffs, lams))))
     return PeriodicityReport(closure_ztil=closure_z, closure_ytil=closure_y,

@@ -9,42 +9,42 @@ for root finding between samples.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import OutOfRange, StepFailure
+from .errors import StepFailure
 
 __all__ = ["DenseSegment", "DopriResult", "solve_dopri5"]
 
-# Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = tuple(np.array(row) for row in (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-))
-# fifth-order weights coincide with the last A row (FSAL)
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-# difference to the embedded fourth-order solution
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-               -17253 / 339200, 22 / 525, -1 / 40])
-# dense-output weights for the deviation polynomial
-_D = np.array([
-    -12715105075 / 11282082432,
-    0.0,
-    87487479700 / 32700410799,
-    -10690763975 / 1880347072,
-    701980252875 / 199316789632,
-    -1453857185 / 822651844,
-    69997945 / 29380423,
+# Dormand-Prince 5(4) tableau.  Rows 0-6 of _W are the stage weights; row 6
+# holds the fifth-order weights b, so the seventh stage is the derivative at
+# the new solution point (FSAL).  Row 7 is the difference to the embedded
+# fourth-order solution.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_W = np.array([
+    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0),
+    (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40),
+])
+# the five dense coefficient rows as one matrix acting on (y, y_new, h K):
+#   r1 = y, r2 = y_new - y, r3 = h k1 - r2, r4 = r2 - h k7 - r3, r5 = h D.K
+# with D the dense-output weights of the deviation polynomial
+_DENSE = np.array([
+    (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (-1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (1.0, -1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+    (-2.0, 2.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0),
+    (0.0, 0.0, -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+     -10690763975 / 1880347072, 701980252875 / 199316789632,
+     -1453857185 / 822651844, 69997945 / 29380423),
 ])
 
 # controller constants; the estimate is compared against tol * h (error per
@@ -76,30 +76,11 @@ class DenseSegment:
 class DopriResult:
     t: np.ndarray            # emitted sample times
     y: np.ndarray            # (len(t), n) sample states
-    t_steps: np.ndarray      # accepted step endpoints including t0
+    dy: np.ndarray           # (len(t), n) derivatives f(t, y) at the samples
     segments: list[DenseSegment]
     n_accepted: int
     n_rejected: int
-
-    def __call__(self, t: float) -> np.ndarray:
-        """Dense evaluation anywhere in the integrated span."""
-        if not self.segments:
-            raise OutOfRange("empty solution")
-        lo = self.segments[0].t0
-        hi = self.segments[-1].t0 + self.segments[-1].h
-        if not (lo <= t <= hi):
-            raise OutOfRange(f"t = {t!r} outside integrated span [{lo!r}, {hi!r}]")
-        starts = self._starts
-        i = min(max(bisect.bisect_right(starts, t) - 1, 0), len(self.segments) - 1)
-        return self.segments[i](t)
-
-    @property
-    def _starts(self) -> list[float]:
-        cached = getattr(self, "_starts_cache", None)
-        if cached is None:
-            cached = [s.t0 for s in self.segments]
-            object.__setattr__(self, "_starts_cache", cached)
-        return cached
+    n_rhs: int               # evaluations of f
 
 
 def _initial_step(f, t0, y0, f0, tol, max_step, span):
@@ -138,7 +119,8 @@ def solve_dopri5(
     land exactly on each entry and emits the propagated state there;
     otherwise every accepted step is emitted.  on_step(t, y, dy) runs after
     each accepted step with the fresh derivative (FSAL stage), which is how
-    callers watch derived quantities without extra evaluations.
+    callers watch derived quantities without extra evaluations; the same
+    derivative of every emitted sample is returned as dy.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -157,35 +139,52 @@ def solve_dopri5(
 
     out_t: list[float] = []
     out_y: list[np.ndarray] = []
+    out_dy: list[np.ndarray] = []
     eval_idx = 0
+    n = y.size
+    # X = (y, y_new, h K): the dense rows are _DENSE @ X; K is the stage
+    # derivatives, row 0 the derivative at y (FSAL)
+    X = np.empty((9, n))
+    K = np.empty((7, n))
+    K[0] = f(t0, y)
+    h = _initial_step(f, t0, y, K[0], tol, max_step, t1 - t0)
+    n_rhs = 2
 
-    def emit(tc: float, yc: np.ndarray):
+    def emit(tc: float, yc: np.ndarray, dyc: np.ndarray):
         out_t.append(tc)
-        out_y.append(yc.copy())
+        out_y.append(yc)
+        out_dy.append(dyc.copy())
 
     if eval_pts is None:
-        emit(t0, y)
+        emit(t0, y, K[0])
     else:
         while eval_idx < len(eval_pts) and eval_pts[eval_idx] <= t0:
-            emit(t0, y)
+            emit(t0, y, K[0])
             eval_idx += 1
 
     t = t0
-    k1 = np.asarray(f(t, y), dtype=float)
-    h = _initial_step(f, t0, y, k1, tol, max_step, t1 - t0)
     facold = 1e-4
     just_rejected = False
     segments: list[DenseSegment] = []
-    t_steps = [t0]
     n_accepted = 0
     n_rejected = 0
-    K = np.empty((7, y.size))
+    h_used = err = math.nan
+    ay = np.abs(y)
+    # stage weights scaled by h once per attempt, read through fixed views
+    W = np.empty_like(_W)
+    stage_w = [W[i, :i] for i in range(7)]
+    stage_k = [K[:i] for i in range(7)]
+    err_w = W[7]
 
     while t < t1:
         if n_accepted + n_rejected >= max_steps:
-            raise StepFailure(f"step budget {max_steps} exhausted at t = {t!r}")
+            raise StepFailure(
+                f"step budget {max_steps} exhausted at t = {t!r} "
+                f"(last h = {h_used!r}, last error estimate = {err!r})")
         if h < 1e-14 * max(abs(t), 1.0):
-            raise StepFailure(f"step size underflow at t = {t!r} (h = {h!r})")
+            raise StepFailure(
+                f"step size underflow at t = {t!r} "
+                f"(h = {h!r}, last error estimate = {err!r})")
 
         # shorten to land exactly on the next target (sample point or t1)
         target = t1
@@ -196,41 +195,37 @@ def solve_dopri5(
         t_new = target if landed else t + h_try
         h_used = t_new - t
 
-        K[0] = k1
-        for i in range(1, 7):
-            yi = y + h_used * (_A[i] @ K[:i])
-            K[i] = f(t + _C[i] * h_used, yi)
-        y_new = y + h_used * (_B @ K)
-        # the 7th stage sits at t_new with argument y_new already (FSAL)
-        err_vec = h_used * (_E @ K)
-        sc = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        # error per unit step: global drift stays proportional to tol * span
-        err = math.sqrt(float(np.mean((err_vec / sc) ** 2))) / h_used
+        np.multiply(_W, h_used, out=W)
+        for i in range(1, 6):
+            K[i] = f(t + _C[i] * h_used, y + stage_w[i] @ stage_k[i])
+        y_new = y + stage_w[6] @ stage_k[6]
+        # the seventh stage is evaluated at exactly the y_new that is emitted
+        K[6] = f(t_new, y_new)
+        n_rhs += 6
+        ay_new = np.abs(y_new)
+        # error per unit step against tol (1 + max|y|): global drift stays
+        # proportional to tol * span
+        ratio = (err_w @ K) / (1.0 + np.maximum(ay, ay_new))
+        err = math.sqrt(ratio @ ratio / n) / (tol * h_used)
 
         if err <= 1.0:
-            # dense-output coefficients for this step
-            ydiff = y_new - y
-            bspl = h_used * K[0] - ydiff
-            r = np.empty((5, y.size))
-            r[0] = y
-            r[1] = ydiff
-            r[2] = bspl
-            r[3] = ydiff - h_used * K[6] - bspl
-            r[4] = h_used * (_D @ K)
-            segments.append(DenseSegment(t, h_used, r))
-            t_steps.append(t_new)
+            X[0] = y
+            X[1] = y_new
+            np.multiply(K, h_used, out=X[2:])
+            segments.append(DenseSegment(t, h_used, _DENSE @ X))
             n_accepted += 1
             if on_step is not None:
                 on_step(t_new, y_new, K[6])
             if eval_pts is None:
-                emit(t_new, y_new)
+                emit(t_new, y_new, K[6])
             else:
                 while eval_idx < len(eval_pts) and eval_pts[eval_idx] <= t_new:
-                    emit(t_new, y_new)
+                    emit(t_new, y_new, K[6])
                     eval_idx += 1
             t = t_new
             y = y_new
-            k1 = K[6].copy()
+            ay = ay_new
+            K[0] = K[6]
             # PI update (Lund stabilization)
             fac11 = err ** _EXPO1
             fac = fac11 / facold ** _BETA
@@ -249,9 +244,10 @@ def solve_dopri5(
 
     return DopriResult(
         t=np.array(out_t),
-        y=np.array(out_y) if out_y else np.empty((0, y.size)),
-        t_steps=np.array(t_steps),
+        y=np.array(out_y) if out_y else np.empty((0, n)),
+        dy=np.array(out_dy) if out_dy else np.empty((0, n)),
         segments=segments,
         n_accepted=n_accepted,
         n_rejected=n_rejected,
+        n_rhs=n_rhs,
     )

@@ -93,6 +93,7 @@ def diagnostics(traj: Trajectory) -> dict:
         "n_samples": len(traj.samples),
         "n_accepted": traj.n_accepted,
         "n_rejected": traj.n_rejected,
+        "n_rhs": traj.n_rhs,
         "lambda_span": [lo, hi],
         "N_drift": max(abs(N - N0) for N in Ns) / N_scale,
         "L2_drift": max(abs(L2 - L20) for L2 in L2s) / L2_scale,

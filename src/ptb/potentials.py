@@ -54,6 +54,17 @@ class PotentialSpec:
     def evaluate(self, q: ScalarQuintet) -> PotentialEval:
         raise NotImplementedError
 
+    def rest_partials(self, M2: float, nu: float, z2: float, y2: float,
+                      zy: float) -> tuple[float, float, float, float, float]:
+        """(dP2, dztil2, dytil2, dzy, dw) at a rest-frame state given by the
+        spatial products z2 = |zeta|^2, y2 = |eta|^2, zy = zeta.eta.
+
+        This default goes through evaluate; a model may override it with a
+        fast path that must agree with it bit for bit.
+        """
+        ev = self.evaluate(ScalarQuintet.at_rest(M2, nu, z2, y2, zy))
+        return ev.dP2, ev.dztil2, ev.dytil2, ev.dzy, ev.dw
+
     def describe(self) -> dict:
         return {"kind": self.name}
 
@@ -63,19 +74,34 @@ class PotentialSpec:
         return f"{type(self).__name__}({inner})"
 
 
-class FreePotential(PotentialSpec):
-    """V = 0; both particles move freely."""
+class _KernelModel(PotentialSpec):
+    """A central model V(P2, ztil2) given by one scalar kernel
+    _kernel(P2, ztil2) -> (V, dV/dP2, dV/dztil2), the single copy of its
+    formulas and domain checks; evaluate and the rest-frame fast path both
+    call it, and every other partial vanishes."""
 
-    name = "free"
     central = True
-    p2_independent = True
     w_independent = True
 
     def evaluate(self, q: ScalarQuintet) -> PotentialEval:
-        return PotentialEval(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return PotentialEval(*self._kernel(q.P2, q.ztil2), 0.0, 0.0, 0.0)
+
+    def rest_partials(self, M2, nu, z2, y2, zy):
+        _, dP2, dztil2 = self._kernel(M2, -z2)
+        return dP2, dztil2, 0.0, 0.0, 0.0
 
 
-class HarmonicPotential(PotentialSpec):
+class FreePotential(_KernelModel):
+    """V = 0; both particles move freely."""
+
+    name = "free"
+    p2_independent = True
+
+    def _kernel(self, P2: float, ztil2: float) -> tuple[float, float, float]:
+        return 0.0, 0.0, 0.0
+
+
+class HarmonicPotential(_KernelModel):
     """V = chi * sqrt(P^2) * ztil2 with chi > 0.
 
     chi is a plain number in natural units (an inverse length times the
@@ -85,8 +111,6 @@ class HarmonicPotential(PotentialSpec):
     """
 
     name = "harmonic"
-    central = True
-    w_independent = True
 
     def __init__(self, chi: float):
         chi = float(chi)
@@ -94,24 +118,17 @@ class HarmonicPotential(PotentialSpec):
             raise BadParameter(f"harmonic model needs chi > 0, got {chi!r}")
         self.chi = chi
 
-    def evaluate(self, q: ScalarQuintet) -> PotentialEval:
-        if q.P2 <= 0.0:
-            raise DomainError(f"harmonic model requires P2 > 0, got {q.P2!r}")
-        root = math.sqrt(q.P2)
-        return PotentialEval(
-            value=self.chi * root * q.ztil2,
-            dP2=self.chi * q.ztil2 / (2.0 * root),
-            dztil2=self.chi * root,
-            dytil2=0.0,
-            dzy=0.0,
-            dw=0.0,
-        )
+    def _kernel(self, P2: float, ztil2: float) -> tuple[float, float, float]:
+        if P2 <= 0.0:
+            raise DomainError(f"harmonic model requires P2 > 0, got {P2!r}")
+        root = math.sqrt(P2)
+        return self.chi * root * ztil2, self.chi * ztil2 / (2.0 * root), self.chi * root
 
     def describe(self) -> dict:
         return {"kind": self.name, "chi": self.chi}
 
 
-class CentralPowerPotential(PotentialSpec):
+class CentralPowerPotential(_KernelModel):
     """V = -g * sqrt(P^2) / rho**n with rho = sqrt(-ztil2) and integer n >= 1.
 
     With this sign convention g < 0 is the attractive case (circular orbits
@@ -119,8 +136,6 @@ class CentralPowerPotential(PotentialSpec):
     """
 
     name = "central_power"
-    central = True
-    w_independent = True
 
     def __init__(self, g: float, n: int):
         g = float(g)
@@ -131,22 +146,15 @@ class CentralPowerPotential(PotentialSpec):
         self.g = g
         self.n = int(n)
 
-    def evaluate(self, q: ScalarQuintet) -> PotentialEval:
-        if q.P2 <= 0.0:
-            raise DomainError(f"central_power requires P2 > 0, got {q.P2!r}")
-        rho2 = -q.ztil2
+    def _kernel(self, P2: float, ztil2: float) -> tuple[float, float, float]:
+        if P2 <= 0.0:
+            raise DomainError(f"central_power requires P2 > 0, got {P2!r}")
+        rho2 = -ztil2
         if rho2 <= 0.0:
             raise DomainError(
-                f"central_power requires spacelike separation ztil2 < 0, got {q.ztil2!r}")
-        value = -self.g * math.sqrt(q.P2) * rho2 ** (-0.5 * self.n)
-        return PotentialEval(
-            value=value,
-            dP2=value / (2.0 * q.P2),
-            dztil2=0.5 * self.n * value / rho2,
-            dytil2=0.0,
-            dzy=0.0,
-            dw=0.0,
-        )
+                f"central_power requires spacelike separation ztil2 < 0, got {ztil2!r}")
+        value = -self.g * math.sqrt(P2) * rho2 ** (-0.5 * self.n)
+        return value, value / (2.0 * P2), 0.5 * self.n * value / rho2
 
     def describe(self) -> dict:
         return {"kind": self.name, "g": self.g, "n": self.n}

@@ -18,7 +18,8 @@ tau1 - tau2, and the center-of-mass clock is T = Q.P / M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -96,47 +97,47 @@ class Trajectory:
     segments: tuple[DenseSegment, ...]
     n_accepted: int
     n_rejected: int
+    n_rhs: int
     opts: IntegratorOptions
     synchronized: bool = False
     monotone: Optional[bool] = None
-    _seg_starts: np.ndarray = field(default=None, repr=False, compare=False)
 
     @property
     def lambda_span(self) -> tuple[float, float]:
         return self.samples[0].state.lambda_, self.samples[-1].state.lambda_
 
-    def state_at(self, lam: float) -> ReducedState:
-        """Dense-output evaluation anywhere in the integrated span."""
+    @cached_property
+    def _seg_starts(self) -> np.ndarray:
+        return np.array([s.t0 for s in self.segments])
+
+    @cached_property
+    def clock_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """(T, lambda) of the samples as arrays, built once per trajectory."""
+        return (np.array([s.T for s in self.samples]),
+                np.array([s.state.lambda_ for s in self.samples]))
+
+    def vector_at(self, lam: float) -> np.ndarray:
+        """Dense-output state vector (zeta, eta, intF, intG) at lambda."""
         lo, hi = self.lambda_span
         if not (lo <= lam <= hi):
             raise OutOfRange(f"lambda = {lam!r} outside [{lo!r}, {hi!r}]")
-        if not self.segments:
-            s = self.samples[0].state
-            return replace(s, lambda_=lam)
         i = int(np.searchsorted(self._seg_starts, lam, side="right")) - 1
-        i = min(max(i, 0), len(self.segments) - 1)
-        u = self.segments[i](lam)
-        return _state_from_vector(lam, u)
+        return self.segments[min(max(i, 0), len(self.segments) - 1)](lam)
+
+    def state_at(self, lam: float) -> ReducedState:
+        """Dense-output evaluation anywhere in the integrated span."""
+        return _state_from_vector(lam, self.vector_at(lam))
 
     def sample_at(self, lam: float) -> TrajectorySample:
         """Fully synchronized sample at an arbitrary lambda."""
-        state = self.state_at(lam)
-        F, G = quadrature_rates(state, self.shell, self.model)
-        return _synchronized_sample(state, F, G, self.shell)
+        u = self.vector_at(lam)
+        F, G = rhs(u, self.shell, self.model)[6:8].tolist()
+        return _synchronized_sample(_state_from_vector(lam, u), F, G, self.shell)
 
 
 def _state_from_vector(lam: float, u: np.ndarray) -> ReducedState:
     return ReducedState(lambda_=lam, ztil=u[0:3].copy(), ytil=u[3:6].copy(),
                         intF=float(u[6]), intG=float(u[7]))
-
-
-def _vector_from_state(s: ReducedState) -> np.ndarray:
-    u = np.empty(8)
-    u[0:3] = s.ztil
-    u[3:6] = s.ytil
-    u[6] = s.intF
-    u[7] = s.intG
-    return u
 
 
 def rest_quintet(ztil: np.ndarray, ytil: np.ndarray, shell: MassShell) -> ScalarQuintet:
@@ -145,24 +146,23 @@ def rest_quintet(ztil: np.ndarray, ytil: np.ndarray, shell: MassShell) -> Scalar
                                  float(ytil @ ytil), float(ztil @ ytil))
 
 
-def rhs(state: ReducedState, shell: MassShell, model: PotentialSpec):
-    """Right-hand side (dzeta, deta, F, G).
+def rhs(u: np.ndarray, shell: MassShell, model: PotentialSpec) -> np.ndarray:
+    """Right-hand side (dzeta, deta, F, G) of the flat state
+    u = (zeta, eta, intF, intG), in plain float arithmetic.
 
     Depends on lambda only through the state itself; tau1 and tau2 never
     appear separately.
     """
-    ev = model.evaluate(rest_quintet(state.ztil, state.ytil, shell))
-    dz = (1.0 + 2.0 * ev.dytil2) * state.ytil + ev.dzy * state.ztil
-    dy = -2.0 * ev.dztil2 * state.ztil - ev.dzy * state.ytil
-    F = 2.0 * shell.M2 * ev.dP2
-    G = 2.0 * shell.nu * ev.dw
-    return dz, dy, F, G
-
-
-def quadrature_rates(state: ReducedState, shell: MassShell, model: PotentialSpec):
-    """(F, G) at a state, without the vector part of the right-hand side."""
-    ev = model.evaluate(rest_quintet(state.ztil, state.ytil, shell))
-    return 2.0 * shell.M2 * ev.dP2, 2.0 * shell.nu * ev.dw
+    z0, z1, z2, y0, y1, y2, _, _ = u.tolist()
+    M2, nu = shell.M2, shell.nu
+    dP2, dztil2, dytil2, dzy, dw = model.rest_partials(
+        M2, nu, z0 * z0 + z1 * z1 + z2 * z2, y0 * y0 + y1 * y1 + y2 * y2,
+        z0 * y0 + z1 * y1 + z2 * y2)
+    a = 1.0 + 2.0 * dytil2
+    b = -2.0 * dztil2
+    return np.array((a * y0 + dzy * z0, a * y1 + dzy * z1, a * y2 + dzy * z2,
+                     b * z0 - dzy * y0, b * z1 - dzy * y1, b * z2 - dzy * y2,
+                     2.0 * M2 * dP2, 2.0 * nu * dw))
 
 
 def dT_dlambda(F: float, G: float, shell: MassShell) -> float:
@@ -191,8 +191,9 @@ def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
     """Advance the reduced system over lambda in [0, span].
 
     The quadratures are co-integrated, so they share the step-error control
-    of the vector part.  In strict mode the run aborts as soon as the clock
-    rate dT/dlambda fails to be positive at an accepted step.
+    of the vector part; the F and G of each sample are the solver's
+    derivative at that sample.  In strict mode the run aborts as soon as the
+    clock rate dT/dlambda fails to be positive at an accepted step.
     """
     if not (span > 0.0):
         raise ValueError(f"span must be positive, got {span!r}")
@@ -201,37 +202,31 @@ def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
         raise ValueError("integration starts at lambda = 0 by convention")
 
     def f(lam: float, u: np.ndarray) -> np.ndarray:
-        dz, dy, F, G = rhs(_state_from_vector(lam, u), shell, model)
-        out = np.empty(8)
-        out[0:3] = dz
-        out[3:6] = dy
-        out[6] = F
-        out[7] = G
-        return out
+        return rhs(u, shell, model)
 
-    def on_step(lam: float, u: np.ndarray, du: np.ndarray) -> None:
-        if opts.strict_time:
-            rate = dT_dlambda(float(du[6]), float(du[7]), shell)
-            if not (rate > 0.0):
-                raise NonMonotoneTime(
-                    f"dT/dlambda = {rate!r} at lambda = {lam!r} (strict mode)")
+    last_lam = 0.0
 
-    grid = _sample_grid(span, opts.sample_interval)
-    sol = solve_dopri5(f, (0.0, span), _vector_from_state(initial),
-                       tol=opts.tol, max_step=opts.max_step,
-                       t_eval=grid, on_step=on_step)
+    def strict_clock(lam: float, u: np.ndarray, du: np.ndarray) -> None:
+        nonlocal last_lam
+        rate = dT_dlambda(float(du[6]), float(du[7]), shell)
+        if not (rate > 0.0):
+            raise NonMonotoneTime(
+                f"dT/dlambda = {rate!r} at lambda = {lam!r} after a step of "
+                f"h = {lam - last_lam!r} (strict mode)")
+        last_lam = lam
 
-    samples = []
-    for lam, u in zip(sol.t, sol.y):
-        state = _state_from_vector(float(lam), u)
-        F, G = quadrature_rates(state, shell, model)
-        samples.append(TrajectorySample(state=state, F=F, G=G))
+    u0 = np.concatenate((initial.ztil, initial.ytil, (initial.intF, initial.intG)))
+    sol = solve_dopri5(f, (0.0, span), u0, tol=opts.tol, max_step=opts.max_step,
+                       t_eval=_sample_grid(span, opts.sample_interval),
+                       on_step=strict_clock if opts.strict_time else None)
 
-    seg_starts = np.array([s.t0 for s in sol.segments])
+    samples = tuple(TrajectorySample(state=_state_from_vector(lam, u), F=F, G=G)
+                    for lam, u, F, G in zip(sol.t.tolist(), sol.y, sol.dy[:, 6].tolist(),
+                                            sol.dy[:, 7].tolist()))
     return Trajectory(
-        shell=shell, model=model, samples=tuple(samples),
-        segments=tuple(sol.segments), n_accepted=sol.n_accepted,
-        n_rejected=sol.n_rejected, opts=opts, _seg_starts=seg_starts,
+        shell=shell, model=model, samples=samples, segments=tuple(sol.segments),
+        n_accepted=sol.n_accepted, n_rejected=sol.n_rejected, n_rhs=sol.n_rhs,
+        opts=opts,
     )
 
 

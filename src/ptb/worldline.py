@@ -99,8 +99,7 @@ def lambda_from_T(traj: Trajectory, T_query: float) -> float:
     require_synchronized(traj)
     if traj.monotone is False:
         raise NonMonotoneTime("T(lambda) is not invertible on a flagged trajectory")
-    Ts = np.array([s.T for s in traj.samples])
-    lams = np.array([s.state.lambda_ for s in traj.samples])
+    Ts, lams = traj.clock_columns
     if not (Ts[0] <= T_query <= Ts[-1]):
         raise OutOfRange(f"T = {T_query!r} outside [{Ts[0]!r}, {Ts[-1]!r}]")
     i = int(np.searchsorted(Ts, T_query))
@@ -109,8 +108,8 @@ def lambda_from_T(traj: Trajectory, T_query: float) -> float:
     lo, hi = float(lams[i - 1]), float(lams[i])
 
     def residual(lam: float) -> float:
-        state = traj.state_at(lam)
-        return equal_time_clock(lam, state.intF, state.intG, traj.shell)[3] - T_query
+        _, _, _, _, _, _, intF, intG = traj.vector_at(lam).tolist()
+        return equal_time_clock(lam, intF, intG, traj.shell)[3] - T_query
 
     f_lo = residual(lo)
     f_hi = residual(hi)

@@ -1,10 +1,11 @@
+import bisect
 import math
 
 import numpy as np
 import pytest
 
 from ptb.dopri import solve_dopri5
-from ptb.errors import OutOfRange, StepFailure
+from ptb.errors import StepFailure
 
 
 def shm(t, y):
@@ -20,7 +21,9 @@ def test_shm_against_closed_form():
     err = abs(res.y[-1] - shm_exact(20.0 * math.pi)).max()
     assert err < 1e-8
     assert res.n_accepted == len(res.segments)
-    assert res.t_steps[0] == 0.0 and res.t_steps[-1] == pytest.approx(20.0 * math.pi)
+    assert res.segments[0].t0 == 0.0
+    last = res.segments[-1]
+    assert last.t0 + last.h == pytest.approx(20.0 * math.pi)
 
 
 def test_tolerance_scaling_is_per_unit_time():
@@ -39,17 +42,21 @@ def test_tolerance_scaling_is_per_unit_time():
 
 def test_dense_output_accuracy():
     res = solve_dopri5(shm, (0.0, 10.0), np.array([1.0, 0.0]), tol=1e-10)
+    starts = [s.t0 for s in res.segments]
     ts = np.linspace(0.0, 10.0, 401)
-    worst = max(abs(res(t) - shm_exact(t)).max() for t in ts)
+    worst = 0.0
+    for t in ts:
+        seg = res.segments[max(bisect.bisect_right(starts, t) - 1, 0)]
+        assert seg.t0 <= t <= seg.t0 + seg.h * (1 + 1e-15)
+        worst = max(worst, abs(seg(t) - shm_exact(t)).max())
     assert worst < 1e-8
 
 
-def test_dense_output_range_check():
-    res = solve_dopri5(shm, (0.0, 1.0), np.array([1.0, 0.0]))
-    with pytest.raises(OutOfRange):
-        res(-0.1)
-    with pytest.raises(OutOfRange):
-        res(1.1)
+def test_dense_segments_interpolate_step_ends():
+    res = solve_dopri5(shm, (0.0, 3.0), np.array([1.0, 0.0]), tol=1e-10)
+    for seg, y0, y1 in zip(res.segments, res.y, res.y[1:]):
+        assert np.array_equal(seg(seg.t0), y0)
+        assert np.allclose(seg(seg.t0 + seg.h), y1, rtol=0, atol=1e-15)
 
 
 def test_t_eval_lands_exactly():
@@ -70,21 +77,53 @@ def test_t_eval_validation():
 def test_max_step_is_respected():
     res = solve_dopri5(shm, (0.0, 10.0), np.array([1.0, 0.0]),
                        tol=1e-6, max_step=0.01)
-    hs = np.diff(res.t_steps)
+    hs = np.array([s.h for s in res.segments])
     assert hs.max() <= 0.01 + 1e-12
     assert res.n_accepted >= 1000
 
 
 def test_blowup_raises_step_failure():
     # y' = y^2 from y(0) = 1 blows up at t = 1
-    with pytest.raises(StepFailure):
+    with pytest.raises(StepFailure) as info:
         solve_dopri5(lambda t, y: y * y, (0.0, 2.0), np.array([1.0]), tol=1e-8)
+    msg = str(info.value)
+    assert "underflow at t = 0.99" in msg
+    assert "h = " in msg and "last error estimate = " in msg
+    assert "nan" not in msg
 
 
 def test_max_steps_budget():
-    with pytest.raises(StepFailure):
+    with pytest.raises(StepFailure) as info:
         solve_dopri5(shm, (0.0, 1000.0), np.array([1.0, 0.0]),
                      tol=1e-10, max_steps=10)
+    msg = str(info.value)
+    assert "budget 10 exhausted at t = " in msg
+    assert "last h = " in msg and "last error estimate = " in msg
+    assert "nan" not in msg
+
+
+@pytest.mark.parametrize("rate", [5.0, 50.0])
+def test_rhs_count_is_exact(rate):
+    calls = []
+
+    def relax(t, y):
+        calls.append(t)
+        return -rate * (y - math.cos(t))
+
+    res = solve_dopri5(relax, (0.0, 3.0), np.array([0.0]), tol=1e-6)
+    assert res.n_rejected > 0  # the identity must hold across rejections
+    # the first derivative, the probe of the initial step, six new stages
+    # per attempted step
+    assert res.n_rhs == len(calls) == 2 + 6 * (res.n_accepted + res.n_rejected)
+
+
+def test_sample_derivatives_are_the_fsal_stage():
+    grid = [0.0, 0.31, 1.0, 2.5, 3.0]
+    for t_eval in (None, grid):
+        res = solve_dopri5(shm, (0.0, 3.0), np.array([1.0, 0.0]), t_eval=t_eval)
+        assert res.dy.shape == res.y.shape
+        for t, y, dy in zip(res.t, res.y, res.dy):
+            assert np.array_equal(dy, shm(t, y))  # bit for bit
 
 
 def test_on_step_sees_fsal_derivative():

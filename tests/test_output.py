@@ -98,6 +98,7 @@ def test_diagnostics_content(run):
     traj, _ = run
     d = diagnostics(traj)
     assert d["n_samples"] == len(traj.samples)
+    assert d["n_rhs"] == traj.n_rhs == 2 + 6 * (d["n_accepted"] + d["n_rejected"])
     assert d["lambda_span"] == [0.0, 6.0]
     assert d["N_drift"] < 1e-9
     assert d["L2_drift"] < 1e-9

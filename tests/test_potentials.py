@@ -1,7 +1,10 @@
 import math
+import struct
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ptb.errors import BadParameter, DomainError
 from ptb.kinematics import ScalarQuintet
@@ -9,6 +12,7 @@ from ptb.potentials import (
     CentralPowerPotential,
     FreePotential,
     HarmonicPotential,
+    PotentialSpec,
     builtin,
 )
 
@@ -142,3 +146,52 @@ def test_describe_round_trips_through_builtin():
         d = model.describe()
         clone = builtin(d.pop("kind"), **d)
         assert repr(clone) == repr(model)
+
+
+def _bits(values):
+    return struct.pack("5d", *values)
+
+
+def _rest_partials_or_error(fn, *args):
+    try:
+        return _bits(fn(*args))
+    except (DomainError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def rest_frame_states(draw):
+    """(M2, nu, z2, y2, zy) on the admissible space, with |zy| bounded by
+    Cauchy-Schwarz."""
+    M2 = draw(st.floats(1e-6, 1e6, **_finite))
+    nu = draw(st.floats(-1e6, 0.0, **_finite))
+    z2 = draw(st.floats(1e-12, 1e8, **_finite))
+    y2 = draw(st.floats(0.0, 1e8, **_finite))
+    c = draw(st.floats(-1.0, 1.0, **_finite))
+    return M2, nu, z2, y2, c * math.sqrt(z2 * y2)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=repr)
+@given(args=rest_frame_states())
+def test_rest_partials_fast_path_is_bit_identical(model, args):
+    fast = model.rest_partials(*args)
+    assert _bits(fast) == _bits(PotentialSpec.rest_partials(model, *args))
+    assert all(math.isfinite(x) for x in fast)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=repr)
+@given(M2=st.floats(-10.0, 10.0, **_finite).filter(lambda x: x != 0.0),
+       z2=st.floats(-10.0, 10.0, **_finite), y2=st.floats(0.0, 10.0, **_finite))
+def test_rest_partials_fast_path_fails_like_evaluate(model, M2, z2, y2):
+    # inside or outside the domain: the same numbers or the same error.  M2 = 0
+    # is left out: there is no rest frame, and the default path fails earlier,
+    # in ScalarQuintet.at_rest (w = nu^2 / M2)
+    args = (M2, -0.5, z2, y2, 0.0)
+    fast = _rest_partials_or_error(model.rest_partials, *args)
+    assert fast == _rest_partials_or_error(PotentialSpec.rest_partials, model, *args)
+    outside = M2 < 0.0 or (isinstance(model, CentralPowerPotential) and z2 <= 0.0)
+    if outside and not isinstance(model, FreePotential):
+        assert fast.startswith("DomainError")

@@ -7,13 +7,18 @@ from scipy.integrate import quad
 from ptb.errors import NonMonotoneTime, NotSynchronized, OutOfRange
 from ptb.kinematics import noether_N
 from ptb.mass_shell import mass_shell_from_lambda
-from ptb.potentials import FreePotential, HarmonicPotential, PotentialEval, PotentialSpec
+from ptb.potentials import (
+    CentralPowerPotential,
+    FreePotential,
+    HarmonicPotential,
+    PotentialEval,
+    PotentialSpec,
+)
 from ptb.reduced import (
     IntegratorOptions,
     ReducedState,
     dT_dlambda,
     integrate,
-    quadrature_rates,
     require_synchronized,
     rest_quintet,
     rhs,
@@ -109,7 +114,8 @@ def test_free_motion_is_exact_drift():
 def test_rhs_harmonic_matches_hand_formula():
     p, shell = toy_setup()
     st = ReducedState(0.0, np.array([0.3, -0.7, 0.2]), np.array([0.1, 0.4, -0.2]))
-    dz, dy, F, G = rhs(st, shell, HarmonicPotential(p.chi))
+    du = rhs(np.concatenate((st.ztil, st.ytil, (0.0, 0.0))), shell, HarmonicPotential(p.chi))
+    dz, dy, F, G = du[0:3], du[3:6], du[6], du[7]
     assert np.allclose(dz, st.ytil, atol=0)
     assert np.allclose(dy, -2.0 * p.chi * shell.M * st.ztil, rtol=1e-15)
     assert F == pytest.approx(-p.chi * shell.M * float(st.ztil @ st.ztil), rel=1e-15)
@@ -242,9 +248,11 @@ def test_strict_time_aborts_on_nonmonotone():
     # F term overwhelms the clock rate when |zeta| is large
     shell = mass_shell_from_lambda(1.0, 1.0, 0.01)
     big = ReducedState(0.0, np.array([0.0, 8.0, 0.0]), np.array([0.5, 0.0, 0.0]))
-    with pytest.raises(NonMonotoneTime):
+    with pytest.raises(NonMonotoneTime) as info:
         integrate(big, shell, HarmonicPotential(1.0), 5.0,
                   IntegratorOptions(strict_time=True))
+    msg = str(info.value)
+    assert "at lambda = " in msg and "after a step of h = " in msg
 
 
 def test_relaxed_mode_flags_instead():
@@ -304,9 +312,52 @@ def test_require_synchronized():
     assert synchronize(sync) is sync
 
 
-def test_quadrature_rates_match_rhs():
-    p, shell = toy_setup()
-    st = ReducedState(0.0, np.array([0.4, 0.1, -0.6]), np.array([0.2, -0.3, 0.5]))
-    _, _, F, G = rhs(st, shell, HarmonicPotential(p.chi))
-    F2, G2 = quadrature_rates(st, shell, HarmonicPotential(p.chi))
-    assert (F, G) == (F2, G2)
+def _vector(s):
+    st = s.state
+    return np.concatenate((st.ztil, st.ytil, (st.intF, st.intG)))
+
+
+@pytest.mark.parametrize("model, opts", [
+    (HarmonicPotential(0.125), IntegratorOptions(sample_interval=0.7)),
+    (CentralPowerPotential(-0.5, 1), IntegratorOptions(tol=1e-9)),
+    (WMixing(0.8), IntegratorOptions(sample_interval=0.5, strict_time=True)),
+], ids=["harmonic-grid", "central_power-free", "w_mixing-strict"])
+def test_sample_rates_are_the_fsal_derivative(model, opts):
+    # every sample's (F, G) is rhs at exactly that sample's state
+    shell = mass_shell_from_lambda(1.0, 2.0, 0.25)
+    st = ReducedState(0.0, np.array([1.2, 0.1, 0.4]), np.array([-0.1, 0.6, 0.05]))
+    traj = integrate(st, shell, model, 6.0, opts)
+    assert len(traj.samples) > 8
+    for s in traj.samples:
+        F, G = rhs(_vector(s), shell, model)[6:8].tolist()
+        assert (s.F, s.G) == (F, G)
+    probe = traj.sample_at(2.345)
+    assert [probe.F, probe.G] == rhs(_vector(probe), shell, model)[6:8].tolist()
+
+
+class HarmonicViaEvaluate(HarmonicPotential):
+    rest_partials = PotentialSpec.rest_partials
+
+
+class CentralPowerViaEvaluate(CentralPowerPotential):
+    rest_partials = PotentialSpec.rest_partials
+
+
+@pytest.mark.parametrize("fast, generic", [
+    (HarmonicPotential(0.125), HarmonicViaEvaluate(0.125)),
+    (CentralPowerPotential(-0.1, 1), CentralPowerViaEvaluate(-0.1, 1)),
+    (CentralPowerPotential(0.7, 2), CentralPowerViaEvaluate(0.7, 2)),
+], ids=repr)
+def test_generic_rest_partials_give_the_same_run(fast, generic):
+    # a model that only defines evaluate takes the default path of
+    # PotentialSpec.rest_partials; the run must not move by one bit
+    shell = mass_shell_from_lambda(1.0, 2.0, -0.05)
+    st = ReducedState(0.0, np.array([1.0, 0.2, -0.1]), np.array([0.05, 0.3, 0.1]))
+    opts = IntegratorOptions(sample_interval=0.5)
+    a, b = (synchronize(integrate(st, shell, m, 20.0, opts)) for m in (fast, generic))
+    assert (a.n_accepted, a.n_rejected, a.n_rhs) == (b.n_accepted, b.n_rejected, b.n_rhs)
+    for sa, sb in zip(a.samples, b.samples):
+        assert np.array_equal(_vector(sa), _vector(sb))
+        assert (sa.F, sa.G, sa.T, sa.dTdlambda) == (sb.F, sb.G, sb.T, sb.dTdlambda)
+    for ga, gb in zip(a.segments, b.segments):
+        assert (ga.t0, ga.h) == (gb.t0, gb.h) and np.array_equal(ga.r, gb.r)

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from ptb.errors import BadParameter
 from ptb.potentials import HarmonicPotential
-from ptb.reduced import rest_quintet, rhs, ReducedState
+from ptb.reduced import rest_quintet, rhs
 from ptb.toy import (
     ToyParams,
     F_analytic,
@@ -50,8 +50,8 @@ def test_closed_form_matches_model_rhs():
     assert shell.M == pytest.approx(p.M, rel=1e-15)
     for lam in (0.0, 0.7, 3.0):
         z, y = analytic_state(p, lam)
-        st_ = ReducedState(0.0, np.array(z), np.array(y))
-        dz, dy, F, G = rhs(st_, shell, HarmonicPotential(p.chi))
+        du = rhs(np.array([*z, *y, 0.0, 0.0]), shell, HarmonicPotential(p.chi))
+        dz, dy, F, G = du[0:3], du[3:6], du[6], du[7]
         assert np.allclose(dz, y, rtol=1e-13, atol=1e-15)
         assert np.allclose(dy, -p.Omega ** 2 * np.array(z), rtol=1e-12, atol=1e-13)
         assert F == pytest.approx(F_analytic(p, lam), rel=1e-13)
