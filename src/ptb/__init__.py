@@ -101,7 +101,6 @@ from .toy import (
     toy_from_masses,
 )
 from .worldline import (
-    WorldlineSample,
     WorldlineSet,
     export_lab_frame,
     lambda_from_T,

@@ -139,13 +139,12 @@ def verify_constancy(orbit: CircularOrbit, model: PotentialSpec, shell: MassShel
     the quadrature rates stay."""
     opts = IntegratorOptions(tol=tol, sample_interval=orbit.period_lambda / n_samples)
     traj = integrate(orbit.initial_state(), shell, model, orbit.period_lambda, opts)
-    qs = [rest_quintet(s.state.ztil, s.state.ytil, shell) for s in traj.samples]
-    scales = _scales(qs[0], traj.samples[0].F, traj.samples[0].G)
+    q = rest_quintet(traj.ztil, traj.ytil, shell)
+    scales = _scales(rest_quintet(traj.ztil[0], traj.ytil[0], shell), traj.F[0], traj.G[0])
     variations = {}
     for name in _QUANTITIES:
-        source = traj.samples if name in ("F", "G") else qs
-        arr = np.array([getattr(x, name) for x in source])
-        variations[name] = float((arr.max() - arr.min()) / scales[name])
+        col = getattr(traj if name in ("F", "G") else q, name)
+        variations[name] = float((np.max(col) - np.min(col)) / scales[name])
     return ConstancyReport(variations=variations,
                            max_variation=max(variations.values()))
 
@@ -174,13 +173,10 @@ def verify_periodicity(orbit: CircularOrbit, model: PotentialSpec, shell: MassSh
     opts = IntegratorOptions(tol=tol, sample_interval=orbit.period_lambda / n_samples)
     traj = synchronize(integrate(orbit.initial_state(), shell, model,
                                  orbit.period_lambda, opts))
-    first = traj.samples[0]
-    last = traj.samples[-1]
-    closure_z = float(np.max(np.abs(last.state.ztil - first.state.ztil)))
-    closure_y = float(np.max(np.abs(last.state.ytil - first.state.ytil)))
-    T_err = abs((last.T - first.T) - orbit.period_T)
-    Ts, lams = traj.clock_columns
-    coeffs = np.polyfit(lams, Ts, 1)
-    resid = float(np.max(np.abs(Ts - np.polyval(coeffs, lams))))
-    return PeriodicityReport(closure_ztil=closure_z, closure_ytil=closure_y,
-                             T_advance_error=T_err, linear_residual=resid)
+    z, y, T, lam = traj.ztil, traj.ytil, traj.T, traj.lam
+    coeffs = np.polyfit(lam, T, 1)
+    return PeriodicityReport(
+        closure_ztil=float(np.max(np.abs(z[-1] - z[0]))),
+        closure_ytil=float(np.max(np.abs(y[-1] - y[0]))),
+        T_advance_error=float(abs((T[-1] - T[0]) - orbit.period_T)),
+        linear_residual=float(np.max(np.abs(T - np.polyval(coeffs, lam)))))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import os
 import sys
@@ -61,6 +62,8 @@ from .toy import (
 from .worldline import export_lab_frame, worldlines
 
 __all__ = ["main"]
+
+log = logging.getLogger(__name__)
 
 _TOL_RANGE = (1e-14, 1e-3)
 
@@ -144,8 +147,7 @@ def build_scenario(cfg: dict) -> Scenario:
     m1 = _number(masses.get("m1"), "masses.m1")
     m2 = _number(masses.get("m2"), "masses.m2")
     if m1 > m2:
-        print("warning: m1 > m2; swapping so particle 1 is the lighter one",
-              file=sys.stderr)
+        log.warning("warning: m1 > m2; swapping so particle 1 is the lighter one")
         m1, m2 = m2, m1
 
     pot = cfg.get("potential")
@@ -492,20 +494,14 @@ def cmd_verify_toy(args: argparse.Namespace) -> int:
     traj = synchronize(integrate(state0, shell, model, span,
                                  IntegratorOptions(tol=args.tol)))
 
-    dev_state = 0.0
-    dev_T = 0.0
-    for s in traj.samples:
-        lam = s.state.lambda_
-        za, ea = analytic_state(p, lam)
-        dev_state = max(dev_state,
-                        float(np.max(np.abs(s.state.ztil - np.array(za)))),
-                        float(np.max(np.abs(s.state.ytil - np.array(ea)))))
-        dev_T = max(dev_T, abs(s.T - analytic_T(p, lam)))
+    za, ea = (np.stack(v, axis=-1) for v in analytic_state(p, traj.lam))
+    dev_state = float(max(np.max(np.abs(traj.ztil - za)), np.max(np.abs(traj.ytil - ea))))
+    dev_T = float(np.max(np.abs(traj.T - analytic_T(p, traj.lam))))
     worst = max(dev_state, dev_T)
 
     print(f"collective mass M = {format_float(shell.M)} "
           f"(masses {format_float(shell.m1)}, {format_float(shell.m2)})")
-    print(f"periods = {args.periods}, samples = {len(traj.samples)}, tol = {args.tol:g}")
+    print(f"periods = {args.periods}, samples = {len(traj.lam)}, tol = {args.tol:g}")
     print(f"max |numeric - analytic| state = {dev_state:.3e}")
     print(f"max |numeric - analytic| T     = {dev_T:.3e}")
     if worst <= args.threshold:

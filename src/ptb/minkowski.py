@@ -95,47 +95,45 @@ def tilde_project(xi: FourVector, P: FourVector) -> FourVector:
 
 
 def _boost_data(k: FourVector):
-    """Validate k and return (M, gamma, beta 3-vector) of its rest frame."""
+    """Validate k and return (gamma, beta 3-vector) of its rest frame."""
     m2 = lorentz_dot(k, k)
     if m2 <= 0.0:
         raise NonTimelikeP(f"boost axis must be timelike, k.k = {m2!r}")
     if k.t <= 0.0:
         raise NonTimelikeP(f"boost axis must be future-pointing, k.t = {k.t!r}")
-    M = math.sqrt(m2)
-    gamma = k.t / M
-    beta = k.spatial / k.t
-    return M, gamma, beta
+    return k.t / math.sqrt(m2), k.spatial / k.t
 
 
-def boost_to_rest(v: FourVector, k: FourVector) -> FourVector:
-    """Pure boost mapping k to (sqrt(k.k), 0, 0, 0), applied to v.
+def _boost(v, k: FourVector, sign: float):
+    """Pure boost along the velocity of k applied to v, a FourVector or an
+    array whose last axis holds (t, x, y, z); sign = -1 carries components
+    into the rest frame of k, sign = +1 back out of it."""
+    gamma, beta = _boost_data(k)
+    if float(beta @ beta) == 0.0:
+        return v
+    a = v.as_array() if isinstance(v, FourVector) else np.asarray(v, dtype=float)
+    t, x = a[..., 0], a[..., 1:]
+    bx = x @ beta
+    # (gamma - 1)/b2 rewritten as gamma^2/(gamma + 1) to stay stable as b2 -> 0
+    coef = gamma * gamma / (gamma + 1.0)
+    out = np.empty_like(a)
+    out[..., 0] = gamma * (t + sign * bx)
+    out[..., 1:] = x + (coef * bx + sign * gamma * t)[..., None] * beta
+    return FourVector(*out.tolist()) if isinstance(v, FourVector) else out
+
+
+def boost_to_rest(v, k: FourVector):
+    """Pure boost mapping k to (sqrt(k.k), 0, 0, 0), applied to v (a
+    FourVector or (..., 4) components).
 
     Rotation-free: spatial directions orthogonal to k's velocity are left
     untouched, so round-trips with boost_from_rest are exact up to rounding.
     """
-    _, gamma, beta = _boost_data(k)
-    b2 = float(beta @ beta)
-    x = v.spatial
-    if b2 == 0.0:
-        return v
-    bx = float(beta @ x)
-    # (gamma - 1)/b2 rewritten as gamma^2/(gamma + 1) to stay stable as b2 -> 0
-    coef = gamma * gamma / (gamma + 1.0)
-    tp = gamma * (v.t - bx)
-    xp = x + (coef * bx - gamma * v.t) * beta
-    return FourVector.from_spatial(tp, xp)
+    return _boost(v, k, -1.0)
 
 
-def boost_from_rest(v: FourVector, k: FourVector) -> FourVector:
-    """Inverse of boost_to_rest: carries rest-frame components back to the
-    frame in which the momentum has components k."""
-    _, gamma, beta = _boost_data(k)
-    b2 = float(beta @ beta)
-    x = v.spatial
-    if b2 == 0.0:
-        return v
-    bx = float(beta @ x)
-    coef = gamma * gamma / (gamma + 1.0)
-    tp = gamma * (v.t + bx)
-    xp = x + (coef * bx + gamma * v.t) * beta
-    return FourVector.from_spatial(tp, xp)
+def boost_from_rest(v, k: FourVector):
+    """Inverse of boost_to_rest: carries rest-frame components (a FourVector
+    or (..., 4) components) back to the frame in which the momentum has
+    components k."""
+    return _boost(v, k, 1.0)

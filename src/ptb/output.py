@@ -14,8 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .kinematics import noether_N
-from .reduced import Trajectory, rest_quintet
+from .reduced import Trajectory
 from .worldline import WorldlineSet
 
 __all__ = [
@@ -39,8 +38,6 @@ COLUMNS = (
     "N", "L2", "dT_dlambda",
 )
 
-_NAN_BLOCK = (math.nan,) * 12
-
 
 def format_float(x: float) -> str:
     return "%.17g" % x
@@ -48,27 +45,16 @@ def format_float(x: float) -> str:
 
 def trajectory_rows(traj: Trajectory, ws: WorldlineSet) -> list[tuple[float, ...]]:
     """One 25-tuple per sample, aligned between trajectory and world lines."""
-    if len(ws) != len(traj.samples):
+    if len(ws.lam) != len(traj.lam):
         raise ValueError("world-line set does not match the trajectory grid")
-    rows = []
-    for s, w in zip(traj.samples, ws):
-        st = s.state
-        if not (st.lambda_ == w.lam):
-            raise ValueError("sample grids diverged between trajectory and world lines")
-        q = rest_quintet(st.ztil, st.ytil, traj.shell)
-        N = noether_N(q, traj.model.evaluate(q).value)
-        if w.flagged:
-            pos = _NAN_BLOCK
-        else:
-            pos = (*w.x1, *w.x2, *w.Xi)
-        rows.append((
-            st.lambda_, s.T, s.tau1, s.tau2,
-            st.ztil[0], st.ztil[1], st.ztil[2],
-            st.ytil[0], st.ytil[1], st.ytil[2],
-            *pos,
-            N, q.L2, s.dTdlambda,
-        ))
-    return rows
+    if not np.array_equal(ws.lam, traj.lam):
+        raise ValueError("sample grids diverged between trajectory and world lines")
+    N, L2 = traj.first_integrals
+    pos = np.hstack((ws.x1, ws.x2, ws.Xi))
+    pos[ws.flagged] = math.nan
+    table = np.column_stack((traj.lam, traj.T, traj.tau1, traj.tau2, traj.ztil, traj.ytil,
+                             pos, N, L2, traj.dTdlambda))
+    return list(map(tuple, table.tolist()))
 
 
 def diagnostics(traj: Trajectory) -> dict:
@@ -79,35 +65,28 @@ def diagnostics(traj: Trajectory) -> dict:
     dT/dlambda > 0 for any state on the shell.
     """
     shell = traj.shell
-    Ns, L2s = [], []
-    for s in traj.samples:
-        q = rest_quintet(s.state.ztil, s.state.ytil, shell)
-        Ns.append(noether_N(q, traj.model.evaluate(q).value))
-        L2s.append(q.L2)
-    N0, L20 = Ns[0], L2s[0]
-    N_scale = max(abs(N0), 1e-300)
-    L2_scale = max(abs(L20), 1e-300)
-    rates = [s.dTdlambda for s in traj.samples]
-    lo, hi = traj.lambda_span
+    N, L2 = traj.first_integrals
+    N_scale = max(abs(float(N[0])), 1e-300)
+    L2_scale = max(abs(float(L2[0])), 1e-300)
     diag = {
-        "n_samples": len(traj.samples),
+        "n_samples": len(traj.lam),
         "n_accepted": traj.n_accepted,
         "n_rejected": traj.n_rejected,
         "n_rhs": traj.n_rhs,
-        "lambda_span": [lo, hi],
-        "N_drift": max(abs(N - N0) for N in Ns) / N_scale,
-        "L2_drift": max(abs(L2 - L20) for L2 in L2s) / L2_scale,
-        "N_plus_lambda": max(abs(N + shell.lambda_) for N in Ns) / max(N_scale, abs(shell.lambda_)),
+        "lambda_span": list(traj.lambda_span),
+        "N_drift": float(np.abs(N - N[0]).max()) / N_scale,
+        "L2_drift": float(np.abs(L2 - L2[0]).max()) / L2_scale,
+        "N_plus_lambda": float(np.abs(N + shell.lambda_).max()) / max(N_scale, abs(shell.lambda_)),
         "planarity_residual": _planarity(traj),
         "monotonicity_margin": shell.M2 / 4.0 - shell.nu ** 2 / shell.M2 - 0.5 * shell.lambda_,
         "synchronized": traj.synchronized,
     }
     if traj.synchronized:
         diag.update({
-            "T_span": [traj.samples[0].T, traj.samples[-1].T],
-            "min_dT_dlambda": min(rates),
+            "T_span": [float(traj.T[0]), float(traj.T[-1])],
+            "min_dT_dlambda": float(np.min(traj.dTdlambda)),
             "monotone": bool(traj.monotone),
-            "n_flagged": sum(1 for s in traj.samples if s.flagged),
+            "n_flagged": int(np.count_nonzero(traj.flagged)),
         })
     return diag
 
@@ -118,22 +97,20 @@ def _planarity(traj: Trajectory) -> float:
     The plane is spanned by the first sample with independent ztil, ytil;
     degenerate (collinear) data is planar by construction.
     """
-    normal = None
-    for s in traj.samples:
-        n = np.cross(s.state.ztil, s.state.ytil)
-        norm = float(np.linalg.norm(n))
-        if norm > 1e-12 * (np.linalg.norm(s.state.ztil) * np.linalg.norm(s.state.ytil) + 1e-300):
-            normal = n / norm
-            break
-    if normal is None:
+    z, y = traj.ztil, traj.ytil
+    cross = np.cross(z, y)
+    norm = np.linalg.norm(cross, axis=1)
+    zn, yn = np.linalg.norm(z, axis=1), np.linalg.norm(y, axis=1)
+    independent = norm > 1e-12 * (zn * yn + 1e-300)
+    if not independent.any():
         return 0.0
+    i = int(np.argmax(independent))
+    normal = cross[i] / norm[i]
     worst = 0.0
-    for s in traj.samples:
-        for v in (s.state.ztil, s.state.ytil):
-            scale = float(np.linalg.norm(v))
-            if scale == 0.0:
-                continue
-            worst = max(worst, abs(float(v @ normal)) / scale)
+    for v, scale in ((z, zn), (y, yn)):
+        moving = scale != 0.0
+        worst = max(worst, float(np.max(np.abs(v[moving] @ normal) / scale[moving],
+                                        initial=0.0)))
     return worst
 
 

@@ -153,8 +153,14 @@ class CentralPowerPotential(_KernelModel):
         if rho2 <= 0.0:
             raise DomainError(
                 f"central_power requires spacelike separation ztil2 < 0, got {ztil2!r}")
-        value = -self.g * math.sqrt(P2) * rho2 ** (-0.5 * self.n)
-        return value, value / (2.0 * P2), 0.5 * self.n * value / rho2
+        try:
+            value = -self.g * math.sqrt(P2) * rho2 ** (-0.5 * self.n)
+        except OverflowError:
+            value = math.inf
+        dztil2 = 0.5 * self.n * value / rho2
+        if not math.isfinite(dztil2):
+            raise DomainError(f"central_power overflows at ztil2 = {ztil2!r} with n = {self.n}")
+        return value, value / (2.0 * P2), dztil2
 
     def describe(self) -> dict:
         return {"kind": self.name, "g": self.g, "n": self.n}

@@ -18,7 +18,8 @@ tau1 - tau2, and the center-of-mass clock is T = Q.P / M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .dopri import DenseSegment, solve_dopri5
 from .errors import NonMonotoneTime, NotSynchronized, OutOfRange
-from .kinematics import ScalarQuintet
+from .kinematics import ScalarQuintet, noether_N
 from .mass_shell import MassShell
 from .potentials import PotentialSpec
 
@@ -77,11 +78,11 @@ class ReducedState:
 
 @dataclass(frozen=True)
 class TrajectorySample:
+    """One sample as an object; see Trajectory.samples."""
+
     state: ReducedState
     F: float
     G: float
-    zdotP: float = math.nan
-    QdotP: float = math.nan
     tau1: float = math.nan
     tau2: float = math.nan
     T: float = math.nan
@@ -89,32 +90,100 @@ class TrajectorySample:
     flagged: bool = False
 
 
-@dataclass(frozen=True)
+class _SampleView(Sequence):
+    """TrajectorySample objects over the rows of a trajectory, built on first
+    access: a convenience for callers outside the package, which itself reads
+    the columns."""
+
+    def __init__(self, traj: "Trajectory"):
+        # the columns, not the trajectory: a reference cycle would keep every
+        # finished run in memory until the next full garbage collection
+        self._lam, self._u, self._F, self._G = traj.lam, traj.u, traj.F, traj.G
+        self._clock = (traj.tau1, traj.tau2, traj.T, traj.dTdlambda) \
+            if traj.synchronized else None
+
+    def __len__(self) -> int:
+        return len(self._lam)
+
+    def __getitem__(self, i):
+        return self._rows[i]
+
+    @cached_property
+    def _rows(self) -> tuple[TrajectorySample, ...]:
+        synced = self._clock is not None
+        clock = self._clock if synced else (np.full(len(self._lam), math.nan),) * 4
+        return tuple(
+            TrajectorySample(ReducedState(lam, u[0:3].copy(), u[3:6].copy(), float(u[6]),
+                                          float(u[7])), F, G, *c,
+                             flagged=synced and not (c[3] > 0.0))
+            for lam, u, F, G, *c in zip(self._lam.tolist(), self._u, self._F.tolist(),
+                                        self._G.tolist(), *(c.tolist() for c in clock)))
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
+    """A reduced run as columns over its n samples: lam (n), the state
+    u = (zeta, eta, intF, intG) (n, 8) and the quadrature rates F, G (n).
+    synchronize adds tau1, tau2, T and the clock rate dTdlambda (n each).
+
+    samples is a per-sample view of the same data, built on first access;
+    a tuple given explicitly is kept as it is.
+    """
+
     shell: MassShell
     model: PotentialSpec
-    samples: tuple[TrajectorySample, ...]
+    lam: np.ndarray
+    u: np.ndarray
+    F: np.ndarray
+    G: np.ndarray
     segments: tuple[DenseSegment, ...]
     n_accepted: int
     n_rejected: int
     n_rhs: int
     opts: IntegratorOptions
+    tau1: Optional[np.ndarray] = None
+    tau2: Optional[np.ndarray] = None
+    T: Optional[np.ndarray] = None
+    dTdlambda: Optional[np.ndarray] = None
     synchronized: bool = False
     monotone: Optional[bool] = None
+    samples: Sequence[TrajectorySample] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        # a view carried over by dataclasses.replace belongs to the old columns
+        if not isinstance(self.samples, tuple):
+            object.__setattr__(self, "samples", _SampleView(self))
+
+    @property
+    def ztil(self) -> np.ndarray:
+        return self.u[:, 0:3]
+
+    @property
+    def ytil(self) -> np.ndarray:
+        return self.u[:, 3:6]
+
+    @property
+    def flagged(self) -> np.ndarray:
+        """Samples with a non-positive clock rate."""
+        return ~(self.dTdlambda > 0.0)
 
     @property
     def lambda_span(self) -> tuple[float, float]:
-        return self.samples[0].state.lambda_, self.samples[-1].state.lambda_
+        return float(self.lam[0]), float(self.lam[-1])
 
     @cached_property
     def _seg_starts(self) -> np.ndarray:
         return np.array([s.t0 for s in self.segments])
 
     @cached_property
-    def clock_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """(T, lambda) of the samples as arrays, built once per trajectory."""
-        return (np.array([s.T for s in self.samples]),
-                np.array([s.state.lambda_ for s in self.samples]))
+    def first_integrals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Columns of N = ytil2 + 2 V and L2, built once per trajectory; V
+        takes one model evaluation per sample, the only per-sample loop after
+        integration."""
+        q = rest_quintet(self.ztil, self.ytil, self.shell)
+        V = [self.model.evaluate(ScalarQuintet(q.P2, *row, q.w, q.yP)).value
+             for row in zip(q.ztil2.tolist(), q.ytil2.tolist(), q.zy.tolist())]
+        return noether_N(q, np.array(V)), q.L2
 
     def vector_at(self, lam: float) -> np.ndarray:
         """Dense-output state vector (zeta, eta, intF, intG) at lambda."""
@@ -126,24 +195,27 @@ class Trajectory:
 
     def state_at(self, lam: float) -> ReducedState:
         """Dense-output evaluation anywhere in the integrated span."""
-        return _state_from_vector(lam, self.vector_at(lam))
+        u = self.vector_at(lam)
+        return ReducedState(lam, u[0:3], u[3:6], float(u[6]), float(u[7]))
 
     def sample_at(self, lam: float) -> TrajectorySample:
         """Fully synchronized sample at an arbitrary lambda."""
         u = self.vector_at(lam)
-        F, G = rhs(u, self.shell, self.model)[6:8].tolist()
-        return _synchronized_sample(_state_from_vector(lam, u), F, G, self.shell)
+        F, G = rhs(u, self.shell, self.model)[6:8]
+        return _SampleView(_clocked(replace(self, lam=np.array([lam]), u=u[None],
+                                            F=np.array([F]), G=np.array([G]))))[0]
 
 
-def _state_from_vector(lam: float, u: np.ndarray) -> ReducedState:
-    return ReducedState(lambda_=lam, ztil=u[0:3].copy(), ytil=u[3:6].copy(),
-                        intF=float(u[6]), intG=float(u[7]))
+def _dot(a: np.ndarray, b: np.ndarray):
+    """Dot product over the last axis of 3-vectors, summed as in rhs."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
 def rest_quintet(ztil: np.ndarray, ytil: np.ndarray, shell: MassShell) -> ScalarQuintet:
-    """Scalar quintet of a rest-frame state; y.P is the first integral nu."""
-    return ScalarQuintet.at_rest(shell.M2, shell.nu, float(ztil @ ztil),
-                                 float(ytil @ ytil), float(ztil @ ytil))
+    """Scalar quintet of a rest-frame state, or of (n, 3) columns of them;
+    y.P is the first integral nu."""
+    return ScalarQuintet.at_rest(shell.M2, shell.nu, _dot(ztil, ztil), _dot(ytil, ytil),
+                                 _dot(ztil, ytil))
 
 
 def rhs(u: np.ndarray, shell: MassShell, model: PotentialSpec) -> np.ndarray:
@@ -165,8 +237,9 @@ def rhs(u: np.ndarray, shell: MassShell, model: PotentialSpec) -> np.ndarray:
                      2.0 * M2 * dP2, 2.0 * nu * dw))
 
 
-def dT_dlambda(F: float, G: float, shell: MassShell) -> float:
-    """Clock rate M/4 - nu^2/M^3 - nu G/M^3 + F/M of the equal-time slice."""
+def dT_dlambda(F, G, shell: MassShell):
+    """Clock rate M/4 - nu^2/M^3 - nu G/M^3 + F/M of the equal-time slice,
+    for scalars or elementwise over columns."""
     M = shell.M
     M3 = M * shell.M2
     return 0.25 * M - shell.nu ** 2 / M3 - shell.nu * G / M3 + F / M
@@ -220,18 +293,16 @@ def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
                        t_eval=_sample_grid(span, opts.sample_interval),
                        on_step=strict_clock if opts.strict_time else None)
 
-    samples = tuple(TrajectorySample(state=_state_from_vector(lam, u), F=F, G=G)
-                    for lam, u, F, G in zip(sol.t.tolist(), sol.y, sol.dy[:, 6].tolist(),
-                                            sol.dy[:, 7].tolist()))
     return Trajectory(
-        shell=shell, model=model, samples=samples, segments=tuple(sol.segments),
-        n_accepted=sol.n_accepted, n_rejected=sol.n_rejected, n_rhs=sol.n_rhs,
-        opts=opts,
+        shell=shell, model=model, lam=sol.t, u=sol.y, F=sol.dy[:, 6], G=sol.dy[:, 7],
+        segments=tuple(sol.segments), n_accepted=sol.n_accepted,
+        n_rejected=sol.n_rejected, n_rhs=sol.n_rhs, opts=opts,
     )
 
 
-def equal_time_clock(lam: float, intF: float, intG: float, shell: MassShell):
-    """(tau1, tau2, Q.P, T) at lambda on the equal-time slice.
+def equal_time_clock(lam, intF, intG, shell: MassShell):
+    """(tau1, tau2, Q.P, T) at lambda on the equal-time slice, for scalars
+    or elementwise over columns.
 
     z.P = 0 along the whole slice pins tau1 - tau2; constants vanish at
     lambda = 0 where both quadratures start from zero.
@@ -242,19 +313,17 @@ def equal_time_clock(lam: float, intF: float, intG: float, shell: MassShell):
     return 0.5 * (lam + delta), 0.5 * (lam - delta), QdotP, QdotP / M
 
 
-def _synchronized_sample(state: ReducedState, F: float, G: float,
-                         shell: MassShell) -> TrajectorySample:
-    tau1, tau2, QdotP, T = equal_time_clock(state.lambda_, state.intF, state.intG, shell)
-    rate = dT_dlambda(F, G, shell)
-    return TrajectorySample(
-        state=state, F=F, G=G, zdotP=0.0, QdotP=QdotP,
-        tau1=tau1, tau2=tau2, T=T, dTdlambda=rate,
-        flagged=not (rate > 0.0),
-    )
+def _clocked(traj: Trajectory) -> Trajectory:
+    """traj with its clock columns and monotone flag filled in."""
+    tau1, tau2, _, T = equal_time_clock(traj.lam, traj.u[:, 6], traj.u[:, 7], traj.shell)
+    rate = dT_dlambda(traj.F, traj.G, traj.shell)
+    monotone = bool(np.all(rate > 0.0) and np.all(np.diff(T) > 0.0))
+    return replace(traj, tau1=tau1, tau2=tau2, T=T, dTdlambda=rate, synchronized=True,
+                   monotone=monotone, samples=None)
 
 
 def synchronize(traj: Trajectory) -> Trajectory:
-    """Fill tau1, tau2, T and the clock rate on every sample.
+    """Fill the tau1, tau2, T and clock-rate columns.
 
     Returns a new trajectory; the monotone flag records whether T is
     strictly increasing with a positive rate throughout.  Strict-mode
@@ -262,22 +331,10 @@ def synchronize(traj: Trajectory) -> Trajectory:
     """
     if traj.synchronized:
         return traj
-    new_samples = []
-    monotone = True
-    prev_T = None
-    for s in traj.samples:
-        ns = _synchronized_sample(s.state, s.F, s.G, traj.shell)
-        if ns.flagged:
-            monotone = False
-        if prev_T is not None and not (ns.T > prev_T):
-            monotone = False
-        prev_T = ns.T
-        new_samples.append(ns)
-    if traj.opts.strict_time and not monotone:
-        worst = min(ns.dTdlambda for ns in new_samples)
-        raise NonMonotoneTime(f"min dT/dlambda = {worst!r} (strict mode)")
-    return replace(traj, samples=tuple(new_samples), synchronized=True,
-                   monotone=monotone)
+    out = _clocked(traj)
+    if traj.opts.strict_time and not out.monotone:
+        raise NonMonotoneTime(f"min dT/dlambda = {float(out.dTdlambda.min())!r} (strict mode)")
+    return out
 
 
 def require_synchronized(traj: Trajectory) -> None:

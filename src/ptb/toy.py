@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from .errors import BadParameter
 from .mass_shell import MassShell, shell_from_M
 
@@ -95,9 +97,10 @@ class ToyParams:
         return 2.0 * math.pi / self.Omega
 
 
-def analytic_state(p: ToyParams, lam: float) -> Tuple[Vec3, Vec3]:
+def analytic_state(p: ToyParams, lam) -> Tuple[Vec3, Vec3]:
+    """(zeta, eta) at lam; for an array lam each component is an array."""
     th = p.Omega * lam + p.C
-    s, c = math.sin(th), math.cos(th)
+    s, c = np.sin(th), np.cos(th)
     zeta = tuple(a * s + b * c for a, b in zip(p.A, p.B))
     eta = tuple(p.Omega * (a * c - b * s) for a, b in zip(p.A, p.B))
     return zeta, eta  # type: ignore[return-value]
@@ -112,18 +115,18 @@ def F_analytic(p: ToyParams, lam: float) -> float:
     return -p.chi * p.M * sum(c * c for c in zeta)
 
 
-def intF_analytic(p: ToyParams, lam: float) -> float:
-    """Exact running integral of F from 0 to lam."""
+def intF_analytic(p: ToyParams, lam):
+    """Exact running integral of F from 0 to lam (elementwise for arrays)."""
     om = p.Omega
     th2 = 2.0 * (om * lam + p.C)
     c2 = 2.0 * p.C
     bracket = (0.5 * (p.a2 + p.b2) * lam
-               + (p.b2 - p.a2) * (math.sin(th2) - math.sin(c2)) / (4.0 * om)
-               - p.ab * (math.cos(th2) - math.cos(c2)) / (2.0 * om))
+               + (p.b2 - p.a2) * (np.sin(th2) - math.sin(c2)) / (4.0 * om)
+               - p.ab * (np.cos(th2) - math.cos(c2)) / (2.0 * om))
     return -p.chi * p.M * bracket
 
 
-def analytic_T(p: ToyParams, lam: float) -> float:
+def analytic_T(p: ToyParams, lam):
     drift = p.M / 4.0 - p.nu * p.nu / p.M ** 3
     return drift * lam + intF_analytic(p, lam) / p.M
 

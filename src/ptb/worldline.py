@@ -17,13 +17,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import reduced
 from .errors import FrameMismatch, NonMonotoneTime, OutOfRange
+from .mass_shell import MassShell
 from .minkowski import FourVector, boost_from_rest, lorentz_dot
-from .reduced import Trajectory, equal_time_clock, require_synchronized
+from .reduced import Trajectory, equal_time_clock, require_synchronized, synchronize
 from .roots import brent
 
 __all__ = [
-    "WorldlineSample",
     "WorldlineSet",
     "worldlines",
     "lambda_from_T",
@@ -32,40 +33,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WorldlineSample:
-    """One equal-time slice: positions of both particles and the center of
-    energy, plus the rest-frame relative separation rtil = zeta."""
-
-    lam: float
-    T: float
-    x1: FourVector
-    x2: FourVector
-    Xi: FourVector
-    rtil: np.ndarray
-    flagged: bool = False
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorldlineSet:
-    """World lines with the frame their coordinates refer to.
+    """Sampled world lines of both particles and the center of energy.
 
-    frame is the total-momentum four-vector of the coordinate frame: the
-    rest frame itself carries (M, 0, 0, 0).
+    x1, x2 and Xi are (n, 4) arrays of components (t, x, y, z) in the
+    frame whose total momentum has components frame: the rest frame itself
+    carries (M, 0, 0, 0).  lam, T and flagged are the (n) sample columns of
+    the trajectory they come from.
     """
 
-    shell: "object"
-    samples: tuple[WorldlineSample, ...]
+    shell: MassShell
+    lam: np.ndarray
+    T: np.ndarray
+    x1: np.ndarray
+    x2: np.ndarray
+    Xi: np.ndarray
+    flagged: np.ndarray
     frame: FourVector
-
-    def __iter__(self):
-        return iter(self.samples)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def __getitem__(self, i):
-        return self.samples[i]
 
 
 def worldlines(traj: Trajectory, Xi0: Sequence[float] = (0.0, 0.0, 0.0)) -> WorldlineSet:
@@ -73,79 +58,66 @@ def worldlines(traj: Trajectory, Xi0: Sequence[float] = (0.0, 0.0, 0.0)) -> Worl
     frame, anchored at Xi(T = 0) = (0, Xi0)."""
     require_synchronized(traj)
     shell = traj.shell
-    offset1 = shell.nu / shell.M2 - 0.5
-    offset2 = shell.nu / shell.M2 + 0.5
     anchor = np.asarray(Xi0, dtype=float)
     if anchor.shape != (3,):
         raise ValueError("Xi0 must be a 3-vector")
-    out = []
-    for s in traj.samples:
-        zeta = s.state.ztil
-        Xi = FourVector.from_spatial(s.T, anchor)
-        x1 = FourVector.from_spatial(s.T, anchor - offset1 * zeta)
-        x2 = FourVector.from_spatial(s.T, anchor - offset2 * zeta)
-        out.append(WorldlineSample(lam=s.state.lambda_, T=s.T, x1=x1, x2=x2,
-                                   Xi=Xi, rtil=zeta.copy(), flagged=s.flagged))
-    rest = FourVector(shell.M, 0.0, 0.0, 0.0)
-    return WorldlineSet(shell=shell, samples=tuple(out), frame=rest)
+
+    def events(spatial) -> np.ndarray:
+        return np.hstack((traj.T[:, None], np.broadcast_to(spatial, traj.ztil.shape)))
+
+    c = shell.nu / shell.M2
+    return WorldlineSet(shell=shell, lam=traj.lam, T=traj.T,
+                        x1=events(anchor - (c - 0.5) * traj.ztil),
+                        x2=events(anchor - (c + 0.5) * traj.ztil), Xi=events(anchor),
+                        flagged=traj.flagged, frame=FourVector(shell.M, 0.0, 0.0, 0.0))
 
 
 def lambda_from_T(traj: Trajectory, T_query: float) -> float:
     """Invert the clock map T(lambda) on a monotone trajectory.
 
-    Brackets on the sampled T values, then refines with Brent's method on
-    the dense output, so |T(result) - T_query| stays at root-finder level.
+    A sampled T maps to its own lambda; between samples Brent's method
+    refines on the dense output, so |T(result) - T_query| stays at
+    root-finder level, and a bracket whose ends do not straddle T_query
+    raises NoRoot.
     """
     require_synchronized(traj)
     if traj.monotone is False:
         raise NonMonotoneTime("T(lambda) is not invertible on a flagged trajectory")
-    Ts, lams = traj.clock_columns
+    Ts, lams = traj.T, traj.lam
     if not (Ts[0] <= T_query <= Ts[-1]):
         raise OutOfRange(f"T = {T_query!r} outside [{Ts[0]!r}, {Ts[-1]!r}]")
     i = int(np.searchsorted(Ts, T_query))
-    if i == 0:
-        return float(lams[0])
+    if Ts[i] == T_query:
+        return float(lams[i])
     lo, hi = float(lams[i - 1]), float(lams[i])
 
     def residual(lam: float) -> float:
         _, _, _, _, _, _, intF, intG = traj.vector_at(lam).tolist()
         return equal_time_clock(lam, intF, intG, traj.shell)[3] - T_query
 
-    f_lo = residual(lo)
-    f_hi = residual(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
-        # only reachable through interpolation noise right at a sample point
-        return lo if abs(f_lo) <= abs(f_hi) else hi
     return brent(residual, lo, hi, xtol=1e-15 * max(1.0, hi))
 
 
 def resample_uniform_T(traj: Trajectory, n: Optional[int] = None) -> Trajectory:
-    """Rebuild the sample list on an equispaced grid of T values.
+    """Rebuild the sample columns on an equispaced grid of T values.
 
     The dense segments are retained, so the result supports the same
-    queries as the original; sample lambdas become non-uniform.
+    queries as the original; sample lambdas become non-uniform.  The two
+    end samples are kept exactly.
     """
     require_synchronized(traj)
     if traj.monotone is False:
         raise NonMonotoneTime("cannot resample a non-monotone trajectory in T")
     if n is None:
-        n = len(traj.samples)
+        n = len(traj.lam)
     if n < 2:
         raise ValueError("need at least two samples")
-    T0 = traj.samples[0].T
-    T1 = traj.samples[-1].T
-    new_samples = []
-    for T in np.linspace(T0, T1, n):
-        lam = lambda_from_T(traj, float(T))
-        new_samples.append(traj.sample_at(lam))
-    # endpoints are exact samples already; reuse them to avoid drift
-    new_samples[0] = traj.samples[0]
-    new_samples[-1] = traj.samples[-1]
-    return replace(traj, samples=tuple(new_samples))
+    inner = [lambda_from_T(traj, T) for T in np.linspace(traj.T[0], traj.T[-1], n)[1:-1].tolist()]
+    u = np.array([traj.u[0], *map(traj.vector_at, inner), traj.u[-1]])
+    du = np.array([reduced.rhs(v, traj.shell, traj.model) for v in u])
+    return synchronize(replace(traj, lam=np.array([traj.lam[0], *inner, traj.lam[-1]]),
+                               u=u, F=du[:, 6], G=du[:, 7], synchronized=False,
+                               samples=None))
 
 
 def export_lab_frame(ws: WorldlineSet, k: FourVector) -> WorldlineSet:
@@ -157,12 +129,5 @@ def export_lab_frame(ws: WorldlineSet, k: FourVector) -> WorldlineSet:
         raise FrameMismatch(f"k.k = {kk!r} but the shell has M^2 = {M2!r}")
     if k.t <= 0.0:
         raise FrameMismatch("k must be future-pointing")
-    out = []
-    for s in ws.samples:
-        out.append(replace(
-            s,
-            x1=boost_from_rest(s.x1, k),
-            x2=boost_from_rest(s.x2, k),
-            Xi=boost_from_rest(s.Xi, k),
-        ))
-    return WorldlineSet(shell=ws.shell, samples=tuple(out), frame=k)
+    return replace(ws, x1=boost_from_rest(ws.x1, k), x2=boost_from_rest(ws.x2, k),
+                   Xi=boost_from_rest(ws.Xi, k), frame=k)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from ptb_fixtures import ACCEPTANCE_LINES, SEED, random_shell_args
+
 settings.register_profile(
     "ci",
     max_examples=60,
@@ -11,34 +13,15 @@ settings.register_profile(
 )
 settings.load_profile("ci")
 
-SEED = 20260819
-
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(SEED)
 
 
-def random_shell_args(rng, n):
-    """n random admissible (m1, m2, lambda) triples, lambda of either sign."""
-    out = []
-    for _ in range(n):
-        m1, m2 = np.sort(np.exp(rng.uniform(np.log(0.05), np.log(50.0), size=2)))
-        low = -0.95 * m1 * m1
-        high = 5.0 * (m1 + m2) ** 2
-        lam = rng.uniform(low, high)
-        out.append((float(m1), float(m2), float(lam)))
-    return out
-
-
 @pytest.fixture
 def shell_args(rng):
     return lambda n: random_shell_args(rng, n)
-
-
-# one line per acceptance criterion, echoed after the test summary so the
-# verdicts survive output capture
-ACCEPTANCE_LINES = []
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -301,3 +301,16 @@ def test_cli_import_loads_no_scipy():
                        text=True, timeout=120, cwd=PKG)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def test_near_collision_is_a_run_failure(tmp_path):
+    # the central_power kernel overflows at this separation: a DomainError
+    # from the first RHS call and exit code 4, not a traceback
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, potential={"kind": "central_power", "params": {"g": -1.0, "n": 3}},
+                 initial={"ztil": [1e-120, 0.0, 0.0], "ytil": [0.0, 0.5, 0.0]},
+                 shell={"lambda": 1.25})
+    r = run_cli("simulate", "--config", str(cfg_path))
+    assert r.returncode == 4, r.stderr
+    assert r.stderr.startswith("DomainError: ")
+    assert "n = 3" in r.stderr

@@ -23,7 +23,7 @@ from ptb.mass_shell import (
     shell_from_M,
 )
 
-from conftest import random_shell_args
+from ptb_fixtures import random_shell_args
 
 
 def quartic(m1, m2, lam, M2):

@@ -56,6 +56,19 @@ def test_boost_matches_matrix_oracle(rng):
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def test_boost_of_columns_matches_the_four_vector_boost(rng):
+    k = FourVector(5.0, 1.0, -2.0, 3.0)
+    pts = rng.normal(size=(200, 4))
+    for boost in (boost_to_rest, boost_from_rest):
+        cols = boost(pts, k)
+        assert cols.shape == pts.shape
+        rows = np.array([boost(FourVector(*p), k).as_array() for p in pts])
+        # the rows take a BLAS dot for beta.x, the columns a matrix product
+        assert np.allclose(cols, rows, rtol=4e-16, atol=4e-16 * np.max(np.abs(rows)))
+    assert np.allclose(boost_to_rest(boost_from_rest(pts, k), k), pts, rtol=0, atol=1e-13)
+    assert boost_from_rest(pts, FourVector(2.0, 0.0, 0.0, 0.0)) is pts
+
+
 def test_boost_sends_k_to_rest(rng):
     for _ in range(50):
         sp = rng.normal(size=3) * 2

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ptb.kinematics import noether_N
 from ptb.mass_shell import mass_shell_from_lambda
 from ptb.output import (
     COLUMNS,
@@ -15,7 +16,7 @@ from ptb.output import (
     write_json,
 )
 from ptb.potentials import HarmonicPotential
-from ptb.reduced import IntegratorOptions, ReducedState, integrate, synchronize
+from ptb.reduced import IntegratorOptions, ReducedState, integrate, rest_quintet, synchronize
 from ptb.worldline import worldlines
 
 
@@ -188,3 +189,44 @@ def test_json_deterministic(run, tmp_path):
     write_json(p1, json_payload(traj, ws))
     write_json(p2, json_payload(traj, ws))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+class CountingHarmonic(HarmonicPotential):
+    def __init__(self, chi):
+        super().__init__(chi)
+        self.calls = 0
+
+    def evaluate(self, q):
+        self.calls += 1
+        return super().evaluate(q)
+
+
+def test_N_takes_one_model_evaluation_per_sample():
+    # rows, diagnostics and the JSON payload share one N column; the
+    # builtin rest-frame fast path keeps evaluate out of rhs
+    model = CountingHarmonic(0.125)
+    shell = mass_shell_from_lambda(math.sqrt(2.75), math.sqrt(2.75), 1.25)
+    traj = synchronize(integrate(
+        ReducedState(0.0, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.0])),
+        shell, model, 6.0, IntegratorOptions(sample_interval=0.5)))
+    ws = worldlines(traj)
+    assert model.calls == 0
+    trajectory_rows(traj, ws)
+    diagnostics(traj)
+    json_payload(traj, ws)
+    assert model.calls == len(traj.lam) == 13
+
+
+def test_rows_are_the_columns(run):
+    traj, ws = run
+    rows = np.array(trajectory_rows(traj, ws))
+    N, L2 = traj.first_integrals
+    for i, col in enumerate((traj.lam, traj.T, traj.tau1, traj.tau2)):
+        assert np.array_equal(rows[:, i], col)
+    assert np.array_equal(rows[:, 4:10], traj.u[:, 0:6])
+    assert np.array_equal(rows[:, 10:22], np.hstack((ws.x1, ws.x2, ws.Xi)))
+    assert np.array_equal(rows[:, 22:], np.column_stack((N, L2, traj.dTdlambda)))
+    # the N and L2 columns are the scalar formulas applied sample by sample
+    for i, (z, y) in enumerate(zip(traj.ztil, traj.ytil)):
+        q = rest_quintet(z, y, traj.shell)
+        assert (N[i], L2[i]) == (noether_N(q, traj.model.evaluate(q).value), q.L2)

@@ -109,6 +109,18 @@ def test_domain_errors():
         CentralPowerPotential(-1.0, 1).evaluate(timelike_sep)
 
 
+@pytest.mark.parametrize("n, z2", [(3, 1e-250), (1, 1e-250), (2, 1e-160)])
+def test_central_power_overflow_is_a_domain_error(n, z2):
+    # rho2 ** (-n/2) overflows (n = 3) or the partial divided by rho2 does
+    # (n = 1, 2); both entry points name the separation and the exponent
+    model = CentralPowerPotential(-1.0, n)
+    message = f"ztil2 = {-z2!r} with n = {n}"
+    with pytest.raises(DomainError, match=message):
+        model.rest_partials(1.0, 0.0, z2, 0.1, 0.0)
+    with pytest.raises(DomainError, match=message):
+        model.evaluate(ScalarQuintet.at_rest(1.0, 0.0, z2, 0.1, 0.0))
+
+
 def test_parameter_validation():
     with pytest.raises(BadParameter):
         HarmonicPotential(0.0)

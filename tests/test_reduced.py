@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ptb.reduced import (
     IntegratorOptions,
     ReducedState,
     dT_dlambda,
+    equal_time_clock,
     integrate,
     require_synchronized,
     rest_quintet,
@@ -361,3 +363,30 @@ def test_generic_rest_partials_give_the_same_run(fast, generic):
         assert (sa.F, sa.G, sa.T, sa.dTdlambda) == (sb.F, sb.G, sb.T, sb.dTdlambda)
     for ga, gb in zip(a.segments, b.segments):
         assert (ga.t0, ga.h) == (gb.t0, gb.h) and np.array_equal(ga.r, gb.r)
+
+
+def test_samples_view_follows_the_columns():
+    p, shell = toy_setup()
+    traj = integrate(state0(p), shell, HarmonicPotential(p.chi), 5.0,
+                     IntegratorOptions(sample_interval=0.5))
+    assert all(math.isnan(s.T) and not s.flagged for s in traj.samples)
+    sync = synchronize(traj)
+    assert len(sync.samples) == len(sync.lam) == 11
+    for i, s in enumerate(sync.samples):
+        assert s.state.lambda_ == sync.lam[i]
+        assert np.array_equal(_vector(s), sync.u[i])
+        assert (s.F, s.G) == (sync.F[i], sync.G[i])
+        assert (s.tau1, s.tau2, s.T, s.dTdlambda) == \
+            (sync.tau1[i], sync.tau2[i], sync.T[i], sync.dTdlambda[i])
+        assert s.flagged == sync.flagged[i]
+    # the column clock is the scalar formulas applied sample by sample
+    for s in sync.samples:
+        st = s.state
+        assert (s.tau1, s.tau2, s.T) == tuple(
+            equal_time_clock(st.lambda_, st.intF, st.intG, shell)[i] for i in (0, 1, 3))
+        assert s.dTdlambda == dT_dlambda(s.F, s.G, shell)
+    # a replaced trajectory gets a view of its own columns, unless given one
+    shifted = replace(sync, lam=sync.lam + 1.0)
+    assert shifted.samples[0].state.lambda_ == 1.0
+    explicit = tuple(sync.samples)[:2]
+    assert replace(sync, samples=explicit).samples is explicit

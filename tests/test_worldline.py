@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ptb.errors import FrameMismatch, NonMonotoneTime, NotSynchronized, OutOfRange
+from ptb.errors import FrameMismatch, NoRoot, NonMonotoneTime, NotSynchronized, OutOfRange
 from ptb.kinematics import CanonicalState, center_of_mass, scalar_quintet, split
 from ptb.mass_shell import mass_shell_from_lambda
 from ptb.minkowski import FourVector, boost_from_rest, lorentz_dot
@@ -30,7 +31,6 @@ def toy_traj():
 
 
 def test_requires_synchronized_trajectory(toy_traj):
-    from dataclasses import replace
     raw = replace(toy_traj, synchronized=False)
     with pytest.raises(NotSynchronized):
         worldlines(raw)
@@ -38,34 +38,30 @@ def test_requires_synchronized_trajectory(toy_traj):
 
 def test_time_components_equal_T(toy_traj):
     ws = worldlines(toy_traj)
-    for w, s in zip(ws, toy_traj.samples):
-        assert w.T == s.T
-        assert w.x1.t == w.T and w.x2.t == w.T and w.Xi.t == w.T
-        assert w.lam == s.state.lambda_
+    assert np.array_equal(ws.T, toy_traj.T)
+    for x in (ws.x1, ws.x2, ws.Xi):
+        assert np.array_equal(x[:, 0], ws.T)
+    assert np.array_equal(ws.lam, toy_traj.lam)
 
 
 def test_separation_is_zeta(toy_traj):
     ws = worldlines(toy_traj)
-    for w, s in zip(ws, toy_traj.samples):
-        sep = w.x1.spatial - w.x2.spatial
-        assert np.allclose(sep, s.state.ztil, rtol=0, atol=1e-14)
-        assert np.array_equal(w.rtil, s.state.ztil)
+    sep = ws.x1[:, 1:] - ws.x2[:, 1:]
+    assert np.allclose(sep, toy_traj.ztil, rtol=0, atol=1e-14)
 
 
 def test_energy_weighted_mean_is_center_line(toy_traj):
     shell = toy_traj.shell
     anchor = np.array([0.3, -1.0, 2.0])
     ws = worldlines(toy_traj, Xi0=anchor)
-    for w in ws:
-        mean = (shell.E1 * w.x1.spatial + shell.E2 * w.x2.spatial) / shell.M
-        assert np.allclose(mean, w.Xi.spatial, rtol=0, atol=1e-13)
-        assert np.allclose(w.Xi.spatial, anchor, rtol=0, atol=1e-13)
+    mean = (shell.E1 * ws.x1[:, 1:] + shell.E2 * ws.x2[:, 1:]) / shell.M
+    assert np.allclose(mean, ws.Xi[:, 1:], rtol=0, atol=1e-13)
+    assert np.allclose(ws.Xi[:, 1:], anchor, rtol=0, atol=1e-13)
 
 
 def test_center_line_is_straight_and_at_rest(toy_traj):
     ws = worldlines(toy_traj)
-    Xis = np.array([w.Xi.spatial for w in ws])
-    assert np.max(np.abs(Xis)) == 0.0
+    assert np.max(np.abs(ws.Xi[:, 1:])) == 0.0
     assert ws.frame.t == toy_traj.shell.M
     assert tuple(ws.frame.spatial) == (0.0, 0.0, 0.0)
 
@@ -81,14 +77,41 @@ def test_lambda_from_T_round_trip(toy_traj):
         lambda_from_T(toy_traj, T_hi + 1.0)
 
 
+def test_lambda_from_T_maps_each_sample_to_its_lambda(toy_traj):
+    # exact at every node, including the last, where the dense output is
+    # evaluated at the end of its step and may miss the sample by an ulp
+    for T, lam in zip(toy_traj.T.tolist(), toy_traj.lam.tolist()):
+        assert lambda_from_T(toy_traj, T) == lam
+    # the same when the end of the last dense segment overshoots that sample
+    # by a few ulps of T
+    last = toy_traj.segments[-1]
+    r = last.r.copy()
+    r[1, 6] += 8.0 * np.spacing(toy_traj.shell.M * toy_traj.T[-1])
+    nudged = replace(toy_traj, segments=(*toy_traj.segments[:-1], replace(last, r=r)))
+    assert lambda_from_T(nudged, float(nudged.T[-1])) == nudged.lam[-1]
+
+
+def test_lambda_from_T_refuses_a_bracket_without_a_root(toy_traj):
+    # shift intF of the dense output so its T runs far above the samples:
+    # no lambda between two samples reaches a T between them
+    shift = np.zeros((5, 8))
+    shift[0, 6] = 10.0 * toy_traj.shell.M * (toy_traj.T[-1] - toy_traj.T[0])
+    bad = replace(toy_traj, segments=tuple(replace(s, r=s.r + shift)
+                                           for s in toy_traj.segments))
+    with pytest.raises(NoRoot):
+        lambda_from_T(bad, 0.5 * float(toy_traj.T[3] + toy_traj.T[4]))
+
+
 def test_resample_uniform_T(toy_traj):
     res = resample_uniform_T(toy_traj, 41)
     Ts = np.array([s.T for s in res.samples])
     assert len(Ts) == 41
     steps = np.diff(Ts)
     assert np.allclose(steps, steps[0], rtol=0, atol=1e-9)
-    assert res.samples[0] is toy_traj.samples[0]
-    assert res.samples[-1] is toy_traj.samples[-1]
+    # the end samples are kept bit for bit
+    for end in (0, -1):
+        for col in ("lam", "u", "F", "G", "tau1", "tau2", "T", "dTdlambda"):
+            assert np.array_equal(getattr(res, col)[end], getattr(toy_traj, col)[end])
     with pytest.raises(ValueError):
         resample_uniform_T(toy_traj, 1)
 
@@ -105,7 +128,7 @@ def test_nonmonotone_trajectory_refuses_T_queries():
         resample_uniform_T(traj)
     # worldline export still works, flags carried through
     ws = worldlines(traj)
-    assert any(w.flagged for w in ws)
+    assert ws.flagged.any()
 
 
 def test_export_lab_frame(toy_traj):
@@ -114,19 +137,17 @@ def test_export_lab_frame(toy_traj):
     k = FourVector(math.sqrt(shell.M2 + 0.36 * shell.M2), 0.6 * shell.M, 0.0, 0.0)
     lab = export_lab_frame(ws, k)
     assert lab.frame is k
-    for w_rest, w_lab in zip(ws, lab):
+    for i in range(len(ws.lam)):
         # invariants survive the boost
-        d_rest = w_rest.x1 - w_rest.x2
-        d_lab = w_lab.x1 - w_lab.x2
+        d_rest = FourVector(*(ws.x1[i] - ws.x2[i]))
+        d_lab = FourVector(*(lab.x1[i] - lab.x2[i]))
         assert lorentz_dot(d_rest, d_rest) == pytest.approx(
             lorentz_dot(d_lab, d_lab), rel=1e-12, abs=1e-12)
         # equal-time condition transforms covariantly: k.(x1 - x2) = 0
-        assert abs(lorentz_dot(k, d_lab)) < 1e-10 * shell.M * (1.0 + abs(w_lab.T))
-        # energy-weighted mean still reproduces the center line
-        mean_sp = (shell.E1 * np.append(w_lab.x1.t, w_lab.x1.spatial)
-                   + shell.E2 * np.append(w_lab.x2.t, w_lab.x2.spatial)) / shell.M
-        Xi_lab = np.append(w_lab.Xi.t, w_lab.Xi.spatial)
-        assert np.allclose(mean_sp, Xi_lab, rtol=0, atol=1e-11)
+        assert abs(lorentz_dot(k, d_lab)) < 1e-10 * shell.M * (1.0 + abs(lab.T[i]))
+    # energy-weighted mean still reproduces the center line
+    mean = (shell.E1 * lab.x1 + shell.E2 * lab.x2) / shell.M
+    assert np.allclose(mean, lab.Xi, rtol=0, atol=1e-11)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.6])
@@ -142,19 +163,20 @@ def test_covariant_layer_recovers_the_reduction(toy_traj, beta):
     if beta:
         ws = export_lab_frame(ws, k)
     worst = 0.0
-    for w, s in zip(ws, toy_traj.samples):
-        y = boost_from_rest(FourVector.from_spatial(nu / M, s.state.ytil), k)
-        state = CanonicalState(q1=w.x1, q2=w.x2, p1=0.5 * k + y, p2=0.5 * k - y)
+    for i, (ztil, ytil) in enumerate(zip(toy_traj.ztil, toy_traj.ytil)):
+        y = boost_from_rest(FourVector.from_spatial(nu / M, ytil), k)
+        state = CanonicalState(q1=FourVector(*ws.x1[i]), q2=FourVector(*ws.x2[i]),
+                               p1=0.5 * k + y, p2=0.5 * k - y)
         ei = split(state)
         got = scalar_quintet(ei)
-        want = rest_quintet(s.state.ztil, s.state.ytil, shell)
-        scale = 1.0 + abs(w.T)
+        want = rest_quintet(ztil, ytil, shell)
+        scale = 1.0 + abs(ws.T[i])
         worst = max(
             worst,
             abs(lorentz_dot(ei.z, ei.P)) / (M * scale),
             *(abs(getattr(got, f) - getattr(want, f)) / (1.0 + abs(getattr(want, f)))
               for f in ("P2", "ztil2", "ytil2", "zy", "w", "yP")),
-            *(abs(a - b) / scale for a, b in zip(center_of_mass(state), w.Xi)),
+            *(abs(a - b) / scale for a, b in zip(center_of_mass(state), ws.Xi[i])),
         )
     assert worst <= 1e-12
 
@@ -174,8 +196,7 @@ def test_center_line_moves_on_k_direction(toy_traj):
     k = FourVector(math.sqrt(shell.M2 * 1.25), 0.0, 0.5 * shell.M, 0.0)
     lab = export_lab_frame(ws, k)
     # Xi in the lab frame is a straight line with four-velocity k/M
-    pts = np.array([[w.Xi.t, *w.Xi.spatial] for w in lab])
-    dirs = np.diff(pts, axis=0)
+    dirs = np.diff(lab.Xi, axis=0)
     kvec = np.array([k.t, *k.spatial]) / shell.M
     for d in dirs:
         dt = d[0]
