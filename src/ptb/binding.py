@@ -59,14 +59,24 @@ def self_consistent_M(m1: float, m2: float,
 
 
 def _bracketed_M(m1, m2, lambda_of_M):
+    failure = None  # the last error of a trial shell, kept as the cause
+
     def g(M):
-        return mass_shell_from_lambda(m1, m2, lambda_of_M(M)).M - M
+        nonlocal failure
+        try:
+            return mass_shell_from_lambda(m1, m2, lambda_of_M(M)).M - M
+        except PtbError as exc:
+            failure = exc
+            raise
 
     scale = m1 + m2
     grid = [scale * math.exp(x * 0.1) for x in range(-40, 41)]
     M = first_root(g, grid, skip=PtbError)
     if M is None:
-        raise NoRoot("no self-consistent collective mass found near m1 + m2")
+        msg = "no self-consistent collective mass found near m1 + m2"
+        if failure is not None:
+            msg += f"; last trial shell failed with {type(failure).__name__}: {failure}"
+        raise NoRoot(msg) from failure
     return M
 
 

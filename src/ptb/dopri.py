@@ -3,49 +3,52 @@
 Embedded explicit Runge-Kutta pair with FSAL, PI step-size control
 (Lund stabilization) and the quartic dense-output interpolant.  The driver
 lands exactly on requested sample points, so emitted samples are genuine
-solution points rather than interpolated ones; the dense segments are kept
+solution points rather than interpolated ones; the dense output is kept
 for root finding between samples.
+
+f(t, y) receives the state as a list of Python floats and returns a
+sequence of Python floats; the step loop calls no numpy, which at length 8
+costs more than the arithmetic, and a numpy scalar from f would slow every
+later stage.  The dense output is one flat buffer of groups of six blocks
+of n floats: group 0 is (y0, 0, 0, 0, 0, k1) and each accepted step appends
+(y_new, k3, k4, k5, k6, k7).  Step i takes y and k1 from group i (the FSAL
+stage) and the rest from group i + 1; k2 has no dense weight.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import StepFailure
 
-__all__ = ["DenseSegment", "DopriResult", "solve_dopri5"]
+__all__ = ["DenseOutput", "DopriResult", "solve_dopri5"]
 
-# Dormand-Prince 5(4) tableau.  Rows 0-6 of _W are the stage weights; row 6
-# holds the fifth-order weights b, so the seventh stage is the derivative at
-# the new solution point (FSAL).  Row 7 is the difference to the embedded
-# fourth-order solution.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_W = np.array([
-    (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0),
-    (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40),
-])
-# the five dense coefficient rows as one matrix acting on (y, y_new, h K):
-#   r1 = y, r2 = y_new - y, r3 = h k1 - r2, r4 = r2 - h k7 - r3, r5 = h D.K
-# with D the dense-output weights of the deviation polynomial
-_DENSE = np.array([
-    (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (-1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (1.0, -1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    (-2.0, 2.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0),
-    (0.0, 0.0, -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-     -10690763975 / 1880347072, 701980252875 / 199316789632,
-     -1453857185 / 822651844, 69997945 / 29380423),
-])
+# Dormand-Prince 5(4) tableau: nodes C, stage weights A, fifth-order
+# weights B (so the seventh stage is the derivative at the new solution
+# point, FSAL), the difference E to the embedded fourth-order solution and
+# the weights D of the dense-output deviation polynomial.  The second stage
+# has zero weight in B, E and D.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                                -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200,
+                                22 / 525, -1 / 40)
+_D1, _D3, _D4, _D5, _D6, _D7 = (
+    -12715105075 / 11282082432, 87487479700 / 32700410799,
+    -10690763975 / 1880347072, 701980252875 / 199316789632,
+    -1453857185 / 822651844, 69997945 / 29380423)
 
 # controller constants; the estimate is compared against tol * h (error per
 # unit t), so the controlled quantity err/h scales like h^4 and the PI
@@ -57,19 +60,47 @@ _FAC_SHRINK = 5.0   # step never shrinks by more than this factor at once
 _FAC_GROW = 10.0    # nor grows by more
 
 
-@dataclass(frozen=True)
-class DenseSegment:
-    """Quartic interpolant over one accepted step [t0, t0 + h]."""
+@dataclass(frozen=True, eq=False)
+class DenseOutput:
+    """Quartic interpolant over the m accepted steps of one run.
 
-    t0: float
-    h: float
-    r: np.ndarray  # (5, n)
+    t0 and h hold the start and size of each step; data is the dense
+    buffer described in the module docstring, (m + 1) groups of six blocks
+    of n floats.
+    """
 
-    def __call__(self, t: float) -> np.ndarray:
-        theta = (t - self.t0) / self.h
+    t0: array
+    h: array
+    data: array
+    n: int
+
+    @property
+    def groups(self) -> np.ndarray:
+        """The buffer as an (m + 1, 6, n) array view."""
+        return np.frombuffer(self.data).reshape(-1, 6, self.n)
+
+    def __call__(self, t: float) -> list[float]:
+        """State at t on the step that contains it, as a list of floats;
+        outside [t0[0], t0[-1] + h[-1]] the nearest step's quartic is
+        extrapolated."""
+        i = min(max(bisect_right(self.t0, t) - 1, 0), len(self.t0) - 1)
+        n, data, h = self.n, self.data, self.h[i]
+        theta = (t - self.t0[i]) / h
         th1 = 1.0 - theta
-        r1, r2, r3, r4, r5 = self.r
-        return r1 + theta * (r2 + th1 * (r3 + theta * (r4 + th1 * r5)))
+        b = 6 * n * i
+        y, k1 = data[b:b + n], data[b + 5 * n:b + 6 * n]
+        b += 6 * n
+        y1, k3, k4, k5, k6, k7 = (data[b + j * n:b + (j + 1) * n] for j in range(6))
+        out = []
+        for y0c, y1c, c1, c3, c4, c5, c6, c7 in zip(y, y1, k1, k3, k4, k5, k6, k7):
+            # rows r1 = y, r2 = y_new - y, r3 = h k1 - r2, r4 = r2 - h k7 - r3
+            # and r5 = h D.k of the quartic in theta
+            r2 = y1c - y0c
+            r3 = h * c1 - r2
+            r4 = r2 - h * c7 - r3
+            r5 = h * (_D1 * c1 + _D3 * c3 + _D4 * c4 + _D5 * c5 + _D6 * c6 + _D7 * c7)
+            out.append(y0c + theta * (r2 + th1 * (r3 + theta * (r4 + th1 * r5))))
+        return out
 
 
 @dataclass
@@ -77,22 +108,28 @@ class DopriResult:
     t: np.ndarray            # emitted sample times
     y: np.ndarray            # (len(t), n) sample states
     dy: np.ndarray           # (len(t), n) derivatives f(t, y) at the samples
-    segments: list[DenseSegment]
+    dense: DenseOutput
     n_accepted: int
     n_rejected: int
     n_rhs: int               # evaluations of f
+    h_min: float             # smallest and largest accepted step
+    h_max: float
+    n_landed: int            # accepted steps cut short to end on a sample or t1
+
+
+def _rms(v, scale) -> float:
+    return math.sqrt(sum((a / s) ** 2 for a, s in zip(v, scale)) / len(scale))
 
 
 def _initial_step(f, t0, y0, f0, tol, max_step, span):
     """Classic two-probe heuristic for the first step size."""
-    sc = tol + tol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / sc) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / sc) ** 2)))
+    sc = [tol + tol * abs(v) for v in y0]
+    d0 = _rms(y0, sc)
+    d1 = _rms(f0, sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span, max_step)
-    y1 = y0 + h0 * f0
-    f1 = f(t0 + h0, y1)
-    d2 = math.sqrt(float(np.mean(((f1 - f0) / sc) ** 2))) / h0
+    f1 = f(t0 + h0, [v + h0 * d for v, d in zip(y0, f0)])
+    d2 = _rms([a - b for a, b in zip(f1, f0)], sc) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -101,80 +138,71 @@ def _initial_step(f, t0, y0, f0, tol, max_step, span):
 
 
 def solve_dopri5(
-    f: Callable[[float, np.ndarray], np.ndarray],
+    f: Callable[[float, list[float]], Sequence[float]],
     t_span: tuple[float, float],
     y0,
     *,
     tol: float = 1e-10,
     max_step: float = math.inf,
     t_eval: Sequence[float] | None = None,
-    on_step: Callable[[float, np.ndarray, np.ndarray], None] | None = None,
+    on_step: Callable[[float, list[float], Sequence[float]], None] | None = None,
     max_steps: int = 10_000_000,
 ) -> DopriResult:
     """Integrate y' = f(t, y) from t_span[0] to t_span[1].
 
-    tol is the error target per unit t, applied absolutely and relatively
-    alike, so the accumulated deviation scales like tol times span.  When
-    t_eval is given (sorted, inside the span) the stepper shortens steps to
-    land exactly on each entry and emits the propagated state there;
-    otherwise every accepted step is emitted.  on_step(t, y, dy) runs after
-    each accepted step with the fresh derivative (FSAL stage), which is how
-    callers watch derived quantities without extra evaluations; the same
-    derivative of every emitted sample is returned as dy.
+    f follows the contract of the module docstring: a list of floats in, a
+    sequence of floats out.  tol is the error target per unit t, applied
+    absolutely and relatively alike, so the accumulated deviation scales
+    like tol times span.  When t_eval is given (sorted, inside the span)
+    the stepper shortens steps to land exactly on each entry and emits the
+    propagated state there; otherwise every accepted step is emitted.
+    on_step(t, y, dy) runs after each accepted step with the fresh
+    derivative (FSAL stage), which is how callers watch derived quantities
+    without extra evaluations; the same derivative of every emitted sample
+    is returned as dy.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got {t_span!r}")
-    y = np.asarray(y0, dtype=float).copy()
-    if y.ndim != 1:
+    y0 = np.asarray(y0, dtype=float)
+    if y0.ndim != 1:
         raise ValueError("y0 must be one-dimensional")
+    y = y0.tolist()
+    n = len(y)
 
-    eval_pts: list[float] | None = None
+    eval_pts: list[float] = []
     if t_eval is not None:
         eval_pts = [float(t) for t in t_eval]
         if any(b <= a for a, b in zip(eval_pts, eval_pts[1:])):
             raise ValueError("t_eval must be strictly increasing")
         if eval_pts and (eval_pts[0] < t0 or eval_pts[-1] > t1 * (1 + 1e-15) + 1e-300):
             raise ValueError("t_eval must lie within t_span")
+    n_eval = len(eval_pts)
 
-    out_t: list[float] = []
-    out_y: list[np.ndarray] = []
-    out_dy: list[np.ndarray] = []
-    eval_idx = 0
-    n = y.size
-    # X = (y, y_new, h K): the dense rows are _DENSE @ X; K is the stage
-    # derivatives, row 0 the derivative at y (FSAL)
-    X = np.empty((9, n))
-    K = np.empty((7, n))
-    K[0] = f(t0, y)
-    h = _initial_step(f, t0, y, K[0], tol, max_step, t1 - t0)
+    k1 = f(t0, y)
+    h = _initial_step(f, t0, y, k1, tol, max_step, t1 - t0)
     n_rhs = 2
 
-    def emit(tc: float, yc: np.ndarray, dyc: np.ndarray):
-        out_t.append(tc)
-        out_y.append(yc)
-        out_dy.append(dyc.copy())
+    # emitted samples as indices of buffer groups: group j holds the state
+    # after j accepted steps
+    out_idx: list[int] = []
+    eval_idx = 0
+    while eval_idx < n_eval and eval_pts[eval_idx] <= t0:
+        out_idx.append(0)
+        eval_idx += 1
 
-    if eval_pts is None:
-        emit(t0, y, K[0])
-    else:
-        while eval_idx < len(eval_pts) and eval_pts[eval_idx] <= t0:
-            emit(t0, y, K[0])
-            eval_idx += 1
+    data = array("d", y)
+    data.extend([0.0] * (4 * n))
+    data.extend(k1)
+    starts = array("d")
+    sizes = array("d")
+    extend, start, size = data.extend, starts.append, sizes.append
 
     t = t0
     facold = 1e-4
     just_rejected = False
-    segments: list[DenseSegment] = []
-    n_accepted = 0
-    n_rejected = 0
+    n_accepted = n_rejected = n_landed = 0
     h_used = err = math.nan
-    ay = np.abs(y)
-    # stage weights scaled by h once per attempt, read through fixed views
-    W = np.empty_like(_W)
-    stage_w = [W[i, :i] for i in range(7)]
-    stage_k = [K[:i] for i in range(7)]
-    err_w = W[7]
 
     while t < t1:
         if n_accepted + n_rejected >= max_steps:
@@ -187,45 +215,55 @@ def solve_dopri5(
                 f"(h = {h!r}, last error estimate = {err!r})")
 
         # shorten to land exactly on the next target (sample point or t1)
-        target = t1
-        if eval_pts is not None and eval_idx < len(eval_pts):
-            target = min(target, eval_pts[eval_idx])
+        target = min(t1, eval_pts[eval_idx]) if eval_idx < n_eval else t1
         h_try = min(h, max_step, target - t)
         landed = h_try >= target - t
         t_new = target if landed else t + h_try
         h_used = t_new - t
 
-        np.multiply(_W, h_used, out=W)
-        for i in range(1, 6):
-            K[i] = f(t + _C[i] * h_used, y + stage_w[i] @ stage_k[i])
-        y_new = y + stage_w[6] @ stage_k[6]
+        k2 = f(t + _C2 * h_used, [a + h_used * (_A21 * c1) for a, c1 in zip(y, k1)])
+        k3 = f(t + _C3 * h_used, [a + h_used * (_A31 * c1 + _A32 * c2)
+                                  for a, c1, c2 in zip(y, k1, k2)])
+        k4 = f(t + _C4 * h_used, [a + h_used * (_A41 * c1 + _A42 * c2 + _A43 * c3)
+                                  for a, c1, c2, c3 in zip(y, k1, k2, k3)])
+        k5 = f(t + _C5 * h_used, [a + h_used * (_A51 * c1 + _A52 * c2 + _A53 * c3 + _A54 * c4)
+                                  for a, c1, c2, c3, c4 in zip(y, k1, k2, k3, k4)])
+        k6 = f(t + h_used, [a + h_used * (_A61 * c1 + _A62 * c2 + _A63 * c3 + _A64 * c4
+                                          + _A65 * c5)
+                            for a, c1, c2, c3, c4, c5 in zip(y, k1, k2, k3, k4, k5)])
+        y_new = [a + h_used * (_B1 * c1 + _B3 * c3 + _B4 * c4 + _B5 * c5 + _B6 * c6)
+                 for a, c1, c3, c4, c5, c6 in zip(y, k1, k3, k4, k5, k6)]
         # the seventh stage is evaluated at exactly the y_new that is emitted
-        K[6] = f(t_new, y_new)
+        k7 = f(t_new, y_new)
         n_rhs += 6
-        ay_new = np.abs(y_new)
         # error per unit step against tol (1 + max|y|): global drift stays
         # proportional to tol * span
-        ratio = (err_w @ K) / (1.0 + np.maximum(ay, ay_new))
-        err = math.sqrt(ratio @ ratio / n) / (tol * h_used)
+        s = 0.0
+        for a, b, c1, c3, c4, c5, c6, c7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+            # max(|a|, |b|) by comparisons, cheaper than three builtin calls
+            if a < 0.0:
+                a = -a
+            if b < 0.0:
+                b = -b
+            r = (_E1 * c1 + _E3 * c3 + _E4 * c4 + _E5 * c5 + _E6 * c6 + _E7 * c7) \
+                / (1.0 + (a if a > b else b))
+            s += r * r
+        err = math.sqrt(s / n) / tol
 
         if err <= 1.0:
-            X[0] = y
-            X[1] = y_new
-            np.multiply(K, h_used, out=X[2:])
-            segments.append(DenseSegment(t, h_used, _DENSE @ X))
+            start(t)
+            size(h_used)
+            extend(chain(y_new, k3, k4, k5, k6, k7))
             n_accepted += 1
+            n_landed += landed
             if on_step is not None:
-                on_step(t_new, y_new, K[6])
-            if eval_pts is None:
-                emit(t_new, y_new, K[6])
-            else:
-                while eval_idx < len(eval_pts) and eval_pts[eval_idx] <= t_new:
-                    emit(t_new, y_new, K[6])
-                    eval_idx += 1
+                on_step(t_new, y_new, k7)
+            while eval_idx < n_eval and eval_pts[eval_idx] <= t_new:
+                out_idx.append(n_accepted)
+                eval_idx += 1
             t = t_new
             y = y_new
-            ay = ay_new
-            K[0] = K[6]
+            k1 = k7
             # PI update (Lund stabilization)
             fac11 = err ** _EXPO1
             fac = fac11 / facold ** _BETA
@@ -242,12 +280,12 @@ def solve_dopri5(
             h = h_used / min(_FAC_SHRINK, fac11 / _SAFETY)
             just_rejected = True
 
+    dense = DenseOutput(starts, sizes, data, n)
+    groups = dense.groups
+    times = np.append(np.frombuffer(starts), t)
+    rows = np.arange(n_accepted + 1) if t_eval is None else np.array(out_idx, dtype=int)
     return DopriResult(
-        t=np.array(out_t),
-        y=np.array(out_y) if out_y else np.empty((0, n)),
-        dy=np.array(out_dy) if out_dy else np.empty((0, n)),
-        segments=segments,
-        n_accepted=n_accepted,
-        n_rejected=n_rejected,
-        n_rhs=n_rhs,
+        t=times[rows], y=groups[rows, 0], dy=groups[rows, 5], dense=dense,
+        n_accepted=n_accepted, n_rejected=n_rejected, n_rhs=n_rhs,
+        h_min=min(sizes), h_max=max(sizes), n_landed=n_landed,
     )

@@ -73,6 +73,9 @@ def diagnostics(traj: Trajectory) -> dict:
         "n_accepted": traj.n_accepted,
         "n_rejected": traj.n_rejected,
         "n_rhs": traj.n_rhs,
+        "h_min": traj.h_min,
+        "h_max": traj.h_max,
+        "n_landed": traj.n_landed,
         "lambda_span": list(traj.lambda_span),
         "N_drift": float(np.abs(N - N[0]).max()) / N_scale,
         "L2_drift": float(np.abs(L2 - L2[0]).max()) / L2_scale,
@@ -151,10 +154,12 @@ def json_payload(traj: Trajectory, ws: WorldlineSet,
     }
     if extra:
         payload.update(extra)
-    return _json_clean(payload)
+    return payload
 
 
 def write_json(path, payload: dict) -> None:
+    """Write payload as strict JSON: nan becomes null, tuples become
+    arrays and numpy scalars plain numbers, in this one pass."""
     with open(path, "w", newline="") as fh:
         json.dump(_json_clean(payload), fh, indent=1, allow_nan=False)
         fh.write("\n")

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dopri import DenseSegment, solve_dopri5
+from .dopri import DenseOutput, solve_dopri5
 from .errors import NonMonotoneTime, NotSynchronized, OutOfRange
 from .kinematics import ScalarQuintet, noether_N
 from .mass_shell import MassShell
@@ -125,6 +125,9 @@ class Trajectory:
     """A reduced run as columns over its n samples: lam (n), the state
     u = (zeta, eta, intF, intG) (n, 8) and the quadrature rates F, G (n).
     synchronize adds tau1, tau2, T and the clock rate dTdlambda (n each).
+    dense is the solver's interpolant over every accepted step; h_min,
+    h_max and n_landed are its step-size range and the steps it cut short
+    to land on a sample or on the end of the span.
 
     samples is a per-sample view of the same data, built on first access;
     a tuple given explicitly is kept as it is.
@@ -136,10 +139,13 @@ class Trajectory:
     u: np.ndarray
     F: np.ndarray
     G: np.ndarray
-    segments: tuple[DenseSegment, ...]
+    dense: DenseOutput
     n_accepted: int
     n_rejected: int
     n_rhs: int
+    h_min: float
+    h_max: float
+    n_landed: int
     opts: IntegratorOptions
     tau1: Optional[np.ndarray] = None
     tau2: Optional[np.ndarray] = None
@@ -172,10 +178,6 @@ class Trajectory:
         return float(self.lam[0]), float(self.lam[-1])
 
     @cached_property
-    def _seg_starts(self) -> np.ndarray:
-        return np.array([s.t0 for s in self.segments])
-
-    @cached_property
     def first_integrals(self) -> tuple[np.ndarray, np.ndarray]:
         """Columns of N = ytil2 + 2 V and L2, built once per trajectory; V
         takes one model evaluation per sample, the only per-sample loop after
@@ -190,8 +192,7 @@ class Trajectory:
         lo, hi = self.lambda_span
         if not (lo <= lam <= hi):
             raise OutOfRange(f"lambda = {lam!r} outside [{lo!r}, {hi!r}]")
-        i = int(np.searchsorted(self._seg_starts, lam, side="right")) - 1
-        return self.segments[min(max(i, 0), len(self.segments) - 1)](lam)
+        return np.array(self.dense(lam))
 
     def state_at(self, lam: float) -> ReducedState:
         """Dense-output evaluation anywhere in the integrated span."""
@@ -201,7 +202,7 @@ class Trajectory:
     def sample_at(self, lam: float) -> TrajectorySample:
         """Fully synchronized sample at an arbitrary lambda."""
         u = self.vector_at(lam)
-        F, G = rhs(u, self.shell, self.model)[6:8]
+        F, G = rhs(u.tolist(), self.shell, self.model)[6:8]
         return _SampleView(_clocked(replace(self, lam=np.array([lam]), u=u[None],
                                             F=np.array([F]), G=np.array([G]))))[0]
 
@@ -218,23 +219,25 @@ def rest_quintet(ztil: np.ndarray, ytil: np.ndarray, shell: MassShell) -> Scalar
                                  _dot(ztil, ytil))
 
 
-def rhs(u: np.ndarray, shell: MassShell, model: PotentialSpec) -> np.ndarray:
+def rhs(u: Sequence[float], shell: MassShell,
+        model: PotentialSpec) -> tuple[float, ...]:
     """Right-hand side (dzeta, deta, F, G) of the flat state
-    u = (zeta, eta, intF, intG), in plain float arithmetic.
+    u = (zeta, eta, intF, intG), in plain float arithmetic: u is a sequence
+    of eight Python floats (an array row goes in as row.tolist()).
 
     Depends on lambda only through the state itself; tau1 and tau2 never
     appear separately.
     """
-    z0, z1, z2, y0, y1, y2, _, _ = u.tolist()
+    z0, z1, z2, y0, y1, y2, _, _ = u
     M2, nu = shell.M2, shell.nu
     dP2, dztil2, dytil2, dzy, dw = model.rest_partials(
         M2, nu, z0 * z0 + z1 * z1 + z2 * z2, y0 * y0 + y1 * y1 + y2 * y2,
         z0 * y0 + z1 * y1 + z2 * y2)
     a = 1.0 + 2.0 * dytil2
     b = -2.0 * dztil2
-    return np.array((a * y0 + dzy * z0, a * y1 + dzy * z1, a * y2 + dzy * z2,
-                     b * z0 - dzy * y0, b * z1 - dzy * y1, b * z2 - dzy * y2,
-                     2.0 * M2 * dP2, 2.0 * nu * dw))
+    return (a * y0 + dzy * z0, a * y1 + dzy * z1, a * y2 + dzy * z2,
+            b * z0 - dzy * y0, b * z1 - dzy * y1, b * z2 - dzy * y2,
+            2.0 * M2 * dP2, 2.0 * nu * dw)
 
 
 def dT_dlambda(F, G, shell: MassShell):
@@ -274,14 +277,14 @@ def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
     if lam0 != 0.0:
         raise ValueError("integration starts at lambda = 0 by convention")
 
-    def f(lam: float, u: np.ndarray) -> np.ndarray:
+    def f(lam: float, u: list[float]) -> tuple[float, ...]:
         return rhs(u, shell, model)
 
     last_lam = 0.0
 
-    def strict_clock(lam: float, u: np.ndarray, du: np.ndarray) -> None:
+    def strict_clock(lam: float, u: list[float], du: tuple[float, ...]) -> None:
         nonlocal last_lam
-        rate = dT_dlambda(float(du[6]), float(du[7]), shell)
+        rate = dT_dlambda(du[6], du[7], shell)
         if not (rate > 0.0):
             raise NonMonotoneTime(
                 f"dT/dlambda = {rate!r} at lambda = {lam!r} after a step of "
@@ -295,8 +298,9 @@ def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
 
     return Trajectory(
         shell=shell, model=model, lam=sol.t, u=sol.y, F=sol.dy[:, 6], G=sol.dy[:, 7],
-        segments=tuple(sol.segments), n_accepted=sol.n_accepted,
-        n_rejected=sol.n_rejected, n_rhs=sol.n_rhs, opts=opts,
+        dense=sol.dense, n_accepted=sol.n_accepted, n_rejected=sol.n_rejected,
+        n_rhs=sol.n_rhs, h_min=sol.h_min, h_max=sol.h_max, n_landed=sol.n_landed,
+        opts=opts,
     )
 
 

@@ -92,7 +92,7 @@ def lambda_from_T(traj: Trajectory, T_query: float) -> float:
     lo, hi = float(lams[i - 1]), float(lams[i])
 
     def residual(lam: float) -> float:
-        _, _, _, _, _, _, intF, intG = traj.vector_at(lam).tolist()
+        _, _, _, _, _, _, intF, intG = traj.dense(lam)
         return equal_time_clock(lam, intF, intG, traj.shell)[3] - T_query
 
     return brent(residual, lo, hi, xtol=1e-15 * max(1.0, hi))
@@ -101,7 +101,7 @@ def lambda_from_T(traj: Trajectory, T_query: float) -> float:
 def resample_uniform_T(traj: Trajectory, n: Optional[int] = None) -> Trajectory:
     """Rebuild the sample columns on an equispaced grid of T values.
 
-    The dense segments are retained, so the result supports the same
+    The dense output is retained, so the result supports the same
     queries as the original; sample lambdas become non-uniform.  The two
     end samples are kept exactly.
     """
@@ -113,10 +113,10 @@ def resample_uniform_T(traj: Trajectory, n: Optional[int] = None) -> Trajectory:
     if n < 2:
         raise ValueError("need at least two samples")
     inner = [lambda_from_T(traj, T) for T in np.linspace(traj.T[0], traj.T[-1], n)[1:-1].tolist()]
-    u = np.array([traj.u[0], *map(traj.vector_at, inner), traj.u[-1]])
-    du = np.array([reduced.rhs(v, traj.shell, traj.model) for v in u])
+    rows = [traj.u[0].tolist(), *map(traj.dense, inner), traj.u[-1].tolist()]
+    du = np.array([reduced.rhs(v, traj.shell, traj.model) for v in rows])
     return synchronize(replace(traj, lam=np.array([traj.lam[0], *inner, traj.lam[-1]]),
-                               u=u, F=du[:, 6], G=du[:, 7], synchronized=False,
+                               u=np.array(rows), F=du[:, 6], G=du[:, 7], synchronized=False,
                                samples=None))
 
 

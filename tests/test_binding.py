@@ -10,7 +10,7 @@ from ptb.binding import (
     self_consistent_circular,
     self_consistent_shell,
 )
-from ptb.errors import NoRoot
+from ptb.errors import DomainError, NoRoot
 from ptb.mass_shell import mass_shell_from_lambda
 from ptb.potentials import CentralPowerPotential, FreePotential, HarmonicPotential
 from ptb.reduced import rest_quintet
@@ -73,6 +73,18 @@ def test_no_root_when_constraint_is_absurd():
     # lambda(M) so negative everywhere that the shell never closes
     with pytest.raises(NoRoot):
         self_consistent_M(1.0, 1.0, lambda M: -2.0 * M * M - 10.0)
+
+
+def test_no_root_keeps_the_domain_error_of_the_trial_shells():
+    # every trial shell overflows the central_power kernel; the NoRoot
+    # must say why instead of hiding the DomainError
+    with pytest.raises(NoRoot) as info:
+        self_consistent_shell(1.0, 2.0, CentralPowerPotential(-1.0, 3),
+                              (1e-120, 0.0, 0.0), (0.0, 0.5, 0.0))
+    cause = info.value.__cause__
+    assert isinstance(cause, DomainError)
+    for text in (str(info.value), str(cause)):
+        assert "ztil2 = " in text and "n = 3" in text
 
 
 def test_self_consistent_shell_free_one_pass():

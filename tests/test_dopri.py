@@ -9,7 +9,7 @@ from ptb.errors import StepFailure
 
 
 def shm(t, y):
-    return np.array([y[1], -y[0]])
+    return [y[1], -y[0]]
 
 
 def shm_exact(t):
@@ -20,10 +20,9 @@ def test_shm_against_closed_form():
     res = solve_dopri5(shm, (0.0, 20.0 * math.pi), np.array([1.0, 0.0]), tol=1e-10)
     err = abs(res.y[-1] - shm_exact(20.0 * math.pi)).max()
     assert err < 1e-8
-    assert res.n_accepted == len(res.segments)
-    assert res.segments[0].t0 == 0.0
-    last = res.segments[-1]
-    assert last.t0 + last.h == pytest.approx(20.0 * math.pi)
+    assert res.n_accepted == len(res.dense.t0) == len(res.dense.h)
+    assert res.dense.t0[0] == 0.0
+    assert res.dense.t0[-1] + res.dense.h[-1] == pytest.approx(20.0 * math.pi)
 
 
 def test_tolerance_scaling_is_per_unit_time():
@@ -42,21 +41,21 @@ def test_tolerance_scaling_is_per_unit_time():
 
 def test_dense_output_accuracy():
     res = solve_dopri5(shm, (0.0, 10.0), np.array([1.0, 0.0]), tol=1e-10)
-    starts = [s.t0 for s in res.segments]
+    dense = res.dense
     ts = np.linspace(0.0, 10.0, 401)
     worst = 0.0
     for t in ts:
-        seg = res.segments[max(bisect.bisect_right(starts, t) - 1, 0)]
-        assert seg.t0 <= t <= seg.t0 + seg.h * (1 + 1e-15)
-        worst = max(worst, abs(seg(t) - shm_exact(t)).max())
+        i = max(bisect.bisect_right(dense.t0, t) - 1, 0)
+        assert dense.t0[i] <= t <= dense.t0[i] + dense.h[i] * (1 + 1e-15)
+        worst = max(worst, abs(np.array(dense(t)) - shm_exact(t)).max())
     assert worst < 1e-8
 
 
 def test_dense_segments_interpolate_step_ends():
     res = solve_dopri5(shm, (0.0, 3.0), np.array([1.0, 0.0]), tol=1e-10)
-    for seg, y0, y1 in zip(res.segments, res.y, res.y[1:]):
-        assert np.array_equal(seg(seg.t0), y0)
-        assert np.allclose(seg(seg.t0 + seg.h), y1, rtol=0, atol=1e-15)
+    for t0, h, y0, y1 in zip(res.dense.t0, res.dense.h, res.y, res.y[1:]):
+        assert np.array_equal(res.dense(t0), y0)
+        assert np.allclose(res.dense(t0 + h), y1, rtol=0, atol=1e-15)
 
 
 def test_t_eval_lands_exactly():
@@ -77,7 +76,7 @@ def test_t_eval_validation():
 def test_max_step_is_respected():
     res = solve_dopri5(shm, (0.0, 10.0), np.array([1.0, 0.0]),
                        tol=1e-6, max_step=0.01)
-    hs = np.array([s.h for s in res.segments])
+    hs = np.array(res.dense.h)
     assert hs.max() <= 0.01 + 1e-12
     assert res.n_accepted >= 1000
 
@@ -85,7 +84,7 @@ def test_max_step_is_respected():
 def test_blowup_raises_step_failure():
     # y' = y^2 from y(0) = 1 blows up at t = 1
     with pytest.raises(StepFailure) as info:
-        solve_dopri5(lambda t, y: y * y, (0.0, 2.0), np.array([1.0]), tol=1e-8)
+        solve_dopri5(lambda t, y: [y[0] * y[0]], (0.0, 2.0), np.array([1.0]), tol=1e-8)
     msg = str(info.value)
     assert "underflow at t = 0.99" in msg
     assert "h = " in msg and "last error estimate = " in msg
@@ -108,7 +107,7 @@ def test_rhs_count_is_exact(rate):
 
     def relax(t, y):
         calls.append(t)
-        return -rate * (y - math.cos(t))
+        return [-rate * (y[0] - math.cos(t))]
 
     res = solve_dopri5(relax, (0.0, 3.0), np.array([0.0]), tol=1e-6)
     assert res.n_rejected > 0  # the identity must hold across rejections
@@ -130,7 +129,7 @@ def test_on_step_sees_fsal_derivative():
     seen = []
 
     def watch(t, y, dy):
-        seen.append((t, y.copy(), dy.copy()))
+        seen.append((t, list(y), list(dy)))
 
     solve_dopri5(shm, (0.0, 3.0), np.array([1.0, 0.0]), on_step=watch)
     assert seen
@@ -139,19 +138,19 @@ def test_on_step_sees_fsal_derivative():
 
 
 def test_linear_problem_is_cheap():
-    res = solve_dopri5(lambda t, y: np.array([2.0]), (0.0, 5.0),
+    res = solve_dopri5(lambda t, y: [2.0], (0.0, 5.0),
                        np.array([1.0]), tol=1e-10)
     assert res.y[-1][0] == pytest.approx(11.0, rel=1e-13)
     assert res.n_accepted < 30
 
 
 def test_decay_accuracy():
-    res = solve_dopri5(lambda t, y: -5.0 * y, (0.0, 1.0),
+    res = solve_dopri5(lambda t, y: [-5.0 * y[0]], (0.0, 1.0),
                        np.array([1.0]), tol=1e-10)
     assert res.y[-1][0] == pytest.approx(math.exp(-5.0), rel=1e-7)
     # harsh decay: the absolute part of the tolerance caps resolution at
     # roughly tol * span, nothing finer
-    harsh = solve_dopri5(lambda t, y: -50.0 * y, (0.0, 1.0),
+    harsh = solve_dopri5(lambda t, y: [-50.0 * y[0]], (0.0, 1.0),
                          np.array([1.0]), tol=1e-9)
     assert abs(harsh.y[-1][0] - math.exp(-50.0)) < 1e-9
 

@@ -95,6 +95,22 @@ def test_flagged_rows_blank_positions(flagged_run):
             assert not any(math.isnan(v) for v in pos)
 
 
+def test_step_telemetry_on_a_sample_grid():
+    # every grid point after lambda = 0 is the end of exactly one accepted
+    # step cut short to land on it; free stepping lands only on the span end
+    shell = mass_shell_from_lambda(math.sqrt(2.75), math.sqrt(2.75), 1.25)
+    state = ReducedState(0.0, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.0]))
+    traj = integrate(state, shell, HarmonicPotential(0.125), 6.0,
+                     IntegratorOptions(sample_interval=0.5, max_step=0.05))
+    d = diagnostics(traj)
+    assert d["n_landed"] == traj.n_landed == len(traj.lam) - 1 == 12
+    assert 0.0 < d["h_min"] == traj.h_min <= d["h_max"] == traj.h_max <= 0.05
+    assert traj.h_min == min(traj.dense.h) and traj.h_max == max(traj.dense.h)
+    free = integrate(state, shell, HarmonicPotential(0.125), 6.0, IntegratorOptions())
+    assert free.n_landed == 1
+    assert free.h_min <= free.h_max <= 6.0
+
+
 def test_diagnostics_content(run):
     traj, _ = run
     d = diagnostics(traj)

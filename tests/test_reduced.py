@@ -3,9 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from ptb.errors import NonMonotoneTime, NotSynchronized, OutOfRange
+from ptb.errors import BadParameter, NonMonotoneTime, NotSynchronized, OutOfRange
 from ptb.kinematics import noether_N
 from ptb.mass_shell import mass_shell_from_lambda
 from ptb.potentials import (
@@ -331,10 +333,10 @@ def test_sample_rates_are_the_fsal_derivative(model, opts):
     traj = integrate(st, shell, model, 6.0, opts)
     assert len(traj.samples) > 8
     for s in traj.samples:
-        F, G = rhs(_vector(s), shell, model)[6:8].tolist()
+        F, G = rhs(_vector(s).tolist(), shell, model)[6:8]
         assert (s.F, s.G) == (F, G)
     probe = traj.sample_at(2.345)
-    assert [probe.F, probe.G] == rhs(_vector(probe), shell, model)[6:8].tolist()
+    assert [probe.F, probe.G] == list(rhs(_vector(probe).tolist(), shell, model)[6:8])
 
 
 class HarmonicViaEvaluate(HarmonicPotential):
@@ -361,8 +363,58 @@ def test_generic_rest_partials_give_the_same_run(fast, generic):
     for sa, sb in zip(a.samples, b.samples):
         assert np.array_equal(_vector(sa), _vector(sb))
         assert (sa.F, sa.G, sa.T, sa.dTdlambda) == (sb.F, sb.G, sb.T, sb.dTdlambda)
-    for ga, gb in zip(a.segments, b.segments):
-        assert (ga.t0, ga.h) == (gb.t0, gb.h) and np.array_equal(ga.r, gb.r)
+    assert (a.dense.t0, a.dense.h, a.dense.data) == (b.dense.t0, b.dense.h, b.dense.data)
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=20)
+@given(chi=st.floats(0.05, 0.5), M=st.floats(1.0, 4.0), nu_frac=st.floats(0.0, 0.9),
+       A=st.tuples(_UNIT, _UNIT, _UNIT), B=st.tuples(_UNIT, _UNIT, _UNIT),
+       probes=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_dense_output_follows_the_oscillator(chi, M, nu_frac, A, B, probes):
+    # the float-list dense output against the closed form anywhere in the
+    # span, and against the emitted samples at every step end
+    try:
+        p = ToyParams(chi=chi, M=M, A=A, B=B, nu=-nu_frac * 0.5 * M * M)
+        shell = shell_for_toy(p)
+    except BadParameter:
+        assume(False)
+    tol, span = 1e-10, 2.0 * p.period
+    traj = integrate(state0(p), shell, HarmonicPotential(chi), span, IntegratorOptions(tol=tol))
+    for x in probes:
+        lam = x * span
+        u = traj.vector_at(lam)
+        z, y = analytic_state(p, lam)
+        assert np.abs(u[0:3] - z).max() <= tol * span
+        assert np.abs(u[3:6] - y).max() <= tol * span
+        assert abs(u[6] - intF_analytic(p, lam)) <= tol * span
+    dense = traj.dense
+    assert len(dense.t0) == traj.n_accepted == len(traj.lam) - 1
+    for i, (t0, h) in enumerate(zip(dense.t0, dense.h)):
+        assert dense(t0) == traj.u[i].tolist()
+        assert np.abs(np.array(dense(t0 + h)) - traj.u[i + 1]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("base, args", [(HarmonicPotential, (0.125,)),
+                                        (CentralPowerPotential, (-0.5, 1))])
+def test_kernel_sees_python_floats_only(base, args):
+    # a numpy scalar anywhere in the step loop would reach the kernel and
+    # turn every later stage into slow numpy arithmetic
+    seen = set()
+
+    class Recording(base):
+        def rest_partials(self, *partials_args):
+            seen.update(map(type, partials_args))
+            return super().rest_partials(*partials_args)
+
+    shell = mass_shell_from_lambda(1.0, 2.0, 0.25)
+    st0 = ReducedState(0.0, np.array([1.2, 0.1, 0.4]), np.array([-0.1, 0.6, 0.05]))
+    traj = integrate(st0, shell, Recording(*args), 6.0,
+                     IntegratorOptions(sample_interval=0.5, strict_time=True))
+    assert traj.n_accepted > 10
+    assert seen == {float}
 
 
 def test_samples_view_follows_the_columns():

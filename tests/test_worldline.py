@@ -1,4 +1,5 @@
 import math
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -84,20 +85,18 @@ def test_lambda_from_T_maps_each_sample_to_its_lambda(toy_traj):
         assert lambda_from_T(toy_traj, T) == lam
     # the same when the end of the last dense segment overshoots that sample
     # by a few ulps of T
-    last = toy_traj.segments[-1]
-    r = last.r.copy()
-    r[1, 6] += 8.0 * np.spacing(toy_traj.shell.M * toy_traj.T[-1])
-    nudged = replace(toy_traj, segments=(*toy_traj.segments[:-1], replace(last, r=r)))
+    groups = toy_traj.dense.groups.copy()
+    groups[-1, 0, 6] += 8.0 * np.spacing(toy_traj.shell.M * toy_traj.T[-1])
+    nudged = replace(toy_traj, dense=replace(toy_traj.dense, data=array("d", groups.tobytes())))
     assert lambda_from_T(nudged, float(nudged.T[-1])) == nudged.lam[-1]
 
 
 def test_lambda_from_T_refuses_a_bracket_without_a_root(toy_traj):
     # shift intF of the dense output so its T runs far above the samples:
     # no lambda between two samples reaches a T between them
-    shift = np.zeros((5, 8))
-    shift[0, 6] = 10.0 * toy_traj.shell.M * (toy_traj.T[-1] - toy_traj.T[0])
-    bad = replace(toy_traj, segments=tuple(replace(s, r=s.r + shift)
-                                           for s in toy_traj.segments))
+    groups = toy_traj.dense.groups.copy()
+    groups[:, 0, 6] += 10.0 * toy_traj.shell.M * (toy_traj.T[-1] - toy_traj.T[0])
+    bad = replace(toy_traj, dense=replace(toy_traj.dense, data=array("d", groups.tobytes())))
     with pytest.raises(NoRoot):
         lambda_from_T(bad, 0.5 * float(toy_traj.T[3] + toy_traj.T[4]))
 
