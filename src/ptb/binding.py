@@ -2,19 +2,22 @@
 
 The shell fixes M from (m1, m2, lambda); an orbit fixes lambda from its
 state, lambda = |eta|^2 - 2 V, with V evaluated at P2 = M^2.  Closing the
-loop is a one-dimensional fixed point in M.  Plain iteration converges for
-every model we ship; a bracketing fallback covers the rest.
+loop is a one-dimensional fixed point in M, solved by secant steps on
+M_shell(lambda(M)) - M after one plain iterate.  A secant point that fails
+is replaced by the plain iterate; when the plain iterate fails as well, or
+the step budget runs out, a logged bracket scan takes over.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from typing import Callable, Sequence, Tuple
 
 from .circular import CircularOrbit, find_circular
 from .errors import NoRoot, PtbError
 from .kinematics import ScalarQuintet
-from .mass_shell import MassShell, lambda_from_M2, mass_shell_from_lambda
+from .mass_shell import MassShell, lambda_from_M2, mass_excess, mass_shell_from_lambda
 from .potentials import PotentialSpec
 from .roots import first_root
 
@@ -26,6 +29,8 @@ __all__ = [
     "self_consistent_circular",
 ]
 
+log = logging.getLogger(__name__)
+
 
 def lambda_shell(m1: float, m2: float, M: float) -> float:
     """Interaction strength the shell needs to produce collective mass M."""
@@ -34,7 +39,6 @@ def lambda_shell(m1: float, m2: float, M: float) -> float:
 
 def binding_energy(shell: MassShell) -> float:
     """m1 + m2 - M; positive for bound configurations."""
-    from .mass_shell import mass_excess
     return -mass_excess(shell.m1, shell.m2, shell.lambda_)
 
 
@@ -43,18 +47,43 @@ def self_consistent_M(m1: float, m2: float,
                       rtol: float = 1e-13, max_iter: int = 100) -> float:
     """Solve M = M_shell(m1, m2, lambda_of_M(M)).
 
-    Fixed-point iteration with mild damping after the first few sweeps;
-    falls back to bracketing the residual on a log grid around m1 + m2.
+    Secant steps on g(M) = M_shell(lambda_of_M(M)) - M; the first step from
+    M = m1 + m2 is the plain iterate M_shell(lambda_of_M(M)).  Converged when
+    |M_new - M| <= rtol M_new, where M_new is the shell mass at M.  Fallbacks,
+    in order: a secant point that is not finite and positive, or whose shell
+    raises a package error, is replaced by the plain iterate for that step;
+    when the plain iterate itself raises, or max_iter steps run out, the
+    residual is bracketed on a log grid around m1 + m2, and a record on the
+    ptb.binding logger names the M reached, the step count and the cause.
     """
-    M = m1 + m2
-    for k in range(max_iter):
-        try:
-            M_new = mass_shell_from_lambda(m1, m2, lambda_of_M(M)).M
-        except PtbError:
-            break
-        if abs(M_new - M) <= rtol * M_new:
+
+    def shell_M(M: float) -> float:
+        return mass_shell_from_lambda(m1, m2, lambda_of_M(M)).M
+
+    M, prev, k = m1 + m2, None, 0  # prev: (M, g(M)) of the point before M
+    try:
+        M_new = shell_M(M)
+        while abs(M_new - M) > rtol * M_new:
+            if k == max_iter:
+                break
+            k += 1
+            g, step = M_new - M, None
+            if prev is not None and g != prev[1]:
+                trial = M - g * (M - prev[0]) / (g - prev[1])
+                if 0.0 < trial < math.inf:
+                    try:
+                        step = trial, shell_M(trial)
+                    except PtbError:
+                        pass
+            prev = M, g
+            M, M_new = step or (M_new, shell_M(M_new))
+        else:
             return M_new
-        M = M_new if k < 8 else 0.5 * (M + M_new)
+        cause = "budget exhausted"
+    except PtbError as exc:
+        cause = f"{type(exc).__name__}: {exc}"
+    log.info("self-consistent M: fixed point stopped at M = %r after %d steps (%s); "
+             "scanning for a bracket", M, k, cause)
     return _bracketed_M(m1, m2, lambda_of_M)
 
 

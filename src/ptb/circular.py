@@ -41,6 +41,9 @@ __all__ = [
     "verify_periodicity",
 ]
 
+# radii scanned for the first sign change of the equilibrium residual
+_RADII = tuple(np.logspace(-6.0, 6.0, 241).tolist())
+
 
 @dataclass(frozen=True)
 class CircularOrbit:
@@ -67,7 +70,8 @@ def find_circular(model: PotentialSpec, shell: MassShell, l2: float) -> Circular
     momentum squared l2.
 
     Scans a log-spaced radius bracket for a sign change of the equilibrium
-    residual 2 dV/dztil2 rho^4 - l2 and refines with Brent's method; raises
+    residual 2 dV/dztil2 rho^4 - l2, evaluated through the model's
+    rest-frame partials, and refines with Brent's method; raises
     NoRoot when the model admits no circular orbit at this l2 (for example
     any repulsive model).
     """
@@ -76,18 +80,17 @@ def find_circular(model: PotentialSpec, shell: MassShell, l2: float) -> Circular
     if not (l2 > 0.0):
         raise BadParameter(f"need l2 > 0, got {l2!r}")
 
-    def quintet(rho: float) -> ScalarQuintet:
-        # speed fixed by l2 = rho^2 |eta|^2
-        return ScalarQuintet.at_rest(shell.M2, shell.nu, rho * rho, l2 / (rho * rho), 0.0)
+    M2, nu = shell.M2, shell.nu
 
     def residual(rho: float) -> float:
-        return 2.0 * model.evaluate(quintet(rho)).dztil2 * rho ** 4 - l2
+        rho2 = rho * rho  # speed fixed by l2 = rho^2 |eta|^2
+        return 2.0 * model.rest_partials(M2, nu, rho2, l2 / rho2, 0.0)[1] * rho ** 4 - l2
 
-    rho = first_root(residual, np.logspace(-6.0, 6.0, 241), skip=DomainError)
+    rho = first_root(residual, _RADII, skip=DomainError)
     if rho is None:
         raise NoRoot(f"no circular-orbit radius for l2 = {l2!r} in [1e-6, 1e6]")
 
-    ev = model.evaluate(quintet(rho))
+    ev = model.evaluate(ScalarQuintet.at_rest(M2, nu, rho * rho, l2 / (rho * rho), 0.0))
     if abs(1.0 + 2.0 * ev.dytil2) <= 1e-12:
         raise DegenerateOrbit(
             "orbit sits at 1 + 2 dV/dytil2 = 0; lambda does not advance zeta")
@@ -134,7 +137,7 @@ def _scales(q0: ScalarQuintet, F0: float, G0: float) -> dict:
 
 
 def verify_constancy(orbit: CircularOrbit, model: PotentialSpec, shell: MassShell,
-                 tol: float = 1e-10, n_samples: int = 400) -> ConstancyReport:
+                     tol: float = 1e-10, n_samples: int = 400) -> ConstancyReport:
     """Integrate one period and measure how constant the five scalars and
     the quadrature rates stay."""
     opts = IntegratorOptions(tol=tol, sample_interval=orbit.period_lambda / n_samples)

@@ -1,8 +1,10 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
+import ptb.binding
 from ptb.binding import (
     binding_energy,
     lambda_shell,
@@ -143,3 +145,67 @@ def test_self_consistent_circular_harmonic():
                                             model, 1.0)
     assert orbit.rho == pytest.approx((1.0 / (0.25 * shell.M)) ** 0.25, rel=1e-11)
     assert shell.quartic_residual() == pytest.approx(0.0, abs=1e-9 * shell.M2 ** 2)
+
+
+def test_bracket_fallback_is_logged(caplog):
+    # at l2 = 5 the starting guess M = m1 + m2 = 3 breaks the lambda bound,
+    # so the bracket scan takes over at once and says so
+    caplog.set_level(logging.INFO, logger="ptb.binding")
+    shell, orbit = self_consistent_circular(1.0, 2.0, CentralPowerPotential(-1.0, 1), 5.0)
+    assert orbit.rho == pytest.approx(5.0 / shell.M, rel=1e-11)
+    records = [r for r in caplog.records if r.name == "ptb.binding"]
+    assert len(records) == 1
+    text = records[0].getMessage()
+    for part in ("M = 3.0", "after 0 steps", "LambdaBoundViolation", "m1^2 + lambda > 0"):
+        assert part in text
+
+
+def test_exhausted_budget_is_logged(caplog):
+    caplog.set_level(logging.INFO, logger="ptb.binding")
+    M = self_consistent_M(0.8, 1.3, lambda M: 0.07 * M, max_iter=1)
+    assert mass_shell_from_lambda(0.8, 1.3, 0.07 * M).M == pytest.approx(M, rel=1e-12)
+    [record] = [r for r in caplog.records if r.name == "ptb.binding"]
+    assert "after 1 steps (budget exhausted)" in record.getMessage()
+
+
+@pytest.mark.parametrize("model, l2", [
+    (CentralPowerPotential(-1.0, 1), 20.0),
+    (CentralPowerPotential(-1.0, 1), 50.0),
+    (HarmonicPotential(0.125), 0.5),
+    (HarmonicPotential(0.125), 4.0),
+])
+def test_self_consistent_circular_budget(monkeypatch, model, l2):
+    calls = []
+    find = ptb.binding.find_circular
+    monkeypatch.setattr(ptb.binding, "find_circular",
+                        lambda *args: calls.append(args) or find(*args))
+    shell, orbit = self_consistent_circular(1.0, 2.0, model, l2)
+    assert len(calls) <= 10
+    assert orbit == find(model, shell, l2)
+
+
+def test_inadmissible_secant_point_takes_the_plain_iterate(monkeypatch):
+    # lambda(M) = c M, once recorded to learn the first secant point, then
+    # again with the shell failing right there
+    m1, m2, c = 0.8, 1.3, 0.07
+    seen = []
+    want = self_consistent_M(m1, m2, lambda M: seen.append(M) or c * M)
+    secant = seen[2]  # m1 + m2, its plain iterate, then the first secant point
+    assert secant not in (seen[1], m1 + m2)
+
+    tried = []
+
+    def lam(M):
+        if M == secant:
+            tried.append(M)
+            raise DomainError(f"no shell at M = {M!r}")
+        return c * M
+
+    def no_bracket(*args):
+        raise AssertionError("the bracket scan must not run")
+
+    monkeypatch.setattr(ptb.binding, "_bracketed_M", no_bracket)
+    M = self_consistent_M(m1, m2, lam)
+    assert tried == [secant]
+    assert M == pytest.approx(want, rel=1e-12)
+    assert mass_shell_from_lambda(m1, m2, c * M).M == pytest.approx(M, rel=1e-13)

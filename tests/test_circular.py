@@ -1,8 +1,13 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ptb.errors import BadParameter, DegenerateOrbit, NoRoot, NotCentral
+from ptb.errors import BadParameter, DegenerateOrbit, DomainError, NoRoot, NotCentral, PtbError
+from ptb.kinematics import ScalarQuintet
 from ptb.mass_shell import mass_shell_from_lambda
 from ptb.potentials import (
     CentralPowerPotential,
@@ -10,7 +15,77 @@ from ptb.potentials import (
     PotentialEval,
     PotentialSpec,
 )
-from ptb.circular import find_circular, verify_periodicity, verify_constancy
+from ptb.circular import CircularOrbit, find_circular, verify_periodicity, verify_constancy
+from ptb.reduced import dT_dlambda
+from ptb.roots import first_root
+
+
+class WSpring(PotentialSpec):
+    """A w-coupled spring with only evaluate: its rest-frame partials come
+    from the default PotentialSpec.rest_partials."""
+
+    name = "w_spring"
+    central = True
+    p2_independent = True
+
+    def __init__(self, eps):
+        self.eps = eps
+
+    def evaluate(self, q):
+        return PotentialEval(self.eps * q.w * q.ztil2, 0.0, self.eps * q.w,
+                             0.0, 0.0, self.eps * q.ztil2)
+
+
+def reference_find_circular(model, shell, l2):
+    """find_circular with its residual evaluated through evaluate on a
+    rest-frame quintet, the scalar reference of the fast path."""
+
+    def quintet(rho):
+        return ScalarQuintet.at_rest(shell.M2, shell.nu, rho * rho, l2 / (rho * rho), 0.0)
+
+    def residual(rho):
+        return 2.0 * model.evaluate(quintet(rho)).dztil2 * rho ** 4 - l2
+
+    rho = first_root(residual, np.logspace(-6.0, 6.0, 241), skip=DomainError)
+    if rho is None:
+        raise NoRoot(f"no circular-orbit radius for l2 = {l2!r} in [1e-6, 1e6]")
+    ev = model.evaluate(quintet(rho))
+    Omega = math.sqrt(2.0 * ev.dztil2)
+    F, G = 2.0 * shell.M2 * ev.dP2, 2.0 * shell.nu * ev.dw
+    rate = dT_dlambda(F, G, shell)
+    period_lambda = 2.0 * math.pi / Omega
+    return CircularOrbit(rho=rho, speed2=l2 / (rho * rho), Omega=Omega, l2=float(l2),
+                         F=F, G=G, dTdlambda=rate, period_lambda=period_lambda,
+                         period_T=period_lambda * rate)
+
+
+def _orbit_or_error(find, model, shell, l2):
+    try:
+        return tuple(x.hex() for x in dataclasses.astuple(find(model, shell, l2)))
+    except PtbError as exc:
+        return type(exc)
+
+
+_MODELS = st.one_of(
+    st.builds(CentralPowerPotential, g=st.floats(-10.0, -1e-3), n=st.sampled_from([1, 2, 3])),
+    st.builds(CentralPowerPotential, g=st.floats(1e-3, 10.0), n=st.sampled_from([1, 2, 3])),
+    st.builds(HarmonicPotential, chi=st.floats(1e-3, 10.0)),
+    st.builds(WSpring, eps=st.floats(1e-3, 10.0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=_MODELS, m1=st.floats(0.1, 3.0), m2=st.floats(0.1, 3.0),
+       lam_frac=st.floats(-0.99, 5.0), l2=st.floats(1e-3, 1e3))
+def test_rest_frame_residual_finds_the_reference_orbit(model, m1, m2, lam_frac, l2):
+    # admissible shells (m1^2 + lambda > 0); the same orbit bits or the same
+    # error as the evaluate-based scan, repulsive g > 0 included
+    m1, m2 = sorted((m1, m2))
+    shell = mass_shell_from_lambda(m1, m2, lam_frac * m1 * m1)
+    want = _orbit_or_error(reference_find_circular, model, shell, l2)
+    assert _orbit_or_error(find_circular, model, shell, l2) == want
+    if isinstance(model, CentralPowerPotential) and model.g > 0.0:
+        assert want is NoRoot
 
 
 @pytest.fixture(scope="module")
@@ -122,21 +197,11 @@ def test_orbit_closes_and_clock_is_linear(shell):
 def test_unequal_masses_nonzero_G_quadrature():
     # w-coupled model on an unequal-mass shell: G enters period_T
     sh = mass_shell_from_lambda(1.0, 2.0, 0.5)
-
-    class WSpring(PotentialSpec):
-        name = "w_spring"
-        central = True
-        p2_independent = True
-
-        def __init__(self, eps):
-            self.eps = eps
-
-        def evaluate(self, q):
-            return PotentialEval(self.eps * q.w * q.ztil2, 0.0, self.eps * q.w,
-                                 0.0, 0.0, self.eps * q.ztil2)
-
     model = WSpring(0.9)
     orbit = find_circular(model, sh, 1.7)
+    # reached through the default rest_partials, bit for bit the reference
+    assert _orbit_or_error(find_circular, model, sh, 1.7) == \
+        _orbit_or_error(reference_find_circular, model, sh, 1.7)
     assert orbit.G != 0.0
     assert orbit.F == 0.0
     report = verify_periodicity(orbit, model, sh)
