@@ -17,7 +17,13 @@ from typing import Callable, Sequence, Tuple
 from .circular import CircularOrbit, find_circular
 from .errors import NoRoot, PtbError
 from .kinematics import ScalarQuintet
-from .mass_shell import MassShell, lambda_from_M2, mass_excess, mass_shell_from_lambda
+from .mass_shell import (
+    MassShell,
+    _check_masses,
+    lambda_from_M2,
+    mass_excess,
+    mass_shell_from_lambda,
+)
 from .potentials import PotentialSpec
 from .roots import first_root
 
@@ -55,7 +61,9 @@ def self_consistent_M(m1: float, m2: float,
     when the plain iterate itself raises, or max_iter steps run out, the
     residual is bracketed on a log grid around m1 + m2, and a record on the
     ptb.binding logger names the M reached, the step count and the cause.
+    Invalid masses raise BadParameter before any shell is solved.
     """
+    _check_masses(m1, m2)
 
     def shell_M(M: float) -> float:
         return mass_shell_from_lambda(m1, m2, lambda_of_M(M)).M
@@ -126,7 +134,7 @@ def self_consistent_shell(m1: float, m2: float, model: PotentialSpec,
                           zeta0: Sequence[float], eta0: Sequence[float],
                           **kw) -> MassShell:
     """Shell whose lambda matches the orbit constraint at the given state."""
-    nu = 0.5 * (m1 * m1 - m2 * m2)
+    _, nu = _check_masses(m1, m2)
     lam = _state_lambda(model, nu, zeta0, eta0)
     if model.p2_independent and model.w_independent:
         # lambda does not feed back into itself; one pass is exact
@@ -138,7 +146,7 @@ def self_consistent_shell(m1: float, m2: float, model: PotentialSpec,
 def self_consistent_circular(m1: float, m2: float, model: PotentialSpec,
                              l2: float, **kw) -> Tuple[MassShell, CircularOrbit]:
     """Circular orbit whose radius, shell and lambda agree simultaneously."""
-    nu = 0.5 * (m1 * m1 - m2 * m2)
+    _, nu = _check_masses(m1, m2)
 
     def lam(M: float) -> float:
         M2 = M * M

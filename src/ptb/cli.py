@@ -216,7 +216,6 @@ def build_scenario(cfg: dict) -> Scenario:
     if has_initial == has_circular:
         raise ConfigError("config needs exactly one of \"initial\" or \"circular\"")
 
-    orbit = None
     if has_initial:
         init = cfg["initial"]
         if not isinstance(init, dict):
@@ -224,11 +223,6 @@ def build_scenario(cfg: dict) -> Scenario:
         _check_keys(init, {"ztil", "ytil"}, "initial")
         z0 = _vec(init.get("ztil"), 3, "initial.ztil")
         e0 = _vec(init.get("ytil"), 3, "initial.ytil")
-        if lam_override is not None:
-            shell = mass_shell_from_lambda(m1, m2, lam_override)
-        else:
-            shell = self_consistent_shell(m1, m2, model, z0, e0)
-        state0 = ReducedState(lambda_=0.0, ztil=np.array(z0), ytil=np.array(e0))
         if span is None:
             raise ConfigError("integrator.lambda_span is required with \"initial\"")
     else:
@@ -239,29 +233,17 @@ def build_scenario(cfg: dict) -> Scenario:
         l2 = _number(circ.get("l2"), "circular.l2")
         if not l2 > 0.0:
             raise ConfigError("circular.l2 must be positive")
-        if lam_override is not None:
-            shell = mass_shell_from_lambda(m1, m2, lam_override)
-            orbit = find_circular(model, shell, l2)
-        else:
-            shell, orbit = self_consistent_circular(m1, m2, model, l2)
-        state0 = orbit.initial_state()
-        if span is None:
-            span = orbit.period_lambda
 
-    frame_k = None
+    k = None
     frame = cfg.get("frame")
     if frame is not None:
         if not isinstance(frame, dict):
             raise ConfigError("frame must be an object")
         _check_keys(frame, {"k"}, "frame")
         if frame.get("k") is not None:
-            k = _vec(frame["k"], 4, "frame.k")
-            kv = FourVector(*k)
-            k2 = kv.norm2()
-            if not (k2 > 0.0 and kv.t > 0.0):
+            k = FourVector(*_vec(frame["k"], 4, "frame.k"))
+            if not (k.norm2() > 0.0 and k.t > 0.0):
                 raise ConfigError("frame.k must be future-pointing timelike")
-            # only the direction matters; rescale onto the collective shell
-            frame_k = kv * (shell.M / math.sqrt(k2))
 
     out = cfg.get("output")
     if not isinstance(out, dict):
@@ -273,6 +255,25 @@ def build_scenario(cfg: dict) -> Scenario:
     path = out.get("path")
     if not isinstance(path, str) or not path:
         raise ConfigError("output.path must be a non-empty string")
+
+    # every check of the document is above: a config error exits 2 before any solve
+    orbit = None
+    if lam_override is not None:
+        shell = mass_shell_from_lambda(m1, m2, lam_override)
+    elif has_initial:
+        shell = self_consistent_shell(m1, m2, model, z0, e0)
+    else:
+        shell, orbit = self_consistent_circular(m1, m2, model, l2)
+    if has_initial:
+        state0 = ReducedState(lambda_=0.0, ztil=np.array(z0), ytil=np.array(e0))
+    else:
+        if orbit is None:
+            orbit = find_circular(model, shell, l2)
+        state0 = orbit.initial_state()
+        if span is None:
+            span = orbit.period_lambda
+    # only the direction of k matters; rescale it onto the collective shell
+    frame_k = None if k is None else k * (shell.M / math.sqrt(k.norm2()))
 
     return Scenario(cfg=cfg, shell=shell, model=model, initial=state0,
                     span=span, opts=opts, frame_k=frame_k, out_format=fmt,

@@ -1,15 +1,16 @@
 """Extreme mass-ratio diagnostics.
 
 With m1 = gamma m2 (gamma = sqrt(eps) <= 1) and lambda = alpha m2^2, the
-collective mass has the closed form
+shell's individual energies are E1 = m2 sqrt(eps + alpha) and
+E2 = m2 sqrt(1 + alpha), admissible on the whole range alpha > -eps.  The
+center-of-energy offset coefficient
 
-    M^2 = m2^2 [1 + 2 alpha + eps + 2 sqrt((1 + alpha)(alpha + eps))],
+    offset = E1/M = sqrt(eps + alpha) / (sqrt(eps + alpha) + sqrt(1 + alpha))
 
-valid on the whole admissible range alpha > -eps.  The center-of-energy
-offset coefficient offset = 1/2 + nu/M^2 measures how far the light
-particle's share shifts Xi away from the heavy particle: at alpha = 0 it is
-exactly gamma/(1 + gamma), and for fixed alpha > 0 it tends to
-beta/(2 (1 + beta)) with beta = 2 alpha + 2 sqrt(alpha^2 + alpha).
+is the light particle's energy share, i.e. how far Xi sits from the heavy
+particle in units of the separation: at alpha = 0 it is exactly
+gamma/(1 + gamma), and for fixed alpha > 0 it tends to beta/(2 (1 + beta))
+with beta = 2 alpha + 2 sqrt(alpha^2 + alpha).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class RatioAnalysis:
 
 
 def analyze(m2: float, alpha: float, eps: float) -> RatioAnalysis:
-    """Closed-form shell and offset for the mass ratio gamma = sqrt(eps)."""
+    """Shell and offset E1/M for the mass ratio gamma = sqrt(eps)."""
     if not (m2 > 0.0 and math.isfinite(m2)):
         raise BadParameter(f"need m2 > 0, got {m2!r}")
     if not (0.0 < eps <= 1.0):
@@ -52,14 +53,7 @@ def analyze(m2: float, alpha: float, eps: float) -> RatioAnalysis:
     if not (alpha > -eps + 1e-12 * eps):
         raise InadmissibleAlpha(
             f"requires alpha > -eps (i.e. m1^2 + lambda > 0), got alpha = {alpha!r}")
-    m2sq = m2 * m2
-    if alpha >= 0.0:
-        M2 = m2sq * (1.0 + 2.0 * alpha + eps
-                     + 2.0 * math.sqrt((1.0 + alpha) * (alpha + eps)))
-    else:
-        # same algebra, but route through the general solver near the boundary
-        M2 = mass_shell_from_lambda(math.sqrt(eps) * m2, m2, alpha * m2sq).M2
-    nu = 0.5 * m2sq * (eps - 1.0)
+    shell = mass_shell_from_lambda(math.sqrt(eps) * m2, m2, alpha * (m2 * m2))
     beta: Optional[float]
     if alpha > 0.0:
         beta = 2.0 * alpha + 2.0 * math.sqrt(alpha * alpha + alpha)
@@ -69,7 +63,7 @@ def analyze(m2: float, alpha: float, eps: float) -> RatioAnalysis:
         beta = None
     return RatioAnalysis(
         m2=float(m2), eps=float(eps), gamma=math.sqrt(eps), alpha=float(alpha),
-        lambda_=alpha * m2sq, nu=nu, M2=M2, offset=0.5 + nu / M2, beta=beta,
+        lambda_=shell.lambda_, nu=shell.nu, M2=shell.M2, offset=shell.E1 / shell.M, beta=beta,
     )
 
 

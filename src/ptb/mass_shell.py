@@ -1,13 +1,19 @@
 """Mass-shell algebra for the two-body system.
 
 Given constituent masses m1 <= m2 and the binding first integral lambda,
-the collective mass M solves the quartic
+each individual energy has the closed form
+
+    E_a = sqrt(m_a^2 + lambda),    M = E1 + E2,
+
+and M^2 is the plus root of the quartic
 
     M^4 - 4 (mu + lambda) M^2 + 4 nu^2 = 0,
 
-with mu = (m1^2 + m2^2)/2 and nu = (m1^2 - m2^2)/2 <= 0.  Only the plus
-root is physical: the minus root always violates the strict positivity of
-the individual energies E_a = M/2 +- nu/M.
+with mu = (m1^2 + m2^2)/2 and nu = (m1^2 - m2^2)/2 <= 0, because
+E1^2 E2^2 = (mu + lambda)^2 - nu^2.  The minus root 4 nu^2/M^2 always
+violates the strict positivity of the individual energies E_a = M/2 +- nu/M.
+The closed form adds only positive terms, so unlike the discriminant
+sqrt((mu + lambda)^2 - nu^2) it cancels nowhere, not even at m1/m2 -> 0.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ class MassShell:
 
 
 def _check_masses(m1: float, m2: float) -> tuple[float, float]:
+    """(mu, nu) of finite masses with 0 < m1 <= m2; anything else is a BadParameter."""
     if not (math.isfinite(m1) and math.isfinite(m2)):
         raise BadParameter("masses must be finite")
     if not (0.0 < m1 <= m2):
@@ -68,31 +75,27 @@ def _check_masses(m1: float, m2: float) -> tuple[float, float]:
 
 
 def mass_shell_from_lambda(m1: float, m2: float, lambda_: float) -> MassShell:
-    """Solve the shell for M given (m1, m2, lambda).
+    """Solve the shell for M given (m1, m2, lambda): E_a = sqrt(m_a^2 + lambda)
+    and M = E1 + E2.
 
-    Raises LambdaBoundViolation when m1^2 + lambda <= 0 (for sorted masses
-    this is the same inequality as mu + lambda > |nu|, so it also covers the
-    reality of the square root).  The energy condition M^2 > 2|nu| then holds
-    automatically; it is asserted defensively.
+    Raises LambdaBoundViolation when m1^2 + lambda <= 0, which for sorted
+    masses is the same inequality as mu + lambda > |nu| and as E1 > 0.  The
+    energy condition M^2 > 2|nu| then holds automatically; E1 > 0 is
+    asserted defensively.
     """
     mu, nu = _check_masses(m1, m2)
     lam = float(lambda_)
-    slack = _REL_SLACK * max(m1 * m1, abs(lam))
-    if not (m1 * m1 + lam > slack):
-        raise LambdaBoundViolation(
-            f"requires m1^2 + lambda > 0, got {m1 * m1 + lam!r}")
-    s = mu + lam
-    r = math.sqrt(s * s - nu * nu)
-    M2 = 2.0 * (s + r)
-    if not (M2 > 2.0 * abs(nu) + _REL_SLACK * M2):
+    E1_sq = m1 * m1 + lam
+    if not (E1_sq > _REL_SLACK * max(m1 * m1, abs(lam))):
+        raise LambdaBoundViolation(f"requires m1^2 + lambda > 0, got {E1_sq!r}")
+    E1 = math.sqrt(E1_sq)
+    E2 = math.sqrt(m2 * m2 + lam)
+    if not E1 > 0.0:
         # unreachable once the lambda bound holds; kept as a tripwire
-        raise EnergyConditionViolation(
-            f"requires M^2 > 2|nu|, got M^2 = {M2!r}, 2|nu| = {2.0 * abs(nu)!r}")
-    M = math.sqrt(M2)
-    return MassShell(
-        m1=float(m1), m2=float(m2), mu=mu, nu=nu, lambda_=lam,
-        M2=M2, M=M, E1=0.5 * M + nu / M, E2=0.5 * M - nu / M,
-    )
+        raise EnergyConditionViolation(f"requires E1 > 0 (M^2 > 2|nu|), got E1 = {E1!r}")
+    M = E1 + E2
+    return MassShell(m1=float(m1), m2=float(m2), mu=mu, nu=nu, lambda_=lam,
+                     M2=M * M, M=M, E1=E1, E2=E2)
 
 
 def lambda_from_M2(m1: float, m2: float, M2: float) -> float:
@@ -126,18 +129,9 @@ def shell_from_M(M: float, nu: float, lambda_: float = 0.0) -> MassShell:
 
 
 def mass_excess(m1: float, m2: float, lambda_: float) -> float:
-    """M - m1 - m2, computed without cancellation.
-
-    Uses M^2 - (m1+m2)^2 = 2 lambda (1 + (2 mu + lambda)/(r + m1 m2)) with
-    r = sqrt((mu+lambda)^2 - nu^2), which keeps full precision down to
-    lambda = 0 where the excess vanishes.
-    """
-    mu, nu = _check_masses(m1, m2)
-    shell = mass_shell_from_lambda(m1, m2, lambda_)
-    lam = float(lambda_)
-    r = math.sqrt((mu + lam) ** 2 - nu * nu)
-    diff2 = 2.0 * lam * (1.0 + (2.0 * mu + lam) / (r + m1 * m2))
-    return diff2 / (shell.M + m1 + m2)
+    """M - m1 - m2, the sum of the individual_energy_limits."""
+    d1, d2 = individual_energy_limits(m1, m2, lambda_)
+    return d1 + d2
 
 
 def nonrel_check(m1: float, m2: float, lambda_: float) -> float:
@@ -147,18 +141,16 @@ def nonrel_check(m1: float, m2: float, lambda_: float) -> float:
     lambda, so the value at lambda = 0 is exactly the limit and no division
     guard is needed.
     """
-    mu, nu = _check_masses(m1, m2)
     shell = mass_shell_from_lambda(m1, m2, lambda_)
-    lam = float(lambda_)
     m0 = m1 * m2 / (m1 + m2)
-    r = math.sqrt((mu + lam) ** 2 - nu * nu)
-    return 4.0 * m0 * (1.0 + (2.0 * mu + lam) / (r + m1 * m2)) / (shell.M + m1 + m2)
+    return 2.0 * m0 * (1.0 / (shell.E1 + m1) + 1.0 / (shell.E2 + m2))
 
 
 def individual_energy_limits(m1: float, m2: float, lambda_: float) -> tuple[float, float]:
     """(E1 - m1, E2 - m2): how far each energy sits from its rest mass.
 
-    Both vanish at lambda = 0 and their sum is the mass excess.
+    Computed as lambda/(E_a + m_a), which equals E_a - m_a exactly and
+    keeps full precision down to lambda = 0, where both vanish.
     """
     shell = mass_shell_from_lambda(m1, m2, lambda_)
-    return shell.E1 - m1, shell.E2 - m2
+    return shell.lambda_ / (shell.E1 + m1), shell.lambda_ / (shell.E2 + m2)

@@ -24,7 +24,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import BadParameter
-from .mass_shell import MassShell, shell_from_M
+from .mass_shell import MassShell, _check_masses, shell_from_M
 
 __all__ = [
     "ToyParams",
@@ -166,9 +166,9 @@ def toy_from_masses(m1: float, m2: float, chi: float,
                     C: float = 0.0) -> ToyParams:
     """Self-consistent oscillator for given masses and amplitudes."""
     from .binding import self_consistent_M
+    _, nu = _check_masses(m1, m2)
     a2 = sum(float(c) ** 2 for c in A)
     b2 = sum(float(c) ** 2 for c in B)
     M = self_consistent_M(m1, m2, lambda M: 2.0 * chi * M * (a2 + b2))
-    nu = 0.5 * (m1 * m1 - m2 * m2)
     return ToyParams(chi=chi, M=M, A=_vec3(A, "A"), B=_vec3(B, "B"),
                      C=float(C), nu=nu)

@@ -3,11 +3,12 @@
 On the slice z.P = 0 both particles share the rest-frame time T, and their
 positions follow from the relative separation alone:
 
-    x1 = Xi - (nu/M^2 - 1/2) (0, zeta),
-    x2 = Xi - (nu/M^2 + 1/2) (0, zeta),
+    x1 = Xi + (E2/M) (0, zeta),
+    x2 = Xi - (E1/M) (0, zeta),
 
-with Xi = (T, Xi0) a straight line through the chosen spatial anchor Xi0.
-The energy-weighted mean (E1 x1 + E2 x2)/M reproduces Xi identically.
+with Xi = (T, Xi0) a straight line through the chosen spatial anchor Xi0
+and E1, E2 the shell's individual energies.  The energy-weighted mean
+(E1 x1 + E2 x2)/M reproduces Xi identically.
 """
 
 from __future__ import annotations
@@ -65,10 +66,9 @@ def worldlines(traj: Trajectory, Xi0: Sequence[float] = (0.0, 0.0, 0.0)) -> Worl
     def events(spatial) -> np.ndarray:
         return np.hstack((traj.T[:, None], np.broadcast_to(spatial, traj.ztil.shape)))
 
-    c = shell.nu / shell.M2
     return WorldlineSet(shell=shell, lam=traj.lam, T=traj.T,
-                        x1=events(anchor - (c - 0.5) * traj.ztil),
-                        x2=events(anchor - (c + 0.5) * traj.ztil), Xi=events(anchor),
+                        x1=events(anchor + (shell.E2 / shell.M) * traj.ztil),
+                        x2=events(anchor - (shell.E1 / shell.M) * traj.ztil), Xi=events(anchor),
                         flagged=traj.flagged, frame=FourVector(shell.M, 0.0, 0.0, 0.0))
 
 

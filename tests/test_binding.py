@@ -12,10 +12,11 @@ from ptb.binding import (
     self_consistent_circular,
     self_consistent_shell,
 )
-from ptb.errors import DomainError, NoRoot
+from ptb.errors import BadParameter, DomainError, NoRoot
 from ptb.mass_shell import mass_shell_from_lambda
 from ptb.potentials import CentralPowerPotential, FreePotential, HarmonicPotential
 from ptb.reduced import rest_quintet
+from ptb.toy import toy_from_masses
 
 
 def test_lambda_shell_round_trip():
@@ -209,3 +210,25 @@ def test_inadmissible_secant_point_takes_the_plain_iterate(monkeypatch):
     assert tried == [secant]
     assert M == pytest.approx(want, rel=1e-12)
     assert mass_shell_from_lambda(m1, m2, c * M).M == pytest.approx(M, rel=1e-13)
+
+
+@pytest.mark.parametrize("m1, m2", [(-1.0, 2.0), (0.0, 2.0), (math.nan, 2.0), (3.0, 2.0)])
+def test_invalid_masses_are_refused_before_any_shell_solve(monkeypatch, m1, m2):
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return mass_shell_from_lambda(*args)
+
+    monkeypatch.setattr(ptb.binding, "mass_shell_from_lambda", counted)
+    model = HarmonicPotential(0.125)
+    closures = [
+        lambda: self_consistent_M(m1, m2, lambda M: 0.1 * M),
+        lambda: self_consistent_shell(m1, m2, model, (1.0, 0.0, 0.0), (0.0, 0.5, 0.0)),
+        lambda: self_consistent_circular(m1, m2, model, 1.0),
+        lambda: toy_from_masses(m1, m2, 0.125, (1.0, 0.0, 0.0), (0.0, 0.5, 0.0)),
+    ]
+    for closure in closures:
+        with pytest.raises(BadParameter, match="masses"):
+            closure()
+    assert solves == []

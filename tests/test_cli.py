@@ -6,6 +6,9 @@ import sys
 
 import pytest
 
+import ptb.cli
+from ptb.cli import main
+
 PKG = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -314,3 +317,154 @@ def test_near_collision_is_a_run_failure(tmp_path):
     assert r.returncode == 4, r.stderr
     assert r.stderr.startswith("DomainError: ")
     assert "n = 3" in r.stderr
+
+
+def run_main(capsys, *args):
+    """(exit code, stderr) of the CLI run in this process."""
+    code = main(list(args))
+    return code, capsys.readouterr().err
+
+
+CIRCULAR = {"initial": None, "circular": {"l2": 1.0}}
+
+# one document per rejection branch of build_scenario: the overrides of the
+# write_config base document and the exact error line
+CONFIG_ERRORS = [
+    ({"typo": 1}, "ConfigError: unknown key(s) in config: typo"),
+    ({"schema": 2}, 'ConfigError: config must declare "schema": 1'),
+    ({"masses": [1.0, 2.0]}, 'ConfigError: config needs a "masses" object'),
+    ({"masses": {"m1": 1.0, "m2": 2.0, "m3": 3.0}}, "ConfigError: unknown key(s) in masses: m3"),
+    ({"masses": {"m2": 2.0}}, "ConfigError: masses.m1 must be a number, got None"),
+    ({"masses": {"m1": 1.0, "m2": "2"}}, "ConfigError: masses.m2 must be a number, got '2'"),
+    ({"masses": {"m1": 1.0, "m2": True}}, "ConfigError: masses.m2 must be a number, got True"),
+    ({"masses": {"m1": 1.0, "m2": math.inf}}, "ConfigError: masses.m2 must be finite, got inf"),
+    ({"potential": "harmonic"}, 'ConfigError: config needs a "potential" object'),
+    ({"potential": {"kind": "harmonic", "chi": 0.125}},
+     "ConfigError: unknown key(s) in potential: chi"),
+    ({"potential": {"kind": 3}}, "ConfigError: potential.kind must be a string"),
+    ({"potential": {"kind": "harmonic", "params": [0.125]}},
+     "ConfigError: potential.params must be an object"),
+    ({"integrator": 6.0}, "ConfigError: integrator must be an object"),
+    ({"integrator": {"lambda_span": 6.0, "step": 0.1}},
+     "ConfigError: unknown key(s) in integrator: step"),
+    ({"integrator": {"lambda_span": 6.0, "tol": "small"}},
+     "ConfigError: integrator.tol must be a number, got 'small'"),
+    ({"integrator": {"lambda_span": 6.0, "tol": 0.1}},
+     "ConfigError: integrator.tol must lie in [1e-14, 0.001], got 0.1"),
+    ({"integrator": {"lambda_span": 6.0, "max_step": 0}},
+     "ConfigError: integrator.max_step must be positive"),
+    ({"integrator": {"lambda_span": 6.0, "sample_interval": -0.5}},
+     "ConfigError: integrator.sample_interval must be positive"),
+    ({"integrator": {"lambda_span": 6.0, "strict_time": "yes"}},
+     "ConfigError: integrator.strict_time must be true or false"),
+    ({"integrator": {"lambda_span": [0.0, 1.0, 2.0]}},
+     "ConfigError: integrator.lambda_span must be a list of 2 numbers"),
+    ({"integrator": {"lambda_span": [1.0, 6.0]}},
+     "ConfigError: integrator.lambda_span must start at 0"),
+    ({"integrator": {"lambda_span": "6"}},
+     "ConfigError: integrator.lambda_span must be a number, got '6'"),
+    ({"integrator": {"lambda_span": -1.0}}, "ConfigError: integrator.lambda_span must be positive"),
+    ({"integrator": {"lambda_span": [0.0, 0.0]}},
+     "ConfigError: integrator.lambda_span must be positive"),
+    ({"shell": 0.1}, "ConfigError: shell must be an object"),
+    ({"shell": {"lambda": 0.1, "M": 3.0}}, "ConfigError: unknown key(s) in shell: M"),
+    ({"shell": {}}, 'ConfigError: shell block needs a "lambda" value'),
+    ({"shell": {"lambda": "0.1"}}, "ConfigError: shell.lambda must be a number, got '0.1'"),
+    ({"circular": {"l2": 1.0}}, 'ConfigError: config needs exactly one of "initial" or "circular"'),
+    ({"initial": None}, 'ConfigError: config needs exactly one of "initial" or "circular"'),
+    ({"initial": [1.0, 0.0, 0.0]}, "ConfigError: initial must be an object"),
+    ({"initial": {"ztil": [1.0, 0.0, 0.0], "ytil": [0.0, 0.5, 0.0], "zeta": 1}},
+     "ConfigError: unknown key(s) in initial: zeta"),
+    ({"initial": {"ztil": [1.0, 0.0], "ytil": [0.0, 0.5, 0.0]}},
+     "ConfigError: initial.ztil must be a list of 3 numbers"),
+    ({"initial": {"ztil": [1.0, 0.0, 0.0]}},
+     "ConfigError: initial.ytil must be a list of 3 numbers"),
+    ({"initial": {"ztil": [1.0, 0.0, 0.0], "ytil": [0.0, "a", 0.0]}},
+     "ConfigError: initial.ytil must be a number, got 'a'"),
+    ({"integrator": {"sample_interval": 0.5}},
+     'ConfigError: integrator.lambda_span is required with "initial"'),
+    ({**CIRCULAR, "circular": 1.0}, "ConfigError: circular must be an object"),
+    ({**CIRCULAR, "circular": {"l2": 1.0, "rho": 1.0}},
+     "ConfigError: unknown key(s) in circular: rho"),
+    ({**CIRCULAR, "circular": {}}, "ConfigError: circular.l2 must be a number, got None"),
+    ({**CIRCULAR, "circular": {"l2": 0.0}}, "ConfigError: circular.l2 must be positive"),
+    ({"frame": [1.0, 0.0, 0.0, 0.0]}, "ConfigError: frame must be an object"),
+    ({"frame": {"v": 0.5}}, "ConfigError: unknown key(s) in frame: v"),
+    ({"frame": {"k": [1.0, 0.0, 0.0]}}, "ConfigError: frame.k must be a list of 4 numbers"),
+    ({"frame": {"k": [1.0, 2.0, 0.0, 0.0]}}, "ConfigError: frame.k must be future-pointing timelike"),
+    ({"frame": {"k": [-2.0, 0.0, 0.0, 0.0]}},
+     "ConfigError: frame.k must be future-pointing timelike"),
+    ({"output": None}, 'ConfigError: config needs an "output" object'),
+    ({"output": {"path": "x.csv", "compress": True}},
+     "ConfigError: unknown key(s) in output: compress"),
+    ({"output": {"format": "xml", "path": "x.xml"}},
+     "ConfigError: output.format must be csv or json, got 'xml'"),
+    ({"output": {"format": "csv"}}, "ConfigError: output.path must be a non-empty string"),
+    ({"output": {"path": ""}}, "ConfigError: output.path must be a non-empty string"),
+    ({"potential": {"kind": "yukawa"}},
+     "BadParameter: unknown potential 'yukawa', expected one of "
+     "['central_power', 'free', 'harmonic']"),
+]
+
+
+@pytest.mark.parametrize("overrides, line", CONFIG_ERRORS,
+                         ids=[line.split(": ", 1)[1] for _, line in CONFIG_ERRORS])
+def test_config_error_lines(tmp_path, capsys, overrides, line):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **overrides)
+    assert run_main(capsys, "simulate", "--config", str(cfg_path)) == (2, line + "\n")
+
+
+# a second fault in each document: masses (1, 2) with shell.lambda = -10 break
+# the lambda bound, which only the shell solve notices
+READ_BEFORE_SOLVE = [
+    ({"output": None}, 'ConfigError: config needs an "output" object'),
+    ({"frame": {"k": [1.0, 2.0, 0.0, 0.0]}}, "ConfigError: frame.k must be future-pointing timelike"),
+    ({"integrator": {"sample_interval": 0.5}},
+     'ConfigError: integrator.lambda_span is required with "initial"'),
+]
+
+
+@pytest.mark.parametrize("overrides, line", READ_BEFORE_SOLVE)
+def test_config_errors_come_before_the_shell_solve(tmp_path, capsys, overrides, line):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, masses={"m1": 1.0, "m2": 2.0}, shell={"lambda": -10.0}, **overrides)
+    assert run_main(capsys, "simulate", "--config", str(cfg_path)) == (2, line + "\n")
+
+
+@pytest.mark.parametrize("circular, overrides, line", [
+    *((False, *case) for case in READ_BEFORE_SOLVE),
+    *((True, *case) for case in READ_BEFORE_SOLVE[:2]),  # circular needs no lambda_span
+])
+def test_config_errors_solve_nothing(tmp_path, capsys, monkeypatch, circular, overrides, line):
+    def solve(*args, **kwargs):
+        raise AssertionError("a document with a config error reached a solver")
+
+    for name in ("self_consistent_shell", "self_consistent_circular",
+                 "mass_shell_from_lambda", "find_circular"):
+        monkeypatch.setattr(ptb.cli, name, solve)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **(CIRCULAR if circular else {}), **overrides)
+    assert run_main(capsys, "simulate", "--config", str(cfg_path)) == (2, line + "\n")
+
+
+def test_circular_refuses_invalid_masses_as_bad_input(capsys):
+    code, err = run_main(capsys, "circular", "--potential", "central_power", "--g", "-1",
+                         "--n", "1", "--l2", "5", "--m1", "-1", "--m2", "2")
+    assert (code, err) == (2, "BadParameter: masses must satisfy 0 < m1 <= m2, got (-1.0, 2.0)\n")
+
+
+@pytest.mark.parametrize("alpha, eps", [
+    ("-5e-17", "1e-16"),
+    ("-3.1425159681571004e-17", "4.8023019378706765e-17"),
+])
+def test_mass_ratio_near_the_alpha_bound(capsys, alpha, eps):
+    # admissible inputs whose shell the discriminant form refused or could
+    # not take the square root of
+    assert main(["mass-ratio", f"--alpha={alpha}", "--eps", eps]) == 0
+    out = capsys.readouterr().out.splitlines()
+    e, gamma, a, offset, limit, residual = map(float, out[1].split(","))
+    # offset = E1/M = sqrt(eps + alpha)/(sqrt(eps + alpha) + sqrt(1 + alpha))
+    want = math.sqrt(e + a) / (math.sqrt(e + a) + math.sqrt(1.0 + a))
+    assert offset == pytest.approx(want, rel=1e-12)
+    assert limit == 0.0

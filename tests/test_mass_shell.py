@@ -1,4 +1,7 @@
 import math
+import sys
+from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from ptb.errors import (
     PtbError,
     RealityViolation,
 )
+from ptb.mass_ratio import analyze
 from ptb.mass_shell import (
     individual_energy_limits,
     lambda_from_M2,
@@ -22,6 +26,9 @@ from ptb.mass_shell import (
     nonrel_check,
     shell_from_M,
 )
+from ptb.potentials import FreePotential
+from ptb.reduced import IntegratorOptions, ReducedState, integrate, synchronize
+from ptb.worldline import worldlines
 
 from ptb_fixtures import random_shell_args
 
@@ -187,3 +194,85 @@ def test_shell_from_M_reproduces_M(M, nu, lam):
 def test_shell_from_M_refuses(M, nu, lam):
     with pytest.raises(BadParameter):
         shell_from_M(M, nu, lam)
+
+
+def reference_shell(m1, m2, lam):
+    """E1, E2, M and (E1 - m1, E2 - m2) from E_a = sqrt(m_a^2 + lambda) at 50
+    digits, as Decimals.  E_a - m_a is taken as lambda/(E_a + m_a), the same
+    number, because a subtraction at 50 digits still rounds away a lambda
+    below 1e-50 m_a^2."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        m1, m2, lam = Decimal(m1), Decimal(m2), Decimal(lam)
+        E1 = (m1 * m1 + lam).sqrt()
+        E2 = (m2 * m2 + lam).sqrt()
+        return E1, E2, E1 + E2, (lam / (E1 + m1), lam / (E2 + m2))
+
+
+def rel_err(got, want):
+    """|got - want| / |want|, with |want| floored at the smallest normal float:
+    a subnormal result (lambda near 1e-310, say) keeps only absolute precision."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return float(abs(Decimal(got) - want) / max(abs(want), Decimal(sys.float_info.min)))
+
+
+_TOL = 4e-15
+
+
+@pytest.fixture(scope="module")
+def unit_traj():
+    # first sample at ztil = (1, 0, 0): the world-line offsets there are the
+    # bare weights of whatever shell the trajectory carries
+    return synchronize(integrate(
+        ReducedState(0.0, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.0])),
+        mass_shell_from_lambda(1.0, 2.0, 0.25), FreePotential(), 1.0, IntegratorOptions()))
+
+
+@given(
+    m2=st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),
+    ratio=st.floats(-8.0, 0.0).map(lambda e: 10.0 ** e),
+    lam_scale=st.floats(-0.9, 100.0),
+)
+def test_shell_matches_decimal_reference(unit_traj, m2, ratio, lam_scale):
+    # lambda in [-0.9 m1^2, 100 m2^2]; the floor keeps the rounding of the
+    # input m1^2 + lambda from dominating the error of E1
+    m1 = min(ratio * m2, m2)
+    lam = lam_scale * (m1 * m1 if lam_scale < 0.0 else m2 * m2)
+    E1, E2, M, (D1, D2) = reference_shell(m1, m2, lam)
+    sh = mass_shell_from_lambda(m1, m2, lam)
+    errors = {"M": rel_err(sh.M, M), "E1": rel_err(sh.E1, E1), "E2": rel_err(sh.E2, E2)}
+
+    d1, d2 = individual_energy_limits(m1, m2, lam)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        excess = D1 + D2
+        m0 = Decimal(m1) * Decimal(m2) / (Decimal(m1) + Decimal(m2))
+        nonrel = 2 * m0 * (1 / (E1 + Decimal(m1)) + 1 / (E2 + Decimal(m2)))
+    errors["E1 - m1"] = rel_err(d1, D1)
+    errors["E2 - m2"] = rel_err(d2, D2)
+    errors["mass_excess"] = rel_err(mass_excess(m1, m2, lam), excess)
+    errors["nonrel_check"] = rel_err(nonrel_check(m1, m2, lam), nonrel)
+
+    ws = worldlines(replace(unit_traj, shell=sh))
+    errors["x1 weight E2/M"] = rel_err(float(ws.x1[0, 1]), E2 / M)
+    errors["x2 weight -E1/M"] = rel_err(float(ws.x2[0, 1]), -E1 / M)
+
+    a = analyze(m2, lam / (m2 * m2), (m1 / m2) ** 2)
+    E1a, _, Ma, _ = reference_shell(a.gamma * a.m2, a.m2, a.lambda_)
+    errors["analyze offset E1/M"] = rel_err(a.offset, E1a / Ma)
+
+    worst = max(errors, key=errors.get)
+    assert errors[worst] <= _TOL, (worst, errors[worst])
+
+
+@pytest.mark.parametrize("m1, m2, lam", [
+    (1e-7, 1.0, 0.0), (1e-7, 1.0, -0.5e-14), (1e-8, 100.0, 1e-3), (3e-6, 0.01, 2e-4),
+])
+def test_extreme_mass_ratio_shell_keeps_full_precision(m1, m2, lam):
+    # as m1/m2 -> 0 the heavy body and the center of energy coincide: E1/M is
+    # the light body's small share, still to full relative precision
+    E1, E2, M, _ = reference_shell(m1, m2, lam)
+    sh = mass_shell_from_lambda(m1, m2, lam)
+    for got, want in ((sh.M, M), (sh.E1, E1), (sh.E2, E2), (sh.E1 / sh.M, E1 / M)):
+        assert rel_err(got, want) <= _TOL
