@@ -2,45 +2,37 @@
 
 The shell fixes M from (m1, m2, lambda); an orbit fixes lambda from its
 state, lambda = |eta|^2 - 2 V, with V evaluated at P2 = M^2.  Closing the
-loop is a one-dimensional fixed point in M, solved by secant steps on
-M_shell(lambda(M)) - M after one plain iterate.  A secant point that fails
-is replaced by the plain iterate; when the plain iterate fails as well, or
-the step budget runs out, a logged bracket scan takes over.
+loop is one root in lambda of h(lambda) = lambda_orbit(shell(lambda)) -
+lambda on the admissible half-line lambda > -m1^2, where E1 > 0.  The scan
+starts at the free shell lambda = 0 and walks outward on the side that the
+sign of h(0) points to: toward the bound it halves the gap to -m1^2, upward
+it doubles from the plain iterate h(0).  When h(0) itself fails, both sides
+are scanned.  A trial lambda whose shell or orbit raises a package error is
+a hole in the scan; Brent's method refines the first bracket.
 """
 
 from __future__ import annotations
 
-import logging
 import math
+from itertools import chain
 from typing import Callable, Sequence, Tuple
 
 from .circular import CircularOrbit, find_circular
 from .errors import NoRoot, PtbError
 from .kinematics import ScalarQuintet
-from .mass_shell import (
-    MassShell,
-    _check_masses,
-    lambda_from_M2,
-    mass_excess,
-    mass_shell_from_lambda,
-)
+from .mass_shell import MassShell, _check_masses, mass_excess, mass_shell_from_lambda
 from .potentials import PotentialSpec
 from .roots import first_root
 
 __all__ = [
-    "lambda_shell",
     "binding_energy",
     "self_consistent_M",
     "self_consistent_shell",
     "self_consistent_circular",
 ]
 
-log = logging.getLogger(__name__)
-
-
-def lambda_shell(m1: float, m2: float, M: float) -> float:
-    """Interaction strength the shell needs to produce collective mass M."""
-    return lambda_from_M2(m1, m2, M * M)
+_HALVINGS = 53  # -1 + 2^-53 is the last double above -1
+_DOUBLINGS = 64
 
 
 def binding_energy(shell: MassShell) -> float:
@@ -48,73 +40,66 @@ def binding_energy(shell: MassShell) -> float:
     return -mass_excess(shell.m1, shell.m2, shell.lambda_)
 
 
-def self_consistent_M(m1: float, m2: float,
-                      lambda_of_M: Callable[[float], float], *,
-                      rtol: float = 1e-13, max_iter: int = 100) -> float:
-    """Solve M = M_shell(m1, m2, lambda_of_M(M)).
+def _closed_shell(m1: float, m2: float,
+                  orbit_of: Callable[[MassShell], tuple]) -> tuple:
+    """The shell whose lambda equals lambda_orbit, where orbit_of(shell) =
+    (lambda_orbit, orbit), returned with its orbit.
 
-    Secant steps on g(M) = M_shell(lambda_of_M(M)) - M; the first step from
-    M = m1 + m2 is the plain iterate M_shell(lambda_of_M(M)).  Converged when
-    |M_new - M| <= rtol M_new, where M_new is the shell mass at M.  Fallbacks,
-    in order: a secant point that is not finite and positive, or whose shell
-    raises a package error, is replaced by the plain iterate for that step;
-    when the plain iterate itself raises, or max_iter steps run out, the
-    residual is bracketed on a log grid around m1 + m2, and a record on the
-    ptb.binding logger names the M reached, the step count and the cause.
-    Invalid masses raise BadParameter before any shell is solved.
+    The scan runs in s = lambda/m1^2, so the bound is s > -1 and Brent's
+    absolute tolerance scales with the masses.  Each s is solved once.
     """
-    _check_masses(m1, m2)
-
-    def shell_M(M: float) -> float:
-        return mass_shell_from_lambda(m1, m2, lambda_of_M(M)).M
-
-    M, prev, k = m1 + m2, None, 0  # prev: (M, g(M)) of the point before M
-    try:
-        M_new = shell_M(M)
-        while abs(M_new - M) > rtol * M_new:
-            if k == max_iter:
-                break
-            k += 1
-            g, step = M_new - M, None
-            if prev is not None and g != prev[1]:
-                trial = M - g * (M - prev[0]) / (g - prev[1])
-                if 0.0 < trial < math.inf:
-                    try:
-                        step = trial, shell_M(trial)
-                    except PtbError:
-                        pass
-            prev = M, g
-            M, M_new = step or (M_new, shell_M(M_new))
-        else:
-            return M_new
-        cause = "budget exhausted"
-    except PtbError as exc:
-        cause = f"{type(exc).__name__}: {exc}"
-    log.info("self-consistent M: fixed point stopped at M = %r after %d steps (%s); "
-             "scanning for a bracket", M, k, cause)
-    return _bracketed_M(m1, m2, lambda_of_M)
-
-
-def _bracketed_M(m1, m2, lambda_of_M):
+    b = m1 * m1
+    memo = {}
     failure = None  # the last error of a trial shell, kept as the cause
 
-    def g(M):
+    def h(s: float) -> float:
         nonlocal failure
-        try:
-            return mass_shell_from_lambda(m1, m2, lambda_of_M(M)).M - M
-        except PtbError as exc:
-            failure = exc
-            raise
+        if s not in memo:
+            try:
+                shell = mass_shell_from_lambda(m1, m2, s * b)
+                memo[s] = shell, orbit_of(shell)
+            except PtbError as exc:
+                failure = exc
+                raise
+        shell, (lam, _) = memo[s]
+        return (lam - shell.lambda_) / b
 
-    scale = m1 + m2
-    grid = [scale * math.exp(x * 0.1) for x in range(-40, 41)]
-    M = first_root(g, grid, skip=PtbError)
-    if M is None:
-        msg = "no self-consistent collective mass found near m1 + m2"
-        if failure is not None:
-            msg += f"; last trial shell failed with {type(failure).__name__}: {failure}"
-        raise NoRoot(msg) from failure
-    return M
+    try:
+        h0 = h(0.0)
+    except PtbError:
+        h0 = math.nan
+    down = (-1.0 + 0.5 ** k for k in range(1, _HALVINGS + 1))
+    up = ((h0 if h0 > 0.0 else 1.0) * 2.0 ** k for k in range(_DOUBLINGS))
+    if h0 < 0.0:
+        grids = [chain([0.0], down)]
+    elif h0 >= 0.0:
+        grids = [chain([0.0], up)]
+    else:
+        grids = [down, up]
+    for grid in grids:
+        s = first_root(h, grid, skip=PtbError)
+        if s is not None:
+            shell, (_, orbit) = memo[s]
+            return shell, orbit
+    msg = "no self-consistent shell found on lambda > -m1^2"
+    if failure is not None:
+        msg += f"; last trial shell failed with {type(failure).__name__}: {failure}"
+    raise NoRoot(msg) from failure
+
+
+def self_consistent_M(m1: float, m2: float,
+                      lambda_of_M: Callable[[float], float]) -> float:
+    """Solve M = M_shell(m1, m2, lambda_of_M(M)).
+
+    Finds lambda with lambda_of_M(M_shell(lambda)) = lambda on lambda >
+    -m1^2 (see the module docstring) and returns that shell's M.  Invalid
+    masses raise BadParameter before any shell is solved; NoRoot names the
+    last package error of a trial shell and chains it.  Any other exception
+    of lambda_of_M propagates.
+    """
+    _check_masses(m1, m2)
+    shell, _ = _closed_shell(m1, m2, lambda shell: (lambda_of_M(shell.M), None))
+    return shell.M
 
 
 def _state_lambda(model: PotentialSpec, nu: float,
@@ -123,38 +108,33 @@ def _state_lambda(model: PotentialSpec, nu: float,
     e2 = sum(c * c for c in eta0)
     ze = sum(a * b for a, b in zip(zeta0, eta0))
 
-    def lam(M: float) -> float:
-        q = ScalarQuintet.at_rest(M * M, nu, z2, e2, ze)
+    def lam(M2: float) -> float:
+        q = ScalarQuintet.at_rest(M2, nu, z2, e2, ze)
         return e2 - 2.0 * model.evaluate(q).value
 
     return lam
 
 
 def self_consistent_shell(m1: float, m2: float, model: PotentialSpec,
-                          zeta0: Sequence[float], eta0: Sequence[float],
-                          **kw) -> MassShell:
+                          zeta0: Sequence[float], eta0: Sequence[float]) -> MassShell:
     """Shell whose lambda matches the orbit constraint at the given state."""
     _, nu = _check_masses(m1, m2)
     lam = _state_lambda(model, nu, zeta0, eta0)
     if model.p2_independent and model.w_independent:
         # lambda does not feed back into itself; one pass is exact
-        return mass_shell_from_lambda(m1, m2, lam(m1 + m2))
-    M = self_consistent_M(m1, m2, lam, **kw)
-    return mass_shell_from_lambda(m1, m2, lam(M))
+        return mass_shell_from_lambda(m1, m2, lam((m1 + m2) ** 2))
+    shell, _ = _closed_shell(m1, m2, lambda shell: (lam(shell.M2), None))
+    return shell
 
 
 def self_consistent_circular(m1: float, m2: float, model: PotentialSpec,
-                             l2: float, **kw) -> Tuple[MassShell, CircularOrbit]:
+                             l2: float) -> Tuple[MassShell, CircularOrbit]:
     """Circular orbit whose radius, shell and lambda agree simultaneously."""
     _, nu = _check_masses(m1, m2)
 
-    def lam(M: float) -> float:
-        M2 = M * M
-        shell_M = mass_shell_from_lambda(m1, m2, lambda_from_M2(m1, m2, M2))
-        orbit = find_circular(model, shell_M, l2)
-        q = ScalarQuintet.at_rest(M2, nu, orbit.rho * orbit.rho, orbit.speed2, 0.0)
-        return orbit.speed2 - 2.0 * model.evaluate(q).value
+    def orbit_of(shell: MassShell):
+        orbit = find_circular(model, shell, l2)
+        q = ScalarQuintet.at_rest(shell.M2, nu, orbit.rho * orbit.rho, orbit.speed2, 0.0)
+        return orbit.speed2 - 2.0 * model.evaluate(q).value, orbit
 
-    M = self_consistent_M(m1, m2, lam, **kw)
-    shell = mass_shell_from_lambda(m1, m2, lam(M))
-    return shell, find_circular(model, shell, l2)
+    return _closed_shell(m1, m2, orbit_of)

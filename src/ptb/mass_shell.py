@@ -99,17 +99,22 @@ def mass_shell_from_lambda(m1: float, m2: float, lambda_: float) -> MassShell:
 
 
 def lambda_from_M2(m1: float, m2: float, M2: float) -> float:
-    """Invert the shell: lambda = M^2/4 + nu^2/M^2 - mu.
+    """Invert the shell: lambda = (E1 - m1)(E1 + m1), E1 = (M^2 + m1^2 - m2^2)/(2M).
 
-    The two preconditions M^2 > 2|nu| and M^2 > m2^2 - m1^2 coincide for
-    sorted masses; their violation raises MassBoundViolation.
+    2M (E1 +- m1) = (M +- m1 - m2)(M +- m1 + m2), and each factor is formed
+    with exact subtractions where it is small, so lambda is as accurate as
+    M^2 allows even as m1/m2 -> 0.  The preconditions M^2 > 2|nu| and M^2 >
+    m2^2 - m1^2 coincide for sorted masses; their violation raises
+    MassBoundViolation.
     """
-    mu, nu = _check_masses(m1, m2)
+    _, nu = _check_masses(m1, m2)
     M2 = float(M2)
     if not (M2 > 2.0 * abs(nu) + _REL_SLACK * max(M2, m2 * m2)):
         raise MassBoundViolation(
             f"requires M^2 > m2^2 - m1^2 = 2|nu|, got M^2 = {M2!r}, 2|nu| = {2.0 * abs(nu)!r}")
-    return 0.25 * M2 + nu * nu / M2 - mu
+    M = math.sqrt(M2)
+    C = (M - m2) + m1 if m2 > 2.0 * m1 else M - (m2 - m1)
+    return ((M - m2) - m1) * (M + (m2 - m1)) * C * (M + m1 + m2) / (4.0 * M2)
 
 
 def shell_from_M(M: float, nu: float, lambda_: float = 0.0) -> MassShell:

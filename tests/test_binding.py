@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import ptb.binding
 from ptb.binding import (
     binding_energy,
-    lambda_shell,
     self_consistent_M,
     self_consistent_circular,
     self_consistent_shell,
@@ -16,12 +17,8 @@ from ptb.errors import BadParameter, DomainError, NoRoot
 from ptb.mass_shell import mass_shell_from_lambda
 from ptb.potentials import CentralPowerPotential, FreePotential, HarmonicPotential
 from ptb.reduced import rest_quintet
+from ptb.roots import brent
 from ptb.toy import toy_from_masses
-
-
-def test_lambda_shell_round_trip():
-    sh = mass_shell_from_lambda(1.0, 2.0, 0.5)
-    assert lambda_shell(1.0, 2.0, sh.M) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_binding_energy_sign():
@@ -148,34 +145,15 @@ def test_self_consistent_circular_harmonic():
     assert shell.quartic_residual() == pytest.approx(0.0, abs=1e-9 * shell.M2 ** 2)
 
 
-def test_bracket_fallback_is_logged(caplog):
-    # at l2 = 5 the starting guess M = m1 + m2 = 3 breaks the lambda bound,
-    # so the bracket scan takes over at once and says so
-    caplog.set_level(logging.INFO, logger="ptb.binding")
-    shell, orbit = self_consistent_circular(1.0, 2.0, CentralPowerPotential(-1.0, 1), 5.0)
-    assert orbit.rho == pytest.approx(5.0 / shell.M, rel=1e-11)
-    records = [r for r in caplog.records if r.name == "ptb.binding"]
-    assert len(records) == 1
-    text = records[0].getMessage()
-    for part in ("M = 3.0", "after 0 steps", "LambdaBoundViolation", "m1^2 + lambda > 0"):
-        assert part in text
-
-
-def test_exhausted_budget_is_logged(caplog):
-    caplog.set_level(logging.INFO, logger="ptb.binding")
-    M = self_consistent_M(0.8, 1.3, lambda M: 0.07 * M, max_iter=1)
-    assert mass_shell_from_lambda(0.8, 1.3, 0.07 * M).M == pytest.approx(M, rel=1e-12)
-    [record] = [r for r in caplog.records if r.name == "ptb.binding"]
-    assert "after 1 steps (budget exhausted)" in record.getMessage()
-
-
 @pytest.mark.parametrize("model, l2", [
     (CentralPowerPotential(-1.0, 1), 20.0),
     (CentralPowerPotential(-1.0, 1), 50.0),
     (HarmonicPotential(0.125), 0.5),
     (HarmonicPotential(0.125), 4.0),
+    (CentralPowerPotential(-1.0, 1), 5.0),  # root near the bound lambda > -m1^2, at E1 = 0.34
 ])
-def test_self_consistent_circular_budget(monkeypatch, model, l2):
+def test_self_consistent_circular_budget(monkeypatch, caplog, model, l2):
+    caplog.set_level(logging.DEBUG, logger="ptb.binding")
     calls = []
     find = ptb.binding.find_circular
     monkeypatch.setattr(ptb.binding, "find_circular",
@@ -183,33 +161,73 @@ def test_self_consistent_circular_budget(monkeypatch, model, l2):
     shell, orbit = self_consistent_circular(1.0, 2.0, model, l2)
     assert len(calls) <= 10
     assert orbit == find(model, shell, l2)
+    assert [r for r in caplog.records if r.name == "ptb.binding"] == []
 
 
-def test_inadmissible_secant_point_takes_the_plain_iterate(monkeypatch):
-    # lambda(M) = c M, once recorded to learn the first secant point, then
-    # again with the shell failing right there
-    m1, m2, c = 0.8, 1.3, 0.07
-    seen = []
-    want = self_consistent_M(m1, m2, lambda M: seen.append(M) or c * M)
-    secant = seen[2]  # m1 + m2, its plain iterate, then the first secant point
-    assert secant not in (seen[1], m1 + m2)
-
-    tried = []
+def test_a_band_of_failing_trial_shells_is_a_hole():
+    # lambda(M) = -M^2/5 for masses (1, 2): the scan toward the bound tries
+    # lambda = -1/2 and -3/4 (M = 2.58, 2.30) before it brackets the root
+    # at -0.885 between -7/8 and -15/16 (M = 2.12, 2.00)
+    want = self_consistent_M(1.0, 2.0, lambda M: -M * M / 5.0)
+    holes = []
 
     def lam(M):
-        if M == secant:
-            tried.append(M)
-            raise DomainError(f"no shell at M = {M!r}")
-        return c * M
+        if 2.2 < M < 2.7:
+            holes.append(M)
+            raise DomainError(f"no orbit at M = {M!r}")
+        return -M * M / 5.0
 
-    def no_bracket(*args):
-        raise AssertionError("the bracket scan must not run")
+    assert self_consistent_M(1.0, 2.0, lam) == want
+    assert len(holes) == 2
+    assert mass_shell_from_lambda(1.0, 2.0, -want * want / 5.0).M == pytest.approx(want, rel=1e-14)
 
-    monkeypatch.setattr(ptb.binding, "_bracketed_M", no_bracket)
-    M = self_consistent_M(m1, m2, lam)
-    assert tried == [secant]
-    assert M == pytest.approx(want, rel=1e-12)
-    assert mass_shell_from_lambda(m1, m2, c * M).M == pytest.approx(M, rel=1e-13)
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda x: 10.0 ** x)
+
+
+@given(m1=_log_uniform(0.1, 10.0), ratio=st.floats(1.05, 10.0), g=_log_uniform(0.1, 10.0),
+       distance=_log_uniform(1e-6, 3.0), solvable=st.booleans())
+def test_central_power_closure_matches_its_closed_form(m1, ratio, g, distance, solvable):
+    # n = 1 orbits have rho = l2/(|g| M) and lambda = -g^2 M(lambda)^2/l2;
+    # the right side falls as lambda grows, so one root exists exactly when
+    # it beats -lambda at the bound lambda -> -m1^2:
+    # g^2 (m2^2 - m1^2) < m1^2 l2.  l2 sits a relative distance from that
+    # boundary, on the side that `solvable` picks; g here is |g|.
+    m2 = m1 * ratio
+    l2_edge = g * g * (m2 * m2 - m1 * m1) / (m1 * m1)
+    l2 = l2_edge * (1.0 + distance if solvable else 1.0 / (1.0 + distance))
+    # every trial radius of the scan inside find_circular's [1e-6, 1e6]
+    assume(1e-5 < l2 / (g * (m1 + m2)) and l2 / (g * math.sqrt(m2 * m2 - m1 * m1)) < 1e5)
+
+    def closed_form(lam):
+        M = math.sqrt(max(m1 * m1 + lam, 0.0)) + math.sqrt(m2 * m2 + lam)
+        return -g * g * M * M / l2 - lam
+
+    model = CentralPowerPotential(-g, 1)
+    if not solvable:
+        with pytest.raises(NoRoot):
+            self_consistent_circular(m1, m2, model, l2)
+        return
+    want = brent(closed_form, -m1 * m1, 0.0)
+    # the shell refuses E1^2 <= 1e-12 m1^2, and the scan's last admissible
+    # step toward the bound leaves E1^2 = 2^-39 m1^2: closer roots are out of reach
+    assume(want + m1 * m1 > 2.0 ** -39 * m1 * m1)
+    shell, orbit = self_consistent_circular(m1, m2, model, l2)
+    assert shell.lambda_ == pytest.approx(want, rel=1e-12)
+    assert orbit.rho == pytest.approx(l2 / (g * shell.M), rel=1e-12)
+
+
+@given(m1=_log_uniform(0.1, 10.0), ratio=st.floats(1.0, 10.0), chi=_log_uniform(1e-3, 10.0),
+       rho=_log_uniform(1e-3, 1e3))
+def test_harmonic_closure_matches_its_closed_form(m1, ratio, chi, rho):
+    # rho^4 = l2/(2 chi M) and lambda = 2 sqrt(2 chi M l2); rho is drawn at
+    # the free shell M = m1 + m2, and the closed shell only shrinks it
+    m2 = m1 * ratio
+    l2 = 2.0 * chi * (m1 + m2) * rho ** 4
+    shell, orbit = self_consistent_circular(m1, m2, HarmonicPotential(chi), l2)
+    assert shell.lambda_ == pytest.approx(2.0 * math.sqrt(2.0 * chi * shell.M * l2), rel=1e-12)
+    assert orbit.rho == pytest.approx((l2 / (2.0 * chi * shell.M)) ** 0.25, rel=1e-12)
 
 
 @pytest.mark.parametrize("m1, m2", [(-1.0, 2.0), (0.0, 2.0), (math.nan, 2.0), (3.0, 2.0)])

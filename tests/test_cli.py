@@ -248,6 +248,16 @@ def test_circular_masses_mode():
     assert report["rho"] == pytest.approx(50.0 / report["M"], rel=1e-9)
 
 
+def test_circular_masses_mode_closes_a_strongly_bound_orbit():
+    # lambda = -M(lambda)^2/l2 has a root for every l2 > 3 at masses (1, 2);
+    # at l2 = 4 it sits at E1 = 0.21, close to the bound lambda > -m1^2
+    r = run_cli("circular", "--potential", "central_power", "--g", "-1",
+                "--n", "1", "--m1", "1", "--m2", "2", "--l2", "4")
+    assert r.returncode == 0, r.stderr
+    report = parse_report(r.stdout)
+    assert report["lambda"] == pytest.approx(-0.9557189138830738, abs=1e-12)
+
+
 def test_circular_repulsive_fails_cleanly():
     r = run_cli("circular", "--potential", "central_power", "--g", "1",
                 "--n", "1", "--l2", "1.0", "--M", "4")

@@ -121,6 +121,34 @@ def test_lambda_round_trip(rng):
         assert back == pytest.approx(lam, rel=1e-10, abs=1e-12 * sh.M2)
 
 
+def _round_trip_error(m1, m2, lam):
+    """|lambda -> M^2 -> lambda| relative to |lambda|, in units of 2^-53 times
+    the inverse's conditioning cond = |dlambda/dM^2| M^2/|lambda| =
+    E1 E2/|lambda|.  cond falls below 1 only toward the bound lambda -> -m1^2,
+    where the result's own rounding dominates, so it is floored at 1."""
+    sh = mass_shell_from_lambda(m1, m2, lam)
+    back = lambda_from_M2(m1, m2, sh.M2)
+    cond = max(sh.E1 * sh.E2 / abs(lam), 1.0)
+    return abs(back - lam) / abs(lam) / (cond * 2.0 ** -53)
+
+
+@pytest.mark.parametrize("m1, lam", [(1e-7, 1e-15), (1e-7, -5e-15), (1e-4, 1e-9), (0.5, 1e-3)])
+def test_lambda_round_trip_keeps_a_small_lambda(m1, lam):
+    # M^2/4 + nu^2/M^2 - mu was off by 8.0e-4, 8.0e-4, 2.8e-8 and 8.7e-16 here
+    assert _round_trip_error(m1, 1.0, lam) <= 8.0
+
+
+@given(m1=st.floats(-8.0, 3.0).map(lambda x: 10.0 ** x),
+       ratio=st.floats(0.0, 7.0).map(lambda x: 10.0 ** x),
+       gap=st.floats(-10.0, -0.1).map(lambda x: 10.0 ** x),
+       above=st.floats(-12.0, 12.0).map(lambda x: 10.0 ** x),
+       bound=st.booleans())
+def test_lambda_round_trip_is_as_good_as_its_conditioning(m1, ratio, gap, above, bound):
+    # lambda = -m1^2 (1 - gap) toward the bound, or m1^2 * above
+    lam = -m1 * m1 * (1.0 - gap) if bound else m1 * m1 * above
+    assert _round_trip_error(m1, m1 * ratio, lam) <= 8.0
+
+
 def test_mass_bound_violation():
     # M^2 must exceed m2^2 - m1^2
     with pytest.raises(MassBoundViolation):
