@@ -5,10 +5,11 @@ state, lambda = |eta|^2 - 2 V, with V evaluated at P2 = M^2.  Closing the
 loop is one root in lambda of h(lambda) = lambda_orbit(shell(lambda)) -
 lambda on the admissible half-line lambda > -m1^2, where E1 > 0.  The scan
 starts at the free shell lambda = 0 and walks outward on the side that the
-sign of h(0) points to: toward the bound it halves the gap to -m1^2, upward
-it doubles from the plain iterate h(0).  When h(0) itself fails, both sides
-are scanned.  A trial lambda whose shell or orbit raises a package error is
-a hole in the scan; Brent's method refines the first bracket.
+sign of h(0) points to: toward the bound it halves the gap to -m1^2 down to
+the shell's own threshold, upward it doubles from the plain iterate h(0).
+When h(0) itself fails, both sides are scanned.  A trial lambda whose shell
+or orbit raises a package error is a hole in the scan; Brent's method
+refines the first bracket.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Sequence, Tuple
 from .circular import CircularOrbit, find_circular
 from .errors import NoRoot, PtbError
 from .kinematics import ScalarQuintet
-from .mass_shell import MassShell, _check_masses, mass_excess, mass_shell_from_lambda
+from .mass_shell import _REL_SLACK, MassShell, _check_masses, mass_excess, mass_shell_from_lambda
 from .potentials import PotentialSpec
 from .roots import first_root
 
@@ -31,7 +32,11 @@ __all__ = [
     "self_consistent_circular",
 ]
 
-_HALVINGS = 53  # -1 + 2^-53 is the last double above -1
+# toward the bound, s = lambda/m1^2 halves its gap to -1 while the shell
+# admits the step (E1^2 > _REL_SLACK m1^2), then ends at 1.001 times that
+# threshold: rounding s and s m1^2 moves a gap of 1e-12 by at most 2.2e-4 of it
+_DOWN = (*(-1.0 + 0.5 ** k for k in range(1, int(-math.log2(_REL_SLACK)) + 1)),
+         -1.0 + 1.001 * _REL_SLACK)
 _DOUBLINGS = 64
 
 
@@ -68,14 +73,13 @@ def _closed_shell(m1: float, m2: float,
         h0 = h(0.0)
     except PtbError:
         h0 = math.nan
-    down = (-1.0 + 0.5 ** k for k in range(1, _HALVINGS + 1))
     up = ((h0 if h0 > 0.0 else 1.0) * 2.0 ** k for k in range(_DOUBLINGS))
     if h0 < 0.0:
-        grids = [chain([0.0], down)]
+        grids = [chain([0.0], _DOWN)]
     elif h0 >= 0.0:
         grids = [chain([0.0], up)]
     else:
-        grids = [down, up]
+        grids = [_DOWN, up]
     for grid in grids:
         s = first_root(h, grid, skip=PtbError)
         if s is not None:

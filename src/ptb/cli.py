@@ -78,9 +78,12 @@ def _exit_code(err: PtbError) -> int:
     return 4
 
 
+def _error_line(err: PtbError) -> str:
+    return f"{type(err).__name__}: {err}".replace("\n", " ")
+
+
 def _fail(err: PtbError) -> int:
-    line = f"{type(err).__name__}: {err}".replace("\n", " ")
-    print(line, file=sys.stderr)
+    print(_error_line(err), file=sys.stderr)
     return _exit_code(err)
 
 
@@ -105,13 +108,40 @@ def _check_keys(d: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _number(x, where: str) -> float:
+_REQUIRED = object()
+
+
+def _block(cfg: dict, name: str, keys: set, default=_REQUIRED):
+    """cfg[name] as an object with keys only from keys: default when absent (or
+    null, for default None), and required when there is no default."""
+    block = cfg.get(name, default)
+    if block is default and default is not _REQUIRED:
+        return block
+    if not isinstance(block, dict):
+        if default is _REQUIRED:
+            article = "an" if name[0] in "aeiou" else "a"
+            raise ConfigError(f'config needs {article} "{name}" object')
+        raise ConfigError(f"{name} must be an object")
+    _check_keys(block, keys, name)
+    return block
+
+
+def _number(x, where: str, positive: bool = False) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ConfigError(f"{where} must be a number, got {x!r}")
     v = float(x)
     if not math.isfinite(v):
         raise ConfigError(f"{where} must be finite, got {x!r}")
+    if positive and not v > 0.0:
+        raise ConfigError(f"{where} must be positive")
     return v
+
+
+def _tol(x, where: str) -> float:
+    tol, (lo, hi) = _number(x, where), _TOL_RANGE
+    if not lo <= tol <= hi:
+        raise ConfigError(f"{where} must lie in [{lo:g}, {hi:g}], got {tol:g}")
+    return tol
 
 
 def _vec(x, n: int, where: str) -> tuple:
@@ -140,20 +170,14 @@ def build_scenario(cfg: dict) -> Scenario:
     if cfg.get("schema") != 1:
         raise ConfigError("config must declare \"schema\": 1")
 
-    masses = cfg.get("masses")
-    if not isinstance(masses, dict):
-        raise ConfigError("config needs a \"masses\" object")
-    _check_keys(masses, {"m1", "m2"}, "masses")
+    masses = _block(cfg, "masses", {"m1", "m2"})
     m1 = _number(masses.get("m1"), "masses.m1")
     m2 = _number(masses.get("m2"), "masses.m2")
     if m1 > m2:
         log.warning("warning: m1 > m2; swapping so particle 1 is the lighter one")
         m1, m2 = m2, m1
 
-    pot = cfg.get("potential")
-    if not isinstance(pot, dict):
-        raise ConfigError("config needs a \"potential\" object")
-    _check_keys(pot, {"kind", "params"}, "potential")
+    pot = _block(cfg, "potential", {"kind", "params"})
     kind = pot.get("kind")
     if not isinstance(kind, str):
         raise ConfigError("potential.kind must be a string")
@@ -162,27 +186,15 @@ def build_scenario(cfg: dict) -> Scenario:
         raise ConfigError("potential.params must be an object")
     model = builtin(kind, **params)
 
-    integ = cfg.get("integrator", {})
-    if not isinstance(integ, dict):
-        raise ConfigError("integrator must be an object")
-    _check_keys(integ, {"tol", "max_step", "lambda_span", "sample_interval",
-                        "strict_time"}, "integrator")
-    tol = _number(integ.get("tol", 1e-10), "integrator.tol")
-    if not (_TOL_RANGE[0] <= tol <= _TOL_RANGE[1]):
-        raise ConfigError(
-            f"integrator.tol must lie in [{_TOL_RANGE[0]:g}, {_TOL_RANGE[1]:g}], got {tol:g}")
-    max_step = integ.get("max_step", math.inf)
-    if max_step is not None:
-        max_step = _number(max_step, "integrator.max_step") if max_step != math.inf else math.inf
-        if not max_step > 0.0:
-            raise ConfigError("integrator.max_step must be positive")
-    else:
-        max_step = math.inf
+    integ = _block(cfg, "integrator", {"tol", "max_step", "lambda_span", "sample_interval",
+                                       "strict_time"}, {})
+    tol = _tol(integ.get("tol", 1e-10), "integrator.tol")
+    max_step = integ.get("max_step")
+    max_step = (math.inf if max_step in (None, math.inf)
+                else _number(max_step, "integrator.max_step", positive=True))
     sample_interval = integ.get("sample_interval")
     if sample_interval is not None:
-        sample_interval = _number(sample_interval, "integrator.sample_interval")
-        if not sample_interval > 0.0:
-            raise ConfigError("integrator.sample_interval must be positive")
+        sample_interval = _number(sample_interval, "integrator.sample_interval", positive=True)
     strict = integ.get("strict_time", False)
     if not isinstance(strict, bool):
         raise ConfigError("integrator.strict_time must be true or false")
@@ -192,63 +204,37 @@ def build_scenario(cfg: dict) -> Scenario:
     span = integ.get("lambda_span")
     if span is not None:
         if isinstance(span, (list, tuple)):
-            lo, hi = _vec(span, 2, "integrator.lambda_span")
+            lo, span = _vec(span, 2, "integrator.lambda_span")
             if lo != 0.0:
                 raise ConfigError("integrator.lambda_span must start at 0")
-            span = hi
-        else:
-            span = _number(span, "integrator.lambda_span")
-        if not span > 0.0:
-            raise ConfigError("integrator.lambda_span must be positive")
+        span = _number(span, "integrator.lambda_span", positive=True)
 
-    shell_cfg = cfg.get("shell")
-    lam_override = None
-    if shell_cfg is not None:
-        if not isinstance(shell_cfg, dict):
-            raise ConfigError("shell must be an object")
-        _check_keys(shell_cfg, {"lambda"}, "shell")
-        if "lambda" not in shell_cfg:
-            raise ConfigError("shell block needs a \"lambda\" value")
-        lam_override = _number(shell_cfg["lambda"], "shell.lambda")
+    shell_cfg = _block(cfg, "shell", {"lambda"}, None)
+    if shell_cfg is not None and "lambda" not in shell_cfg:
+        raise ConfigError("shell block needs a \"lambda\" value")
+    lam_override = None if shell_cfg is None else _number(shell_cfg["lambda"], "shell.lambda")
 
     has_initial = "initial" in cfg
-    has_circular = "circular" in cfg
-    if has_initial == has_circular:
+    if has_initial == ("circular" in cfg):
         raise ConfigError("config needs exactly one of \"initial\" or \"circular\"")
-
     if has_initial:
-        init = cfg["initial"]
-        if not isinstance(init, dict):
-            raise ConfigError("initial must be an object")
-        _check_keys(init, {"ztil", "ytil"}, "initial")
+        init = _block(cfg, "initial", {"ztil", "ytil"}, {})
         z0 = _vec(init.get("ztil"), 3, "initial.ztil")
         e0 = _vec(init.get("ytil"), 3, "initial.ytil")
         if span is None:
             raise ConfigError("integrator.lambda_span is required with \"initial\"")
     else:
-        circ = cfg["circular"]
-        if not isinstance(circ, dict):
-            raise ConfigError("circular must be an object")
-        _check_keys(circ, {"l2"}, "circular")
-        l2 = _number(circ.get("l2"), "circular.l2")
-        if not l2 > 0.0:
-            raise ConfigError("circular.l2 must be positive")
+        circ = _block(cfg, "circular", {"l2"}, {})
+        l2 = _number(circ.get("l2"), "circular.l2", positive=True)
 
     k = None
-    frame = cfg.get("frame")
-    if frame is not None:
-        if not isinstance(frame, dict):
-            raise ConfigError("frame must be an object")
-        _check_keys(frame, {"k"}, "frame")
-        if frame.get("k") is not None:
-            k = FourVector(*_vec(frame["k"], 4, "frame.k"))
-            if not (k.norm2() > 0.0 and k.t > 0.0):
-                raise ConfigError("frame.k must be future-pointing timelike")
+    frame = _block(cfg, "frame", {"k"}, None)
+    if frame is not None and frame.get("k") is not None:
+        k = FourVector(*_vec(frame["k"], 4, "frame.k"))
+        if not (k.norm2() > 0.0 and k.t > 0.0):
+            raise ConfigError("frame.k must be future-pointing timelike")
 
-    out = cfg.get("output")
-    if not isinstance(out, dict):
-        raise ConfigError("config needs an \"output\" object")
-    _check_keys(out, {"format", "path"}, "output")
+    out = _block(cfg, "output", {"format", "path"})
     fmt = out.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"output.format must be csv or json, got {fmt!r}")
@@ -325,55 +311,60 @@ def _parse_floats(text: str, n: Optional[int], what: str) -> tuple:
         vals = tuple(float(p) for p in text.split(","))
     except ValueError:
         raise ConfigError(f"{what} must be comma-separated numbers, got {text!r}")
-    if n is not None and len(vals) != n:
+    if n and len(vals) != n:
         raise ConfigError(f"{what} needs {n} components, got {len(vals)}")
     return vals
 
 
-def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
-    def ensure(key):
-        block = cfg.setdefault(key, {})
-        if not isinstance(block, dict):
-            raise ConfigError(f"{key} must be an object")
-        return block
+# the model parameters of simulate and circular: (name, type, help on simulate)
+_PARAMS = (
+    ("chi", float, "harmonic strength"),
+    ("g", float, "central_power strength (g < 0 attracts)"),
+    ("n", int, "central_power exponent"),
+)
 
+# simulate's override flags: (flag, config path, n, argparse keywords).  A
+# given flag sets the field at its dotted path; with n set its text is n
+# comma-separated numbers, any count for n = 0, and a lone number stays a number.
+_OVERRIDES = (
+    ("--m1", "masses.m1", None, {"type": float}),
+    ("--m2", "masses.m2", None, {"type": float}),
+    ("--potential", "potential.kind", None, {"help": "free, harmonic or central_power"}),
+    *((f"--{name}", f"potential.params.{name}", None, {"type": typ, "help": text})
+      for name, typ, text in _PARAMS),
+    ("--ztil", "initial.ztil", 3, {"help": "initial separation, e.g. 1,0,0"}),
+    ("--ytil", "initial.ytil", 3, {"help": "initial relative momentum, e.g. 0,0.5,0"}),
+    ("--l2", "circular.l2", None,
+     {"type": float, "help": "circular scenario: squared angular momentum"}),
+    ("--lambda-span", "integrator.lambda_span", 0, {"help": "length L or 0,L"}),
+    ("--tol", "integrator.tol", None, {"type": float}),
+    ("--max-step", "integrator.max_step", None, {"type": float}),
+    ("--sample-interval", "integrator.sample_interval", None, {"type": float}),
+    ("--strict-time", "integrator.strict_time", None, {"action": "store_true"}),
+    ("--shell-lambda", "shell.lambda", None,
+     {"type": float, "help": "expert: bypass self-consistency with this shell lambda"}),
+    ("--frame-k", "frame.k", 4, {"help": "lab-frame direction as t,x,y,z (future timelike)"}),
+    ("--format", "output.format", None, {"choices": ("csv", "json")}),
+    ("--out", "output.path", None, {"help": "output path (overrides config output.path)"}),
+)
+
+
+def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     cfg.setdefault("schema", 1)
-    if args.m1 is not None:
-        ensure("masses")["m1"] = args.m1
-    if args.m2 is not None:
-        ensure("masses")["m2"] = args.m2
-    if args.potential is not None:
-        ensure("potential")["kind"] = args.potential
-    for name in ("chi", "g", "n"):
-        val = getattr(args, name)
-        if val is not None:
-            pot = ensure("potential")
-            pot.setdefault("params", {})[name] = val
-    if args.ztil is not None:
-        ensure("initial")["ztil"] = list(_parse_floats(args.ztil, 3, "--ztil"))
-    if args.ytil is not None:
-        ensure("initial")["ytil"] = list(_parse_floats(args.ytil, 3, "--ytil"))
-    if args.l2 is not None:
-        ensure("circular")["l2"] = args.l2
-    if args.lambda_span is not None:
-        vals = _parse_floats(args.lambda_span, None, "--lambda-span")
-        ensure("integrator")["lambda_span"] = vals[0] if len(vals) == 1 else list(vals)
-    if args.tol is not None:
-        ensure("integrator")["tol"] = args.tol
-    if args.max_step is not None:
-        ensure("integrator")["max_step"] = args.max_step
-    if args.sample_interval is not None:
-        ensure("integrator")["sample_interval"] = args.sample_interval
-    if args.strict_time:
-        ensure("integrator")["strict_time"] = True
-    if args.shell_lambda is not None:
-        ensure("shell")["lambda"] = args.shell_lambda
-    if args.frame_k is not None:
-        ensure("frame")["k"] = list(_parse_floats(args.frame_k, 4, "--frame-k"))
-    if args.format is not None:
-        ensure("output")["format"] = args.format
-    if args.out is not None:
-        ensure("output")["path"] = args.out
+    for flag, path, n, _ in _OVERRIDES:
+        val = getattr(args, flag[2:].replace("-", "_"))
+        if val is None or val is False:
+            continue
+        if n is not None:
+            vals = list(_parse_floats(val, n, flag))
+            val = vals[0] if len(vals) == 1 else vals
+        *blocks, key = path.split(".")
+        block = cfg
+        for depth, name in enumerate(blocks, 1):
+            block = block.setdefault(name, {})
+            if not isinstance(block, dict):
+                raise ConfigError(f"{'.'.join(blocks[:depth])} must be an object")
+        block[key] = val
     return cfg
 
 
@@ -382,8 +373,7 @@ def _sweep_worker(path: str) -> tuple[str, int, str]:
         sc = build_scenario(load_config(path))
         out_path, diag, _ = run_scenario(sc)
     except PtbError as e:
-        msg = f"{type(e).__name__}: {e}".replace("\n", " ")
-        return path, _exit_code(e), msg
+        return path, _exit_code(e), _error_line(e)
     line = f"wrote {out_path} ({diag['n_samples']} samples)"
     if diag.get("monotone") is False:
         line += f" [flagged: {diag['n_flagged']}]"
@@ -391,6 +381,8 @@ def _sweep_worker(path: str) -> tuple[str, int, str]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.sweep and args.config:
+        raise ConfigError("give --config or --sweep, not both")
     if args.sweep:
         codes = []
         with ProcessPoolExecutor(max_workers=min(len(args.sweep), os.cpu_count() or 1)) as ex:
@@ -400,10 +392,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 codes.append(code)
         return max(codes)
 
-    cfg = load_config(args.config) if args.config else {}
-    cfg = _apply_overrides(cfg, args)
-    sc = build_scenario(cfg)
-    path, diag, _ = run_scenario(sc)
+    cfg = _apply_overrides(load_config(args.config) if args.config else {}, args)
+    path, diag, _ = run_scenario(build_scenario(cfg))
     print(f"wrote {path} ({diag['n_samples']} samples)")
     _print_fields(diag, indent="  ")
     return 0
@@ -412,16 +402,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- circular
 
 def cmd_circular(args: argparse.Namespace) -> int:
-    params = {}
-    if args.chi is not None:
-        params["chi"] = args.chi
-    if args.g is not None:
-        params["g"] = args.g
-    if args.n is not None:
-        params["n"] = args.n
+    params = {name: getattr(args, name) for name, _, _ in _PARAMS
+              if getattr(args, name) is not None}
     model = builtin(args.potential, **params)
     if not args.l2 > 0.0:
         raise ConfigError("--l2 must be positive")
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
 
     if args.M is not None:
         if args.m1 is not None or args.m2 is not None:
@@ -486,14 +473,14 @@ def cmd_mass_ratio(args: argparse.Namespace) -> int:
 def cmd_verify_toy(args: argparse.Namespace) -> int:
     A = _parse_floats(args.A, 3, "--A")
     B = _parse_floats(args.B, 3, "--B")
+    periods = _number(args.periods, "--periods", positive=True)
+    tol = _tol(args.tol, "--tol")
     p = ToyParams(chi=args.chi, M=args.M, A=A, B=B, C=args.C, nu=args.nu)
     shell = shell_for_toy(p)
     z0, e0 = initial_state(p)
     state0 = ReducedState(lambda_=0.0, ztil=np.array(z0), ytil=np.array(e0))
-    span = args.periods * p.period
-    model = builtin("harmonic", chi=p.chi)
-    traj = synchronize(integrate(state0, shell, model, span,
-                                 IntegratorOptions(tol=args.tol)))
+    traj = synchronize(integrate(state0, shell, builtin("harmonic", chi=p.chi),
+                                 periods * p.period, IntegratorOptions(tol=tol)))
 
     za, ea = (np.stack(v, axis=-1) for v in analytic_state(p, traj.lam))
     dev_state = float(max(np.max(np.abs(traj.ztil - za)), np.max(np.abs(traj.ytil - ea))))
@@ -527,33 +514,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", help="JSON scenario file")
     sim.add_argument("--sweep", nargs="+", metavar="CONFIG",
                      help="run several configs in parallel, each to its own file")
-    sim.add_argument("--m1", type=float)
-    sim.add_argument("--m2", type=float)
-    sim.add_argument("--potential", help="free, harmonic or central_power")
-    sim.add_argument("--chi", type=float, help="harmonic strength")
-    sim.add_argument("--g", type=float, help="central_power strength (g < 0 attracts)")
-    sim.add_argument("--n", type=int, help="central_power exponent")
-    sim.add_argument("--ztil", help="initial separation, e.g. 1,0,0")
-    sim.add_argument("--ytil", help="initial relative momentum, e.g. 0,0.5,0")
-    sim.add_argument("--l2", type=float, help="circular scenario: squared angular momentum")
-    sim.add_argument("--lambda-span", dest="lambda_span", help="length L or 0,L")
-    sim.add_argument("--tol", type=float)
-    sim.add_argument("--max-step", dest="max_step", type=float)
-    sim.add_argument("--sample-interval", dest="sample_interval", type=float)
-    sim.add_argument("--strict-time", dest="strict_time", action="store_true")
-    sim.add_argument("--shell-lambda", dest="shell_lambda", type=float,
-                     help="expert: bypass self-consistency with this shell lambda")
-    sim.add_argument("--frame-k", dest="frame_k",
-                     help="lab-frame direction as t,x,y,z (future timelike)")
-    sim.add_argument("--format", choices=("csv", "json"))
-    sim.add_argument("--out", help="output path (overrides config output.path)")
+    for flag, _, _, kwargs in _OVERRIDES:
+        sim.add_argument(flag, **kwargs)
     sim.set_defaults(func=cmd_simulate)
 
     circ = sub.add_parser("circular", help="find and verify a circular orbit")
     circ.add_argument("--potential", required=True)
-    circ.add_argument("--chi", type=float)
-    circ.add_argument("--g", type=float)
-    circ.add_argument("--n", type=int)
+    for name, typ, _ in _PARAMS:
+        circ.add_argument(f"--{name}", type=typ)
     circ.add_argument("--l2", type=float, required=True)
     circ.add_argument("--M", type=float, help="collective mass (bypasses masses)")
     circ.add_argument("--nu", type=float, default=0.0,
@@ -590,9 +558,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "simulate" and args.sweep and args.config:
-        print("ConfigError: give --config or --sweep, not both", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except PtbError as e:

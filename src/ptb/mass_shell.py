@@ -120,17 +120,21 @@ def lambda_from_M2(m1: float, m2: float, M2: float) -> float:
 def shell_from_M(M: float, nu: float, lambda_: float = 0.0) -> MassShell:
     """Shell with prescribed collective mass, asymmetry and lambda.
 
-    Inverts mu = M^2/4 + nu^2/M^2 - lambda for the masses, m1^2 = mu + nu
-    and m2^2 = mu - nu; the forward shell then reproduces M.
+    Takes the energies straight from the inputs, E1 = M/2 + nu/M and E2 =
+    M/2 - nu/M, and the masses from m_a^2 = E_a^2 - lambda = mu +- nu; the
+    forward shell then reproduces M.  m1 is as accurate as E1 allows, a few
+    ulps times M/E1, even as m1/m2 -> 0.
     """
     if not (M > 0.0 and math.isfinite(M)):
         raise BadParameter(f"need M > 0, got {M!r}")
     if nu > 0.0 or 2.0 * abs(nu) >= M * M:
         raise BadParameter("requires nu <= 0 and M^2 > 2 |nu|")
-    mu = M * M / 4.0 + nu * nu / (M * M) - lambda_
-    if mu + nu <= 0.0:
+    E1 = 0.5 * M + nu / M
+    E2 = 0.5 * M - nu / M
+    m1_sq = E1 * E1 - lambda_
+    if m1_sq <= 0.0:
         raise BadParameter("no real masses reproduce this shell: mu + nu <= 0")
-    return mass_shell_from_lambda(math.sqrt(mu + nu), math.sqrt(mu - nu), lambda_)
+    return mass_shell_from_lambda(math.sqrt(m1_sq), math.sqrt(E2 * E2 - lambda_), lambda_)
 
 
 def mass_excess(m1: float, m2: float, lambda_: float) -> float:

@@ -194,18 +194,6 @@ class Trajectory:
             raise OutOfRange(f"lambda = {lam!r} outside [{lo!r}, {hi!r}]")
         return np.array(self.dense(lam))
 
-    def state_at(self, lam: float) -> ReducedState:
-        """Dense-output evaluation anywhere in the integrated span."""
-        u = self.vector_at(lam)
-        return ReducedState(lam, u[0:3], u[3:6], float(u[6]), float(u[7]))
-
-    def sample_at(self, lam: float) -> TrajectorySample:
-        """Fully synchronized sample at an arbitrary lambda."""
-        u = self.vector_at(lam)
-        F, G = rhs(u.tolist(), self.shell, self.model)[6:8]
-        return _SampleView(_clocked(replace(self, lam=np.array([lam]), u=u[None],
-                                            F=np.array([F]), G=np.array([G]))))[0]
-
 
 def _dot(a: np.ndarray, b: np.ndarray):
     """Dot product over the last axis of 3-vectors, summed as in rhs."""
@@ -317,15 +305,6 @@ def equal_time_clock(lam, intF, intG, shell: MassShell):
     return 0.5 * (lam + delta), 0.5 * (lam - delta), QdotP, QdotP / M
 
 
-def _clocked(traj: Trajectory) -> Trajectory:
-    """traj with its clock columns and monotone flag filled in."""
-    tau1, tau2, _, T = equal_time_clock(traj.lam, traj.u[:, 6], traj.u[:, 7], traj.shell)
-    rate = dT_dlambda(traj.F, traj.G, traj.shell)
-    monotone = bool(np.all(rate > 0.0) and np.all(np.diff(T) > 0.0))
-    return replace(traj, tau1=tau1, tau2=tau2, T=T, dTdlambda=rate, synchronized=True,
-                   monotone=monotone, samples=None)
-
-
 def synchronize(traj: Trajectory) -> Trajectory:
     """Fill the tau1, tau2, T and clock-rate columns.
 
@@ -335,10 +314,13 @@ def synchronize(traj: Trajectory) -> Trajectory:
     """
     if traj.synchronized:
         return traj
-    out = _clocked(traj)
-    if traj.opts.strict_time and not out.monotone:
-        raise NonMonotoneTime(f"min dT/dlambda = {float(out.dTdlambda.min())!r} (strict mode)")
-    return out
+    tau1, tau2, _, T = equal_time_clock(traj.lam, traj.u[:, 6], traj.u[:, 7], traj.shell)
+    rate = dT_dlambda(traj.F, traj.G, traj.shell)
+    monotone = bool(np.all(rate > 0.0) and np.all(np.diff(T) > 0.0))
+    if traj.opts.strict_time and not monotone:
+        raise NonMonotoneTime(f"min dT/dlambda = {float(rate.min())!r} (strict mode)")
+    return replace(traj, tau1=tau1, tau2=tau2, T=T, dTdlambda=rate, synchronized=True,
+                   monotone=monotone, samples=None)
 
 
 def require_synchronized(traj: Trajectory) -> None:

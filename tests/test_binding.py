@@ -14,7 +14,7 @@ from ptb.binding import (
     self_consistent_shell,
 )
 from ptb.errors import BadParameter, DomainError, NoRoot
-from ptb.mass_shell import mass_shell_from_lambda
+from ptb.mass_shell import _REL_SLACK, mass_shell_from_lambda
 from ptb.potentials import CentralPowerPotential, FreePotential, HarmonicPotential
 from ptb.reduced import rest_quintet
 from ptb.roots import brent
@@ -61,7 +61,8 @@ def test_programming_errors_in_lambda_of_M_propagate():
     with pytest.raises(ZeroDivisionError):
         self_consistent_M(1.0, 2.0, broken)
 
-    # the fixed point fails on a shell bound, then the bracket scan hits the bug
+    # the free shell (M = 3) sends the scan toward the bound, where the first
+    # trial shell hits the bug
     def broken_below(M):
         return -2.0 * M * M - 10.0 if M >= 3.0 else 1.0 / 0.0
 
@@ -210,12 +211,29 @@ def test_central_power_closure_matches_its_closed_form(m1, ratio, g, distance, s
             self_consistent_circular(m1, m2, model, l2)
         return
     want = brent(closed_form, -m1 * m1, 0.0)
-    # the shell refuses E1^2 <= 1e-12 m1^2, and the scan's last admissible
-    # step toward the bound leaves E1^2 = 2^-39 m1^2: closer roots are out of reach
-    assume(want + m1 * m1 > 2.0 ** -39 * m1 * m1)
+    # the shell refuses E1^2 <= 1e-12 m1^2, and the scan's last step toward
+    # the bound sits just inside that threshold: closer roots are out of reach
+    assume(want + m1 * m1 > 1.001 * _REL_SLACK * m1 * m1)
     shell, orbit = self_consistent_circular(m1, m2, model, l2)
     assert shell.lambda_ == pytest.approx(want, rel=1e-12)
     assert orbit.rho == pytest.approx(l2 / (g * shell.M), rel=1e-12)
+
+
+def test_closure_reaches_a_root_next_to_the_shell_threshold():
+    # masses (1, 2), g = -1, n = 1: the root of lambda = -M(lambda)^2/l2 sits
+    # at E1^2 = 1.5e-12 m1^2, inside the shell's domain E1^2 > 1e-12 m1^2 but
+    # closer to the bound than any halving step 2^-k with E1^2 > 1e-12 m1^2
+    l2 = 3.0 * (1.0 + 1.41e-6)
+
+    def closed_form(lam):
+        M = math.sqrt(max(1.0 + lam, 0.0)) + math.sqrt(4.0 + lam)
+        return -M * M / l2 - lam
+
+    want = brent(closed_form, -1.0, 0.0)
+    assert 1e-12 < want + 1.0 < 2.0 ** -39
+    shell, orbit = self_consistent_circular(1.0, 2.0, CentralPowerPotential(-1.0, 1), l2)
+    assert shell.lambda_ == pytest.approx(want, rel=1e-12)
+    assert orbit.rho == pytest.approx(l2 / shell.M, rel=1e-12)
 
 
 @given(m1=_log_uniform(0.1, 10.0), ratio=st.floats(1.0, 10.0), chi=_log_uniform(1e-3, 10.0),

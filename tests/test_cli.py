@@ -478,3 +478,129 @@ def test_mass_ratio_near_the_alpha_bound(capsys, alpha, eps):
     want = math.sqrt(e + a) / (math.sqrt(e + a) + math.sqrt(1.0 + a))
     assert offset == pytest.approx(want, rel=1e-12)
     assert limit == 0.0
+
+
+# one override per flag-parsing branch of simulate: the base document's
+# overrides, the flags and the exact error line
+OVERRIDE_ERRORS = [
+    ({}, ["--ztil", "1,a,0"], "ConfigError: --ztil must be comma-separated numbers, got '1,a,0'"),
+    ({}, ["--frame-k", "1,0,0"], "ConfigError: --frame-k needs 4 components, got 3"),
+    ({}, ["--lambda-span", "0,1,2"],
+     "ConfigError: integrator.lambda_span must be a list of 2 numbers"),
+    ({"masses": [1.0, 2.0]}, ["--m1", "1"], "ConfigError: masses must be an object"),
+    ({"potential": {"kind": "harmonic", "params": [0.125]}}, ["--chi", "1"],
+     "ConfigError: potential.params must be an object"),
+]
+
+
+@pytest.mark.parametrize("overrides, flags, line", OVERRIDE_ERRORS,
+                         ids=[line.split(": ", 1)[1] for _, _, line in OVERRIDE_ERRORS])
+def test_override_error_lines(tmp_path, capsys, overrides, flags, line):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **overrides)
+    assert run_main(capsys, "simulate", "--config", str(cfg_path), *flags) == (2, line + "\n")
+
+
+def listed_flags(command):
+    """{flag: (type, default, choices, required, help)} of every option that
+    `ptb <command> --help` lists, whatever its layout."""
+    ap = ptb.cli._build_parser()
+    sub = next(a for a in ap._actions if isinstance(a.choices, dict)).choices[command]
+    return {a.option_strings[-1]: (getattr(a.type, "__name__", None), a.default, a.choices,
+                                   a.required, a.help) for a in sub._actions}
+
+
+HELP = (None, "==SUPPRESS==", None, False, "show this help message and exit")
+
+SIMULATE_FLAGS = {
+    "--help": HELP,
+    "--config": (None, None, None, False, "JSON scenario file"),
+    "--sweep": (None, None, None, False, "run several configs in parallel, each to its own file"),
+    "--m1": ("float", None, None, False, None),
+    "--m2": ("float", None, None, False, None),
+    "--potential": (None, None, None, False, "free, harmonic or central_power"),
+    "--chi": ("float", None, None, False, "harmonic strength"),
+    "--g": ("float", None, None, False, "central_power strength (g < 0 attracts)"),
+    "--n": ("int", None, None, False, "central_power exponent"),
+    "--ztil": (None, None, None, False, "initial separation, e.g. 1,0,0"),
+    "--ytil": (None, None, None, False, "initial relative momentum, e.g. 0,0.5,0"),
+    "--l2": ("float", None, None, False, "circular scenario: squared angular momentum"),
+    "--lambda-span": (None, None, None, False, "length L or 0,L"),
+    "--tol": ("float", None, None, False, None),
+    "--max-step": ("float", None, None, False, None),
+    "--sample-interval": ("float", None, None, False, None),
+    "--strict-time": (None, False, None, False, None),
+    "--shell-lambda": ("float", None, None, False,
+                       "expert: bypass self-consistency with this shell lambda"),
+    "--frame-k": (None, None, None, False, "lab-frame direction as t,x,y,z (future timelike)"),
+    "--format": (None, None, ("csv", "json"), False, None),
+    "--out": (None, None, None, False, "output path (overrides config output.path)"),
+}
+
+CIRCULAR_FLAGS = {
+    "--help": HELP,
+    "--potential": (None, None, None, True, None),
+    "--chi": ("float", None, None, False, None),
+    "--g": ("float", None, None, False, None),
+    "--n": ("int", None, None, False, None),
+    "--l2": ("float", None, None, True, None),
+    "--M": ("float", None, None, False, "collective mass (bypasses masses)"),
+    "--nu": ("float", 0.0, None, False, "mass-squared asymmetry with --M, must be <= 0"),
+    "--m1": ("float", None, None, False, None),
+    "--m2": ("float", None, None, False, None),
+    "--samples": ("int", 400, None, False, None),
+    "--out": (None, None, None, False, "also write the report as JSON"),
+}
+
+
+@pytest.mark.parametrize("command, flags", [("simulate", SIMULATE_FLAGS),
+                                            ("circular", CIRCULAR_FLAGS)])
+def test_help_lists_the_same_flags(command, flags):
+    assert listed_flags(command) == flags
+
+
+def test_every_simulate_flag_reaches_the_scenario(tmp_path):
+    out = tmp_path / "o.json"
+    args = ptb.cli._build_parser().parse_args([
+        "simulate", "--m1", "2", "--m2", "1", "--potential", "central_power", "--chi", "0.5",
+        "--g", "-1", "--n", "2", "--ztil", "1,0,0", "--ytil", "0,0.5,0", "--l2", "3",
+        "--lambda-span", "0,4", "--tol", "1e-9", "--max-step", "0.5", "--sample-interval", "1",
+        "--strict-time", "--shell-lambda", "-0.1", "--frame-k", "2,1,0,0", "--format", "json",
+        "--out", str(out)])
+    assert ptb.cli._apply_overrides({}, args) == {
+        "schema": 1,
+        "masses": {"m1": 2.0, "m2": 1.0},
+        "potential": {"kind": "central_power", "params": {"chi": 0.5, "g": -1.0, "n": 2}},
+        "initial": {"ztil": [1.0, 0.0, 0.0], "ytil": [0.0, 0.5, 0.0]},
+        "circular": {"l2": 3.0},
+        "integrator": {"lambda_span": [0.0, 4.0], "tol": 1e-9, "max_step": 0.5,
+                       "sample_interval": 1.0, "strict_time": True},
+        "shell": {"lambda": -0.1},
+        "frame": {"k": [2.0, 1.0, 0.0, 0.0]},
+        "output": {"format": "json", "path": str(out)},
+    }
+
+
+# numeric flags of the other subcommands: refused before any solve
+FLAG_ERRORS = [
+    (["circular", "--potential", "harmonic", "--chi", "0.125", "--l2", "1", "--M", "4",
+      "--samples", "0"], "ConfigError: --samples must be at least 1, got 0"),
+    (["circular", "--potential", "harmonic", "--chi", "0.125", "--l2", "1", "--M", "4",
+      "--samples", "-5"], "ConfigError: --samples must be at least 1, got -5"),
+    (["verify-toy", "--periods", "0"], "ConfigError: --periods must be positive"),
+    (["verify-toy", "--periods", "-2"], "ConfigError: --periods must be positive"),
+    (["verify-toy", "--periods", "inf"], "ConfigError: --periods must be finite, got inf"),
+    (["verify-toy", "--tol", "0"], "ConfigError: --tol must lie in [1e-14, 0.001], got 0"),
+    (["verify-toy", "--tol", "nan"], "ConfigError: --tol must be finite, got nan"),
+]
+
+
+@pytest.mark.parametrize("argv, line", FLAG_ERRORS,
+                         ids=[" ".join(argv[:1] + argv[-2:]) for argv, _ in FLAG_ERRORS])
+def test_bad_numeric_flags_are_config_errors(capsys, monkeypatch, argv, line):
+    def solve(*args, **kwargs):
+        raise AssertionError("a bad flag reached a solver")
+
+    for name in ("integrate", "find_circular", "shell_for_toy"):
+        monkeypatch.setattr(ptb.cli, name, solve)
+    assert run_main(capsys, *argv) == (2, line + "\n")

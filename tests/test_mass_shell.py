@@ -215,6 +215,21 @@ def test_shell_from_M_reproduces_M(M, nu, lam):
     assert shell.lambda_ == lam
 
 
+@pytest.mark.parametrize("m2", [1.0, 3.7, 1e3])
+@pytest.mark.parametrize("ratio", [1e-7, 1e-5, 1e-3, 0.1, 0.5, 1.0])
+@pytest.mark.parametrize("lam_over_m1sq", [-0.9, -0.5, 0.0, 0.5, 1.0])
+def test_shell_from_M_round_trip_keeps_a_light_mass(m2, ratio, lam_over_m1sq):
+    # E1 = M/2 + nu/M loses what M and nu carry in absolute terms, eps M;
+    # m1 = sqrt(E1^2 - lambda) scales that by E1^2/m1^2
+    m1 = ratio * m2
+    sh = mass_shell_from_lambda(m1, m2, lam_over_m1sq * m1 * m1)
+    back = shell_from_M(sh.M, sh.nu, sh.lambda_)
+    cond = sh.M / sh.E1 * max(1.0, sh.E1 ** 2 / (m1 * m1))
+    assert back.m1 == pytest.approx(m1, rel=4.0 * cond * 2.0 ** -53)
+    assert back.m2 == pytest.approx(m2, rel=4.0 * cond * 2.0 ** -53)
+    assert back.M == pytest.approx(sh.M, rel=4.0 * 2.0 ** -53)
+
+
 @pytest.mark.parametrize("M, nu, lam", [
     (0.0, 0.0, 0.0), (math.inf, 0.0, 0.0), (2.0, 0.5, 0.0), (2.0, -2.0, 0.0),
     (1.0, 0.0, 10.0),  # mu + nu <= 0: no real masses

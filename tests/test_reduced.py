@@ -147,25 +147,31 @@ def test_dense_output_between_samples():
     traj = integrate(state0(p), shell, HarmonicPotential(p.chi), p.period,
                      IntegratorOptions(tol=1e-12, sample_interval=p.period / 4.0))
     for lam in np.linspace(0.0, p.period, 37):
-        st = traj.state_at(float(lam))
+        u = traj.vector_at(float(lam))
         z, y = analytic_state(p, float(lam))
-        assert np.allclose(st.ztil, z, atol=1e-10)
-        assert np.allclose(st.ytil, y, atol=1e-10)
+        assert np.allclose(u[0:3], z, atol=1e-10)
+        assert np.allclose(u[3:6], y, atol=1e-10)
     with pytest.raises(OutOfRange):
-        traj.state_at(p.period * 1.01)
+        traj.vector_at(p.period * 1.01)
     with pytest.raises(OutOfRange):
-        traj.state_at(-1e-9)
+        traj.vector_at(-1e-9)
 
 
-def test_sample_at_matches_grid_samples():
+def test_dense_clock_matches_grid_samples():
+    # the clock of a dense-output state, with its rates from rhs, agrees
+    # with the synchronized sample at the same lambda
     p, shell = toy_setup()
-    traj = synchronize(integrate(state0(p), shell, HarmonicPotential(p.chi),
-                                 5.0, IntegratorOptions(sample_interval=0.5)))
+    model = HarmonicPotential(p.chi)
+    traj = synchronize(integrate(state0(p), shell, model, 5.0,
+                                 IntegratorOptions(sample_interval=0.5)))
     for s in traj.samples[1:]:
-        probe = traj.sample_at(s.state.lambda_)
-        assert probe.T == pytest.approx(s.T, rel=1e-12)
-        assert probe.tau1 == pytest.approx(s.tau1, rel=1e-12)
-        assert probe.dTdlambda == pytest.approx(s.dTdlambda, rel=1e-12)
+        lam = s.state.lambda_
+        u = traj.vector_at(lam)
+        tau1, _, _, T = equal_time_clock(lam, u[6], u[7], shell)
+        F, G = rhs(u.tolist(), shell, model)[6:8]
+        assert T == pytest.approx(s.T, rel=1e-12)
+        assert tau1 == pytest.approx(s.tau1, rel=1e-12)
+        assert dT_dlambda(F, G, shell) == pytest.approx(s.dTdlambda, rel=1e-12)
 
 
 def test_w_coupled_quadrature_oracle():
@@ -335,8 +341,11 @@ def test_sample_rates_are_the_fsal_derivative(model, opts):
     for s in traj.samples:
         F, G = rhs(_vector(s).tolist(), shell, model)[6:8]
         assert (s.F, s.G) == (F, G)
-    probe = traj.sample_at(2.345)
-    assert [probe.F, probe.G] == list(rhs(_vector(probe).tolist(), shell, model)[6:8])
+    # between samples the dense quadratures advance at the rates rhs gives
+    lam, h = 2.345, 1e-4
+    F, G = rhs(traj.vector_at(lam).tolist(), shell, model)[6:8]
+    slope = (traj.vector_at(lam + h)[6:8] - traj.vector_at(lam - h)[6:8]) / (2.0 * h)
+    assert slope == pytest.approx([F, G], rel=1e-6, abs=1e-9)
 
 
 class HarmonicViaEvaluate(HarmonicPotential):

@@ -10,7 +10,14 @@ from ptb.kinematics import CanonicalState, center_of_mass, scalar_quintet, split
 from ptb.mass_shell import mass_shell_from_lambda
 from ptb.minkowski import FourVector, boost_from_rest, lorentz_dot
 from ptb.potentials import HarmonicPotential
-from ptb.reduced import IntegratorOptions, ReducedState, integrate, rest_quintet, synchronize
+from ptb.reduced import (
+    IntegratorOptions,
+    ReducedState,
+    equal_time_clock,
+    integrate,
+    rest_quintet,
+    synchronize,
+)
 from ptb.toy import ToyParams, initial_state, shell_for_toy
 from ptb.worldline import (
     export_lab_frame,
@@ -72,8 +79,8 @@ def test_lambda_from_T_round_trip(toy_traj):
     T_hi = toy_traj.samples[-1].T
     for T in np.linspace(T_lo, T_hi, 23):
         lam = lambda_from_T(toy_traj, float(T))
-        probe = toy_traj.sample_at(lam)
-        assert probe.T == pytest.approx(T, abs=1e-10)
+        u = toy_traj.vector_at(lam)
+        assert equal_time_clock(lam, u[6], u[7], toy_traj.shell)[3] == pytest.approx(T, abs=1e-10)
     with pytest.raises(OutOfRange):
         lambda_from_T(toy_traj, T_hi + 1.0)
 
