@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Sequence
@@ -79,28 +78,37 @@ class DenseOutput:
         """The buffer as an (m + 1, 6, n) array view."""
         return np.frombuffer(self.data).reshape(-1, 6, self.n)
 
-    def __call__(self, t: float) -> list[float]:
-        """State at t on the step that contains it, as a list of floats;
-        outside [t0[0], t0[-1] + h[-1]] the nearest step's quartic is
-        extrapolated."""
-        i = min(max(bisect_right(self.t0, t) - 1, 0), len(self.t0) - 1)
-        n, data, h = self.n, self.data, self.h[i]
-        theta = (t - self.t0[i]) / h
+    def __call__(self, t):
+        """State at t on the step that contains it: a list of floats for a
+        scalar t, a (len(t), n) array for an array of t.  Outside
+        [t0[0], t0[-1] + h[-1]] the nearest step's quartic is extrapolated."""
+        theta, _, y, r2, r3, r4, r5 = self._quartic(t)
+        out = y + theta * (r2 + (1.0 - theta) * (r3 + theta * (r4 + (1.0 - theta) * r5)))
+        return out[:, 0].tolist() if np.ndim(t) == 0 else out.T
+
+    def rate(self, t) -> np.ndarray:
+        """Derivative d/dt of the interpolant at an array of t, (len(t), n)."""
+        theta, h, _, r2, r3, r4, r5 = self._quartic(t)
         th1 = 1.0 - theta
-        b = 6 * n * i
-        y, k1 = data[b:b + n], data[b + 5 * n:b + 6 * n]
-        b += 6 * n
-        y1, k3, k4, k5, k6, k7 = (data[b + j * n:b + (j + 1) * n] for j in range(6))
-        out = []
-        for y0c, y1c, c1, c3, c4, c5, c6, c7 in zip(y, y1, k1, k3, k4, k5, k6, k7):
-            # rows r1 = y, r2 = y_new - y, r3 = h k1 - r2, r4 = r2 - h k7 - r3
-            # and r5 = h D.k of the quartic in theta
-            r2 = y1c - y0c
-            r3 = h * c1 - r2
-            r4 = r2 - h * c7 - r3
-            r5 = h * (_D1 * c1 + _D3 * c3 + _D4 * c4 + _D5 * c5 + _D6 * c6 + _D7 * c7)
-            out.append(y0c + theta * (r2 + th1 * (r3 + theta * (r4 + th1 * r5))))
-        return out
+        return ((r2 + (th1 - theta) * (r3 + 2.0 * theta * th1 * r5)
+                 + theta * (2.0 - 3.0 * theta) * r4) / h).T
+
+    def _quartic(self, t):
+        """theta, h and the rows of the quartic in theta on the step that
+        holds each t: r1 = y, r2 = y_new - y, r3 = h k1 - r2,
+        r4 = r2 - h k7 - r3 and r5 = h D.k, each (n, len(t))."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        starts, sizes = np.frombuffer(self.t0), np.frombuffer(self.h)
+        i = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(starts) - 1)
+        # blocks as (6, n, len(t)), so that every operation runs along t
+        y, _, _, _, _, k1 = self.groups[i].transpose(1, 2, 0)
+        y1, k3, k4, k5, k6, k7 = self.groups[i + 1].transpose(1, 2, 0)
+        h = sizes[i]
+        r2 = y1 - y
+        r3 = h * k1 - r2
+        r4 = r2 - h * k7 - r3
+        r5 = h * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7)
+        return (t - starts[i]) / h, h, y, r2, r3, r4, r5
 
 
 @dataclass
@@ -119,6 +127,15 @@ class DopriResult:
 
 def _rms(v, scale) -> float:
     return math.sqrt(sum((a / s) ** 2 for a, s in zip(v, scale)) / len(scale))
+
+
+def _require_finite(where: str, *named) -> None:
+    """Raise StepFailure naming where and the first non-finite component of
+    the (name, values) pairs, taken in order."""
+    for name, values in named:
+        for i, v in enumerate(values):
+            if not math.isfinite(v):
+                raise StepFailure(f"non-finite {name}[{i}] = {v!r} {where}")
 
 
 def _initial_step(f, t0, y0, f0, tol, max_step, span):
@@ -180,6 +197,7 @@ def solve_dopri5(
     n_eval = len(eval_pts)
 
     k1 = f(t0, y)
+    _require_finite(f"at t = {t0!r}", ("y0", y), ("f(t0, y0)", k1))
     h = _initial_step(f, t0, y, k1, tol, max_step, t1 - t0)
     n_rhs = 2
 
@@ -275,6 +293,11 @@ def solve_dopri5(
             h = h_next
             just_rejected = False
         else:
+            if err != err:
+                # a nan stage would reject every step down to the budget
+                _require_finite(f"in the step from t = {t!r} (h = {h_used!r})",
+                                ("k2", k2), ("k3", k3), ("k4", k4), ("k5", k5), ("k6", k6),
+                                ("y_new", y_new), ("k7", k7))
             n_rejected += 1
             fac11 = err ** _EXPO1
             h = h_used / min(_FAC_SHRINK, fac11 / _SAFETY)

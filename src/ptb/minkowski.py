@@ -1,8 +1,7 @@
 """Four-vector algebra under the metric (+,-,-,-).
 
-Provides the invariant dot product, the projector onto the subspace
-orthogonal to a timelike momentum, and pure (rotation-free) boosts to and
-from the rest frame of a timelike vector.  Everything is double precision;
+Provides the invariant dot product and the pure (rotation-free) boost out
+of the rest frame of a timelike vector.  Everything is double precision;
 c = 1 throughout.
 """
 
@@ -18,8 +17,6 @@ from .errors import NonTimelikeP
 __all__ = [
     "FourVector",
     "lorentz_dot",
-    "tilde_project",
-    "boost_to_rest",
     "boost_from_rest",
 ]
 
@@ -80,35 +77,17 @@ def lorentz_dot(a: FourVector, b: FourVector) -> float:
     return a.t * b.t - a.x * b.x - a.y * b.y - a.z * b.z
 
 
-def tilde_project(xi: FourVector, P: FourVector) -> FourVector:
-    """Component of xi orthogonal to the timelike momentum P.
-
-    Applies xi - (P.xi / P.P) P, the projector that strips the part of xi
-    along P.  The result always satisfies lorentz_dot(result, P) = 0 up to
-    rounding.
-    """
-    P2 = lorentz_dot(P, P)
-    if P2 <= 0.0:
-        raise NonTimelikeP(f"projector requires P.P > 0, got {P2!r}")
-    c = lorentz_dot(P, xi) / P2
-    return xi - c * P
-
-
-def _boost_data(k: FourVector):
-    """Validate k and return (gamma, beta 3-vector) of its rest frame."""
+def boost_from_rest(v, k: FourVector):
+    """Pure (rotation-free) boost that carries rest-frame components of v, a
+    FourVector or an array whose last axis holds (t, x, y, z), to the frame
+    in which the momentum has components k: it maps (sqrt(k.k), 0, 0, 0) to
+    k and leaves spatial directions orthogonal to k's velocity untouched."""
     m2 = lorentz_dot(k, k)
     if m2 <= 0.0:
         raise NonTimelikeP(f"boost axis must be timelike, k.k = {m2!r}")
     if k.t <= 0.0:
         raise NonTimelikeP(f"boost axis must be future-pointing, k.t = {k.t!r}")
-    return k.t / math.sqrt(m2), k.spatial / k.t
-
-
-def _boost(v, k: FourVector, sign: float):
-    """Pure boost along the velocity of k applied to v, a FourVector or an
-    array whose last axis holds (t, x, y, z); sign = -1 carries components
-    into the rest frame of k, sign = +1 back out of it."""
-    gamma, beta = _boost_data(k)
+    gamma, beta = k.t / math.sqrt(m2), k.spatial / k.t
     if float(beta @ beta) == 0.0:
         return v
     a = v.as_array() if isinstance(v, FourVector) else np.asarray(v, dtype=float)
@@ -117,23 +96,6 @@ def _boost(v, k: FourVector, sign: float):
     # (gamma - 1)/b2 rewritten as gamma^2/(gamma + 1) to stay stable as b2 -> 0
     coef = gamma * gamma / (gamma + 1.0)
     out = np.empty_like(a)
-    out[..., 0] = gamma * (t + sign * bx)
-    out[..., 1:] = x + (coef * bx + sign * gamma * t)[..., None] * beta
+    out[..., 0] = gamma * (t + bx)
+    out[..., 1:] = x + (coef * bx + gamma * t)[..., None] * beta
     return FourVector(*out.tolist()) if isinstance(v, FourVector) else out
-
-
-def boost_to_rest(v, k: FourVector):
-    """Pure boost mapping k to (sqrt(k.k), 0, 0, 0), applied to v (a
-    FourVector or (..., 4) components).
-
-    Rotation-free: spatial directions orthogonal to k's velocity are left
-    untouched, so round-trips with boost_from_rest are exact up to rounding.
-    """
-    return _boost(v, k, -1.0)
-
-
-def boost_from_rest(v, k: FourVector):
-    """Inverse of boost_to_rest: carries rest-frame components (a FourVector
-    or (..., 4) components) back to the frame in which the momentum has
-    components k."""
-    return _boost(v, k, 1.0)

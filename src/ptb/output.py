@@ -1,6 +1,7 @@
 """Deterministic serialization of trajectories and reports.
 
-All floats are printed with 17 significant digits so identical runs produce
+CSV prints every float with 17 significant digits and JSON with the
+shortest repr that reads back to it, so identical runs produce
 byte-identical files; flagged samples (non-positive clock rate) blank out
 the position columns with nan, since the equal-time slice is unreliable
 there, while the lambda-parametrized columns stay valid.
@@ -119,10 +120,13 @@ def _planarity(traj: Trajectory) -> float:
 
 def write_csv(path, rows: Iterable[Sequence[float]],
               columns: Sequence[str] = COLUMNS) -> None:
+    """Write the header and one line per row, each value spelled as
+    format_float spells it; every row has one value per column."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(format_float(x) for x in row) + "\n")
+            fh.write(line % tuple(row))
 
 
 def _json_clean(x):
@@ -158,8 +162,34 @@ def json_payload(traj: Trajectory, ws: WorldlineSet,
 
 
 def write_json(path, payload: dict) -> None:
-    """Write payload as strict JSON: nan becomes null, tuples become
-    arrays and numpy scalars plain numbers, in this one pass."""
+    """Write payload as strict JSON, laid out as json.dump(indent=1) lays it
+    out: nan becomes null, tuples become arrays and numpy scalars plain
+    numbers, and inf is refused with json's ValueError.
+
+    A "rows" entry, a table of floats (numpy float64 included), is written
+    here row by row, each value spelled by float.__repr__ as json spells
+    it; the rest of the payload goes through json.
+    """
+    rows = payload.get("rows")
+    text = json.dumps(_json_clean(payload if rows is None else {**payload, "rows": None}),
+                      indent=1, allow_nan=False)
     with open(path, "w", newline="") as fh:
-        json.dump(_json_clean(payload), fh, indent=1, allow_nan=False)
-        fh.write("\n")
+        if rows is not None:
+            # a newline and one space open only top-level keys, so this
+            # splits at the rows entry and nowhere else
+            head, text = text.split('\n "rows": null', 1)
+            fh.write(head + '\n "rows": [')
+            for i, row in enumerate(rows):
+                fh.write((",\n  " if i else "\n  ") + _json_row(row))
+            fh.write("\n ]" if len(rows) else "]")
+        fh.write(text + "\n")
+
+
+def _json_row(row) -> str:
+    """One row of floats as json.dump(indent=1) writes it at depth 2."""
+    text = ",\n   ".join(map(float.__repr__, row))
+    if "n" in text:  # nan or inf: a finite float's spelling has no n
+        # indent selects the encoder json.dump(indent=1) runs, and its errors
+        text = ",\n   ".join(json.dumps(_json_clean(x), indent=1, allow_nan=False)
+                               for x in row)
+    return "[\n   " + text + "\n  ]" if text else "[]"

@@ -47,6 +47,8 @@ def _vec3(v: Sequence[float], name: str) -> Vec3:
     t = tuple(float(c) for c in v)
     if len(t) != 3:
         raise BadParameter(f"{name} must have 3 components, got {len(t)}")
+    if not all(map(math.isfinite, t)):
+        raise BadParameter(f"{name} must be finite, got {t!r}")
     return t  # type: ignore[return-value]
 
 
@@ -66,6 +68,9 @@ class ToyParams:
             raise BadParameter(f"need chi > 0, got {self.chi!r}")
         if not (self.M > 0.0 and math.isfinite(self.M)):
             raise BadParameter(f"need M > 0, got {self.M!r}")
+        for name in ("C", "nu"):
+            if not math.isfinite(getattr(self, name)):
+                raise BadParameter(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.nu > 0.0:
             raise BadParameter(f"need nu <= 0, got {self.nu!r}")
         if self.M * self.M <= 2.0 * abs(self.nu):

@@ -19,11 +19,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import reduced
-from .errors import FrameMismatch, NonMonotoneTime, OutOfRange
+from .errors import FrameMismatch, NoRoot, NonMonotoneTime, OutOfRange
 from .mass_shell import MassShell
 from .minkowski import FourVector, boost_from_rest, lorentz_dot
-from .reduced import Trajectory, equal_time_clock, require_synchronized, synchronize
-from .roots import brent
+from .reduced import (Trajectory, dT_dlambda, equal_time_clock, require_synchronized,
+                      synchronize)
 
 __all__ = [
     "WorldlineSet",
@@ -32,6 +32,9 @@ __all__ = [
     "resample_uniform_T",
     "export_lab_frame",
 ]
+
+_EPS = float(np.finfo(float).eps)
+_NEWTON_MAXITER = 60  # bisection alone narrows any bracket 2^60-fold
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,30 +75,79 @@ def worldlines(traj: Trajectory, Xi0: Sequence[float] = (0.0, 0.0, 0.0)) -> Worl
                         flagged=traj.flagged, frame=FourVector(shell.M, 0.0, 0.0, 0.0))
 
 
-def lambda_from_T(traj: Trajectory, T_query: float) -> float:
-    """Invert the clock map T(lambda) on a monotone trajectory.
+def lambda_from_T(traj: Trajectory, T_query):
+    """Invert the clock map T(lambda) on a monotone trajectory, for one T (a
+    float comes back) or an array of them (an array of the same shape).
 
-    A sampled T maps to its own lambda; between samples Brent's method
-    refines on the dense output, so |T(result) - T_query| stays at
-    root-finder level, and a bracket whose ends do not straddle T_query
-    raises NoRoot.
+    A sampled T maps to its own lambda.  The other queries are solved
+    together by Newton steps on the dense output, T'(lambda) being the clock
+    rate of the dense quadratures: the samples on either side bracket each
+    root, and a step that leaves its bracket bisects it instead.  So
+    |T(result) - T_query| ends at rounding level.  A bracket whose ends do
+    not straddle its query, a nan clock, or a query still open at the
+    iteration cap raises NoRoot naming that query.
     """
     require_synchronized(traj)
     if traj.monotone is False:
         raise NonMonotoneTime("T(lambda) is not invertible on a flagged trajectory")
     Ts, lams = traj.T, traj.lam
-    if not (Ts[0] <= T_query <= Ts[-1]):
-        raise OutOfRange(f"T = {T_query!r} outside [{Ts[0]!r}, {Ts[-1]!r}]")
-    i = int(np.searchsorted(Ts, T_query))
-    if Ts[i] == T_query:
-        return float(lams[i])
-    lo, hi = float(lams[i - 1]), float(lams[i])
+    shape = np.shape(T_query)
+    Tq = np.asarray(T_query, dtype=float).ravel()
+    outside = ~((Ts[0] <= Tq) & (Tq <= Ts[-1]))
+    if outside.any():
+        raise OutOfRange(f"T = {float(Tq[outside.argmax()])!r} outside "
+                         f"[{float(Ts[0])!r}, {float(Ts[-1])!r}]")
+    i = np.searchsorted(Ts, Tq)
+    lam = lams[i]  # a copy: i is an index array
+    open_ = np.flatnonzero(Ts[i] != Tq)
+    if open_.size:
+        lam[open_] = _newton(traj, Tq[open_], lams[i[open_] - 1], lams[i[open_]])
+    return float(lam[0]) if not shape else lam.reshape(shape)
 
-    def residual(lam: float) -> float:
-        _, _, _, _, _, _, intF, intG = traj.dense(lam)
-        return equal_time_clock(lam, intF, intG, traj.shell)[3] - T_query
 
-    return brent(residual, lo, hi, xtol=1e-15 * max(1.0, hi))
+def _newton(traj: Trajectory, Tq: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Roots of T(lambda) = Tq on the dense output, one in each [lo, hi]."""
+    shell = traj.shell
+    M, M2, nu = shell.M, shell.M2, shell.nu
+
+    def residual(lam: np.ndarray, T: np.ndarray):
+        u = traj.dense(lam)
+        return equal_time_clock(lam, u[:, 6], u[:, 7], shell)[3] - T, u
+
+    r_lo, r_hi = residual(lo, Tq)[0], residual(hi, Tq)[0]
+    bad = ~((r_lo <= 0.0) & (r_hi >= 0.0))
+    if bad.any():
+        j = int(bad.argmax())
+        raise NoRoot(f"T = {float(Tq[j])!r} is not bracketed: the dense clock runs from "
+                     f"{float(Tq[j] + r_lo[j])!r} to {float(Tq[j] + r_hi[j])!r} over "
+                     f"lambda in [{float(lo[j])!r}, {float(hi[j])!r}]")
+    out = np.empty_like(Tq)
+    todo = np.arange(Tq.size)
+    lam = lo - r_lo * ((hi - lo) / (r_hi - r_lo))
+    for _ in range(_NEWTON_MAXITER):
+        r, u = residual(lam, Tq[todo])
+        if (nan := np.isnan(r)).any():
+            j = int(nan.argmax())
+            raise NoRoot(f"T(lambda) is nan at lambda = {float(lam[j])!r} "
+                         f"(T = {float(Tq[todo[j]])!r})")
+        du = traj.dense.rate(lam)
+        rate = dT_dlambda(du[:, 6], du[:, 7], shell)
+        lo, hi = np.where(r < 0.0, lam, lo), np.where(r > 0.0, lam, hi)
+        step = lam - r / rate
+        inside = (lo <= step) & (step <= hi)
+        # |r| cannot fall below the rounding of the terms of T and the
+        # spacing of lambda: a query that reaches that floor is solved
+        a = np.abs(lam)
+        terms = 0.25 * M2 * a + np.abs(u[:, 6]) + (nu * nu * a + np.abs(nu * u[:, 7])) / M2
+        done = np.abs(r) <= 8.0 * _EPS * (terms / M + np.abs(rate) * a)
+        out[todo[done]] = np.where(inside, step, lam)[done]
+        keep = ~done
+        if not keep.any():
+            return out
+        todo, lo, hi = todo[keep], lo[keep], hi[keep]
+        lam = np.where(inside[keep], step[keep], 0.5 * (lo + hi))
+    raise NoRoot(f"T = {float(Tq[todo[0]])!r} still open after {_NEWTON_MAXITER} "
+                 f"Newton steps, in lambda [{float(lo[0])!r}, {float(hi[0])!r}]")
 
 
 def resample_uniform_T(traj: Trajectory, n: Optional[int] = None) -> Trajectory:
@@ -112,12 +164,11 @@ def resample_uniform_T(traj: Trajectory, n: Optional[int] = None) -> Trajectory:
         n = len(traj.lam)
     if n < 2:
         raise ValueError("need at least two samples")
-    inner = [lambda_from_T(traj, T) for T in np.linspace(traj.T[0], traj.T[-1], n)[1:-1].tolist()]
-    rows = [traj.u[0].tolist(), *map(traj.dense, inner), traj.u[-1].tolist()]
-    du = np.array([reduced.rhs(v, traj.shell, traj.model) for v in rows])
-    return synchronize(replace(traj, lam=np.array([traj.lam[0], *inner, traj.lam[-1]]),
-                               u=np.array(rows), F=du[:, 6], G=du[:, 7], synchronized=False,
-                               samples=None))
+    inner = lambda_from_T(traj, np.linspace(traj.T[0], traj.T[-1], n)[1:-1])
+    u = np.vstack((traj.u[0], traj.dense(inner), traj.u[-1]))
+    du = np.array([reduced.rhs(row, traj.shell, traj.model) for row in u.tolist()])
+    return synchronize(replace(traj, lam=np.concatenate((traj.lam[:1], inner, traj.lam[-1:])),
+                               u=u, F=du[:, 6], G=du[:, 7], synchronized=False, samples=None))
 
 
 def export_lab_frame(ws: WorldlineSet, k: FourVector) -> WorldlineSet:

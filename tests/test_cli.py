@@ -595,12 +595,32 @@ FLAG_ERRORS = [
 ]
 
 
+# non-finite oscillator parameters are named, before any solve; a nan in A
+# used to surface as "masses must be finite" and --C nan reached the solver
+TOY_ERRORS = [
+    (["verify-toy", "--A", "1,0,nan"], "BadParameter: A must be finite, got (1.0, 0.0, nan)"),
+    (["verify-toy", "--B", "0,inf,0"], "BadParameter: B must be finite, got (0.0, inf, 0.0)"),
+    (["verify-toy", "--C", "nan"], "BadParameter: C must be finite, got nan"),
+    (["verify-toy", "--nu", "nan"], "BadParameter: nu must be finite, got nan"),
+]
+
+
 @pytest.mark.parametrize("argv, line", FLAG_ERRORS,
                          ids=[" ".join(argv[:1] + argv[-2:]) for argv, _ in FLAG_ERRORS])
 def test_bad_numeric_flags_are_config_errors(capsys, monkeypatch, argv, line):
+    assert run_without_solvers(capsys, monkeypatch, *argv) == (2, line + "\n")
+
+
+@pytest.mark.parametrize("argv, line", TOY_ERRORS, ids=[" ".join(a[1:]) for a, _ in TOY_ERRORS])
+def test_non_finite_toy_parameters_are_refused(capsys, monkeypatch, argv, line):
+    assert run_without_solvers(capsys, monkeypatch, *argv) == (2, line + "\n")
+
+
+def run_without_solvers(capsys, monkeypatch, *argv):
+    """(exit code, stderr) of the CLI with every solver made to fail."""
     def solve(*args, **kwargs):
         raise AssertionError("a bad flag reached a solver")
 
     for name in ("integrate", "find_circular", "shell_for_toy"):
         monkeypatch.setattr(ptb.cli, name, solve)
-    assert run_main(capsys, *argv) == (2, line + "\n")
+    return run_main(capsys, *argv)

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from ptb import dopri
 from ptb.dopri import solve_dopri5
 from ptb.errors import StepFailure
 
@@ -56,6 +59,59 @@ def test_dense_segments_interpolate_step_ends():
     for t0, h, y0, y1 in zip(res.dense.t0, res.dense.h, res.y, res.y[1:]):
         assert np.array_equal(res.dense(t0), y0)
         assert np.allclose(res.dense(t0 + h), y1, rtol=0, atol=1e-15)
+
+
+def scalar_quartic(dense, t):
+    """The dense output at one t as a loop over components in float
+    arithmetic: the reference for the array evaluation."""
+    i = min(max(bisect.bisect_right(dense.t0, t) - 1, 0), len(dense.t0) - 1)
+    n, data, h = dense.n, dense.data, dense.h[i]
+    theta = (t - dense.t0[i]) / h
+    th1 = 1.0 - theta
+    b = 6 * n * i
+    y, k1 = data[b:b + n], data[b + 5 * n:b + 6 * n]
+    b += 6 * n
+    y1, k3, k4, k5, k6, k7 = (data[b + j * n:b + (j + 1) * n] for j in range(6))
+    out = []
+    for y0c, y1c, c1, c3, c4, c5, c6, c7 in zip(y, y1, k1, k3, k4, k5, k6, k7):
+        r2 = y1c - y0c
+        r3 = h * c1 - r2
+        r4 = r2 - h * c7 - r3
+        r5 = h * (dopri._D1 * c1 + dopri._D3 * c3 + dopri._D4 * c4 + dopri._D5 * c5
+                  + dopri._D6 * c6 + dopri._D7 * c7)
+        out.append(y0c + theta * (r2 + th1 * (r3 + theta * (r4 + th1 * r5))))
+    return out
+
+
+def kepler(t, y):
+    r3 = (y[0] * y[0] + y[1] * y[1]) ** 1.5
+    return [y[2], y[3], -y[0] / r3, -y[1] / r3]
+
+
+@given(st.lists(st.floats(-1.0, 9.0, allow_nan=False), min_size=1, max_size=40))
+def test_dense_output_of_an_array_is_the_scalar_quartic(ts):
+    # bit for bit, signs of zero included, inside the span and extrapolated
+    res = solve_dopri5(kepler, (0.0, 8.0), [0.5, 0.0, 0.0, 1.6], tol=1e-9)
+    want = np.array([scalar_quartic(res.dense, t) for t in ts])
+    got = res.dense(np.array(ts))
+    assert got.shape == want.shape == (len(ts), 4)
+    assert np.array_equal(np.ascontiguousarray(got).view(np.int64), want.view(np.int64))
+    assert [res.dense(t) for t in ts] == want.tolist()
+
+
+def test_dense_rate_is_the_derivative_of_the_quartic():
+    res = solve_dopri5(kepler, (0.0, 8.0), [0.5, 0.0, 0.0, 1.6], tol=1e-9)
+    dense = res.dense
+    t0, h = np.frombuffer(dense.t0), np.frombuffer(dense.h)
+    # the step ends reproduce the FSAL stages k1 and k7 of each step
+    k = dense.groups[:, 5]
+    scale = 1.0 + np.abs(k).max()
+    assert np.abs(dense.rate(t0) - k[:-1]).max() <= 1e-12 * scale
+    assert np.abs(dense.rate(t0 + h) - k[1:]).max() <= 1e-12 * scale
+    # and a central difference inside each step
+    mid, eps = t0 + 0.37 * h, 1e-6 * h
+    fd = (dense(mid + eps) - dense(mid - eps)) / (2.0 * eps[:, None])
+    assert np.abs(dense.rate(mid) - fd).max() <= 1e-6 * scale
 
 
 def test_t_eval_lands_exactly():
@@ -160,3 +216,27 @@ def test_input_validation():
         solve_dopri5(shm, (1.0, 0.0), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         solve_dopri5(shm, (0.0, 1.0), np.array([[1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("f, y0, line", [
+    (shm, [math.nan, 1.0], "non-finite y0[0] = nan at t = 0.0"),
+    (lambda t, y: [y[1], math.inf], [1.0, 0.0], "non-finite f(t0, y0)[1] = inf at t = 0.0"),
+])
+def test_non_finite_state_stops_at_once(f, y0, line):
+    # a nan stage used to reject every step, with h turning nan, until the
+    # step budget ran out
+    with pytest.raises(StepFailure) as info:
+        solve_dopri5(f, (0.0, 1.0), y0, max_steps=1000)
+    msg = str(info.value)
+    assert msg.startswith(line)
+    assert "budget" not in msg
+
+
+def test_nan_inside_the_run_names_the_stage_and_the_step():
+    with pytest.raises(StepFailure) as info:
+        solve_dopri5(lambda t, y: [y[1], -y[0] if t < 0.5 else math.nan], (0.0, 1.0),
+                     [1.0, 0.0])
+    msg = str(info.value)
+    t = float(msg.split("in the step from t = ")[1].split(" ")[0])
+    assert msg.startswith("non-finite k") and "[1] = nan" in msg
+    assert t < 0.5 and "(h = " in msg

@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from ptb.errors import NonTimelikeP
-from ptb.kinematics import (
+from ptb.kinematics import noether_N
+from ptb.minkowski import FourVector, lorentz_dot
+
+from covariant import (
     CanonicalState,
     ExternalInternal,
     angular_momentum_L2,
+    boost_to_rest,
     center_of_mass,
     merge,
-    noether_N,
     scalar_quintet,
     split,
+    tilde_project,
 )
-from ptb.minkowski import FourVector, lorentz_dot, tilde_project
 
 
 def random_state(rng, p_scale=1.0):
@@ -101,7 +104,6 @@ def test_angular_momentum_is_gram_determinant(rng):
         L2 = angular_momentum_L2(ztil, ytil)
         assert L2 >= -1e-12
         # oracle in the rest frame: |z x y|^2
-        from ptb.minkowski import boost_to_rest
         zr = boost_to_rest(ztil, P).spatial
         yr = boost_to_rest(ytil, P).spatial
         assert L2 == pytest.approx(float(np.cross(zr, yr) @ np.cross(zr, yr)),

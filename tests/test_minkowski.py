@@ -6,13 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ptb.errors import NonTimelikeP
-from ptb.minkowski import (
-    FourVector,
-    boost_from_rest,
-    boost_to_rest,
-    lorentz_dot,
-    tilde_project,
-)
+from ptb.minkowski import FourVector, boost_from_rest, lorentz_dot
+
+from covariant import boost_to_rest, tilde_project
 
 finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ptb.kinematics import noether_N
 from ptb.mass_shell import mass_shell_from_lambda
 from ptb.output import (
     COLUMNS,
+    _json_clean,
     diagnostics,
     format_float,
     json_payload,
@@ -246,3 +249,82 @@ def test_rows_are_the_columns(run):
     for i, (z, y) in enumerate(zip(traj.ztil, traj.ytil)):
         q = rest_quintet(z, y, traj.shell)
         assert (N[i], L2[i]) == (noether_N(q, traj.model.evaluate(q).value), q.L2)
+
+
+# tables of the values a row can hold: nan, signed zeros, subnormals, the
+# ends of the float range, numpy float64 scalars and plain floats
+EDGE = [math.nan, 0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308,
+        0.1, 1.0 / 3.0, -2.0]
+values = st.one_of(st.floats(allow_infinity=False), st.sampled_from(EDGE),
+                   st.floats(allow_infinity=False).map(np.float64))
+
+
+def tables(ncols):
+    return st.lists(st.lists(values, min_size=ncols, max_size=ncols), max_size=12)
+
+
+def csv_reference(path, rows, columns):
+    """write_csv as a per-value loop over format_float."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(format_float(x) for x in row) + "\n")
+
+
+def json_reference(path, payload):
+    """write_json as one json.dump of the cleaned payload."""
+    with open(path, "w", newline="") as fh:
+        json.dump(_json_clean(payload), fh, indent=1, allow_nan=False)
+        fh.write("\n")
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), tables(n))))
+def test_write_csv_is_the_per_value_format(tmp_path_factory, table):
+    ncols, rows = table
+    columns = [f"c{i}" for i in range(ncols)]
+    d = tmp_path_factory.mktemp("csv")
+    write_csv(d / "got.csv", rows, columns)
+    csv_reference(d / "want.csv", rows, columns)
+    assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+
+
+@given(st.integers(0, 5).flatmap(tables))
+def test_write_json_is_json_dump(tmp_path_factory, rows):
+    # the rows entry sits among other keys, nested ones included
+    payload = {"schema": 1, "shell": {"M": 1.5, "lambda": math.nan, "rows": [1.0, math.nan]},
+               "columns": ("a", "b"), "rows": [tuple(r) for r in rows],
+               "diagnostics": {"N_drift": np.float64(1e-12), "n": np.int64(3)}}
+    d = tmp_path_factory.mktemp("json")
+    write_json(d / "got.json", payload)
+    json_reference(d / "want.json", payload)
+    assert (d / "got.json").read_bytes() == (d / "want.json").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [[], [[]], [[1.0], []]])
+def test_write_json_empty_tables(tmp_path, rows):
+    payload = {"rows": rows, "tail": [1, 2]}
+    write_json(tmp_path / "got.json", payload)
+    json_reference(tmp_path / "want.json", payload)
+    assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, np.float64(math.inf)])
+def test_inf_is_refused_like_json(tmp_path, bad):
+    payload = {"rows": [[0.0, 1.0], [2.0, bad]]}
+    with pytest.raises(ValueError) as want:
+        json_reference(tmp_path / "want.json", payload)
+    with pytest.raises(ValueError) as got:
+        write_json(tmp_path / "got.json", payload)
+    assert str(got.value) == str(want.value)
+
+
+def test_run_payloads_match_json_dump(run, flagged_run, tmp_path):
+    for traj, ws in (run, flagged_run):
+        payload = json_payload(traj, ws, extra={"scenario": {"rows": [1, 2]}, "exit": 0})
+        write_json(tmp_path / "got.json", payload)
+        json_reference(tmp_path / "want.json", payload)
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+        rows = trajectory_rows(traj, ws)
+        write_csv(tmp_path / "got.csv", rows)
+        csv_reference(tmp_path / "want.csv", rows, COLUMNS)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

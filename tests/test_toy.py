@@ -174,3 +174,18 @@ def test_param_validation():
         ToyParams(chi=1.0, M=1.0, A=(1, 0, 0), B=(0, 1, 0), nu=-0.51)
     with pytest.raises(BadParameter):
         ToyParams(chi=1.0, M=1.0, A=(1, 0), B=(0, 1, 0))
+
+
+@pytest.mark.parametrize("field, value, line", [
+    ("A", (1, 0, math.nan), "A must be finite, got (1.0, 0.0, nan)"),
+    ("B", (0, math.inf, 0), "B must be finite, got (0.0, inf, 0.0)"),
+    ("C", math.nan, "C must be finite, got nan"),
+    ("C", -math.inf, "C must be finite, got -inf"),
+    ("nu", math.nan, "nu must be finite, got nan"),
+])
+def test_non_finite_params_are_refused(field, value, line):
+    args = dict(chi=0.125, M=4.0, A=(1, 0, 0), B=(0, 0.5, 0), C=0.0, nu=-1.5)
+    args[field] = value
+    with pytest.raises(BadParameter) as info:
+        ToyParams(**args)
+    assert str(info.value) == line

@@ -1,12 +1,15 @@
 import math
+import re
 from array import array
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import ptb.worldline
 from ptb.errors import FrameMismatch, NoRoot, NonMonotoneTime, NotSynchronized, OutOfRange
-from ptb.kinematics import CanonicalState, center_of_mass, scalar_quintet, split
 from ptb.mass_shell import mass_shell_from_lambda
 from ptb.minkowski import FourVector, boost_from_rest, lorentz_dot
 from ptb.potentials import HarmonicPotential
@@ -18,6 +21,7 @@ from ptb.reduced import (
     rest_quintet,
     synchronize,
 )
+from ptb.roots import brent
 from ptb.toy import ToyParams, initial_state, shell_for_toy
 from ptb.worldline import (
     export_lab_frame,
@@ -25,6 +29,8 @@ from ptb.worldline import (
     resample_uniform_T,
     worldlines,
 )
+
+from covariant import CanonicalState, center_of_mass, scalar_quintet, split
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +114,97 @@ def test_lambda_from_T_refuses_a_bracket_without_a_root(toy_traj):
         lambda_from_T(bad, 0.5 * float(toy_traj.T[3] + toy_traj.T[4]))
 
 
+def dense_T(traj, lam):
+    """T of the dense-output state at one lambda, in float arithmetic."""
+    u = traj.dense(lam)
+    return equal_time_clock(lam, u[6], u[7], traj.shell)[3]
+
+
+def brent_lambda(traj, T):
+    """lambda_from_T one query at a time: Brent's method on the dense
+    residual between the samples around T, the reference for the batch."""
+    i = int(np.searchsorted(traj.T, T))
+    if traj.T[i] == T:
+        return float(traj.lam[i])
+    lo, hi = float(traj.lam[i - 1]), float(traj.lam[i])
+    return brent(lambda lam: dense_T(traj, lam) - T, lo, hi, xtol=1e-15 * max(1.0, hi))
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30))
+def test_batched_lambda_from_T_agrees_with_brent(toy_traj, fractions):
+    T_lo, T_hi = float(toy_traj.T[0]), float(toy_traj.T[-1])
+    Tq = np.array([T_lo + f * (T_hi - T_lo) for f in fractions]).clip(T_lo, T_hi)
+    lam = lambda_from_T(toy_traj, Tq)
+    assert lam.shape == Tq.shape
+    want = [brent_lambda(toy_traj, T) for T in Tq.tolist()]
+    assert np.abs(lam - want).max() <= 1e-13 * max(1.0, float(toy_traj.lam[-1]))
+    # the residual is no larger than Brent's, up to the rounding of T itself
+    got_res = max(abs(dense_T(toy_traj, x) - T) for x, T in zip(lam.tolist(), Tq.tolist()))
+    want_res = max(abs(dense_T(toy_traj, x) - T) for x, T in zip(want, Tq.tolist()))
+    assert got_res <= max(want_res, 2.0 * np.spacing(T_hi))
+
+
+def test_lambda_from_T_shapes(toy_traj):
+    T = 0.5 * float(toy_traj.T[3] + toy_traj.T[4])
+    lam = lambda_from_T(toy_traj, T)
+    assert type(lam) is float
+    assert lambda_from_T(toy_traj, np.float64(T)) == lam
+    batch = lambda_from_T(toy_traj, np.array([[T, float(toy_traj.T[2])], [T, T]]))
+    assert batch.shape == (2, 2)
+    assert batch.tolist() == [[lam, float(toy_traj.lam[2])], [lam, lam]]
+    assert lambda_from_T(toy_traj, []).shape == (0,)
+    # every sample of the batch maps to its own lambda
+    assert np.array_equal(lambda_from_T(toy_traj, toy_traj.T), toy_traj.lam)
+
+
+def test_array_queries_name_the_offending_one(toy_traj):
+    T_hi = float(toy_traj.T[-1])
+    inside = [float(toy_traj.T[0]), 0.5 * T_hi]
+    for bad in (T_hi + 1.0, -1e-3, math.nan):
+        with pytest.raises(OutOfRange, match=re.escape(f"T = {bad!r} outside")):
+            lambda_from_T(toy_traj, np.array(inside + [bad] + inside))
+    groups = toy_traj.dense.groups.copy()
+    groups[:, 0, 6] += 10.0 * toy_traj.shell.M * (toy_traj.T[-1] - toy_traj.T[0])
+    shifted = replace(toy_traj, dense=replace(toy_traj.dense, data=array("d", groups.tobytes())))
+    query = 0.5 * float(toy_traj.T[3] + toy_traj.T[4])
+    with pytest.raises(NoRoot, match=re.escape(f"T = {query!r} is not bracketed")):
+        lambda_from_T(shifted, np.array([float(toy_traj.T[1]), query, float(toy_traj.T[5])]))
+
+
+@pytest.mark.parametrize("factor", [20.0, 100.0])
+def test_newton_keeps_to_the_bracket_on_a_wild_clock(toy_traj, factor):
+    # scaled stages of intF bend the dense clock between step ends, which
+    # stay put: plain Newton leaves the bracket there, the bisection does not
+    groups = toy_traj.dense.groups.copy()
+    groups[:, 1:, 6] *= factor
+    groups[0, 5, 6] *= factor
+    wild = replace(toy_traj, dense=replace(toy_traj.dense, data=array("d", groups.tobytes())))
+    Tq = np.linspace(float(toy_traj.T[0]), float(toy_traj.T[-1]), 301)[1:-1]
+    lam = lambda_from_T(wild, Tq)
+    i = np.searchsorted(toy_traj.T, Tq)
+    assert np.all((toy_traj.lam[i - 1] <= lam) & (lam <= toy_traj.lam[i]))
+    assert max(abs(dense_T(wild, x) - T) for x, T in zip(lam.tolist(), Tq.tolist())) <= 1e-13
+
+
+def test_newton_iteration_cap_raises(toy_traj, monkeypatch):
+    Tq = np.linspace(float(toy_traj.T[0]), float(toy_traj.T[-1]), 7)[1:-1]
+    monkeypatch.setattr(ptb.worldline, "_NEWTON_MAXITER", 1)
+    with pytest.raises(NoRoot, match="still open after 1 Newton steps"):
+        lambda_from_T(toy_traj, Tq)
+
+
+def test_resample_inverts_the_clock_once(toy_traj, monkeypatch):
+    calls = []
+
+    def counting(traj, T):
+        calls.append(np.shape(T))
+        return lambda_from_T(traj, T)
+
+    monkeypatch.setattr(ptb.worldline, "lambda_from_T", counting)
+    resample_uniform_T(toy_traj, 41)
+    assert calls == [(39,)]
+
+
 def test_resample_uniform_T(toy_traj):
     res = resample_uniform_T(toy_traj, 41)
     Ts = np.array([s.T for s in res.samples])
@@ -130,6 +227,8 @@ def test_nonmonotone_trajectory_refuses_T_queries():
     assert traj.monotone is False
     with pytest.raises(NonMonotoneTime):
         lambda_from_T(traj, 0.0)
+    with pytest.raises(NonMonotoneTime):
+        lambda_from_T(traj, np.array([0.0, 0.1]))
     with pytest.raises(NonMonotoneTime):
         resample_uniform_T(traj)
     # worldline export still works, flags carried through
