@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from functools import cache
+from struct import Struct
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,21 +30,19 @@ from .errors import StepFailure
 
 __all__ = ["DenseOutput", "DopriResult", "solve_dopri5"]
 
-# Dormand-Prince 5(4) tableau: nodes C, stage weights A, fifth-order
-# weights B (so the seventh stage is the derivative at the new solution
-# point, FSAL), the difference E to the embedded fourth-order solution and
-# the weights D of the dense-output deviation polynomial.  The second stage
-# has zero weight in B, E and D.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-                                -5103 / 18656)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200,
-                                22 / 525, -1 / 40)
+# Dormand-Prince 5(4) tableau as rows: nodes C, stage rows A ending with the
+# fifth-order weights (so the seventh stage is the derivative at the new
+# solution point, FSAL), the error weights E (the difference to the embedded
+# fourth-order solution) and the weights D of the dense-output deviation
+# polynomial.  The second stage has zero weight in the last row of A, E and D.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = ((1 / 5,),
+      (3 / 40, 9 / 40),
+      (44 / 45, -56 / 15, 32 / 9),
+      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+      (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 _D1, _D3, _D4, _D5, _D6, _D7 = (
     -12715105075 / 11282082432, 87487479700 / 32700410799,
     -10690763975 / 1880347072, 701980252875 / 199316789632,
@@ -125,6 +124,36 @@ class DopriResult:
     n_landed: int            # accepted steps cut short to end on a sample or t1
 
 
+@cache
+def _attempt(n: int):
+    """attempt(f, t, h, t_new, y, k1) -> (k2, ..., k7, y_new, s) unrolled over n
+    state components, s being the sum of the squared error components scaled
+    by 1 + max(|y|, |y_new|).  Each sum runs in the order of its tableau row
+    and skips zero weights; the source holds only reprs of tableau floats."""
+    def names(k):
+        return "".join(f"{k}_{i}, " for i in range(n))
+
+    def dot(row, i):
+        return " + ".join(f"{w!r} * k{j}_{i}" for j, w in enumerate(row, 1) if w)
+
+    src = [f"{names('y')}= y", f"{names('k1')}= k1"]
+    for s, node, row in zip(range(2, 8), [f"t + {c!r} * h" for c in _C[1:6]] + ["t_new"], _A):
+        y = "y_new" if s == 7 else f"y{s}"
+        src += [f"{y} = [{', '.join(f'y_{i} + h * ({dot(row, i)})' for i in range(n))}]",
+                f"k{s} = f({node}, {y})", f"{names(f'k{s}')}= k{s}"]
+    src.append(f"{names('y_new')}= y_new")
+    for i in range(n):
+        src += [f"a = -y_{i} if y_{i} < 0.0 else y_{i}",
+                f"b = -y_new_{i} if y_new_{i} < 0.0 else y_new_{i}",
+                f"r_{i} = ({dot(_E, i)}) / (1.0 + (a if a > b else b))"]
+    squares = " + ".join(f"r_{i} * r_{i}" for i in range(n))
+    src.append(f"return k2, k3, k4, k5, k6, k7, y_new, {squares}")
+    namespace = {}
+    exec(compile("def attempt(f, t, h, t_new, y, k1):\n    " + "\n    ".join(src),
+                 f"<dopri5 attempt, n = {n}>", "exec"), namespace)
+    return namespace["attempt"]
+
+
 def _rms(v, scale) -> float:
     return math.sqrt(sum((a / s) ** 2 for a, s in zip(v, scale)) / len(scale))
 
@@ -147,10 +176,8 @@ def _initial_step(f, t0, y0, f0, tol, max_step, span):
     h0 = min(h0, span, max_step)
     f1 = f(t0 + h0, [v + h0 * d for v, d in zip(y0, f0)])
     d2 = _rms([a - b for a, b in zip(f1, f0)], sc) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.25
+    d12 = max(d1, d2)
+    h1 = max(1e-6, h0 * 1e-3) if d12 <= 1e-15 else (0.01 / d12) ** 0.25
     return min(100.0 * h0, h1, span, max_step)
 
 
@@ -200,6 +227,7 @@ def solve_dopri5(
     _require_finite(f"at t = {t0!r}", ("y0", y), ("f(t0, y0)", k1))
     h = _initial_step(f, t0, y, k1, tol, max_step, t1 - t0)
     n_rhs = 2
+    attempt = _attempt(n)
 
     # emitted samples as indices of buffer groups: group j holds the state
     # after j accepted steps
@@ -209,12 +237,11 @@ def solve_dopri5(
         out_idx.append(0)
         eval_idx += 1
 
-    data = array("d", y)
-    data.extend([0.0] * (4 * n))
-    data.extend(k1)
-    starts = array("d")
-    sizes = array("d")
-    extend, start, size = data.extend, starts.append, sizes.append
+    data = array("d", y + [0.0] * (4 * n) + list(k1))
+    starts, sizes = array("d"), array("d")
+    # an accepted step appends its group as raw doubles, packed in one call
+    extend, start, size = data.frombytes, starts.append, sizes.append
+    pack = Struct(f"{6 * n}d").pack
 
     t = t0
     facold = 1e-4
@@ -239,39 +266,16 @@ def solve_dopri5(
         t_new = target if landed else t + h_try
         h_used = t_new - t
 
-        k2 = f(t + _C2 * h_used, [a + h_used * (_A21 * c1) for a, c1 in zip(y, k1)])
-        k3 = f(t + _C3 * h_used, [a + h_used * (_A31 * c1 + _A32 * c2)
-                                  for a, c1, c2 in zip(y, k1, k2)])
-        k4 = f(t + _C4 * h_used, [a + h_used * (_A41 * c1 + _A42 * c2 + _A43 * c3)
-                                  for a, c1, c2, c3 in zip(y, k1, k2, k3)])
-        k5 = f(t + _C5 * h_used, [a + h_used * (_A51 * c1 + _A52 * c2 + _A53 * c3 + _A54 * c4)
-                                  for a, c1, c2, c3, c4 in zip(y, k1, k2, k3, k4)])
-        k6 = f(t + h_used, [a + h_used * (_A61 * c1 + _A62 * c2 + _A63 * c3 + _A64 * c4
-                                          + _A65 * c5)
-                            for a, c1, c2, c3, c4, c5 in zip(y, k1, k2, k3, k4, k5)])
-        y_new = [a + h_used * (_B1 * c1 + _B3 * c3 + _B4 * c4 + _B5 * c5 + _B6 * c6)
-                 for a, c1, c3, c4, c5, c6 in zip(y, k1, k3, k4, k5, k6)]
-        # the seventh stage is evaluated at exactly the y_new that is emitted
-        k7 = f(t_new, y_new)
+        # k7 is evaluated at exactly the y_new that is emitted; the error is per
+        # unit step against tol (1 + max|y|), so drift stays ~ tol * span
+        k2, k3, k4, k5, k6, k7, y_new, s = attempt(f, t, h_used, t_new, y, k1)
         n_rhs += 6
-        # error per unit step against tol (1 + max|y|): global drift stays
-        # proportional to tol * span
-        s = 0.0
-        for a, b, c1, c3, c4, c5, c6, c7 in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-            # max(|a|, |b|) by comparisons, cheaper than three builtin calls
-            if a < 0.0:
-                a = -a
-            if b < 0.0:
-                b = -b
-            r = (_E1 * c1 + _E3 * c3 + _E4 * c4 + _E5 * c5 + _E6 * c6 + _E7 * c7) \
-                / (1.0 + (a if a > b else b))
-            s += r * r
         err = math.sqrt(s / n) / tol
 
         if err <= 1.0:
             start(t)
             size(h_used)
-            extend(chain(y_new, k3, k4, k5, k6, k7))
+            extend(pack(*y_new, *k3, *k4, *k5, *k6, *k7))
             n_accepted += 1
             n_landed += landed
             if on_step is not None:
@@ -279,18 +283,13 @@ def solve_dopri5(
             while eval_idx < n_eval and eval_pts[eval_idx] <= t_new:
                 out_idx.append(n_accepted)
                 eval_idx += 1
-            t = t_new
-            y = y_new
-            k1 = k7
+            t, y, k1 = t_new, y_new, k7
             # PI update (Lund stabilization)
-            fac11 = err ** _EXPO1
-            fac = fac11 / facold ** _BETA
-            fac = max(1.0 / _FAC_GROW, min(_FAC_SHRINK, fac / _SAFETY))
-            h_next = h_used / fac
+            fac = err ** _EXPO1 / facold ** _BETA
+            h = h_used / max(1.0 / _FAC_GROW, min(_FAC_SHRINK, fac / _SAFETY))
             if just_rejected:
-                h_next = min(h_next, h_used)
+                h = min(h, h_used)
             facold = max(err, 1e-4)
-            h = h_next
             just_rejected = False
         else:
             if err != err:
@@ -299,8 +298,7 @@ def solve_dopri5(
                                 ("k2", k2), ("k3", k3), ("k4", k4), ("k5", k5), ("k6", k6),
                                 ("y_new", y_new), ("k7", k7))
             n_rejected += 1
-            fac11 = err ** _EXPO1
-            h = h_used / min(_FAC_SHRINK, fac11 / _SAFETY)
+            h = h_used / min(_FAC_SHRINK, err ** _EXPO1 / _SAFETY)
             just_rejected = True
 
     dense = DenseOutput(starts, sizes, data, n)

@@ -21,12 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    BadParameter,
-    EnergyConditionViolation,
-    LambdaBoundViolation,
-    MassBoundViolation,
-)
+from .errors import BadParameter, LambdaBoundViolation, MassBoundViolation
 
 __all__ = [
     "MassShell",
@@ -79,9 +74,8 @@ def mass_shell_from_lambda(m1: float, m2: float, lambda_: float) -> MassShell:
     and M = E1 + E2.
 
     Raises LambdaBoundViolation when m1^2 + lambda <= 0, which for sorted
-    masses is the same inequality as mu + lambda > |nu| and as E1 > 0.  The
-    energy condition M^2 > 2|nu| then holds automatically; E1 > 0 is
-    asserted defensively.
+    masses is the same inequality as mu + lambda > |nu| and as E1 > 0; the
+    energy condition M^2 > 2|nu| then holds automatically.
     """
     mu, nu = _check_masses(m1, m2)
     lam = float(lambda_)
@@ -90,9 +84,6 @@ def mass_shell_from_lambda(m1: float, m2: float, lambda_: float) -> MassShell:
         raise LambdaBoundViolation(f"requires m1^2 + lambda > 0, got {E1_sq!r}")
     E1 = math.sqrt(E1_sq)
     E2 = math.sqrt(m2 * m2 + lam)
-    if not E1 > 0.0:
-        # unreachable once the lambda bound holds; kept as a tripwire
-        raise EnergyConditionViolation(f"requires E1 > 0 (M^2 > 2|nu|), got E1 = {E1!r}")
     M = E1 + E2
     return MassShell(m1=float(m1), m2=float(m2), mu=mu, nu=nu, lambda_=lam,
                      M2=M * M, M=M, E1=E1, E2=E2)

@@ -39,9 +39,6 @@ class FourVector:
     def spatial(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
 
-    def dot(self, other: "FourVector") -> float:
-        return lorentz_dot(self, other)
-
     def norm2(self) -> float:
         """Invariant length squared; positive for timelike vectors."""
         return lorentz_dot(self, self)

@@ -46,10 +46,8 @@ def format_float(x: float) -> str:
 
 def trajectory_rows(traj: Trajectory, ws: WorldlineSet) -> list[tuple[float, ...]]:
     """One 25-tuple per sample, aligned between trajectory and world lines."""
-    if len(ws.lam) != len(traj.lam):
-        raise ValueError("world-line set does not match the trajectory grid")
     if not np.array_equal(ws.lam, traj.lam):
-        raise ValueError("sample grids diverged between trajectory and world lines")
+        raise ValueError("world-line set does not match the trajectory's sample grid")
     N, L2 = traj.first_integrals
     pos = np.hstack((ws.x1, ws.x2, ws.Xi))
     pos[ws.flagged] = math.nan

@@ -29,7 +29,7 @@ from .dopri import DenseOutput, solve_dopri5
 from .errors import NonMonotoneTime, NotSynchronized, OutOfRange
 from .kinematics import ScalarQuintet, noether_N
 from .mass_shell import MassShell
-from .potentials import PotentialSpec
+from .potentials import PotentialSpec, _KernelModel
 
 __all__ = [
     "IntegratorOptions",
@@ -38,6 +38,7 @@ __all__ = [
     "Trajectory",
     "rest_quintet",
     "rhs",
+    "rhs_for",
     "dT_dlambda",
     "equal_time_clock",
     "integrate",
@@ -228,6 +229,23 @@ def rhs(u: Sequence[float], shell: MassShell,
             2.0 * M2 * dP2, 2.0 * nu * dw)
 
 
+def rhs_for(shell: MassShell, model: PotentialSpec):
+    """The solver's f(lam, u) for a run.  A central kernel model that keeps
+    the kernel's rest partials gets its kernel with M^2, 2 M^2 and G = 2 nu 0
+    bound once: the floats of rhs up to the sign of a zero.  Any other model
+    goes through rhs, looked up as a module attribute on each call."""
+    if type(model).rest_partials is not _KernelModel.rest_partials:
+        return lambda lam, u: rhs(u, shell, model)
+    kernel, M2, M2x2, G = model._kernel, shell.M2, 2.0 * shell.M2, 2.0 * shell.nu * 0.0
+
+    def f(lam: float, u: list[float]) -> tuple[float, ...]:
+        z0, z1, z2, y0, y1, y2, _, _ = u
+        _, dP2, dztil2 = kernel(M2, -(z0 * z0 + z1 * z1 + z2 * z2))
+        b = -2.0 * dztil2
+        return y0, y1, y2, b * z0, b * z1, b * z2, M2x2 * dP2, G
+    return f
+
+
 def dT_dlambda(F, G, shell: MassShell):
     """Clock rate M/4 - nu^2/M^3 - nu G/M^3 + F/M of the equal-time slice,
     for scalars or elementwise over columns."""
@@ -265,9 +283,6 @@ def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
     if lam0 != 0.0:
         raise ValueError("integration starts at lambda = 0 by convention")
 
-    def f(lam: float, u: list[float]) -> tuple[float, ...]:
-        return rhs(u, shell, model)
-
     last_lam = 0.0
 
     def strict_clock(lam: float, u: list[float], du: tuple[float, ...]) -> None:
@@ -280,8 +295,8 @@ def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
         last_lam = lam
 
     u0 = np.concatenate((initial.ztil, initial.ytil, (initial.intF, initial.intG)))
-    sol = solve_dopri5(f, (0.0, span), u0, tol=opts.tol, max_step=opts.max_step,
-                       t_eval=_sample_grid(span, opts.sample_interval),
+    sol = solve_dopri5(rhs_for(shell, model), (0.0, span), u0, tol=opts.tol,
+                       max_step=opts.max_step, t_eval=_sample_grid(span, opts.sample_interval),
                        on_step=strict_clock if opts.strict_time else None)
 
     return Trajectory(

@@ -165,10 +165,11 @@ def resample_uniform_T(traj: Trajectory, n: Optional[int] = None) -> Trajectory:
     if n < 2:
         raise ValueError("need at least two samples")
     inner = lambda_from_T(traj, np.linspace(traj.T[0], traj.T[-1], n)[1:-1])
+    lam = np.concatenate((traj.lam[:1], inner, traj.lam[-1:]))
     u = np.vstack((traj.u[0], traj.dense(inner), traj.u[-1]))
-    du = np.array([reduced.rhs(row, traj.shell, traj.model) for row in u.tolist()])
-    return synchronize(replace(traj, lam=np.concatenate((traj.lam[:1], inner, traj.lam[-1:])),
-                               u=u, F=du[:, 6], G=du[:, 7], synchronized=False, samples=None))
+    du = np.array(list(map(reduced.rhs_for(traj.shell, traj.model), lam.tolist(), u.tolist())))
+    return synchronize(replace(traj, lam=lam, u=u, F=du[:, 6], G=du[:, 7], synchronized=False,
+                               samples=None))
 
 
 def export_lab_frame(ws: WorldlineSet, k: FourVector) -> WorldlineSet:

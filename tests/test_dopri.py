@@ -10,6 +10,8 @@ from ptb import dopri
 from ptb.dopri import solve_dopri5
 from ptb.errors import StepFailure
 
+from dopri_reference import attempt as reference_attempt
+
 
 def shm(t, y):
     return [y[1], -y[0]]
@@ -240,3 +242,23 @@ def test_nan_inside_the_run_names_the_stage_and_the_step():
     t = float(msg.split("in the step from t = ")[1].split(" ")[0])
     assert msg.startswith("non-finite k") and "[1] = nan" in msg
     assert t < 0.5 and "(h = " in msg
+
+
+@given(st.sampled_from([1, 2, 8]), st.data())
+def test_unrolled_attempt_is_the_reference_step(n, data):
+    # every stage, the new state and the error sum, bit for bit, on a
+    # polynomial right-hand side that couples neighbouring components
+    vector = st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)
+    y, k1, a, b = (data.draw(vector) for _ in range(4))
+    c = data.draw(st.floats(-2.0, 2.0))
+    t = data.draw(st.floats(-5.0, 5.0))
+    t_new = t + data.draw(st.floats(1e-8, 1.0))
+    h = t_new - t
+
+    def f(s, u):
+        return [a[i] * u[i] * u[i - 1] + b[i] * u[i] + c * s * s for i in range(n)]
+
+    got = dopri._attempt(n)(f, t, h, t_new, y, k1)
+    want = reference_attempt(f, t, h, t_new, y, k1)
+    assert repr(got) == repr(want)
+    assert type(got[6]) is list

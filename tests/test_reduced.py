@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from ptb.errors import BadParameter, NonMonotoneTime, NotSynchronized, OutOfRange
+import ptb.reduced
+from ptb.errors import BadParameter, DomainError, NonMonotoneTime, NotSynchronized, OutOfRange
 from ptb.kinematics import noether_N
 from ptb.mass_shell import mass_shell_from_lambda
 from ptb.potentials import (
@@ -26,6 +27,7 @@ from ptb.reduced import (
     require_synchronized,
     rest_quintet,
     rhs,
+    rhs_for,
     synchronize,
 )
 from ptb.toy import (
@@ -414,9 +416,9 @@ def test_kernel_sees_python_floats_only(base, args):
     seen = set()
 
     class Recording(base):
-        def rest_partials(self, *partials_args):
-            seen.update(map(type, partials_args))
-            return super().rest_partials(*partials_args)
+        def _kernel(self, *kernel_args):
+            seen.update(map(type, kernel_args))
+            return super()._kernel(*kernel_args)
 
     shell = mass_shell_from_lambda(1.0, 2.0, 0.25)
     st0 = ReducedState(0.0, np.array([1.2, 0.1, 0.4]), np.array([-0.1, 0.6, 0.05]))
@@ -451,3 +453,61 @@ def test_samples_view_follows_the_columns():
     assert shifted.samples[0].state.lambda_ == 1.0
     explicit = tuple(sync.samples)[:2]
     assert replace(sync, samples=explicit).samples is explicit
+
+
+_BUILTIN_MODELS = st.one_of(
+    st.just(FreePotential()),
+    st.builds(HarmonicPotential, st.floats(1e-3, 10.0)),
+    st.builds(CentralPowerPotential,
+              st.floats(-10.0, 10.0).filter(lambda g: abs(g) > 1e-3), st.integers(1, 4)))
+
+
+@given(_BUILTIN_MODELS, st.floats(-0.9, 5.0), st.floats(1.0, 4.0),
+       st.lists(st.floats(-10.0, 10.0), min_size=8, max_size=8))
+def test_bound_rhs_is_the_generic_rhs(model, lam, m2, u):
+    z2 = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
+    assume(z2 > 1e-6)
+    shell = mass_shell_from_lambda(1.0, m2, lam)
+    f = rhs_for(shell, model)
+    assert f.__name__ == "f"  # the bound closure, not the generic path
+    got, want = f(0.0, u), rhs(u, shell, model)
+    # equal as floats: only the sign of a zero may differ
+    assert len(got) == len(want) == 8
+    assert all(type(x) is float and x == w for x, w in zip(got, want))
+
+
+@pytest.mark.parametrize("model, u, text", [
+    (CentralPowerPotential(-1.0, 1), [0.0, 0.0, 0.0, 0.3, 0.0, 0.0, 0.0, 0.0],
+     "central_power requires spacelike separation ztil2 < 0, got -0.0"),
+    (CentralPowerPotential(-1.0, 3), [1e-125, 0.0, 0.0, 0.3, 0.0, 0.0, 0.0, 0.0],
+     "central_power overflows at ztil2 = "),
+])
+def test_bound_rhs_refuses_what_the_generic_rhs_refuses(model, u, text):
+    shell = mass_shell_from_lambda(1.0, 2.0, 0.0)
+    errors = []
+    for f in (rhs_for(shell, model), lambda lam, v: rhs(v, shell, model)):
+        with pytest.raises(DomainError) as info:
+            f(0.0, u)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(text)
+
+
+def test_an_evaluate_only_model_goes_through_the_module_rhs(monkeypatch):
+    # tracing swaps ptb.reduced.rhs; a model without the kernel fast path
+    # must keep reaching it
+    calls = []
+    generic = ptb.reduced.rhs
+
+    def counting(*args):
+        calls.append(1)
+        return generic(*args)
+
+    monkeypatch.setattr(ptb.reduced, "rhs", counting)
+    shell = mass_shell_from_lambda(1.0, 2.0, 0.1)
+    st0 = ReducedState(0.0, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.4, 0.0]))
+    traj = integrate(st0, shell, BareSpring(0.2), 2.0)
+    assert len(calls) == traj.n_rhs > 0
+    # a builtin runs on its bound kernel and leaves the module rhs alone
+    integrate(st0, shell, HarmonicPotential(0.2), 2.0)
+    assert len(calls) == traj.n_rhs
