@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,7 +39,7 @@ from .errors import (
     NonTimelikeP,
     PtbError,
 )
-from .mass_ratio import limit_report
+from .mass_ratio import RatioRow, limit_report
 from .mass_shell import MassShell, mass_shell_from_lambda, shell_from_M
 from .minkowski import FourVector
 from .output import (
@@ -80,11 +80,6 @@ def _exit_code(err: PtbError) -> int:
 
 def _error_line(err: PtbError) -> str:
     return f"{type(err).__name__}: {err}".replace("\n", " ")
-
-
-def _fail(err: PtbError) -> int:
-    print(_error_line(err), file=sys.stderr)
-    return _exit_code(err)
 
 
 # ---------------------------------------------------------------- config
@@ -451,20 +446,11 @@ def cmd_circular(args: argparse.Namespace) -> int:
 
 def cmd_mass_ratio(args: argparse.Namespace) -> int:
     eps_list = _parse_floats(args.eps, None, "--eps")
-    rows = limit_report(args.m2, args.alpha, eps_list)
-    header = "eps,gamma,alpha,offset,limit,residual"
-    lines = [header]
-    for r in rows:
-        lines.append(",".join(format_float(v) for v in
-                              (r.eps, r.gamma, r.alpha, r.offset, r.limit, r.residual)))
-    text = "\n".join(lines) + "\n"
+    rows = [astuple(r) for r in limit_report(args.m2, args.alpha, eps_list)]
+    path = _resolve_out(args.out) if args.out else sys.stdout
+    write_csv(path, rows, [f.name for f in fields(RatioRow)])
     if args.out:
-        path = _resolve_out(args.out)
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
         print(f"wrote {path} ({len(rows)} rows)")
-    else:
-        sys.stdout.write(text)
     return 0
 
 
@@ -561,7 +547,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except PtbError as e:
-        return _fail(e)
+        print(_error_line(e), file=sys.stderr)
+        return _exit_code(e)
 
 
 if __name__ == "__main__":

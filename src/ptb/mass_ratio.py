@@ -54,13 +54,7 @@ def analyze(m2: float, alpha: float, eps: float) -> RatioAnalysis:
         raise InadmissibleAlpha(
             f"requires alpha > -eps (i.e. m1^2 + lambda > 0), got alpha = {alpha!r}")
     shell = mass_shell_from_lambda(math.sqrt(eps) * m2, m2, alpha * (m2 * m2))
-    beta: Optional[float]
-    if alpha > 0.0:
-        beta = 2.0 * alpha + 2.0 * math.sqrt(alpha * alpha + alpha)
-    elif alpha == 0.0:
-        beta = 0.0
-    else:
-        beta = None
+    beta = 2.0 * alpha + 2.0 * math.sqrt(alpha * alpha + alpha) if alpha >= 0.0 else None
     return RatioAnalysis(
         m2=float(m2), eps=float(eps), gamma=math.sqrt(eps), alpha=float(alpha),
         lambda_=shell.lambda_, nu=shell.nu, M2=shell.M2, offset=shell.E1 / shell.M, beta=beta,

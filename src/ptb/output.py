@@ -1,16 +1,18 @@
 """Deterministic serialization of trajectories and reports.
 
-CSV prints every float with 17 significant digits and JSON with the
-shortest repr that reads back to it, so identical runs produce
-byte-identical files; flagged samples (non-positive clock rate) blank out
-the position columns with nan, since the equal-time slice is unreliable
-there, while the lambda-parametrized columns stay valid.
+A run's rows are formatted once, each float as "%.17g", and both files
+take that text: CSV as it is, JSON with nan as null and ".0" on integral
+values.  Identical runs give byte-identical files.  Flagged samples
+(non-positive clock rate) blank out the position columns with nan, since the
+equal-time slice is unreliable there; the lambda columns stay valid.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
+from contextlib import nullcontext
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -21,6 +23,7 @@ from .worldline import WorldlineSet
 __all__ = [
     "COLUMNS",
     "format_float",
+    "RowTable",
     "trajectory_rows",
     "diagnostics",
     "write_csv",
@@ -44,16 +47,41 @@ def format_float(x: float) -> str:
     return "%.17g" % x
 
 
-def trajectory_rows(traj: Trajectory, ws: WorldlineSet) -> list[tuple[float, ...]]:
-    """One 25-tuple per sample, aligned between trajectory and world lines."""
-    if not np.array_equal(ws.lam, traj.lam):
-        raise ValueError("world-line set does not match the trajectory's sample grid")
-    N, L2 = traj.first_integrals
-    pos = np.hstack((ws.x1, ws.x2, ws.Xi))
-    pos[ws.flagged] = math.nan
-    table = np.column_stack((traj.lam, traj.T, traj.tau1, traj.tau2, traj.ztil, traj.ytil,
-                             pos, N, L2, traj.dTdlambda))
-    return list(map(tuple, table.tolist()))
+class RowTable:
+    """Rows of ncols floats (a 2-d array, or a list of rows: "%" refuses one
+    of another length with a TypeError), formatted on first use as CSV lines
+    in "%.17g" and kept in blocks of 1024 lines; the rows are then dropped."""
+
+    def __init__(self, rows, ncols: int):
+        self.rows, self.ncols, self.n, self._blocks = rows, ncols, len(rows), None
+
+    def blocks(self) -> list[str]:
+        if self._blocks is None:
+            line = ",".join(["%.17g"] * self.ncols) + "\n"
+            self._blocks = [_format(line, self.rows[i:i + 1024]) for i in range(0, self.n, 1024)]
+            self.rows = None
+        return self._blocks
+
+
+def _format(line: str, rows) -> str:
+    if isinstance(rows, np.ndarray):
+        return line * len(rows) % tuple(rows.ravel().tolist())
+    return "".join([line % tuple(row) for row in rows])
+
+
+def trajectory_rows(traj: Trajectory, ws: WorldlineSet) -> RowTable:
+    """The run's table of COLUMNS, one row per sample, built on the first
+    call and kept on ws, so both writers share it."""
+    if ws.traj is not traj:
+        raise ValueError("the world-line set was built from another trajectory")
+    if "_rows" not in ws.__dict__:
+        N, L2 = traj.first_integrals
+        pos = np.hstack((ws.x1, ws.x2, ws.Xi))
+        pos[traj.flagged] = math.nan
+        ws.__dict__["_rows"] = RowTable(np.column_stack((
+            traj.lam, traj.T, traj.tau1, traj.tau2, traj.ztil, traj.ytil, pos, N, L2,
+            traj.dTdlambda)), len(COLUMNS))
+    return ws.__dict__["_rows"]
 
 
 def diagnostics(traj: Trajectory) -> dict:
@@ -118,13 +146,15 @@ def _planarity(traj: Trajectory) -> float:
 
 def write_csv(path, rows: Iterable[Sequence[float]],
               columns: Sequence[str] = COLUMNS) -> None:
-    """Write the header and one line per row, each value spelled as
-    format_float spells it; every row has one value per column."""
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(line % tuple(row))
+    """Write the header and one line per row to path, or to an open text
+    file, each value spelled as format_float spells it; all rows are
+    formatted before the file opens."""
+    table = rows if isinstance(rows, RowTable) else RowTable(list(rows), len(columns))
+    if table.ncols != len(columns):
+        raise ValueError(f"a table of {table.ncols} columns under {len(columns)} names")
+    lines = [",".join(columns) + "\n", *table.blocks()]
+    with nullcontext(path) if hasattr(path, "write") else open(path, "w", newline="") as fh:
+        fh.writelines(lines)
 
 
 def _json_clean(x):
@@ -164,30 +194,34 @@ def write_json(path, payload: dict) -> None:
     out: nan becomes null, tuples become arrays and numpy scalars plain
     numbers, and inf is refused with json's ValueError.
 
-    A "rows" entry, a table of floats (numpy float64 included), is written
-    here row by row, each value spelled by float.__repr__ as json spells
-    it; the rest of the payload goes through json.
+    A RowTable under "rows" is written one row per line in the CSV's
+    spelling, with nan as null and ".0" on integral values, so that every
+    value reads back as a float; it is checked before the file opens.
     """
     rows = payload.get("rows")
-    text = json.dumps(_json_clean(payload if rows is None else {**payload, "rows": None}),
+    table = isinstance(rows, RowTable)
+    text = json.dumps(_json_clean({**payload, "rows": None} if table else payload),
                       indent=1, allow_nan=False)
+    if table:
+        blocks = rows.blocks()
+        for inf in (re.search("-?inf", b) for b in blocks if "inf" in b):
+            json.dumps(float(inf[0]), indent=1, allow_nan=False)  # json's own refusal
+        # a newline and one space open only top-level keys, so this splits
+        # at the rows entry and nowhere else
+        head, text = text.split('\n "rows": null', 1)
     with open(path, "w", newline="") as fh:
-        if rows is not None:
-            # a newline and one space open only top-level keys, so this
-            # splits at the rows entry and nowhere else
-            head, text = text.split('\n "rows": null', 1)
+        if table:
             fh.write(head + '\n "rows": [')
-            for i, row in enumerate(rows):
-                fh.write((",\n  " if i else "\n  ") + _json_row(row))
-            fh.write("\n ]" if len(rows) else "]")
+            fh.writelines(("," if i else "") + _json_rows(b) for i, b in enumerate(blocks))
+            fh.write("\n ]" if blocks else "]")
         fh.write(text + "\n")
 
 
-def _json_row(row) -> str:
-    """One row of floats as json.dump(indent=1) writes it at depth 2."""
-    text = ",\n   ".join(map(float.__repr__, row))
-    if "n" in text:  # nan or inf: a finite float's spelling has no n
-        # indent selects the encoder json.dump(indent=1) runs, and its errors
-        text = ",\n   ".join(json.dumps(_json_clean(x), indent=1, allow_nan=False)
-                               for x in row)
-    return "[\n   " + text + "\n  ]" if text else "[]"
+# a value of digits alone, which JSON would read back as an integer
+_INTEGRAL = re.compile(r"([\[,]-?\d+)(?=[,\]])")
+
+
+def _json_rows(block: str) -> str:
+    """A block of CSV lines as JSON arrays, one per line."""
+    text = "\n  [" + block[:-1].replace("\n", "],\n  [") + "]"
+    return _INTEGRAL.sub(r"\1.0", text).replace("nan", "null")

@@ -47,6 +47,7 @@ class PotentialSpec:
     """
 
     name: str = "potential"
+    params: tuple[str, ...] = ()  # the constructor's, in order, each kept as an attribute
     central: bool = False
     p2_independent: bool = False
     w_independent: bool = False
@@ -66,7 +67,7 @@ class PotentialSpec:
         return ev.dP2, ev.dztil2, ev.dytil2, ev.dzy, ev.dw
 
     def describe(self) -> dict:
-        return {"kind": self.name}
+        return {"kind": self.name, **{k: getattr(self, k) for k in self.params}}
 
     def __repr__(self) -> str:
         params = {k: v for k, v in self.describe().items() if k != "kind"}
@@ -111,6 +112,7 @@ class HarmonicPotential(_KernelModel):
     """
 
     name = "harmonic"
+    params = ("chi",)
 
     def __init__(self, chi: float):
         chi = float(chi)
@@ -124,9 +126,6 @@ class HarmonicPotential(_KernelModel):
         root = math.sqrt(P2)
         return self.chi * root * ztil2, self.chi * ztil2 / (2.0 * root), self.chi * root
 
-    def describe(self) -> dict:
-        return {"kind": self.name, "chi": self.chi}
-
 
 class CentralPowerPotential(_KernelModel):
     """V = -g * sqrt(P^2) / rho**n with rho = sqrt(-ztil2) and integer n >= 1.
@@ -136,6 +135,7 @@ class CentralPowerPotential(_KernelModel):
     """
 
     name = "central_power"
+    params = ("g", "n")
 
     def __init__(self, g: float, n: int):
         g = float(g)
@@ -162,33 +162,20 @@ class CentralPowerPotential(_KernelModel):
             raise DomainError(f"central_power overflows at ztil2 = {ztil2!r} with n = {self.n}")
         return value, value / (2.0 * P2), dztil2
 
-    def describe(self) -> dict:
-        return {"kind": self.name, "g": self.g, "n": self.n}
 
-
-_BUILTINS = {"free", "harmonic", "central_power"}
+_BUILTINS = {cls.name: cls for cls in (FreePotential, HarmonicPotential, CentralPowerPotential)}
 
 
 def builtin(name: str, **params) -> PotentialSpec:
-    """Construct a builtin model by name; unknown names or stray parameters
-    raise BadParameter."""
-    if name == "free":
-        extra = set(params)
-    elif name == "harmonic":
-        if "chi" not in params:
-            raise BadParameter("harmonic model needs parameter chi")
-        extra = set(params) - {"chi"}
-    elif name == "central_power":
-        missing = {"g", "n"} - set(params)
-        if missing:
-            raise BadParameter(f"central_power needs parameters {sorted(missing)}")
-        extra = set(params) - {"g", "n"}
-    else:
+    """Construct a builtin model by name; unknown names, missing parameters
+    or stray ones raise BadParameter."""
+    if name not in _BUILTINS:
         raise BadParameter(f"unknown potential {name!r}, expected one of {sorted(_BUILTINS)}")
+    cls = _BUILTINS[name]
+    missing = sorted(set(cls.params) - set(params))
+    if missing:
+        raise BadParameter(f"{name} needs parameters {missing}")
+    extra = sorted(set(params) - set(cls.params))
     if extra:
-        raise BadParameter(f"unexpected parameters for {name!r}: {sorted(extra)}")
-    if name == "free":
-        return FreePotential()
-    if name == "harmonic":
-        return HarmonicPotential(params["chi"])
-    return CentralPowerPotential(params["g"], params["n"])
+        raise BadParameter(f"unexpected parameters for {name!r}: {extra}")
+    return cls(*(params[k] for k in cls.params))

@@ -13,14 +13,13 @@ and E1, E2 the shell's individual energies.  The energy-weighted mean
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import reduced
 from .errors import FrameMismatch, NoRoot, NonMonotoneTime, OutOfRange
-from .mass_shell import MassShell
 from .minkowski import FourVector, boost_from_rest, lorentz_dot
 from .reduced import (Trajectory, dT_dlambda, equal_time_clock, require_synchronized,
                       synchronize)
@@ -39,22 +38,19 @@ _NEWTON_MAXITER = 60  # bisection alone narrows any bracket 2^60-fold
 
 @dataclass(frozen=True, eq=False)
 class WorldlineSet:
-    """Sampled world lines of both particles and the center of energy.
+    """Sampled world lines of both particles and the center of energy, built
+    from the trajectory traj (its lam, T and flagged columns are theirs).
 
     x1, x2 and Xi are (n, 4) arrays of components (t, x, y, z) in the
     frame whose total momentum has components frame: the rest frame itself
-    carries (M, 0, 0, 0).  lam, T and flagged are the (n) sample columns of
-    the trajectory they come from.
+    carries (M, 0, 0, 0).
     """
 
-    shell: MassShell
-    lam: np.ndarray
-    T: np.ndarray
     x1: np.ndarray
     x2: np.ndarray
     Xi: np.ndarray
-    flagged: np.ndarray
     frame: FourVector
+    traj: Trajectory = field(repr=False)
 
 
 def worldlines(traj: Trajectory, Xi0: Sequence[float] = (0.0, 0.0, 0.0)) -> WorldlineSet:
@@ -69,10 +65,9 @@ def worldlines(traj: Trajectory, Xi0: Sequence[float] = (0.0, 0.0, 0.0)) -> Worl
     def events(spatial) -> np.ndarray:
         return np.hstack((traj.T[:, None], np.broadcast_to(spatial, traj.ztil.shape)))
 
-    return WorldlineSet(shell=shell, lam=traj.lam, T=traj.T,
-                        x1=events(anchor + (shell.E2 / shell.M) * traj.ztil),
+    return WorldlineSet(x1=events(anchor + (shell.E2 / shell.M) * traj.ztil),
                         x2=events(anchor - (shell.E1 / shell.M) * traj.ztil), Xi=events(anchor),
-                        flagged=traj.flagged, frame=FourVector(shell.M, 0.0, 0.0, 0.0))
+                        frame=FourVector(shell.M, 0.0, 0.0, 0.0), traj=traj)
 
 
 def lambda_from_T(traj: Trajectory, T_query):
@@ -175,7 +170,7 @@ def resample_uniform_T(traj: Trajectory, n: Optional[int] = None) -> Trajectory:
 def export_lab_frame(ws: WorldlineSet, k: FourVector) -> WorldlineSet:
     """Boost all sampled points into the frame where the total momentum has
     components k.  k must satisfy k.k = M^2 of the shell (1e-9 relative)."""
-    M2 = ws.shell.M2
+    M2 = ws.traj.shell.M2
     kk = lorentz_dot(k, k)
     if not (abs(kk - M2) <= 1e-9 * M2):
         raise FrameMismatch(f"k.k = {kk!r} but the shell has M^2 = {M2!r}")

@@ -282,6 +282,15 @@ def test_mass_ratio_command():
     assert float(rows[2][3]) == pytest.approx(0.001 / 1.001, rel=1e-12)
 
 
+def test_mass_ratio_stdout_is_the_csv_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("PTB_OUTPUT_DIR", raising=False)
+    args = ["mass-ratio", "--alpha", "0.5", "--eps", "1e-2,1e-4"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert main(args + ["--out", str(tmp_path / "r.csv")]) == 0
+    assert (tmp_path / "r.csv").read_text() == out
+
+
 def test_mass_ratio_inadmissible():
     r = run_cli("mass-ratio", "--alpha", "-1", "--eps", "0.5")
     assert r.returncode == 3

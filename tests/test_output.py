@@ -1,5 +1,7 @@
+import io
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from ptb.kinematics import noether_N
 from ptb.mass_shell import mass_shell_from_lambda
 from ptb.output import (
     COLUMNS,
+    RowTable,
     _json_clean,
     diagnostics,
     format_float,
@@ -20,7 +23,8 @@ from ptb.output import (
 )
 from ptb.potentials import HarmonicPotential
 from ptb.reduced import IntegratorOptions, ReducedState, integrate, rest_quintet, synchronize
-from ptb.worldline import worldlines
+from ptb.minkowski import FourVector
+from ptb.worldline import export_lab_frame, worldlines
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +45,12 @@ def flagged_run():
         shell, HarmonicPotential(1.0), 3.0,
         IntegratorOptions(sample_interval=0.5)))
     return traj, worldlines(traj)
+
+
+def read_back(table: RowTable) -> np.ndarray:
+    """The rows of a table, read back from its CSV text."""
+    text = "".join(table.blocks())
+    return np.array([[float(x) for x in line.split(",")] for line in text.splitlines()])
 
 
 def test_column_contract():
@@ -64,12 +74,12 @@ def test_format_float_17_digits():
 def test_rows_shape_and_alignment(run):
     traj, ws = run
     rows = trajectory_rows(traj, ws)
-    assert len(rows) == len(traj.samples)
-    for row, s in zip(rows, traj.samples):
+    assert rows.n == len(traj.samples) and rows.ncols == 25
+    for row, s in zip(read_back(rows), traj.samples):
         assert len(row) == 25
         assert row[0] == s.state.lambda_
         assert row[1] == s.T
-        assert row[4:7] == tuple(s.state.ztil)
+        assert tuple(row[4:7]) == tuple(s.state.ztil)
         assert row[24] == s.dTdlambda
         assert not any(math.isnan(v) for v in row)
 
@@ -82,9 +92,32 @@ def test_rows_consistency_checks(run):
             IntegratorOptions(sample_interval=1.0)))))
 
 
+def test_rows_belong_to_their_trajectory(run):
+    # a set from another trajectory is refused even on the same sample grid
+    traj, ws = run
+    other = synchronize(integrate(
+        ReducedState(0.0, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.4, 0.0])),
+        traj.shell, traj.model, 6.0, IntegratorOptions(sample_interval=0.5)))
+    assert np.array_equal(other.lam, traj.lam)
+    with pytest.raises(ValueError, match="another trajectory"):
+        trajectory_rows(other, ws)
+    with pytest.raises(ValueError, match="another trajectory"):
+        json_payload(traj, worldlines(other))
+    # the set holds one table for both writers; a boosted set gets its own
+    rows = trajectory_rows(traj, ws)
+    assert trajectory_rows(traj, ws) is rows and json_payload(traj, ws)["rows"] is rows
+    M = traj.shell.M
+    lab = export_lab_frame(ws, FourVector(1.25 * M, 0.75 * M, 0.0, 0.0))
+    assert rows.rows is None  # the floats go once the text is formatted
+    lab_rows = trajectory_rows(traj, lab)
+    assert lab_rows is not rows
+    assert np.array_equal(read_back(lab_rows)[:, 10:22], np.hstack((lab.x1, lab.x2, lab.Xi)))
+    assert np.array_equal(read_back(lab_rows)[:, :10], read_back(rows)[:, :10])
+
+
 def test_flagged_rows_blank_positions(flagged_run):
     traj, ws = flagged_run
-    rows = trajectory_rows(traj, ws)
+    rows = read_back(trajectory_rows(traj, ws))
     n_flagged = sum(1 for s in traj.samples if s.flagged)
     assert n_flagged > 0
     for row, s in zip(rows, traj.samples):
@@ -155,9 +188,9 @@ def test_csv_deterministic(run, tmp_path):
     assert b1 == b2
     lines = b1.decode().splitlines()
     assert lines[0] == ",".join(COLUMNS)
-    assert len(lines) == len(rows) + 1
+    assert len(lines) == rows.n + 1
     # every value parses back to the exact float
-    for line, row in zip(lines[1:], rows):
+    for line, row in zip(lines[1:], read_back(trajectory_rows(*run))):
         parts = line.split(",")
         assert len(parts) == 25
         for text, val in zip(parts, row):
@@ -180,7 +213,8 @@ def test_json_payload(run):
     assert payload["model"] == {"kind": "harmonic", "chi": 0.125}
     assert payload["frame"] == [traj.shell.M, 0.0, 0.0, 0.0]
     assert payload["columns"] == list(COLUMNS)
-    assert len(payload["rows"]) == len(traj.samples)
+    assert payload["rows"] is trajectory_rows(traj, ws)
+    assert payload["rows"].n == len(traj.samples)
     assert payload["exit"] == 0
     assert payload["diagnostics"]["monotone"] is True
 
@@ -238,7 +272,7 @@ def test_N_takes_one_model_evaluation_per_sample():
 
 def test_rows_are_the_columns(run):
     traj, ws = run
-    rows = np.array(trajectory_rows(traj, ws))
+    rows = read_back(trajectory_rows(traj, ws))
     N, L2 = traj.first_integrals
     for i, col in enumerate((traj.lam, traj.T, traj.tau1, traj.tau2)):
         assert np.array_equal(rows[:, i], col)
@@ -251,12 +285,14 @@ def test_rows_are_the_columns(run):
         assert (N[i], L2[i]) == (noether_N(q, traj.model.evaluate(q).value), q.L2)
 
 
-# tables of the values a row can hold: nan, signed zeros, subnormals, the
-# ends of the float range, numpy float64 scalars and plain floats
-EDGE = [math.nan, 0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308,
-        0.1, 1.0 / 3.0, -2.0]
+# tables of the values a row can hold: nan, signed zeros, integral values up
+# to and past 1e17 (where "%.17g" turns to an exponent), subnormals, the ends
+# of the float range, numpy float64 scalars and plain floats
+EDGE = [math.nan, 0.0, -0.0, 3.0, -7.0, 1e16, 9.9e16, 1e17, -1e17, 5e-324, -2.5e-310,
+        2.2250738585072009e-308, 1e308, -1e308, 1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.0]
 values = st.one_of(st.floats(allow_infinity=False), st.sampled_from(EDGE),
-                   st.floats(allow_infinity=False).map(np.float64))
+                   st.floats(allow_infinity=False).map(np.float64),
+                   st.sampled_from(EDGE).map(np.float64))
 
 
 def tables(ncols):
@@ -278,6 +314,27 @@ def json_reference(path, payload):
         fh.write("\n")
 
 
+def bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+def assert_decodes_like_json_dump(path, payload, rows):
+    """The file at path decodes to what json.dump(_json_clean(payload),
+    indent=1) decodes to, with rows as the payload's table, value by value:
+    every cell of rows is a float bit-equal to its input, or None for nan."""
+    want = json.loads(json.dumps(_json_clean({**payload, "rows": rows}), indent=1,
+                                 allow_nan=False))
+    got = json.loads(path.read_text())
+    assert got == want
+    # reprs tell ints from floats and -0.0 from 0.0, which == does not
+    assert json.dumps(got) == json.dumps(want)
+    assert len(got["rows"]) == len(rows)
+    for got_row, row in zip(got["rows"], rows):
+        assert len(got_row) == len(row)
+        for g, x in zip(got_row, row):
+            assert g is None if math.isnan(x) else type(g) is float and bits(g) == bits(x)
+
+
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), tables(n))))
 def test_write_csv_is_the_per_value_format(tmp_path_factory, table):
     ncols, rows = table
@@ -286,11 +343,17 @@ def test_write_csv_is_the_per_value_format(tmp_path_factory, table):
     write_csv(d / "got.csv", rows, columns)
     csv_reference(d / "want.csv", rows, columns)
     assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+    # an open text file takes the same text
+    buf = io.StringIO()
+    write_csv(buf, rows, columns)
+    assert buf.getvalue() == (d / "want.csv").read_bytes().decode()
 
 
-@given(st.integers(0, 5).flatmap(tables))
-def test_write_json_is_json_dump(tmp_path_factory, rows):
-    # the rows entry sits among other keys, nested ones included
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(st.just(n), tables(n))))
+def test_write_json_is_json_dump(tmp_path_factory, table):
+    # the rows entry sits among other keys, nested ones included; a plain
+    # list goes through json as it is, a RowTable decodes to the same values
+    ncols, rows = table
     payload = {"schema": 1, "shell": {"M": 1.5, "lambda": math.nan, "rows": [1.0, math.nan]},
                "columns": ("a", "b"), "rows": [tuple(r) for r in rows],
                "diagnostics": {"N_drift": np.float64(1e-12), "n": np.int64(3)}}
@@ -298,14 +361,69 @@ def test_write_json_is_json_dump(tmp_path_factory, rows):
     write_json(d / "got.json", payload)
     json_reference(d / "want.json", payload)
     assert (d / "got.json").read_bytes() == (d / "want.json").read_bytes()
+    write_json(d / "table.json", {**payload, "rows": RowTable(rows, ncols)})
+    assert_decodes_like_json_dump(d / "table.json", payload, rows)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), tables(n).filter(len))))
+def test_array_tables_write_like_lists(tmp_path_factory, table):
+    # an array is formatted in one "%" per block, a list of rows row by row;
+    # both give the same text
+    ncols, rows = table
+    d = tmp_path_factory.mktemp("json")
+    write_json(d / "list.json", {"rows": RowTable(rows, ncols)})
+    write_json(d / "array.json", {"rows": RowTable(np.array(rows, dtype=float), ncols)})
+    assert (d / "array.json").read_bytes() == (d / "list.json").read_bytes()
+
+
+@pytest.mark.parametrize("x", EDGE)
+def test_each_value_alone_in_an_array_table(tmp_path, x):
+    # x first, inside, last and alone in its row, one table each
+    for rows in ([[x, 0.5, 0.5]], [[0.5, x, 0.5]], [[0.5, 0.5, x]], [[x]]):
+        write_json(tmp_path / "got.json", {"rows": RowTable(np.array(rows), len(rows[0]))})
+        assert_decodes_like_json_dump(tmp_path / "got.json", {}, rows)
 
 
 @pytest.mark.parametrize("rows", [[], [[]], [[1.0], []]])
 def test_write_json_empty_tables(tmp_path, rows):
+    # plain lists, ragged ones included, go through json as they are
     payload = {"rows": rows, "tail": [1, 2]}
     write_json(tmp_path / "got.json", payload)
     json_reference(tmp_path / "want.json", payload)
     assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [[], [[]], [[], []]])
+def test_write_json_empty_row_tables(tmp_path, rows):
+    payload = {"rows": RowTable(rows, 0), "tail": [1, 2]}
+    write_json(tmp_path / "got.json", payload)
+    assert_decodes_like_json_dump(tmp_path / "got.json", payload, rows)
+
+
+def test_write_json_layout(tmp_path):
+    # one row per line in the CSV's spelling, nan as null and ".0" on integral
+    # values; the rest of the payload laid out as json.dump(indent=1)
+    rows = [[0.0, -0.0, 0.1, 3.0], [math.nan, 1e17, -2.5e-310, 9.9e16]]
+    write_json(tmp_path / "got.json", {"schema": 1, "rows": RowTable(rows, 4), "tail": {"x": 1.5}})
+    assert (tmp_path / "got.json").read_text() == (
+        '{\n "schema": 1,\n "rows": [\n'
+        '  [0.0,-0.0,0.10000000000000001,3.0],\n'
+        '  [null,1e+17,-2.5000000000000171e-310,99000000000000000.0]\n'
+        ' ],\n "tail": {\n  "x": 1.5\n }\n}\n')
+
+
+def test_ragged_rows_are_refused_before_writing(tmp_path):
+    # a row table is rectangular: "%" refuses a row of another length before
+    # the file opens, so a file already at the path stays as it was
+    path = tmp_path / "out"
+    path.write_text("before\n")
+    with pytest.raises(TypeError):
+        write_json(path, {"schema": 1, "rows": RowTable([[1.0], []], 1)})
+    with pytest.raises(TypeError):
+        write_csv(path, [[1.0, 2.0], [3.0]], ["a", "b"])
+    with pytest.raises(ValueError, match="columns"):
+        write_csv(path, RowTable(np.zeros((2, 3)), 3), ["a", "b"])
+    assert path.read_text() == "before\n"
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, np.float64(math.inf)])
@@ -318,13 +436,23 @@ def test_inf_is_refused_like_json(tmp_path, bad):
     assert str(got.value) == str(want.value)
 
 
+def test_refused_json_leaves_the_file_untouched(tmp_path):
+    # the rows are checked before the file opens, a list or a row table alike
+    path = tmp_path / "out.json"
+    path.write_text("before\n")
+    with pytest.raises(ValueError, match="not JSON compliant: inf"):
+        write_json(path, {"schema": 1, "rows": [(1.0, 2.0), (math.inf, 0.0)]})
+    with pytest.raises(ValueError, match="not JSON compliant: -inf"):
+        write_json(path, {"schema": 1, "rows": RowTable(np.array([[1.0, 2.0], [0.0, -math.inf]]), 2)})
+    assert path.read_text() == "before\n"
+
+
 def test_run_payloads_match_json_dump(run, flagged_run, tmp_path):
     for traj, ws in (run, flagged_run):
         payload = json_payload(traj, ws, extra={"scenario": {"rows": [1, 2]}, "exit": 0})
         write_json(tmp_path / "got.json", payload)
-        json_reference(tmp_path / "want.json", payload)
-        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
-        rows = trajectory_rows(traj, ws)
-        write_csv(tmp_path / "got.csv", rows)
+        rows = read_back(payload["rows"]).tolist()
+        assert_decodes_like_json_dump(tmp_path / "got.json", payload, rows)
+        write_csv(tmp_path / "got.csv", trajectory_rows(traj, ws))
         csv_reference(tmp_path / "want.csv", rows, COLUMNS)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
