@@ -44,6 +44,10 @@ __all__ = [
 # radii scanned for the first sign change of the equilibrium residual
 _RADII = tuple(np.logspace(-6.0, 6.0, 241).tolist())
 
+# bounds of the reports' ok(): relative variation of a scalar or rate; closure
+# of zeta and eta and error of the T advance; residual of T from a line
+CONSTANCY_BOUND, CLOSURE_BOUND, LINEAR_BOUND = 1e-9, 1e-8, 1e-10
+
 
 @dataclass(frozen=True)
 class CircularOrbit:
@@ -114,8 +118,8 @@ class ConstancyReport:
     variations: dict
     max_variation: float
 
-    def ok(self, bound: float = 1e-9) -> bool:
-        return self.max_variation <= bound
+    def ok(self) -> bool:
+        return self.max_variation <= CONSTANCY_BOUND
 
 
 _QUANTITIES = ("P2", "ztil2", "ytil2", "zy", "w", "F", "G")
@@ -159,10 +163,10 @@ class PeriodicityReport:
     T_advance_error: float
     linear_residual: float
 
-    def ok(self, closure: float = 1e-8, linear: float = 1e-10) -> bool:
-        return (self.closure_ztil <= closure and self.closure_ytil <= closure
-                and self.T_advance_error <= closure
-                and self.linear_residual <= linear)
+    def ok(self) -> bool:
+        return (self.closure_ztil <= CLOSURE_BOUND and self.closure_ytil <= CLOSURE_BOUND
+                and self.T_advance_error <= CLOSURE_BOUND
+                and self.linear_residual <= LINEAR_BOUND)
 
 
 def verify_periodicity(orbit: CircularOrbit, model: PotentialSpec, shell: MassShell,

@@ -370,7 +370,7 @@ def _sweep_worker(path: str) -> tuple[str, int, str]:
     except PtbError as e:
         return path, _exit_code(e), _error_line(e)
     line = f"wrote {out_path} ({diag['n_samples']} samples)"
-    if diag.get("monotone") is False:
+    if not diag["monotone"]:
         line += f" [flagged: {diag['n_flagged']}]"
     return path, 0, line
 

@@ -28,7 +28,9 @@ import numpy as np
 
 from .errors import StepFailure
 
-__all__ = ["DenseOutput", "DopriResult", "solve_dopri5"]
+__all__ = ["MAX_STEPS", "DenseOutput", "DopriResult", "solve_dopri5"]
+
+MAX_STEPS = 10_000_000  # default budget of accepted plus rejected steps
 
 # Dormand-Prince 5(4) tableau as rows: nodes C, stage rows A ending with the
 # fifth-order weights (so the seventh stage is the derivative at the new
@@ -190,7 +192,7 @@ def solve_dopri5(
     max_step: float = math.inf,
     t_eval: Sequence[float] | None = None,
     on_step: Callable[[float, list[float], Sequence[float]], None] | None = None,
-    max_steps: int = 10_000_000,
+    max_steps: int = MAX_STEPS,
 ) -> DopriResult:
     """Integrate y' = f(t, y) from t_span[0] to t_span[1].
 

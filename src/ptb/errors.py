@@ -54,10 +54,6 @@ class NonMonotoneTime(PtbError):
     """Center-of-mass time is not strictly increasing along the trajectory."""
 
 
-class NotSynchronized(PtbError):
-    """Operation requires a synchronized trajectory."""
-
-
 class OutOfRange(PtbError):
     """Query point outside the sampled range."""
 

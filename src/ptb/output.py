@@ -95,7 +95,7 @@ def diagnostics(traj: Trajectory) -> dict:
     N, L2 = traj.first_integrals
     N_scale = max(abs(float(N[0])), 1e-300)
     L2_scale = max(abs(float(L2[0])), 1e-300)
-    diag = {
+    return {
         "n_samples": len(traj.lam),
         "n_accepted": traj.n_accepted,
         "n_rejected": traj.n_rejected,
@@ -109,16 +109,12 @@ def diagnostics(traj: Trajectory) -> dict:
         "N_plus_lambda": float(np.abs(N + shell.lambda_).max()) / max(N_scale, abs(shell.lambda_)),
         "planarity_residual": _planarity(traj),
         "monotonicity_margin": shell.M2 / 4.0 - shell.nu ** 2 / shell.M2 - 0.5 * shell.lambda_,
-        "synchronized": traj.synchronized,
+        "synchronized": True,
+        "T_span": [float(traj.T[0]), float(traj.T[-1])],
+        "min_dT_dlambda": float(np.min(traj.dTdlambda)),
+        "monotone": traj.monotone,
+        "n_flagged": int(np.count_nonzero(traj.flagged)),
     }
-    if traj.synchronized:
-        diag.update({
-            "T_span": [float(traj.T[0]), float(traj.T[-1])],
-            "min_dT_dlambda": float(np.min(traj.dTdlambda)),
-            "monotone": bool(traj.monotone),
-            "n_flagged": int(np.count_nonzero(traj.flagged)),
-        })
-    return diag
 
 
 def _planarity(traj: Trajectory) -> float:
@@ -164,8 +160,8 @@ def _json_clean(x):
         return {k: _json_clean(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_json_clean(v) for v in x]
-    if isinstance(x, (np.floating, np.integer)):
-        return _json_clean(float(x))
+    if isinstance(x, np.generic):
+        return _json_clean(x.item())
     return x
 
 
@@ -191,8 +187,8 @@ def json_payload(traj: Trajectory, ws: WorldlineSet,
 
 def write_json(path, payload: dict) -> None:
     """Write payload as strict JSON, laid out as json.dump(indent=1) lays it
-    out: nan becomes null, tuples become arrays and numpy scalars plain
-    numbers, and inf is refused with json's ValueError.
+    out: nan becomes null, tuples become arrays and numpy scalars the int,
+    float or bool they hold, and inf is refused with json's ValueError.
 
     A RowTable under "rows" is written one row per line in the CSV's
     spelling, with nan as null and ".0" on integral values, so that every

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .dopri import DenseOutput, solve_dopri5
-from .errors import NonMonotoneTime, NotSynchronized, OutOfRange
+from .dopri import MAX_STEPS, DenseOutput, solve_dopri5
+from .errors import NonMonotoneTime, OutOfRange, StepFailure
 from .kinematics import ScalarQuintet, noether_N
 from .mass_shell import MassShell
 from .potentials import PotentialSpec, _KernelModel
@@ -84,11 +84,11 @@ class TrajectorySample:
     state: ReducedState
     F: float
     G: float
-    tau1: float = math.nan
-    tau2: float = math.nan
-    T: float = math.nan
-    dTdlambda: float = math.nan
-    flagged: bool = False
+    tau1: float
+    tau2: float
+    T: float
+    dTdlambda: float
+    flagged: bool
 
 
 class _SampleView(Sequence):
@@ -99,33 +99,31 @@ class _SampleView(Sequence):
     def __init__(self, traj: "Trajectory"):
         # the columns, not the trajectory: a reference cycle would keep every
         # finished run in memory until the next full garbage collection
-        self._lam, self._u, self._F, self._G = traj.lam, traj.u, traj.F, traj.G
-        self._clock = (traj.tau1, traj.tau2, traj.T, traj.dTdlambda) \
-            if traj.synchronized else None
+        self._cols = traj.lam, traj.u, traj.F, traj.G, traj.shell
 
     def __len__(self) -> int:
-        return len(self._lam)
+        return len(self._cols[0])
 
     def __getitem__(self, i):
         return self._rows[i]
 
     @cached_property
     def _rows(self) -> tuple[TrajectorySample, ...]:
-        synced = self._clock is not None
-        clock = self._clock if synced else (np.full(len(self._lam), math.nan),) * 4
+        lam, u, F, G, _ = self._cols
+        clock = _clock_columns(*self._cols)[:4]
         return tuple(
             TrajectorySample(ReducedState(lam, u[0:3].copy(), u[3:6].copy(), float(u[6]),
-                                          float(u[7])), F, G, *c,
-                             flagged=synced and not (c[3] > 0.0))
-            for lam, u, F, G, *c in zip(self._lam.tolist(), self._u, self._F.tolist(),
-                                        self._G.tolist(), *(c.tolist() for c in clock)))
+                                          float(u[7])), F, G, *c, flagged=not (c[3] > 0.0))
+            for lam, u, F, G, *c in zip(lam.tolist(), u, F.tolist(), G.tolist(),
+                                        *(c.tolist() for c in clock)))
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """A reduced run as columns over its n samples: lam (n), the state
     u = (zeta, eta, intF, intG) (n, 8) and the quadrature rates F, G (n).
-    synchronize adds tau1, tau2, T and the clock rate dTdlambda (n each).
+    The clock, tau1, tau2, T, its rate dTdlambda, flagged (n each) and
+    monotone, is built from them on first read: a replace gets its own.
     dense is the solver's interpolant over every accepted step; h_min,
     h_max and n_landed are its step-size range and the steps it cut short
     to land on a sample or on the end of the span.
@@ -148,18 +146,20 @@ class Trajectory:
     h_max: float
     n_landed: int
     opts: IntegratorOptions
-    tau1: Optional[np.ndarray] = None
-    tau2: Optional[np.ndarray] = None
-    T: Optional[np.ndarray] = None
-    dTdlambda: Optional[np.ndarray] = None
-    synchronized: bool = False
-    monotone: Optional[bool] = None
     samples: Sequence[TrajectorySample] = field(default=None, repr=False)
 
     def __post_init__(self):
         # a view carried over by dataclasses.replace belongs to the old columns
         if not isinstance(self.samples, tuple):
             object.__setattr__(self, "samples", _SampleView(self))
+
+    _clock = cached_property(lambda t: _clock_columns(t.lam, t.u, t.F, t.G, t.shell))
+    tau1 = property(lambda t: t._clock[0])
+    tau2 = property(lambda t: t._clock[1])
+    T = property(lambda t: t._clock[2])
+    dTdlambda = property(lambda t: t._clock[3])
+    monotone = property(lambda t: t._clock[4], doc="T rises at a positive rate throughout.")
+    flagged = property(lambda t: ~(t._clock[3] > 0.0), doc="Samples with a non-positive rate.")
 
     @property
     def ztil(self) -> np.ndarray:
@@ -168,11 +168,6 @@ class Trajectory:
     @property
     def ytil(self) -> np.ndarray:
         return self.u[:, 3:6]
-
-    @property
-    def flagged(self) -> np.ndarray:
-        """Samples with a non-positive clock rate."""
-        return ~(self.dTdlambda > 0.0)
 
     @property
     def lambda_span(self) -> tuple[float, float]:
@@ -259,13 +254,14 @@ def _sample_grid(span: float, interval: Optional[float]) -> Optional[np.ndarray]
         return None
     if not (interval > 0.0):
         raise ValueError(f"sample_interval must be positive, got {interval!r}")
-    n = int(math.floor(span / interval + 1e-9))
-    grid = [i * interval for i in range(n + 1)]
-    if span - grid[-1] > 1e-12 * span:
-        grid.append(span)
-    else:
-        grid[-1] = span
-    return np.array(grid)
+    n = span / interval + 1e-9
+    # each point past lambda = 0 ends an accepted step of its own
+    if not (n < MAX_STEPS + 1):
+        raise StepFailure(f"a sample grid of {n + 1:.4g} points needs more accepted "
+                          f"steps than the step budget of {MAX_STEPS}")
+    grid = np.arange(math.floor(n) + 1) * interval
+    # span ends the grid, in place of a last point within rounding of it
+    return np.append(grid[:-1] if span - grid[-1] <= 1e-12 * span else grid, span)
 
 
 def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
@@ -275,13 +271,15 @@ def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
     The quadratures are co-integrated, so they share the step-error control
     of the vector part; the F and G of each sample are the solver's
     derivative at that sample.  In strict mode the run aborts as soon as the
-    clock rate dT/dlambda fails to be positive at an accepted step.
+    clock rate dT/dlambda fails to be positive at an accepted step, and
+    synchronize checks the samples it returns.
     """
     if not (span > 0.0):
         raise ValueError(f"span must be positive, got {span!r}")
-    lam0 = initial.lambda_
-    if lam0 != 0.0:
-        raise ValueError("integration starts at lambda = 0 by convention")
+    start = (initial.lambda_, initial.intF, initial.intG)
+    if start != (0.0, 0.0, 0.0):
+        raise ValueError("integration starts at lambda = 0 with both quadratures at 0, "
+                         f"got (lambda, intF, intG) = {start!r}")
 
     last_lam = 0.0
 
@@ -299,12 +297,12 @@ def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
                        max_step=opts.max_step, t_eval=_sample_grid(span, opts.sample_interval),
                        on_step=strict_clock if opts.strict_time else None)
 
-    return Trajectory(
+    return synchronize(Trajectory(
         shell=shell, model=model, lam=sol.t, u=sol.y, F=sol.dy[:, 6], G=sol.dy[:, 7],
         dense=sol.dense, n_accepted=sol.n_accepted, n_rejected=sol.n_rejected,
         n_rhs=sol.n_rhs, h_min=sol.h_min, h_max=sol.h_max, n_landed=sol.n_landed,
         opts=opts,
-    )
+    ))
 
 
 def equal_time_clock(lam, intF, intG, shell: MassShell):
@@ -320,24 +318,17 @@ def equal_time_clock(lam, intF, intG, shell: MassShell):
     return 0.5 * (lam + delta), 0.5 * (lam - delta), QdotP, QdotP / M
 
 
+def _clock_columns(lam, u, F, G, shell: MassShell) -> tuple:
+    """tau1, tau2, T and the clock rate over the columns of a run, and
+    whether T rises at a positive rate throughout."""
+    tau1, tau2, _, T = equal_time_clock(lam, u[:, 6], u[:, 7], shell)
+    rate = dT_dlambda(F, G, shell)
+    return tau1, tau2, T, rate, bool(np.all(rate > 0.0) and np.all(np.diff(T) > 0.0))
+
+
 def synchronize(traj: Trajectory) -> Trajectory:
-    """Fill the tau1, tau2, T and clock-rate columns.
-
-    Returns a new trajectory; the monotone flag records whether T is
-    strictly increasing with a positive rate throughout.  Strict-mode
-    trajectories raise NonMonotoneTime instead of carrying flags.
-    """
-    if traj.synchronized:
-        return traj
-    tau1, tau2, _, T = equal_time_clock(traj.lam, traj.u[:, 6], traj.u[:, 7], traj.shell)
-    rate = dT_dlambda(traj.F, traj.G, traj.shell)
-    monotone = bool(np.all(rate > 0.0) and np.all(np.diff(T) > 0.0))
-    if traj.opts.strict_time and not monotone:
-        raise NonMonotoneTime(f"min dT/dlambda = {float(rate.min())!r} (strict mode)")
-    return replace(traj, tau1=tau1, tau2=tau2, T=T, dTdlambda=rate, synchronized=True,
-                   monotone=monotone, samples=None)
-
-
-def require_synchronized(traj: Trajectory) -> None:
-    if not traj.synchronized:
-        raise NotSynchronized("call synchronize(trajectory) first")
+    """traj itself, unless it is strict and T does not rise at a positive
+    rate throughout: then NonMonotoneTime."""
+    if traj.opts.strict_time and not traj.monotone:
+        raise NonMonotoneTime(f"min dT/dlambda = {float(traj.dTdlambda.min())!r} (strict mode)")
+    return traj

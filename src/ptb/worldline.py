@@ -21,8 +21,7 @@ import numpy as np
 from . import reduced
 from .errors import FrameMismatch, NoRoot, NonMonotoneTime, OutOfRange
 from .minkowski import FourVector, boost_from_rest, lorentz_dot
-from .reduced import (Trajectory, dT_dlambda, equal_time_clock, require_synchronized,
-                      synchronize)
+from .reduced import Trajectory, dT_dlambda, equal_time_clock, synchronize
 
 __all__ = [
     "WorldlineSet",
@@ -56,7 +55,6 @@ class WorldlineSet:
 def worldlines(traj: Trajectory, Xi0: Sequence[float] = (0.0, 0.0, 0.0)) -> WorldlineSet:
     """Emit the two world lines and the center-of-energy line in the rest
     frame, anchored at Xi(T = 0) = (0, Xi0)."""
-    require_synchronized(traj)
     shell = traj.shell
     anchor = np.asarray(Xi0, dtype=float)
     if anchor.shape != (3,):
@@ -82,8 +80,7 @@ def lambda_from_T(traj: Trajectory, T_query):
     not straddle its query, a nan clock, or a query still open at the
     iteration cap raises NoRoot naming that query.
     """
-    require_synchronized(traj)
-    if traj.monotone is False:
+    if not traj.monotone:
         raise NonMonotoneTime("T(lambda) is not invertible on a flagged trajectory")
     Ts, lams = traj.T, traj.lam
     shape = np.shape(T_query)
@@ -152,9 +149,6 @@ def resample_uniform_T(traj: Trajectory, n: Optional[int] = None) -> Trajectory:
     queries as the original; sample lambdas become non-uniform.  The two
     end samples are kept exactly.
     """
-    require_synchronized(traj)
-    if traj.monotone is False:
-        raise NonMonotoneTime("cannot resample a non-monotone trajectory in T")
     if n is None:
         n = len(traj.lam)
     if n < 2:
@@ -163,8 +157,7 @@ def resample_uniform_T(traj: Trajectory, n: Optional[int] = None) -> Trajectory:
     lam = np.concatenate((traj.lam[:1], inner, traj.lam[-1:]))
     u = np.vstack((traj.u[0], traj.dense(inner), traj.u[-1]))
     du = np.array(list(map(reduced.rhs_for(traj.shell, traj.model), lam.tolist(), u.tolist())))
-    return synchronize(replace(traj, lam=lam, u=u, F=du[:, 6], G=du[:, 7], synchronized=False,
-                               samples=None))
+    return synchronize(replace(traj, lam=lam, u=u, F=du[:, 6], G=du[:, 7], samples=None))
 
 
 def export_lab_frame(ws: WorldlineSet, k: FourVector) -> WorldlineSet:

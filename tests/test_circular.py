@@ -15,7 +15,17 @@ from ptb.potentials import (
     PotentialEval,
     PotentialSpec,
 )
-from ptb.circular import CircularOrbit, find_circular, verify_periodicity, verify_constancy
+from ptb.circular import (
+    CLOSURE_BOUND,
+    CONSTANCY_BOUND,
+    LINEAR_BOUND,
+    CircularOrbit,
+    ConstancyReport,
+    PeriodicityReport,
+    find_circular,
+    verify_constancy,
+    verify_periodicity,
+)
 from ptb.reduced import dT_dlambda
 from ptb.roots import first_root
 
@@ -180,16 +190,27 @@ def test_initial_state_lies_on_orbit(shell):
 def test_scalars_stay_constant_over_period(shell):
     orbit = find_circular(HarmonicPotential(0.125), shell, 2.0)
     report = verify_constancy(orbit, HarmonicPotential(0.125), shell)
-    assert report.ok(1e-9)
+    assert report.ok()
     assert set(report.variations) == {"P2", "ztil2", "ytil2", "zy", "w", "F", "G"}
     assert report.max_variation == max(report.variations.values())
+
+
+def test_report_bounds_are_inclusive():
+    assert (CONSTANCY_BOUND, CLOSURE_BOUND, LINEAR_BOUND) == (1e-9, 1e-8, 1e-10)
+    assert ConstancyReport({}, CONSTANCY_BOUND).ok()
+    assert not ConstancyReport({}, math.nextafter(CONSTANCY_BOUND, 1.0)).ok()
+    edge = PeriodicityReport(CLOSURE_BOUND, CLOSURE_BOUND, CLOSURE_BOUND, LINEAR_BOUND)
+    assert edge.ok()
+    for field in ("closure_ztil", "closure_ytil", "T_advance_error", "linear_residual"):
+        over = math.nextafter(getattr(edge, field), 1.0)
+        assert not dataclasses.replace(edge, **{field: over}).ok()
 
 
 def test_orbit_closes_and_clock_is_linear(shell):
     model = CentralPowerPotential(-1.0, 1)
     orbit = find_circular(model, shell, 1.0)
     report = verify_periodicity(orbit, model, shell)
-    assert report.ok(closure=1e-8, linear=1e-10)
+    assert report.ok()
     assert report.closure_ztil < 1e-9
     assert report.T_advance_error < 1e-9
 
@@ -205,4 +226,4 @@ def test_unequal_masses_nonzero_G_quadrature():
     assert orbit.G != 0.0
     assert orbit.F == 0.0
     report = verify_periodicity(orbit, model, sh)
-    assert report.ok(closure=1e-8, linear=1e-10)
+    assert report.ok()

@@ -338,6 +338,22 @@ def test_near_collision_is_a_run_failure(tmp_path):
     assert "n = 3" in r.stderr
 
 
+@pytest.mark.parametrize("argv, points", [
+    (["simulate", "--sample-interval", "1e-12"], "6e+12"),
+    (["circular", "--potential", "harmonic", "--chi", "0.125", "--l2", "1", "--M", "4",
+      "--samples", "1000000000000"], "1e+12"),
+], ids=["simulate", "circular"])
+def test_a_sample_grid_beyond_the_step_budget_is_a_run_failure(tmp_path, capsys, argv, points):
+    # refused before the grid is built: each point would end a step of its own
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    argv = argv + ["--config", str(cfg_path)] if argv[0] == "simulate" else argv
+    assert run_main(capsys, *argv) == (
+        4, f"StepFailure: a sample grid of {points} points needs more accepted steps than "
+           "the step budget of 10000000\n")
+    assert not (tmp_path / "out.csv").exists()
+
+
 def run_main(capsys, *args):
     """(exit code, stderr) of the CLI run in this process."""
     code = main(list(args))

@@ -412,6 +412,15 @@ def test_write_json_layout(tmp_path):
         ' ],\n "tail": {\n  "x": 1.5\n }\n}\n')
 
 
+def test_numpy_scalars_round_trip_as_their_python_values(tmp_path):
+    payload = {"n": np.int64(3), "ok": np.bool_(True), "no": [np.bool_(False)],
+               "x": np.float32(0.5), "gap": np.float64(math.nan), "rows": RowTable([[1.0]], 1)}
+    write_json(tmp_path / "got.json", payload)
+    back = json.loads((tmp_path / "got.json").read_text())
+    assert back == {"n": 3, "ok": True, "no": [False], "x": 0.5, "gap": None, "rows": [[1.0]]}
+    assert type(back["n"]) is int and type(back["ok"]) is bool
+
+
 def test_ragged_rows_are_refused_before_writing(tmp_path):
     # a row table is rectangular: "%" refuses a row of another length before
     # the file opens, so a file already at the path stays as it was

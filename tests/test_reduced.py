@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import ptb.reduced
-from ptb.errors import BadParameter, DomainError, NonMonotoneTime, NotSynchronized, OutOfRange
+from ptb.dopri import MAX_STEPS
+from ptb.errors import BadParameter, DomainError, NonMonotoneTime, OutOfRange, StepFailure
 from ptb.kinematics import noether_N
 from ptb.mass_shell import mass_shell_from_lambda
 from ptb.potentials import (
@@ -24,7 +25,6 @@ from ptb.reduced import (
     dT_dlambda,
     equal_time_clock,
     integrate,
-    require_synchronized,
     rest_quintet,
     rhs,
     rhs_for,
@@ -267,6 +267,43 @@ def test_strict_time_aborts_on_nonmonotone():
     assert "at lambda = " in msg and "after a step of h = " in msg
 
 
+def test_strict_integrate_checks_its_own_samples(monkeypatch):
+    # with the per-step watch switched off, the samples that integrate
+    # returns still go through the strict check: no caller can skip it
+    shell = mass_shell_from_lambda(1.0, 1.0, 0.01)
+    big = ReducedState(0.0, np.array([0.0, 8.0, 0.0]), np.array([0.5, 0.0, 0.0]))
+    solve = ptb.reduced.solve_dopri5
+    monkeypatch.setattr(ptb.reduced, "solve_dopri5",
+                        lambda *a, on_step, **kw: solve(*a, on_step=None, **kw))
+    with pytest.raises(NonMonotoneTime, match=r"min dT/dlambda = -.* \(strict mode\)"):
+        integrate(big, shell, HarmonicPotential(1.0), 5.0,
+                  IntegratorOptions(strict_time=True, sample_interval=0.5))
+    relaxed = integrate(big, shell, HarmonicPotential(1.0), 5.0,
+                        IntegratorOptions(sample_interval=0.5))
+    assert relaxed.monotone is False
+
+
+def test_replaced_columns_get_a_fresh_clock():
+    p, shell = toy_setup()
+    traj = integrate(state0(p), shell, HarmonicPotential(p.chi), 5.0,
+                     IntegratorOptions(sample_interval=0.5))
+    clock = (traj.tau1, traj.tau2, traj.T, traj.dTdlambda)
+    u = traj.u.copy()
+    u[:, 6] += 1.0  # intF shifted by 1: T by 1/M, tau1 and tau2 unchanged
+    F = traj.F.copy()
+    F[3] = -1e3  # one sample with a negative clock rate
+    moved = replace(traj, u=u, F=F)
+    # the original keeps the columns it built on first read
+    assert all(a is b for a, b in zip((traj.tau1, traj.tau2, traj.T, traj.dTdlambda), clock))
+    assert np.array_equal(moved.tau1, traj.tau1) and np.array_equal(moved.tau2, traj.tau2)
+    assert np.array_equal(moved.T, equal_time_clock(traj.lam, u[:, 6], u[:, 7], shell)[3])
+    assert np.allclose(moved.T - traj.T, 1.0 / shell.M, rtol=0.0, atol=1e-12)
+    assert np.array_equal(moved.dTdlambda, dT_dlambda(F, traj.G, shell))
+    assert traj.monotone is True and moved.monotone is False
+    assert list(np.flatnonzero(moved.flagged)) == [3]
+    assert moved.samples[3].flagged and moved.samples[3].T == moved.T[3]
+
+
 def test_relaxed_mode_flags_instead():
     shell = mass_shell_from_lambda(1.0, 1.0, 0.01)
     big = ReducedState(0.0, np.array([0.0, 8.0, 0.0]), np.array([0.5, 0.0, 0.0]))
@@ -297,6 +334,52 @@ def test_integration_preconditions():
                   IntegratorOptions(sample_interval=-1.0))
 
 
+@pytest.mark.parametrize("intF, intG", [(5.0, 2.0), (5.0, 0.0), (0.0, -2.0), (math.nan, 0.0)])
+def test_quadratures_must_start_at_zero(intF, intG):
+    # the clock takes both quadratures to vanish at lambda = 0; a shifted
+    # start would give T(0) = 2.5 and tau1(0) = -0.5 for (5, 2) here
+    shell = mass_shell_from_lambda(1.0, 1.0, 0.0)
+    st = ReducedState(0.0, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), intF=intF, intG=intG)
+    with pytest.raises(ValueError, match="both quadratures at 0"):
+        integrate(st, shell, FreePotential(), 1.0)
+
+
+def grid_of(span, interval):
+    """The sample grid integrate hands to the solver, or the error it raises."""
+    shell = mass_shell_from_lambda(1.0, 1.0, 0.0)
+    st = ReducedState(0.0, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
+    seen = []
+
+    def solve(f, span, y0, *, t_eval, **kwargs):
+        seen.append(t_eval)
+        raise StepFailure("the solver ran")
+
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ptb.reduced, "solve_dopri5", solve)
+            integrate(st, shell, FreePotential(), span, IntegratorOptions(sample_interval=interval))
+    except StepFailure as e:
+        return seen[0] if seen else str(e)
+
+
+@pytest.mark.parametrize("span, interval", [(1.0, 1e-12), (1e3, 1e-9), (1.0, 5e-324)])
+def test_a_sample_grid_beyond_the_step_budget_is_refused(span, interval):
+    # every grid point past lambda = 0 ends an accepted step, so a grid of
+    # 1e12 points could never finish; it is refused before it is built
+    msg = grid_of(span, interval)
+    assert msg.startswith("a sample grid of ")
+    assert msg.endswith(f"points needs more accepted steps than the step budget of {MAX_STEPS}")
+
+
+def test_the_grid_bound_is_the_step_budget(monkeypatch):
+    monkeypatch.setattr(ptb.reduced, "MAX_STEPS", 10)
+    assert grid_of(1.0, 0.1).tolist() == [i * 0.1 for i in range(10)] + [1.0]
+    assert grid_of(1.0, 0.099).tolist() == [i * 0.099 for i in range(11)] + [1.0]
+    assert grid_of(1.0, 0.09) == ("a sample grid of 12.11 points needs more accepted steps "
+                                  "than the step budget of 10")
+    assert ptb.dopri.solve_dopri5.__kwdefaults__["max_steps"] == MAX_STEPS == 10_000_000
+
+
 def test_sample_grid_includes_both_ends():
     shell = mass_shell_from_lambda(1.0, 1.0, 0.0)
     st = ReducedState(0.0, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
@@ -310,18 +393,6 @@ def test_sample_grid_includes_both_ends():
     traj2 = integrate(st, shell, FreePotential(), 1.0,
                       IntegratorOptions(sample_interval=5.0))
     assert [s.state.lambda_ for s in traj2.samples] == [0.0, 1.0]
-
-
-def test_require_synchronized():
-    shell = mass_shell_from_lambda(1.0, 1.0, 0.0)
-    st = ReducedState(0.0, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
-    traj = integrate(st, shell, FreePotential(), 1.0)
-    with pytest.raises(NotSynchronized):
-        require_synchronized(traj)
-    require_synchronized(synchronize(traj))
-    # synchronize is idempotent
-    sync = synchronize(traj)
-    assert synchronize(sync) is sync
 
 
 def _vector(s):
@@ -432,8 +503,9 @@ def test_samples_view_follows_the_columns():
     p, shell = toy_setup()
     traj = integrate(state0(p), shell, HarmonicPotential(p.chi), 5.0,
                      IntegratorOptions(sample_interval=0.5))
-    assert all(math.isnan(s.T) and not s.flagged for s in traj.samples)
+    # synchronize hands a trajectory back as it is, its clock included
     sync = synchronize(traj)
+    assert sync is traj and synchronize(sync) is sync
     assert len(sync.samples) == len(sync.lam) == 11
     for i, s in enumerate(sync.samples):
         assert s.state.lambda_ == sync.lam[i]
@@ -451,6 +523,7 @@ def test_samples_view_follows_the_columns():
     # a replaced trajectory gets a view of its own columns, unless given one
     shifted = replace(sync, lam=sync.lam + 1.0)
     assert shifted.samples[0].state.lambda_ == 1.0
+    assert shifted.samples[0].T == shifted.T[0] != sync.T[0]
     explicit = tuple(sync.samples)[:2]
     assert replace(sync, samples=explicit).samples is explicit
 

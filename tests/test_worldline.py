@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ptb.worldline
-from ptb.errors import FrameMismatch, NoRoot, NonMonotoneTime, NotSynchronized, OutOfRange
+from ptb.errors import FrameMismatch, NoRoot, NonMonotoneTime, OutOfRange
 from ptb.mass_shell import mass_shell_from_lambda
 from ptb.minkowski import FourVector, boost_from_rest, lorentz_dot
 from ptb.potentials import HarmonicPotential
@@ -42,12 +42,6 @@ def toy_traj():
                      HarmonicPotential(p.chi), 2.0 * p.period,
                      IntegratorOptions(tol=1e-11, sample_interval=p.period / 16.0))
     return synchronize(traj)
-
-
-def test_requires_synchronized_trajectory(toy_traj):
-    raw = replace(toy_traj, synchronized=False)
-    with pytest.raises(NotSynchronized):
-        worldlines(raw)
 
 
 def test_time_components_equal_T(toy_traj):
