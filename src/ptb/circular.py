@@ -37,6 +37,7 @@ __all__ = [
     "ConstancyReport",
     "PeriodicityReport",
     "find_circular",
+    "verify_circular",
     "verify_constancy",
     "verify_periodicity",
 ]
@@ -98,17 +99,11 @@ def find_circular(model: PotentialSpec, shell: MassShell, l2: float) -> Circular
     if abs(1.0 + 2.0 * ev.dytil2) <= 1e-12:
         raise DegenerateOrbit(
             "orbit sits at 1 + 2 dV/dytil2 = 0; lambda does not advance zeta")
-    Omega = math.sqrt(2.0 * ev.dztil2)
-    speed2 = l2 / (rho * rho)
-    F = 2.0 * shell.M2 * ev.dP2
-    G = 2.0 * shell.nu * ev.dw
-    rate = dT_dlambda(F, G, shell)
-    period_lambda = 2.0 * math.pi / Omega
-    return CircularOrbit(
-        rho=rho, speed2=speed2, Omega=Omega, l2=float(l2), F=F, G=G,
-        dTdlambda=rate, period_lambda=period_lambda,
-        period_T=period_lambda * rate,
-    )
+    Omega, F, G = math.sqrt(2.0 * ev.dztil2), 2.0 * shell.M2 * ev.dP2, 2.0 * shell.nu * ev.dw
+    rate, period_lambda = dT_dlambda(F, G, shell), 2.0 * math.pi / Omega
+    return CircularOrbit(rho=rho, speed2=l2 / (rho * rho), Omega=Omega, l2=float(l2), F=F, G=G,
+                         dTdlambda=rate, period_lambda=period_lambda,
+                         period_T=period_lambda * rate)
 
 
 @dataclass(frozen=True)
@@ -140,22 +135,6 @@ def _scales(q0: ScalarQuintet, F0: float, G0: float) -> dict:
     }
 
 
-def verify_constancy(orbit: CircularOrbit, model: PotentialSpec, shell: MassShell,
-                     tol: float = 1e-10, n_samples: int = 400) -> ConstancyReport:
-    """Integrate one period and measure how constant the five scalars and
-    the quadrature rates stay."""
-    opts = IntegratorOptions(tol=tol, sample_interval=orbit.period_lambda / n_samples)
-    traj = integrate(orbit.initial_state(), shell, model, orbit.period_lambda, opts)
-    q = rest_quintet(traj.ztil, traj.ytil, shell)
-    scales = _scales(rest_quintet(traj.ztil[0], traj.ytil[0], shell), traj.F[0], traj.G[0])
-    variations = {}
-    for name in _QUANTITIES:
-        col = getattr(traj if name in ("F", "G") else q, name)
-        variations[name] = float((np.max(col) - np.min(col)) / scales[name])
-    return ConstancyReport(variations=variations,
-                           max_variation=max(variations.values()))
-
-
 @dataclass(frozen=True)
 class PeriodicityReport:
     closure_ztil: float
@@ -169,21 +148,39 @@ class PeriodicityReport:
                 and self.linear_residual <= LINEAR_BOUND)
 
 
-def verify_periodicity(orbit: CircularOrbit, model: PotentialSpec, shell: MassShell,
-                       tol: float = 1e-10, n_samples: int = 200) -> PeriodicityReport:
-    """Close the orbit over one lambda-period and check the clock.
+def verify_circular(orbit: CircularOrbit, model: PotentialSpec, shell: MassShell,
+                    tol: float = 1e-10, n_samples: int = 400
+                    ) -> tuple[ConstancyReport, PeriodicityReport]:
+    """Integrate one lambda-period once, landing on n_samples equal steps,
+    and check it twice: the relative variation of the five scalars and the
+    quadrature rates; the closure of zeta and eta, the T advance against
+    period_T and the largest residual of T from a least-squares line.
+    The two reports, not the run, are kept on the orbit per model and shell
+    object, tol and n_samples, so a second check integrates nothing."""
+    kept = orbit.__dict__.setdefault("_reports", {})
+    key = (id(model), id(shell), tol, n_samples)  # the entry holds both, so the ids stay theirs
+    if key not in kept:
+        opts = IntegratorOptions(tol=tol, sample_interval=orbit.period_lambda / n_samples)
+        traj = synchronize(integrate(orbit.initial_state(), shell, model,
+                                     orbit.period_lambda, opts))
+        z, y, T, lam = traj.ztil, traj.ytil, traj.T, traj.lam
+        q = rest_quintet(z, y, shell)
+        scales = _scales(rest_quintet(z[0], y[0], shell), traj.F[0], traj.G[0])
+        cols = {name: getattr(traj if name in ("F", "G") else q, name) for name in _QUANTITIES}
+        variations = {k: float((np.max(c) - np.min(c)) / scales[k]) for k, c in cols.items()}
+        residual = T - np.polyval(np.polyfit(lam, T, 1), lam)
+        kept[key] = model, shell, (
+            ConstancyReport(variations, max(variations.values())),
+            PeriodicityReport(float(np.max(np.abs(z[-1] - z[0]))),
+                              float(np.max(np.abs(y[-1] - y[0]))),
+                              float(abs((T[-1] - T[0]) - orbit.period_T)),
+                              float(np.max(np.abs(residual)))))
+    return kept[key][2]
 
-    Closure compares zeta and eta with their starting values; the clock must
-    advance by period_T and stay linear in lambda (largest least-squares
-    fit residual).
-    """
-    opts = IntegratorOptions(tol=tol, sample_interval=orbit.period_lambda / n_samples)
-    traj = synchronize(integrate(orbit.initial_state(), shell, model,
-                                 orbit.period_lambda, opts))
-    z, y, T, lam = traj.ztil, traj.ytil, traj.T, traj.lam
-    coeffs = np.polyfit(lam, T, 1)
-    return PeriodicityReport(
-        closure_ztil=float(np.max(np.abs(z[-1] - z[0]))),
-        closure_ytil=float(np.max(np.abs(y[-1] - y[0]))),
-        T_advance_error=float(abs((T[-1] - T[0]) - orbit.period_T)),
-        linear_residual=float(np.max(np.abs(T - np.polyval(coeffs, lam)))))
+
+def verify_constancy(orbit, model, shell, tol=1e-10, n_samples=400) -> ConstancyReport:
+    return verify_circular(orbit, model, shell, tol, n_samples)[0]
+
+
+def verify_periodicity(orbit, model, shell, tol=1e-10, n_samples=400) -> PeriodicityReport:
+    return verify_circular(orbit, model, shell, tol, n_samples)[1]

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .binding import binding_energy, self_consistent_circular, self_consistent_shell
-from .circular import CircularOrbit, find_circular, verify_periodicity, verify_constancy
+from .circular import CircularOrbit, find_circular, verify_circular
 from .errors import (
     AdmissibilityViolation,
     BadParameter,
@@ -273,16 +273,14 @@ def _resolve_out(path: str) -> str:
 
 
 def run_scenario(sc: Scenario) -> tuple[str, dict, Trajectory]:
-    traj = integrate(sc.initial, sc.shell, sc.model, sc.span, sc.opts)
-    traj = synchronize(traj)
+    traj = synchronize(integrate(sc.initial, sc.shell, sc.model, sc.span, sc.opts))
     ws = worldlines(traj)
     if sc.frame_k is not None:
         ws = export_lab_frame(ws, sc.frame_k)
     diag = diagnostics(traj)
     if sc.orbit is not None:
-        diag["orbit_rho"] = sc.orbit.rho
-        diag["orbit_Omega"] = sc.orbit.Omega
-        diag["orbit_period_T"] = sc.orbit.period_T
+        diag.update(orbit_rho=sc.orbit.rho, orbit_Omega=sc.orbit.Omega,
+                    orbit_period_T=sc.orbit.period_T)
     path = _resolve_out(sc.out_path)
     if sc.out_format == "csv":
         write_csv(path, trajectory_rows(traj, ws))
@@ -415,8 +413,7 @@ def cmd_circular(args: argparse.Namespace) -> int:
     else:
         raise ConfigError("circular needs --M or both --m1 and --m2")
 
-    constancy = verify_constancy(orbit, model, shell, n_samples=args.samples)
-    period = verify_periodicity(orbit, model, shell)
+    constancy, period = verify_circular(orbit, model, shell, n_samples=args.samples)
     report = {
         "rho": orbit.rho,
         "speed2": orbit.speed2,

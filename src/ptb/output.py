@@ -215,9 +215,13 @@ def write_json(path, payload: dict) -> None:
 
 # a value of digits alone, which JSON would read back as an integer
 _INTEGRAL = re.compile(r"([\[,]-?\d+)(?=[,\]])")
+# ends lines with ","; with digits and signs deleted an integral value is empty
+_LINE_ENDS = bytes.maketrans(b"\n", b",")
 
 
 def _json_rows(block: str) -> str:
     """A block of CSV lines as JSON arrays, one per line."""
     text = "\n  [" + block[:-1].replace("\n", "],\n  [") + "]"
-    return _INTEGRAL.sub(r"\1.0", text).replace("nan", "null")
+    if b",," in b"," + block.encode().translate(_LINE_ENDS, b"0123456789+-"):
+        text = _INTEGRAL.sub(r"\1.0", text)
+    return text.replace("nan", "null")

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -6,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ptb.circular
+from ptb.binding import self_consistent_circular
+from ptb.dopri import DenseOutput
 from ptb.errors import BadParameter, DegenerateOrbit, DomainError, NoRoot, NotCentral, PtbError
 from ptb.kinematics import ScalarQuintet
 from ptb.mass_shell import mass_shell_from_lambda
@@ -23,10 +27,11 @@ from ptb.circular import (
     ConstancyReport,
     PeriodicityReport,
     find_circular,
+    verify_circular,
     verify_constancy,
     verify_periodicity,
 )
-from ptb.reduced import dT_dlambda
+from ptb.reduced import Trajectory, dT_dlambda
 from ptb.roots import first_root
 
 
@@ -227,3 +232,83 @@ def test_unequal_masses_nonzero_G_quadrature():
     assert orbit.F == 0.0
     report = verify_periodicity(orbit, model, sh)
     assert report.ok()
+
+
+@pytest.fixture
+def integrations(monkeypatch):
+    """Counts the runs of ptb.circular.integrate."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return integrate(*args, **kwargs)
+
+    integrate = ptb.circular.integrate
+    monkeypatch.setattr(ptb.circular, "integrate", counted)
+    return calls
+
+
+def test_both_checks_read_one_integration(shell, integrations):
+    model = HarmonicPotential(0.125)
+    orbit = find_circular(model, shell, 2.0)
+    constancy = verify_constancy(orbit, model, shell)
+    period = verify_periodicity(orbit, model, shell)
+    assert len(integrations) == 1
+    assert verify_circular(orbit, model, shell) == (constancy, period)
+    assert len(integrations) == 1
+
+
+def test_other_arguments_integrate_afresh(shell, integrations):
+    model = HarmonicPotential(0.125)
+    orbit = find_circular(model, shell, 2.0)
+    verify_circular(orbit, model, shell)
+    # equal but distinct model and shell objects, another tol, another grid,
+    # and another model on the same orbit
+    for args, kwargs in (((HarmonicPotential(0.125), shell), {}),
+                         ((model, copy.copy(shell)), {}),
+                         ((model, shell), {"tol": 1e-9}),
+                         ((model, shell), {"n_samples": 300}),
+                         ((HarmonicPotential(0.25), shell), {})):
+        before = len(integrations)
+        got = verify_circular(orbit, *args, **kwargs)
+        assert len(integrations) == before + 1
+        # what an orbit without kept reports gives
+        assert got == verify_circular(dataclasses.replace(orbit), *args, **kwargs)
+    assert verify_circular(orbit, HarmonicPotential(0.25), shell)[0] != \
+        verify_circular(orbit, model, shell)[0]
+
+
+def test_the_orbit_keeps_no_run(shell):
+    model = CentralPowerPotential(-1.0, 1)
+    orbit = find_circular(model, shell, 1.0)
+    verify_circular(orbit, model, shell)
+    verify_circular(orbit, model, shell, n_samples=200)
+    assert orbit.__dict__["_reports"]
+    # the containers and instances reachable from the orbit's attributes
+    seen, todo = set(), list(orbit.__dict__.values())
+    while todo:
+        x = todo.pop()
+        if id(x) in seen or isinstance(x, type):
+            continue
+        seen.add(id(x))
+        assert not isinstance(x, (Trajectory, DenseOutput, np.ndarray))
+        if isinstance(x, dict):
+            todo += [*x.keys(), *x.values()]
+        elif isinstance(x, (list, tuple, set, frozenset)):
+            todo += x
+        elif hasattr(x, "__dict__"):
+            todo += x.__dict__.values()
+
+
+@pytest.mark.parametrize("model, l2", [(CentralPowerPotential(-1.0, 1), 50.0),
+                                       (HarmonicPotential(0.125), 2.0)])
+def test_one_grid_of_400_is_no_worse_than_200(model, l2):
+    # circular-scan orbits (m1, m2 = 1, 2): the one 400-sample run of both
+    # checks is no worse than a 200-sample grid on any gated quantity
+    shell, orbit = self_consistent_circular(1.0, 2.0, model, l2)
+    fine = verify_circular(orbit, model, shell)
+    coarse = verify_circular(orbit, model, shell, n_samples=200)
+    assert fine[0].max_variation <= coarse[0].max_variation
+    for field in dataclasses.fields(PeriodicityReport):
+        assert getattr(fine[1], field.name) <= getattr(coarse[1], field.name)
+    assert fine[1].ok() and fine[0].ok()

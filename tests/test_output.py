@@ -13,7 +13,9 @@ from ptb.mass_shell import mass_shell_from_lambda
 from ptb.output import (
     COLUMNS,
     RowTable,
+    _INTEGRAL,
     _json_clean,
+    _json_rows,
     diagnostics,
     format_float,
     json_payload,
@@ -410,6 +412,22 @@ def test_write_json_layout(tmp_path):
         '  [0.0,-0.0,0.10000000000000001,3.0],\n'
         '  [null,1e+17,-2.5000000000000171e-310,99000000000000000.0]\n'
         ' ],\n "tail": {\n  "x": 1.5\n }\n}\n')
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 1e16, 1e20, math.nan, -math.inf])
+def test_integral_pass_matches_the_regex_on_every_block(x):
+    # x spells 0, -0, 10000000000000000, 1e+20, nan, -inf; first, inside,
+    # last and alone in a row, in the first or a later line of a block, and
+    # absent; the ".0" pass runs only where a block needs it
+    def every_block(block):
+        text = "\n  [" + block[:-1].replace("\n", "],\n  [") + "]"
+        return _INTEGRAL.sub(r"\1.0", text).replace("nan", "null")
+
+    tables = [[[x, 0.5, 2.5]], [[0.5, x, 2.5]], [[0.5, 2.5, x]], [[x]], [[0.5], [x]],
+              [[0.5, 1e-5, 2.5], [-1.5, 3.25, x]], [[0.5, 1e-5, 2.5], [-1.5, 3.25, 7.5]]]
+    for rows in tables:
+        (block,) = RowTable(rows, len(rows[0])).blocks()
+        assert _json_rows(block) == every_block(block)
 
 
 def test_numpy_scalars_round_trip_as_their_python_values(tmp_path):
