@@ -149,18 +149,17 @@ class PeriodicityReport:
 
 
 def verify_circular(orbit: CircularOrbit, model: PotentialSpec, shell: MassShell,
-                    tol: float = 1e-10, n_samples: int = 400
-                    ) -> tuple[ConstancyReport, PeriodicityReport]:
-    """Integrate one lambda-period once, landing on n_samples equal steps,
-    and check it twice: the relative variation of the five scalars and the
-    quadrature rates; the closure of zeta and eta, the T advance against
-    period_T and the largest residual of T from a least-squares line.
+                    n_samples: int = 400) -> tuple[ConstancyReport, PeriodicityReport]:
+    """Integrate one lambda-period once at tol 1e-10, landing on n_samples
+    equal steps, and check it twice: the relative variation of the five
+    scalars and the quadrature rates; the closure of zeta and eta, the T
+    advance against period_T and the largest residual of T from a fitted line.
     The two reports, not the run, are kept on the orbit per model and shell
-    object, tol and n_samples, so a second check integrates nothing."""
+    object and n_samples, so a second check integrates nothing."""
     kept = orbit.__dict__.setdefault("_reports", {})
-    key = (id(model), id(shell), tol, n_samples)  # the entry holds both, so the ids stay theirs
+    key = (id(model), id(shell), n_samples)  # the entry holds both, so the ids stay theirs
     if key not in kept:
-        opts = IntegratorOptions(tol=tol, sample_interval=orbit.period_lambda / n_samples)
+        opts = IntegratorOptions(tol=1e-10, sample_interval=orbit.period_lambda / n_samples)
         traj = synchronize(integrate(orbit.initial_state(), shell, model,
                                      orbit.period_lambda, opts))
         z, y, T, lam = traj.ztil, traj.ytil, traj.T, traj.lam
@@ -178,9 +177,9 @@ def verify_circular(orbit: CircularOrbit, model: PotentialSpec, shell: MassShell
     return kept[key][2]
 
 
-def verify_constancy(orbit, model, shell, tol=1e-10, n_samples=400) -> ConstancyReport:
-    return verify_circular(orbit, model, shell, tol, n_samples)[0]
+def verify_constancy(orbit, model, shell, n_samples=400) -> ConstancyReport:
+    return verify_circular(orbit, model, shell, n_samples)[0]
 
 
-def verify_periodicity(orbit, model, shell, tol=1e-10, n_samples=400) -> PeriodicityReport:
-    return verify_circular(orbit, model, shell, tol, n_samples)[1]
+def verify_periodicity(orbit, model, shell, n_samples=400) -> PeriodicityReport:
+    return verify_circular(orbit, model, shell, n_samples)[1]

@@ -225,7 +225,9 @@ def build_scenario(cfg: dict) -> Scenario:
     k = None
     frame = _block(cfg, "frame", {"k"}, None)
     if frame is not None and frame.get("k") is not None:
-        k = FourVector(*_vec(frame["k"], 4, "frame.k"))
+        k = _vec(frame["k"], 4, "frame.k")
+        e = math.frexp(max(map(abs, k)))[1]  # scaled by 2^-e, k.k cannot overflow or underflow
+        k = FourVector(*(math.ldexp(c, -e) for c in k))
         if not (k.norm2() > 0.0 and k.t > 0.0):
             raise ConfigError("frame.k must be future-pointing timelike")
 
@@ -398,8 +400,7 @@ def cmd_circular(args: argparse.Namespace) -> int:
     params = {name: getattr(args, name) for name, _, _ in _PARAMS
               if getattr(args, name) is not None}
     model = builtin(args.potential, **params)
-    if not args.l2 > 0.0:
-        raise ConfigError("--l2 must be positive")
+    _number(args.l2, "--l2", positive=True)
     if args.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
 

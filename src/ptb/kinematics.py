@@ -18,8 +18,7 @@ class ScalarQuintet:
     """The five invariant arguments of a unipotential model.
 
     ztil2, ytil2 and zy are built from the projections of z and y orthogonal
-    to P; w = (y.P)^2 / P^2.  yP carries the signed invariant y.P, needed by
-    the z.P quadrature (w alone loses its sign).
+    to P; w = (y.P)^2 / P^2.
     """
 
     P2: float
@@ -27,13 +26,12 @@ class ScalarQuintet:
     ytil2: float
     zy: float
     w: float
-    yP: float
 
     @classmethod
     def at_rest(cls, M2: float, nu: float, z2: float, y2: float, zy: float) -> "ScalarQuintet":
         """Quintet in the rest frame of P from the spatial products of zeta
         and eta; there P^2 = M^2 and y.P is the first integral nu."""
-        return cls(P2=M2, ztil2=-z2, ytil2=-y2, zy=-zy, w=nu * nu / M2, yP=nu)
+        return cls(P2=M2, ztil2=-z2, ytil2=-y2, zy=-zy, w=nu * nu / M2)
 
     @property
     def L2(self) -> float:

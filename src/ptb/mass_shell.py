@@ -75,10 +75,13 @@ def mass_shell_from_lambda(m1: float, m2: float, lambda_: float) -> MassShell:
 
     Raises LambdaBoundViolation when m1^2 + lambda <= 0, which for sorted
     masses is the same inequality as mu + lambda > |nu| and as E1 > 0; the
-    energy condition M^2 > 2|nu| then holds automatically.
+    energy condition M^2 > 2|nu| then holds automatically.  A non-finite
+    m2^2 + lambda (lambda inf or nan, or the sum overflowing) is a BadParameter.
     """
     mu, nu = _check_masses(m1, m2)
     lam = float(lambda_)
+    if not math.isfinite(m2 * m2 + lam):
+        raise BadParameter(f"need a finite m2^2 + lambda, got m2 = {m2!r}, lambda = {lam!r}")
     E1_sq = m1 * m1 + lam
     if not (E1_sq > _REL_SLACK * max(m1 * m1, abs(lam))):
         raise LambdaBoundViolation(f"requires m1^2 + lambda > 0, got {E1_sq!r}")
@@ -118,13 +121,13 @@ def shell_from_M(M: float, nu: float, lambda_: float = 0.0) -> MassShell:
     """
     if not (M > 0.0 and math.isfinite(M)):
         raise BadParameter(f"need M > 0, got {M!r}")
-    if nu > 0.0 or 2.0 * abs(nu) >= M * M:
-        raise BadParameter("requires nu <= 0 and M^2 > 2 |nu|")
+    if not (nu <= 0.0 and 2.0 * abs(nu) < M * M):
+        raise BadParameter(f"requires nu <= 0 and M^2 > 2 |nu|, got nu = {nu!r}")
     E1 = 0.5 * M + nu / M
     E2 = 0.5 * M - nu / M
     m1_sq = E1 * E1 - lambda_
-    if m1_sq <= 0.0:
-        raise BadParameter("no real masses reproduce this shell: mu + nu <= 0")
+    if not m1_sq > 0.0:
+        raise BadParameter(f"no real masses reproduce this shell: need mu + nu > 0, got {m1_sq!r}")
     return mass_shell_from_lambda(math.sqrt(m1_sq), math.sqrt(E2 * E2 - lambda_), lambda_)
 
 

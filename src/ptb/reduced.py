@@ -179,7 +179,7 @@ class Trajectory:
         takes one model evaluation per sample, the only per-sample loop after
         integration."""
         q = rest_quintet(self.ztil, self.ytil, self.shell)
-        V = [self.model.evaluate(ScalarQuintet(q.P2, *row, q.w, q.yP)).value
+        V = [self.model.evaluate(ScalarQuintet(q.P2, *row, q.w)).value
              for row in zip(q.ztil2.tolist(), q.ytil2.tolist(), q.zy.tolist())]
         return noether_N(q, np.array(V)), q.L2
 

@@ -6,15 +6,15 @@ positions follow from the relative separation alone:
     x1 = Xi + (E2/M) (0, zeta),
     x2 = Xi - (E1/M) (0, zeta),
 
-with Xi = (T, Xi0) a straight line through the chosen spatial anchor Xi0
-and E1, E2 the shell's individual energies.  The energy-weighted mean
+with Xi = (T, 0, 0, 0) the straight line through the spatial origin and
+E1, E2 the shell's individual energies.  The energy-weighted mean
 (E1 x1 + E2 x2)/M reproduces Xi identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+_ORIGIN = (0.0, 0.0, 0.0)  # adding it turns a -0 of zeta into +0 in the x1 and x2 columns
 _NEWTON_MAXITER = 60  # bisection alone narrows any bracket 2^60-fold
 
 
@@ -52,19 +53,16 @@ class WorldlineSet:
     traj: Trajectory = field(repr=False)
 
 
-def worldlines(traj: Trajectory, Xi0: Sequence[float] = (0.0, 0.0, 0.0)) -> WorldlineSet:
+def worldlines(traj: Trajectory) -> WorldlineSet:
     """Emit the two world lines and the center-of-energy line in the rest
-    frame, anchored at Xi(T = 0) = (0, Xi0)."""
+    frame, anchored at Xi(T = 0) = (0, 0, 0, 0)."""
     shell = traj.shell
-    anchor = np.asarray(Xi0, dtype=float)
-    if anchor.shape != (3,):
-        raise ValueError("Xi0 must be a 3-vector")
 
     def events(spatial) -> np.ndarray:
         return np.hstack((traj.T[:, None], np.broadcast_to(spatial, traj.ztil.shape)))
 
-    return WorldlineSet(x1=events(anchor + (shell.E2 / shell.M) * traj.ztil),
-                        x2=events(anchor - (shell.E1 / shell.M) * traj.ztil), Xi=events(anchor),
+    return WorldlineSet(x1=events(_ORIGIN + (shell.E2 / shell.M) * traj.ztil),
+                        x2=events(_ORIGIN - (shell.E1 / shell.M) * traj.ztil), Xi=events(_ORIGIN),
                         frame=FourVector(shell.M, 0.0, 0.0, 0.0), traj=traj)
 
 

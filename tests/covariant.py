@@ -87,7 +87,6 @@ def scalar_quintet(ei: ExternalInternal) -> ScalarQuintet:
         ytil2=lorentz_dot(ytil, ytil),
         zy=lorentz_dot(ztil, ytil),
         w=yP * yP / P2,
-        yP=yP,
     )
 
 

@@ -240,7 +240,7 @@ def test_criterion_09_equal_time_invariants():
     traj = synchronize(integrate(
         state_of(p), shell, HarmonicPotential(p.chi), 2.0 * p.period,
         IntegratorOptions(tol=1e-12, sample_interval=p.period / 16.0)))
-    ws_rest = worldlines(traj, Xi0=(0.2, -0.1, 0.4))
+    ws_rest = worldlines(traj)
     k = FourVector(math.sqrt(shell.M2 * 1.13), 0.3 * shell.M, 0.2 * shell.M, 0.0)
     worst_sync = 0.0
     worst_mean = 0.0

@@ -262,11 +262,10 @@ def test_other_arguments_integrate_afresh(shell, integrations):
     model = HarmonicPotential(0.125)
     orbit = find_circular(model, shell, 2.0)
     verify_circular(orbit, model, shell)
-    # equal but distinct model and shell objects, another tol, another grid,
-    # and another model on the same orbit
+    # equal but distinct model and shell objects, another grid, and another
+    # model on the same orbit
     for args, kwargs in (((HarmonicPotential(0.125), shell), {}),
                          ((model, copy.copy(shell)), {}),
-                         ((model, shell), {"tol": 1e-9}),
                          ((model, shell), {"n_samples": 300}),
                          ((HarmonicPotential(0.25), shell), {})):
         before = len(integrations)

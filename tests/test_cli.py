@@ -505,6 +505,23 @@ def test_mass_ratio_near_the_alpha_bound(capsys, alpha, eps):
     assert limit == 0.0
 
 
+@pytest.mark.parametrize("k", [(1e200, 0.0, 0.0, 0.0), (1e-200, 1e-201, 0.0, 0.0)])
+def test_frame_k_is_a_direction_at_any_scale(tmp_path, capsys, monkeypatch, k):
+    # k.k overflows or underflows here; k times the power of two that brings
+    # it near 1 must write the same bytes
+    monkeypatch.delenv("PTB_OUTPUT_DIR", raising=False)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    written = []
+    for scale in (0, -math.frexp(k[0])[1]):
+        path = tmp_path / f"{scale}.csv"
+        flag = ",".join(repr(math.ldexp(c, scale)) for c in k)
+        assert run_main(capsys, "simulate", "--config", str(cfg_path), "--frame-k", flag,
+                        "--out", str(path)) == (0, "")
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+
+
 # one override per flag-parsing branch of simulate: the base document's
 # overrides, the flags and the exact error line
 OVERRIDE_ERRORS = [
@@ -617,6 +634,12 @@ FLAG_ERRORS = [
     (["verify-toy", "--periods", "inf"], "ConfigError: --periods must be finite, got inf"),
     (["verify-toy", "--tol", "0"], "ConfigError: --tol must lie in [1e-14, 0.001], got 0"),
     (["verify-toy", "--tol", "nan"], "ConfigError: --tol must be finite, got nan"),
+    (["circular", "--potential", "harmonic", "--chi", "0.125", "--M", "4", "--l2", "inf"],
+     "ConfigError: --l2 must be finite, got inf"),
+    (["circular", "--potential", "harmonic", "--chi", "0.125", "--l2", "1", "--M", "4",
+      "--nu", "nan"], "BadParameter: requires nu <= 0 and M^2 > 2 |nu|, got nu = nan"),
+    (["mass-ratio", "--alpha", "nan"], "BadParameter: need a finite alpha, got nan"),
+    (["mass-ratio", "--alpha", "inf"], "BadParameter: need a finite alpha, got inf"),
 ]
 
 

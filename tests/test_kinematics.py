@@ -77,7 +77,6 @@ def test_quintet_matches_projection_oracle(rng):
         assert q.ytil2 == pytest.approx(lorentz_dot(ytil, ytil), rel=1e-12, abs=1e-12)
         assert q.zy == pytest.approx(lorentz_dot(ztil, ytil), rel=1e-12, abs=1e-12)
         assert q.w == pytest.approx(yP * yP / P2, rel=1e-13)
-        assert q.yP == pytest.approx(yP, rel=1e-13)
 
 
 def test_quintet_w_nonnegative_and_tildes_spacelike(rng):

@@ -17,7 +17,7 @@ from ptb.errors import (
     PtbError,
     RealityViolation,
 )
-from ptb.mass_ratio import analyze
+from ptb.mass_ratio import limit_report
 from ptb.mass_shell import (
     individual_energy_limits,
     lambda_from_M2,
@@ -239,6 +239,23 @@ def test_shell_from_M_refuses(M, nu, lam):
         shell_from_M(M, nu, lam)
 
 
+@pytest.mark.parametrize("solve, args, message", [
+    (mass_shell_from_lambda, (1.0, 2.0, math.inf),
+     "need a finite m2^2 + lambda, got m2 = 2.0, lambda = inf"),
+    (mass_shell_from_lambda, (1.0, 2.0, math.nan),
+     "need a finite m2^2 + lambda, got m2 = 2.0, lambda = nan"),
+    (mass_shell_from_lambda, (1.0, 1e154, 1e308),
+     "need a finite m2^2 + lambda, got m2 = 1e+154, lambda = 1e+308"),
+    (shell_from_M, (4.0, math.nan, 0.0), "requires nu <= 0 and M^2 > 2 |nu|, got nu = nan"),
+    (shell_from_M, (4.0, 0.0, math.nan),
+     "no real masses reproduce this shell: need mu + nu > 0, got nan"),
+], ids=["lambda inf", "lambda nan", "m2^2 + lambda overflows", "nu nan", "lambda nan from M"])
+def test_non_finite_shell_inputs_are_named(solve, args, message):
+    with pytest.raises(BadParameter) as err:
+        solve(*args)
+    assert str(err.value) == message
+
+
 def reference_shell(m1, m2, lam):
     """E1, E2, M and (E1 - m1, E2 - m2) from E_a = sqrt(m_a^2 + lambda) at 50
     digits, as Decimals.  E_a - m_a is taken as lambda/(E_a + m_a), the same
@@ -301,9 +318,9 @@ def test_shell_matches_decimal_reference(unit_traj, m2, ratio, lam_scale):
     errors["x1 weight E2/M"] = rel_err(float(ws.x1[0, 1]), E2 / M)
     errors["x2 weight -E1/M"] = rel_err(float(ws.x2[0, 1]), -E1 / M)
 
-    a = analyze(m2, lam / (m2 * m2), (m1 / m2) ** 2)
-    E1a, _, Ma, _ = reference_shell(a.gamma * a.m2, a.m2, a.lambda_)
-    errors["analyze offset E1/M"] = rel_err(a.offset, E1a / Ma)
+    (row,) = limit_report(m2, lam / (m2 * m2), [(m1 / m2) ** 2])
+    E1a, _, Ma, _ = reference_shell(row.gamma * m2, m2, row.alpha * (m2 * m2))
+    errors["limit_report offset E1/M"] = rel_err(row.offset, E1a / Ma)
 
     worst = max(errors, key=errors.get)
     assert errors[worst] <= _TOL, (worst, errors[worst])

@@ -33,8 +33,7 @@ def random_quintet(rng):
     # Cauchy-Schwarz bound for spacelike tilde vectors
     zy = float(rng.uniform(-1, 1)) * math.sqrt(ztil2 * ytil2)
     w = float(rng.uniform(0.0, 2.0))
-    yP = -math.sqrt(w * P2)
-    return ScalarQuintet(P2=P2, ztil2=ztil2, ytil2=ytil2, zy=zy, w=w, yP=yP)
+    return ScalarQuintet(P2=P2, ztil2=ztil2, ytil2=ytil2, zy=zy, w=w)
 
 
 def fd_partial(model, q, field):
@@ -74,7 +73,7 @@ def test_free_is_identically_zero(rng):
 
 
 def test_harmonic_value_and_sign():
-    q = ScalarQuintet(P2=4.0, ztil2=-2.0, ytil2=-1.0, zy=0.0, w=0.0, yP=0.0)
+    q = ScalarQuintet(P2=4.0, ztil2=-2.0, ytil2=-1.0, zy=0.0, w=0.0)
     ev = HarmonicPotential(0.5).evaluate(q)
     assert ev.value == pytest.approx(0.5 * 2.0 * -2.0)
     assert ev.value < 0.0
@@ -83,7 +82,7 @@ def test_harmonic_value_and_sign():
 
 def test_central_power_newtonian_case():
     # g = -1, n = 1 at rho = 2, sqrt(P2) = 3: V = 3/2
-    q = ScalarQuintet(P2=9.0, ztil2=-4.0, ytil2=-1.0, zy=0.0, w=0.0, yP=0.0)
+    q = ScalarQuintet(P2=9.0, ztil2=-4.0, ytil2=-1.0, zy=0.0, w=0.0)
     ev = CentralPowerPotential(-1.0, 1).evaluate(q)
     assert ev.value == pytest.approx(1.5)
     assert ev.dztil2 == pytest.approx(0.5 * 1 * 1.5 / 4.0)
@@ -99,8 +98,8 @@ def test_scale_homogeneity_in_P2(rng):
 
 
 def test_domain_errors():
-    bad_p2 = ScalarQuintet(P2=-1.0, ztil2=-1.0, ytil2=0.0, zy=0.0, w=0.0, yP=0.0)
-    timelike_sep = ScalarQuintet(P2=4.0, ztil2=0.5, ytil2=0.0, zy=0.0, w=0.0, yP=0.0)
+    bad_p2 = ScalarQuintet(P2=-1.0, ztil2=-1.0, ytil2=0.0, zy=0.0, w=0.0)
+    timelike_sep = ScalarQuintet(P2=4.0, ztil2=0.5, ytil2=0.0, zy=0.0, w=0.0)
     with pytest.raises(DomainError):
         HarmonicPotential(1.0).evaluate(bad_p2)
     with pytest.raises(DomainError):
