@@ -216,6 +216,8 @@ def build_scenario(cfg: dict) -> Scenario:
         init = _block(cfg, "initial", {"ztil", "ytil"}, {})
         z0 = _vec(init.get("ztil"), 3, "initial.ztil")
         e0 = _vec(init.get("ytil"), 3, "initial.ytil")
+        if not math.isfinite(sum(c * c for c in z0 + e0)):  # which also bounds ztil.ytil
+            raise ConfigError("initial.ztil and initial.ytil overflow: |ztil|^2 + |ytil|^2 = inf")
         if span is None:
             raise ConfigError("integrator.lambda_span is required with \"initial\"")
     else:

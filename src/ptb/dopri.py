@@ -26,11 +26,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import StepFailure
+from .errors import OutOfRange, StepFailure
 
-__all__ = ["MAX_STEPS", "DenseOutput", "DopriResult", "solve_dopri5"]
+__all__ = ["MAX_STEPS", "MAX_DENSE_BYTES", "DenseOutput", "DopriResult", "dense_steps",
+           "solve_dopri5"]
 
-MAX_STEPS = 10_000_000  # default budget of accepted plus rejected steps
+MAX_STEPS = 10_000_000  # budget of accepted plus rejected steps
+MAX_DENSE_BYTES = 2 ** 30  # budget of the dense output; see dense_steps
 
 # Dormand-Prince 5(4) tableau as rows: nodes C, stage rows A ending with the
 # fifth-order weights (so the seventh stage is the derivative at the new
@@ -64,15 +66,16 @@ _FAC_GROW = 10.0    # nor grows by more
 class DenseOutput:
     """Quartic interpolant over the m accepted steps of one run.
 
-    t0 and h hold the start and size of each step; data is the dense
-    buffer described in the module docstring, (m + 1) groups of six blocks
-    of n floats.
+    t0 and h hold the start and size of each step and t1 the end of the
+    last; data is the dense buffer described in the module docstring,
+    (m + 1) groups of six blocks of n floats.
     """
 
     t0: array
     h: array
     data: array
     n: int
+    t1: float
 
     @property
     def groups(self) -> np.ndarray:
@@ -81,8 +84,8 @@ class DenseOutput:
 
     def __call__(self, t):
         """State at t on the step that contains it: a list of floats for a
-        scalar t, a (len(t), n) array for an array of t.  Outside
-        [t0[0], t0[-1] + h[-1]] the nearest step's quartic is extrapolated."""
+        scalar t, a (len(t), n) array for an array of t.  A t outside
+        [t0[0], t1] raises OutOfRange."""
         theta, _, y, r2, r3, r4, r5 = self._quartic(t)
         out = y + theta * (r2 + (1.0 - theta) * (r3 + theta * (r4 + (1.0 - theta) * r5)))
         return out[:, 0].tolist() if np.ndim(t) == 0 else out.T
@@ -100,7 +103,11 @@ class DenseOutput:
         r4 = r2 - h k7 - r3 and r5 = h D.k, each (n, len(t))."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         starts, sizes = np.frombuffer(self.t0), np.frombuffer(self.h)
-        i = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(starts) - 1)
+        outside = ~((starts[0] <= t) & (t <= self.t1))
+        if outside.any():
+            raise OutOfRange(f"t = {float(t[outside.argmax()])!r} outside "
+                             f"[{self.t0[0]!r}, {self.t1!r}]")
+        i = np.searchsorted(starts, t, side="right") - 1
         # blocks as (6, n, len(t)), so that every operation runs along t
         y, _, _, _, _, k1 = self.groups[i].transpose(1, 2, 0)
         y1, k3, k4, k5, k6, k7 = self.groups[i + 1].transpose(1, 2, 0)
@@ -156,6 +163,11 @@ def _attempt(n: int):
     return namespace["attempt"]
 
 
+def dense_steps(n: int) -> int:
+    """The most accepted steps whose dense output, 8 (6 n + 2) bytes each, fits."""
+    return MAX_DENSE_BYTES // (8 * (6 * n + 2))
+
+
 def _rms(v, scale) -> float:
     return math.sqrt(sum((a / s) ** 2 for a, s in zip(v, scale)) / len(scale))
 
@@ -191,8 +203,6 @@ def solve_dopri5(
     tol: float = 1e-10,
     max_step: float = math.inf,
     t_eval: Sequence[float] | None = None,
-    on_step: Callable[[float, list[float], Sequence[float]], None] | None = None,
-    max_steps: int = MAX_STEPS,
 ) -> DopriResult:
     """Integrate y' = f(t, y) from t_span[0] to t_span[1].
 
@@ -201,11 +211,8 @@ def solve_dopri5(
     absolutely and relatively alike, so the accumulated deviation scales
     like tol times span.  When t_eval is given (sorted, inside the span)
     the stepper shortens steps to land exactly on each entry and emits the
-    propagated state there; otherwise every accepted step is emitted.
-    on_step(t, y, dy) runs after each accepted step with the fresh
-    derivative (FSAL stage), which is how callers watch derived quantities
-    without extra evaluations; the same derivative of every emitted sample
-    is returned as dy.
+    propagated state there; otherwise every accepted step is emitted.  The
+    derivative of every emitted sample (the FSAL stage) is returned as dy.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -228,8 +235,8 @@ def solve_dopri5(
     k1 = f(t0, y)
     _require_finite(f"at t = {t0!r}", ("y0", y), ("f(t0, y0)", k1))
     h = _initial_step(f, t0, y, k1, tol, max_step, t1 - t0)
-    n_rhs = 2
     attempt = _attempt(n)
+    max_accepted = dense_steps(n)
 
     # emitted samples as indices of buffer groups: group j holds the state
     # after j accepted steps
@@ -252,10 +259,12 @@ def solve_dopri5(
     h_used = err = math.nan
 
     while t < t1:
-        if n_accepted + n_rejected >= max_steps:
+        if n_accepted + n_rejected >= MAX_STEPS:
             raise StepFailure(
-                f"step budget {max_steps} exhausted at t = {t!r} "
+                f"step budget {MAX_STEPS} exhausted at t = {t!r} "
                 f"(last h = {h_used!r}, last error estimate = {err!r})")
+        if n_accepted == max_accepted:
+            raise StepFailure(f"dense output budget {MAX_DENSE_BYTES} bytes full at t = {t!r}")
         if h < 1e-14 * max(abs(t), 1.0):
             raise StepFailure(
                 f"step size underflow at t = {t!r} "
@@ -271,7 +280,6 @@ def solve_dopri5(
         # k7 is evaluated at exactly the y_new that is emitted; the error is per
         # unit step against tol (1 + max|y|), so drift stays ~ tol * span
         k2, k3, k4, k5, k6, k7, y_new, s = attempt(f, t, h_used, t_new, y, k1)
-        n_rhs += 6
         err = math.sqrt(s / n) / tol
 
         if err <= 1.0:
@@ -280,8 +288,6 @@ def solve_dopri5(
             extend(pack(*y_new, *k3, *k4, *k5, *k6, *k7))
             n_accepted += 1
             n_landed += landed
-            if on_step is not None:
-                on_step(t_new, y_new, k7)
             while eval_idx < n_eval and eval_pts[eval_idx] <= t_new:
                 out_idx.append(n_accepted)
                 eval_idx += 1
@@ -303,12 +309,12 @@ def solve_dopri5(
             h = h_used / min(_FAC_SHRINK, err ** _EXPO1 / _SAFETY)
             just_rejected = True
 
-    dense = DenseOutput(starts, sizes, data, n)
+    dense = DenseOutput(starts, sizes, data, n, t)
     groups = dense.groups
     times = np.append(np.frombuffer(starts), t)
     rows = np.arange(n_accepted + 1) if t_eval is None else np.array(out_idx, dtype=int)
     return DopriResult(
         t=times[rows], y=groups[rows, 0], dy=groups[rows, 5], dense=dense,
-        n_accepted=n_accepted, n_rejected=n_rejected, n_rhs=n_rhs,
+        n_accepted=n_accepted, n_rejected=n_rejected, n_rhs=2 + 6 * (n_accepted + n_rejected),
         h_min=min(sizes), h_max=max(sizes), n_landed=n_landed,
     )

@@ -103,7 +103,7 @@ def diagnostics(traj: Trajectory) -> dict:
         "h_min": traj.h_min,
         "h_max": traj.h_max,
         "n_landed": traj.n_landed,
-        "lambda_span": list(traj.lambda_span),
+        "lambda_span": [float(traj.lam[0]), float(traj.lam[-1])],
         "N_drift": float(np.abs(N - N[0]).max()) / N_scale,
         "L2_drift": float(np.abs(L2 - L2[0]).max()) / L2_scale,
         "N_plus_lambda": float(np.abs(N + shell.lambda_).max()) / max(N_scale, abs(shell.lambda_)),

@@ -25,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dopri import MAX_STEPS, DenseOutput, solve_dopri5
-from .errors import NonMonotoneTime, OutOfRange, StepFailure
+from .dopri import MAX_STEPS, DenseOutput, dense_steps, solve_dopri5
+from .errors import NonMonotoneTime, StepFailure
 from .kinematics import ScalarQuintet, noether_N
 from .mass_shell import MassShell
 from .potentials import PotentialSpec, _KernelModel
@@ -52,7 +52,7 @@ class IntegratorOptions:
     so end-to-end deviations scale like tol times the integrated span.
 
     sample_interval = None emits every accepted step.  strict_time makes a
-    non-positive dT/dlambda abort with NonMonotoneTime instead of flagging.
+    non-positive dT/dlambda raise NonMonotoneTime instead of flagging.
     """
 
     tol: float = 1e-10
@@ -169,10 +169,6 @@ class Trajectory:
     def ytil(self) -> np.ndarray:
         return self.u[:, 3:6]
 
-    @property
-    def lambda_span(self) -> tuple[float, float]:
-        return float(self.lam[0]), float(self.lam[-1])
-
     @cached_property
     def first_integrals(self) -> tuple[np.ndarray, np.ndarray]:
         """Columns of N = ytil2 + 2 V and L2, built once per trajectory; V
@@ -182,13 +178,6 @@ class Trajectory:
         V = [self.model.evaluate(ScalarQuintet(q.P2, *row, q.w)).value
              for row in zip(q.ztil2.tolist(), q.ytil2.tolist(), q.zy.tolist())]
         return noether_N(q, np.array(V)), q.L2
-
-    def vector_at(self, lam: float) -> np.ndarray:
-        """Dense-output state vector (zeta, eta, intF, intG) at lambda."""
-        lo, hi = self.lambda_span
-        if not (lo <= lam <= hi):
-            raise OutOfRange(f"lambda = {lam!r} outside [{lo!r}, {hi!r}]")
-        return np.array(self.dense(lam))
 
 
 def _dot(a: np.ndarray, b: np.ndarray):
@@ -255,10 +244,11 @@ def _sample_grid(span: float, interval: Optional[float]) -> Optional[np.ndarray]
     if not (interval > 0.0):
         raise ValueError(f"sample_interval must be positive, got {interval!r}")
     n = span / interval + 1e-9
-    # each point past lambda = 0 ends an accepted step of its own
-    if not (n < MAX_STEPS + 1):
+    # each point past lambda = 0 ends an accepted step of its own, and u has 8 components
+    budget = min(MAX_STEPS, dense_steps(8))
+    if not (n < budget + 1):
         raise StepFailure(f"a sample grid of {n + 1:.4g} points needs more accepted "
-                          f"steps than the step budget of {MAX_STEPS}")
+                          f"steps than the step budget of {budget}")
     grid = np.arange(math.floor(n) + 1) * interval
     # span ends the grid, in place of a last point within rounding of it
     return np.append(grid[:-1] if span - grid[-1] <= 1e-12 * span else grid, span)
@@ -270,9 +260,7 @@ def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
 
     The quadratures are co-integrated, so they share the step-error control
     of the vector part; the F and G of each sample are the solver's
-    derivative at that sample.  In strict mode the run aborts as soon as the
-    clock rate dT/dlambda fails to be positive at an accepted step, and
-    synchronize checks the samples it returns.
+    derivative at that sample.  synchronize checks strict mode on the whole run.
     """
     if not (span > 0.0):
         raise ValueError(f"span must be positive, got {span!r}")
@@ -281,21 +269,9 @@ def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
         raise ValueError("integration starts at lambda = 0 with both quadratures at 0, "
                          f"got (lambda, intF, intG) = {start!r}")
 
-    last_lam = 0.0
-
-    def strict_clock(lam: float, u: list[float], du: tuple[float, ...]) -> None:
-        nonlocal last_lam
-        rate = dT_dlambda(du[6], du[7], shell)
-        if not (rate > 0.0):
-            raise NonMonotoneTime(
-                f"dT/dlambda = {rate!r} at lambda = {lam!r} after a step of "
-                f"h = {lam - last_lam!r} (strict mode)")
-        last_lam = lam
-
     u0 = np.concatenate((initial.ztil, initial.ytil, (initial.intF, initial.intG)))
     sol = solve_dopri5(rhs_for(shell, model), (0.0, span), u0, tol=opts.tol,
-                       max_step=opts.max_step, t_eval=_sample_grid(span, opts.sample_interval),
-                       on_step=strict_clock if opts.strict_time else None)
+                       max_step=opts.max_step, t_eval=_sample_grid(span, opts.sample_interval))
 
     return synchronize(Trajectory(
         shell=shell, model=model, lam=sol.t, u=sol.y, F=sol.dy[:, 6], G=sol.dy[:, 7],
@@ -328,7 +304,19 @@ def _clock_columns(lam, u, F, G, shell: MassShell) -> tuple:
 
 def synchronize(traj: Trajectory) -> Trajectory:
     """traj itself, unless it is strict and T does not rise at a positive
-    rate throughout: then NonMonotoneTime."""
-    if traj.opts.strict_time and not traj.monotone:
+    rate throughout: then NonMonotoneTime.  The rate is checked at lambda = 0
+    and at the end of every accepted step, from the FSAL stages that the
+    dense output keeps, and T is checked to rise between the samples."""
+    if not traj.opts.strict_time:
+        return traj
+    dense = traj.dense
+    rate = dT_dlambda(dense.groups[:, 5, 6], dense.groups[:, 5, 7], traj.shell)
+    j = int(np.argmin(rate > 0.0))  # the first rate that is not positive
+    if not rate[j] > 0.0:
+        lam = dense.t0[j] if j < len(dense.t0) else dense.t1
+        step = f" after a step of h = {dense.h[j - 1]!r}" if j else ""
+        raise NonMonotoneTime(f"dT/dlambda = {float(rate[j])!r} at lambda = {lam!r}{step} "
+                              "(strict mode)")
+    if not traj.monotone:
         raise NonMonotoneTime(f"min dT/dlambda = {float(traj.dTdlambda.min())!r} (strict mode)")
     return traj

@@ -350,7 +350,7 @@ def test_a_sample_grid_beyond_the_step_budget_is_a_run_failure(tmp_path, capsys,
     argv = argv + ["--config", str(cfg_path)] if argv[0] == "simulate" else argv
     assert run_main(capsys, *argv) == (
         4, f"StepFailure: a sample grid of {points} points needs more accepted steps than "
-           "the step budget of 10000000\n")
+           "the step budget of 2684354\n")
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -640,6 +640,9 @@ FLAG_ERRORS = [
       "--nu", "nan"], "BadParameter: requires nu <= 0 and M^2 > 2 |nu|, got nu = nan"),
     (["mass-ratio", "--alpha", "nan"], "BadParameter: need a finite alpha, got nan"),
     (["mass-ratio", "--alpha", "inf"], "BadParameter: need a finite alpha, got inf"),
+    (["simulate", "--m1", "1", "--m2", "2", "--potential", "harmonic", "--chi", "0.125",
+      "--ytil", "0,0.5,0", "--lambda-span", "20", "--ztil", "1e200,0,0"],
+     "ConfigError: initial.ztil and initial.ytil overflow: |ztil|^2 + |ytil|^2 = inf"),
 ]
 
 

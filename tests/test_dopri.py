@@ -1,5 +1,6 @@
 import bisect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from ptb import dopri
 from ptb.dopri import solve_dopri5
-from ptb.errors import StepFailure
+from ptb.errors import OutOfRange, StepFailure
 
 from dopri_reference import attempt as reference_attempt
 
@@ -90,15 +91,29 @@ def kepler(t, y):
     return [y[2], y[3], -y[0] / r3, -y[1] / r3]
 
 
-@given(st.lists(st.floats(-1.0, 9.0, allow_nan=False), min_size=1, max_size=40))
+@given(st.lists(st.floats(0.0, 8.0), min_size=1, max_size=40))
 def test_dense_output_of_an_array_is_the_scalar_quartic(ts):
-    # bit for bit, signs of zero included, inside the span and extrapolated
+    # bit for bit, signs of zero included, anywhere in the span
     res = solve_dopri5(kepler, (0.0, 8.0), [0.5, 0.0, 0.0, 1.6], tol=1e-9)
     want = np.array([scalar_quartic(res.dense, t) for t in ts])
     got = res.dense(np.array(ts))
     assert got.shape == want.shape == (len(ts), 4)
     assert np.array_equal(np.ascontiguousarray(got).view(np.int64), want.view(np.int64))
     assert [res.dense(t) for t in ts] == want.tolist()
+
+
+@pytest.mark.parametrize("t", [-1e-300, -1.0, math.nextafter(8.0, 9.0), 9.0, math.nan])
+def test_dense_output_refuses_t_outside_the_span(t):
+    res = solve_dopri5(kepler, (0.0, 8.0), [0.5, 0.0, 0.0, 1.6], tol=1e-9)
+    assert res.dense.t1 == 8.0
+    line = f"t = {t!r} outside [0.0, 8.0]"
+    with pytest.raises(OutOfRange, match=re.escape(line)):
+        res.dense(t)
+    # an array query names its first t outside the span
+    for query in (res.dense, res.dense.rate):
+        with pytest.raises(OutOfRange, match=re.escape(line)):
+            query(np.array([0.0, 4.0, t, -2.0, 8.0]))
+    assert res.dense(np.array([0.0, 8.0])).shape == (2, 4)
 
 
 def test_dense_rate_is_the_derivative_of_the_quartic():
@@ -149,10 +164,10 @@ def test_blowup_raises_step_failure():
     assert "nan" not in msg
 
 
-def test_max_steps_budget():
+def test_max_steps_budget(monkeypatch):
+    monkeypatch.setattr(dopri, "MAX_STEPS", 10)
     with pytest.raises(StepFailure) as info:
-        solve_dopri5(shm, (0.0, 1000.0), np.array([1.0, 0.0]),
-                     tol=1e-10, max_steps=10)
+        solve_dopri5(shm, (0.0, 1000.0), np.array([1.0, 0.0]), tol=1e-10)
     msg = str(info.value)
     assert "budget 10 exhausted at t = " in msg
     assert "last h = " in msg and "last error estimate = " in msg
@@ -183,16 +198,21 @@ def test_sample_derivatives_are_the_fsal_stage():
             assert np.array_equal(dy, shm(t, y))  # bit for bit
 
 
-def test_on_step_sees_fsal_derivative():
-    seen = []
-
-    def watch(t, y, dy):
-        seen.append((t, list(y), list(dy)))
-
-    solve_dopri5(shm, (0.0, 3.0), np.array([1.0, 0.0]), on_step=watch)
-    assert seen
-    for t, y, dy in seen:
-        assert np.allclose(dy, shm(t, y), rtol=0, atol=0)  # exact reuse
+def test_dense_output_budget(monkeypatch):
+    # the store of k accepted steps takes 8 (6 n + 2) k bytes; the step that
+    # would pass the budget is refused before it is attempted
+    assert dopri.MAX_DENSE_BYTES == 2 ** 30 and dopri.dense_steps(8) == 2_684_354
+    full = solve_dopri5(shm, (0.0, 3.0), [1.0, 0.0], tol=1e-6)
+    k = full.n_accepted
+    monkeypatch.setattr(dopri, "MAX_DENSE_BYTES", 8 * 14 * k + 111)
+    assert dopri.dense_steps(2) == k
+    again = solve_dopri5(shm, (0.0, 3.0), [1.0, 0.0], tol=1e-6)
+    assert again.dense.data == full.dense.data
+    monkeypatch.setattr(dopri, "MAX_DENSE_BYTES", 8 * 14 * k - 1)
+    with pytest.raises(StepFailure) as info:
+        solve_dopri5(shm, (0.0, 3.0), [1.0, 0.0], tol=1e-6)
+    assert str(info.value) == (f"dense output budget {8 * 14 * k - 1} bytes full "
+                               f"at t = {full.dense.t0[-1]!r}")
 
 
 def test_linear_problem_is_cheap():
@@ -224,11 +244,12 @@ def test_input_validation():
     (shm, [math.nan, 1.0], "non-finite y0[0] = nan at t = 0.0"),
     (lambda t, y: [y[1], math.inf], [1.0, 0.0], "non-finite f(t0, y0)[1] = inf at t = 0.0"),
 ])
-def test_non_finite_state_stops_at_once(f, y0, line):
+def test_non_finite_state_stops_at_once(monkeypatch, f, y0, line):
     # a nan stage used to reject every step, with h turning nan, until the
     # step budget ran out
+    monkeypatch.setattr(dopri, "MAX_STEPS", 1000)
     with pytest.raises(StepFailure) as info:
-        solve_dopri5(f, (0.0, 1.0), y0, max_steps=1000)
+        solve_dopri5(f, (0.0, 1.0), y0)
     msg = str(info.value)
     assert msg.startswith(line)
     assert "budget" not in msg

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import ptb.reduced
-from ptb.dopri import MAX_STEPS
+from ptb.dopri import MAX_STEPS, dense_steps
 from ptb.errors import BadParameter, DomainError, NonMonotoneTime, OutOfRange, StepFailure
 from ptb.kinematics import noether_N
 from ptb.mass_shell import mass_shell_from_lambda
@@ -149,14 +149,14 @@ def test_dense_output_between_samples():
     traj = integrate(state0(p), shell, HarmonicPotential(p.chi), p.period,
                      IntegratorOptions(tol=1e-12, sample_interval=p.period / 4.0))
     for lam in np.linspace(0.0, p.period, 37):
-        u = traj.vector_at(float(lam))
+        u = np.array(traj.dense(float(lam)))
         z, y = analytic_state(p, float(lam))
         assert np.allclose(u[0:3], z, atol=1e-10)
         assert np.allclose(u[3:6], y, atol=1e-10)
     with pytest.raises(OutOfRange):
-        traj.vector_at(p.period * 1.01)
+        traj.dense(p.period * 1.01)
     with pytest.raises(OutOfRange):
-        traj.vector_at(-1e-9)
+        traj.dense(-1e-9)
 
 
 def test_dense_clock_matches_grid_samples():
@@ -168,7 +168,7 @@ def test_dense_clock_matches_grid_samples():
                                  IntegratorOptions(sample_interval=0.5)))
     for s in traj.samples[1:]:
         lam = s.state.lambda_
-        u = traj.vector_at(lam)
+        u = np.array(traj.dense(lam))
         tau1, _, _, T = equal_time_clock(lam, u[6], u[7], shell)
         F, G = rhs(u.tolist(), shell, model)[6:8]
         assert T == pytest.approx(s.T, rel=1e-12)
@@ -257,30 +257,93 @@ def test_conserved_quantities_drift_slowly():
 
 def test_strict_time_aborts_on_nonmonotone():
     # shell deliberately inconsistent with the initial data: the harmonic
-    # F term overwhelms the clock rate when |zeta| is large
+    # F term overwhelms the clock rate once |zeta| has grown
     shell = mass_shell_from_lambda(1.0, 1.0, 0.01)
-    big = ReducedState(0.0, np.array([0.0, 8.0, 0.0]), np.array([0.5, 0.0, 0.0]))
+    start = ReducedState(0.0, np.array([0.0, 0.5, 0.0]), np.array([8.0, 0.0, 0.0]))
     with pytest.raises(NonMonotoneTime) as info:
-        integrate(big, shell, HarmonicPotential(1.0), 5.0,
+        integrate(start, shell, HarmonicPotential(1.0), 5.0,
                   IntegratorOptions(strict_time=True))
     msg = str(info.value)
-    assert "at lambda = " in msg and "after a step of h = " in msg
+    assert msg.startswith("dT/dlambda = -") and msg.endswith(" (strict mode)")
+    lam, h = (float(msg.split(key)[1].split(" ")[0]) for key in ("at lambda = ", "step of h = "))
+    assert 0.0 < h < lam < 5.0
+
+
+def test_strict_clock_is_checked_at_lambda_0():
+    # the rate at the start is the first FSAL stage; it fails here before
+    # any step is taken, so no step is named
+    shell = mass_shell_from_lambda(1.0, 1.0, 0.01)
+    big = ReducedState(0.0, np.array([0.0, 8.0, 0.0]), np.array([0.5, 0.0, 0.0]))
+    rate = dT_dlambda(*rhs([0.0, 8.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0], shell,
+                           HarmonicPotential(1.0))[6:8], shell)
+    assert rate < 0.0
+    with pytest.raises(NonMonotoneTime) as info:
+        integrate(big, shell, HarmonicPotential(1.0), 5.0,
+                  IntegratorOptions(strict_time=True, sample_interval=0.5))
+    assert str(info.value) == f"dT/dlambda = {rate!r} at lambda = 0.0 (strict mode)"
+
+
+def strict_verdict(traj):
+    """The strict check as scalar loops: the clock rate of each FSAL stage
+    of the dense output, at lambda = 0 and then at each accepted step end,
+    in the order the steps were taken; then the samples."""
+    dense, shell = traj.dense, traj.shell
+    last = None
+    for lam, k in zip([dense.t0[0], *dense.t0[1:], dense.t1], dense.groups[:, 5].tolist()):
+        rate = dT_dlambda(k[6], k[7], shell)
+        if not rate > 0.0:
+            step = "" if last is None else f" after a step of h = {lam - last!r}"
+            return f"dT/dlambda = {rate!r} at lambda = {lam!r}{step} (strict mode)"
+        last = lam
+    rates, T = traj.dTdlambda.tolist(), traj.T.tolist()
+    if not (all(r > 0.0 for r in rates) and all(b > a for a, b in zip(T, T[1:]))):
+        return f"min dT/dlambda = {min(rates)!r} (strict mode)"
+    return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(shell_lambda=st.floats(-0.5, 2.0), chi=st.floats(0.05, 1.0),
+       z=st.floats(0.1, 3.0), y=st.floats(0.1, 8.0),
+       sample_interval=st.sampled_from([None, 0.5]))
+def test_strict_check_is_the_scalar_loop(shell_lambda, chi, z, y, sample_interval):
+    # harmonic data on a foreign shell: the clock may turn at the start, at
+    # a later step end, or not at all
+    shell = mass_shell_from_lambda(1.0, 2.0, shell_lambda)
+    start = ReducedState(0.0, np.array([0.0, z, 0.1]), np.array([y, 0.0, 0.2]))
+
+    def run(strict_time):
+        return integrate(start, shell, HarmonicPotential(chi), 3.0,
+                         IntegratorOptions(sample_interval=sample_interval, strict_time=strict_time))
+
+    relaxed = run(False)
+    want = strict_verdict(relaxed)
+    if want is None:
+        assert run(True).dense.data == relaxed.dense.data
+    else:
+        with pytest.raises(NonMonotoneTime) as info:
+            run(True)
+        assert str(info.value) == want
 
 
 def test_strict_integrate_checks_its_own_samples(monkeypatch):
-    # with the per-step watch switched off, the samples that integrate
-    # returns still go through the strict check: no caller can skip it
-    shell = mass_shell_from_lambda(1.0, 1.0, 0.01)
-    big = ReducedState(0.0, np.array([0.0, 8.0, 0.0]), np.array([0.5, 0.0, 0.0]))
+    # a sample rate that the dense stages do not hold (one sample's F
+    # overwritten after the solve) fails the strict check on the samples
+    # that integrate returns: no caller can skip it
+    p, shell = toy_setup()
     solve = ptb.reduced.solve_dopri5
-    monkeypatch.setattr(ptb.reduced, "solve_dopri5",
-                        lambda *a, on_step, **kw: solve(*a, on_step=None, **kw))
-    with pytest.raises(NonMonotoneTime, match=r"min dT/dlambda = -.* \(strict mode\)"):
-        integrate(big, shell, HarmonicPotential(1.0), 5.0,
+
+    def bent(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        sol.dy[3, 6] = -1e3
+        return sol
+
+    monkeypatch.setattr(ptb.reduced, "solve_dopri5", bent)
+    with pytest.raises(NonMonotoneTime, match=r"^min dT/dlambda = -.* \(strict mode\)$"):
+        integrate(state0(p), shell, HarmonicPotential(p.chi), 5.0,
                   IntegratorOptions(strict_time=True, sample_interval=0.5))
-    relaxed = integrate(big, shell, HarmonicPotential(1.0), 5.0,
+    relaxed = integrate(state0(p), shell, HarmonicPotential(p.chi), 5.0,
                         IntegratorOptions(sample_interval=0.5))
-    assert relaxed.monotone is False
+    assert relaxed.monotone is False and list(np.flatnonzero(relaxed.flagged)) == [3]
 
 
 def test_replaced_columns_get_a_fresh_clock():
@@ -365,10 +428,12 @@ def grid_of(span, interval):
 @pytest.mark.parametrize("span, interval", [(1.0, 1e-12), (1e3, 1e-9), (1.0, 5e-324)])
 def test_a_sample_grid_beyond_the_step_budget_is_refused(span, interval):
     # every grid point past lambda = 0 ends an accepted step, so a grid of
-    # 1e12 points could never finish; it is refused before it is built
+    # 1e12 points could never finish; it is refused before it is built.  The
+    # dense output budget allows fewer accepted steps than MAX_STEPS
     msg = grid_of(span, interval)
     assert msg.startswith("a sample grid of ")
-    assert msg.endswith(f"points needs more accepted steps than the step budget of {MAX_STEPS}")
+    assert dense_steps(8) == 2_684_354 < MAX_STEPS
+    assert msg.endswith("points needs more accepted steps than the step budget of 2684354")
 
 
 def test_the_grid_bound_is_the_step_budget(monkeypatch):
@@ -377,7 +442,19 @@ def test_the_grid_bound_is_the_step_budget(monkeypatch):
     assert grid_of(1.0, 0.099).tolist() == [i * 0.099 for i in range(11)] + [1.0]
     assert grid_of(1.0, 0.09) == ("a sample grid of 12.11 points needs more accepted steps "
                                   "than the step budget of 10")
-    assert ptb.dopri.solve_dopri5.__kwdefaults__["max_steps"] == MAX_STEPS == 10_000_000
+    assert ptb.dopri.MAX_STEPS == MAX_STEPS == 10_000_000
+
+
+def test_the_grid_bound_is_the_dense_budget(monkeypatch):
+    # a grid is refused when its steps would pass the dense output budget,
+    # 8 (6 * 8 + 2) = 400 bytes a step for the eight-component state
+    monkeypatch.setattr(ptb.dopri, "MAX_DENSE_BYTES", 4399)
+    assert grid_of(1.0, 0.1).tolist() == [i * 0.1 for i in range(10)] + [1.0]
+    assert grid_of(1.0, 0.09) == ("a sample grid of 12.11 points needs more accepted steps "
+                                  "than the step budget of 10")
+    monkeypatch.undo()
+    assert grid_of(1.0, 1.0 / 2_684_355) == ("a sample grid of 2.684e+06 points needs more "
+                                             "accepted steps than the step budget of 2684354")
 
 
 def test_sample_grid_includes_both_ends():
@@ -416,8 +493,8 @@ def test_sample_rates_are_the_fsal_derivative(model, opts):
         assert (s.F, s.G) == (F, G)
     # between samples the dense quadratures advance at the rates rhs gives
     lam, h = 2.345, 1e-4
-    F, G = rhs(traj.vector_at(lam).tolist(), shell, model)[6:8]
-    slope = (traj.vector_at(lam + h)[6:8] - traj.vector_at(lam - h)[6:8]) / (2.0 * h)
+    F, G = rhs(traj.dense(lam), shell, model)[6:8]
+    slope = (np.array(traj.dense(lam + h)[6:8]) - traj.dense(lam - h)[6:8]) / (2.0 * h)
     assert slope == pytest.approx([F, G], rel=1e-6, abs=1e-9)
 
 
@@ -467,7 +544,7 @@ def test_dense_output_follows_the_oscillator(chi, M, nu_frac, A, B, probes):
     traj = integrate(state0(p), shell, HarmonicPotential(chi), span, IntegratorOptions(tol=tol))
     for x in probes:
         lam = x * span
-        u = traj.vector_at(lam)
+        u = np.array(traj.dense(lam))
         z, y = analytic_state(p, lam)
         assert np.abs(u[0:3] - z).max() <= tol * span
         assert np.abs(u[3:6] - y).max() <= tol * span

@@ -77,7 +77,7 @@ def test_lambda_from_T_round_trip(toy_traj):
     T_hi = toy_traj.samples[-1].T
     for T in np.linspace(T_lo, T_hi, 23):
         lam = lambda_from_T(toy_traj, float(T))
-        u = toy_traj.vector_at(lam)
+        u = toy_traj.dense(lam)
         assert equal_time_clock(lam, u[6], u[7], toy_traj.shell)[3] == pytest.approx(T, abs=1e-10)
     with pytest.raises(OutOfRange):
         lambda_from_T(toy_traj, T_hi + 1.0)
