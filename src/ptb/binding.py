@@ -27,7 +27,6 @@ from .roots import first_root
 
 __all__ = [
     "binding_energy",
-    "self_consistent_M",
     "self_consistent_shell",
     "self_consistent_circular",
 ]
@@ -91,39 +90,17 @@ def _closed_shell(m1: float, m2: float,
     raise NoRoot(msg) from failure
 
 
-def self_consistent_M(m1: float, m2: float,
-                      lambda_of_M: Callable[[float], float]) -> float:
-    """Solve M = M_shell(m1, m2, lambda_of_M(M)).
-
-    Finds lambda with lambda_of_M(M_shell(lambda)) = lambda on lambda >
-    -m1^2 (see the module docstring) and returns that shell's M.  Invalid
-    masses raise BadParameter before any shell is solved; NoRoot names the
-    last package error of a trial shell and chains it.  Any other exception
-    of lambda_of_M propagates.
-    """
-    _check_masses(m1, m2)
-    shell, _ = _closed_shell(m1, m2, lambda shell: (lambda_of_M(shell.M), None))
-    return shell.M
-
-
-def _state_lambda(model: PotentialSpec, nu: float,
-                  zeta0: Sequence[float], eta0: Sequence[float]) -> Callable[[float], float]:
+def self_consistent_shell(m1: float, m2: float, model: PotentialSpec,
+                          zeta0: Sequence[float], eta0: Sequence[float]) -> MassShell:
+    """Shell whose lambda matches the orbit constraint at the given state."""
+    _, nu = _check_masses(m1, m2)
     z2 = sum(c * c for c in zeta0)
     e2 = sum(c * c for c in eta0)
     ze = sum(a * b for a, b in zip(zeta0, eta0))
 
     def lam(M2: float) -> float:
-        q = ScalarQuintet.at_rest(M2, nu, z2, e2, ze)
-        return e2 - 2.0 * model.evaluate(q).value
+        return e2 - 2.0 * model.evaluate(ScalarQuintet.at_rest(M2, nu, z2, e2, ze)).value
 
-    return lam
-
-
-def self_consistent_shell(m1: float, m2: float, model: PotentialSpec,
-                          zeta0: Sequence[float], eta0: Sequence[float]) -> MassShell:
-    """Shell whose lambda matches the orbit constraint at the given state."""
-    _, nu = _check_masses(m1, m2)
-    lam = _state_lambda(model, nu, zeta0, eta0)
     if model.p2_independent and model.w_independent:
         # lambda does not feed back into itself; one pass is exact
         return mass_shell_from_lambda(m1, m2, lam((m1 + m2) ** 2))

@@ -21,7 +21,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from typing import Optional, Sequence
 
@@ -365,28 +364,21 @@ def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _sweep_worker(path: str) -> tuple[str, int, str]:
-    try:
-        sc = build_scenario(load_config(path))
-        out_path, diag, _ = run_scenario(sc)
-    except PtbError as e:
-        return path, _exit_code(e), _error_line(e)
-    line = f"wrote {out_path} ({diag['n_samples']} samples)"
-    if not diag["monotone"]:
-        line += f" [flagged: {diag['n_flagged']}]"
-    return path, 0, line
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.sweep and args.config:
         raise ConfigError("give --config or --sweep, not both")
     if args.sweep:
         codes = []
-        with ProcessPoolExecutor(max_workers=min(len(args.sweep), os.cpu_count() or 1)) as ex:
-            for path, code, msg in ex.map(_sweep_worker, args.sweep):
-                status = "ok" if code == 0 else f"exit {code}"
-                print(f"{path}: {status}: {msg}")
-                codes.append(code)
+        for path in args.sweep:  # in sequence; a failed member does not stop the rest
+            try:
+                out_path, diag, _ = run_scenario(build_scenario(load_config(path)))
+            except PtbError as e:
+                codes.append(_exit_code(e))
+                print(f"{path}: exit {codes[-1]}: {_error_line(e)}")
+                continue
+            codes.append(0)
+            flagged = "" if diag["monotone"] else f" [flagged: {diag['n_flagged']}]"
+            print(f"{path}: ok: wrote {out_path} ({diag['n_samples']} samples){flagged}")
         return max(codes)
 
     cfg = _apply_overrides(load_config(args.config) if args.config else {}, args)
@@ -499,7 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a scenario config end to end")
     sim.add_argument("--config", help="JSON scenario file")
     sim.add_argument("--sweep", nargs="+", metavar="CONFIG",
-                     help="run several configs in parallel, each to its own file")
+                     help="run several configs one after another, each to its own file")
     for flag, _, _, kwargs in _OVERRIDES:
         sim.add_argument(flag, **kwargs)
     sim.set_defaults(func=cmd_simulate)

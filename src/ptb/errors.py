@@ -13,25 +13,12 @@ class AdmissibilityViolation(PtbError):
     """A physical admissibility condition on (m1, m2, lambda) fails."""
 
 
-class RealityViolation(AdmissibilityViolation):
-    """Collective mass squared would be complex: requires mu + lambda > |nu|."""
-
-
-class LambdaBoundViolation(RealityViolation):
+class LambdaBoundViolation(AdmissibilityViolation):
     """Binding first integral out of range: requires m1**2 + lambda > 0.
 
     For m1 <= m2 this is the same inequality as the reality requirement
-    mu + lambda > |nu|, so this class subclasses RealityViolation and is
-    the one actually raised.
+    mu + lambda > |nu| and as the energy condition E1 > 0.
     """
-
-
-class EnergyConditionViolation(AdmissibilityViolation):
-    """Individual energies not strictly positive: requires M**2 > 2|nu|."""
-
-
-class MassBoundViolation(EnergyConditionViolation):
-    """Collective mass below the splitting bound: requires M**2 > m2**2 - m1**2."""
 
 
 class InadmissibleAlpha(AdmissibilityViolation):

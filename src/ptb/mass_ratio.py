@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BadParameter, InadmissibleAlpha
-from .mass_shell import mass_shell_from_lambda
+from .mass_shell import _energies
 
 __all__ = ["RatioRow", "limit_report"]
 
@@ -38,7 +38,8 @@ class RatioRow:
 def limit_report(m2: float, alpha: float, eps_sequence: Sequence[float]) -> list[RatioRow]:
     """One row per eps: the offset E1/M of the shell with m1 = sqrt(eps) m2
     and lambda = alpha m2^2, its limit as eps -> 0 at this alpha, and the
-    residual between them.
+    residual between them.  The offset is taken as E1/(E1 + E2), which
+    stays finite where that shell's M^2 overflows.
 
     The limit is gamma/(1 + gamma) at alpha = 0 (a per-row moving target),
     the beta form for alpha > 0 (1/2 once beta overflows), and 0 for
@@ -61,8 +62,8 @@ def limit_report(m2: float, alpha: float, eps_sequence: Sequence[float]) -> list
             raise InadmissibleAlpha(
                 f"requires alpha > -eps (i.e. m1^2 + lambda > 0), got alpha = {alpha!r}")
         gamma = math.sqrt(eps)
-        shell = mass_shell_from_lambda(gamma * m2, m2, alpha * (m2 * m2))
-        offset = shell.E1 / shell.M
+        *_, E1, E2 = _energies(gamma * m2, m2, alpha * (m2 * m2))
+        offset = E1 / (E1 + E2)
         limit = beta_limit if alpha > 0.0 else gamma / (1.0 + gamma) if alpha == 0.0 else 0.0
         rows.append(RatioRow(float(eps), gamma, alpha, offset, limit, abs(offset - limit)))
     return rows

@@ -21,16 +21,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadParameter, LambdaBoundViolation, MassBoundViolation
+from .errors import BadParameter, LambdaBoundViolation
 
 __all__ = [
     "MassShell",
     "mass_shell_from_lambda",
-    "lambda_from_M2",
     "shell_from_M",
     "mass_excess",
     "nonrel_check",
     "individual_energy_limits",
+    "monotonicity_margin",
 ]
 
 _REL_SLACK = 1e-12
@@ -54,9 +54,6 @@ class MassShell:
     E1: float
     E2: float
 
-    def quartic_residual(self) -> float:
-        return self.M2 * self.M2 - 4.0 * (self.mu + self.lambda_) * self.M2 + 4.0 * self.nu ** 2
-
 
 def _check_masses(m1: float, m2: float) -> tuple[float, float]:
     """(mu, nu) of finite masses with 0 < m1 <= m2; anything else is a BadParameter."""
@@ -69,15 +66,9 @@ def _check_masses(m1: float, m2: float) -> tuple[float, float]:
     return mu, nu
 
 
-def mass_shell_from_lambda(m1: float, m2: float, lambda_: float) -> MassShell:
-    """Solve the shell for M given (m1, m2, lambda): E_a = sqrt(m_a^2 + lambda)
-    and M = E1 + E2.
-
-    Raises LambdaBoundViolation when m1^2 + lambda <= 0, which for sorted
-    masses is the same inequality as mu + lambda > |nu| and as E1 > 0; the
-    energy condition M^2 > 2|nu| then holds automatically.  A non-finite
-    m2^2 + lambda (lambda inf or nan, or the sum overflowing) is a BadParameter.
-    """
+def _energies(m1: float, m2: float, lambda_: float) -> tuple[float, float, float, float, float]:
+    """(mu, nu, lambda, E1, E2) with E_a = sqrt(m_a^2 + lambda), refusing what
+    mass_shell_from_lambda refuses short of an overflowing M^2."""
     mu, nu = _check_masses(m1, m2)
     lam = float(lambda_)
     if not math.isfinite(m2 * m2 + lam):
@@ -85,30 +76,26 @@ def mass_shell_from_lambda(m1: float, m2: float, lambda_: float) -> MassShell:
     E1_sq = m1 * m1 + lam
     if not (E1_sq > _REL_SLACK * max(m1 * m1, abs(lam))):
         raise LambdaBoundViolation(f"requires m1^2 + lambda > 0, got {E1_sq!r}")
-    E1 = math.sqrt(E1_sq)
-    E2 = math.sqrt(m2 * m2 + lam)
+    return mu, nu, lam, math.sqrt(E1_sq), math.sqrt(m2 * m2 + lam)
+
+
+def mass_shell_from_lambda(m1: float, m2: float, lambda_: float) -> MassShell:
+    """Solve the shell for M given (m1, m2, lambda): E_a = sqrt(m_a^2 + lambda)
+    and M = E1 + E2.
+
+    Raises LambdaBoundViolation when m1^2 + lambda <= 0, which for sorted
+    masses is the same inequality as mu + lambda > |nu| and as E1 > 0; the
+    energy condition M^2 > 2|nu| then holds automatically.  A non-finite
+    m2^2 + lambda or M^2 (lambda inf or nan, or a square overflowing) is a
+    BadParameter.
+    """
+    mu, nu, lam, E1, E2 = _energies(m1, m2, lambda_)
     M = E1 + E2
+    if not math.isfinite(M * M):
+        raise BadParameter(
+            f"need a finite M^2, got inf for m1 = {m1!r}, m2 = {m2!r}, lambda = {lam!r}")
     return MassShell(m1=float(m1), m2=float(m2), mu=mu, nu=nu, lambda_=lam,
                      M2=M * M, M=M, E1=E1, E2=E2)
-
-
-def lambda_from_M2(m1: float, m2: float, M2: float) -> float:
-    """Invert the shell: lambda = (E1 - m1)(E1 + m1), E1 = (M^2 + m1^2 - m2^2)/(2M).
-
-    2M (E1 +- m1) = (M +- m1 - m2)(M +- m1 + m2), and each factor is formed
-    with exact subtractions where it is small, so lambda is as accurate as
-    M^2 allows even as m1/m2 -> 0.  The preconditions M^2 > 2|nu| and M^2 >
-    m2^2 - m1^2 coincide for sorted masses; their violation raises
-    MassBoundViolation.
-    """
-    _, nu = _check_masses(m1, m2)
-    M2 = float(M2)
-    if not (M2 > 2.0 * abs(nu) + _REL_SLACK * max(M2, m2 * m2)):
-        raise MassBoundViolation(
-            f"requires M^2 > m2^2 - m1^2 = 2|nu|, got M^2 = {M2!r}, 2|nu| = {2.0 * abs(nu)!r}")
-    M = math.sqrt(M2)
-    C = (M - m2) + m1 if m2 > 2.0 * m1 else M - (m2 - m1)
-    return ((M - m2) - m1) * (M + (m2 - m1)) * C * (M + m1 + m2) / (4.0 * M2)
 
 
 def shell_from_M(M: float, nu: float, lambda_: float = 0.0) -> MassShell:
@@ -157,3 +144,9 @@ def individual_energy_limits(m1: float, m2: float, lambda_: float) -> tuple[floa
     """
     shell = mass_shell_from_lambda(m1, m2, lambda_)
     return shell.lambda_ / (shell.E1 + m1), shell.lambda_ / (shell.E2 + m2)
+
+
+def monotonicity_margin(M2: float, nu: float, lambda_: float) -> float:
+    """M^2/4 - nu^2/M^2 - lambda/2; positive guarantees dT/dlambda > 0 for
+    any state on a shell with these M^2, nu and lambda."""
+    return M2 / 4.0 - nu ** 2 / M2 - 0.5 * lambda_

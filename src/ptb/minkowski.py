@@ -30,11 +30,6 @@ class FourVector:
     y: float
     z: float
 
-    @staticmethod
-    def from_spatial(t: float, vec) -> "FourVector":
-        vx, vy, vz = (float(c) for c in vec)
-        return FourVector(float(t), vx, vy, vz)
-
     @property
     def spatial(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
@@ -66,19 +61,16 @@ class FourVector:
         yield self.y
         yield self.z
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.t, self.x, self.y, self.z])
-
 
 def lorentz_dot(a: FourVector, b: FourVector) -> float:
     return a.t * b.t - a.x * b.x - a.y * b.y - a.z * b.z
 
 
 def boost_from_rest(v, k: FourVector):
-    """Pure (rotation-free) boost that carries rest-frame components of v, a
-    FourVector or an array whose last axis holds (t, x, y, z), to the frame
-    in which the momentum has components k: it maps (sqrt(k.k), 0, 0, 0) to
-    k and leaves spatial directions orthogonal to k's velocity untouched."""
+    """Pure (rotation-free) boost that carries rest-frame components v, an
+    array whose last axis holds (t, x, y, z), to the frame in which the
+    momentum has components k: it maps (sqrt(k.k), 0, 0, 0) to k and leaves
+    spatial directions orthogonal to k's velocity untouched."""
     m2 = lorentz_dot(k, k)
     if m2 <= 0.0:
         raise NonTimelikeP(f"boost axis must be timelike, k.k = {m2!r}")
@@ -87,7 +79,7 @@ def boost_from_rest(v, k: FourVector):
     gamma, beta = k.t / math.sqrt(m2), k.spatial / k.t
     if float(beta @ beta) == 0.0:
         return v
-    a = v.as_array() if isinstance(v, FourVector) else np.asarray(v, dtype=float)
+    a = np.asarray(v, dtype=float)
     t, x = a[..., 0], a[..., 1:]
     bx = x @ beta
     # (gamma - 1)/b2 rewritten as gamma^2/(gamma + 1) to stay stable as b2 -> 0
@@ -95,4 +87,4 @@ def boost_from_rest(v, k: FourVector):
     out = np.empty_like(a)
     out[..., 0] = gamma * (t + bx)
     out[..., 1:] = x + (coef * bx + gamma * t)[..., None] * beta
-    return FourVector(*out.tolist()) if isinstance(v, FourVector) else out
+    return out

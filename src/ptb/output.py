@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .mass_shell import monotonicity_margin
 from .reduced import Trajectory
 from .worldline import WorldlineSet
 
@@ -87,9 +88,8 @@ def trajectory_rows(traj: Trajectory, ws: WorldlineSet) -> RowTable:
 def diagnostics(traj: Trajectory) -> dict:
     """First-integral drifts and clock-rate checks for a finished run.
 
-    Drifts are relative to the scale of the first sample.  The monotonicity
-    margin is M^2/4 - nu^2/M^2 - Lambda/2; a positive value guarantees
-    dT/dlambda > 0 for any state on the shell.
+    Drifts are relative to the scale of the first sample.  A positive
+    monotonicity_margin guarantees dT/dlambda > 0 for any state on the shell.
     """
     shell = traj.shell
     N, L2 = traj.first_integrals
@@ -108,8 +108,7 @@ def diagnostics(traj: Trajectory) -> dict:
         "L2_drift": float(np.abs(L2 - L2[0]).max()) / L2_scale,
         "N_plus_lambda": float(np.abs(N + shell.lambda_).max()) / max(N_scale, abs(shell.lambda_)),
         "planarity_residual": _planarity(traj),
-        "monotonicity_margin": shell.M2 / 4.0 - shell.nu ** 2 / shell.M2 - 0.5 * shell.lambda_,
-        "synchronized": True,
+        "monotonicity_margin": monotonicity_margin(shell.M2, shell.nu, shell.lambda_),
         "T_span": [float(traj.T[0]), float(traj.T[-1])],
         "min_dT_dlambda": float(np.min(traj.dTdlambda)),
         "monotone": traj.monotone,

@@ -24,7 +24,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import BadParameter
-from .mass_shell import MassShell, _check_masses, shell_from_M
+from .mass_shell import MassShell, monotonicity_margin, shell_from_M
 
 __all__ = [
     "ToyParams",
@@ -37,7 +37,6 @@ __all__ = [
     "min_dT_dlambda",
     "sufficient_condition_margin",
     "shell_for_toy",
-    "toy_from_masses",
 ]
 
 Vec3 = Tuple[float, float, float]
@@ -152,12 +151,13 @@ def min_dT_dlambda(p: ToyParams) -> float:
 
 
 def sufficient_condition_margin(p: ToyParams) -> float:
-    """M^2/4 - nu^2/M^2 - Lambda/2; positive guarantees dT/dlambda > 0.
+    """monotonicity_margin at this M, nu and Lambda; positive guarantees
+    dT/dlambda > 0.
 
     Every shell-consistent configuration has a positive margin, so a
     violation requires running the oscillator against a foreign shell.
     """
-    return p.M * p.M / 4.0 - p.nu * p.nu / (p.M * p.M) - 0.5 * p.Lambda
+    return monotonicity_margin(p.M * p.M, p.nu, p.Lambda)
 
 
 def shell_for_toy(p: ToyParams) -> MassShell:
@@ -165,15 +165,3 @@ def shell_for_toy(p: ToyParams) -> MassShell:
     constant |eta|^2 - 2 V is the shell's lambda."""
     return shell_from_M(p.M, p.nu, p.Lambda)
 
-
-def toy_from_masses(m1: float, m2: float, chi: float,
-                    A: Sequence[float], B: Sequence[float],
-                    C: float = 0.0) -> ToyParams:
-    """Self-consistent oscillator for given masses and amplitudes."""
-    from .binding import self_consistent_M
-    _, nu = _check_masses(m1, m2)
-    a2 = sum(float(c) ** 2 for c in A)
-    b2 = sum(float(c) ** 2 for c in B)
-    M = self_consistent_M(m1, m2, lambda M: 2.0 * chi * M * (a2 + b2))
-    return ToyParams(chi=chi, M=M, A=_vec3(A, "A"), B=_vec3(B, "B"),
-                     C=float(C), nu=nu)

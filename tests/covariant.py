@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ptb.errors import NonTimelikeP
 from ptb.kinematics import ScalarQuintet
 from ptb.minkowski import FourVector, boost_from_rest, lorentz_dot
@@ -52,7 +54,10 @@ def boost_to_rest(v, k: FourVector):
     """Pure boost mapping k to (sqrt(k.k), 0, 0, 0), applied to v (a
     FourVector or (..., 4) components): boost_from_rest along the reversed
     velocity, which is its exact inverse up to rounding."""
-    return boost_from_rest(v, FourVector(k.t, -k.x, -k.y, -k.z))
+    reverse = FourVector(k.t, -k.x, -k.y, -k.z)
+    if isinstance(v, FourVector):
+        return FourVector(*boost_from_rest(np.array(tuple(v)), reverse).tolist())
+    return boost_from_rest(v, reverse)
 
 
 def split(state: CanonicalState) -> ExternalInternal:

@@ -7,18 +7,21 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import ptb.binding
-from ptb.binding import (
-    binding_energy,
-    self_consistent_M,
-    self_consistent_circular,
-    self_consistent_shell,
-)
+from ptb.binding import binding_energy, self_consistent_circular, self_consistent_shell
 from ptb.errors import BadParameter, DomainError, NoRoot
 from ptb.mass_shell import _REL_SLACK, mass_shell_from_lambda
 from ptb.potentials import CentralPowerPotential, FreePotential, HarmonicPotential
 from ptb.reduced import rest_quintet
 from ptb.roots import brent
-from ptb.toy import toy_from_masses
+
+from ptb_fixtures import LambdaOfM, quartic
+
+
+def closed_M(m1, m2, lambda_of_M):
+    """M of the shell whose lambda is lambda_of_M(M), closed by
+    self_consistent_shell on the LambdaOfM model at rest (eta = 0)."""
+    shell = self_consistent_shell(m1, m2, LambdaOfM(lambda_of_M), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    return shell.M
 
 
 def test_binding_energy_sign():
@@ -30,7 +33,7 @@ def test_binding_energy_sign():
 
 
 def test_fixed_point_free_case_is_mass_sum():
-    M = self_consistent_M(1.0, 2.0, lambda M: 0.0)
+    M = closed_M(1.0, 2.0, lambda M: 0.0)
     assert M == pytest.approx(3.0, rel=1e-14)
 
 
@@ -38,7 +41,7 @@ def test_fixed_point_closure():
     # lambda(M) = 2 chi M (a2 + b2): the toy oscillator's constraint
     chi, a2b2 = 0.125, 1.25 / (2.0 * 0.125 * 4.0)
     m = math.sqrt(2.75)
-    M = self_consistent_M(m, m, lambda M: 2.0 * chi * M * a2b2)
+    M = closed_M(m, m, lambda M: 2.0 * chi * M * a2b2)
     # M = 4 solves it exactly: lambda = 1.25, mu = 2.75, M^2 = 2(4) + 2(4)
     assert M == pytest.approx(4.0, rel=1e-12)
     back = mass_shell_from_lambda(m, m, 2.0 * chi * M * a2b2)
@@ -48,18 +51,19 @@ def test_fixed_point_closure():
 def test_fixed_point_linear_lambda():
     # lambda(M) = c M has the closed form from the quartic; compare
     m1, m2, c = 0.8, 1.3, 0.07
-    M = self_consistent_M(m1, m2, lambda M: c * M)
+    M = closed_M(m1, m2, lambda M: c * M)
     sh = mass_shell_from_lambda(m1, m2, c * M)
     assert sh.M == pytest.approx(M, rel=1e-12)
 
 
 def test_programming_errors_in_lambda_of_M_propagate():
-    # only package errors mean "no shell here"; a bug is not a missing root
+    # only package errors mean "no shell here"; a bug in the model is not a
+    # missing root
     def broken(M):
         return 1.0 / 0.0
 
     with pytest.raises(ZeroDivisionError):
-        self_consistent_M(1.0, 2.0, broken)
+        closed_M(1.0, 2.0, broken)
 
     # the free shell (M = 3) sends the scan toward the bound, where the first
     # trial shell hits the bug
@@ -67,13 +71,13 @@ def test_programming_errors_in_lambda_of_M_propagate():
         return -2.0 * M * M - 10.0 if M >= 3.0 else 1.0 / 0.0
 
     with pytest.raises(ZeroDivisionError):
-        self_consistent_M(1.0, 2.0, broken_below)
+        closed_M(1.0, 2.0, broken_below)
 
 
 def test_no_root_when_constraint_is_absurd():
     # lambda(M) so negative everywhere that the shell never closes
     with pytest.raises(NoRoot):
-        self_consistent_M(1.0, 1.0, lambda M: -2.0 * M * M - 10.0)
+        closed_M(1.0, 1.0, lambda M: -2.0 * M * M - 10.0)
 
 
 def test_no_root_keeps_the_domain_error_of_the_trial_shells():
@@ -143,7 +147,8 @@ def test_self_consistent_circular_harmonic():
     shell, orbit = self_consistent_circular(math.sqrt(2.75), math.sqrt(2.75),
                                             model, 1.0)
     assert orbit.rho == pytest.approx((1.0 / (0.25 * shell.M)) ** 0.25, rel=1e-11)
-    assert shell.quartic_residual() == pytest.approx(0.0, abs=1e-9 * shell.M2 ** 2)
+    residual = quartic(shell.m1, shell.m2, shell.lambda_, shell.M2)
+    assert residual == pytest.approx(0.0, abs=1e-9 * shell.M2 ** 2)
 
 
 @pytest.mark.parametrize("model, l2", [
@@ -169,7 +174,7 @@ def test_a_band_of_failing_trial_shells_is_a_hole():
     # lambda(M) = -M^2/5 for masses (1, 2): the scan toward the bound tries
     # lambda = -1/2 and -3/4 (M = 2.58, 2.30) before it brackets the root
     # at -0.885 between -7/8 and -15/16 (M = 2.12, 2.00)
-    want = self_consistent_M(1.0, 2.0, lambda M: -M * M / 5.0)
+    want = closed_M(1.0, 2.0, lambda M: -M * M / 5.0)
     holes = []
 
     def lam(M):
@@ -178,7 +183,7 @@ def test_a_band_of_failing_trial_shells_is_a_hole():
             raise DomainError(f"no orbit at M = {M!r}")
         return -M * M / 5.0
 
-    assert self_consistent_M(1.0, 2.0, lam) == want
+    assert closed_M(1.0, 2.0, lam) == want
     assert len(holes) == 2
     assert mass_shell_from_lambda(1.0, 2.0, -want * want / 5.0).M == pytest.approx(want, rel=1e-14)
 
@@ -259,10 +264,9 @@ def test_invalid_masses_are_refused_before_any_shell_solve(monkeypatch, m1, m2):
     monkeypatch.setattr(ptb.binding, "mass_shell_from_lambda", counted)
     model = HarmonicPotential(0.125)
     closures = [
-        lambda: self_consistent_M(m1, m2, lambda M: 0.1 * M),
+        lambda: closed_M(m1, m2, lambda M: 0.1 * M),
         lambda: self_consistent_shell(m1, m2, model, (1.0, 0.0, 0.0), (0.0, 0.5, 0.0)),
         lambda: self_consistent_circular(m1, m2, model, 1.0),
-        lambda: toy_from_masses(m1, m2, 0.125, (1.0, 0.0, 0.0), (0.0, 0.5, 0.0)),
     ]
     for closure in closures:
         with pytest.raises(BadParameter, match="masses"):

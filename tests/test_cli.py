@@ -557,7 +557,7 @@ HELP = (None, "==SUPPRESS==", None, False, "show this help message and exit")
 SIMULATE_FLAGS = {
     "--help": HELP,
     "--config": (None, None, None, False, "JSON scenario file"),
-    "--sweep": (None, None, None, False, "run several configs in parallel, each to its own file"),
+    "--sweep": (None, None, None, False, "run several configs one after another, each to its own file"),
     "--m1": ("float", None, None, False, None),
     "--m2": ("float", None, None, False, None),
     "--potential": (None, None, None, False, "free, harmonic or central_power"),

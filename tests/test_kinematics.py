@@ -24,7 +24,7 @@ def random_state(rng, p_scale=1.0):
     """Canonical state whose total momentum is timelike future-pointing."""
     def vec(ts):
         sp = rng.normal(size=3)
-        return FourVector.from_spatial(ts + math.sqrt(1.0 + sp @ sp), sp)
+        return FourVector(ts + math.sqrt(1.0 + sp @ sp), *sp)
 
     q1 = FourVector(*rng.normal(size=4))
     q2 = FourVector(*rng.normal(size=4))
@@ -122,10 +122,10 @@ def test_center_of_mass_energy_weighted_mean_on_slice():
     x1 = np.array([0.7, -0.2, 0.4])
     x2 = np.array([-0.1, 0.3, 0.0])
     s = CanonicalState(
-        q1=FourVector.from_spatial(3.0, x1),
-        q2=FourVector.from_spatial(3.0, x2),  # equal times: z.P = 0
-        p1=FourVector.from_spatial(E1, [0.2, 0.1, 0.0]),
-        p2=FourVector.from_spatial(E2, [-0.2, -0.1, 0.0]))
+        q1=FourVector(3.0, *x1),
+        q2=FourVector(3.0, *x2),  # equal times: z.P = 0
+        p1=FourVector(E1, 0.2, 0.1, 0.0),
+        p2=FourVector(E2, -0.2, -0.1, 0.0))
     Xi = center_of_mass(s)
     M = E1 + E2
     want = (E1 * x1 + E2 * x2) / M

@@ -8,19 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ptb.errors import (
-    AdmissibilityViolation,
-    BadParameter,
-    EnergyConditionViolation,
-    LambdaBoundViolation,
-    MassBoundViolation,
-    PtbError,
-    RealityViolation,
-)
+from ptb.errors import AdmissibilityViolation, BadParameter, LambdaBoundViolation, PtbError
 from ptb.mass_ratio import limit_report
 from ptb.mass_shell import (
     individual_energy_limits,
-    lambda_from_M2,
     mass_excess,
     mass_shell_from_lambda,
     nonrel_check,
@@ -30,20 +21,13 @@ from ptb.potentials import FreePotential
 from ptb.reduced import IntegratorOptions, ReducedState, integrate, synchronize
 from ptb.worldline import worldlines
 
-from ptb_fixtures import random_shell_args
-
-
-def quartic(m1, m2, lam, M2):
-    mu = 0.5 * (m1 * m1 + m2 * m2)
-    nu = 0.5 * (m1 * m1 - m2 * m2)
-    return M2 * M2 - 4.0 * (mu + lam) * M2 + 4.0 * nu * nu
+from ptb_fixtures import quartic, random_shell_args
 
 
 def test_shell_solves_quartic(rng):
     for m1, m2, lam in random_shell_args(rng, 200):
         sh = mass_shell_from_lambda(m1, m2, lam)
         assert abs(quartic(m1, m2, lam, sh.M2)) <= 1e-12 * sh.M2 * sh.M2
-        assert abs(sh.quartic_residual()) <= 1e-12 * sh.M2 * sh.M2
 
 
 def test_rejected_root_breaks_energy_positivity(rng):
@@ -96,15 +80,10 @@ def test_lambda_bound_violation():
 
 
 def test_error_taxonomy():
-    assert issubclass(LambdaBoundViolation, RealityViolation)
-    assert issubclass(MassBoundViolation, EnergyConditionViolation)
-    assert issubclass(RealityViolation, AdmissibilityViolation)
-    assert issubclass(EnergyConditionViolation, AdmissibilityViolation)
+    assert issubclass(LambdaBoundViolation, AdmissibilityViolation)
     assert issubclass(AdmissibilityViolation, PtbError)
     with pytest.raises(AdmissibilityViolation):
         mass_shell_from_lambda(1.0, 1.0, -1.0)
-    with pytest.raises(AdmissibilityViolation):
-        lambda_from_M2(1.0, 2.0, 3.0 - 0.5)
 
 
 def test_bad_masses():
@@ -112,50 +91,6 @@ def test_bad_masses():
                    (1.0, float("inf"))]:
         with pytest.raises(BadParameter):
             mass_shell_from_lambda(m1, m2, 0.0)
-
-
-def test_lambda_round_trip(rng):
-    for m1, m2, lam in random_shell_args(rng, 200):
-        sh = mass_shell_from_lambda(m1, m2, lam)
-        back = lambda_from_M2(m1, m2, sh.M2)
-        assert back == pytest.approx(lam, rel=1e-10, abs=1e-12 * sh.M2)
-
-
-def _round_trip_error(m1, m2, lam):
-    """|lambda -> M^2 -> lambda| relative to |lambda|, in units of 2^-53 times
-    the inverse's conditioning cond = |dlambda/dM^2| M^2/|lambda| =
-    E1 E2/|lambda|.  cond falls below 1 only toward the bound lambda -> -m1^2,
-    where the result's own rounding dominates, so it is floored at 1."""
-    sh = mass_shell_from_lambda(m1, m2, lam)
-    back = lambda_from_M2(m1, m2, sh.M2)
-    cond = max(sh.E1 * sh.E2 / abs(lam), 1.0)
-    return abs(back - lam) / abs(lam) / (cond * 2.0 ** -53)
-
-
-@pytest.mark.parametrize("m1, lam", [(1e-7, 1e-15), (1e-7, -5e-15), (1e-4, 1e-9), (0.5, 1e-3)])
-def test_lambda_round_trip_keeps_a_small_lambda(m1, lam):
-    # M^2/4 + nu^2/M^2 - mu was off by 8.0e-4, 8.0e-4, 2.8e-8 and 8.7e-16 here
-    assert _round_trip_error(m1, 1.0, lam) <= 8.0
-
-
-@given(m1=st.floats(-8.0, 3.0).map(lambda x: 10.0 ** x),
-       ratio=st.floats(0.0, 7.0).map(lambda x: 10.0 ** x),
-       gap=st.floats(-10.0, -0.1).map(lambda x: 10.0 ** x),
-       above=st.floats(-12.0, 12.0).map(lambda x: 10.0 ** x),
-       bound=st.booleans())
-def test_lambda_round_trip_is_as_good_as_its_conditioning(m1, ratio, gap, above, bound):
-    # lambda = -m1^2 (1 - gap) toward the bound, or m1^2 * above
-    lam = -m1 * m1 * (1.0 - gap) if bound else m1 * m1 * above
-    assert _round_trip_error(m1, m1 * ratio, lam) <= 8.0
-
-
-def test_mass_bound_violation():
-    # M^2 must exceed m2^2 - m1^2
-    with pytest.raises(MassBoundViolation):
-        lambda_from_M2(1.0, 2.0, 3.0)
-    with pytest.raises(MassBoundViolation):
-        lambda_from_M2(1.0, 2.0, 1.0)
-    assert math.isfinite(lambda_from_M2(1.0, 2.0, 3.1))
 
 
 def test_mass_excess_beats_naive_subtraction():
@@ -249,7 +184,12 @@ def test_shell_from_M_refuses(M, nu, lam):
     (shell_from_M, (4.0, math.nan, 0.0), "requires nu <= 0 and M^2 > 2 |nu|, got nu = nan"),
     (shell_from_M, (4.0, 0.0, math.nan),
      "no real masses reproduce this shell: need mu + nu > 0, got nan"),
-], ids=["lambda inf", "lambda nan", "m2^2 + lambda overflows", "nu nan", "lambda nan from M"])
+    (mass_shell_from_lambda, (1.0, 2.0, 1.7e308),
+     "need a finite M^2, got inf for m1 = 1.0, m2 = 2.0, lambda = 1.7e+308"),
+    (shell_from_M, (2e154, 0.0),
+     "need a finite M^2, got inf for m1 = 1e+154, m2 = 1e+154, lambda = 0.0"),
+], ids=["lambda inf", "lambda nan", "m2^2 + lambda overflows", "nu nan", "lambda nan from M",
+        "M^2 overflows", "M^2 overflows from M"])
 def test_non_finite_shell_inputs_are_named(solve, args, message):
     with pytest.raises(BadParameter) as err:
         solve(*args)

@@ -160,7 +160,6 @@ def test_diagnostics_content(run):
     assert d["N_plus_lambda"] < 1e-9
     assert d["planarity_residual"] < 1e-12
     assert d["monotonicity_margin"] > 0.0
-    assert d["synchronized"] is True
     assert d["monotone"] is True
     assert d["n_flagged"] == 0
     assert d["min_dT_dlambda"] > 0.0

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from ptb.binding import self_consistent_shell
 from ptb.errors import BadParameter
 from ptb.potentials import HarmonicPotential
 from ptb.reduced import rest_quintet, rhs
@@ -20,8 +21,9 @@ from ptb.toy import (
     min_dT_dlambda,
     shell_for_toy,
     sufficient_condition_margin,
-    toy_from_masses,
 )
+
+from ptb_fixtures import LambdaOfM
 
 P_GENERIC = ToyParams(chi=0.125, M=4.0, A=(1.0, 0.2, 0.0), B=(0.3, 0.5, -0.1),
                       C=0.4, nu=-1.5)
@@ -117,12 +119,16 @@ def test_shell_for_toy_can_fail():
 
 
 def test_toy_from_masses_self_consistent():
-    p = toy_from_masses(1.0, 2.0, 0.05, (0.4, 0.0, 0.0), (0.0, 0.3, 0.0))
-    # the returned M solves M = M_shell(2 chi M (a2 + b2))
+    # the oscillator on the shell of masses (1, 2) that closes
+    # lambda = 2 chi M (a2 + b2), with chi = 0.05 and a2 + b2 = 0.25
+    closed = self_consistent_shell(1.0, 2.0, LambdaOfM(lambda M: 0.025 * M),
+                                   (1.0, 0.0, 0.0), (0.0, 0.0, 0.0))
+    p = ToyParams(chi=0.05, M=closed.M, A=(0.4, 0.0, 0.0), B=(0.0, 0.3, 0.0), nu=closed.nu)
     shell = shell_for_toy(p)
     assert shell.m1 == pytest.approx(1.0, rel=1e-10)
     assert shell.m2 == pytest.approx(2.0, rel=1e-10)
     assert p.Lambda == pytest.approx(2.0 * p.chi * p.M * (0.16 + 0.09), rel=1e-13)
+    assert p.Lambda == pytest.approx(closed.lambda_, rel=1e-13)
 
 
 def test_min_dT_dlambda_matches_dense_scan():

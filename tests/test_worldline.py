@@ -261,7 +261,7 @@ def test_covariant_layer_recovers_the_reduction(toy_traj, beta):
         ws = export_lab_frame(ws, k)
     worst = 0.0
     for i, (ztil, ytil) in enumerate(zip(toy_traj.ztil, toy_traj.ytil)):
-        y = boost_from_rest(FourVector.from_spatial(nu / M, ytil), k)
+        y = FourVector(*boost_from_rest(np.array([nu / M, *ytil]), k).tolist())
         state = CanonicalState(q1=FourVector(*ws.x1[i]), q2=FourVector(*ws.x2[i]),
                                p1=0.5 * k + y, p2=0.5 * k - y)
         ei = split(state)
