@@ -21,7 +21,7 @@ from typing import Callable, Sequence, Tuple
 from .circular import CircularOrbit, find_circular
 from .errors import NoRoot, PtbError
 from .kinematics import ScalarQuintet
-from .mass_shell import _REL_SLACK, MassShell, _check_masses, mass_excess, mass_shell_from_lambda
+from .mass_shell import _REL_SLACK, MassShell, _check_masses, mass_shell_from_lambda
 from .potentials import PotentialSpec
 from .roots import first_root
 
@@ -40,8 +40,10 @@ _DOUBLINGS = 64
 
 
 def binding_energy(shell: MassShell) -> float:
-    """m1 + m2 - M; positive for bound configurations."""
-    return -mass_excess(shell.m1, shell.m2, shell.lambda_)
+    """m1 + m2 - M, positive when bound, from the shell's own energies: each
+    E_a - m_a as lambda/(E_a + m_a), which keeps full precision at lambda -> 0."""
+    lam = shell.lambda_
+    return -(lam / (shell.E1 + shell.m1) + lam / (shell.E2 + shell.m2))
 
 
 def _closed_shell(m1: float, m2: float,
@@ -93,7 +95,7 @@ def _closed_shell(m1: float, m2: float,
 def self_consistent_shell(m1: float, m2: float, model: PotentialSpec,
                           zeta0: Sequence[float], eta0: Sequence[float]) -> MassShell:
     """Shell whose lambda matches the orbit constraint at the given state."""
-    _, nu = _check_masses(m1, m2)
+    nu = _check_masses(m1, m2)
     z2 = sum(c * c for c in zeta0)
     e2 = sum(c * c for c in eta0)
     ze = sum(a * b for a, b in zip(zeta0, eta0))
@@ -111,11 +113,10 @@ def self_consistent_shell(m1: float, m2: float, model: PotentialSpec,
 def self_consistent_circular(m1: float, m2: float, model: PotentialSpec,
                              l2: float) -> Tuple[MassShell, CircularOrbit]:
     """Circular orbit whose radius, shell and lambda agree simultaneously."""
-    _, nu = _check_masses(m1, m2)
+    _check_masses(m1, m2)  # bad masses are refused before any trial shell
 
     def orbit_of(shell: MassShell):
         orbit = find_circular(model, shell, l2)
-        q = ScalarQuintet.at_rest(shell.M2, nu, orbit.rho * orbit.rho, orbit.speed2, 0.0)
-        return orbit.speed2 - 2.0 * model.evaluate(q).value, orbit
+        return orbit.lambda_orbit, orbit
 
     return _closed_shell(m1, m2, orbit_of)

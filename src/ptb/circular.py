@@ -54,6 +54,7 @@ CONSTANCY_BOUND, CLOSURE_BOUND, LINEAR_BOUND = 1e-9, 1e-8, 1e-10
 class CircularOrbit:
     rho: float
     speed2: float          # |eta|^2 on the orbit
+    lambda_orbit: float    # the orbit's first integral |eta|^2 - 2 V
     Omega: float           # angular rate in lambda
     l2: float
     F: float
@@ -95,15 +96,16 @@ def find_circular(model: PotentialSpec, shell: MassShell, l2: float) -> Circular
     if rho is None:
         raise NoRoot(f"no circular-orbit radius for l2 = {l2!r} in [1e-6, 1e6]")
 
-    ev = model.evaluate(ScalarQuintet.at_rest(M2, nu, rho * rho, l2 / (rho * rho), 0.0))
+    speed2 = l2 / (rho * rho)
+    ev = model.evaluate(ScalarQuintet.at_rest(M2, nu, rho * rho, speed2, 0.0))
     if abs(1.0 + 2.0 * ev.dytil2) <= 1e-12:
         raise DegenerateOrbit(
             "orbit sits at 1 + 2 dV/dytil2 = 0; lambda does not advance zeta")
     Omega, F, G = math.sqrt(2.0 * ev.dztil2), 2.0 * shell.M2 * ev.dP2, 2.0 * shell.nu * ev.dw
     rate, period_lambda = dT_dlambda(F, G, shell), 2.0 * math.pi / Omega
-    return CircularOrbit(rho=rho, speed2=l2 / (rho * rho), Omega=Omega, l2=float(l2), F=F, G=G,
-                         dTdlambda=rate, period_lambda=period_lambda,
-                         period_T=period_lambda * rate)
+    return CircularOrbit(rho=rho, speed2=speed2, lambda_orbit=speed2 - 2.0 * ev.value,
+                         Omega=Omega, l2=float(l2), F=F, G=G, dTdlambda=rate,
+                         period_lambda=period_lambda, period_T=period_lambda * rate)
 
 
 @dataclass(frozen=True)
@@ -117,22 +119,16 @@ class ConstancyReport:
         return self.max_variation <= CONSTANCY_BOUND
 
 
-_QUANTITIES = ("P2", "ztil2", "ytil2", "zy", "w", "F", "G")
+# P2 = M^2 and w = nu^2/M^2 are the shell's own constants in the rest frame
+_QUANTITIES = ("ztil2", "ytil2", "zy", "F", "G")
 
 
-def _scales(q0: ScalarQuintet, F0: float, G0: float) -> dict:
-    """Per-quantity normalization; exact zeros fall back to a quantity of
-    the same dimension so the ratio stays meaningful."""
-    zy_scale = math.sqrt(abs(q0.ztil2 * q0.ytil2)) or 1.0
-    return {
-        "P2": abs(q0.P2),
-        "ztil2": abs(q0.ztil2) or 1.0,
-        "ytil2": abs(q0.ytil2) or 1.0,
-        "zy": max(abs(q0.zy), zy_scale),
-        "w": max(abs(q0.w), abs(q0.ytil2), 1e-300),
-        "F": max(abs(F0), abs(q0.P2)),
-        "G": max(abs(G0), abs(F0), abs(q0.P2)),
-    }
+def _scales(cols: dict, M2: float) -> dict:
+    """Per-quantity normalization from the first sample; exact zeros fall
+    back to a quantity of the same dimension so the ratio stays meaningful."""
+    z2, y2, zy, F0, G0 = (abs(cols[k][0]) for k in _QUANTITIES)
+    return {"ztil2": z2 or 1.0, "ytil2": y2 or 1.0, "zy": max(zy, math.sqrt(z2 * y2) or 1.0),
+            "F": max(F0, M2), "G": max(G0, F0, M2)}
 
 
 @dataclass(frozen=True)
@@ -151,8 +147,8 @@ class PeriodicityReport:
 def verify_circular(orbit: CircularOrbit, model: PotentialSpec, shell: MassShell,
                     n_samples: int = 400) -> tuple[ConstancyReport, PeriodicityReport]:
     """Integrate one lambda-period once at tol 1e-10, landing on n_samples
-    equal steps, and check it twice: the relative variation of the five
-    scalars and the quadrature rates; the closure of zeta and eta, the T
+    equal steps, and check it twice: the relative variation of ztil2, ytil2,
+    zy and the quadrature rates; the closure of zeta and eta, the T
     advance against period_T and the largest residual of T from a fitted line.
     The two reports, not the run, are kept on the orbit per model and shell
     object and n_samples, so a second check integrates nothing."""
@@ -164,8 +160,8 @@ def verify_circular(orbit: CircularOrbit, model: PotentialSpec, shell: MassShell
                                      orbit.period_lambda, opts))
         z, y, T, lam = traj.ztil, traj.ytil, traj.T, traj.lam
         q = rest_quintet(z, y, shell)
-        scales = _scales(rest_quintet(z[0], y[0], shell), traj.F[0], traj.G[0])
         cols = {name: getattr(traj if name in ("F", "G") else q, name) for name in _QUANTITIES}
+        scales = _scales(cols, shell.M2)
         variations = {k: float((np.max(c) - np.min(c)) / scales[k]) for k, c in cols.items()}
         residual = T - np.polyval(np.polyfit(lam, T, 1), lam)
         kept[key] = model, shell, (

@@ -34,7 +34,8 @@ class BadParameter(PtbError):
 
 
 class StepFailure(PtbError):
-    """Adaptive integrator step size underflowed or step budget exhausted."""
+    """The integrator gave up: step size underflow, a non-finite stage, or the
+    step, dense-output or sample-grid budget exhausted (dopri, reduced)."""
 
 
 class NonMonotoneTime(PtbError):
@@ -50,7 +51,8 @@ class FrameMismatch(PtbError):
 
 
 class NoRoot(PtbError):
-    """No circular-orbit radius exists in the search bracket."""
+    """A root search came up empty: roots.brent, the circular-orbit radius
+    (find_circular), the shell closure (binding) or a T query (lambda_from_T)."""
 
 
 class NotCentral(PtbError):

@@ -27,9 +27,7 @@ __all__ = [
     "MassShell",
     "mass_shell_from_lambda",
     "shell_from_M",
-    "mass_excess",
     "nonrel_check",
-    "individual_energy_limits",
     "monotonicity_margin",
 ]
 
@@ -46,7 +44,6 @@ class MassShell:
 
     m1: float
     m2: float
-    mu: float
     nu: float
     lambda_: float
     M2: float
@@ -55,28 +52,26 @@ class MassShell:
     E2: float
 
 
-def _check_masses(m1: float, m2: float) -> tuple[float, float]:
-    """(mu, nu) of finite masses with 0 < m1 <= m2; anything else is a BadParameter."""
+def _check_masses(m1: float, m2: float) -> float:
+    """nu of finite masses with 0 < m1 <= m2; anything else is a BadParameter."""
     if not (math.isfinite(m1) and math.isfinite(m2)):
         raise BadParameter("masses must be finite")
     if not (0.0 < m1 <= m2):
         raise BadParameter(f"masses must satisfy 0 < m1 <= m2, got ({m1!r}, {m2!r})")
-    mu = 0.5 * (m1 * m1 + m2 * m2)
-    nu = 0.5 * (m1 * m1 - m2 * m2)
-    return mu, nu
+    return 0.5 * (m1 * m1 - m2 * m2)
 
 
-def _energies(m1: float, m2: float, lambda_: float) -> tuple[float, float, float, float, float]:
-    """(mu, nu, lambda, E1, E2) with E_a = sqrt(m_a^2 + lambda), refusing what
+def _energies(m1: float, m2: float, lambda_: float) -> tuple[float, float, float, float]:
+    """(nu, lambda, E1, E2) with E_a = sqrt(m_a^2 + lambda), refusing what
     mass_shell_from_lambda refuses short of an overflowing M^2."""
-    mu, nu = _check_masses(m1, m2)
+    nu = _check_masses(m1, m2)
     lam = float(lambda_)
     if not math.isfinite(m2 * m2 + lam):
         raise BadParameter(f"need a finite m2^2 + lambda, got m2 = {m2!r}, lambda = {lam!r}")
     E1_sq = m1 * m1 + lam
     if not (E1_sq > _REL_SLACK * max(m1 * m1, abs(lam))):
         raise LambdaBoundViolation(f"requires m1^2 + lambda > 0, got {E1_sq!r}")
-    return mu, nu, lam, math.sqrt(E1_sq), math.sqrt(m2 * m2 + lam)
+    return nu, lam, math.sqrt(E1_sq), math.sqrt(m2 * m2 + lam)
 
 
 def mass_shell_from_lambda(m1: float, m2: float, lambda_: float) -> MassShell:
@@ -89,13 +84,12 @@ def mass_shell_from_lambda(m1: float, m2: float, lambda_: float) -> MassShell:
     m2^2 + lambda or M^2 (lambda inf or nan, or a square overflowing) is a
     BadParameter.
     """
-    mu, nu, lam, E1, E2 = _energies(m1, m2, lambda_)
+    nu, lam, E1, E2 = _energies(m1, m2, lambda_)
     M = E1 + E2
     if not math.isfinite(M * M):
         raise BadParameter(
             f"need a finite M^2, got inf for m1 = {m1!r}, m2 = {m2!r}, lambda = {lam!r}")
-    return MassShell(m1=float(m1), m2=float(m2), mu=mu, nu=nu, lambda_=lam,
-                     M2=M * M, M=M, E1=E1, E2=E2)
+    return MassShell(m1=float(m1), m2=float(m2), nu=nu, lambda_=lam, M2=M * M, M=M, E1=E1, E2=E2)
 
 
 def shell_from_M(M: float, nu: float, lambda_: float = 0.0) -> MassShell:
@@ -118,12 +112,6 @@ def shell_from_M(M: float, nu: float, lambda_: float = 0.0) -> MassShell:
     return mass_shell_from_lambda(math.sqrt(m1_sq), math.sqrt(E2 * E2 - lambda_), lambda_)
 
 
-def mass_excess(m1: float, m2: float, lambda_: float) -> float:
-    """M - m1 - m2, the sum of the individual_energy_limits."""
-    d1, d2 = individual_energy_limits(m1, m2, lambda_)
-    return d1 + d2
-
-
 def nonrel_check(m1: float, m2: float, lambda_: float) -> float:
     """Ratio (M - m1 - m2) * 2 m0 / lambda with m0 the reduced mass.
 
@@ -134,16 +122,6 @@ def nonrel_check(m1: float, m2: float, lambda_: float) -> float:
     shell = mass_shell_from_lambda(m1, m2, lambda_)
     m0 = m1 * m2 / (m1 + m2)
     return 2.0 * m0 * (1.0 / (shell.E1 + m1) + 1.0 / (shell.E2 + m2))
-
-
-def individual_energy_limits(m1: float, m2: float, lambda_: float) -> tuple[float, float]:
-    """(E1 - m1, E2 - m2): how far each energy sits from its rest mass.
-
-    Computed as lambda/(E_a + m_a), which equals E_a - m_a exactly and
-    keeps full precision down to lambda = 0, where both vanish.
-    """
-    shell = mass_shell_from_lambda(m1, m2, lambda_)
-    return shell.lambda_ / (shell.E1 + m1), shell.lambda_ / (shell.E2 + m2)
 
 
 def monotonicity_margin(M2: float, nu: float, lambda_: float) -> float:

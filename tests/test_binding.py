@@ -7,10 +7,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import ptb.binding
+import ptb.mass_shell
 from ptb.binding import binding_energy, self_consistent_circular, self_consistent_shell
 from ptb.errors import BadParameter, DomainError, NoRoot
 from ptb.mass_shell import _REL_SLACK, mass_shell_from_lambda
-from ptb.potentials import CentralPowerPotential, FreePotential, HarmonicPotential
+from ptb.potentials import CentralPowerPotential, FreePotential, HarmonicPotential, builtin
 from ptb.reduced import rest_quintet
 from ptb.roots import brent
 
@@ -30,6 +31,21 @@ def test_binding_energy_sign():
     assert binding_energy(bound) > 0.0
     assert binding_energy(unbound) < 0.0
     assert binding_energy(mass_shell_from_lambda(1.0, 2.0, 0.0)) == 0.0
+
+
+def test_binding_energy_solves_no_shell(monkeypatch):
+    # the energies are the shell's own fields; nothing solves the shell again
+    shell = mass_shell_from_lambda(1.0, 2.0, -0.3)
+    solves = []
+
+    def counted(*args):
+        solves.append(args)
+        return mass_shell_from_lambda(*args)
+
+    monkeypatch.setattr(ptb.mass_shell, "mass_shell_from_lambda", counted)
+    monkeypatch.setattr(ptb.binding, "mass_shell_from_lambda", counted)
+    assert binding_energy(shell) == -(-0.3 / (shell.E1 + 1.0) - 0.3 / (shell.E2 + 2.0))
+    assert solves == []
 
 
 def test_fixed_point_free_case_is_mass_sum():
@@ -133,6 +149,25 @@ def test_self_consistent_circular():
         rest_quintet(np.array([orbit.rho, 0, 0]),
                      np.array([0, math.sqrt(orbit.speed2), 0]), shell)).value
     assert shell.lambda_ == pytest.approx(q_l, rel=1e-11)
+
+
+@pytest.mark.parametrize("kind, params, l2", [
+    ("central_power", {"g": -1.0, "n": 1}, 50.0),
+    ("harmonic", {"chi": 0.125}, 1.0),
+])
+def test_closure_trial_evaluates_the_model_once(monkeypatch, kind, params, l2):
+    # a trial's lambda_orbit comes from the evaluation find_circular makes at
+    # its root, not from a second one
+    model = builtin(kind, **params)
+    finds, evals = [], []
+    find, evaluate = ptb.binding.find_circular, model.evaluate
+    monkeypatch.setattr(ptb.binding, "find_circular",
+                        lambda *args: finds.append(args) or find(*args))
+    monkeypatch.setattr(model, "evaluate", lambda q: evals.append(q) or evaluate(q))
+    shell, orbit = self_consistent_circular(1.0, 2.0, model, l2)
+    assert len(finds) > 1
+    assert len(evals) == len(finds)
+    assert orbit.lambda_orbit == pytest.approx(shell.lambda_, rel=1e-11)
 
 
 def test_self_consistent_circular_strong_binding_has_no_root():

@@ -8,15 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ptb.binding import binding_energy
 from ptb.errors import AdmissibilityViolation, BadParameter, LambdaBoundViolation, PtbError
 from ptb.mass_ratio import limit_report
-from ptb.mass_shell import (
-    individual_energy_limits,
-    mass_excess,
-    mass_shell_from_lambda,
-    nonrel_check,
-    shell_from_M,
-)
+from ptb.mass_shell import mass_shell_from_lambda, nonrel_check, shell_from_M
 from ptb.potentials import FreePotential
 from ptb.reduced import IntegratorOptions, ReducedState, integrate, synchronize
 from ptb.worldline import worldlines
@@ -57,7 +52,7 @@ def test_free_shell_is_mass_sum():
     assert sh.M == pytest.approx(3.0, rel=1e-15)
     assert sh.E1 == pytest.approx(1.0, rel=1e-15)
     assert sh.E2 == pytest.approx(2.0, rel=1e-15)
-    assert mass_excess(1.0, 2.0, 0.0) == 0.0
+    assert -binding_energy(sh) == 0.0
     assert nonrel_check(1.0, 2.0, 0.0) == 1.0
 
 
@@ -96,11 +91,12 @@ def test_bad_masses():
 def test_mass_excess_beats_naive_subtraction():
     m1 = m2 = 1.0
     for lam in (1e-8, 1e-12, 1e-15):
-        exact = mass_excess(m1, m2, lam)
+        sh = mass_shell_from_lambda(m1, m2, lam)
+        exact = -binding_energy(sh)
         # series: M = 2 sqrt(1 + lambda) -> excess = lambda - lambda^2/4 + ...
         series = lam - lam * lam / 4.0
         assert exact == pytest.approx(series, rel=1e-12)
-        naive = mass_shell_from_lambda(m1, m2, lam).M - 2.0
+        naive = sh.M - 2.0
         # the naive form loses digits; the reformulation must not
         assert abs(exact - series) <= abs(naive - series) + 1e-30
 
@@ -112,13 +108,6 @@ def test_nonrel_check_slope(rng):
     devs = np.array([abs(nonrel_check(m1, m2, lam) - 1.0) for lam in lams])
     slope = np.polyfit(np.log(lams), np.log(devs), 1)[0]
     assert slope == pytest.approx(1.0, abs=0.05)
-
-
-def test_energy_limits_sum_to_excess(rng):
-    for m1, m2, lam in random_shell_args(rng, 100):
-        d1, d2 = individual_energy_limits(m1, m2, lam)
-        assert d1 + d2 == pytest.approx(mass_excess(m1, m2, lam),
-                                        rel=1e-9, abs=1e-12 * (m1 + m2))
 
 
 @given(
@@ -197,16 +186,16 @@ def test_non_finite_shell_inputs_are_named(solve, args, message):
 
 
 def reference_shell(m1, m2, lam):
-    """E1, E2, M and (E1 - m1, E2 - m2) from E_a = sqrt(m_a^2 + lambda) at 50
-    digits, as Decimals.  E_a - m_a is taken as lambda/(E_a + m_a), the same
-    number, because a subtraction at 50 digits still rounds away a lambda
-    below 1e-50 m_a^2."""
+    """E1, E2, M and the excess M - m1 - m2 from E_a = sqrt(m_a^2 + lambda) at
+    50 digits, as Decimals.  Each E_a - m_a is taken as lambda/(E_a + m_a),
+    the same number, because a subtraction at 50 digits still rounds away a
+    lambda below 1e-50 m_a^2."""
     with localcontext() as ctx:
         ctx.prec = 50
         m1, m2, lam = Decimal(m1), Decimal(m2), Decimal(lam)
         E1 = (m1 * m1 + lam).sqrt()
         E2 = (m2 * m2 + lam).sqrt()
-        return E1, E2, E1 + E2, (lam / (E1 + m1), lam / (E2 + m2))
+        return E1, E2, E1 + E2, lam / (E1 + m1) + lam / (E2 + m2)
 
 
 def rel_err(got, want):
@@ -239,19 +228,15 @@ def test_shell_matches_decimal_reference(unit_traj, m2, ratio, lam_scale):
     # input m1^2 + lambda from dominating the error of E1
     m1 = min(ratio * m2, m2)
     lam = lam_scale * (m1 * m1 if lam_scale < 0.0 else m2 * m2)
-    E1, E2, M, (D1, D2) = reference_shell(m1, m2, lam)
+    E1, E2, M, excess = reference_shell(m1, m2, lam)
     sh = mass_shell_from_lambda(m1, m2, lam)
     errors = {"M": rel_err(sh.M, M), "E1": rel_err(sh.E1, E1), "E2": rel_err(sh.E2, E2)}
 
-    d1, d2 = individual_energy_limits(m1, m2, lam)
     with localcontext() as ctx:
         ctx.prec = 50
-        excess = D1 + D2
         m0 = Decimal(m1) * Decimal(m2) / (Decimal(m1) + Decimal(m2))
         nonrel = 2 * m0 * (1 / (E1 + Decimal(m1)) + 1 / (E2 + Decimal(m2)))
-    errors["E1 - m1"] = rel_err(d1, D1)
-    errors["E2 - m2"] = rel_err(d2, D2)
-    errors["mass_excess"] = rel_err(mass_excess(m1, m2, lam), excess)
+    errors["-binding_energy"] = rel_err(-binding_energy(sh), excess)
     errors["nonrel_check"] = rel_err(nonrel_check(m1, m2, lam), nonrel)
 
     ws = worldlines(replace(unit_traj, shell=sh))
