@@ -21,6 +21,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cache
+from string import Template
 from struct import Struct
 from typing import Callable, Sequence
 
@@ -134,32 +135,38 @@ class DopriResult:
 
 
 @cache
-def _attempt(n: int):
-    """attempt(f, t, h, t_new, y, k1) -> (k2, ..., k7, y_new, s) unrolled over n
-    state components, s being the sum of the squared error components scaled
-    by 1 + max(|y|, |y_new|).  Each sum runs in the order of its tableau row
-    and skips zero weights; the source holds only reprs of tableau floats."""
+def _attempt(n: int, stage: tuple[str, str, tuple] | None = None):
+    """attempt(c, t, h, t_new, group) -> (k2, new_group, s) unrolled over n
+    state components: group is the dense group of the step's start (y and
+    k1), new_group the one the step appends, s the sum of the squared error
+    components scaled by 1 + max(|y|, |y_new|), each sum in its row's order.
+    A stage (head, body, names) is source text that assigns no argument, state
+    or stage of the attempt: head runs once, body sets $k_0, ... from the state
+    $u_0, ... at $t in each stage; names pairs its globals with their objects.
+    The default calls c = f on a list."""
     def names(k):
         return "".join(f"{k}_{i}, " for i in range(n))
 
     def dot(row, i):
         return " + ".join(f"{w!r} * k{j}_{i}" for j, w in enumerate(row, 1) if w)
 
-    src = [f"{names('y')}= y", f"{names('k1')}= k1"]
+    head, body, globals_ = stage or ("", f"{names('$k')}= c($t, [{names('$u')}])", ())
+    src = [f"{names('y')}{'_, ' * 4 * n}{names('k1')}= group", *head.splitlines()]
     for s, node, row in zip(range(2, 8), [f"t + {c!r} * h" for c in _C[1:6]] + ["t_new"], _A):
         y = "y_new" if s == 7 else f"y{s}"
-        src += [f"{y} = [{', '.join(f'y_{i} + h * ({dot(row, i)})' for i in range(n))}]",
-                f"k{s} = f({node}, {y})", f"{names(f'k{s}')}= k{s}"]
-    src.append(f"{names('y_new')}= y_new")
+        src += [f"{y}_{i} = y_{i} + h * ({dot(row, i)})" for i in range(n)
+                if s == 7 or f"$u_{i}" in body]  # y_new whole, stage states as read
+        src += Template(body).substitute(t=node, **{f"u_{i}": f"{y}_{i}" for i in range(n)},
+                                         **{f"k_{i}": f"k{s}_{i}" for i in range(n)}).splitlines()
     for i in range(n):
         src += [f"a = -y_{i} if y_{i} < 0.0 else y_{i}",
                 f"b = -y_new_{i} if y_new_{i} < 0.0 else y_new_{i}",
                 f"r_{i} = ({dot(_E, i)}) / (1.0 + (a if a > b else b))"]
+    group = "".join(names(k) for k in ("y_new", "k3", "k4", "k5", "k6", "k7"))
     squares = " + ".join(f"r_{i} * r_{i}" for i in range(n))
-    src.append(f"return k2, k3, k4, k5, k6, k7, y_new, {squares}")
-    namespace = {}
-    exec(compile("def attempt(f, t, h, t_new, y, k1):\n    " + "\n    ".join(src),
-                 f"<dopri5 attempt, n = {n}>", "exec"), namespace)
+    src.append(f"return ({names('k2')}), ({group}), {squares}")
+    exec(compile("def attempt(c, t, h, t_new, group):\n    " + "\n    ".join(src),
+                 f"<dopri5 attempt, n = {n}>", "exec"), namespace := dict(globals_))
     return namespace["attempt"]
 
 
@@ -184,8 +191,7 @@ def _require_finite(where: str, *named) -> None:
 def _initial_step(f, t0, y0, f0, tol, max_step, span):
     """Classic two-probe heuristic for the first step size."""
     sc = [tol + tol * abs(v) for v in y0]
-    d0 = _rms(y0, sc)
-    d1 = _rms(f0, sc)
+    d0, d1 = _rms(y0, sc), _rms(f0, sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span, max_step)
     f1 = f(t0 + h0, [v + h0 * d for v, d in zip(y0, f0)])
@@ -203,6 +209,7 @@ def solve_dopri5(
     tol: float = 1e-10,
     max_step: float = math.inf,
     t_eval: Sequence[float] | None = None,
+    stage: tuple[tuple[str, str, tuple], tuple] | None = None,
 ) -> DopriResult:
     """Integrate y' = f(t, y) from t_span[0] to t_span[1].
 
@@ -213,6 +220,7 @@ def solve_dopri5(
     the stepper shortens steps to land exactly on each entry and emits the
     propagated state there; otherwise every accepted step is emitted.  The
     derivative of every emitted sample (the FSAL stage) is returned as dy.
+    stage = (source, c) runs the stages inline, with constants c, as f would.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -223,41 +231,34 @@ def solve_dopri5(
     y = y0.tolist()
     n = len(y)
 
-    eval_pts: list[float] = []
-    if t_eval is not None:
-        eval_pts = [float(t) for t in t_eval]
-        if any(b <= a for a, b in zip(eval_pts, eval_pts[1:])):
-            raise ValueError("t_eval must be strictly increasing")
-        if eval_pts and (eval_pts[0] < t0 or eval_pts[-1] > t1 * (1 + 1e-15) + 1e-300):
-            raise ValueError("t_eval must lie within t_span")
+    eval_pts = [] if t_eval is None else [float(t) for t in t_eval]
+    if any(b <= a for a, b in zip(eval_pts, eval_pts[1:])):
+        raise ValueError("t_eval must be strictly increasing")
+    if not all(t0 <= t <= t1 for t in eval_pts):
+        raise ValueError(f"t_eval must lie within t_span {t_span!r}")
     n_eval = len(eval_pts)
 
     k1 = f(t0, y)
     _require_finite(f"at t = {t0!r}", ("y0", y), ("f(t0, y0)", k1))
     h = _initial_step(f, t0, y, k1, tol, max_step, t1 - t0)
-    attempt = _attempt(n)
+    attempt, c = (_attempt(n), f) if stage is None else (_attempt(n, stage[0]), stage[1])
     max_accepted = dense_steps(n)
 
-    # emitted samples as indices of buffer groups: group j holds the state
-    # after j accepted steps
-    out_idx: list[int] = []
-    eval_idx = 0
-    while eval_idx < n_eval and eval_pts[eval_idx] <= t0:
-        out_idx.append(0)
-        eval_idx += 1
+    # emitted samples as buffer groups: group j holds the state after j accepted steps
+    out_idx = [0] if eval_pts[:1] == [t0] else []
+    eval_idx = len(out_idx)
 
-    data = array("d", y + [0.0] * (4 * n) + list(k1))
+    data = array("d", g := (*y, *[0.0] * (4 * n), *k1))
     starts, sizes = array("d"), array("d")
     # an accepted step appends its group as raw doubles, packed in one call
     extend, start, size = data.frombytes, starts.append, sizes.append
     pack = Struct(f"{6 * n}d").pack
 
-    t = t0
-    facold = 1e-4
-    just_rejected = False
+    t, facold, just_rejected = t0, 1e-4, False
     n_accepted = n_rejected = n_landed = 0
     h_used = err = math.nan
 
+    # min, max and abs are spelled out, for speed, as the comparisons that pick their float
     while t < t1:
         if n_accepted + n_rejected >= MAX_STEPS:
             raise StepFailure(
@@ -265,48 +266,49 @@ def solve_dopri5(
                 f"(last h = {h_used!r}, last error estimate = {err!r})")
         if n_accepted == max_accepted:
             raise StepFailure(f"dense output budget {MAX_DENSE_BYTES} bytes full at t = {t!r}")
-        if h < 1e-14 * max(abs(t), 1.0):
+        if h < 1e-14 * (t if t > 1.0 else -t if t < -1.0 else 1.0):
             raise StepFailure(
                 f"step size underflow at t = {t!r} "
                 f"(h = {h!r}, last error estimate = {err!r})")
 
         # shorten to land exactly on the next target (sample point or t1)
-        target = min(t1, eval_pts[eval_idx]) if eval_idx < n_eval else t1
-        h_try = min(h, max_step, target - t)
-        landed = h_try >= target - t
+        target = eval_pts[eval_idx] if eval_idx < n_eval and eval_pts[eval_idx] < t1 else t1
+        h_try = max_step if max_step < h else h
+        landed = target - t <= h_try
         t_new = target if landed else t + h_try
         h_used = t_new - t
 
         # k7 is evaluated at exactly the y_new that is emitted; the error is per
         # unit step against tol (1 + max|y|), so drift stays ~ tol * span
-        k2, k3, k4, k5, k6, k7, y_new, s = attempt(f, t, h_used, t_new, y, k1)
+        k2, group, s = attempt(c, t, h_used, t_new, g)
         err = math.sqrt(s / n) / tol
 
         if err <= 1.0:
             start(t)
             size(h_used)
-            extend(pack(*y_new, *k3, *k4, *k5, *k6, *k7))
+            extend(pack(*group))
             n_accepted += 1
             n_landed += landed
             while eval_idx < n_eval and eval_pts[eval_idx] <= t_new:
                 out_idx.append(n_accepted)
                 eval_idx += 1
-            t, y, k1 = t_new, y_new, k7
+            t, g = t_new, group
             # PI update (Lund stabilization)
-            fac = err ** _EXPO1 / facold ** _BETA
-            h = h_used / max(1.0 / _FAC_GROW, min(_FAC_SHRINK, fac / _SAFETY))
-            if just_rejected:
-                h = min(h, h_used)
-            facold = max(err, 1e-4)
+            fac = err ** _EXPO1 / facold ** _BETA / _SAFETY
+            fac = fac if fac < _FAC_SHRINK else _FAC_SHRINK
+            h = h_used / (fac if fac > 1.0 / _FAC_GROW else 1.0 / _FAC_GROW)
+            h = h_used if just_rejected and h_used < h else h
+            facold = 1e-4 if 1e-4 > err else err
             just_rejected = False
         else:
             if err != err:
                 # a nan stage would reject every step down to the budget
-                _require_finite(f"in the step from t = {t!r} (h = {h_used!r})",
-                                ("k2", k2), ("k3", k3), ("k4", k4), ("k5", k5), ("k6", k6),
-                                ("y_new", y_new), ("k7", k7))
+                _require_finite(f"in the step from t = {t!r} (h = {h_used!r})", ("k2", k2), *(
+                    (k, group[i * n:i * n + n]) for k, i in (("k3", 1), ("k4", 2), ("k5", 3),
+                                                             ("k6", 4), ("y_new", 0), ("k7", 5))))
             n_rejected += 1
-            h = h_used / min(_FAC_SHRINK, err ** _EXPO1 / _SAFETY)
+            fac = err ** _EXPO1 / _SAFETY
+            h = h_used / (fac if fac < _FAC_SHRINK else _FAC_SHRINK)
             just_rejected = True
 
     dense = DenseOutput(starts, sizes, data, n, t)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from textwrap import dedent, indent
 
 from .errors import BadParameter, DomainError
 from .kinematics import ScalarQuintet
@@ -77,12 +78,23 @@ class PotentialSpec:
 
 class _KernelModel(PotentialSpec):
     """A central model V(P2, ztil2) given by one scalar kernel
-    _kernel(P2, ztil2) -> (V, dV/dP2, dV/dztil2), the single copy of its
-    formulas and domain checks; evaluate and the rest-frame fast path both
-    call it, and every other partial vanishes."""
+    _kernel(P2, ztil2) -> (V, dV/dP2, dV/dztil2) compiled from _source, the
+    single copy of its formulas and domain checks (a head on P2 and the
+    parameters, then the lines per ztil2); every other partial vanishes."""
 
     central = True
     w_independent = True
+
+    def __init_subclass__(cls):
+        if "_kernel" not in vars(cls):
+            head, body = dedent(cls._source).split("# per ztil2\n")
+            src = "".join(f"{p} = self.{p}\n" for p in cls.params) + head + body
+            names = (("math", math), ("DomainError", DomainError))  # the globals it reads
+            exec(compile(f"def _kernel(self, P2, ztil2):\n{indent(src, '    ')}"
+                         "    return V, dP2, dztil2", f"<kernel of {cls.__name__}>", "exec"),
+                 namespace := dict(names))
+            cls._kernel = namespace["_kernel"]
+            cls._kernel.source = head, body, names
 
     def evaluate(self, q: ScalarQuintet) -> PotentialEval:
         return PotentialEval(*self._kernel(q.P2, q.ztil2), 0.0, 0.0, 0.0)
@@ -97,9 +109,7 @@ class FreePotential(_KernelModel):
 
     name = "free"
     p2_independent = True
-
-    def _kernel(self, P2: float, ztil2: float) -> tuple[float, float, float]:
-        return 0.0, 0.0, 0.0
+    _source = "V = dP2 = dztil2 = 0.0\n# per ztil2\n"
 
 
 class HarmonicPotential(_KernelModel):
@@ -113,18 +123,21 @@ class HarmonicPotential(_KernelModel):
 
     name = "harmonic"
     params = ("chi",)
+    _source = """
+        if P2 <= 0.0:
+            raise DomainError(f"harmonic model requires P2 > 0, got {P2!r}")
+        root = math.sqrt(P2)
+        dztil2, root2 = chi * root, 2.0 * root
+        # per ztil2
+        V = dztil2 * ztil2
+        dP2 = chi * ztil2 / root2
+    """
 
     def __init__(self, chi: float):
         chi = float(chi)
         if not math.isfinite(chi) or chi <= 0.0:
             raise BadParameter(f"harmonic model needs chi > 0, got {chi!r}")
         self.chi = chi
-
-    def _kernel(self, P2: float, ztil2: float) -> tuple[float, float, float]:
-        if P2 <= 0.0:
-            raise DomainError(f"harmonic model requires P2 > 0, got {P2!r}")
-        root = math.sqrt(P2)
-        return self.chi * root * ztil2, self.chi * ztil2 / (2.0 * root), self.chi * root
 
 
 class CentralPowerPotential(_KernelModel):
@@ -136,6 +149,24 @@ class CentralPowerPotential(_KernelModel):
 
     name = "central_power"
     params = ("g", "n")
+    _source = """
+        if P2 <= 0.0:
+            raise DomainError(f"central_power requires P2 > 0, got {P2!r}")
+        scale, power, half_n, P2x2 = -g * math.sqrt(P2), -0.5 * n, 0.5 * n, 2.0 * P2
+        # per ztil2
+        rho2 = -ztil2
+        if rho2 <= 0.0:
+            raise DomainError(
+                f"central_power requires spacelike separation ztil2 < 0, got {ztil2!r}")
+        try:
+            V = scale * rho2 ** power
+        except OverflowError:
+            V = math.inf
+        dztil2 = half_n * V / rho2
+        if not math.isfinite(dztil2):
+            raise DomainError(f"central_power overflows at ztil2 = {ztil2!r} with n = {n}")
+        dP2 = V / P2x2
+    """
 
     def __init__(self, g: float, n: int):
         g = float(g)
@@ -145,22 +176,6 @@ class CentralPowerPotential(_KernelModel):
             raise BadParameter(f"central_power needs integer n >= 1, got {n!r}")
         self.g = g
         self.n = int(n)
-
-    def _kernel(self, P2: float, ztil2: float) -> tuple[float, float, float]:
-        if P2 <= 0.0:
-            raise DomainError(f"central_power requires P2 > 0, got {P2!r}")
-        rho2 = -ztil2
-        if rho2 <= 0.0:
-            raise DomainError(
-                f"central_power requires spacelike separation ztil2 < 0, got {ztil2!r}")
-        try:
-            value = -self.g * math.sqrt(P2) * rho2 ** (-0.5 * self.n)
-        except OverflowError:
-            value = math.inf
-        dztil2 = 0.5 * self.n * value / rho2
-        if not math.isfinite(dztil2):
-            raise DomainError(f"central_power overflows at ztil2 = {ztil2!r} with n = {self.n}")
-        return value, value / (2.0 * P2), dztil2
 
 
 _BUILTINS = {cls.name: cls for cls in (FreePotential, HarmonicPotential, CentralPowerPotential)}

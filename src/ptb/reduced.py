@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -171,12 +171,14 @@ class Trajectory:
 
     @cached_property
     def first_integrals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Columns of N = ytil2 + 2 V and L2, built once per trajectory; V
-        takes one model evaluation per sample, the only per-sample loop after
-        integration."""
+        """Columns of N = ytil2 + 2 V and L2, built once per trajectory: V takes
+        one kernel call per sample, or one evaluate for a model overriding it."""
         q = rest_quintet(self.ztil, self.ytil, self.shell)
-        V = [self.model.evaluate(ScalarQuintet(q.P2, *row, q.w)).value
-             for row in zip(q.ztil2.tolist(), q.ytil2.tolist(), q.zy.tolist())]
+        if type(self.model).evaluate is _KernelModel.evaluate:
+            V = [v for v, _, _ in map(self.model._kernel, [q.P2] * len(self.lam), q.ztil2.tolist())]
+        else:
+            V = [self.model.evaluate(ScalarQuintet(q.P2, *row, q.w)).value
+                 for row in zip(q.ztil2.tolist(), q.ytil2.tolist(), q.zy.tolist())]
         return noether_N(q, np.array(V)), q.L2
 
 
@@ -213,21 +215,31 @@ def rhs(u: Sequence[float], shell: MassShell,
             2.0 * M2 * dP2, 2.0 * nu * dw)
 
 
-def rhs_for(shell: MassShell, model: PotentialSpec):
-    """The solver's f(lam, u) for a run.  A central kernel model that keeps
-    the kernel's rest partials gets its kernel with M^2, 2 M^2 and G = 2 nu 0
-    bound once: the floats of rhs up to the sign of a zero.  Any other model
-    goes through rhs, looked up as a module attribute on each call."""
-    if type(model).rest_partials is not _KernelModel.rest_partials:
-        return lambda lam, u: rhs(u, shell, model)
-    kernel, M2, M2x2, G = model._kernel, shell.M2, 2.0 * shell.M2, 2.0 * shell.nu * 0.0
+@cache
+def _kernel_stage(cls):
+    """The DOPRI5 stage of rhs for a kernel model class, and rhs(c, lam, u) from it."""
+    head, body, names = cls._kernel.source
+    head = f"P2, M2x2, G, {''.join(p + ', ' for p in cls.params)}= c\n{head}"
+    body = (f"ztil2 = -($u_0 * $u_0 + $u_1 * $u_1 + $u_2 * $u_2)\n{body}b = -2.0 * dztil2\n"
+            "$k_0 = $u_3; $k_1 = $u_4; $k_2 = $u_5; $k_3 = b * $u_0; $k_4 = b * $u_1\n"
+            "$k_5 = b * $u_2; $k_6 = M2x2 * dP2; $k_7 = G")
+    src = (f"{head}u_0, u_1, u_2, u_3, u_4, u_5, u_6, u_7 = u\n{body}\n"
+           "return k_0, k_1, k_2, k_3, k_4, k_5, k_6, k_7").replace("$", "").replace("\n", "\n    ")
+    exec(compile(f"def rhs(c, lam, u):\n    {src}", f"<rhs of {cls.__name__}>", "exec"),
+         namespace := dict(names))
+    return (head, body, names), namespace["rhs"]
 
-    def f(lam: float, u: list[float]) -> tuple[float, ...]:
-        z0, z1, z2, y0, y1, y2, _, _ = u
-        _, dP2, dztil2 = kernel(M2, -(z0 * z0 + z1 * z1 + z2 * z2))
-        b = -2.0 * dztil2
-        return y0, y1, y2, b * z0, b * z1, b * z2, M2x2 * dP2, G
-    return f
+
+def rhs_for(shell: MassShell, model: PotentialSpec):
+    """(f, stage) for a run: f(lam, u) and the stage fusing it into each
+    attempt, from the source of a kernel model that keeps its kernel and rest
+    partials (rhs up to the sign of a zero); others call rhs, with no stage."""
+    cls = type(model)
+    if cls.rest_partials is not _KernelModel.rest_partials or not hasattr(cls._kernel, "source"):
+        return (lambda lam, u: rhs(u, shell, model)), None
+    source, fused = _kernel_stage(cls)
+    c = (shell.M2, 2.0 * shell.M2, 2.0 * shell.nu * 0.0, *(getattr(model, p) for p in cls.params))
+    return partial(fused, c), (source, c)
 
 
 def dT_dlambda(F, G, shell: MassShell):
@@ -270,8 +282,9 @@ def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
                          f"got (lambda, intF, intG) = {start!r}")
 
     u0 = np.concatenate((initial.ztil, initial.ytil, (initial.intF, initial.intG)))
-    sol = solve_dopri5(rhs_for(shell, model), (0.0, span), u0, tol=opts.tol,
-                       max_step=opts.max_step, t_eval=_sample_grid(span, opts.sample_interval))
+    f, stage = rhs_for(shell, model)
+    sol = solve_dopri5(f, (0.0, span), u0, tol=opts.tol, max_step=opts.max_step,
+                       t_eval=_sample_grid(span, opts.sample_interval), stage=stage)
 
     return synchronize(Trajectory(
         shell=shell, model=model, lam=sol.t, u=sol.y, F=sol.dy[:, 6], G=sol.dy[:, 7],

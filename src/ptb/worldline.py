@@ -154,7 +154,7 @@ def resample_uniform_T(traj: Trajectory, n: Optional[int] = None) -> Trajectory:
     inner = lambda_from_T(traj, np.linspace(traj.T[0], traj.T[-1], n)[1:-1])
     lam = np.concatenate((traj.lam[:1], inner, traj.lam[-1:]))
     u = np.vstack((traj.u[0], traj.dense(inner), traj.u[-1]))
-    du = np.array(list(map(reduced.rhs_for(traj.shell, traj.model), lam.tolist(), u.tolist())))
+    du = np.array(list(map(reduced.rhs_for(traj.shell, traj.model)[0], lam.tolist(), u.tolist())))
     return synchronize(replace(traj, lam=lam, u=u, F=du[:, 6], G=du[:, 7], samples=None))
 
 

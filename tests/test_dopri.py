@@ -146,6 +146,20 @@ def test_t_eval_validation():
         solve_dopri5(shm, (0.0, 1.0), np.array([1.0, 0.0]), t_eval=[0.0, 2.0])
 
 
+def test_t_eval_ends_on_the_span():
+    # the last point may be t1 on a negative span, and nothing past it, not
+    # even by one ulp: that point used to be accepted and then dropped
+    res = solve_dopri5(shm, (-2.0, -1.0), [1.0, 0.0], t_eval=[-1.5, -1.0])
+    assert list(res.t) == [-1.5, -1.0]
+    with pytest.raises(ValueError, match="t_eval must lie within t_span"):
+        solve_dopri5(shm, (0.0, 1.0), [1.0, 0.0], t_eval=[0.5, 1.0000000000000002])
+    with pytest.raises(ValueError, match="t_eval must lie within t_span"):
+        solve_dopri5(shm, (-2.0, -1.0), [1.0, 0.0], t_eval=[-2.0000000000000004, -1.5])
+    # nan passes any ordering test; it used to drop every point after it
+    with pytest.raises(ValueError, match="t_eval must lie within t_span"):
+        solve_dopri5(shm, (0.0, 1.0), [1.0, 0.0], t_eval=[0.25, math.nan, 0.5])
+
+
 def test_max_step_is_respected():
     res = solve_dopri5(shm, (0.0, 10.0), np.array([1.0, 0.0]),
                        tol=1e-6, max_step=0.01)
@@ -279,7 +293,7 @@ def test_unrolled_attempt_is_the_reference_step(n, data):
     def f(s, u):
         return [a[i] * u[i] * u[i - 1] + b[i] * u[i] + c * s * s for i in range(n)]
 
-    got = dopri._attempt(n)(f, t, h, t_new, y, k1)
-    want = reference_attempt(f, t, h, t_new, y, k1)
-    assert repr(got) == repr(want)
-    assert type(got[6]) is list
+    got = dopri._attempt(n)(f, t, h, t_new, (*y, *[0.0] * (4 * n), *k1))
+    k2, k3, k4, k5, k6, k7, y_new, s = reference_attempt(f, t, h, t_new, y, k1)
+    assert repr(got) == repr((tuple(k2), (*y_new, *k3, *k4, *k5, *k6, *k7), s))
+    assert type(got[1]) is tuple and len(got[1]) == 6 * n

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import ptb.reduced
+from ptb import dopri
 from ptb.dopri import MAX_STEPS, dense_steps
 from ptb.errors import BadParameter, DomainError, NonMonotoneTime, OutOfRange, StepFailure
 from ptb.kinematics import noether_N
@@ -618,8 +619,8 @@ def test_bound_rhs_is_the_generic_rhs(model, lam, m2, u):
     z2 = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
     assume(z2 > 1e-6)
     shell = mass_shell_from_lambda(1.0, m2, lam)
-    f = rhs_for(shell, model)
-    assert f.__name__ == "f"  # the bound closure, not the generic path
+    f, stage = rhs_for(shell, model)
+    assert stage is not None  # the fused kernel, not the generic path
     got, want = f(0.0, u), rhs(u, shell, model)
     # equal as floats: only the sign of a zero may differ
     assert len(got) == len(want) == 8
@@ -635,12 +636,103 @@ def test_bound_rhs_is_the_generic_rhs(model, lam, m2, u):
 def test_bound_rhs_refuses_what_the_generic_rhs_refuses(model, u, text):
     shell = mass_shell_from_lambda(1.0, 2.0, 0.0)
     errors = []
-    for f in (rhs_for(shell, model), lambda lam, v: rhs(v, shell, model)):
+    for f in (rhs_for(shell, model)[0], lambda lam, v: rhs(v, shell, model)):
         with pytest.raises(DomainError) as info:
             f(0.0, u)
         errors.append(str(info.value))
     assert errors[0] == errors[1]
     assert errors[0].startswith(text)
+
+
+def _attempt_or_error(attempt, *args):
+    try:
+        return attempt(*args)
+    except DomainError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=200)
+@given(_BUILTIN_MODELS, st.floats(-0.9, 5.0), st.floats(1.0, 4.0),
+       st.lists(st.floats(-3.0, 3.0), min_size=16, max_size=16), st.floats(1e-6, 2.0))
+def test_the_fused_attempt_is_the_call_path_attempt(model, lam, m2, v, h):
+    # every stage inline from the kernel's source, with no call, against the
+    # attempt that calls the run's f: k2, the dense group and the error sum
+    # bit for bit, and equal as floats to the attempt that calls rhs
+    u, k1 = v[:8], v[8:]
+    assume(u[0] * u[0] + u[1] * u[1] + u[2] * u[2] > 1e-6)
+    shell = mass_shell_from_lambda(1.0, m2, lam)
+    f, (source, c) = rhs_for(shell, model)
+    g = (*u, *[0.0] * 32, *k1)
+    fused = _attempt_or_error(dopri._attempt(8, source), c, 0.5, h, 0.5 + h, g)
+    called = _attempt_or_error(dopri._attempt(8), f, 0.5, h, 0.5 + h, g)
+    assert repr(fused) == repr(called)
+    generic = _attempt_or_error(dopri._attempt(8), lambda t, y: rhs(y, shell, model),
+                                0.5, h, 0.5 + h, g)
+    assert fused == generic
+
+
+@pytest.mark.parametrize("model, z0, text", [
+    (CentralPowerPotential(-1.0, 1), 0.0,
+     "central_power requires spacelike separation ztil2 < 0, got -0.0"),
+    (CentralPowerPotential(-1.0, 3), 1e-125, "central_power overflows at ztil2 = "),
+])
+def test_the_fused_attempt_refuses_what_rhs_refuses(model, z0, text):
+    # k1 = 0 keeps the second stage at the start state
+    shell = mass_shell_from_lambda(1.0, 2.0, 0.0)
+    u = [z0, 0.0, 0.0, 0.3, 0.0, 0.0, 0.0, 0.0]
+    _, (source, c) = rhs_for(shell, model)
+    errors = []
+    with pytest.raises(DomainError) as info:
+        dopri._attempt(8, source)(c, 0.0, 0.1, 0.1, (*u, *[0.0] * 40))
+    errors.append(str(info.value))
+    with pytest.raises(DomainError) as info:
+        rhs(u, shell, model)
+    errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(text)
+
+
+class PlainHarmonic(HarmonicPotential):
+    pass
+
+
+class HarmonicOwnKernel(HarmonicPotential):
+    def _kernel(self, P2, ztil2):
+        return super()._kernel(P2, ztil2)
+
+
+class HarmonicOwnEvaluate(HarmonicPotential):
+    def evaluate(self, q):
+        return super().evaluate(q)
+
+
+def test_only_a_kernel_compiled_from_its_source_is_fused():
+    shell = mass_shell_from_lambda(1.0, 2.0, 0.1)
+    for model in (PlainHarmonic(0.3), HarmonicOwnEvaluate(0.3)):
+        assert rhs_for(shell, model)[1] is not None
+    for model in (HarmonicOwnKernel(0.3), HarmonicViaEvaluate(0.3), BareSpring(0.2)):
+        assert rhs_for(shell, model)[1] is None
+
+
+def test_the_fused_attempt_compiles_once_per_model_class():
+    # the constants of the shell and the model are bound at run time
+    st0 = ReducedState(0.0, np.array([1.0, 0.2, 0.0]), np.array([0.0, 0.4, 0.1]))
+    integrate(st0, mass_shell_from_lambda(1.0, 2.0, 0.1), CentralPowerPotential(-0.5, 1), 2.0)
+    size = dopri._attempt.cache_info().currsize
+    traj = integrate(st0, mass_shell_from_lambda(1.5, 2.5, -0.2), CentralPowerPotential(0.3, 3),
+                     2.0)
+    assert traj.n_accepted > 0
+    assert dopri._attempt.cache_info().currsize == size
+
+
+def test_first_integrals_read_the_kernel_as_evaluate_does():
+    shell = mass_shell_from_lambda(1.0, 2.0, 0.1)
+    st0 = ReducedState(0.0, np.array([1.0, 0.2, 0.0]), np.array([0.0, 0.4, 0.1]))
+    a, b = (integrate(st0, shell, m, 5.0)
+            for m in (HarmonicPotential(0.3), HarmonicOwnEvaluate(0.3)))
+    assert np.array_equal(a.u, b.u)
+    for x, y in zip(a.first_integrals, b.first_integrals):
+        assert x.tobytes() == y.tobytes()
 
 
 def test_an_evaluate_only_model_goes_through_the_module_rhs(monkeypatch):
