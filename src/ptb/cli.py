@@ -1,7 +1,8 @@
 """Command line front end.
 
 Scenario configs are JSON documents with a schema version; every flag
-mirrors a config field and wins over the file.  Errors map to exit codes:
+mirrors a config field and wins over the file.  Errors map to the exit
+codes their classes declare, and an OSError to 2:
 
     0  success
     2  configuration problem (bad file, bad value, bad potential params)
@@ -29,15 +30,7 @@ import numpy as np
 from . import __version__
 from .binding import binding_energy, self_consistent_circular, self_consistent_shell
 from .circular import CircularOrbit, find_circular, verify_circular
-from .errors import (
-    AdmissibilityViolation,
-    BadParameter,
-    ConfigError,
-    InadmissibleAlpha,
-    NonMonotoneTime,
-    NonTimelikeP,
-    PtbError,
-)
+from .errors import ConfigError, PtbError
 from .mass_ratio import RatioRow, limit_report
 from .mass_shell import MassShell, mass_shell_from_lambda, shell_from_M
 from .minkowski import FourVector
@@ -67,17 +60,7 @@ log = logging.getLogger(__name__)
 _TOL_RANGE = (1e-14, 1e-3)
 
 
-def _exit_code(err: PtbError) -> int:
-    if isinstance(err, NonMonotoneTime):
-        return 5
-    if isinstance(err, (AdmissibilityViolation, InadmissibleAlpha, NonTimelikeP)):
-        return 3
-    if isinstance(err, (ConfigError, BadParameter)):
-        return 2
-    return 4
-
-
-def _error_line(err: PtbError) -> str:
+def _error_line(err: Exception) -> str:
     return f"{type(err).__name__}: {err}".replace("\n", " ")
 
 
@@ -85,12 +68,14 @@ def _error_line(err: PtbError) -> str:
 
 def load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {path}: {e}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config is not UTF-8 text: {path}: {e}")
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
@@ -178,6 +163,9 @@ def build_scenario(cfg: dict) -> Scenario:
     params = pot.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("potential.params must be an object")
+    for key, val in params.items():  # the model checks the range, with its own message
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise ConfigError(f"potential.params.{key} must be a number, got {val!r}")
     model = builtin(kind, **params)
 
     integ = _block(cfg, "integrator", {"tol", "max_step", "lambda_span", "sample_interval",
@@ -372,8 +360,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for path in args.sweep:  # in sequence; a failed member does not stop the rest
             try:
                 out_path, diag, _ = run_scenario(build_scenario(load_config(path)))
-            except PtbError as e:
-                codes.append(_exit_code(e))
+            except (PtbError, OSError) as e:
+                codes.append(getattr(e, "exit_code", 2))
                 print(f"{path}: exit {codes[-1]}: {_error_line(e)}")
                 continue
             codes.append(0)
@@ -397,11 +385,13 @@ def cmd_circular(args: argparse.Namespace) -> int:
     _number(args.l2, "--l2", positive=True)
     if args.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    if args.nu is not None and args.M is None:
+        raise ConfigError("--nu needs --M: with --m1 and --m2 the masses fix nu")
 
     if args.M is not None:
         if args.m1 is not None or args.m2 is not None:
             raise ConfigError("give either --M or --m1/--m2, not both")
-        shell = shell_from_M(args.M, args.nu)
+        shell = shell_from_M(args.M, 0.0 if args.nu is None else args.nu)
         orbit = find_circular(model, shell, args.l2)
     elif args.m1 is not None and args.m2 is not None:
         shell, orbit = self_consistent_circular(args.m1, args.m2, model, args.l2)
@@ -453,6 +443,7 @@ def cmd_verify_toy(args: argparse.Namespace) -> int:
     B = _parse_floats(args.B, 3, "--B")
     periods = _number(args.periods, "--periods", positive=True)
     tol = _tol(args.tol, "--tol")
+    _number(args.threshold, "--threshold", positive=True)
     p = ToyParams(chi=args.chi, M=args.M, A=A, B=B, C=args.C, nu=args.nu)
     shell = shell_for_toy(p)
     z0, e0 = initial_state(p)
@@ -502,8 +493,8 @@ def _build_parser() -> argparse.ArgumentParser:
         circ.add_argument(f"--{name}", type=typ)
     circ.add_argument("--l2", type=float, required=True)
     circ.add_argument("--M", type=float, help="collective mass (bypasses masses)")
-    circ.add_argument("--nu", type=float, default=0.0,
-                      help="mass-squared asymmetry with --M, must be <= 0")
+    circ.add_argument("--nu", type=float,
+                      help="mass-squared asymmetry with --M (default 0), must be <= 0")
     circ.add_argument("--m1", type=float)
     circ.add_argument("--m2", type=float)
     circ.add_argument("--samples", type=int, default=400)
@@ -538,9 +529,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PtbError as e:
+    except (PtbError, OSError) as e:
         print(_error_line(e), file=sys.stderr)
-        return _exit_code(e)
+        return getattr(e, "exit_code", 2)
 
 
 if __name__ == "__main__":

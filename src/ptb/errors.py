@@ -1,16 +1,19 @@
-"""Exception hierarchy shared by every ptb module."""
+"""Exception hierarchy shared by every ptb module, each class with its exit code."""
 
 
 class PtbError(Exception):
     """Base class for all package errors."""
+    exit_code = 4
 
 
 class NonTimelikeP(PtbError):
     """Momentum (or boost axis) is not a future-pointing timelike vector."""
+    exit_code = 3
 
 
 class AdmissibilityViolation(PtbError):
     """A physical admissibility condition on (m1, m2, lambda) fails."""
+    exit_code = 3
 
 
 class LambdaBoundViolation(AdmissibilityViolation):
@@ -31,6 +34,7 @@ class DomainError(PtbError):
 
 class BadParameter(PtbError):
     """Invalid model or constructor parameter."""
+    exit_code = 2
 
 
 class StepFailure(PtbError):
@@ -40,6 +44,7 @@ class StepFailure(PtbError):
 
 class NonMonotoneTime(PtbError):
     """Center-of-mass time is not strictly increasing along the trajectory."""
+    exit_code = 5
 
 
 class OutOfRange(PtbError):
@@ -65,3 +70,4 @@ class DegenerateOrbit(PtbError):
 
 class ConfigError(PtbError):
     """Scenario configuration document is invalid."""
+    exit_code = 2

@@ -77,24 +77,28 @@ class PotentialSpec:
 
 
 class _KernelModel(PotentialSpec):
-    """A central model V(P2, ztil2) given by one scalar kernel
-    _kernel(P2, ztil2) -> (V, dV/dP2, dV/dztil2) compiled from _source, the
-    single copy of its formulas and domain checks (a head on P2 and the
-    parameters, then the lines per ztil2); every other partial vanishes."""
+    """A central model V(P2, ztil2) given by _source alone, the single copy of
+    its formulas and domain checks: a head on P2 and the parameters, then the
+    lines per ztil2.  _kernel(P2, ztil2) -> (V, dV/dP2, dV/dztil2) and the
+    fused stage's _stage_text come from it; every other partial vanishes.  A
+    subclass with its own _kernel, or evaluate or rest_partials (a mixin's too),
+    is refused, so the motion, N and the shell closure all read the same V."""
 
     central = True
     w_independent = True
 
     def __init_subclass__(cls):
-        if "_kernel" not in vars(cls):
-            head, body = dedent(cls._source).split("# per ztil2\n")
-            src = "".join(f"{p} = self.{p}\n" for p in cls.params) + head + body
-            names = (("math", math), ("DomainError", DomainError))  # the globals it reads
-            exec(compile(f"def _kernel(self, P2, ztil2):\n{indent(src, '    ')}"
-                         "    return V, dP2, dztil2", f"<kernel of {cls.__name__}>", "exec"),
-                 namespace := dict(names))
-            cls._kernel = namespace["_kernel"]
-            cls._kernel.source = head, body, names
+        if own := [m for m in ("_kernel", "evaluate", "rest_partials") if m in vars(cls) or
+                   m != "_kernel" and getattr(cls, m) is not getattr(_KernelModel, m)]:
+            raise TypeError(f"{cls.__name__} has its own {own[0]}: a kernel model is its _source")
+        head, body = dedent(cls._source).split("# per ztil2\n")
+        src = "".join(f"{p} = self.{p}\n" for p in cls.params) + head + body
+        names = (("math", math), ("DomainError", DomainError))  # the globals it reads
+        exec(compile(f"def _kernel(self, P2, ztil2):\n{indent(src, '    ')}"
+                     "    return V, dP2, dztil2", f"<kernel of {cls.__name__}>", "exec"),
+             namespace := dict(names))
+        cls._kernel = namespace["_kernel"]
+        cls._stage_text = head, body, names
 
     def evaluate(self, q: ScalarQuintet) -> PotentialEval:
         return PotentialEval(*self._kernel(q.P2, q.ztil2), 0.0, 0.0, 0.0)

@@ -172,9 +172,9 @@ class Trajectory:
     @cached_property
     def first_integrals(self) -> tuple[np.ndarray, np.ndarray]:
         """Columns of N = ytil2 + 2 V and L2, built once per trajectory: V takes
-        one kernel call per sample, or one evaluate for a model overriding it."""
+        one kernel call per sample for a kernel model, or one evaluate."""
         q = rest_quintet(self.ztil, self.ytil, self.shell)
-        if type(self.model).evaluate is _KernelModel.evaluate:
+        if isinstance(self.model, _KernelModel):
             V = [v for v, _, _ in map(self.model._kernel, [q.P2] * len(self.lam), q.ztil2.tolist())]
         else:
             V = [self.model.evaluate(ScalarQuintet(q.P2, *row, q.w)).value
@@ -218,7 +218,7 @@ def rhs(u: Sequence[float], shell: MassShell,
 @cache
 def _kernel_stage(cls):
     """The DOPRI5 stage of rhs for a kernel model class, and rhs(c, lam, u) from it."""
-    head, body, names = cls._kernel.source
+    head, body, names = cls._stage_text
     head = f"P2, M2x2, G, {''.join(p + ', ' for p in cls.params)}= c\n{head}"
     body = (f"ztil2 = -($u_0 * $u_0 + $u_1 * $u_1 + $u_2 * $u_2)\n{body}b = -2.0 * dztil2\n"
             "$k_0 = $u_3; $k_1 = $u_4; $k_2 = $u_5; $k_3 = b * $u_0; $k_4 = b * $u_1\n"
@@ -232,13 +232,12 @@ def _kernel_stage(cls):
 
 def rhs_for(shell: MassShell, model: PotentialSpec):
     """(f, stage) for a run: f(lam, u) and the stage fusing it into each
-    attempt, from the source of a kernel model that keeps its kernel and rest
-    partials (rhs up to the sign of a zero); others call rhs, with no stage."""
-    cls = type(model)
-    if cls.rest_partials is not _KernelModel.rest_partials or not hasattr(cls._kernel, "source"):
+    attempt, from the source of a kernel model (rhs up to the sign of a
+    zero); any other model calls rhs, with no stage."""
+    if not isinstance(model, _KernelModel):
         return (lambda lam, u: rhs(u, shell, model)), None
-    source, fused = _kernel_stage(cls)
-    c = (shell.M2, 2.0 * shell.M2, 2.0 * shell.nu * 0.0, *(getattr(model, p) for p in cls.params))
+    source, fused = _kernel_stage(type(model))
+    c = (shell.M2, 2.0 * shell.M2, 2.0 * shell.nu * 0.0, *(getattr(model, p) for p in model.params))
     return partial(fused, c), (source, c)
 
 

@@ -37,6 +37,8 @@ class KeplerOrbit:
     n_k: float   # mean motion in lambda
     M: float
     nu: float
+    P: np.ndarray  # unit vector towards the pericentre
+    Q: np.ndarray  # unit vector a quarter turn ahead of P in the orbital plane
 
     @classmethod
     def from_state(cls, g, shell, zeta0, eta0) -> "KeplerOrbit":
@@ -49,8 +51,20 @@ class KeplerOrbit:
         if not (mu > 0.0 and a > 0.0):
             raise ValueError(f"not a bound orbit: mu = {mu!r}, a = {a!r}")
         e_cos, e_sin = 1.0 - r0 / a, float(zeta0 @ eta0) / math.sqrt(mu * a)
-        return cls(mu=mu, a=a, e=math.hypot(e_cos, e_sin), E0=math.atan2(e_sin, e_cos),
-                   n_k=math.sqrt(mu / a ** 3), M=shell.M, nu=shell.nu)
+        e, E0, n_k = math.hypot(e_cos, e_sin), math.atan2(e_sin, e_cos), math.sqrt(mu / a ** 3)
+        # (zeta0, eta0) = A (P, Q) with A from state(0); det A = a b n_k, for
+        # every e < 1, the circle included
+        (zP, zQ), (yP, yQ) = cls._basis_weights(a, e, n_k, E0)
+        det = zP * yQ - zQ * yP
+        P, Q = (yQ * zeta0 - zQ * eta0) / det, (zP * eta0 - yP * zeta0) / det
+        return cls(mu=mu, a=a, e=e, E0=E0, n_k=n_k, M=shell.M, nu=shell.nu, P=P, Q=Q)
+
+    @staticmethod
+    def _basis_weights(a, e, n_k, E):
+        """The weights of P and Q in zeta and in eta at eccentric anomaly E."""
+        b, cos, sin = a * math.sqrt(1.0 - e * e), np.cos(E), np.sin(E)
+        rate = n_k / (1.0 - e * cos)
+        return (a * (cos - e), b * sin), (-a * sin * rate, b * cos * rate)
 
     @property
     def radial_period(self) -> float:
@@ -78,6 +92,12 @@ class KeplerOrbit:
             if np.all(np.abs(step) <= 1e-9 * np.maximum(np.abs(E), 1.0)):
                 return E - (E - self.e * np.sin(E) - mean) / (1.0 - self.e * np.cos(E))
         raise ArithmeticError(f"Kepler's equation open after {_NEWTON_MAXITER} iterations")
+
+    def state(self, lam) -> tuple[np.ndarray, np.ndarray]:
+        """zeta and eta at each lambda, as (n, 3) arrays."""
+        (zP, zQ), (yP, yQ) = self._basis_weights(self.a, self.e, self.n_k, self.anomaly(lam))
+        P, Q = self.P, self.Q
+        return (np.outer(zP, P) + np.outer(zQ, Q), np.outer(yP, P) + np.outer(yQ, Q))
 
     def rho(self, lam) -> np.ndarray:
         return self.a * (1.0 - self.e * np.cos(self.anomaly(lam)))

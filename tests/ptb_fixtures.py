@@ -44,6 +44,25 @@ class LambdaOfM(PotentialSpec):
         return PotentialEval(-0.5 * self.lambda_of_M(math.sqrt(q.P2)), 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
+class Forwarding(PotentialSpec):
+    """The generic model of a wrapped one, as perfbench's CountingPotential
+    is: it forwards evaluate, the structure flags and describe, and counts
+    the evaluations in calls.  Not a kernel model, it runs on the call path
+    through ptb.reduced.rhs and PotentialSpec.rest_partials."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+        for flag in ("name", "central", "p2_independent", "w_independent"):
+            setattr(self, flag, getattr(inner, flag))
+
+    def evaluate(self, q):
+        self.calls += 1
+        return self.inner.evaluate(q)
+
+    def describe(self) -> dict:
+        return self.inner.describe()
+
+
 # one line per acceptance criterion, echoed after the test summary so the
 # verdicts survive output capture
 ACCEPTANCE_LINES = []

@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 import os
@@ -90,6 +91,59 @@ def test_missing_config_file(tmp_path):
     assert "ConfigError" in r.stderr
 
 
+def test_non_utf8_config(tmp_path, capsys):
+    p = tmp_path / "latin.json"
+    p.write_bytes(b'{"schema": 1, "note": "\xe9"}')
+    code, err = run_main(capsys, "simulate", "--config", str(p))
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith(f"ConfigError: config is not UTF-8 text: {p}: ")
+
+
+def unwritable(tmp_path, kind):
+    """A path that cannot be opened as a file: a directory, or one under a
+    regular file."""
+    if kind == "directory":
+        (tmp_path / "dir").mkdir()
+        return tmp_path / "dir"
+    (tmp_path / "plain").write_text("")
+    return tmp_path / "plain" / "a.csv"
+
+
+@pytest.mark.parametrize("kind", ["directory", "under a file"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "{cfg}", "--out", "{out}"],
+    ["circular", "--potential", "harmonic", "--chi", "0.125", "--l2", "1", "--M", "4",
+     "--samples", "20", "--out", "{out}"],
+    ["mass-ratio", "--out", "{out}"],
+    ["simulate", "--config", "{out}"],
+], ids=["simulate-out", "circular-out", "mass-ratio-out", "simulate-config"])
+def test_an_unusable_path_is_one_error_line(tmp_path, capsys, monkeypatch, argv, kind):
+    # an OSError names its path on one line and exits 2, like a config error
+    monkeypatch.delenv("PTB_OUTPUT_DIR", raising=False)
+    cfg, out = tmp_path / "cfg.json", unwritable(tmp_path, kind)
+    write_config(cfg)
+    code, err = run_main(capsys, *(a.format(cfg=cfg, out=out) for a in argv))
+    assert code == 2 and err.count("\n") == 1
+    name, reason = err.rstrip("\n").split(": ", 1)
+    assert issubclass(getattr(builtins, name), OSError)
+    assert str(tmp_path) in reason
+
+
+def test_a_sweep_member_with_an_unusable_path_stops_only_itself(tmp_path):
+    paths = []
+    for i, out in enumerate([tmp_path / "a.csv", unwritable(tmp_path, "directory"),
+                             tmp_path / "c.csv"]):
+        paths.append(tmp_path / f"cfg{i}.json")
+        write_config(paths[-1], output={"format": "csv", "path": str(out)})
+    r = run_cli("simulate", "--sweep", *map(str, paths))
+    assert r.returncode == 2 and not r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[0].startswith(f"{paths[0]}: ok: wrote ")
+    assert lines[1].startswith(f"{paths[1]}: exit 2: IsADirectoryError: ")
+    assert lines[2].startswith(f"{paths[2]}: ok: wrote ")
+    assert (tmp_path / "a.csv").exists() and (tmp_path / "c.csv").exists()
+
+
 def test_malformed_json(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -114,6 +168,18 @@ def test_admissibility_exit_code(tmp_path):
     assert r.returncode == 3
     assert "LambdaBoundViolation" in r.stderr
     assert "m1^2 + lambda > 0" in r.stderr
+
+
+def test_exit_codes_are_declared_on_the_error_classes():
+    # a subclass takes its base's code: InadmissibleAlpha is an admissibility violation
+    from ptb import errors
+    assert {name: cls.exit_code for name, cls in vars(errors).items()
+            if isinstance(cls, type) and issubclass(cls, errors.PtbError)} == {
+        "PtbError": 4, "NonTimelikeP": 3, "AdmissibilityViolation": 3,
+        "LambdaBoundViolation": 3, "InadmissibleAlpha": 3, "DomainError": 4,
+        "BadParameter": 2, "StepFailure": 4, "NonMonotoneTime": 5, "OutOfRange": 4,
+        "FrameMismatch": 4, "NoRoot": 4, "NotCentral": 4, "DegenerateOrbit": 4,
+        "ConfigError": 2}
 
 
 def test_strict_time_exit_code(tmp_path):
@@ -436,6 +502,14 @@ CONFIG_ERRORS = [
      "ConfigError: output.format must be csv or json, got 'xml'"),
     ({"output": {"format": "csv"}}, "ConfigError: output.path must be a non-empty string"),
     ({"output": {"path": ""}}, "ConfigError: output.path must be a non-empty string"),
+    ({"potential": {"kind": "harmonic", "params": {"chi": "x"}}},
+     "ConfigError: potential.params.chi must be a number, got 'x'"),
+    ({"potential": {"kind": "harmonic", "params": {"chi": "0.125"}}},
+     "ConfigError: potential.params.chi must be a number, got '0.125'"),
+    ({"potential": {"kind": "central_power", "params": {"g": -0.1, "n": True}}},
+     "ConfigError: potential.params.n must be a number, got True"),
+    ({"potential": {"kind": "harmonic", "params": {"chi": math.nan}}},
+     "BadParameter: harmonic model needs chi > 0, got nan"),
     ({"potential": {"kind": "yukawa"}},
      "BadParameter: unknown potential 'yukawa', expected one of "
      "['central_power', 'free', 'harmonic']"),
@@ -587,7 +661,8 @@ CIRCULAR_FLAGS = {
     "--n": ("int", None, None, False, None),
     "--l2": ("float", None, None, True, None),
     "--M": ("float", None, None, False, "collective mass (bypasses masses)"),
-    "--nu": ("float", 0.0, None, False, "mass-squared asymmetry with --M, must be <= 0"),
+    "--nu": ("float", None, None, False,
+             "mass-squared asymmetry with --M (default 0), must be <= 0"),
     "--m1": ("float", None, None, False, None),
     "--m2": ("float", None, None, False, None),
     "--samples": ("int", 400, None, False, None),
@@ -638,6 +713,13 @@ FLAG_ERRORS = [
      "ConfigError: --l2 must be finite, got inf"),
     (["circular", "--potential", "harmonic", "--chi", "0.125", "--l2", "1", "--M", "4",
       "--nu", "nan"], "BadParameter: requires nu <= 0 and M^2 > 2 |nu|, got nu = nan"),
+    (["circular", "--potential", "harmonic", "--chi", "0.125", "--l2", "1", "--m1", "1",
+      "--m2", "2", "--nu", "-0.7"],
+     "ConfigError: --nu needs --M: with --m1 and --m2 the masses fix nu"),
+    (["verify-toy", "--threshold", "nan"], "ConfigError: --threshold must be finite, got nan"),
+    (["verify-toy", "--threshold", "inf"], "ConfigError: --threshold must be finite, got inf"),
+    (["verify-toy", "--threshold", "-1"], "ConfigError: --threshold must be positive"),
+    (["verify-toy", "--threshold", "0"], "ConfigError: --threshold must be positive"),
     (["mass-ratio", "--alpha", "nan"], "BadParameter: need a finite alpha, got nan"),
     (["mass-ratio", "--alpha", "inf"], "BadParameter: need a finite alpha, got inf"),
     (["simulate", "--m1", "1", "--m2", "2", "--potential", "harmonic", "--chi", "0.125",
@@ -672,6 +754,6 @@ def run_without_solvers(capsys, monkeypatch, *argv):
     def solve(*args, **kwargs):
         raise AssertionError("a bad flag reached a solver")
 
-    for name in ("integrate", "find_circular", "shell_for_toy"):
+    for name in ("integrate", "find_circular", "self_consistent_circular", "shell_for_toy"):
         monkeypatch.setattr(ptb.cli, name, solve)
     return run_main(capsys, *argv)

@@ -2,11 +2,16 @@
 the state and the clock off the circle, and the paper's claim that lambda is
 a linear function of the centre-of-mass time only on a circle."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kepler import KeplerOrbit
 from ptb.binding import self_consistent_circular, self_consistent_shell
+from ptb.mass_shell import mass_shell_from_lambda
 from ptb.potentials import CentralPowerPotential
 from ptb.reduced import IntegratorOptions, ReducedState, integrate
 
@@ -63,3 +68,43 @@ def test_T_departs_from_its_line_by_an_oscillation_that_vanishes_with_e():
     assert es == sorted(es, reverse=True) and es[-1] < 1e-9
     assert peaks == sorted(peaks, reverse=True) and peaks[-1] <= runs[-1][2]
     assert runs[-1][0].linear_rate == pytest.approx(orbit.dTdlambda, rel=1e-9)
+
+
+def orbit_basis(tilt, node, omega):
+    """P and Q of the orbit with this inclination, ascending node and
+    argument of pericentre."""
+    ci, si, cn, sn, cw, sw = (f(x) for x in (tilt, node, omega) for f in (math.cos, math.sin))
+    return (np.array([cn * cw - sn * sw * ci, sn * cw + cn * sw * ci, sw * si]),
+            np.array([-cn * sw - sn * cw * ci, -sn * sw + cn * cw * ci, cw * si]))
+
+
+_ANGLE = st.floats(0.0, 2.0 * math.pi)
+
+
+@settings(max_examples=40)
+@given(e=st.floats(0.05, 0.9), a=st.floats(0.5, 2.0), E0=_ANGLE, tilt=st.floats(0.0, math.pi),
+       node=_ANGLE, omega=_ANGLE)
+def test_bound_orbits_follow_kepler(e, a, E0, tilt, node, omega):
+    # masses (1, 2), g = -0.1: the orbit with these elements on its own
+    # self-consistent shell, lambda = -N = g M/a, whose M solves
+    # M = M_shell(g M/a) by iteration (a contraction, |g/a| <= 0.2), over
+    # two radial periods at tol 1e-10, strict.  The error control is mixed
+    # absolute and relative, so zeta and eta stay within 10 tol span times
+    # 1 + their peak norm, and T within 5 tol span, as kepler_run states.
+    # Measured over 800 orbits at e in [0.8, 0.9]: at most 3.1 for eta
+    # (near the pericentre of a = 0.5), 0.3 for zeta and 0.4 for T.
+    M = 3.0
+    for _ in range(60):
+        M = mass_shell_from_lambda(1.0, 2.0, MODEL.g * M / a).M
+    mu, (P, Q) = -MODEL.g * M, orbit_basis(tilt, node, omega)
+    target = KeplerOrbit(mu=mu, a=a, e=e, E0=E0, n_k=math.sqrt(mu / a ** 3), M=M, nu=0.0,
+                         P=P, Q=Q)
+    zeta0, eta0 = (v[0] for v in target.state(0.0))
+    shell = self_consistent_shell(1.0, 2.0, MODEL, zeta0, eta0)
+    assert shell.M == pytest.approx(M, rel=1e-14)
+    kepler, traj, bound = kepler_run(zeta0, eta0, shell)
+    assert (kepler.a, kepler.e) == pytest.approx((a, e), rel=1e-9)
+    for got, want in zip((traj.ztil, traj.ytil), kepler.state(traj.lam)):
+        peak = np.max(np.linalg.norm(want, axis=1))
+        assert np.max(np.abs(got - want)) <= 2.0 * bound * (1.0 + peak)
+    assert np.max(np.abs(traj.T - kepler.T(traj.lam))) <= bound

@@ -27,6 +27,7 @@ from ptb.potentials import HarmonicPotential
 from ptb.reduced import IntegratorOptions, ReducedState, integrate, rest_quintet, synchronize
 from ptb.minkowski import FourVector
 from ptb.worldline import export_lab_frame, worldlines
+from ptb_fixtures import Forwarding
 
 
 @pytest.fixture(scope="module")
@@ -245,30 +246,20 @@ def test_json_deterministic(run, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-class CountingHarmonic(HarmonicPotential):
-    def __init__(self, chi):
-        super().__init__(chi)
-        self.calls = 0
-
-    def evaluate(self, q):
-        self.calls += 1
-        return super().evaluate(q)
-
-
 def test_N_takes_one_model_evaluation_per_sample():
-    # rows, diagnostics and the JSON payload share one N column; the
-    # builtin rest-frame fast path keeps evaluate out of rhs
-    model = CountingHarmonic(0.125)
+    # rows, diagnostics and the JSON payload share one N column, built with
+    # one evaluate per sample for a generic model
+    model = Forwarding(HarmonicPotential(0.125))
     shell = mass_shell_from_lambda(math.sqrt(2.75), math.sqrt(2.75), 1.25)
     traj = synchronize(integrate(
         ReducedState(0.0, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.0])),
         shell, model, 6.0, IntegratorOptions(sample_interval=0.5)))
     ws = worldlines(traj)
-    assert model.calls == 0
+    assert model.calls == traj.n_rhs  # the call path: one evaluate per rhs
     trajectory_rows(traj, ws)
     diagnostics(traj)
     json_payload(traj, ws)
-    assert model.calls == len(traj.lam) == 13
+    assert model.calls - traj.n_rhs == len(traj.lam) == 13
 
 
 def test_rows_are_the_columns(run):

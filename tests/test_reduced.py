@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -39,6 +39,7 @@ from ptb.toy import (
     intF_analytic,
     shell_for_toy,
 )
+from ptb_fixtures import Forwarding
 
 
 def toy_setup():
@@ -499,22 +500,15 @@ def test_sample_rates_are_the_fsal_derivative(model, opts):
     assert slope == pytest.approx([F, G], rel=1e-6, abs=1e-9)
 
 
-class HarmonicViaEvaluate(HarmonicPotential):
-    rest_partials = PotentialSpec.rest_partials
-
-
-class CentralPowerViaEvaluate(CentralPowerPotential):
-    rest_partials = PotentialSpec.rest_partials
-
-
 @pytest.mark.parametrize("fast, generic", [
-    (HarmonicPotential(0.125), HarmonicViaEvaluate(0.125)),
-    (CentralPowerPotential(-0.1, 1), CentralPowerViaEvaluate(-0.1, 1)),
-    (CentralPowerPotential(0.7, 2), CentralPowerViaEvaluate(0.7, 2)),
+    (HarmonicPotential(0.125), Forwarding(HarmonicPotential(0.125))),
+    (CentralPowerPotential(-0.1, 1), Forwarding(CentralPowerPotential(-0.1, 1))),
+    (CentralPowerPotential(0.7, 2), Forwarding(CentralPowerPotential(0.7, 2))),
 ], ids=repr)
 def test_generic_rest_partials_give_the_same_run(fast, generic):
-    # a model that only defines evaluate takes the default path of
-    # PotentialSpec.rest_partials; the run must not move by one bit
+    # a model that only defines evaluate takes the call path through rhs and
+    # PotentialSpec.rest_partials; against the fused kernel stage, the run
+    # must not move by one bit
     shell = mass_shell_from_lambda(1.0, 2.0, -0.05)
     st = ReducedState(0.0, np.array([1.0, 0.2, -0.1]), np.array([0.05, 0.3, 0.1]))
     opts = IntegratorOptions(sample_interval=0.5)
@@ -560,20 +554,21 @@ def test_dense_output_follows_the_oscillator(chi, M, nu_frac, A, B, probes):
 @pytest.mark.parametrize("base, args", [(HarmonicPotential, (0.125,)),
                                         (CentralPowerPotential, (-0.5, 1))])
 def test_kernel_sees_python_floats_only(base, args):
-    # a numpy scalar anywhere in the step loop would reach the kernel and
-    # turn every later stage into slow numpy arithmetic
+    # a numpy scalar anywhere in the step loop would reach the model and
+    # turn every later stage into slow numpy arithmetic: the generic model
+    # records what its evaluate is given at every stage of the loop
     seen = set()
 
-    class Recording(base):
-        def _kernel(self, *kernel_args):
-            seen.update(map(type, kernel_args))
-            return super()._kernel(*kernel_args)
+    class Recording(Forwarding):
+        def evaluate(self, q):
+            seen.update(map(type, astuple(q)))
+            return super().evaluate(q)
 
     shell = mass_shell_from_lambda(1.0, 2.0, 0.25)
     st0 = ReducedState(0.0, np.array([1.2, 0.1, 0.4]), np.array([-0.1, 0.6, 0.05]))
-    traj = integrate(st0, shell, Recording(*args), 6.0,
+    traj = integrate(st0, shell, Recording(base(*args)), 6.0,
                      IntegratorOptions(sample_interval=0.5, strict_time=True))
-    assert traj.n_accepted > 10
+    assert traj.n_accepted > 10 and len(traj.lam) == 13
     assert seen == {float}
 
 
@@ -692,26 +687,56 @@ def test_the_fused_attempt_refuses_what_rhs_refuses(model, z0, text):
     assert errors[0].startswith(text)
 
 
+@pytest.mark.parametrize("method", ["_kernel", "evaluate", "rest_partials"])
+def test_a_kernel_model_refuses_a_method_of_its_own(method):
+    # the motion, N and the shell closure must read one V: a kernel model
+    # that wrote one of them would run on two
+    own = {method: lambda self, *args: None}
+    with pytest.raises(TypeError, match=f"^Own has its own {method}: "):
+        type("Own", (HarmonicPotential,), own)
+    # from a mixin ahead of the kernel model too; a mixin's _kernel is
+    # shadowed by the one compiled from _source, and is harmless
+    if method != "_kernel":
+        with pytest.raises(TypeError, match=f"^Own has its own {method}: "):
+            type("Own", (type("Mixin", (), own), HarmonicPotential), {})
+
+
 class PlainHarmonic(HarmonicPotential):
     pass
 
 
-class HarmonicOwnKernel(HarmonicPotential):
-    def _kernel(self, P2, ztil2):
-        return super()._kernel(P2, ztil2)
+class Quartic(HarmonicPotential):
+    """V = -chi sqrt(P2) ztil2^2, an anharmonic spring: a kernel model of _source alone."""
 
-
-class HarmonicOwnEvaluate(HarmonicPotential):
-    def evaluate(self, q):
-        return super().evaluate(q)
+    _source = """
+        root = math.sqrt(P2)
+        # per ztil2
+        V = -chi * root * ztil2 * ztil2
+        dztil2 = -2.0 * chi * root * ztil2
+        dP2 = V / (2.0 * P2)
+    """
 
 
 def test_only_a_kernel_compiled_from_its_source_is_fused():
     shell = mass_shell_from_lambda(1.0, 2.0, 0.1)
-    for model in (PlainHarmonic(0.3), HarmonicOwnEvaluate(0.3)):
+    for model in (PlainHarmonic(0.3), Quartic(0.3)):
         assert rhs_for(shell, model)[1] is not None
-    for model in (HarmonicOwnKernel(0.3), HarmonicViaEvaluate(0.3), BareSpring(0.2)):
+    for model in (Forwarding(HarmonicPotential(0.3)), BareSpring(0.2)):
         assert rhs_for(shell, model)[1] is None
+
+
+def test_a_new_source_is_fused_and_read_by_every_layer():
+    # the fused run of a kernel model of its own _source is the generic run
+    # of the same model, bit for bit, and N is the same column
+    shell = mass_shell_from_lambda(1.0, 2.0, 0.1)
+    st0 = ReducedState(0.0, np.array([1.0, 0.2, 0.0]), np.array([0.0, 0.4, 0.1]))
+    a, b = (integrate(st0, shell, m, 5.0) for m in (Quartic(0.3), Forwarding(Quartic(0.3))))
+    assert (a.n_accepted, a.n_rhs) == (b.n_accepted, b.n_rhs) and a.n_accepted > 10
+    assert np.array_equal(a.u, b.u) and np.array_equal(a.F, b.F)
+    assert a.first_integrals[0].tobytes() == b.first_integrals[0].tobytes()
+    # and that V is the new one, not the harmonic model's it derives from
+    V = Quartic(0.3).evaluate(rest_quintet(st0.ztil, st0.ytil, shell)).value
+    assert V == pytest.approx(-0.3 * shell.M * 1.04 ** 2, rel=1e-14)
 
 
 def test_the_fused_attempt_compiles_once_per_model_class():
@@ -729,7 +754,7 @@ def test_first_integrals_read_the_kernel_as_evaluate_does():
     shell = mass_shell_from_lambda(1.0, 2.0, 0.1)
     st0 = ReducedState(0.0, np.array([1.0, 0.2, 0.0]), np.array([0.0, 0.4, 0.1]))
     a, b = (integrate(st0, shell, m, 5.0)
-            for m in (HarmonicPotential(0.3), HarmonicOwnEvaluate(0.3)))
+            for m in (HarmonicPotential(0.3), Forwarding(HarmonicPotential(0.3))))
     assert np.array_equal(a.u, b.u)
     for x, y in zip(a.first_integrals, b.first_integrals):
         assert x.tobytes() == y.tobytes()
