@@ -17,6 +17,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import math
@@ -34,23 +35,10 @@ from .errors import ConfigError, PtbError
 from .mass_ratio import RatioRow, limit_report
 from .mass_shell import MassShell, mass_shell_from_lambda, shell_from_M
 from .minkowski import FourVector
-from .output import (
-    diagnostics,
-    format_float,
-    json_payload,
-    trajectory_rows,
-    write_csv,
-    write_json,
-)
+from .output import diagnostics, format_float, json_payload, trajectory_rows, write_csv, write_json
 from .potentials import PotentialSpec, builtin
 from .reduced import IntegratorOptions, ReducedState, Trajectory, integrate, synchronize
-from .toy import (
-    ToyParams,
-    analytic_T,
-    analytic_state,
-    initial_state,
-    shell_for_toy,
-)
+from .toy import ToyParams, analytic_T, analytic_state, initial_state, shell_for_toy
 from .worldline import export_lab_frame, worldlines
 
 __all__ = ["main"]
@@ -227,8 +215,9 @@ def build_scenario(cfg: dict) -> Scenario:
     path = out.get("path")
     if not isinstance(path, str) or not path:
         raise ConfigError("output.path must be a non-empty string")
+    path = _resolve_out(path)
 
-    # every check of the document is above: a config error exits 2 before any solve
+    # every check of the document and its output path is above: both exit 2 before any solve
     orbit = None
     if lam_override is not None:
         shell = mass_shell_from_lambda(m1, m2, lam_override)
@@ -253,13 +242,14 @@ def build_scenario(cfg: dict) -> Scenario:
 
 
 def _resolve_out(path: str) -> str:
+    """path, moved into PTB_OUTPUT_DIR if set, with its directory made; a
+    directory there is refused as open() refuses it, but nothing is opened."""
     base = os.environ.get("PTB_OUTPUT_DIR")
-    if base:
-        os.makedirs(base, exist_ok=True)
-        return os.path.join(base, os.path.basename(path))
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    path = os.path.join(base, os.path.basename(path)) if base else path
+    if os.path.dirname(path):
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     return path
 
 
@@ -272,13 +262,12 @@ def run_scenario(sc: Scenario) -> tuple[str, dict, Trajectory]:
     if sc.orbit is not None:
         diag.update(orbit_rho=sc.orbit.rho, orbit_Omega=sc.orbit.Omega,
                     orbit_period_T=sc.orbit.period_T)
-    path = _resolve_out(sc.out_path)
     if sc.out_format == "csv":
-        write_csv(path, trajectory_rows(traj, ws))
+        write_csv(sc.out_path, trajectory_rows(traj, ws))
     else:
         extra = {"scenario": sc.cfg, "exit": 0}
-        write_json(path, json_payload(traj, ws, extra=extra))
-    return path, diag, traj
+        write_json(sc.out_path, json_payload(traj, ws, extra=extra))
+    return sc.out_path, diag, traj
 
 
 def _print_fields(fields: dict, indent: str = "") -> None:
@@ -387,16 +376,16 @@ def cmd_circular(args: argparse.Namespace) -> int:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     if args.nu is not None and args.M is None:
         raise ConfigError("--nu needs --M: with --m1 and --m2 the masses fix nu")
-
+    if args.M is not None and (args.m1 is not None or args.m2 is not None):
+        raise ConfigError("give either --M or --m1/--m2, not both")
+    if args.M is None and (args.m1 is None or args.m2 is None):
+        raise ConfigError("circular needs --M or both --m1 and --m2")
+    out = _resolve_out(args.out) if args.out else None
     if args.M is not None:
-        if args.m1 is not None or args.m2 is not None:
-            raise ConfigError("give either --M or --m1/--m2, not both")
         shell = shell_from_M(args.M, 0.0 if args.nu is None else args.nu)
         orbit = find_circular(model, shell, args.l2)
-    elif args.m1 is not None and args.m2 is not None:
-        shell, orbit = self_consistent_circular(args.m1, args.m2, model, args.l2)
     else:
-        raise ConfigError("circular needs --M or both --m1 and --m2")
+        shell, orbit = self_consistent_circular(args.m1, args.m2, model, args.l2)
 
     constancy, period = verify_circular(orbit, model, shell, n_samples=args.samples)
     report = {
@@ -419,8 +408,8 @@ def cmd_circular(args: argparse.Namespace) -> int:
         "periodic": period.ok(),
     }
     _print_fields(report)
-    if args.out:
-        write_json(_resolve_out(args.out), {"schema": 1, "circular": report})
+    if out:
+        write_json(out, {"schema": 1, "circular": report})
     return 0
 
 
@@ -428,8 +417,8 @@ def cmd_circular(args: argparse.Namespace) -> int:
 
 def cmd_mass_ratio(args: argparse.Namespace) -> int:
     eps_list = _parse_floats(args.eps, None, "--eps")
-    rows = [astuple(r) for r in limit_report(args.m2, args.alpha, eps_list)]
     path = _resolve_out(args.out) if args.out else sys.stdout
+    rows = [astuple(r) for r in limit_report(args.m2, args.alpha, eps_list)]
     write_csv(path, rows, [f.name for f in fields(RatioRow)])
     if args.out:
         print(f"wrote {path} ({len(rows)} rows)")

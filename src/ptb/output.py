@@ -21,16 +21,8 @@ from .mass_shell import monotonicity_margin
 from .reduced import Trajectory
 from .worldline import WorldlineSet
 
-__all__ = [
-    "COLUMNS",
-    "format_float",
-    "RowTable",
-    "trajectory_rows",
-    "diagnostics",
-    "write_csv",
-    "write_json",
-    "json_payload",
-]
+__all__ = ["COLUMNS", "format_float", "RowTable", "trajectory_rows", "diagnostics",
+           "write_csv", "write_json", "json_payload"]
 
 # fixed column order; position blocks go nan on flagged samples
 COLUMNS = (
@@ -51,15 +43,28 @@ def format_float(x: float) -> str:
 class RowTable:
     """Rows of ncols floats (a 2-d array, or a list of rows: "%" refuses one
     of another length with a TypeError), formatted on first use as CSV lines
-    in "%.17g" and kept in blocks of 1024 lines; the rows are then dropped."""
+    in "%.17g" and kept in blocks of 1024 lines; the rows are then dropped.
+    From each block's floats it records in json_lines the lines JSON must fix,
+    those with a nan or an integral value below 1e17 in magnitude ("%.17g"
+    spells these with digits and a sign only, ±0 included), and in inf the
+    first infinite value in row order, or None."""
 
     def __init__(self, rows, ncols: int):
         self.rows, self.ncols, self.n, self._blocks = rows, ncols, len(rows), None
+        self.json_lines, self.inf = [], None
 
     def blocks(self) -> list[str]:
         if self._blocks is None:
             line = ",".join(["%.17g"] * self.ncols) + "\n"
-            self._blocks = [_format(line, self.rows[i:i + 1024]) for i in range(0, self.n, 1024)]
+            blocks, lines, infs = [], [], []
+            for i in range(0, self.n, 1024):
+                rows = self.rows[i:i + 1024]
+                blocks.append(_format(line, rows))
+                a = np.asarray(rows, dtype=float)
+                fix = np.isnan(a) | ((np.abs(a) < 1e17) & (a == np.trunc(a)))
+                lines.append(np.flatnonzero(fix.any(axis=1)).tolist())
+                infs.extend(a[np.isinf(a)][:1].tolist())
+            self._blocks, self.json_lines, self.inf = blocks, lines, (infs + [None])[0]
             self.rows = None
         return self._blocks
 
@@ -199,28 +204,32 @@ def write_json(path, payload: dict) -> None:
                       indent=1, allow_nan=False)
     if table:
         blocks = rows.blocks()
-        for inf in (re.search("-?inf", b) for b in blocks if "inf" in b):
-            json.dumps(float(inf[0]), indent=1, allow_nan=False)  # json's own refusal
+        if rows.inf is not None:
+            json.dumps(rows.inf, indent=1, allow_nan=False)  # json's own refusal
         # a newline and one space open only top-level keys, so this splits
         # at the rows entry and nowhere else
         head, text = text.split('\n "rows": null', 1)
     with open(path, "w", newline="") as fh:
         if table:
             fh.write(head + '\n "rows": [')
-            fh.writelines(("," if i else "") + _json_rows(b) for i, b in enumerate(blocks))
+            fh.writelines(("," if i else "") + _json_rows(b, lines)
+                          for i, (b, lines) in enumerate(zip(blocks, rows.json_lines)))
             fh.write("\n ]" if blocks else "]")
         fh.write(text + "\n")
 
 
-# a value of digits alone, which JSON would read back as an integer
-_INTEGRAL = re.compile(r"([\[,]-?\d+)(?=[,\]])")
-# ends lines with ","; with digits and signs deleted an integral value is empty
-_LINE_ENDS = bytes.maketrans(b"\n", b",")
+# an integral cell of a CSV line, which JSON would read back as an integer
+_INTEGRAL = re.compile(r"(?<![^,])-?\d+(?![^,])")
 
 
-def _json_rows(block: str) -> str:
-    """A block of CSV lines as JSON arrays, one per line."""
-    text = "\n  [" + block[:-1].replace("\n", "],\n  [") + "]"
-    if b",," in b"," + block.encode().translate(_LINE_ENDS, b"0123456789+-"):
-        text = _INTEGRAL.sub(r"\1.0", text)
-    return text.replace("nan", "null")
+def _json_rows(block: str, lines: Sequence[int]) -> str:
+    """A block of CSV lines as JSON arrays, one per line, with nan as null and
+    ".0" on integral values, which only the listed lines (ascending) hold."""
+    text = block[:-1].split("\n", lines[-1] + 1) if lines else [block[:-1]]
+    for i in lines:
+        text[i] = _INTEGRAL.sub(r"\g<0>.0", text[i]).replace("nan", "null")
+    # the lines after the last listed one stay one string; popped, it is
+    # converted with no second copy of the block alive
+    text.append(text.pop().replace("\n", "],\n  [") + "]")
+    text[0] = "\n  [" + text[0]
+    return "],\n  [".join(text)

@@ -144,6 +144,46 @@ def test_a_sweep_member_with_an_unusable_path_stops_only_itself(tmp_path):
     assert (tmp_path / "a.csv").exists() and (tmp_path / "c.csv").exists()
 
 
+SOLVERS = ("self_consistent_shell", "self_consistent_circular", "mass_shell_from_lambda",
+           "shell_from_M", "find_circular", "verify_circular", "integrate", "limit_report")
+
+
+@pytest.mark.parametrize("redirect", [False, True], ids=["out", "PTB_OUTPUT_DIR"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "{cfg}", "--out", "{out}"],
+    ["simulate", "--config", "{circ}", "--out", "{out}"],
+    ["circular", "--potential", "harmonic", "--chi", "0.125", "--l2", "1", "--M", "4",
+     "--out", "{out}"],
+    ["circular", "--potential", "central_power", "--g", "-1", "--n", "1", "--m1", "1",
+     "--m2", "2", "--l2", "50", "--out", "{out}"],
+    ["mass-ratio", "--out", "{out}"],
+], ids=["simulate", "simulate-circular", "circular-M", "circular-masses", "mass-ratio"])
+def test_a_directory_out_path_is_refused_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                          argv, redirect):
+    # no shell, orbit or integration runs and nothing is printed: the one
+    # line is the one open() gives
+    calls = []
+
+    def counted(name, real):
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    for name in SOLVERS:
+        monkeypatch.setattr(ptb.cli, name, counted(name, getattr(ptb.cli, name)))
+    cfg, circ = tmp_path / "cfg.json", tmp_path / "circ.json"
+    write_config(cfg)
+    write_config(circ, **CIRCULAR)
+    out = unwritable(tmp_path, "directory")
+    if redirect:
+        monkeypatch.setenv("PTB_OUTPUT_DIR", str(tmp_path))
+        argv = [a.replace("{out}", "elsewhere/{out}") for a in argv]
+    else:
+        monkeypatch.delenv("PTB_OUTPUT_DIR", raising=False)
+    code = main([a.format(cfg=cfg, circ=circ, out="dir" if redirect else out) for a in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out, calls) == (2, "", [])
+    assert captured.err == f"IsADirectoryError: [Errno 21] Is a directory: '{out}'\n"
+
+
 def test_malformed_json(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")

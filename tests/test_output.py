@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -13,7 +14,6 @@ from ptb.mass_shell import mass_shell_from_lambda
 from ptb.output import (
     COLUMNS,
     RowTable,
-    _INTEGRAL,
     _json_clean,
     _json_rows,
     diagnostics,
@@ -404,20 +404,89 @@ def test_write_json_layout(tmp_path):
         ' ],\n "tail": {\n  "x": 1.5\n }\n}\n')
 
 
+# the JSON text of a whole block as it was made before the row table listed
+# the lines to fix: the ".0" regex over every cell, then nan to null
+_BLOCK_INTEGRAL = re.compile(r"([\[,]-?\d+)(?=[,\]])")
+
+
+def every_block(block):
+    text = "\n  [" + block[:-1].replace("\n", "],\n  [") + "]"
+    return _BLOCK_INTEGRAL.sub(r"\1.0", text).replace("nan", "null")
+
+
 @pytest.mark.parametrize("x", [0.0, -0.0, 1e16, 1e20, math.nan, -math.inf])
 def test_integral_pass_matches_the_regex_on_every_block(x):
     # x spells 0, -0, 10000000000000000, 1e+20, nan, -inf; first, inside,
     # last and alone in a row, in the first or a later line of a block, and
-    # absent; the ".0" pass runs only where a block needs it
-    def every_block(block):
-        text = "\n  [" + block[:-1].replace("\n", "],\n  [") + "]"
-        return _INTEGRAL.sub(r"\1.0", text).replace("nan", "null")
-
+    # absent; only the lines the table lists are fixed
     tables = [[[x, 0.5, 2.5]], [[0.5, x, 2.5]], [[0.5, 2.5, x]], [[x]], [[0.5], [x]],
               [[0.5, 1e-5, 2.5], [-1.5, 3.25, x]], [[0.5, 1e-5, 2.5], [-1.5, 3.25, 7.5]]]
     for rows in tables:
-        (block,) = RowTable(rows, len(rows[0])).blocks()
-        assert _json_rows(block) == every_block(block)
+        table = RowTable(rows, len(rows[0]))
+        (block,), (lines,) = table.blocks(), table.json_lines
+        assert _json_rows(block, lines) == every_block(block)
+
+
+# the cells JSON must fix, each of them placed in the first, a middle and the
+# last line of a later block and of the final partial block of 2,100 rows
+FIXED = [math.nan, 0.0, -0.0, 1e16, 9.9e16, 1e17, -1e17]
+
+
+def layout_rows():
+    rows = np.random.default_rng(5).normal(size=(2100, len(FIXED) + 1))
+    for k, i in enumerate((1024, 1536, 2047, 2048, 2074, 2099)):
+        rows[i, :-1] = np.roll(FIXED, k)  # each value in several columns, first and last included
+    return rows
+
+
+@pytest.mark.parametrize("kind", [np.array, np.ndarray.tolist])
+def test_multi_block_rows_match_the_whole_block_transform(tmp_path, kind):
+    rows = layout_rows()
+    table = RowTable(kind(rows), rows.shape[1])
+    write_json(tmp_path / "got.json", {"schema": 1, "rows": table, "tail": [1, 2]})
+    blocks = table.blocks()
+    assert [len(b.splitlines()) for b in blocks] == [1024, 1024, 52]
+    assert table.json_lines == [[], [0, 512, 1023], [0, 26, 51]] and table.inf is None
+    assert (tmp_path / "got.json").read_text() == (
+        '{\n "schema": 1,\n "rows": [' + ",".join(map(every_block, blocks))
+        + '\n ],\n "tail": [\n  1,\n  2\n ]\n}\n')
+    assert_decodes_like_json_dump(tmp_path / "got.json", {"schema": 1, "rows": None,
+                                                          "tail": [1, 2]}, rows.tolist())
+
+
+@pytest.mark.parametrize("kind", [np.array, np.ndarray.tolist])
+def test_an_inf_in_the_third_block_is_refused_like_json(tmp_path, kind):
+    # the first infinite value in row order is the one json names
+    rows = layout_rows()
+    rows[2050, 3], rows[2060, 0], rows[2090, 7] = math.inf, -math.inf, math.inf
+    with pytest.raises(ValueError) as want:
+        json.dumps(_json_clean({"rows": rows.tolist()}), indent=1, allow_nan=False)
+    path = tmp_path / "out.json"
+    path.write_text("before\n")
+    with pytest.raises(ValueError) as got:
+        write_json(path, {"rows": RowTable(kind(rows), rows.shape[1])})
+    assert str(got.value) == str(want.value)
+    assert str(got.value).endswith("not JSON compliant: inf")
+    assert path.read_text() == "before\n"
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(values, st.sampled_from([math.inf, -math.inf])), min_size=n, max_size=n),
+    max_size=12)))
+def test_the_table_lists_the_lines_json_must_fix(rows):
+    # a cell is to be fixed exactly when "%.17g" spells it nan or with digits
+    # and a sign only; a line is listed when one of its cells is
+    def to_fix(x):
+        return re.fullmatch(r"nan|[-+]?\d+", format_float(x)) is not None
+
+    ncols = len(rows[0]) if rows else 1
+    table = RowTable(rows, ncols)
+    table.blocks()
+    assert table.json_lines == ([[i for i, row in enumerate(rows) if any(map(to_fix, row))]]
+                                if rows else [])
+    infs = [x for row in rows for x in row if math.isinf(x)]
+    assert table.inf == (infs[0] if infs else None)
+    assert type(table.inf) is (float if infs else type(None))
 
 
 def test_numpy_scalars_round_trip_as_their_python_values(tmp_path):
