@@ -22,14 +22,8 @@ from .errors import BadParameter, DegenerateOrbit, DomainError, NoRoot, NotCentr
 from .kinematics import ScalarQuintet
 from .mass_shell import MassShell
 from .potentials import PotentialSpec
-from .reduced import (
-    IntegratorOptions,
-    ReducedState,
-    dT_dlambda,
-    integrate,
-    rest_quintet,
-    synchronize,
-)
+from .reduced import IntegratorOptions, ReducedState, dT_dlambda, integrate, rest_quintet
+from .reduced import synchronize  # noqa: F401 (unused; perfbench/tracing.py patches it)
 from .roots import first_root
 
 __all__ = [
@@ -156,8 +150,7 @@ def verify_circular(orbit: CircularOrbit, model: PotentialSpec, shell: MassShell
     key = (id(model), id(shell), n_samples)  # the entry holds both, so the ids stay theirs
     if key not in kept:
         opts = IntegratorOptions(tol=1e-10, sample_interval=orbit.period_lambda / n_samples)
-        traj = synchronize(integrate(orbit.initial_state(), shell, model,
-                                     orbit.period_lambda, opts))
+        traj = integrate(orbit.initial_state(), shell, model, orbit.period_lambda, opts)
         z, y, T, lam = traj.ztil, traj.ytil, traj.T, traj.lam
         q = rest_quintet(z, y, shell)
         cols = {name: getattr(traj if name in ("F", "G") else q, name) for name in _QUANTITIES}

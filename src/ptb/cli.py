@@ -37,7 +37,8 @@ from .mass_shell import MassShell, mass_shell_from_lambda, shell_from_M
 from .minkowski import FourVector
 from .output import diagnostics, format_float, json_payload, trajectory_rows, write_csv, write_json
 from .potentials import PotentialSpec, builtin
-from .reduced import IntegratorOptions, ReducedState, Trajectory, integrate, synchronize
+from .reduced import IntegratorOptions, ReducedState, Trajectory, integrate
+from .reduced import synchronize  # noqa: F401 (unused; perfbench/tracing.py patches it)
 from .toy import ToyParams, analytic_T, analytic_state, initial_state, shell_for_toy
 from .worldline import export_lab_frame, worldlines
 
@@ -254,19 +255,20 @@ def _resolve_out(path: str) -> str:
 
 
 def run_scenario(sc: Scenario) -> tuple[str, dict, Trajectory]:
-    traj = synchronize(integrate(sc.initial, sc.shell, sc.model, sc.span, sc.opts))
+    traj = integrate(sc.initial, sc.shell, sc.model, sc.span, sc.opts)
     ws = worldlines(traj)
     if sc.frame_k is not None:
         ws = export_lab_frame(ws, sc.frame_k)
     diag = diagnostics(traj)
-    if sc.orbit is not None:
-        diag.update(orbit_rho=sc.orbit.rho, orbit_Omega=sc.orbit.Omega,
-                    orbit_period_T=sc.orbit.period_T)
     if sc.out_format == "csv":
         write_csv(sc.out_path, trajectory_rows(traj, ws))
     else:
         extra = {"scenario": sc.cfg, "exit": 0}
-        write_json(sc.out_path, json_payload(traj, ws, extra=extra))
+        write_json(sc.out_path, json_payload(traj, ws, extra=extra, diag=diag))
+    # the orbit keys go to the caller only, not into the file
+    if sc.orbit is not None:
+        diag.update(orbit_rho=sc.orbit.rho, orbit_Omega=sc.orbit.Omega,
+                    orbit_period_T=sc.orbit.period_T)
     return sc.out_path, diag, traj
 
 
@@ -437,8 +439,8 @@ def cmd_verify_toy(args: argparse.Namespace) -> int:
     shell = shell_for_toy(p)
     z0, e0 = initial_state(p)
     state0 = ReducedState(lambda_=0.0, ztil=np.array(z0), ytil=np.array(e0))
-    traj = synchronize(integrate(state0, shell, builtin("harmonic", chi=p.chi),
-                                 periods * p.period, IntegratorOptions(tol=tol)))
+    traj = integrate(state0, shell, builtin("harmonic", chi=p.chi), periods * p.period,
+                     IntegratorOptions(tol=tol))
 
     za, ea = (np.stack(v, axis=-1) for v in analytic_state(p, traj.lam))
     dev_state = float(max(np.max(np.abs(traj.ztil - za)), np.max(np.abs(traj.ytil - ea))))

@@ -131,7 +131,7 @@ class DopriResult:
     n_rhs: int               # evaluations of f
     h_min: float             # smallest and largest accepted step
     h_max: float
-    n_landed: int            # accepted steps cut short to end on a sample or t1
+    n_landed: int            # accepted steps that end on a sample or on t1
 
 
 @cache
@@ -218,9 +218,12 @@ def solve_dopri5(
     absolutely and relatively alike, so the accumulated deviation scales
     like tol times span.  When t_eval is given (sorted, inside the span)
     the stepper shortens steps to land exactly on each entry and emits the
-    propagated state there; otherwise every accepted step is emitted.  The
-    derivative of every emitted sample (the FSAL stage) is returned as dy.
-    stage = (source, c) runs the stages inline, with constants c, as f would.
+    propagated state there; otherwise every accepted step is emitted.  A
+    step cut short to land keeps the step size proposed before the cut and
+    the PI memory facold for the next, unless its error exceeds facold, so
+    the grid costs at most one extra attempt per point.  The derivative of
+    every emitted sample (the FSAL stage) is returned as dy.  stage =
+    (source, c) runs the stages inline, with constants c, as f would.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -293,12 +296,13 @@ def solve_dopri5(
                 out_idx.append(n_accepted)
                 eval_idx += 1
             t, g = t_new, group
-            # PI update (Lund stabilization)
-            fac = err ** _EXPO1 / facold ** _BETA / _SAFETY
-            fac = fac if fac < _FAC_SHRINK else _FAC_SHRINK
-            h = h_used / (fac if fac > 1.0 / _FAC_GROW else 1.0 / _FAC_GROW)
-            h = h_used if just_rejected and h_used < h else h
-            facold = 1e-4 if 1e-4 > err else err
+            # PI update (Lund stabilization); a landing cut no worse than facold keeps h, facold
+            if not (landed and h_used < h_try and err <= facold):
+                fac = err ** _EXPO1 / facold ** _BETA / _SAFETY
+                fac = fac if fac < _FAC_SHRINK else _FAC_SHRINK
+                h = h_used / (fac if fac > 1.0 / _FAC_GROW else 1.0 / _FAC_GROW)
+                h = h_used if just_rejected and h_used < h else h
+                facold = 1e-4 if 1e-4 > err else err
             just_rejected = False
         else:
             if err != err:

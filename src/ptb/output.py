@@ -169,8 +169,9 @@ def _json_clean(x):
     return x
 
 
-def json_payload(traj: Trajectory, ws: WorldlineSet,
-                 extra: Optional[dict] = None) -> dict:
+def json_payload(traj: Trajectory, ws: WorldlineSet, extra: Optional[dict] = None,
+                 diag: Optional[dict] = None) -> dict:
+    """The JSON document of a run; diag, when given, is diagnostics(traj)."""
     shell = traj.shell
     payload = {
         "schema": 1,
@@ -182,7 +183,7 @@ def json_payload(traj: Trajectory, ws: WorldlineSet,
         "frame": list(ws.frame),
         "columns": list(COLUMNS),
         "rows": trajectory_rows(traj, ws),
-        "diagnostics": diagnostics(traj),
+        "diagnostics": diagnostics(traj) if diag is None else diag,
     }
     if extra:
         payload.update(extra)

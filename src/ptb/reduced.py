@@ -125,8 +125,8 @@ class Trajectory:
     The clock, tau1, tau2, T, its rate dTdlambda, flagged (n each) and
     monotone, is built from them on first read: a replace gets its own.
     dense is the solver's interpolant over every accepted step; h_min,
-    h_max and n_landed are its step-size range and the steps it cut short
-    to land on a sample or on the end of the span.
+    h_max and n_landed are its step-size range and the steps that end on a
+    sample or on the end of the span.
 
     samples is a per-sample view of the same data, built on first access;
     a tuple given explicitly is kept as it is.

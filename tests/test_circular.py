@@ -31,7 +31,7 @@ from ptb.circular import (
     verify_constancy,
     verify_periodicity,
 )
-from ptb.reduced import Trajectory, dT_dlambda
+from ptb.reduced import IntegratorOptions, Trajectory, dT_dlambda, integrate
 from ptb.roots import first_root
 
 
@@ -312,3 +312,20 @@ def test_one_grid_of_400_is_no_worse_than_200(model, l2):
     for field in dataclasses.fields(PeriodicityReport):
         assert getattr(fine[1], field.name) <= getattr(coarse[1], field.name)
     assert fine[1].ok() and fine[0].ok()
+
+
+def test_a_landed_period_takes_one_step_per_sample():
+    # the self-consistent harmonic circle of circular_scan (chi = 0.125,
+    # masses (1, 2), l2 = 2.5) over one lambda-period on 400 samples.  Free
+    # stepping takes 350 steps, each about 1.14 sample intervals; a step cut
+    # short to land keeps the step size proposed before the cut, so each
+    # interval takes about one step (417).  Had the cut step's size set the
+    # next, each interval would take a long and a short step: 801 in all.
+    model = HarmonicPotential(0.125)
+    shell, orbit = self_consistent_circular(1.0, 2.0, model, 2.5)
+    opts = IntegratorOptions(tol=1e-10, sample_interval=orbit.period_lambda / 400)
+    traj = integrate(orbit.initial_state(), shell, model, orbit.period_lambda, opts)
+    assert len(traj.lam) == 401
+    assert traj.n_accepted <= 440 and traj.n_rejected == 0
+    constancy, period = verify_circular(orbit, model, shell)
+    assert constancy.ok() and period.ok()

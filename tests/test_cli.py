@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import ptb.cli
+import ptb.output
 from ptb.cli import main
 
 PKG = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -82,6 +83,28 @@ def test_simulate_json_format(tmp_path):
     assert payload["exit"] == 0
     assert payload["diagnostics"]["monotone"] is True
     assert payload["scenario"]["potential"]["kind"] == "harmonic"
+
+
+def test_a_json_run_computes_its_diagnostics_once(tmp_path, monkeypatch):
+    # the file gets the run's diagnostics; the orbit keys go to the caller only
+    calls = []
+
+    def counted(traj):
+        calls.append(traj)
+        return diagnostics(traj)
+
+    diagnostics = ptb.cli.diagnostics
+    monkeypatch.setattr(ptb.cli, "diagnostics", counted)
+    monkeypatch.setattr(ptb.output, "diagnostics", counted)
+    cfg = write_config(tmp_path / "cfg.json", initial=None, circular={"l2": 2.0},
+                       output={"format": "json", "path": str(tmp_path / "out.json")})
+    _, diag, traj = ptb.cli.run_scenario(ptb.cli.build_scenario(cfg))
+    assert len(calls) == 1 and calls[0] is traj
+    written = json.loads((tmp_path / "out.json").read_text())["diagnostics"]
+    assert {k for k in diag if k.startswith("orbit_")} == {"orbit_rho", "orbit_Omega",
+                                                          "orbit_period_T"}
+    assert written == json.loads(json.dumps({k: v for k, v in diag.items()
+                                             if not k.startswith("orbit_")}))
 
 
 def test_missing_config_file(tmp_path):
