@@ -7,9 +7,10 @@ solution points rather than interpolated ones; the dense output is kept
 for root finding between samples.
 
 f(t, y) receives the state as a list of Python floats and returns a
-sequence of Python floats; the step loop calls no numpy, which at length 8
+sequence of Python floats; the step loop calls no numpy, which at length 6
 costs more than the arithmetic, and a numpy scalar from f would slow every
-later stage.  The dense output is one flat buffer of groups of six blocks
+later stage.  The error norm is the RMS over the n scaled components of the
+error estimate.  The dense output is one flat buffer of groups of six blocks
 of n floats: group 0 is (y0, 0, 0, 0, 0, k1) and each accepted step appends
 (y_new, k3, k4, k5, k6, k7).  Step i takes y and k1 from group i (the FSAL
 stage) and the rest from group i + 1; k2 has no dense weight.
@@ -211,20 +212,16 @@ def solve_dopri5(
     t_eval: Sequence[float] | None = None,
     stage: tuple[tuple[str, str, tuple], tuple] | None = None,
 ) -> DopriResult:
-    """Integrate y' = f(t, y) from t_span[0] to t_span[1].
-
-    f follows the contract of the module docstring: a list of floats in, a
-    sequence of floats out.  tol is the error target per unit t, applied
-    absolutely and relatively alike, so the accumulated deviation scales
-    like tol times span.  When t_eval is given (sorted, inside the span)
-    the stepper shortens steps to land exactly on each entry and emits the
-    propagated state there; otherwise every accepted step is emitted.  A
-    step cut short to land keeps the step size proposed before the cut and
-    the PI memory facold for the next, unless its error exceeds facold, so
-    the grid costs at most one extra attempt per point.  The derivative of
-    every emitted sample (the FSAL stage) is returned as dy.  stage =
-    (source, c) runs the stages inline, with constants c, as f would.
-    """
+    """Integrate y' = f(t, y) from t_span[0] to t_span[1], f as the module
+    docstring says.  tol is the error target per unit t, absolute and
+    relative alike, so the deviation scales like tol times span.  With
+    t_eval (sorted, inside the span) steps are cut short to land on each
+    entry, whose state is emitted; otherwise every accepted step is.  A cut
+    step keeps the step size proposed before the cut and the PI memory
+    facold for the next, unless its error exceeds facold, so the grid costs
+    at most one extra attempt per point.  dy holds the derivative (the FSAL
+    stage) of every emitted sample.  stage = (source, c) runs the stages
+    inline, with constants c, as f would."""
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got {t_span!r}")
@@ -234,11 +231,12 @@ def solve_dopri5(
     y = y0.tolist()
     n = len(y)
 
-    eval_pts = [] if t_eval is None else [float(t) for t in t_eval]
-    if any(b <= a for a, b in zip(eval_pts, eval_pts[1:])):
+    pts = np.array([] if t_eval is None else t_eval, dtype=float)
+    if (pts[1:] <= pts[:-1]).any():
         raise ValueError("t_eval must be strictly increasing")
-    if not all(t0 <= t <= t1 for t in eval_pts):
+    if not ((t0 <= pts) & (pts <= t1)).all():
         raise ValueError(f"t_eval must lie within t_span {t_span!r}")
+    eval_pts = pts.tolist()
     n_eval = len(eval_pts)
 
     k1 = f(t0, y)
@@ -316,11 +314,11 @@ def solve_dopri5(
             just_rejected = True
 
     dense = DenseOutput(starts, sizes, data, n, t)
-    groups = dense.groups
+    groups, hs = dense.groups, np.frombuffer(sizes)
     times = np.append(np.frombuffer(starts), t)
     rows = np.arange(n_accepted + 1) if t_eval is None else np.array(out_idx, dtype=int)
     return DopriResult(
         t=times[rows], y=groups[rows, 0], dy=groups[rows, 5], dense=dense,
         n_accepted=n_accepted, n_rejected=n_rejected, n_rhs=2 + 6 * (n_accepted + n_rejected),
-        h_min=min(sizes), h_max=max(sizes), n_landed=n_landed,
+        h_min=float(hs.min()), h_max=float(hs.max()), n_landed=n_landed,
     )

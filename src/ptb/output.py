@@ -122,26 +122,12 @@ def diagnostics(traj: Trajectory) -> dict:
 
 
 def _planarity(traj: Trajectory) -> float:
-    """Max out-of-plane component relative to the in-plane scale.
-
-    The plane is spanned by the first sample with independent ztil, ytil;
-    degenerate (collinear) data is planar by construction.
-    """
-    z, y = traj.ztil, traj.ytil
-    cross = np.cross(z, y)
-    norm = np.linalg.norm(cross, axis=1)
-    zn, yn = np.linalg.norm(z, axis=1), np.linalg.norm(y, axis=1)
-    independent = norm > 1e-12 * (zn * yn + 1e-300)
-    if not independent.any():
-        return 0.0
-    i = int(np.argmax(independent))
-    normal = cross[i] / norm[i]
-    worst = 0.0
-    for v, scale in ((z, zn), (y, yn)):
-        moving = scale != 0.0
-        worst = max(worst, float(np.max(np.abs(v[moving] @ normal) / scale[moving],
-                                        initial=0.0)))
-    return worst
+    """Max component of zeta and eta across the plane of traj.basis, each
+    relative to its own length."""
+    v = np.vstack((traj.ztil, traj.ytil))
+    scale = np.linalg.norm(v, axis=1)
+    moving = scale != 0.0
+    return float(np.max(np.abs(v[moving] @ np.cross(*traj.basis)) / scale[moving], initial=0.0))
 
 
 def write_csv(path, rows: Iterable[Sequence[float]],

@@ -7,7 +7,9 @@ collective parameter lambda = tau1 + tau2:
     dzeta/dlambda = (1 + 2 dV/dytil2) eta + (dV/dzy) zeta
     deta/dlambda  = -2 (dV/dztil2) zeta - (dV/dzy) eta
 
-Two quadratures ride along as extra state components,
+Both rates are combinations of zeta and eta, so the motion stays in the
+plane of (zeta0, eta0) and is integrated there, as two components each on
+a basis (e1, e2) of it.  Two quadratures ride along as state components,
 
     F = 2 P^2 dV/dP2,      G = 2 (y.P) dV/dw,
 
@@ -25,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dopri import MAX_STEPS, DenseOutput, dense_steps, solve_dopri5
+from .dopri import MAX_STEPS, DenseOutput, _require_finite, dense_steps, solve_dopri5
 from .errors import NonMonotoneTime, StepFailure
 from .kinematics import ScalarQuintet, noether_N
 from .mass_shell import MassShell
@@ -36,6 +38,8 @@ __all__ = [
     "ReducedState",
     "TrajectorySample",
     "Trajectory",
+    "plane_basis",
+    "lift",
     "rest_quintet",
     "rhs",
     "rhs_for",
@@ -120,16 +124,16 @@ class _SampleView(Sequence):
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """A reduced run as columns over its n samples: lam (n), the state
-    u = (zeta, eta, intF, intG) (n, 8) and the quadrature rates F, G (n).
-    The clock, tau1, tau2, T, its rate dTdlambda, flagged (n each) and
-    monotone, is built from them on first read: a replace gets its own.
-    dense is the solver's interpolant over every accepted step; h_min,
-    h_max and n_landed are its step-size range and the steps that end on a
-    sample or on the end of the span.
-
-    samples is a per-sample view of the same data, built on first access;
-    a tuple given explicitly is kept as it is.
+    """A reduced run as columns over its n samples: lam (n), the rest-frame
+    state u = (zeta, eta, intF, intG) (n, 8), lifted from the solver's
+    in-plane samples on basis, the orbital plane's rows (e1, e2), and the
+    quadrature rates F, G (n).  The clock, tau1, tau2, T, its rate
+    dTdlambda, flagged (n each) and monotone, is built from them on first
+    read: a replace gets its own.  dense is the solver's interpolant of the
+    in-plane state over every accepted step; h_min, h_max and n_landed are
+    its step-size range and the steps that end on a sample or on the end of
+    the span.  samples is a per-sample view of the same data, built on first
+    access; a tuple given explicitly is kept as it is.
     """
 
     shell: MassShell
@@ -139,6 +143,7 @@ class Trajectory:
     F: np.ndarray
     G: np.ndarray
     dense: DenseOutput
+    basis: np.ndarray
     n_accepted: int
     n_rejected: int
     n_rhs: int
@@ -161,13 +166,8 @@ class Trajectory:
     monotone = property(lambda t: t._clock[4], doc="T rises at a positive rate throughout.")
     flagged = property(lambda t: ~(t._clock[3] > 0.0), doc="Samples with a non-positive rate.")
 
-    @property
-    def ztil(self) -> np.ndarray:
-        return self.u[:, 0:3]
-
-    @property
-    def ytil(self) -> np.ndarray:
-        return self.u[:, 3:6]
+    ztil = property(lambda t: t.u[:, 0:3])
+    ytil = property(lambda t: t.u[:, 3:6])
 
     @cached_property
     def first_integrals(self) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +183,7 @@ class Trajectory:
 
 
 def _dot(a: np.ndarray, b: np.ndarray):
-    """Dot product over the last axis of 3-vectors, summed as in rhs."""
+    """Dot product over the last axis of 3-vectors, summed in component order."""
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
@@ -194,48 +194,65 @@ def rest_quintet(ztil: np.ndarray, ytil: np.ndarray, shell: MassShell) -> Scalar
                                  _dot(ztil, ytil))
 
 
-def rhs(u: Sequence[float], shell: MassShell,
-        model: PotentialSpec) -> tuple[float, ...]:
-    """Right-hand side (dzeta, deta, F, G) of the flat state
-    u = (zeta, eta, intF, intG), in plain float arithmetic: u is a sequence
-    of eight Python floats (an array row goes in as row.tolist()).
+def plane_basis(ztil, ytil) -> np.ndarray:
+    """Orthonormal rows (e1, e2) of a plane holding zeta = ztil and eta = ytil:
+    e1 along zeta (along eta if zeta = 0, an axis if both are), e2 along the
+    part of eta across e1 or, where that part is zero or at rounding level,
+    along the axis least aligned with e1; e2 is orthogonalized twice."""
+    a, b = (np.asarray(v, dtype=float) for v in ((ztil, ytil) if np.any(ztil) else (ytil, ztil)))
+    e1 = a / math.hypot(*a) if a.any() else np.array([1.0, 0.0, 0.0])
+    r = b - (b @ e1) * e1
+    if not math.hypot(*r) > 8.0 * np.finfo(float).eps * math.hypot(*b):
+        r = np.eye(3)[np.argmin(np.abs(e1))]
+    for _ in range(2):
+        r = r - (r @ e1) * e1
+        r = r / math.hypot(*r)
+    return np.array((e1, r))
 
-    Depends on lambda only through the state itself; tau1 and tau2 never
-    appear separately.
-    """
-    z0, z1, z2, y0, y1, y2, _, _ = u
+
+def lift(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Rest-frame states (zeta, eta, intF, intG) (n, 8) of in-plane states x (n, 6)."""
+    (e1, e2), c = basis, x[:, :4, None]
+    return np.hstack((c[:, 0] * e1 + c[:, 1] * e2, c[:, 2] * e1 + c[:, 3] * e2, x[:, 4:6]))
+
+
+def rhs(x: Sequence[float], shell: MassShell,
+        model: PotentialSpec) -> tuple[float, ...]:
+    """Right-hand side (dzeta, deta, F, G) of the in-plane state x = (zeta,
+    eta, intF, intG), zeta and eta on an orthonormal basis of the orbital
+    plane, in plain float arithmetic: six Python floats in (an array row as
+    row.tolist()) and out.  Depends on lambda only through the state."""
+    z0, z1, y0, y1, _, _ = x
     M2, nu = shell.M2, shell.nu
     dP2, dztil2, dytil2, dzy, dw = model.rest_partials(
-        M2, nu, z0 * z0 + z1 * z1 + z2 * z2, y0 * y0 + y1 * y1 + y2 * y2,
-        z0 * y0 + z1 * y1 + z2 * y2)
+        M2, nu, z0 * z0 + z1 * z1, y0 * y0 + y1 * y1, z0 * y0 + z1 * y1)
     a = 1.0 + 2.0 * dytil2
     b = -2.0 * dztil2
-    return (a * y0 + dzy * z0, a * y1 + dzy * z1, a * y2 + dzy * z2,
-            b * z0 - dzy * y0, b * z1 - dzy * y1, b * z2 - dzy * y2,
+    return (a * y0 + dzy * z0, a * y1 + dzy * z1, b * z0 - dzy * y0, b * z1 - dzy * y1,
             2.0 * M2 * dP2, 2.0 * nu * dw)
 
 
 @cache
 def _kernel_stage(cls):
-    """The DOPRI5 stage of rhs for a kernel model class, and rhs(c, lam, u) from it."""
+    """The DOPRI5 stage of rhs for a kernel model class, and rhs(c, lam, x) from it."""
     head, body, names = cls._stage_text
     head = f"P2, M2x2, G, {''.join(p + ', ' for p in cls.params)}= c\n{head}"
-    body = (f"ztil2 = -($u_0 * $u_0 + $u_1 * $u_1 + $u_2 * $u_2)\n{body}b = -2.0 * dztil2\n"
-            "$k_0 = $u_3; $k_1 = $u_4; $k_2 = $u_5; $k_3 = b * $u_0; $k_4 = b * $u_1\n"
-            "$k_5 = b * $u_2; $k_6 = M2x2 * dP2; $k_7 = G")
-    src = (f"{head}u_0, u_1, u_2, u_3, u_4, u_5, u_6, u_7 = u\n{body}\n"
-           "return k_0, k_1, k_2, k_3, k_4, k_5, k_6, k_7").replace("$", "").replace("\n", "\n    ")
+    body = (f"ztil2 = -($u_0 * $u_0 + $u_1 * $u_1)\n{body}b = -2.0 * dztil2\n"
+            "$k_0 = $u_2; $k_1 = $u_3; $k_2 = b * $u_0; $k_3 = b * $u_1\n"
+            "$k_4 = M2x2 * dP2; $k_5 = G")
+    src = (f"{head}u_0, u_1, u_2, u_3, u_4, u_5 = u\n{body}\n"
+           "return k_0, k_1, k_2, k_3, k_4, k_5").replace("$", "").replace("\n", "\n    ")
     exec(compile(f"def rhs(c, lam, u):\n    {src}", f"<rhs of {cls.__name__}>", "exec"),
          namespace := dict(names))
     return (head, body, names), namespace["rhs"]
 
 
 def rhs_for(shell: MassShell, model: PotentialSpec):
-    """(f, stage) for a run: f(lam, u) and the stage fusing it into each
+    """(f, stage) for a run: f(lam, x) and the stage fusing it into each
     attempt, from the source of a kernel model (rhs up to the sign of a
     zero); any other model calls rhs, with no stage."""
     if not isinstance(model, _KernelModel):
-        return (lambda lam, u: rhs(u, shell, model)), None
+        return (lambda lam, x: rhs(x, shell, model)), None
     source, fused = _kernel_stage(type(model))
     c = (shell.M2, 2.0 * shell.M2, 2.0 * shell.nu * 0.0, *(getattr(model, p) for p in model.params))
     return partial(fused, c), (source, c)
@@ -249,30 +266,28 @@ def dT_dlambda(F, G, shell: MassShell):
     return 0.25 * M - shell.nu ** 2 / M3 - shell.nu * G / M3 + F / M
 
 
-def _sample_grid(span: float, interval: Optional[float]) -> Optional[np.ndarray]:
+def _sample_grid(span: float, interval: Optional[float], n: int) -> Optional[np.ndarray]:
     if interval is None:
         return None
     if not (interval > 0.0):
         raise ValueError(f"sample_interval must be positive, got {interval!r}")
-    n = span / interval + 1e-9
-    # each point past lambda = 0 ends an accepted step of its own, and u has 8 components
-    budget = min(MAX_STEPS, dense_steps(8))
-    if not (n < budget + 1):
-        raise StepFailure(f"a sample grid of {n + 1:.4g} points needs more accepted "
+    points = span / interval + 1e-9
+    # each point past lambda = 0 ends an accepted step of its own
+    budget = min(MAX_STEPS, dense_steps(n))
+    if not (points < budget + 1):
+        raise StepFailure(f"a sample grid of {points + 1:.4g} points needs more accepted "
                           f"steps than the step budget of {budget}")
-    grid = np.arange(math.floor(n) + 1) * interval
+    grid = np.arange(math.floor(points) + 1) * interval
     # span ends the grid, in place of a last point within rounding of it
     return np.append(grid[:-1] if span - grid[-1] <= 1e-12 * span else grid, span)
 
 
 def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
               span: float, opts: IntegratorOptions = IntegratorOptions()) -> Trajectory:
-    """Advance the reduced system over lambda in [0, span].
-
-    The quadratures are co-integrated, so they share the step-error control
-    of the vector part; the F and G of each sample are the solver's
-    derivative at that sample.  synchronize checks strict mode on the whole run.
-    """
+    """Advance the reduced system over lambda in [0, span], in the plane of
+    plane_basis, and lift the samples back.  The quadratures share the
+    step-error control of the in-plane part; the F and G of each sample are
+    the solver's derivative there.  synchronize checks strict mode on the whole run."""
     if not (span > 0.0):
         raise ValueError(f"span must be positive, got {span!r}")
     start = (initial.lambda_, initial.intF, initial.intG)
@@ -280,16 +295,19 @@ def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
         raise ValueError("integration starts at lambda = 0 with both quadratures at 0, "
                          f"got (lambda, intF, intG) = {start!r}")
 
-    u0 = np.concatenate((initial.ztil, initial.ytil, (initial.intF, initial.intG)))
+    z0, y0 = (np.asarray(v, dtype=float) for v in (initial.ztil, initial.ytil))
+    _require_finite("at lambda = 0", ("ztil", z0.tolist()), ("ytil", y0.tolist()))
+    basis = plane_basis(z0, y0)
+    x0 = (*(basis @ z0).tolist(), *(basis @ y0).tolist(), 0.0, 0.0)
     f, stage = rhs_for(shell, model)
-    sol = solve_dopri5(f, (0.0, span), u0, tol=opts.tol, max_step=opts.max_step,
-                       t_eval=_sample_grid(span, opts.sample_interval), stage=stage)
+    sol = solve_dopri5(f, (0.0, span), x0, tol=opts.tol, max_step=opts.max_step,
+                       t_eval=_sample_grid(span, opts.sample_interval, len(x0)), stage=stage)
 
     return synchronize(Trajectory(
-        shell=shell, model=model, lam=sol.t, u=sol.y, F=sol.dy[:, 6], G=sol.dy[:, 7],
-        dense=sol.dense, n_accepted=sol.n_accepted, n_rejected=sol.n_rejected,
-        n_rhs=sol.n_rhs, h_min=sol.h_min, h_max=sol.h_max, n_landed=sol.n_landed,
-        opts=opts,
+        shell=shell, model=model, lam=sol.t, u=lift(sol.y, basis), F=sol.dy[:, 4],
+        G=sol.dy[:, 5], dense=sol.dense, basis=basis, n_accepted=sol.n_accepted,
+        n_rejected=sol.n_rejected, n_rhs=sol.n_rhs, h_min=sol.h_min, h_max=sol.h_max,
+        n_landed=sol.n_landed, opts=opts,
     ))
 
 
@@ -322,7 +340,7 @@ def synchronize(traj: Trajectory) -> Trajectory:
     if not traj.opts.strict_time:
         return traj
     dense = traj.dense
-    rate = dT_dlambda(dense.groups[:, 5, 6], dense.groups[:, 5, 7], traj.shell)
+    rate = dT_dlambda(dense.groups[:, 5, 4], dense.groups[:, 5, 5], traj.shell)
     j = int(np.argmin(rate > 0.0))  # the first rate that is not positive
     if not rate[j] > 0.0:
         lam = dense.t0[j] if j < len(dense.t0) else dense.t1

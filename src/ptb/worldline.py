@@ -101,8 +101,8 @@ def _newton(traj: Trajectory, Tq: np.ndarray, lo: np.ndarray, hi: np.ndarray) ->
     M, M2, nu = shell.M, shell.M2, shell.nu
 
     def residual(lam: np.ndarray, T: np.ndarray):
-        u = traj.dense(lam)
-        return equal_time_clock(lam, u[:, 6], u[:, 7], shell)[3] - T, u
+        x = traj.dense(lam)
+        return equal_time_clock(lam, x[:, 4], x[:, 5], shell)[3] - T, x
 
     r_lo, r_hi = residual(lo, Tq)[0], residual(hi, Tq)[0]
     bad = ~((r_lo <= 0.0) & (r_hi >= 0.0))
@@ -115,20 +115,20 @@ def _newton(traj: Trajectory, Tq: np.ndarray, lo: np.ndarray, hi: np.ndarray) ->
     todo = np.arange(Tq.size)
     lam = lo - r_lo * ((hi - lo) / (r_hi - r_lo))
     for _ in range(_NEWTON_MAXITER):
-        r, u = residual(lam, Tq[todo])
+        r, x = residual(lam, Tq[todo])
         if (nan := np.isnan(r)).any():
             j = int(nan.argmax())
             raise NoRoot(f"T(lambda) is nan at lambda = {float(lam[j])!r} "
                          f"(T = {float(Tq[todo[j]])!r})")
-        du = traj.dense.rate(lam)
-        rate = dT_dlambda(du[:, 6], du[:, 7], shell)
+        dx = traj.dense.rate(lam)
+        rate = dT_dlambda(dx[:, 4], dx[:, 5], shell)
         lo, hi = np.where(r < 0.0, lam, lo), np.where(r > 0.0, lam, hi)
         step = lam - r / rate
         inside = (lo <= step) & (step <= hi)
         # |r| cannot fall below the rounding of the terms of T and the
         # spacing of lambda: a query that reaches that floor is solved
         a = np.abs(lam)
-        terms = 0.25 * M2 * a + np.abs(u[:, 6]) + (nu * nu * a + np.abs(nu * u[:, 7])) / M2
+        terms = 0.25 * M2 * a + np.abs(x[:, 4]) + (nu * nu * a + np.abs(nu * x[:, 5])) / M2
         done = np.abs(r) <= 8.0 * _EPS * (terms / M + np.abs(rate) * a)
         out[todo[done]] = np.where(inside, step, lam)[done]
         keep = ~done
@@ -141,21 +141,19 @@ def _newton(traj: Trajectory, Tq: np.ndarray, lo: np.ndarray, hi: np.ndarray) ->
 
 
 def resample_uniform_T(traj: Trajectory, n: Optional[int] = None) -> Trajectory:
-    """Rebuild the sample columns on an equispaced grid of T values.
-
-    The dense output is retained, so the result supports the same
-    queries as the original; sample lambdas become non-uniform.  The two
-    end samples are kept exactly.
-    """
+    """Rebuild the sample columns on an equispaced grid of T values from the
+    dense output, which the result keeps for the same queries; the sample
+    lambdas become non-uniform, and the two end samples are kept exactly."""
     if n is None:
         n = len(traj.lam)
     if n < 2:
         raise ValueError("need at least two samples")
     inner = lambda_from_T(traj, np.linspace(traj.T[0], traj.T[-1], n)[1:-1])
     lam = np.concatenate((traj.lam[:1], inner, traj.lam[-1:]))
-    u = np.vstack((traj.u[0], traj.dense(inner), traj.u[-1]))
-    du = np.array(list(map(reduced.rhs_for(traj.shell, traj.model)[0], lam.tolist(), u.tolist())))
-    return synchronize(replace(traj, lam=lam, u=u, F=du[:, 6], G=du[:, 7], samples=None))
+    x = np.insert(traj.dense.groups[[0, -1], 0], 1, traj.dense(inner), axis=0)  # in-plane
+    dx = np.array(list(map(reduced.rhs_for(traj.shell, traj.model)[0], lam.tolist(), x.tolist())))
+    return synchronize(replace(traj, lam=lam, u=reduced.lift(x, traj.basis), F=dx[:, 4],
+                               G=dx[:, 5], samples=None))
 
 
 def export_lab_frame(ws: WorldlineSet, k: FourVector) -> WorldlineSet:

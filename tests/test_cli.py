@@ -479,7 +479,7 @@ def test_a_sample_grid_beyond_the_step_budget_is_a_run_failure(tmp_path, capsys,
     argv = argv + ["--config", str(cfg_path)] if argv[0] == "simulate" else argv
     assert run_main(capsys, *argv) == (
         4, f"StepFailure: a sample grid of {points} points needs more accepted steps than "
-           "the step budget of 2684354\n")
+           "the step budget of 3532045\n")
     assert not (tmp_path / "out.csv").exists()
 
 

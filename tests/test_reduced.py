@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import ptb.reduced
 from ptb import dopri
@@ -26,6 +27,7 @@ from ptb.reduced import (
     dT_dlambda,
     equal_time_clock,
     integrate,
+    lift,
     rest_quintet,
     rhs,
     rhs_for,
@@ -35,10 +37,14 @@ from ptb.toy import (
     ToyParams,
     analytic_T,
     analytic_state,
+    dT_dlambda_analytic,
     initial_state,
     intF_analytic,
+    min_dT_dlambda,
     shell_for_toy,
+    sufficient_condition_margin,
 )
+import reduced_reference
 from ptb_fixtures import Forwarding
 
 
@@ -51,6 +57,18 @@ def toy_setup():
 def state0(p):
     z, y = initial_state(p)
     return ReducedState(0.0, np.array(z), np.array(y))
+
+
+def dense_u(traj, lam):
+    """The rest-frame state (zeta, eta, intF, intG) of the dense output at one lambda."""
+    return lift(np.array([traj.dense(lam)]), traj.basis)[0]
+
+
+def sample_states(traj):
+    """The solver's in-plane state at each sample: the dense group that
+    starts (or, for the last, ends) the step at the sample's lambda."""
+    dense = traj.dense
+    return dense.groups[np.searchsorted(np.append(dense.t0, dense.t1), traj.lam), 0]
 
 
 class WMixing(PotentialSpec):
@@ -121,12 +139,12 @@ def test_free_motion_is_exact_drift():
 
 def test_rhs_harmonic_matches_hand_formula():
     p, shell = toy_setup()
-    st = ReducedState(0.0, np.array([0.3, -0.7, 0.2]), np.array([0.1, 0.4, -0.2]))
-    du = rhs(np.concatenate((st.ztil, st.ytil, (0.0, 0.0))), shell, HarmonicPotential(p.chi))
-    dz, dy, F, G = du[0:3], du[3:6], du[6], du[7]
-    assert np.allclose(dz, st.ytil, atol=0)
-    assert np.allclose(dy, -2.0 * p.chi * shell.M * st.ztil, rtol=1e-15)
-    assert F == pytest.approx(-p.chi * shell.M * float(st.ztil @ st.ztil), rel=1e-15)
+    z, y = np.array([0.3, -0.7]), np.array([0.1, 0.4])
+    dx = rhs([*z, *y, 0.0, 0.0], shell, HarmonicPotential(p.chi))
+    dz, dy, F, G = dx[0:2], dx[2:4], dx[4], dx[5]
+    assert np.allclose(dz, y, atol=0)
+    assert np.allclose(dy, -2.0 * p.chi * shell.M * z, rtol=1e-15)
+    assert F == pytest.approx(-p.chi * shell.M * float(z @ z), rel=1e-15)
     assert G == 0.0
 
 
@@ -151,7 +169,7 @@ def test_dense_output_between_samples():
     traj = integrate(state0(p), shell, HarmonicPotential(p.chi), p.period,
                      IntegratorOptions(tol=1e-12, sample_interval=p.period / 4.0))
     for lam in np.linspace(0.0, p.period, 37):
-        u = np.array(traj.dense(float(lam)))
+        u = dense_u(traj, float(lam))
         z, y = analytic_state(p, float(lam))
         assert np.allclose(u[0:3], z, atol=1e-10)
         assert np.allclose(u[3:6], y, atol=1e-10)
@@ -170,9 +188,9 @@ def test_dense_clock_matches_grid_samples():
                                  IntegratorOptions(sample_interval=0.5)))
     for s in traj.samples[1:]:
         lam = s.state.lambda_
-        u = np.array(traj.dense(lam))
-        tau1, _, _, T = equal_time_clock(lam, u[6], u[7], shell)
-        F, G = rhs(u.tolist(), shell, model)[6:8]
+        x = traj.dense(lam)
+        tau1, _, _, T = equal_time_clock(lam, x[4], x[5], shell)
+        F, G = rhs(x, shell, model)[4:6]
         assert T == pytest.approx(s.T, rel=1e-12)
         assert tau1 == pytest.approx(s.tau1, rel=1e-12)
         assert dT_dlambda(F, G, shell) == pytest.approx(s.dTdlambda, rel=1e-12)
@@ -276,8 +294,8 @@ def test_strict_clock_is_checked_at_lambda_0():
     # any step is taken, so no step is named
     shell = mass_shell_from_lambda(1.0, 1.0, 0.01)
     big = ReducedState(0.0, np.array([0.0, 8.0, 0.0]), np.array([0.5, 0.0, 0.0]))
-    rate = dT_dlambda(*rhs([0.0, 8.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0], shell,
-                           HarmonicPotential(1.0))[6:8], shell)
+    rate = dT_dlambda(*rhs([8.0, 0.0, 0.0, 0.5, 0.0, 0.0], shell,
+                           HarmonicPotential(1.0))[4:6], shell)
     assert rate < 0.0
     with pytest.raises(NonMonotoneTime) as info:
         integrate(big, shell, HarmonicPotential(1.0), 5.0,
@@ -292,7 +310,7 @@ def strict_verdict(traj):
     dense, shell = traj.dense, traj.shell
     last = None
     for lam, k in zip([dense.t0[0], *dense.t0[1:], dense.t1], dense.groups[:, 5].tolist()):
-        rate = dT_dlambda(k[6], k[7], shell)
+        rate = dT_dlambda(k[4], k[5], shell)
         if not rate > 0.0:
             step = "" if last is None else f" after a step of h = {lam - last!r}"
             return f"dT/dlambda = {rate!r} at lambda = {lam!r}{step} (strict mode)"
@@ -336,7 +354,7 @@ def test_strict_integrate_checks_its_own_samples(monkeypatch):
 
     def bent(*args, **kwargs):
         sol = solve(*args, **kwargs)
-        sol.dy[3, 6] = -1e3
+        sol.dy[3, 4] = -1e3
         return sol
 
     monkeypatch.setattr(ptb.reduced, "solve_dopri5", bent)
@@ -409,6 +427,18 @@ def test_quadratures_must_start_at_zero(intF, intG):
         integrate(st, shell, FreePotential(), 1.0)
 
 
+@pytest.mark.parametrize("z, y, text", [
+    ([1.0, math.nan, 0.0], [0.0, 1.0, 0.0], "non-finite ztil[1] = nan at lambda = 0"),
+    ([1.0, 0.0, 0.0], [math.inf, 1.0, 0.0], "non-finite ytil[0] = inf at lambda = 0"),
+])
+def test_a_non_finite_start_is_named_in_the_rest_frame(z, y, text):
+    # refused before the plane is built, which would hide the component
+    shell = mass_shell_from_lambda(1.0, 1.0, 0.0)
+    with pytest.raises(StepFailure) as info:
+        integrate(ReducedState(0.0, np.array(z), np.array(y)), shell, FreePotential(), 1.0)
+    assert str(info.value) == text
+
+
 def grid_of(span, interval):
     """The sample grid integrate hands to the solver, or the error it raises."""
     shell = mass_shell_from_lambda(1.0, 1.0, 0.0)
@@ -434,8 +464,32 @@ def test_a_sample_grid_beyond_the_step_budget_is_refused(span, interval):
     # dense output budget allows fewer accepted steps than MAX_STEPS
     msg = grid_of(span, interval)
     assert msg.startswith("a sample grid of ")
-    assert dense_steps(8) == 2_684_354 < MAX_STEPS
-    assert msg.endswith("points needs more accepted steps than the step budget of 2684354")
+    assert dense_steps(6) == 3_532_045 < MAX_STEPS
+    assert msg.endswith("points needs more accepted steps than the step budget of 3532045")
+
+
+def test_the_grid_budget_is_that_of_the_state_the_solver_runs(monkeypatch):
+    # the refusal names min(MAX_STEPS, dense_steps(n)) for the n components
+    # that the solver is handed, whatever n is
+    lengths = []
+
+    def solve(f, span, y0, **kwargs):
+        lengths.append(len(y0))
+        raise StepFailure("the solver ran")
+
+    monkeypatch.setattr(ptb.reduced, "solve_dopri5", solve)
+    shell = mass_shell_from_lambda(1.0, 1.0, 0.0)
+    st0 = ReducedState(0.0, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
+    for interval in (0.5, 1e-12):
+        with pytest.raises(StepFailure) as info:
+            integrate(st0, shell, FreePotential(), 1.0, IntegratorOptions(sample_interval=interval))
+    assert lengths == [6]
+    assert str(info.value).endswith(f"the step budget of {dense_steps(6)}")
+    for n in (1, 2, 6, 8):
+        budget = min(MAX_STEPS, dense_steps(n))
+        with pytest.raises(StepFailure, match=f"the step budget of {budget}$"):
+            ptb.reduced._sample_grid(1.0, 1e-12, n)
+    assert min(MAX_STEPS, dense_steps(1)) == MAX_STEPS
 
 
 def test_the_grid_bound_is_the_step_budget(monkeypatch):
@@ -449,14 +503,14 @@ def test_the_grid_bound_is_the_step_budget(monkeypatch):
 
 def test_the_grid_bound_is_the_dense_budget(monkeypatch):
     # a grid is refused when its steps would pass the dense output budget,
-    # 8 (6 * 8 + 2) = 400 bytes a step for the eight-component state
-    monkeypatch.setattr(ptb.dopri, "MAX_DENSE_BYTES", 4399)
+    # 8 (6 * 6 + 2) = 304 bytes a step for the six-component in-plane state
+    monkeypatch.setattr(ptb.dopri, "MAX_DENSE_BYTES", 3343)
     assert grid_of(1.0, 0.1).tolist() == [i * 0.1 for i in range(10)] + [1.0]
     assert grid_of(1.0, 0.09) == ("a sample grid of 12.11 points needs more accepted steps "
                                   "than the step budget of 10")
     monkeypatch.undo()
-    assert grid_of(1.0, 1.0 / 2_684_355) == ("a sample grid of 2.684e+06 points needs more "
-                                             "accepted steps than the step budget of 2684354")
+    assert grid_of(1.0, 1.0 / 3_532_046) == ("a sample grid of 3.532e+06 points needs more "
+                                             "accepted steps than the step budget of 3532045")
 
 
 def test_sample_grid_includes_both_ends():
@@ -490,13 +544,15 @@ def test_sample_rates_are_the_fsal_derivative(model, opts):
     st = ReducedState(0.0, np.array([1.2, 0.1, 0.4]), np.array([-0.1, 0.6, 0.05]))
     traj = integrate(st, shell, model, 6.0, opts)
     assert len(traj.samples) > 8
-    for s in traj.samples:
-        F, G = rhs(_vector(s).tolist(), shell, model)[6:8]
+    x = sample_states(traj)
+    assert np.array_equal(lift(x, traj.basis), traj.u)
+    for s, xs in zip(traj.samples, x.tolist()):
+        F, G = rhs(xs, shell, model)[4:6]
         assert (s.F, s.G) == (F, G)
     # between samples the dense quadratures advance at the rates rhs gives
     lam, h = 2.345, 1e-4
-    F, G = rhs(traj.dense(lam), shell, model)[6:8]
-    slope = (np.array(traj.dense(lam + h)[6:8]) - traj.dense(lam - h)[6:8]) / (2.0 * h)
+    F, G = rhs(traj.dense(lam), shell, model)[4:6]
+    slope = (np.array(traj.dense(lam + h)[4:6]) - traj.dense(lam - h)[4:6]) / (2.0 * h)
     assert slope == pytest.approx([F, G], rel=1e-6, abs=1e-9)
 
 
@@ -539,7 +595,7 @@ def test_dense_output_follows_the_oscillator(chi, M, nu_frac, A, B, probes):
     traj = integrate(state0(p), shell, HarmonicPotential(chi), span, IntegratorOptions(tol=tol))
     for x in probes:
         lam = x * span
-        u = np.array(traj.dense(lam))
+        u = dense_u(traj, lam)
         z, y = analytic_state(p, lam)
         assert np.abs(u[0:3] - z).max() <= tol * span
         assert np.abs(u[3:6] - y).max() <= tol * span
@@ -547,8 +603,8 @@ def test_dense_output_follows_the_oscillator(chi, M, nu_frac, A, B, probes):
     dense = traj.dense
     assert len(dense.t0) == traj.n_accepted == len(traj.lam) - 1
     for i, (t0, h) in enumerate(zip(dense.t0, dense.h)):
-        assert dense(t0) == traj.u[i].tolist()
-        assert np.abs(np.array(dense(t0 + h)) - traj.u[i + 1]).max() <= 1e-15
+        assert np.array_equal(dense_u(traj, t0), traj.u[i])
+        assert np.abs(dense_u(traj, t0 + h) - traj.u[i + 1]).max() <= 1e-15
 
 
 @pytest.mark.parametrize("base, args", [(HarmonicPotential, (0.125,)),
@@ -609,23 +665,22 @@ _BUILTIN_MODELS = st.one_of(
 
 
 @given(_BUILTIN_MODELS, st.floats(-0.9, 5.0), st.floats(1.0, 4.0),
-       st.lists(st.floats(-10.0, 10.0), min_size=8, max_size=8))
+       st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6))
 def test_bound_rhs_is_the_generic_rhs(model, lam, m2, u):
-    z2 = u[0] * u[0] + u[1] * u[1] + u[2] * u[2]
-    assume(z2 > 1e-6)
+    assume(u[0] * u[0] + u[1] * u[1] > 1e-6)
     shell = mass_shell_from_lambda(1.0, m2, lam)
     f, stage = rhs_for(shell, model)
     assert stage is not None  # the fused kernel, not the generic path
     got, want = f(0.0, u), rhs(u, shell, model)
     # equal as floats: only the sign of a zero may differ
-    assert len(got) == len(want) == 8
+    assert len(got) == len(want) == 6
     assert all(type(x) is float and x == w for x, w in zip(got, want))
 
 
 @pytest.mark.parametrize("model, u, text", [
-    (CentralPowerPotential(-1.0, 1), [0.0, 0.0, 0.0, 0.3, 0.0, 0.0, 0.0, 0.0],
+    (CentralPowerPotential(-1.0, 1), [0.0, 0.0, 0.3, 0.0, 0.0, 0.0],
      "central_power requires spacelike separation ztil2 < 0, got -0.0"),
-    (CentralPowerPotential(-1.0, 3), [1e-125, 0.0, 0.0, 0.3, 0.0, 0.0, 0.0, 0.0],
+    (CentralPowerPotential(-1.0, 3), [1e-125, 0.0, 0.3, 0.0, 0.0, 0.0],
      "central_power overflows at ztil2 = "),
 ])
 def test_bound_rhs_refuses_what_the_generic_rhs_refuses(model, u, text):
@@ -648,20 +703,20 @@ def _attempt_or_error(attempt, *args):
 
 @settings(max_examples=200)
 @given(_BUILTIN_MODELS, st.floats(-0.9, 5.0), st.floats(1.0, 4.0),
-       st.lists(st.floats(-3.0, 3.0), min_size=16, max_size=16), st.floats(1e-6, 2.0))
+       st.lists(st.floats(-3.0, 3.0), min_size=12, max_size=12), st.floats(1e-6, 2.0))
 def test_the_fused_attempt_is_the_call_path_attempt(model, lam, m2, v, h):
     # every stage inline from the kernel's source, with no call, against the
     # attempt that calls the run's f: k2, the dense group and the error sum
     # bit for bit, and equal as floats to the attempt that calls rhs
-    u, k1 = v[:8], v[8:]
-    assume(u[0] * u[0] + u[1] * u[1] + u[2] * u[2] > 1e-6)
+    u, k1 = v[:6], v[6:]
+    assume(u[0] * u[0] + u[1] * u[1] > 1e-6)
     shell = mass_shell_from_lambda(1.0, m2, lam)
     f, (source, c) = rhs_for(shell, model)
-    g = (*u, *[0.0] * 32, *k1)
-    fused = _attempt_or_error(dopri._attempt(8, source), c, 0.5, h, 0.5 + h, g)
-    called = _attempt_or_error(dopri._attempt(8), f, 0.5, h, 0.5 + h, g)
+    g = (*u, *[0.0] * 24, *k1)
+    fused = _attempt_or_error(dopri._attempt(6, source), c, 0.5, h, 0.5 + h, g)
+    called = _attempt_or_error(dopri._attempt(6), f, 0.5, h, 0.5 + h, g)
     assert repr(fused) == repr(called)
-    generic = _attempt_or_error(dopri._attempt(8), lambda t, y: rhs(y, shell, model),
+    generic = _attempt_or_error(dopri._attempt(6), lambda t, y: rhs(y, shell, model),
                                 0.5, h, 0.5 + h, g)
     assert fused == generic
 
@@ -674,11 +729,11 @@ def test_the_fused_attempt_is_the_call_path_attempt(model, lam, m2, v, h):
 def test_the_fused_attempt_refuses_what_rhs_refuses(model, z0, text):
     # k1 = 0 keeps the second stage at the start state
     shell = mass_shell_from_lambda(1.0, 2.0, 0.0)
-    u = [z0, 0.0, 0.0, 0.3, 0.0, 0.0, 0.0, 0.0]
+    u = [z0, 0.0, 0.3, 0.0, 0.0, 0.0]
     _, (source, c) = rhs_for(shell, model)
     errors = []
     with pytest.raises(DomainError) as info:
-        dopri._attempt(8, source)(c, 0.0, 0.1, 0.1, (*u, *[0.0] * 40))
+        dopri._attempt(6, source)(c, 0.0, 0.1, 0.1, (*u, *[0.0] * 30))
     errors.append(str(info.value))
     with pytest.raises(DomainError) as info:
         rhs(u, shell, model)
@@ -778,3 +833,139 @@ def test_an_evaluate_only_model_goes_through_the_module_rhs(monkeypatch):
     # a builtin runs on its bound kernel and leaves the module rhs alone
     integrate(st0, shell, HarmonicPotential(0.2), 2.0)
     assert len(calls) == traj.n_rhs
+
+
+# the in-plane integration against the eight-component reference of
+# reduced_reference: builtin models, and WMixing for a generic model with G
+_PLANE_MODELS = st.one_of(
+    st.just(FreePotential()),
+    st.builds(HarmonicPotential, st.floats(0.05, 2.0)),
+    st.builds(CentralPowerPotential, st.floats(-0.5, -0.05), st.just(1)),
+    st.builds(CentralPowerPotential, st.floats(0.05, 2.0), st.integers(1, 3)),
+    st.builds(WMixing, st.floats(0.1, 2.0)))
+_VEC = st.tuples(*[st.floats(-2.0, 2.0)] * 3).map(np.array)
+
+
+def _orbit_start(z, y):
+    """z and y as a start whose eta has a part of at least 0.3 across zeta,
+    so that no attractive orbit falls onto the center."""
+    n = np.linalg.norm(z)
+    assume(0.5 <= n)
+    across = y - (y @ z) / (n * n) * z
+    assume(np.linalg.norm(across) >= 0.3)
+    return ReducedState(0.0, z, y)
+
+
+def assert_orthonormal(basis):
+    assert basis.shape == (2, 3)
+    assert np.abs(basis @ basis.T - np.eye(2)).max() <= 1e-15
+
+
+def assert_matches_reference(traj, model, span, tol=1e-10, sample_interval=None):
+    """traj within tol * span of the eight-component reference run from
+    the same start, at every sample on a grid and at both ends otherwise,
+    on the solver's scale: 1 + the largest magnitude of each column."""
+    st0 = ReducedState(0.0, traj.u[0, 0:3], traj.u[0, 3:6])
+    ref = reduced_reference.solve(st0, traj.shell, model, span, tol, sample_interval)
+    rows = slice(None) if sample_interval else [0, -1]
+    assert np.array_equal(ref.t[rows], traj.lam[rows])
+    got = np.column_stack((traj.u, traj.F, traj.G))[rows]
+    want = np.column_stack((ref.y, ref.dy[:, 6:8]))[rows]
+    assert (np.abs(got - want) <= tol * span * (1.0 + np.abs(want).max(axis=0))).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_PLANE_MODELS, st.floats(-0.5, 2.0), st.floats(1.0, 4.0), _VEC, _VEC,
+       st.floats(1.0, 10.0), st.booleans())
+def test_the_planar_run_is_the_reference_run(model, lam, m2, z, y, span, grid):
+    shell = mass_shell_from_lambda(1.0, m2, lam)
+    opts = IntegratorOptions(sample_interval=span / 16 if grid else None)
+    traj = integrate(_orbit_start(z, y), shell, model, span, opts)
+    assert_orthonormal(traj.basis)
+    assert_matches_reference(traj, model, span, sample_interval=opts.sample_interval)
+
+
+def _rotation(q):
+    """The rotation matrix of the quaternion q, normalized."""
+    w, x, y, z = q / np.linalg.norm(q)
+    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                     [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                     [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_PLANE_MODELS, st.floats(-0.5, 2.0), st.floats(1.0, 4.0), _VEC, _VEC,
+       st.tuples(*[st.floats(-1.0, 1.0)] * 4).map(np.array), st.booleans())
+def test_a_rotated_start_gives_the_rotated_run(model, lam, m2, z, y, q, grid):
+    # the step count does not depend on the orientation of the orbit.  The
+    # in-plane starts differ in their last bits, and the error estimate of a
+    # step resolves them, so free steps end at lambdas that differ at about
+    # 1e-7: only the ends of a free run are the same lambdas.  A near fall
+    # onto the center (thousands of steps) amplifies those bits past 1e-12
+    assume(np.linalg.norm(q) >= 0.1)
+    R = _rotation(q)
+    shell = mass_shell_from_lambda(1.0, m2, lam)
+    opts = IntegratorOptions(sample_interval=0.5 if grid else None)
+    a = integrate(_orbit_start(z, y), shell, model, 6.0, opts)
+    assume(a.n_accepted <= 2000)
+    b = integrate(ReducedState(0.0, R @ z, R @ y), shell, model, 6.0, opts)
+    assert (a.n_accepted, a.n_rejected) == (b.n_accepted, b.n_rejected)
+    rows = slice(None) if grid else [0, -1]
+    assert np.array_equal(a.lam[rows], b.lam[rows])
+    u = a.u[rows]
+    turned = np.hstack((u[:, 0:3] @ R.T, u[:, 3:6] @ R.T, u[:, 6:8]))
+    assert np.abs(b.u[rows] - turned).max() <= 1e-12 * np.abs(u).max()
+    for col in ("F", "G", "T"):
+        want = getattr(a, col)[rows]
+        assert np.abs(getattr(b, col)[rows] - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+
+def _tilted(z, angle):
+    """A vector of the length of z at angle (radians) from it."""
+    across = np.cross(z, [0.3, -0.5, 0.8])
+    across *= np.linalg.norm(z) / np.linalg.norm(across)
+    return math.cos(angle) * z + math.sin(angle) * across
+
+
+_Z0 = np.array([0.6, -0.8, 1.1])
+
+
+_DEGENERATE = {"eta-parallel": (_Z0, -0.4 * _Z0), "eta-at-1e-12-rad": (_Z0, 0.7 * _tilted(_Z0, 1e-12)),
+               "eta-zero": (_Z0, np.zeros(3))}
+
+
+@pytest.mark.parametrize("z, y, model", [
+    *((z, y, m) for z, y in _DEGENERATE.values()
+      for m in (HarmonicPotential(0.5), CentralPowerPotential(0.8, 2))),
+    (np.zeros(3), np.array([0.2, 0.5, -0.3]), HarmonicPotential(0.5)),  # central_power needs zeta
+], ids=[f"{k}-{m}" for k in _DEGENERATE for m in ("harmonic", "central_power")] + ["zeta-zero"])
+def test_degenerate_starts_get_an_orthonormal_plane(z, y, model):
+    # a radial or resting start spans no plane: any plane that holds it will do
+    shell = mass_shell_from_lambda(1.0, 2.0, 0.3)
+    traj = integrate(ReducedState(0.0, z, y), shell, model, 5.0,
+                     IntegratorOptions(sample_interval=0.25))
+    assert_orthonormal(traj.basis)
+    for v in (z, y):
+        assert np.abs(v - traj.basis.T @ (traj.basis @ v)).max() <= 1e-15 * max(1.0, np.abs(v).max())
+    assert_matches_reference(traj, model, 5.0, sample_interval=0.25)
+    assert np.abs(traj.u[0, 0:6] - np.concatenate((z, y))).max() <= 1e-15
+
+
+def test_strict_clock_stops_within_a_step_of_the_first_crossing():
+    # the toy oscillator on a foreign shell: its clock rate starts positive
+    # and first turns negative at lam_star, in closed form; the strict check
+    # reads the quadratures' rates from the in-plane dense groups, and must
+    # stop at the end of the step that holds lam_star
+    shell = mass_shell_from_lambda(1.0, 1.0, 0.01)
+    p = ToyParams(chi=1.0, M=shell.M, A=(1.5, 1.0, -1.0), B=(0.1, -0.2, 0.3), nu=shell.nu)
+    assert min_dT_dlambda(p) < 0.0 < dT_dlambda_analytic(p, 0.0)
+    assert sufficient_condition_margin(p) < 0.0
+    lam_star = brentq(lambda lam: dT_dlambda_analytic(p, lam), 0.0, 0.25 * p.period, xtol=1e-15)
+    for sample_interval in (None, 0.05):
+        with pytest.raises(NonMonotoneTime) as info:
+            integrate(state0(p), shell, HarmonicPotential(p.chi), p.period,
+                      IntegratorOptions(sample_interval=sample_interval, strict_time=True))
+        msg = str(info.value)
+        lam, h = (float(msg.split(key)[1].split(" ")[0]) for key in ("at lambda = ",
+                                                                      "step of h = "))
+        assert lam_star <= lam <= lam_star + h, (lam_star, lam, h)

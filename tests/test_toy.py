@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from ptb.binding import self_consistent_shell
 from ptb.errors import BadParameter
 from ptb.potentials import HarmonicPotential
-from ptb.reduced import rest_quintet, rhs
+from ptb.reduced import lift, plane_basis, rest_quintet, rhs
 from ptb.toy import (
     ToyParams,
     F_analytic,
@@ -50,9 +50,11 @@ def test_closed_form_matches_model_rhs():
     p = P_GENERIC
     shell = shell_for_toy(p)
     assert shell.M == pytest.approx(p.M, rel=1e-15)
+    basis = plane_basis(*initial_state(p))  # the oscillator's plane
     for lam in (0.0, 0.7, 3.0):
         z, y = analytic_state(p, lam)
-        du = rhs(np.array([*z, *y, 0.0, 0.0]), shell, HarmonicPotential(p.chi))
+        x = [*(basis @ z).tolist(), *(basis @ y).tolist(), 0.0, 0.0]
+        du = lift(np.array([rhs(x, shell, HarmonicPotential(p.chi))]), basis)[0]
         dz, dy, F, G = du[0:3], du[3:6], du[6], du[7]
         assert np.allclose(dz, y, rtol=1e-13, atol=1e-15)
         assert np.allclose(dy, -p.Omega ** 2 * np.array(z), rtol=1e-12, atol=1e-13)

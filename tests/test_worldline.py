@@ -77,8 +77,8 @@ def test_lambda_from_T_round_trip(toy_traj):
     T_hi = toy_traj.samples[-1].T
     for T in np.linspace(T_lo, T_hi, 23):
         lam = lambda_from_T(toy_traj, float(T))
-        u = toy_traj.dense(lam)
-        assert equal_time_clock(lam, u[6], u[7], toy_traj.shell)[3] == pytest.approx(T, abs=1e-10)
+        x = toy_traj.dense(lam)
+        assert equal_time_clock(lam, x[4], x[5], toy_traj.shell)[3] == pytest.approx(T, abs=1e-10)
     with pytest.raises(OutOfRange):
         lambda_from_T(toy_traj, T_hi + 1.0)
 
@@ -91,7 +91,7 @@ def test_lambda_from_T_maps_each_sample_to_its_lambda(toy_traj):
     # the same when the end of the last dense segment overshoots that sample
     # by a few ulps of T
     groups = toy_traj.dense.groups.copy()
-    groups[-1, 0, 6] += 8.0 * np.spacing(toy_traj.shell.M * toy_traj.T[-1])
+    groups[-1, 0, 4] += 8.0 * np.spacing(toy_traj.shell.M * toy_traj.T[-1])
     nudged = replace(toy_traj, dense=replace(toy_traj.dense, data=array("d", groups.tobytes())))
     assert lambda_from_T(nudged, float(nudged.T[-1])) == nudged.lam[-1]
 
@@ -100,7 +100,7 @@ def test_lambda_from_T_refuses_a_bracket_without_a_root(toy_traj):
     # shift intF of the dense output so its T runs far above the samples:
     # no lambda between two samples reaches a T between them
     groups = toy_traj.dense.groups.copy()
-    groups[:, 0, 6] += 10.0 * toy_traj.shell.M * (toy_traj.T[-1] - toy_traj.T[0])
+    groups[:, 0, 4] += 10.0 * toy_traj.shell.M * (toy_traj.T[-1] - toy_traj.T[0])
     bad = replace(toy_traj, dense=replace(toy_traj.dense, data=array("d", groups.tobytes())))
     with pytest.raises(NoRoot):
         lambda_from_T(bad, 0.5 * float(toy_traj.T[3] + toy_traj.T[4]))
@@ -108,8 +108,8 @@ def test_lambda_from_T_refuses_a_bracket_without_a_root(toy_traj):
 
 def dense_T(traj, lam):
     """T of the dense-output state at one lambda, in float arithmetic."""
-    u = traj.dense(lam)
-    return equal_time_clock(lam, u[6], u[7], traj.shell)[3]
+    x = traj.dense(lam)
+    return equal_time_clock(lam, x[4], x[5], traj.shell)[3]
 
 
 def brent_lambda(traj, T):
@@ -156,7 +156,7 @@ def test_array_queries_name_the_offending_one(toy_traj):
         with pytest.raises(OutOfRange, match=re.escape(f"T = {bad!r} outside")):
             lambda_from_T(toy_traj, np.array(inside + [bad] + inside))
     groups = toy_traj.dense.groups.copy()
-    groups[:, 0, 6] += 10.0 * toy_traj.shell.M * (toy_traj.T[-1] - toy_traj.T[0])
+    groups[:, 0, 4] += 10.0 * toy_traj.shell.M * (toy_traj.T[-1] - toy_traj.T[0])
     shifted = replace(toy_traj, dense=replace(toy_traj.dense, data=array("d", groups.tobytes())))
     query = 0.5 * float(toy_traj.T[3] + toy_traj.T[4])
     with pytest.raises(NoRoot, match=re.escape(f"T = {query!r} is not bracketed")):
@@ -168,8 +168,8 @@ def test_newton_keeps_to_the_bracket_on_a_wild_clock(toy_traj, factor):
     # scaled stages of intF bend the dense clock between step ends, which
     # stay put: plain Newton leaves the bracket there, the bisection does not
     groups = toy_traj.dense.groups.copy()
-    groups[:, 1:, 6] *= factor
-    groups[0, 5, 6] *= factor
+    groups[:, 1:, 4] *= factor
+    groups[0, 5, 4] *= factor
     wild = replace(toy_traj, dense=replace(toy_traj.dense, data=array("d", groups.tobytes())))
     Tq = np.linspace(float(toy_traj.T[0]), float(toy_traj.T[-1]), 301)[1:-1]
     lam = lambda_from_T(wild, Tq)
