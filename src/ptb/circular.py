@@ -146,6 +146,8 @@ def verify_circular(orbit: CircularOrbit, model: PotentialSpec, shell: MassShell
     advance against period_T and the largest residual of T from a fitted line.
     The two reports, not the run, are kept on the orbit per model and shell
     object and n_samples, so a second check integrates nothing."""
+    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
+        raise BadParameter(f"n_samples must be an integer >= 1, got {n_samples!r}")
     kept = orbit.__dict__.setdefault("_reports", {})
     key = (id(model), id(shell), n_samples)  # the entry holds both, so the ids stay theirs
     if key not in kept:

@@ -222,6 +222,8 @@ def solve_dopri5(
     at most one extra attempt per point.  dy holds the derivative (the FSAL
     stage) of every emitted sample.  stage = (source, c) runs the stages
     inline, with constants c, as f would."""
+    if not (0.0 < tol < math.inf and max_step > 0.0):
+        raise ValueError(f"need 0 < tol < inf and max_step > 0, got {tol=!r}, {max_step=!r}")
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError(f"need t1 > t0, got {t_span!r}")

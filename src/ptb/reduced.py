@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -42,7 +42,6 @@ __all__ = [
     "lift",
     "rest_quintet",
     "rhs",
-    "rhs_for",
     "dT_dlambda",
     "equal_time_clock",
     "integrate",
@@ -234,28 +233,21 @@ def rhs(x: Sequence[float], shell: MassShell,
 
 @cache
 def _kernel_stage(cls):
-    """The DOPRI5 stage of rhs for a kernel model class, and rhs(c, lam, x) from it."""
+    """The DOPRI5 stage (head, body, names) of rhs for a kernel model class."""
     head, body, names = cls._stage_text
-    head = f"P2, M2x2, G, {''.join(p + ', ' for p in cls.params)}= c\n{head}"
-    body = (f"ztil2 = -($u_0 * $u_0 + $u_1 * $u_1)\n{body}b = -2.0 * dztil2\n"
+    return (f"P2, M2x2, G, {''.join(p + ', ' for p in cls.params)}= c\n{head}",
+            f"ztil2 = -($u_0 * $u_0 + $u_1 * $u_1)\n{body}b = -2.0 * dztil2\n"
             "$k_0 = $u_2; $k_1 = $u_3; $k_2 = b * $u_0; $k_3 = b * $u_1\n"
-            "$k_4 = M2x2 * dP2; $k_5 = G")
-    src = (f"{head}u_0, u_1, u_2, u_3, u_4, u_5 = u\n{body}\n"
-           "return k_0, k_1, k_2, k_3, k_4, k_5").replace("$", "").replace("\n", "\n    ")
-    exec(compile(f"def rhs(c, lam, u):\n    {src}", f"<rhs of {cls.__name__}>", "exec"),
-         namespace := dict(names))
-    return (head, body, names), namespace["rhs"]
+            "$k_4 = M2x2 * dP2; $k_5 = G", names)
 
 
-def rhs_for(shell: MassShell, model: PotentialSpec):
-    """(f, stage) for a run: f(lam, x) and the stage fusing it into each
-    attempt, from the source of a kernel model (rhs up to the sign of a
-    zero); any other model calls rhs, with no stage."""
+def _stage(shell: MassShell, model: PotentialSpec):
+    """The stage (source, c) that fuses rhs, up to the sign of a zero, into
+    each attempt for a kernel model, with the run's constants c; else None."""
     if not isinstance(model, _KernelModel):
-        return (lambda lam, x: rhs(x, shell, model)), None
-    source, fused = _kernel_stage(type(model))
+        return None
     c = (shell.M2, 2.0 * shell.M2, 2.0 * shell.nu * 0.0, *(getattr(model, p) for p in model.params))
-    return partial(fused, c), (source, c)
+    return _kernel_stage(type(model)), c
 
 
 def dT_dlambda(F, G, shell: MassShell):
@@ -284,10 +276,10 @@ def _sample_grid(span: float, interval: Optional[float], n: int) -> Optional[np.
 
 def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
               span: float, opts: IntegratorOptions = IntegratorOptions()) -> Trajectory:
-    """Advance the reduced system over lambda in [0, span], in the plane of
-    plane_basis, and lift the samples back.  The quadratures share the
-    step-error control of the in-plane part; the F and G of each sample are
-    the solver's derivative there.  synchronize checks strict mode on the whole run."""
+    """Advance the reduced system over lambda in [0, span] in the plane of
+    plane_basis, f calling rhs for every model and _stage chosen once, and lift
+    the samples back.  The quadratures share the in-plane error control; F and
+    G are the solver's derivative at each sample.  synchronize checks strict mode."""
     if not (span > 0.0):
         raise ValueError(f"span must be positive, got {span!r}")
     start = (initial.lambda_, initial.intF, initial.intG)
@@ -299,9 +291,9 @@ def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
     _require_finite("at lambda = 0", ("ztil", z0.tolist()), ("ytil", y0.tolist()))
     basis = plane_basis(z0, y0)
     x0 = (*(basis @ z0).tolist(), *(basis @ y0).tolist(), 0.0, 0.0)
-    f, stage = rhs_for(shell, model)
-    sol = solve_dopri5(f, (0.0, span), x0, tol=opts.tol, max_step=opts.max_step,
-                       t_eval=_sample_grid(span, opts.sample_interval, len(x0)), stage=stage)
+    sol = solve_dopri5(lambda lam, x: rhs(x, shell, model), (0.0, span), x0, tol=opts.tol,
+                       max_step=opts.max_step, stage=_stage(shell, model),
+                       t_eval=_sample_grid(span, opts.sample_interval, len(x0)))
 
     return synchronize(Trajectory(
         shell=shell, model=model, lam=sol.t, u=lift(sol.y, basis), F=sol.dy[:, 4],

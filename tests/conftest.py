@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, Phase, settings
 
 from ptb_fixtures import ACCEPTANCE_LINES, SEED, random_shell_args
 
@@ -10,6 +10,9 @@ settings.register_profile(
     deadline=None,
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
+    # explaining a failure formats each failing example, which for whole
+    # trajectory arrays can take gigabytes; pass and fail are the same without
+    phases=[p for p in Phase if p is not Phase.explain],
 )
 settings.load_profile("ci")
 

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -276,6 +277,19 @@ def test_other_arguments_integrate_afresh(shell, integrations):
         assert got == verify_circular(dataclasses.replace(orbit), *args, **kwargs)
     assert verify_circular(orbit, HarmonicPotential(0.25), shell)[0] != \
         verify_circular(orbit, model, shell)[0]
+
+
+@pytest.mark.parametrize("n_samples", [0, -3, 2.5, 400.0, math.nan, "400", None])
+def test_verify_circular_refuses_a_sample_count_that_is_no_positive_integer(
+        shell, integrations, n_samples):
+    # 0 once divided by zero, -3 failed on a negative sample interval and
+    # 2.5 ran on an uneven grid
+    model = HarmonicPotential(0.125)
+    orbit = find_circular(model, shell, 2.0)
+    with pytest.raises(BadParameter, match=re.escape(f"got {n_samples!r}")):
+        verify_circular(orbit, model, shell, n_samples=n_samples)
+    assert integrations == []
+    assert verify_circular(orbit, model, shell, n_samples=np.int64(5))[1].closure_ztil >= 0.0
 
 
 def test_the_orbit_keeps_no_run(shell):

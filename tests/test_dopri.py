@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ptb.reduced
 from ptb import dopri
 from ptb.dopri import solve_dopri5
 from ptb.errors import OutOfRange, StepFailure
+from ptb.mass_shell import mass_shell_from_lambda
+from ptb.potentials import HarmonicPotential
+from ptb.reduced import IntegratorOptions, ReducedState, integrate
 
 from dopri_reference import attempt as reference_attempt
 
@@ -252,6 +256,34 @@ def test_input_validation():
         solve_dopri5(shm, (1.0, 0.0), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         solve_dopri5(shm, (0.0, 1.0), np.array([[1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("option, value", [
+    ("tol", math.nan), ("tol", -1e-10), ("tol", 0.0), ("tol", math.inf),
+    ("max_step", 0.0), ("max_step", -1.0), ("max_step", math.nan), ("max_step", math.inf),
+])
+def test_a_bad_tol_or_max_step_is_refused_before_f(monkeypatch, option, value):
+    # nan, a negative or a zero tol or max_step once failed inside the run,
+    # with a TypeError, a ZeroDivisionError or a StepFailure, or (a nan
+    # max_step) ran as if it were infinite
+    calls = []
+
+    def counted(f):
+        return lambda *args: calls.append(args) or f(*args)
+
+    monkeypatch.setattr(ptb.reduced, "rhs", counted(ptb.reduced.rhs))
+    shell = mass_shell_from_lambda(1.0, 2.0, 0.1)
+    st0 = ReducedState(0.0, np.array([1.0, 0.2, 0.0]), np.array([0.0, 0.4, 0.1]))
+    runs = (lambda: solve_dopri5(counted(shm), (0.0, 10.0), [1.0, 0.0], **{option: value}),
+            lambda: integrate(st0, shell, HarmonicPotential(0.3), 10.0,
+                              IntegratorOptions(**{option: value})))
+    for run in runs:
+        if (option, value) == ("max_step", math.inf):
+            assert run().h_max < math.inf and calls
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"{option}={value!r}")):
+                run()
+            assert calls == []
 
 
 @pytest.mark.parametrize("f, y0, line", [

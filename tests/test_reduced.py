@@ -30,7 +30,6 @@ from ptb.reduced import (
     lift,
     rest_quintet,
     rhs,
-    rhs_for,
     synchronize,
 )
 from ptb.toy import (
@@ -44,6 +43,7 @@ from ptb.toy import (
     shell_for_toy,
     sufficient_condition_margin,
 )
+from ptb.worldline import resample_uniform_T
 import reduced_reference
 from ptb_fixtures import Forwarding
 
@@ -664,36 +664,6 @@ _BUILTIN_MODELS = st.one_of(
               st.floats(-10.0, 10.0).filter(lambda g: abs(g) > 1e-3), st.integers(1, 4)))
 
 
-@given(_BUILTIN_MODELS, st.floats(-0.9, 5.0), st.floats(1.0, 4.0),
-       st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6))
-def test_bound_rhs_is_the_generic_rhs(model, lam, m2, u):
-    assume(u[0] * u[0] + u[1] * u[1] > 1e-6)
-    shell = mass_shell_from_lambda(1.0, m2, lam)
-    f, stage = rhs_for(shell, model)
-    assert stage is not None  # the fused kernel, not the generic path
-    got, want = f(0.0, u), rhs(u, shell, model)
-    # equal as floats: only the sign of a zero may differ
-    assert len(got) == len(want) == 6
-    assert all(type(x) is float and x == w for x, w in zip(got, want))
-
-
-@pytest.mark.parametrize("model, u, text", [
-    (CentralPowerPotential(-1.0, 1), [0.0, 0.0, 0.3, 0.0, 0.0, 0.0],
-     "central_power requires spacelike separation ztil2 < 0, got -0.0"),
-    (CentralPowerPotential(-1.0, 3), [1e-125, 0.0, 0.3, 0.0, 0.0, 0.0],
-     "central_power overflows at ztil2 = "),
-])
-def test_bound_rhs_refuses_what_the_generic_rhs_refuses(model, u, text):
-    shell = mass_shell_from_lambda(1.0, 2.0, 0.0)
-    errors = []
-    for f in (rhs_for(shell, model)[0], lambda lam, v: rhs(v, shell, model)):
-        with pytest.raises(DomainError) as info:
-            f(0.0, u)
-        errors.append(str(info.value))
-    assert errors[0] == errors[1]
-    assert errors[0].startswith(text)
-
-
 def _attempt_or_error(attempt, *args):
     try:
         return attempt(*args)
@@ -706,19 +676,20 @@ def _attempt_or_error(attempt, *args):
        st.lists(st.floats(-3.0, 3.0), min_size=12, max_size=12), st.floats(1e-6, 2.0))
 def test_the_fused_attempt_is_the_call_path_attempt(model, lam, m2, v, h):
     # every stage inline from the kernel's source, with no call, against the
-    # attempt that calls the run's f: k2, the dense group and the error sum
-    # bit for bit, and equal as floats to the attempt that calls rhs
+    # attempt that calls rhs: k2, the dense group and the error sum are Python
+    # floats equal to its own (only the sign of a zero may differ), and a
+    # refusal is the same error
     u, k1 = v[:6], v[6:]
     assume(u[0] * u[0] + u[1] * u[1] > 1e-6)
     shell = mass_shell_from_lambda(1.0, m2, lam)
-    f, (source, c) = rhs_for(shell, model)
+    source, c = ptb.reduced._stage(shell, model)
     g = (*u, *[0.0] * 24, *k1)
     fused = _attempt_or_error(dopri._attempt(6, source), c, 0.5, h, 0.5 + h, g)
-    called = _attempt_or_error(dopri._attempt(6), f, 0.5, h, 0.5 + h, g)
-    assert repr(fused) == repr(called)
     generic = _attempt_or_error(dopri._attempt(6), lambda t, y: rhs(y, shell, model),
                                 0.5, h, 0.5 + h, g)
     assert fused == generic
+    if not isinstance(fused[0], type):
+        assert all(type(x) is float for x in (*fused[0], *fused[1], fused[2]))
 
 
 @pytest.mark.parametrize("model, z0, text", [
@@ -730,7 +701,7 @@ def test_the_fused_attempt_refuses_what_rhs_refuses(model, z0, text):
     # k1 = 0 keeps the second stage at the start state
     shell = mass_shell_from_lambda(1.0, 2.0, 0.0)
     u = [z0, 0.0, 0.3, 0.0, 0.0, 0.0]
-    _, (source, c) = rhs_for(shell, model)
+    source, c = ptb.reduced._stage(shell, model)
     errors = []
     with pytest.raises(DomainError) as info:
         dopri._attempt(6, source)(c, 0.0, 0.1, 0.1, (*u, *[0.0] * 30))
@@ -775,9 +746,33 @@ class Quartic(HarmonicPotential):
 def test_only_a_kernel_compiled_from_its_source_is_fused():
     shell = mass_shell_from_lambda(1.0, 2.0, 0.1)
     for model in (PlainHarmonic(0.3), Quartic(0.3)):
-        assert rhs_for(shell, model)[1] is not None
+        assert ptb.reduced._stage(shell, model) is not None
     for model in (Forwarding(HarmonicPotential(0.3)), BareSpring(0.2)):
-        assert rhs_for(shell, model)[1] is None
+        assert ptb.reduced._stage(shell, model) is None
+
+
+def test_rhs_is_the_call_for_k1_the_probe_and_each_resample(monkeypatch):
+    # a kernel model's run calls rhs, through the module attribute, for the
+    # first stage and the first-step probe alone; any other model's run calls
+    # it for every stage; resampling calls it once per sample
+    calls = []
+
+    def counted(x, shell, model):
+        calls.append(x)
+        return rhs(x, shell, model)
+
+    monkeypatch.setattr(ptb.reduced, "rhs", counted)
+    shell = mass_shell_from_lambda(1.0, 2.0, 0.1)
+    st0 = ReducedState(0.0, np.array([1.0, 0.2, 0.0]), np.array([0.0, 0.4, 0.1]))
+    for model in (FreePotential(), HarmonicPotential(0.3), CentralPowerPotential(-0.5, 1),
+                  Forwarding(HarmonicPotential(0.3))):
+        calls.clear()
+        traj = integrate(st0, shell, model, 5.0)
+        assert len(calls) == (traj.n_rhs if isinstance(model, Forwarding) else 2)
+        assert traj.n_rhs > 2
+        calls.clear()
+        resample_uniform_T(traj, 37)
+        assert len(calls) == 37
 
 
 def test_a_new_source_is_fused_and_read_by_every_layer():
@@ -830,9 +825,10 @@ def test_an_evaluate_only_model_goes_through_the_module_rhs(monkeypatch):
     st0 = ReducedState(0.0, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.4, 0.0]))
     traj = integrate(st0, shell, BareSpring(0.2), 2.0)
     assert len(calls) == traj.n_rhs > 0
-    # a builtin runs on its bound kernel and leaves the module rhs alone
+    # a builtin runs its stages fused and calls the module rhs for k1 and
+    # the first-step probe alone
     integrate(st0, shell, HarmonicPotential(0.2), 2.0)
-    assert len(calls) == traj.n_rhs
+    assert len(calls) == traj.n_rhs + 2
 
 
 # the in-plane integration against the eight-component reference of
