@@ -21,7 +21,7 @@ import numpy as np
 from .errors import BadParameter, DegenerateOrbit, DomainError, NoRoot, NotCentral
 from .kinematics import ScalarQuintet
 from .mass_shell import MassShell
-from .potentials import PotentialSpec
+from .potentials import PotentialSpec, _KernelModel
 from .reduced import IntegratorOptions, ReducedState, dT_dlambda, integrate, rest_quintet
 from .reduced import synchronize  # noqa: F401 (unused; perfbench/tracing.py patches it)
 from .roots import first_root
@@ -70,10 +70,9 @@ def find_circular(model: PotentialSpec, shell: MassShell, l2: float) -> Circular
     momentum squared l2.
 
     Scans a log-spaced radius bracket for a sign change of the equilibrium
-    residual 2 dV/dztil2 rho^4 - l2, evaluated through the model's
-    rest-frame partials, and refines with Brent's method; raises
-    NoRoot when the model admits no circular orbit at this l2 (for example
-    any repulsive model).
+    residual 2 dV/dztil2 rho^4 - l2, read from a kernel bound once or the
+    rest-frame partials, and refines with Brent's method; raises NoRoot when
+    the model admits no circular orbit at this l2 (e.g. any repulsive model).
     """
     if not model.central:
         raise NotCentral(f"{model.name!r} does not declare the central structure")
@@ -81,10 +80,12 @@ def find_circular(model: PotentialSpec, shell: MassShell, l2: float) -> Circular
         raise BadParameter(f"need l2 > 0, got {l2!r}")
 
     M2, nu = shell.M2, shell.nu
+    # (_, dP2, dztil2) at ztil2 = -rho^2, the speed fixed by l2 = rho^2 |eta|^2
+    kernel = (model._kernel_at(M2) if isinstance(model, _KernelModel) else
+              lambda ztil2: (0.0, *model.rest_partials(M2, nu, -ztil2, -l2 / ztil2, 0.0)[:2]))
 
     def residual(rho: float) -> float:
-        rho2 = rho * rho  # speed fixed by l2 = rho^2 |eta|^2
-        return 2.0 * model.rest_partials(M2, nu, rho2, l2 / rho2, 0.0)[1] * rho ** 4 - l2
+        return 2.0 * kernel(-rho * rho)[2] * rho ** 4 - l2
 
     rho = first_root(residual, _RADII, skip=DomainError)
     if rho is None:

@@ -390,6 +390,7 @@ def cmd_circular(args: argparse.Namespace) -> int:
         shell, orbit = self_consistent_circular(args.m1, args.m2, model, args.l2)
 
     constancy, period = verify_circular(orbit, model, shell, n_samples=args.samples)
+    speed = orbit.rho * orbit.Omega / abs(orbit.dTdlambda) if orbit.dTdlambda else math.inf
     report = {
         "rho": orbit.rho,
         "speed2": orbit.speed2,
@@ -398,6 +399,8 @@ def cmd_circular(args: argparse.Namespace) -> int:
         "dT_dlambda": orbit.dTdlambda,
         "period_lambda": orbit.period_lambda,
         "period_T": orbit.period_T,
+        "v1": shell.E2 / shell.M * speed,  # rest-frame speeds (E_b/M) |dzeta/dT|
+        "v2": shell.E1 / shell.M * speed,
         "M": shell.M,
         "lambda": shell.lambda_,
         "binding_energy": binding_energy(shell),
@@ -409,6 +412,9 @@ def cmd_circular(args: argparse.Namespace) -> int:
         "T_linear_residual": period.linear_residual,
         "periodic": period.ok(),
     }
+    if report["v1"] >= 1.0:  # v1 >= v2, as E2 >= E1
+        log.warning("warning: spacelike world line: particle 1 moves at v1 = %.4g >= 1 in the "
+                    "rest frame (v2 = %.4g)", report["v1"], report["v2"])
     _print_fields(report)
     if out:
         write_json(out, {"schema": 1, "circular": report})

@@ -38,17 +38,6 @@ class FourVector:
         """Invariant length squared; positive for timelike vectors."""
         return lorentz_dot(self, self)
 
-    def __add__(self, other: "FourVector") -> "FourVector":
-        return FourVector(self.t + other.t, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "FourVector") -> "FourVector":
-        return FourVector(self.t - other.t, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "FourVector":
-        return FourVector(-self.t, -self.x, -self.y, -self.z)
-
     def __mul__(self, c: float) -> "FourVector":
         c = float(c)
         return FourVector(c * self.t, c * self.x, c * self.y, c * self.z)

@@ -78,33 +78,36 @@ class PotentialSpec:
 
 class _KernelModel(PotentialSpec):
     """A central model V(P2, ztil2) given by _source alone, the single copy of
-    its formulas and domain checks: a head on P2 and the parameters, then the
-    lines per ztil2.  _kernel(P2, ztil2) -> (V, dV/dP2, dV/dztil2) and the
-    fused stage's _stage_text come from it; every other partial vanishes.  A
-    subclass with its own _kernel, or evaluate or rest_partials (a mixin's too),
-    is refused, so the motion, N and the shell closure all read the same V."""
+    its formulas and domain checks: a head on P2 and the parameters, then lines
+    per ztil2 that must not rebind a name of the head.  _kernel_at(P2) runs the
+    head and returns kernel(ztil2) -> (V, dV/dP2, dV/dztil2), which runs the rest,
+    as the fused stage does; other partials vanish.  A subclass with its own
+    _kernel_at, evaluate or rest_partials (a mixin's too) is refused: all read one V."""
 
     central = True
     w_independent = True
 
     def __init_subclass__(cls):
-        if own := [m for m in ("_kernel", "evaluate", "rest_partials") if m in vars(cls) or
-                   m != "_kernel" and getattr(cls, m) is not getattr(_KernelModel, m)]:
+        if own := [m for m in ("_kernel_at", "evaluate", "rest_partials") if m in vars(cls) or
+                   m != "_kernel_at" and getattr(cls, m) is not getattr(_KernelModel, m)]:
             raise TypeError(f"{cls.__name__} has its own {own[0]}: a kernel model is its _source")
         head, body = dedent(cls._source).split("# per ztil2\n")
-        src = "".join(f"{p} = self.{p}\n" for p in cls.params) + head + body
+        head = "".join(f"{p} = self.{p}\n" for p in cls.params) + head
         names = (("math", math), ("DomainError", DomainError))  # the globals it reads
-        exec(compile(f"def _kernel(self, P2, ztil2):\n{indent(src, '    ')}"
-                     "    return V, dP2, dztil2", f"<kernel of {cls.__name__}>", "exec"),
-             namespace := dict(names))
-        cls._kernel = namespace["_kernel"]
-        cls._stage_text = head, body, names
+        exec(compile(f"def _kernel_at(self, P2):\n{indent(head, '    ')}    def kernel(ztil2):\n"
+                     f"{indent(body, '        ')}        return V, dP2, dztil2\n    return kernel",
+                     f"<kernel of {cls.__name__}>", "exec"), namespace := dict(names))
+        cls._kernel_at, cls._stage_text = namespace["_kernel_at"], (body, names)
+        code = cls._kernel_at.__code__  # the kernel's code is one of its constants
+        kernel = next(c for c in code.co_consts if getattr(c, "co_name", "") == "kernel")
+        if rebound := sorted({*code.co_varnames, *code.co_cellvars} & {*kernel.co_varnames}):
+            raise TypeError(f"{cls.__name__}'s lines per ztil2 rebind the head's {rebound[0]}")
 
     def evaluate(self, q: ScalarQuintet) -> PotentialEval:
-        return PotentialEval(*self._kernel(q.P2, q.ztil2), 0.0, 0.0, 0.0)
+        return PotentialEval(*self._kernel_at(q.P2)(q.ztil2), 0.0, 0.0, 0.0)
 
     def rest_partials(self, M2, nu, z2, y2, zy):
-        _, dP2, dztil2 = self._kernel(M2, -z2)
+        _, dP2, dztil2 = self._kernel_at(M2)(-z2)
         return dP2, dztil2, 0.0, 0.0, 0.0
 
 

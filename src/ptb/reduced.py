@@ -170,11 +170,11 @@ class Trajectory:
 
     @cached_property
     def first_integrals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Columns of N = ytil2 + 2 V and L2, built once per trajectory: V takes
-        one kernel call per sample for a kernel model, or one evaluate."""
+        """Columns of N = ytil2 + 2 V and L2, built once per trajectory: V maps a
+        kernel model's kernel, bound once, over the samples, or calls evaluate."""
         q = rest_quintet(self.ztil, self.ytil, self.shell)
         if isinstance(self.model, _KernelModel):
-            V = [v for v, _, _ in map(self.model._kernel, [q.P2] * len(self.lam), q.ztil2.tolist())]
+            V = [v for v, _, _ in map(self.model._kernel_at(q.P2), q.ztil2.tolist())]
         else:
             V = [self.model.evaluate(ScalarQuintet(q.P2, *row, q.w)).value
                  for row in zip(q.ztil2.tolist(), q.ytil2.tolist(), q.zy.tolist())]
@@ -232,22 +232,23 @@ def rhs(x: Sequence[float], shell: MassShell,
 
 
 @cache
-def _kernel_stage(cls):
+def _kernel_stage(cls, cells: tuple[str, ...]):
     """The DOPRI5 stage (head, body, names) of rhs for a kernel model class."""
-    head, body, names = cls._stage_text
-    return (f"P2, M2x2, G, {''.join(p + ', ' for p in cls.params)}= c\n{head}",
+    body, names = cls._stage_text
+    return (f"M2x2, G, {''.join(v + ', ' for v in cells)}= c\n",
             f"ztil2 = -($u_0 * $u_0 + $u_1 * $u_1)\n{body}b = -2.0 * dztil2\n"
             "$k_0 = $u_2; $k_1 = $u_3; $k_2 = b * $u_0; $k_3 = b * $u_1\n"
             "$k_4 = M2x2 * dP2; $k_5 = G", names)
 
 
 def _stage(shell: MassShell, model: PotentialSpec):
-    """The stage (source, c) that fuses rhs, up to the sign of a zero, into
-    each attempt for a kernel model, with the run's constants c; else None."""
+    """The stage (source, c) that fuses rhs, up to the sign of a zero, into each
+    attempt for a kernel model, else None; c ends with the cells of its kernel at M2."""
     if not isinstance(model, _KernelModel):
         return None
-    c = (shell.M2, 2.0 * shell.M2, 2.0 * shell.nu * 0.0, *(getattr(model, p) for p in model.params))
-    return _kernel_stage(type(model)), c
+    kernel = model._kernel_at(shell.M2)  # the head runs here, once per run
+    return _kernel_stage(type(model), kernel.__code__.co_freevars), (
+        2.0 * shell.M2, 2.0 * shell.nu * 0.0, *(v.cell_contents for v in kernel.__closure__ or ()))
 
 
 def dT_dlambda(F, G, shell: MassShell):

@@ -36,6 +36,14 @@ class ExternalInternal:
     z: FourVector
 
 
+def add(a: FourVector, b: FourVector) -> FourVector:
+    return FourVector(a.t + b.t, a.x + b.x, a.y + b.y, a.z + b.z)
+
+
+def sub(a: FourVector, b: FourVector) -> FourVector:
+    return FourVector(a.t - b.t, a.x - b.x, a.y - b.y, a.z - b.z)
+
+
 def tilde_project(xi: FourVector, P: FourVector) -> FourVector:
     """Component of xi orthogonal to the timelike momentum P.
 
@@ -47,7 +55,7 @@ def tilde_project(xi: FourVector, P: FourVector) -> FourVector:
     if P2 <= 0.0:
         raise NonTimelikeP(f"projector requires P.P > 0, got {P2!r}")
     c = lorentz_dot(P, xi) / P2
-    return xi - c * P
+    return sub(xi, c * P)
 
 
 def boost_to_rest(v, k: FourVector):
@@ -62,20 +70,20 @@ def boost_to_rest(v, k: FourVector):
 
 def split(state: CanonicalState) -> ExternalInternal:
     return ExternalInternal(
-        P=state.p1 + state.p2,
-        Q=0.5 * (state.q1 + state.q2),
-        y=0.5 * (state.p1 - state.p2),
-        z=state.q1 - state.q2,
+        P=add(state.p1, state.p2),
+        Q=0.5 * add(state.q1, state.q2),
+        y=0.5 * sub(state.p1, state.p2),
+        z=sub(state.q1, state.q2),
     )
 
 
 def merge(ei: ExternalInternal) -> CanonicalState:
     """Inverse of split; merge(split(s)) == s up to rounding."""
     return CanonicalState(
-        q1=ei.Q + 0.5 * ei.z,
-        q2=ei.Q - 0.5 * ei.z,
-        p1=0.5 * ei.P + ei.y,
-        p2=0.5 * ei.P - ei.y,
+        q1=add(ei.Q, 0.5 * ei.z),
+        q2=sub(ei.Q, 0.5 * ei.z),
+        p1=add(0.5 * ei.P, ei.y),
+        p2=sub(0.5 * ei.P, ei.y),
     )
 
 
@@ -119,4 +127,4 @@ def center_of_mass(state: CanonicalState) -> FourVector:
         raise NonTimelikeP(f"center of energy requires P.P > 0, got {P2!r}")
     yP = lorentz_dot(ei.y, ei.P)
     zP = lorentz_dot(ei.z, ei.P)
-    return ei.Q + (yP / P2) * ei.z - (zP / P2) * ei.y
+    return sub(add(ei.Q, (yP / P2) * ei.z), (zP / P2) * ei.y)

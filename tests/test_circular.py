@@ -34,6 +34,7 @@ from ptb.circular import (
 )
 from ptb.reduced import IntegratorOptions, Trajectory, dT_dlambda, integrate
 from ptb.roots import first_root
+from ptb_fixtures import Forwarding
 
 
 class WSpring(PotentialSpec):
@@ -103,6 +104,24 @@ def test_rest_frame_residual_finds_the_reference_orbit(model, m1, m2, lam_frac, 
     assert _orbit_or_error(find_circular, model, shell, l2) == want
     if isinstance(model, CentralPowerPotential) and model.g > 0.0:
         assert want is NoRoot
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=st.one_of(
+           st.builds(HarmonicPotential, chi=st.floats(1e-3, 10.0)),
+           # n = 60 overflows at the smallest radii of the scan: holes before the root
+           st.builds(CentralPowerPotential, g=st.floats(-10.0, -1e-3),
+                     n=st.sampled_from([1, 2, 3, 60]))),
+       lam_frac=st.floats(-0.99, 5.0), l2=st.floats(1e-3, 1e3))
+def test_the_kernel_scan_is_the_generic_scan(model, lam_frac, l2):
+    # the residual of the kernel bound once per call against the generic
+    # rest_partials of a delegating model: the same orbit bits or the same error
+    shell = mass_shell_from_lambda(1.0, 2.0, lam_frac)
+    want = _orbit_or_error(find_circular, Forwarding(model), shell, l2)
+    assert _orbit_or_error(find_circular, model, shell, l2) == want
+    if getattr(model, "n", 0) == 60:
+        with pytest.raises(DomainError, match="overflows"):
+            model._kernel_at(shell.M2)(-1e-12)
 
 
 @pytest.fixture(scope="module")

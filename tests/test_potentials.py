@@ -1,9 +1,10 @@
 import math
 import struct
 from dataclasses import replace
+from textwrap import dedent, indent
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptb.errors import BadParameter, DomainError
@@ -206,3 +207,40 @@ def test_rest_partials_fast_path_fails_like_evaluate(model, M2, z2, y2):
     outside = M2 < 0.0 or (isinstance(model, CentralPowerPotential) and z2 <= 0.0)
     if outside and not isinstance(model, FreePotential):
         assert fast.startswith("DomainError")
+
+
+def _flat_kernel(cls):
+    """The scalar reference of a kernel model class: the head and the lines
+    per ztil2 of its _source as one function of (self, P2, ztil2)."""
+    head, body = dedent(cls._source).split("# per ztil2\n")
+    src = "".join(f"{p} = self.{p}\n" for p in cls.params) + head + body
+    exec(compile(f"def flat(self, P2, ztil2):\n{indent(src, '    ')}    return V, dP2, dztil2",
+                 f"<flat kernel of {cls.__name__}>", "exec"),
+         namespace := {"math": math, "DomainError": DomainError})
+    return namespace["flat"]
+
+
+def _bits_or_error(fn, *args):
+    try:
+        return struct.pack("3d", *fn(*args))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+_KERNEL_MODELS = st.one_of(
+    st.just(FreePotential()),
+    st.builds(HarmonicPotential, st.floats(1e-3, 10.0)),
+    # n up to 64 overflows at the smallest radii: those draws check the error text
+    st.builds(CentralPowerPotential, st.floats(-10.0, 10.0).filter(lambda g: abs(g) > 1e-3),
+              st.integers(1, 64)))
+
+
+@settings(max_examples=400)
+@given(model=_KERNEL_MODELS, P2=st.floats(-1.0, 1e4, **_finite),
+       ztil2=st.one_of(st.floats(-1e6, 0.0, **_finite),
+                       st.floats(-30.0, 3.0).map(lambda e: -(10.0 ** e))))
+def test_the_bound_kernel_is_the_flat_source(model, P2, ztil2):
+    # head once, then the lines per ztil2: the same floats as running both
+    # in one function, or the same DomainError, from the head or the body
+    want = _bits_or_error(_flat_kernel(type(model)), model, P2, ztil2)
+    assert _bits_or_error(lambda: model._kernel_at(P2)(ztil2)) == want

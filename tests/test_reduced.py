@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 
 import ptb.reduced
 from ptb import dopri
+from ptb.circular import find_circular
 from ptb.dopri import MAX_STEPS, dense_steps
 from ptb.errors import BadParameter, DomainError, NonMonotoneTime, OutOfRange, StepFailure
 from ptb.kinematics import noether_N
@@ -713,18 +714,62 @@ def test_the_fused_attempt_refuses_what_rhs_refuses(model, z0, text):
     assert errors[0].startswith(text)
 
 
-@pytest.mark.parametrize("method", ["_kernel", "evaluate", "rest_partials"])
+@pytest.mark.parametrize("method", ["_kernel_at", "evaluate", "rest_partials"])
 def test_a_kernel_model_refuses_a_method_of_its_own(method):
     # the motion, N and the shell closure must read one V: a kernel model
     # that wrote one of them would run on two
     own = {method: lambda self, *args: None}
     with pytest.raises(TypeError, match=f"^Own has its own {method}: "):
         type("Own", (HarmonicPotential,), own)
-    # from a mixin ahead of the kernel model too; a mixin's _kernel is
+    # from a mixin ahead of the kernel model too; a mixin's _kernel_at is
     # shadowed by the one compiled from _source, and is harmless
-    if method != "_kernel":
+    if method != "_kernel_at":
         with pytest.raises(TypeError, match=f"^Own has its own {method}: "):
             type("Own", (type("Mixin", (), own), HarmonicPotential), {})
+
+
+def test_lines_per_ztil2_that_rebind_a_name_of_the_head_are_refused():
+    # the head runs once per kernel binding and the lines per ztil2 at every
+    # call: root2 rebound there would be unbound in the kernel, and the fused
+    # stage would move it again at every stage
+    source = """
+        root = math.sqrt(P2)
+        dztil2, root2 = chi * root, 2.0 * root
+        # per ztil2
+        root2 = root2 + 1.0
+        V = dztil2 * ztil2
+        dP2 = chi * ztil2 / root2
+    """
+    with pytest.raises(TypeError, match="^Bumped's lines per ztil2 rebind the head's root2$"):
+        type("Bumped", (HarmonicPotential,), {"_source": source})
+
+
+@pytest.mark.parametrize("model", [HarmonicPotential(0.3), CentralPowerPotential(-0.5, 1)],
+                         ids=repr)
+def test_the_head_runs_once_per_binding(monkeypatch, model):
+    # the fused stage, first_integrals and the radius scan each bind the
+    # kernel once; rhs binds it per call (k1 and the first-step probe), and so
+    # does the one evaluate at the circular root; the attempt holds no head
+    cls, calls = type(model), []
+    bind = cls._kernel_at
+    monkeypatch.setattr(cls, "_kernel_at", lambda self, P2: calls.append(P2) or bind(self, P2))
+    shell = mass_shell_from_lambda(1.0, 2.0, 0.1)
+    st0 = ReducedState(0.0, np.array([1.0, 0.2, 0.0]), np.array([0.0, 0.4, 0.1]))
+    traj = integrate(st0, shell, model, 5.0)
+    assert calls == [shell.M2] * 3 and len(traj.lam) > 10
+    calls.clear()
+    traj.first_integrals
+    assert calls == [shell.M2]
+    calls.clear()
+    find_circular(model, shell, 1.0)
+    assert calls == [shell.M2] * 2
+    (head, body, names), c = ptb.reduced._stage(shell, model)
+    assert "sqrt" not in head + body
+    assert "sqrt" not in dopri._attempt(6, (head, body, names)).__code__.co_names
+    # the constants end with the bound kernel's cells, in co_freevars order
+    kernel = bind(model, shell.M2)
+    assert c[2:] == tuple(v.cell_contents for v in kernel.__closure__)
+    assert head == f"M2x2, G, {', '.join(kernel.__code__.co_freevars)}, = c\n"
 
 
 class PlainHarmonic(HarmonicPotential):

@@ -30,7 +30,7 @@ from ptb.worldline import (
     worldlines,
 )
 
-from covariant import CanonicalState, center_of_mass, scalar_quintet, split
+from covariant import CanonicalState, add, center_of_mass, scalar_quintet, split, sub
 
 
 @pytest.fixture(scope="module")
@@ -263,7 +263,7 @@ def test_covariant_layer_recovers_the_reduction(toy_traj, beta):
     for i, (ztil, ytil) in enumerate(zip(toy_traj.ztil, toy_traj.ytil)):
         y = FourVector(*boost_from_rest(np.array([nu / M, *ytil]), k).tolist())
         state = CanonicalState(q1=FourVector(*ws.x1[i]), q2=FourVector(*ws.x2[i]),
-                               p1=0.5 * k + y, p2=0.5 * k - y)
+                               p1=add(0.5 * k, y), p2=sub(0.5 * k, y))
         ei = split(state)
         got = scalar_quintet(ei)
         want = rest_quintet(ztil, ytil, shell)
