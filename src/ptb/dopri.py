@@ -12,13 +12,15 @@ costs more than the arithmetic, and a numpy scalar from f would slow every
 later stage.  The error norm is the RMS over the n scaled components of the
 error estimate.  The dense output is one flat buffer of groups of six blocks
 of n floats: group 0 is (y0, 0, 0, 0, 0, k1) and each accepted step appends
-(y_new, k3, k4, k5, k6, k7).  Step i takes y and k1 from group i (the FSAL
-stage) and the rest from group i + 1; k2 has no dense weight.
+(y_new, k3, k4, k5, k6, k7), packed by the attempt.  Step i takes y and k1
+from group i (FSAL) and the rest from group i + 1; k2 has no dense weight.
+The step sizes are the differences of consecutive step starts and t1.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from array import array
 from dataclasses import dataclass
 from functools import cache
@@ -137,37 +139,43 @@ class DopriResult:
 
 @cache
 def _attempt(n: int, stage: tuple[str, str, tuple] | None = None):
-    """attempt(c, t, h, t_new, group) -> (k2, new_group, s) unrolled over n
-    state components: group is the dense group of the step's start (y and
-    k1), new_group the one the step appends, s the sum of the squared error
-    components scaled by 1 + max(|y|, |y_new|), each sum in its row's order.
-    A stage (head, body, names) is source text that assigns no argument, state
-    or stage of the attempt: head runs once, body sets $k_0, ... from the state
-    $u_0, ... at $t in each stage; names pairs its globals with their objects.
-    The default calls c = f on a list."""
-    def names(k):
-        return "".join(f"{k}_{i}, " for i in range(n))
+    """attempt(c, t, h, t_new, start) -> (end, group, s) unrolled over n state
+    components: start = (y, k1) and end = (y_new, k7), group the dense group the
+    step appends, packed as raw doubles, s the sum of the squared error components
+    scaled by 1 + max(|y|, |y_new|), each sum in its row's order.  A stage (head,
+    body, names) is source text that assigns no argument, state or stage of the
+    attempt: head runs once, body sets $k_0, ... from the state $u_0, ... at $t in
+    each stage; names pairs its globals with their objects.  A state the body does
+    not read is not computed; a rate it never sets is zero: its component keeps its
+    value and adds no error term.  The default calls c = f on a list."""
+    def names(k, zero=None):  # k_0, k_1, ...; for a zero rate, zero or else y_i
+        return "".join(f"{k}_{i}, " if i in rated else f"{zero or f'y_{i}'}, " for i in range(n))
 
     def dot(row, i):
         return " + ".join(f"{w!r} * k{j}_{i}" for j, w in enumerate(row, 1) if w)
 
+    rated = range(n)  # every rate, until the body is known
     head, body, globals_ = stage or ("", f"{names('$k')}= c($t, [{names('$u')}])", ())
-    src = [f"{names('y')}{'_, ' * 4 * n}{names('k1')}= group", *head.splitlines()]
+    used = set(re.findall(r"\$(\w+)", body))
+    rated = [i for i in range(n) if f"k_{i}" in used]
+    src = [f"{names('y')}{names('k1', '_')}= start", *head.splitlines()]
     for s, node, row in zip(range(2, 8), [f"t + {c!r} * h" for c in _C[1:6]] + ["t_new"], _A):
         y = "y_new" if s == 7 else f"y{s}"
-        src += [f"{y}_{i} = y_{i} + h * ({dot(row, i)})" for i in range(n)
-                if s == 7 or f"$u_{i}" in body]  # y_new whole, stage states as read
-        src += Template(body).substitute(t=node, **{f"u_{i}": f"{y}_{i}" for i in range(n)},
+        src += [f"{y}_{i} = y_{i} + h * ({dot(row, i)})" for i in rated
+                if s == 7 or f"u_{i}" in used]  # y_new whole, stage states as read
+        src += Template(body).substitute(t=node, **{f"u_{i}": f"{y if i in rated else 'y'}_{i}"
+                                                    for i in range(n)},
                                          **{f"k_{i}": f"k{s}_{i}" for i in range(n)}).splitlines()
-    for i in range(n):
+    for i in rated:
         src += [f"a = -y_{i} if y_{i} < 0.0 else y_{i}",
                 f"b = -y_new_{i} if y_new_{i} < 0.0 else y_new_{i}",
                 f"r_{i} = ({dot(_E, i)}) / (1.0 + (a if a > b else b))"]
-    group = "".join(names(k) for k in ("y_new", "k3", "k4", "k5", "k6", "k7"))
-    squares = " + ".join(f"r_{i} * r_{i}" for i in range(n))
-    src.append(f"return ({names('k2')}), ({group}), {squares}")
-    exec(compile("def attempt(c, t, h, t_new, group):\n    " + "\n    ".join(src),
-                 f"<dopri5 attempt, n = {n}>", "exec"), namespace := dict(globals_))
+    y_new, ks = names("y_new"), [names(f"k{s}", "0.0") for s in range(3, 8)]
+    squares = " + ".join(f"r_{i} * r_{i}" for i in rated)
+    src.append(f"return ({y_new}{ks[-1]}), pack({y_new}{''.join(ks)}), {squares}")
+    namespace = dict(globals_, pack=Struct(f"{6 * n}d").pack)  # bound as a default: a local
+    exec(compile("def attempt(c, t, h, t_new, start, pack=pack):\n    " + "\n    ".join(src),
+                 f"<dopri5 attempt, n = {n}>", "exec"), namespace)
     return namespace["attempt"]
 
 
@@ -193,8 +201,7 @@ def _initial_step(f, t0, y0, f0, tol, max_step, span):
     """Classic two-probe heuristic for the first step size."""
     sc = [tol + tol * abs(v) for v in y0]
     d0, d1 = _rms(y0, sc), _rms(f0, sc)
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, span, max_step)
+    h0 = min(1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1, span, max_step)
     f1 = f(t0 + h0, [v + h0 * d for v, d in zip(y0, f0)])
     d2 = _rms([a - b for a, b in zip(f1, f0)], sc) / h0
     d12 = max(d1, d2)
@@ -230,16 +237,14 @@ def solve_dopri5(
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim != 1:
         raise ValueError("y0 must be one-dimensional")
-    y = y0.tolist()
-    n = len(y)
+    y, n = y0.tolist(), len(y0)
 
     pts = np.array([] if t_eval is None else t_eval, dtype=float)
     if (pts[1:] <= pts[:-1]).any():
         raise ValueError("t_eval must be strictly increasing")
     if not ((t0 <= pts) & (pts <= t1)).all():
         raise ValueError(f"t_eval must lie within t_span {t_span!r}")
-    eval_pts = pts.tolist()
-    n_eval = len(eval_pts)
+    eval_pts = [*pts[pts > t0].tolist(), t1]  # the points to land on, then t1
 
     k1 = f(t0, y)
     _require_finite(f"at t = {t0!r}", ("y0", y), ("f(t0, y0)", k1))
@@ -247,35 +252,26 @@ def solve_dopri5(
     attempt, c = (_attempt(n), f) if stage is None else (_attempt(n, stage[0]), stage[1])
     max_accepted = dense_steps(n)
 
-    # emitted samples as buffer groups: group j holds the state after j accepted steps
-    out_idx = [0] if eval_pts[:1] == [t0] else []
-    eval_idx = len(out_idx)
+    data, starts = array("d", (*y, *[0.0] * (4 * n), *k1)), array("d")
+    extend, add_start = data.frombytes, starts.append  # for an accepted step's group and t
 
-    data = array("d", g := (*y, *[0.0] * (4 * n), *k1))
-    starts, sizes = array("d"), array("d")
-    # an accepted step appends its group as raw doubles, packed in one call
-    extend, start, size = data.frombytes, starts.append, sizes.append
-    pack = Struct(f"{6 * n}d").pack
-
-    t, facold, just_rejected = t0, 1e-4, False
-    n_accepted = n_rejected = n_landed = 0
+    t, start, facold, just_rejected = t0, (*y, *k1), 1e-4, False
+    n_accepted = n_rejected = n_landed = eval_idx = 0  # eval_idx: the next point to land on
     h_used = err = math.nan
 
     # min, max and abs are spelled out, for speed, as the comparisons that pick their float
     while t < t1:
         if n_accepted + n_rejected >= MAX_STEPS:
-            raise StepFailure(
-                f"step budget {MAX_STEPS} exhausted at t = {t!r} "
-                f"(last h = {h_used!r}, last error estimate = {err!r})")
+            raise StepFailure(f"step budget {MAX_STEPS} exhausted at t = {t!r} "
+                              f"(last h = {h_used!r}, last error estimate = {err!r})")
         if n_accepted == max_accepted:
             raise StepFailure(f"dense output budget {MAX_DENSE_BYTES} bytes full at t = {t!r}")
         if h < 1e-14 * (t if t > 1.0 else -t if t < -1.0 else 1.0):
-            raise StepFailure(
-                f"step size underflow at t = {t!r} "
-                f"(h = {h!r}, last error estimate = {err!r})")
+            raise StepFailure(f"step size underflow at t = {t!r} "
+                              f"(h = {h!r}, last error estimate = {err!r})")
 
         # shorten to land exactly on the next target (sample point or t1)
-        target = eval_pts[eval_idx] if eval_idx < n_eval and eval_pts[eval_idx] < t1 else t1
+        target = eval_pts[eval_idx]
         h_try = max_step if max_step < h else h
         landed = target - t <= h_try
         t_new = target if landed else t + h_try
@@ -283,19 +279,16 @@ def solve_dopri5(
 
         # k7 is evaluated at exactly the y_new that is emitted; the error is per
         # unit step against tol (1 + max|y|), so drift stays ~ tol * span
-        k2, group, s = attempt(c, t, h_used, t_new, g)
+        end, group, s = attempt(c, t, h_used, t_new, start)
         err = math.sqrt(s / n) / tol
 
         if err <= 1.0:
-            start(t)
-            size(h_used)
-            extend(pack(*group))
+            add_start(t)
+            extend(group)
             n_accepted += 1
             n_landed += landed
-            while eval_idx < n_eval and eval_pts[eval_idx] <= t_new:
-                out_idx.append(n_accepted)
-                eval_idx += 1
-            t, g = t_new, group
+            eval_idx += t_new == target  # landed, or ended on it uncut
+            t, start = t_new, end
             # PI update (Lund stabilization); a landing cut no worse than facold keeps h, facold
             if not (landed and h_used < h_try and err <= facold):
                 fac = err ** _EXPO1 / facold ** _BETA / _SAFETY
@@ -306,21 +299,23 @@ def solve_dopri5(
             just_rejected = False
         else:
             if err != err:
-                # a nan stage would reject every step down to the budget
-                _require_finite(f"in the step from t = {t!r} (h = {h_used!r})", ("k2", k2), *(
-                    (k, group[i * n:i * n + n]) for k, i in (("k3", 1), ("k4", 2), ("k5", 3),
-                                                             ("k6", 4), ("y_new", 0), ("k7", 5))))
+                # a nan stage would reject every step down to the budget; f redoes k2 (a21 = 0.2)
+                k2 = f(t + 0.2 * h_used, [v + h_used * (0.2 * d)
+                                          for v, d in zip(start, start[n:])])
+                b = np.frombuffer(group).reshape(6, n).tolist()
+                _require_finite(f"in the step from t = {t!r} (h = {h_used!r})", ("k2", k2), *zip(
+                    ("k3", "k4", "k5", "k6", "y_new", "k7"), b[1:5] + b[:1] + b[5:]))
             n_rejected += 1
             fac = err ** _EXPO1 / _SAFETY
             h = h_used / (fac if fac < _FAC_SHRINK else _FAC_SHRINK)
             just_rejected = True
 
-    dense = DenseOutput(starts, sizes, data, n, t)
-    groups, hs = dense.groups, np.frombuffer(sizes)
-    times = np.append(np.frombuffer(starts), t)
-    rows = np.arange(n_accepted + 1) if t_eval is None else np.array(out_idx, dtype=int)
+    times = np.append(np.frombuffer(starts), t)  # its diff: each step's t_new - t, bit for bit
+    dense = DenseOutput(starts, array("d", (hs := np.diff(times)).tobytes()), data, n, t)
+    # an emitted sample is a step end: group j holds the state after j accepted steps
+    rows = np.arange(n_accepted + 1) if t_eval is None else np.searchsorted(times, pts)
     return DopriResult(
-        t=times[rows], y=groups[rows, 0], dy=groups[rows, 5], dense=dense,
+        t=times[rows], y=dense.groups[rows, 0], dy=dense.groups[rows, 5], dense=dense,
         n_accepted=n_accepted, n_rejected=n_rejected, n_rhs=2 + 6 * (n_accepted + n_rejected),
         h_min=float(hs.min()), h_max=float(hs.max()), n_landed=n_landed,
     )

@@ -97,11 +97,12 @@ class _KernelModel(PotentialSpec):
         exec(compile(f"def _kernel_at(self, P2):\n{indent(head, '    ')}    def kernel(ztil2):\n"
                      f"{indent(body, '        ')}        return V, dP2, dztil2\n    return kernel",
                      f"<kernel of {cls.__name__}>", "exec"), namespace := dict(names))
-        cls._kernel_at, cls._stage_text = namespace["_kernel_at"], (body, names)
+        cls._kernel_at = namespace["_kernel_at"]
         code = cls._kernel_at.__code__  # the kernel's code is one of its constants
         kernel = next(c for c in code.co_consts if getattr(c, "co_name", "") == "kernel")
         if rebound := sorted({*code.co_varnames, *code.co_cellvars} & {*kernel.co_varnames}):
             raise TypeError(f"{cls.__name__}'s lines per ztil2 rebind the head's {rebound[0]}")
+        cls._stage_text = body, names, {*code.co_varnames, *code.co_cellvars, *kernel.co_varnames}
 
     def evaluate(self, q: ScalarQuintet) -> PotentialEval:
         return PotentialEval(*self._kernel_at(q.P2)(q.ztil2), 0.0, 0.0, 0.0)

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dopri import MAX_STEPS, DenseOutput, _require_finite, dense_steps, solve_dopri5
+from .dopri import MAX_STEPS, DenseOutput, _attempt, _require_finite, dense_steps, solve_dopri5
 from .errors import NonMonotoneTime, StepFailure
 from .kinematics import ScalarQuintet, noether_N
 from .mass_shell import MassShell
@@ -233,22 +233,25 @@ def rhs(x: Sequence[float], shell: MassShell,
 
 @cache
 def _kernel_stage(cls, cells: tuple[str, ...]):
-    """The DOPRI5 stage (head, body, names) of rhs for a kernel model class."""
-    body, names = cls._stage_text
-    return (f"M2x2, G, {''.join(v + ', ' for v in cells)}= c\n",
+    """The DOPRI5 stage (head, body, names) of rhs for a kernel model class, which
+    sets no rate G = 0.  A _source binding a name of the stage or attempt is refused."""
+    body, names, bound = cls._stage_text
+    if clash := sorted(bound & {"M2x2", *_attempt(6).__code__.co_varnames}):
+        raise TypeError(f"{cls.__name__}'s _source binds {clash[0]}, a name of the fused stage")
+    return (f"M2x2, {''.join(v + ', ' for v in cells)}= c\n",
             f"ztil2 = -($u_0 * $u_0 + $u_1 * $u_1)\n{body}b = -2.0 * dztil2\n"
             "$k_0 = $u_2; $k_1 = $u_3; $k_2 = b * $u_0; $k_3 = b * $u_1\n"
-            "$k_4 = M2x2 * dP2; $k_5 = G", names)
+            "$k_4 = M2x2 * dP2", names)
 
 
 def _stage(shell: MassShell, model: PotentialSpec):
     """The stage (source, c) that fuses rhs, up to the sign of a zero, into each
-    attempt for a kernel model, else None; c ends with the cells of its kernel at M2."""
+    attempt for a kernel model, else None; c is 2 M2 and the cells of its kernel at M2."""
     if not isinstance(model, _KernelModel):
         return None
     kernel = model._kernel_at(shell.M2)  # the head runs here, once per run
     return _kernel_stage(type(model), kernel.__code__.co_freevars), (
-        2.0 * shell.M2, 2.0 * shell.nu * 0.0, *(v.cell_contents for v in kernel.__closure__ or ()))
+        2.0 * shell.M2, *(v.cell_contents for v in kernel.__closure__ or ()))
 
 
 def dT_dlambda(F, G, shell: MassShell):

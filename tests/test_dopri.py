@@ -1,6 +1,8 @@
 import bisect
 import math
 import re
+from array import array
+from struct import Struct
 
 import numpy as np
 import pytest
@@ -325,7 +327,33 @@ def test_unrolled_attempt_is_the_reference_step(n, data):
     def f(s, u):
         return [a[i] * u[i] * u[i - 1] + b[i] * u[i] + c * s * s for i in range(n)]
 
-    got = dopri._attempt(n)(f, t, h, t_new, (*y, *[0.0] * (4 * n), *k1))
-    k2, k3, k4, k5, k6, k7, y_new, s = reference_attempt(f, t, h, t_new, y, k1)
-    assert repr(got) == repr((tuple(k2), (*y_new, *k3, *k4, *k5, *k6, *k7), s))
-    assert type(got[1]) is tuple and len(got[1]) == 6 * n
+    end, group, s = dopri._attempt(n)(f, t, h, t_new, (*y, *k1))
+    _, k3, k4, k5, k6, k7, y_new, s_ref = reference_attempt(f, t, h, t_new, y, k1)
+    assert repr((end, s)) == repr(((*y_new, *k7), s_ref))
+    # the dense group as the raw doubles of the reference stages
+    assert group == Struct(f"{6 * n}d").pack(*y_new, *k3, *k4, *k5, *k6, *k7)
+
+
+@pytest.mark.parametrize("kw", [{"tol": 1e-9}, {"tol": 1e-9, "t_eval": np.linspace(0.0, 8.0, 23)},
+                                {"tol": 1e-6}], ids=["free", "landed", "rejecting"])
+def test_step_sizes_are_the_steps_the_loop_took(monkeypatch, kw):
+    # dense.h is built from consecutive starts after the loop: bit for bit the
+    # h = t_new - t each accepted attempt was given; an attempt is accepted
+    # when the next one starts where it ended, or when it is the last
+    seen, make = [], dopri._attempt.__wrapped__
+
+    def recording(*key):
+        attempt = make(*key)
+        return lambda c, t, h, t_new, start: seen.append((t, h, t_new)) or attempt(
+            c, t, h, t_new, start)
+
+    monkeypatch.setattr(dopri, "_attempt", recording)
+    res = solve_dopri5(kepler, (0.0, 8.0), [0.5, 0.0, 0.0, 1.6], **kw)
+    assert len(seen) == res.n_accepted + res.n_rejected
+    assert (res.n_rejected > 0) == (kw["tol"] == 1e-6)
+    assert res.n_landed == (22 if "t_eval" in kw else 1)  # the 22 points past t = 0, or t1
+    accepted = [(t, h) for (t, h, t_new), (t_next, *_) in zip(seen, seen[1:] + [(8.0,)])
+                if t_next == t_new]
+    assert all(h == t_new - t for t, h, t_new in seen)
+    assert np.frombuffer(res.dense.t0).tolist() == [t for t, _ in accepted]
+    assert np.frombuffer(res.dense.h).tobytes() == array("d", [h for _, h in accepted]).tobytes()

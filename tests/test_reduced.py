@@ -1,4 +1,5 @@
 import math
+from array import array
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -666,31 +667,36 @@ _BUILTIN_MODELS = st.one_of(
 
 
 def _attempt_or_error(attempt, *args):
+    """The attempt's end, its group unpacked and its error sum, or its refusal."""
     try:
-        return attempt(*args)
+        end, group, s = attempt(*args)
     except DomainError as e:
         return type(e), str(e)
+    return end, array("d", group).tolist(), s
 
 
 @settings(max_examples=200)
 @given(_BUILTIN_MODELS, st.floats(-0.9, 5.0), st.floats(1.0, 4.0),
-       st.lists(st.floats(-3.0, 3.0), min_size=12, max_size=12), st.floats(1e-6, 2.0))
+       st.lists(st.floats(-3.0, 3.0), min_size=11, max_size=11), st.floats(1e-6, 2.0))
 def test_the_fused_attempt_is_the_call_path_attempt(model, lam, m2, v, h):
     # every stage inline from the kernel's source, with no call, against the
-    # attempt that calls rhs: k2, the dense group and the error sum are Python
-    # floats equal to its own (only the sign of a zero may differ), and a
-    # refusal is the same error
-    u, k1 = v[:6], v[6:]
+    # attempt that calls rhs: the end (y_new, k7), the dense group and the
+    # error sum are Python floats equal to its own (only the sign of a zero may
+    # differ), and a refusal is the same error; the start's rate of intG is the
+    # G = 0 of a kernel model, which the fused stage never sets
+    u, k1 = v[:6], [*v[6:], 0.0]
     assume(u[0] * u[0] + u[1] * u[1] > 1e-6)
     shell = mass_shell_from_lambda(1.0, m2, lam)
     source, c = ptb.reduced._stage(shell, model)
-    g = (*u, *[0.0] * 24, *k1)
-    fused = _attempt_or_error(dopri._attempt(6, source), c, 0.5, h, 0.5 + h, g)
+    start = (*u, *k1)
+    fused = _attempt_or_error(dopri._attempt(6, source), c, 0.5, h, 0.5 + h, start)
     generic = _attempt_or_error(dopri._attempt(6), lambda t, y: rhs(y, shell, model),
-                                0.5, h, 0.5 + h, g)
+                                0.5, h, 0.5 + h, start)
     assert fused == generic
     if not isinstance(fused[0], type):
-        assert all(type(x) is float for x in (*fused[0], *fused[1], fused[2]))
+        assert all(type(x) is float for x in (*fused[0], fused[2]))
+        # intG keeps its value, and its rates are zero, in every block
+        assert fused[0][5] == u[5] and fused[0][11] == 0.0 and fused[1][5::6] == [u[5]] + [0.0] * 5
 
 
 @pytest.mark.parametrize("model, z0, text", [
@@ -705,7 +711,7 @@ def test_the_fused_attempt_refuses_what_rhs_refuses(model, z0, text):
     source, c = ptb.reduced._stage(shell, model)
     errors = []
     with pytest.raises(DomainError) as info:
-        dopri._attempt(6, source)(c, 0.0, 0.1, 0.1, (*u, *[0.0] * 30))
+        dopri._attempt(6, source)(c, 0.0, 0.1, 0.1, (*u, *[0.0] * 6))
     errors.append(str(info.value))
     with pytest.raises(DomainError) as info:
         rhs(u, shell, model)
@@ -744,6 +750,47 @@ def test_lines_per_ztil2_that_rebind_a_name_of_the_head_are_refused():
         type("Bumped", (HarmonicPotential,), {"_source": source})
 
 
+@pytest.mark.parametrize("name", ["b", "h"])
+def test_a_source_that_binds_a_name_of_the_fused_stage_is_refused(monkeypatch, name):
+    # the fused stage and the attempt share one scope with the kernel's
+    # source: b would be the stage's -2 dV/dztil2 after the first stage, h the
+    # attempt's step size; the run is refused before its first step, and the
+    # call path, where the names do not meet, still integrates the model
+    source = f"""
+        root = math.sqrt(P2)
+        dztil2, {name} = chi * root, 2.0 * root
+        # per ztil2
+        V = dztil2 * ztil2
+        dP2 = chi * ztil2 / {name}
+    """
+    model = type("Clashing", (HarmonicPotential,), {"_source": source})(0.125)
+    calls = []
+    monkeypatch.setattr(ptb.reduced, "rhs", lambda *args: calls.append(args) or rhs(*args))
+    shell = mass_shell_from_lambda(1.0, 2.0, 0.1)
+    st0 = ReducedState(0.0, np.array([1.0, 0.2, 0.0]), np.array([0.0, 0.4, 0.1]))
+    with pytest.raises(TypeError, match=f"^Clashing's _source binds {name}, a name of the "
+                                        "fused stage$"):
+        integrate(st0, shell, model, 5.0)
+    assert calls == []
+    a, b = (integrate(st0, shell, m, 5.0)
+            for m in (Forwarding(model), HarmonicPotential(0.125)))
+    assert a.n_accepted == b.n_accepted > 10 and np.array_equal(a.u, b.u)
+
+
+def test_a_fused_run_keeps_intG_at_zero():
+    # the fused stage sets no rate for intG: after the first stage, which rhs
+    # gives as 2 nu * 0.0, every block of that component is +0.0
+    shell = mass_shell_from_lambda(1.0, 2.0, -0.3)
+    assert shell.nu < 0.0
+    st0 = ReducedState(0.0, np.array([1.0, 0.2, 0.0]), np.array([0.0, 0.4, 0.1]))
+    for model in (FreePotential(), HarmonicPotential(0.3), CentralPowerPotential(-0.5, 1)):
+        traj = integrate(st0, shell, model, 5.0, IntegratorOptions(sample_interval=0.5))
+        blocks = traj.dense.groups[:, :, 5]
+        assert blocks[0].tolist() == [0.0] * 5 + [2.0 * shell.nu * 0.0]
+        assert blocks[1:].tobytes() == bytes(8 * blocks[1:].size) and len(blocks) > 10
+        assert traj.u[:, 7].tobytes() == bytes(8 * len(traj.lam))
+
+
 @pytest.mark.parametrize("model", [HarmonicPotential(0.3), CentralPowerPotential(-0.5, 1)],
                          ids=repr)
 def test_the_head_runs_once_per_binding(monkeypatch, model):
@@ -766,10 +813,10 @@ def test_the_head_runs_once_per_binding(monkeypatch, model):
     (head, body, names), c = ptb.reduced._stage(shell, model)
     assert "sqrt" not in head + body
     assert "sqrt" not in dopri._attempt(6, (head, body, names)).__code__.co_names
-    # the constants end with the bound kernel's cells, in co_freevars order
+    # the constants are 2 M2 and the bound kernel's cells, in co_freevars order
     kernel = bind(model, shell.M2)
-    assert c[2:] == tuple(v.cell_contents for v in kernel.__closure__)
-    assert head == f"M2x2, G, {', '.join(kernel.__code__.co_freevars)}, = c\n"
+    assert c == (2.0 * shell.M2, *(v.cell_contents for v in kernel.__closure__))
+    assert head == f"M2x2, {', '.join(kernel.__code__.co_freevars)}, = c\n"
 
 
 class PlainHarmonic(HarmonicPotential):
