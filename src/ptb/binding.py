@@ -15,12 +15,10 @@ refines the first bracket.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import Callable, Sequence, Tuple
 
 from .circular import CircularOrbit, find_circular
 from .errors import NoRoot, PtbError
-from .kinematics import ScalarQuintet
 from .mass_shell import _REL_SLACK, MassShell, _check_masses, mass_shell_from_lambda
 from .potentials import PotentialSpec
 from .roots import first_root
@@ -31,10 +29,10 @@ __all__ = [
     "self_consistent_circular",
 ]
 
-# toward the bound, s = lambda/m1^2 halves its gap to -1 while the shell
-# admits the step (E1^2 > _REL_SLACK m1^2), then ends at 1.001 times that
+# from the free shell toward the bound, s = lambda/m1^2 halves its gap to -1 while
+# the shell admits the step (E1^2 > _REL_SLACK m1^2), then ends at 1.001 times that
 # threshold: rounding s and s m1^2 moves a gap of 1e-12 by at most 2.2e-4 of it
-_DOWN = (*(-1.0 + 0.5 ** k for k in range(1, int(-math.log2(_REL_SLACK)) + 1)),
+_DOWN = (0.0, *(-1.0 + 0.5 ** k for k in range(1, int(-math.log2(_REL_SLACK)) + 1)),
          -1.0 + 1.001 * _REL_SLACK)
 _DOUBLINGS = 64
 
@@ -52,10 +50,12 @@ def _closed_shell(m1: float, m2: float,
     (lambda_orbit, orbit), returned with its orbit.
 
     The scan runs in s = lambda/m1^2, so the bound is s > -1 and Brent's
-    absolute tolerance scales with the masses.  Each s is solved once.
+    absolute tolerance scales with the masses.  Each s is solved once, and
+    NoRoot names the masses and, per grid, its lambda span and the value of h
+    (or the error) at both ends.
     """
     b = m1 * m1
-    memo = {}
+    memo = {}  # s -> (shell, orbit_of(shell)) or the error of the trial shell
     failure = None  # the last error of a trial shell, kept as the cause
 
     def h(s: float) -> float:
@@ -65,8 +65,9 @@ def _closed_shell(m1: float, m2: float,
                 shell = mass_shell_from_lambda(m1, m2, s * b)
                 memo[s] = shell, orbit_of(shell)
             except PtbError as exc:
-                failure = exc
-                raise
+                memo[s] = failure = exc
+        if isinstance(memo[s], PtbError):
+            raise memo[s]
         shell, (lam, _) = memo[s]
         return (lam - shell.lambda_) / b
 
@@ -74,19 +75,21 @@ def _closed_shell(m1: float, m2: float,
         h0 = h(0.0)
     except PtbError:
         h0 = math.nan
-    up = ((h0 if h0 > 0.0 else 1.0) * 2.0 ** k for k in range(_DOUBLINGS))
-    if h0 < 0.0:
-        grids = [chain([0.0], _DOWN)]
-    elif h0 >= 0.0:
-        grids = [chain([0.0], up)]
-    else:
-        grids = [_DOWN, up]
+    up = (0.0, *((h0 if h0 > 0.0 else 1.0) * 2.0 ** k for k in range(_DOUBLINGS)))
+    grids = [_DOWN] if h0 < 0.0 else [up] if h0 >= 0.0 else [_DOWN, up]
     for grid in grids:
         s = first_root(h, grid, skip=PtbError)
         if s is not None:
             shell, (_, orbit) = memo[s]
             return shell, orbit
-    msg = "no self-consistent shell found on lambda > -m1^2"
+
+    def end(s: float) -> str:
+        at = memo[s]
+        if isinstance(at, PtbError):
+            return f"{s * b!r} ({type(at).__name__})"
+        return f"{s * b!r} (h = {at[1][0] - at[0].lambda_!r})"
+    msg = (f"no self-consistent shell found on lambda > -m1^2 for m1 = {m1!r}, m2 = {m2!r}; "
+           + "; ".join(f"lambda from {end(g[0])} to {end(g[-1])}" for g in grids))
     if failure is not None:
         msg += f"; last trial shell failed with {type(failure).__name__}: {failure}"
     raise NoRoot(msg) from failure
@@ -101,7 +104,7 @@ def self_consistent_shell(m1: float, m2: float, model: PotentialSpec,
     ze = sum(a * b for a, b in zip(zeta0, eta0))
 
     def lam(M2: float) -> float:
-        return e2 - 2.0 * model.evaluate(ScalarQuintet.at_rest(M2, nu, z2, e2, ze)).value
+        return e2 - 2.0 * model.partials_at(M2, nu)(-z2, -e2, -ze)[0]
 
     if model.p2_independent and model.w_independent:
         # lambda does not feed back into itself; one pass is exact

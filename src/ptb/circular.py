@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, DegenerateOrbit, DomainError, NoRoot, NotCentral
-from .kinematics import ScalarQuintet
 from .mass_shell import MassShell
-from .potentials import PotentialSpec, _KernelModel
+from .potentials import PotentialSpec
 from .reduced import IntegratorOptions, ReducedState, dT_dlambda, integrate, rest_quintet
 from .reduced import synchronize  # noqa: F401 (unused; perfbench/tracing.py patches it)
 from .roots import first_root
@@ -70,35 +69,33 @@ def find_circular(model: PotentialSpec, shell: MassShell, l2: float) -> Circular
     momentum squared l2.
 
     Scans a log-spaced radius bracket for a sign change of the equilibrium
-    residual 2 dV/dztil2 rho^4 - l2, read from a kernel bound once or the
-    rest-frame partials, and refines with Brent's method; raises NoRoot when
-    the model admits no circular orbit at this l2 (e.g. any repulsive model).
+    residual 2 dV/dztil2 rho^4 - l2, read from the model's partials bound once
+    (at ytil2 = zy = 0, which a central model does not read), and refines with
+    Brent's method; raises NoRoot when the model admits no circular orbit at
+    this l2 (e.g. any repulsive model).
     """
     if not model.central:
         raise NotCentral(f"{model.name!r} does not declare the central structure")
     if not (l2 > 0.0):
         raise BadParameter(f"need l2 > 0, got {l2!r}")
 
-    M2, nu = shell.M2, shell.nu
-    # (_, dP2, dztil2) at ztil2 = -rho^2, the speed fixed by l2 = rho^2 |eta|^2
-    kernel = (model._kernel_at(M2) if isinstance(model, _KernelModel) else
-              lambda ztil2: (0.0, *model.rest_partials(M2, nu, -ztil2, -l2 / ztil2, 0.0)[:2]))
+    partials = model.partials_at(shell.M2, shell.nu)
 
     def residual(rho: float) -> float:
-        return 2.0 * kernel(-rho * rho)[2] * rho ** 4 - l2
+        return 2.0 * partials(-rho * rho, 0.0, 0.0)[2] * rho ** 4 - l2
 
     rho = first_root(residual, _RADII, skip=DomainError)
     if rho is None:
         raise NoRoot(f"no circular-orbit radius for l2 = {l2!r} in [1e-6, 1e6]")
 
     speed2 = l2 / (rho * rho)
-    ev = model.evaluate(ScalarQuintet.at_rest(M2, nu, rho * rho, speed2, 0.0))
-    if abs(1.0 + 2.0 * ev.dytil2) <= 1e-12:
+    V, dP2, dztil2, dytil2, _, dw = partials(-(rho * rho), -speed2, -0.0)
+    if abs(1.0 + 2.0 * dytil2) <= 1e-12:
         raise DegenerateOrbit(
             "orbit sits at 1 + 2 dV/dytil2 = 0; lambda does not advance zeta")
-    Omega, F, G = math.sqrt(2.0 * ev.dztil2), 2.0 * shell.M2 * ev.dP2, 2.0 * shell.nu * ev.dw
+    Omega, F, G = math.sqrt(2.0 * dztil2), 2.0 * shell.M2 * dP2, 2.0 * shell.nu * dw
     rate, period_lambda = dT_dlambda(F, G, shell), 2.0 * math.pi / Omega
-    return CircularOrbit(rho=rho, speed2=speed2, lambda_orbit=speed2 - 2.0 * ev.value,
+    return CircularOrbit(rho=rho, speed2=speed2, lambda_orbit=speed2 - 2.0 * V,
                          Omega=Omega, l2=float(l2), F=F, G=G, dTdlambda=rate,
                          period_lambda=period_lambda, period_T=period_lambda * rate)
 

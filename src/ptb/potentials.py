@@ -39,7 +39,7 @@ class PotentialEval:
 
 
 class PotentialSpec:
-    """Interface for interaction models.
+    """Interface for interaction models: a model implements evaluate, read via partials_at.
 
     Flags describe structure the solvers rely on:
       central        - dV/dytil2 == 0 and dV/dzy == 0 identically
@@ -56,16 +56,14 @@ class PotentialSpec:
     def evaluate(self, q: ScalarQuintet) -> PotentialEval:
         raise NotImplementedError
 
-    def rest_partials(self, M2: float, nu: float, z2: float, y2: float,
-                      zy: float) -> tuple[float, float, float, float, float]:
-        """(dP2, dztil2, dytil2, dzy, dw) at a rest-frame state given by the
-        spatial products z2 = |zeta|^2, y2 = |eta|^2, zy = zeta.eta.
-
-        This default goes through evaluate; a model may override it with a
-        fast path that must agree with it bit for bit.
-        """
-        ev = self.evaluate(ScalarQuintet.at_rest(M2, nu, z2, y2, zy))
-        return ev.dP2, ev.dztil2, ev.dytil2, ev.dzy, ev.dw
+    def partials_at(self, M2: float, nu: float):
+        """partials(ztil2, ytil2, zy) -> (V, dP2, dztil2, dytil2, dzy, dw) on the
+        rest-frame shell, P2 = M2 and w = nu^2 / M2.  This default calls evaluate
+        at every call: a custom model implements evaluate alone."""
+        def partials(ztil2, ytil2, zy):
+            ev = self.evaluate(ScalarQuintet(M2, ztil2, ytil2, zy, nu * nu / M2))
+            return ev.value, ev.dP2, ev.dztil2, ev.dytil2, ev.dzy, ev.dw
+        return partials
 
     def describe(self) -> dict:
         return {"kind": self.name, **{k: getattr(self, k) for k in self.params}}
@@ -79,37 +77,34 @@ class PotentialSpec:
 class _KernelModel(PotentialSpec):
     """A central model V(P2, ztil2) given by _source alone, the single copy of
     its formulas and domain checks: a head on P2 and the parameters, then lines
-    per ztil2 that must not rebind a name of the head.  _kernel_at(P2) runs the
-    head and returns kernel(ztil2) -> (V, dV/dP2, dV/dztil2), which runs the rest,
-    as the fused stage does; other partials vanish.  A subclass with its own
-    _kernel_at, evaluate or rest_partials (a mixin's too) is refused: all read one V."""
+    per ztil2 that must not rebind a name of the head.  Its partials_at(P2, nu)
+    runs the head and returns partials, which runs the rest, as the fused stage
+    does, and gives 0.0 for the other partials.  A subclass with its own
+    partials_at or evaluate (a mixin's too) is refused: all read one V."""
 
     central = True
     w_independent = True
 
     def __init_subclass__(cls):
-        if own := [m for m in ("_kernel_at", "evaluate", "rest_partials") if m in vars(cls) or
-                   m != "_kernel_at" and getattr(cls, m) is not getattr(_KernelModel, m)]:
+        if own := [m for m in ("partials_at", "evaluate") if m in vars(cls) or
+                   m == "evaluate" and cls.evaluate is not _KernelModel.evaluate]:
             raise TypeError(f"{cls.__name__} has its own {own[0]}: a kernel model is its _source")
         head, body = dedent(cls._source).split("# per ztil2\n")
         head = "".join(f"{p} = self.{p}\n" for p in cls.params) + head
         names = (("math", math), ("DomainError", DomainError))  # the globals it reads
-        exec(compile(f"def _kernel_at(self, P2):\n{indent(head, '    ')}    def kernel(ztil2):\n"
-                     f"{indent(body, '        ')}        return V, dP2, dztil2\n    return kernel",
+        exec(compile(f"def partials_at(self, P2, nu):\n{indent(head, '    ')}"
+                     f"    def partials(ztil2, ytil2, zy):\n{indent(body, '        ')}"
+                     "        return V, dP2, dztil2, 0.0, 0.0, 0.0\n    return partials",
                      f"<kernel of {cls.__name__}>", "exec"), namespace := dict(names))
-        cls._kernel_at = namespace["_kernel_at"]
-        code = cls._kernel_at.__code__  # the kernel's code is one of its constants
-        kernel = next(c for c in code.co_consts if getattr(c, "co_name", "") == "kernel")
+        cls.partials_at = namespace["partials_at"]
+        code = cls.partials_at.__code__  # the kernel's code is one of its constants
+        kernel = next(c for c in code.co_consts if getattr(c, "co_name", "") == "partials")
         if rebound := sorted({*code.co_varnames, *code.co_cellvars} & {*kernel.co_varnames}):
             raise TypeError(f"{cls.__name__}'s lines per ztil2 rebind the head's {rebound[0]}")
         cls._stage_text = body, names, {*code.co_varnames, *code.co_cellvars, *kernel.co_varnames}
 
     def evaluate(self, q: ScalarQuintet) -> PotentialEval:
-        return PotentialEval(*self._kernel_at(q.P2)(q.ztil2), 0.0, 0.0, 0.0)
-
-    def rest_partials(self, M2, nu, z2, y2, zy):
-        _, dP2, dztil2 = self._kernel_at(M2)(-z2)
-        return dP2, dztil2, 0.0, 0.0, 0.0
+        return PotentialEval(*self.partials_at(q.P2, 0.0)(q.ztil2, q.ytil2, q.zy))  # reads no w
 
 
 class FreePotential(_KernelModel):

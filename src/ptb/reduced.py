@@ -20,6 +20,7 @@ tau1 - tau2, and the center-of-mass clock is T = Q.P / M.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -170,14 +171,11 @@ class Trajectory:
 
     @cached_property
     def first_integrals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Columns of N = ytil2 + 2 V and L2, built once per trajectory: V maps a
-        kernel model's kernel, bound once, over the samples, or calls evaluate."""
+        """Columns of N = ytil2 + 2 V and L2, built once per trajectory: V maps
+        the model's partials, bound once on the shell, over the samples."""
         q = rest_quintet(self.ztil, self.ytil, self.shell)
-        if isinstance(self.model, _KernelModel):
-            V = [v for v, _, _ in map(self.model._kernel_at(q.P2), q.ztil2.tolist())]
-        else:
-            V = [self.model.evaluate(ScalarQuintet(q.P2, *row, q.w)).value
-                 for row in zip(q.ztil2.tolist(), q.ytil2.tolist(), q.zy.tolist())]
+        partials = self.model.partials_at(self.shell.M2, self.shell.nu)
+        V = [p[0] for p in map(partials, q.ztil2.tolist(), q.ytil2.tolist(), q.zy.tolist())]
         return noether_N(q, np.array(V)), q.L2
 
 
@@ -215,16 +213,16 @@ def lift(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.hstack((c[:, 0] * e1 + c[:, 1] * e2, c[:, 2] * e1 + c[:, 3] * e2, x[:, 4:6]))
 
 
-def rhs(x: Sequence[float], shell: MassShell,
-        model: PotentialSpec) -> tuple[float, ...]:
+def rhs(x: Sequence[float], shell: MassShell, partials) -> tuple[float, ...]:
     """Right-hand side (dzeta, deta, F, G) of the in-plane state x = (zeta,
     eta, intF, intG), zeta and eta on an orthonormal basis of the orbital
     plane, in plain float arithmetic: six Python floats in (an array row as
-    row.tolist()) and out.  Depends on lambda only through the state."""
+    row.tolist()) and out, with the model's partials_at(M2, nu) of the shell.
+    Depends on lambda only through the state."""
     z0, z1, y0, y1, _, _ = x
     M2, nu = shell.M2, shell.nu
-    dP2, dztil2, dytil2, dzy, dw = model.rest_partials(
-        M2, nu, z0 * z0 + z1 * z1, y0 * y0 + y1 * y1, z0 * y0 + z1 * y1)
+    _, dP2, dztil2, dytil2, dzy, dw = partials(
+        -(z0 * z0 + z1 * z1), -(y0 * y0 + y1 * y1), -(z0 * y0 + z1 * y1))
     a = 1.0 + 2.0 * dytil2
     b = -2.0 * dztil2
     return (a * y0 + dzy * z0, a * y1 + dzy * z1, b * z0 - dzy * y0, b * z1 - dzy * y1,
@@ -238,20 +236,24 @@ def _kernel_stage(cls, cells: tuple[str, ...]):
     body, names, bound = cls._stage_text
     if clash := sorted(bound & {"M2x2", *_attempt(6).__code__.co_varnames}):
         raise TypeError(f"{cls.__name__}'s _source binds {clash[0]}, a name of the fused stage")
+    # the stage reads no V: a line per ztil2 that assigns it alone by sums and
+    # products, which cannot fail, is left out when no other line reads it
+    rest = "".join(s for s in body.splitlines(True)
+                   if not re.match(r"V = (?!.*\*\*)[\w .+*-]+\n", s))
+    body = body if re.search(r"\bV\b", rest) else rest
     return (f"M2x2, {''.join(v + ', ' for v in cells)}= c\n",
             f"ztil2 = -($u_0 * $u_0 + $u_1 * $u_1)\n{body}b = -2.0 * dztil2\n"
             "$k_0 = $u_2; $k_1 = $u_3; $k_2 = b * $u_0; $k_3 = b * $u_1\n"
             "$k_4 = M2x2 * dP2", names)
 
 
-def _stage(shell: MassShell, model: PotentialSpec):
+def _stage(shell: MassShell, model: PotentialSpec, partials):
     """The stage (source, c) that fuses rhs, up to the sign of a zero, into each
-    attempt for a kernel model, else None; c is 2 M2 and the cells of its kernel at M2."""
+    attempt for a kernel model, else None; c is 2 M2 and the cells of its partials."""
     if not isinstance(model, _KernelModel):
         return None
-    kernel = model._kernel_at(shell.M2)  # the head runs here, once per run
-    return _kernel_stage(type(model), kernel.__code__.co_freevars), (
-        2.0 * shell.M2, *(v.cell_contents for v in kernel.__closure__ or ()))
+    return _kernel_stage(type(model), partials.__code__.co_freevars), (
+        2.0 * shell.M2, *(v.cell_contents for v in partials.__closure__ or ()))
 
 
 def dT_dlambda(F, G, shell: MassShell):
@@ -281,7 +283,7 @@ def _sample_grid(span: float, interval: Optional[float], n: int) -> Optional[np.
 def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
               span: float, opts: IntegratorOptions = IntegratorOptions()) -> Trajectory:
     """Advance the reduced system over lambda in [0, span] in the plane of
-    plane_basis, f calling rhs for every model and _stage chosen once, and lift
+    plane_basis, the model's partials bound once for rhs and _stage, and lift
     the samples back.  The quadratures share the in-plane error control; F and
     G are the solver's derivative at each sample.  synchronize checks strict mode."""
     if not (span > 0.0):
@@ -295,8 +297,9 @@ def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
     _require_finite("at lambda = 0", ("ztil", z0.tolist()), ("ytil", y0.tolist()))
     basis = plane_basis(z0, y0)
     x0 = (*(basis @ z0).tolist(), *(basis @ y0).tolist(), 0.0, 0.0)
-    sol = solve_dopri5(lambda lam, x: rhs(x, shell, model), (0.0, span), x0, tol=opts.tol,
-                       max_step=opts.max_step, stage=_stage(shell, model),
+    partials = model.partials_at(shell.M2, shell.nu)
+    sol = solve_dopri5(lambda lam, x: rhs(x, shell, partials), (0.0, span), x0, tol=opts.tol,
+                       max_step=opts.max_step, stage=_stage(shell, model, partials),
                        t_eval=_sample_grid(span, opts.sample_interval, len(x0)))
 
     return synchronize(Trajectory(

@@ -151,7 +151,8 @@ def resample_uniform_T(traj: Trajectory, n: Optional[int] = None) -> Trajectory:
     inner = lambda_from_T(traj, np.linspace(traj.T[0], traj.T[-1], n)[1:-1])
     lam = np.concatenate((traj.lam[:1], inner, traj.lam[-1:]))
     x = np.insert(traj.dense.groups[[0, -1], 0], 1, traj.dense(inner), axis=0)  # in-plane
-    dx = np.array([reduced.rhs(v, traj.shell, traj.model) for v in x.tolist()])
+    partials = traj.model.partials_at(traj.shell.M2, traj.shell.nu)
+    dx = np.array([reduced.rhs(v, traj.shell, partials) for v in x.tolist()])
     return synchronize(replace(traj, lam=lam, u=reduced.lift(x, traj.basis), F=dx[:, 4],
                                G=dx[:, 5], samples=None))
 

@@ -48,7 +48,7 @@ class Forwarding(PotentialSpec):
     """The generic model of a wrapped one, as perfbench's CountingPotential
     is: it forwards evaluate, the structure flags and describe, and counts
     the evaluations in calls.  Not a kernel model, it runs on the call path
-    through ptb.reduced.rhs and PotentialSpec.rest_partials."""
+    through ptb.reduced.rhs and the default PotentialSpec.partials_at."""
 
     def __init__(self, inner):
         self.inner, self.calls = inner, 0

@@ -19,14 +19,14 @@ from ptb.potentials import PotentialSpec
 from ptb.reduced import ReducedState, _sample_grid
 
 
-def rhs(u: Sequence[float], shell: MassShell, model: PotentialSpec) -> tuple[float, ...]:
+def rhs(u: Sequence[float], shell: MassShell, partials) -> tuple[float, ...]:
     """Right-hand side (dzeta, deta, F, G) of u = (zeta, eta, intF, intG),
-    eight Python floats in and out."""
+    eight Python floats in and out, with the model's partials bound on shell."""
     z0, z1, z2, y0, y1, y2, _, _ = u
     M2, nu = shell.M2, shell.nu
-    dP2, dztil2, dytil2, dzy, dw = model.rest_partials(
-        M2, nu, z0 * z0 + z1 * z1 + z2 * z2, y0 * y0 + y1 * y1 + y2 * y2,
-        z0 * y0 + z1 * y1 + z2 * y2)
+    _, dP2, dztil2, dytil2, dzy, dw = partials(
+        -(z0 * z0 + z1 * z1 + z2 * z2), -(y0 * y0 + y1 * y1 + y2 * y2),
+        -(z0 * y0 + z1 * y1 + z2 * y2))
     a = 1.0 + 2.0 * dytil2
     b = -2.0 * dztil2
     return (a * y0 + dzy * z0, a * y1 + dzy * z1, a * y2 + dzy * z2,
@@ -39,5 +39,6 @@ def solve(initial: ReducedState, shell: MassShell, model: PotentialSpec, span: f
     """solve_dopri5 on the eight-component state from initial over [0, span],
     on the sample grid ptb.reduced.integrate would use."""
     u0 = np.concatenate((initial.ztil, initial.ytil, (0.0, 0.0)))
-    return solve_dopri5(lambda lam, u: rhs(u, shell, model), (0.0, span), u0, tol=tol,
+    partials = model.partials_at(shell.M2, shell.nu)
+    return solve_dopri5(lambda lam, u: rhs(u, shell, partials), (0.0, span), u0, tol=tol,
                         t_eval=_sample_grid(span, sample_interval, len(u0)))

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,26 @@ def test_no_root_keeps_the_domain_error_of_the_trial_shells():
     assert isinstance(cause, DomainError)
     for text in (str(info.value), str(cause)):
         assert "ztil2 = " in text and "n = 3" in text
+    assert "m1 = 1.0, m2 = 2.0; lambda from 0.0 (DomainError) to " in str(info.value)
+
+
+def test_no_root_names_the_masses_and_the_scanned_spans():
+    # h < 0 from the free shell down to the bound: the message gives the masses,
+    # the lambda span of the grid and h at both of its ends
+    with pytest.raises(NoRoot) as info:
+        self_consistent_shell(1.0, 2.0, builtin("central_power", g=-5.0, n=1),
+                              [0.1, 0, 0], [0, 0.1, 0])
+    assert re.fullmatch(r"no self-consistent shell found on lambda > -m1\^2 for m1 = 1\.0, "
+                        r"m2 = 2\.0; lambda from 0\.0 \(h = -299\.98\d*\) to "
+                        r"-0\.99999999999\d* \(h = -172\.19\d*\)", str(info.value))
+    # a repulsive model has no circular orbit on any trial shell: both grids
+    # from the free shell, each end the error, and the last one as the tail
+    with pytest.raises(NoRoot) as info:
+        self_consistent_circular(1.0, 2.0, CentralPowerPotential(1.0, 1), 1.0)
+    assert re.search(r"m2 = 2\.0; lambda from 0\.0 \(NoRoot\) to -0\.99999999999\d* "
+                     r"\(NoRoot\); lambda from 0\.0 \(NoRoot\) to 9\.2\d*e\+18 \(NoRoot\); "
+                     r"last trial shell failed with NoRoot: no circular-orbit radius",
+                     str(info.value))
 
 
 def test_self_consistent_shell_free_one_pass():
@@ -156,17 +177,18 @@ def test_self_consistent_circular():
     ("harmonic", {"chi": 0.125}, 1.0),
 ])
 def test_closure_trial_evaluates_the_model_once(monkeypatch, kind, params, l2):
-    # a trial's lambda_orbit comes from the evaluation find_circular makes at
-    # its root, not from a second one
+    # a trial's lambda_orbit comes from the partials find_circular binds once
+    # on the trial shell and reads at its root, not from a second binding
     model = builtin(kind, **params)
-    finds, evals = [], []
-    find, evaluate = ptb.binding.find_circular, model.evaluate
+    finds, binds = [], []
+    find, partials_at = ptb.binding.find_circular, model.partials_at
     monkeypatch.setattr(ptb.binding, "find_circular",
                         lambda *args: finds.append(args) or find(*args))
-    monkeypatch.setattr(model, "evaluate", lambda q: evals.append(q) or evaluate(q))
+    monkeypatch.setattr(model, "partials_at", lambda *args: binds.append(args) or
+                        partials_at(*args))
     shell, orbit = self_consistent_circular(1.0, 2.0, model, l2)
     assert len(finds) > 1
-    assert len(evals) == len(finds)
+    assert binds == [(s.M2, s.nu) for _, s, _ in finds]
     assert orbit.lambda_orbit == pytest.approx(shell.lambda_, rel=1e-11)
 
 

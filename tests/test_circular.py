@@ -39,7 +39,7 @@ from ptb_fixtures import Forwarding
 
 class WSpring(PotentialSpec):
     """A w-coupled spring with only evaluate: its rest-frame partials come
-    from the default PotentialSpec.rest_partials."""
+    from the default PotentialSpec.partials_at."""
 
     name = "w_spring"
     central = True
@@ -114,14 +114,14 @@ def test_rest_frame_residual_finds_the_reference_orbit(model, m1, m2, lam_frac, 
                      n=st.sampled_from([1, 2, 3, 60]))),
        lam_frac=st.floats(-0.99, 5.0), l2=st.floats(1e-3, 1e3))
 def test_the_kernel_scan_is_the_generic_scan(model, lam_frac, l2):
-    # the residual of the kernel bound once per call against the generic
-    # rest_partials of a delegating model: the same orbit bits or the same error
+    # the residual of the compiled partials against the default partials_at
+    # of a delegating model: the same orbit bits or the same error
     shell = mass_shell_from_lambda(1.0, 2.0, lam_frac)
     want = _orbit_or_error(find_circular, Forwarding(model), shell, l2)
     assert _orbit_or_error(find_circular, model, shell, l2) == want
     if getattr(model, "n", 0) == 60:
         with pytest.raises(DomainError, match="overflows"):
-            model._kernel_at(shell.M2)(-1e-12)
+            model.partials_at(shell.M2, shell.nu)(-1e-12, 0.0, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -246,7 +246,7 @@ def test_unequal_masses_nonzero_G_quadrature():
     sh = mass_shell_from_lambda(1.0, 2.0, 0.5)
     model = WSpring(0.9)
     orbit = find_circular(model, sh, 1.7)
-    # reached through the default rest_partials, bit for bit the reference
+    # reached through the default partials_at, bit for bit the reference
     assert _orbit_or_error(find_circular, model, sh, 1.7) == \
         _orbit_or_error(reference_find_circular, model, sh, 1.7)
     assert orbit.G != 0.0

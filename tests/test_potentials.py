@@ -116,7 +116,7 @@ def test_central_power_overflow_is_a_domain_error(n, z2):
     model = CentralPowerPotential(-1.0, n)
     message = f"ztil2 = {-z2!r} with n = {n}"
     with pytest.raises(DomainError, match=message):
-        model.rest_partials(1.0, 0.0, z2, 0.1, 0.0)
+        model.partials_at(1.0, 0.0)(-z2, -0.1, -0.0)
     with pytest.raises(DomainError, match=message):
         model.evaluate(ScalarQuintet.at_rest(1.0, 0.0, z2, 0.1, 0.0))
 
@@ -161,12 +161,13 @@ def test_describe_round_trips_through_builtin():
 
 
 def _bits(values):
-    return struct.pack("5d", *values)
+    return struct.pack("6d", *values)
 
 
-def _rest_partials_or_error(fn, *args):
+def _partials_or_error(partials_at, model, M2, nu, z2, y2, zy):
+    """The bits of partials_at(M2, nu) at the rest-frame state, or its error."""
     try:
-        return _bits(fn(*args))
+        return _bits(partials_at(model, M2, nu)(-z2, -y2, -zy))
     except (DomainError, ArithmeticError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -189,9 +190,12 @@ def rest_frame_states(draw):
 @pytest.mark.parametrize("model", MODELS, ids=repr)
 @given(args=rest_frame_states())
 def test_rest_partials_fast_path_is_bit_identical(model, args):
-    fast = model.rest_partials(*args)
-    assert _bits(fast) == _bits(PotentialSpec.rest_partials(model, *args))
-    assert all(math.isfinite(x) for x in fast)
+    # a builtin's partials_at, compiled from its _source, against the
+    # evaluate-based default of PotentialSpec on the same rest-frame quintet
+    M2, nu, z2, y2, zy = args
+    fast = model.partials_at(M2, nu)(-z2, -y2, -zy)
+    assert _bits(fast) == _bits(PotentialSpec.partials_at(model, M2, nu)(-z2, -y2, -zy))
+    assert all(math.isfinite(x) for x in fast) and fast[3:] == (0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("model", MODELS, ids=repr)
@@ -199,11 +203,11 @@ def test_rest_partials_fast_path_is_bit_identical(model, args):
        z2=st.floats(-10.0, 10.0, **_finite), y2=st.floats(0.0, 10.0, **_finite))
 def test_rest_partials_fast_path_fails_like_evaluate(model, M2, z2, y2):
     # inside or outside the domain: the same numbers or the same error.  M2 = 0
-    # is left out: there is no rest frame, and the default path fails earlier,
-    # in ScalarQuintet.at_rest (w = nu^2 / M2)
-    args = (M2, -0.5, z2, y2, 0.0)
-    fast = _rest_partials_or_error(model.rest_partials, *args)
-    assert fast == _rest_partials_or_error(PotentialSpec.rest_partials, model, *args)
+    # is left out: there is no rest frame, and the default binding fails
+    # earlier, at w = nu^2 / M2
+    args = (model, M2, -0.5, z2, y2, 0.0)
+    fast = _partials_or_error(type(model).partials_at, *args)
+    assert fast == _partials_or_error(PotentialSpec.partials_at, *args)
     outside = M2 < 0.0 or (isinstance(model, CentralPowerPotential) and z2 <= 0.0)
     if outside and not isinstance(model, FreePotential):
         assert fast.startswith("DomainError")
@@ -214,7 +218,8 @@ def _flat_kernel(cls):
     per ztil2 of its _source as one function of (self, P2, ztil2)."""
     head, body = dedent(cls._source).split("# per ztil2\n")
     src = "".join(f"{p} = self.{p}\n" for p in cls.params) + head + body
-    exec(compile(f"def flat(self, P2, ztil2):\n{indent(src, '    ')}    return V, dP2, dztil2",
+    exec(compile(f"def flat(self, P2, ztil2):\n{indent(src, '    ')}"
+                 "    return V, dP2, dztil2, 0.0, 0.0, 0.0",
                  f"<flat kernel of {cls.__name__}>", "exec"),
          namespace := {"math": math, "DomainError": DomainError})
     return namespace["flat"]
@@ -222,7 +227,7 @@ def _flat_kernel(cls):
 
 def _bits_or_error(fn, *args):
     try:
-        return struct.pack("3d", *fn(*args))
+        return _bits(fn(*args))
     except DomainError as exc:
         return f"DomainError: {exc}"
 
@@ -241,6 +246,7 @@ _KERNEL_MODELS = st.one_of(
                        st.floats(-30.0, 3.0).map(lambda e: -(10.0 ** e))))
 def test_the_bound_kernel_is_the_flat_source(model, P2, ztil2):
     # head once, then the lines per ztil2: the same floats as running both
-    # in one function, or the same DomainError, from the head or the body
+    # in one function, or the same DomainError, from the head or the body;
+    # a kernel model reads neither nu nor ytil2 nor zy
     want = _bits_or_error(_flat_kernel(type(model)), model, P2, ztil2)
-    assert _bits_or_error(lambda: model._kernel_at(P2)(ztil2)) == want
+    assert _bits_or_error(lambda: model.partials_at(P2, -0.5)(ztil2, -1.0, 0.25)) == want

@@ -1,4 +1,5 @@
 import math
+import re
 from array import array
 from dataclasses import astuple, replace
 
@@ -73,6 +74,16 @@ def sample_states(traj):
     return dense.groups[np.searchsorted(np.append(dense.t0, dense.t1), traj.lam), 0]
 
 
+def bound(shell, model):
+    """The model's partials bound on shell, as integrate binds them."""
+    return model.partials_at(shell.M2, shell.nu)
+
+
+def fused_stage(shell, model):
+    """The fused stage (source, c) of integrate's run of model on shell, or None."""
+    return ptb.reduced._stage(shell, model, bound(shell, model))
+
+
 class WMixing(PotentialSpec):
     """V = eps * w * ztil2: p2-free, w-coupled test model.
 
@@ -142,7 +153,7 @@ def test_free_motion_is_exact_drift():
 def test_rhs_harmonic_matches_hand_formula():
     p, shell = toy_setup()
     z, y = np.array([0.3, -0.7]), np.array([0.1, 0.4])
-    dx = rhs([*z, *y, 0.0, 0.0], shell, HarmonicPotential(p.chi))
+    dx = rhs([*z, *y, 0.0, 0.0], shell, bound(shell, HarmonicPotential(p.chi)))
     dz, dy, F, G = dx[0:2], dx[2:4], dx[4], dx[5]
     assert np.allclose(dz, y, atol=0)
     assert np.allclose(dy, -2.0 * p.chi * shell.M * z, rtol=1e-15)
@@ -192,7 +203,7 @@ def test_dense_clock_matches_grid_samples():
         lam = s.state.lambda_
         x = traj.dense(lam)
         tau1, _, _, T = equal_time_clock(lam, x[4], x[5], shell)
-        F, G = rhs(x, shell, model)[4:6]
+        F, G = rhs(x, shell, bound(shell, model))[4:6]
         assert T == pytest.approx(s.T, rel=1e-12)
         assert tau1 == pytest.approx(s.tau1, rel=1e-12)
         assert dT_dlambda(F, G, shell) == pytest.approx(s.dTdlambda, rel=1e-12)
@@ -297,7 +308,7 @@ def test_strict_clock_is_checked_at_lambda_0():
     shell = mass_shell_from_lambda(1.0, 1.0, 0.01)
     big = ReducedState(0.0, np.array([0.0, 8.0, 0.0]), np.array([0.5, 0.0, 0.0]))
     rate = dT_dlambda(*rhs([8.0, 0.0, 0.0, 0.5, 0.0, 0.0], shell,
-                           HarmonicPotential(1.0))[4:6], shell)
+                           bound(shell, HarmonicPotential(1.0)))[4:6], shell)
     assert rate < 0.0
     with pytest.raises(NonMonotoneTime) as info:
         integrate(big, shell, HarmonicPotential(1.0), 5.0,
@@ -548,12 +559,13 @@ def test_sample_rates_are_the_fsal_derivative(model, opts):
     assert len(traj.samples) > 8
     x = sample_states(traj)
     assert np.array_equal(lift(x, traj.basis), traj.u)
+    partials = bound(shell, model)
     for s, xs in zip(traj.samples, x.tolist()):
-        F, G = rhs(xs, shell, model)[4:6]
+        F, G = rhs(xs, shell, partials)[4:6]
         assert (s.F, s.G) == (F, G)
     # between samples the dense quadratures advance at the rates rhs gives
     lam, h = 2.345, 1e-4
-    F, G = rhs(traj.dense(lam), shell, model)[4:6]
+    F, G = rhs(traj.dense(lam), shell, partials)[4:6]
     slope = (np.array(traj.dense(lam + h)[4:6]) - traj.dense(lam - h)[4:6]) / (2.0 * h)
     assert slope == pytest.approx([F, G], rel=1e-6, abs=1e-9)
 
@@ -565,8 +577,8 @@ def test_sample_rates_are_the_fsal_derivative(model, opts):
 ], ids=repr)
 def test_generic_rest_partials_give_the_same_run(fast, generic):
     # a model that only defines evaluate takes the call path through rhs and
-    # PotentialSpec.rest_partials; against the fused kernel stage, the run
-    # must not move by one bit
+    # the default PotentialSpec.partials_at, the generic rest-frame partials;
+    # against the fused kernel stage, the run must not move by one bit
     shell = mass_shell_from_lambda(1.0, 2.0, -0.05)
     st = ReducedState(0.0, np.array([1.0, 0.2, -0.1]), np.array([0.05, 0.3, 0.1]))
     opts = IntegratorOptions(sample_interval=0.5)
@@ -687,10 +699,10 @@ def test_the_fused_attempt_is_the_call_path_attempt(model, lam, m2, v, h):
     u, k1 = v[:6], [*v[6:], 0.0]
     assume(u[0] * u[0] + u[1] * u[1] > 1e-6)
     shell = mass_shell_from_lambda(1.0, m2, lam)
-    source, c = ptb.reduced._stage(shell, model)
-    start = (*u, *k1)
+    source, c = fused_stage(shell, model)
+    start, partials = (*u, *k1), bound(shell, model)
     fused = _attempt_or_error(dopri._attempt(6, source), c, 0.5, h, 0.5 + h, start)
-    generic = _attempt_or_error(dopri._attempt(6), lambda t, y: rhs(y, shell, model),
+    generic = _attempt_or_error(dopri._attempt(6), lambda t, y: rhs(y, shell, partials),
                                 0.5, h, 0.5 + h, start)
     assert fused == generic
     if not isinstance(fused[0], type):
@@ -708,28 +720,28 @@ def test_the_fused_attempt_refuses_what_rhs_refuses(model, z0, text):
     # k1 = 0 keeps the second stage at the start state
     shell = mass_shell_from_lambda(1.0, 2.0, 0.0)
     u = [z0, 0.0, 0.3, 0.0, 0.0, 0.0]
-    source, c = ptb.reduced._stage(shell, model)
+    source, c = fused_stage(shell, model)
     errors = []
     with pytest.raises(DomainError) as info:
         dopri._attempt(6, source)(c, 0.0, 0.1, 0.1, (*u, *[0.0] * 6))
     errors.append(str(info.value))
     with pytest.raises(DomainError) as info:
-        rhs(u, shell, model)
+        rhs(u, shell, bound(shell, model))
     errors.append(str(info.value))
     assert errors[0] == errors[1]
     assert errors[0].startswith(text)
 
 
-@pytest.mark.parametrize("method", ["_kernel_at", "evaluate", "rest_partials"])
+@pytest.mark.parametrize("method", ["partials_at", "evaluate"])
 def test_a_kernel_model_refuses_a_method_of_its_own(method):
     # the motion, N and the shell closure must read one V: a kernel model
     # that wrote one of them would run on two
     own = {method: lambda self, *args: None}
     with pytest.raises(TypeError, match=f"^Own has its own {method}: "):
         type("Own", (HarmonicPotential,), own)
-    # from a mixin ahead of the kernel model too; a mixin's _kernel_at is
+    # from a mixin ahead of the kernel model too; a mixin's partials_at is
     # shadowed by the one compiled from _source, and is harmless
-    if method != "_kernel_at":
+    if method != "partials_at":
         with pytest.raises(TypeError, match=f"^Own has its own {method}: "):
             type("Own", (type("Mixin", (), own), HarmonicPotential), {})
 
@@ -794,29 +806,66 @@ def test_a_fused_run_keeps_intG_at_zero():
 @pytest.mark.parametrize("model", [HarmonicPotential(0.3), CentralPowerPotential(-0.5, 1)],
                          ids=repr)
 def test_the_head_runs_once_per_binding(monkeypatch, model):
-    # the fused stage, first_integrals and the radius scan each bind the
-    # kernel once; rhs binds it per call (k1 and the first-step probe), and so
-    # does the one evaluate at the circular root; the attempt holds no head
+    # a run binds the model once on its shell, and the fused stage takes its
+    # constants from that binding: the attempt holds no head
     cls, calls = type(model), []
-    bind = cls._kernel_at
-    monkeypatch.setattr(cls, "_kernel_at", lambda self, P2: calls.append(P2) or bind(self, P2))
+    bind = cls.partials_at
+    monkeypatch.setattr(cls, "partials_at",
+                        lambda self, *args: calls.append(args) or bind(self, *args))
     shell = mass_shell_from_lambda(1.0, 2.0, 0.1)
     st0 = ReducedState(0.0, np.array([1.0, 0.2, 0.0]), np.array([0.0, 0.4, 0.1]))
     traj = integrate(st0, shell, model, 5.0)
-    assert calls == [shell.M2] * 3 and len(traj.lam) > 10
-    calls.clear()
-    traj.first_integrals
-    assert calls == [shell.M2]
-    calls.clear()
-    find_circular(model, shell, 1.0)
-    assert calls == [shell.M2] * 2
-    (head, body, names), c = ptb.reduced._stage(shell, model)
+    assert calls == [(shell.M2, shell.nu)] and len(traj.lam) > 10
+    (head, body, names), c = fused_stage(shell, model)
     assert "sqrt" not in head + body
     assert "sqrt" not in dopri._attempt(6, (head, body, names)).__code__.co_names
-    # the constants are 2 M2 and the bound kernel's cells, in co_freevars order
-    kernel = bind(model, shell.M2)
-    assert c == (2.0 * shell.M2, *(v.cell_contents for v in kernel.__closure__))
-    assert head == f"M2x2, {', '.join(kernel.__code__.co_freevars)}, = c\n"
+    # the constants are 2 M2 and the bound partials' cells, in co_freevars order
+    partials = bind(model, shell.M2, shell.nu)
+    assert c == (2.0 * shell.M2, *(v.cell_contents for v in partials.__closure__))
+    assert head == f"M2x2, {', '.join(partials.__code__.co_freevars)}, = c\n"
+
+
+class CountedHead(HarmonicPotential):
+    """The harmonic model whose head records P2 in heads at every run."""
+
+    _source = "\n        self.heads.append(P2)" + HarmonicPotential._source
+
+    def __init__(self, chi):
+        super().__init__(chi)
+        self.heads = []
+
+
+_ST0 = ReducedState(0.0, np.array([1.0, 0.2, 0.0]), np.array([0.0, 0.4, 0.1]))
+
+
+@pytest.mark.parametrize("consume", [
+    lambda model, shell, traj: integrate(_ST0, shell, model, 5.0),
+    lambda model, shell, traj: find_circular(model, shell, 1.0),
+    lambda model, shell, traj: resample_uniform_T(traj, 37),
+    lambda model, shell, traj: traj.first_integrals,
+], ids=["integrate", "find_circular", "resample_uniform_T", "first_integrals"])
+def test_the_head_runs_once_per_call_of(consume):
+    # each consumer binds the model once on its shell: the head (the P2 > 0
+    # check and sqrt(P2)) runs once, not per stage, radius or sample
+    model, shell = CountedHead(0.3), mass_shell_from_lambda(1.0, 2.0, 0.1)
+    traj = integrate(_ST0, shell, model, 5.0)
+    model.heads.clear()
+    consume(model, shell, traj)
+    assert model.heads == [shell.M2]
+
+
+def test_the_fused_stage_leaves_out_a_V_it_never_reads():
+    # the harmonic V is a line of its own that no other line reads; the
+    # central_power V feeds dztil2 and dP2, so it stays
+    shell = mass_shell_from_lambda(1.0, 2.0, 0.1)
+    harmonic = fused_stage(shell, HarmonicPotential(0.3))[0][1]
+    assert "V" not in re.findall(r"\w+", harmonic) and "dP2 = chi * ztil2 / root2" in harmonic
+    central = fused_stage(shell, CentralPowerPotential(-0.5, 1))[0][1]
+    assert "V = scale * rho2 ** power" in central and "dP2 = V / P2x2" in central
+    # a V line that could raise (a division, a power, a call) stays with its error
+    source = HarmonicPotential._source.replace("V = dztil2 * ztil2", "V = dztil2 * ztil2 / root2")
+    divided = type("Divided", (HarmonicPotential,), {"_source": source})(0.3)
+    assert "V = dztil2 * ztil2 / root2" in fused_stage(shell, divided)[0][1]
 
 
 class PlainHarmonic(HarmonicPotential):
@@ -838,9 +887,9 @@ class Quartic(HarmonicPotential):
 def test_only_a_kernel_compiled_from_its_source_is_fused():
     shell = mass_shell_from_lambda(1.0, 2.0, 0.1)
     for model in (PlainHarmonic(0.3), Quartic(0.3)):
-        assert ptb.reduced._stage(shell, model) is not None
+        assert fused_stage(shell, model) is not None
     for model in (Forwarding(HarmonicPotential(0.3)), BareSpring(0.2)):
-        assert ptb.reduced._stage(shell, model) is None
+        assert fused_stage(shell, model) is None
 
 
 def test_rhs_is_the_call_for_k1_the_probe_and_each_resample(monkeypatch):
@@ -849,9 +898,9 @@ def test_rhs_is_the_call_for_k1_the_probe_and_each_resample(monkeypatch):
     # it for every stage; resampling calls it once per sample
     calls = []
 
-    def counted(x, shell, model):
+    def counted(x, shell, partials):
         calls.append(x)
-        return rhs(x, shell, model)
+        return rhs(x, shell, partials)
 
     monkeypatch.setattr(ptb.reduced, "rhs", counted)
     shell = mass_shell_from_lambda(1.0, 2.0, 0.1)

@@ -54,7 +54,8 @@ def test_closed_form_matches_model_rhs():
     for lam in (0.0, 0.7, 3.0):
         z, y = analytic_state(p, lam)
         x = [*(basis @ z).tolist(), *(basis @ y).tolist(), 0.0, 0.0]
-        du = lift(np.array([rhs(x, shell, HarmonicPotential(p.chi))]), basis)[0]
+        partials = HarmonicPotential(p.chi).partials_at(shell.M2, shell.nu)
+        du = lift(np.array([rhs(x, shell, partials)]), basis)[0]
         dz, dy, F, G = du[0:3], du[3:6], du[6], du[7]
         assert np.allclose(dz, y, rtol=1e-13, atol=1e-15)
         assert np.allclose(dy, -p.Omega ** 2 * np.array(z), rtol=1e-12, atol=1e-13)
