@@ -36,7 +36,7 @@ from .mass_ratio import RatioRow, limit_report
 from .mass_shell import MassShell, mass_shell_from_lambda, shell_from_M
 from .minkowski import FourVector
 from .output import diagnostics, format_float, json_payload, trajectory_rows, write_csv, write_json
-from .potentials import PotentialSpec, builtin
+from .potentials import PotentialSpec, _float, builtin
 from .reduced import IntegratorOptions, ReducedState, Trajectory, integrate
 from .reduced import synchronize  # noqa: F401 (unused; perfbench/tracing.py patches it)
 from .toy import ToyParams, analytic_T, analytic_state, initial_state, shell_for_toy
@@ -97,7 +97,7 @@ def _block(cfg: dict, name: str, keys: set, default=_REQUIRED):
 def _number(x, where: str, positive: bool = False) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ConfigError(f"{where} must be a number, got {x!r}")
-    v = float(x)
+    v = _float(x, where, ConfigError)
     if not math.isfinite(v):
         raise ConfigError(f"{where} must be finite, got {x!r}")
     if positive and not v > 0.0:
@@ -161,6 +161,8 @@ def build_scenario(cfg: dict) -> Scenario:
                                        "strict_time"}, {})
     tol = _tol(integ.get("tol", 1e-10), "integrator.tol")
     max_step = integ.get("max_step")
+    if max_step == math.inf:  # echoed as null, the same run: strict JSON has no inf
+        cfg = {**cfg, "integrator": {**integ, "max_step": None}}
     max_step = (math.inf if max_step in (None, math.inf)
                 else _number(max_step, "integrator.max_step", positive=True))
     sample_interval = integ.get("sample_interval")

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from textwrap import dedent, indent
 
 from .errors import BadParameter, DomainError
-from .kinematics import ScalarQuintet
 
 __all__ = [
+    "ScalarQuintet",
     "PotentialEval",
     "PotentialSpec",
     "FreePotential",
@@ -24,6 +24,18 @@ __all__ = [
     "CentralPowerPotential",
     "builtin",
 ]
+
+
+@dataclass(frozen=True)
+class ScalarQuintet:
+    """The five invariant scalars, the arguments of V: ztil2, ytil2 and zy from the
+    projections of z and y orthogonal to P, and w = (y.P)^2 / P^2 (rest_quintet)."""
+
+    P2: float
+    ztil2: float
+    ytil2: float
+    zy: float
+    w: float
 
 
 @dataclass(frozen=True)
@@ -137,7 +149,7 @@ class HarmonicPotential(_KernelModel):
     """
 
     def __init__(self, chi: float):
-        chi = float(chi)
+        chi = _float(chi, "harmonic chi")
         if not math.isfinite(chi) or chi <= 0.0:
             raise BadParameter(f"harmonic model needs chi > 0, got {chi!r}")
         self.chi = chi
@@ -172,13 +184,20 @@ class CentralPowerPotential(_KernelModel):
     """
 
     def __init__(self, g: float, n: int):
-        g = float(g)
+        g = _float(g, "central_power g")
         if not math.isfinite(g) or g == 0.0:
             raise BadParameter(f"central_power needs finite nonzero g, got {g!r}")
-        if int(n) != n or n < 1:
+        if not 1.0 <= _float(n, "central_power n") < math.inf or int(n) != n:
             raise BadParameter(f"central_power needs integer n >= 1, got {n!r}")
         self.g = g
         self.n = int(n)
+
+
+def _float(x, name: str, error=BadParameter) -> float:
+    try:
+        return float(x)
+    except OverflowError:  # an int past the float range
+        raise error(f"{name} must fit a float, got {len(str(abs(x)))} digits") from None
 
 
 _BUILTINS = {cls.name: cls for cls in (FreePotential, HarmonicPotential, CentralPowerPotential)}

@@ -30,9 +30,8 @@ import numpy as np
 
 from .dopri import MAX_STEPS, DenseOutput, _attempt, _require_finite, dense_steps, solve_dopri5
 from .errors import NonMonotoneTime, StepFailure
-from .kinematics import ScalarQuintet, noether_N
 from .mass_shell import MassShell
-from .potentials import PotentialSpec, _KernelModel
+from .potentials import PotentialSpec, ScalarQuintet, _KernelModel
 
 __all__ = [
     "IntegratorOptions",
@@ -171,12 +170,12 @@ class Trajectory:
 
     @cached_property
     def first_integrals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Columns of N = ytil2 + 2 V and L2, built once per trajectory: V maps
-        the model's partials, bound once on the shell, over the samples."""
+        """Columns of N = ytil2 + 2 V (conserved at -lambda) and L2 = ztil2 ytil2 - zy^2,
+        once per trajectory: V maps the model's partials, bound on the shell, over the samples."""
         q = rest_quintet(self.ztil, self.ytil, self.shell)
         partials = self.model.partials_at(self.shell.M2, self.shell.nu)
         V = [p[0] for p in map(partials, q.ztil2.tolist(), q.ytil2.tolist(), q.zy.tolist())]
-        return noether_N(q, np.array(V)), q.L2
+        return q.ytil2 + 2.0 * np.array(V), q.ztil2 * q.ytil2 - q.zy * q.zy
 
 
 def _dot(a: np.ndarray, b: np.ndarray):
@@ -185,10 +184,10 @@ def _dot(a: np.ndarray, b: np.ndarray):
 
 
 def rest_quintet(ztil: np.ndarray, ytil: np.ndarray, shell: MassShell) -> ScalarQuintet:
-    """Scalar quintet of a rest-frame state, or of (n, 3) columns of them;
-    y.P is the first integral nu."""
-    return ScalarQuintet.at_rest(shell.M2, shell.nu, _dot(ztil, ztil), _dot(ytil, ytil),
-                                 _dot(ztil, ytil))
+    """Scalar quintet of a rest-frame state, or of (n, 3) columns of them: there
+    P2 = M2, the projected products are minus those of zeta and eta, y.P = nu."""
+    return ScalarQuintet(shell.M2, -_dot(ztil, ztil), -_dot(ytil, ytil), -_dot(ztil, ytil),
+                         shell.nu * shell.nu / shell.M2)
 
 
 def plane_basis(ztil, ytil) -> np.ndarray:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ptb.errors import NonTimelikeP
-from ptb.kinematics import ScalarQuintet
 from ptb.minkowski import FourVector, boost_from_rest, lorentz_dot
+from ptb.potentials import ScalarQuintet
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,13 @@ import ptb.circular
 from ptb.binding import self_consistent_circular
 from ptb.dopri import DenseOutput
 from ptb.errors import BadParameter, DegenerateOrbit, DomainError, NoRoot, NotCentral, PtbError
-from ptb.kinematics import ScalarQuintet
 from ptb.mass_shell import mass_shell_from_lambda
 from ptb.potentials import (
     CentralPowerPotential,
     HarmonicPotential,
     PotentialEval,
     PotentialSpec,
+    ScalarQuintet,
 )
 from ptb.circular import (
     CLOSURE_BOUND,
@@ -58,7 +58,8 @@ def reference_find_circular(model, shell, l2):
     rest-frame quintet, the scalar reference of the fast path."""
 
     def quintet(rho):
-        return ScalarQuintet.at_rest(shell.M2, shell.nu, rho * rho, l2 / (rho * rho), 0.0)
+        return ScalarQuintet(P2=shell.M2, ztil2=-(rho * rho), ytil2=-(l2 / (rho * rho)),
+                             zy=-0.0, w=shell.nu * shell.nu / shell.M2)
 
     def residual(rho):
         return 2.0 * model.evaluate(quintet(rho)).dztil2 * rho ** 4 - l2

@@ -1,8 +1,10 @@
 import builtins
+import copy
 import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -617,6 +619,75 @@ def test_config_error_lines(tmp_path, capsys, overrides, line):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, **overrides)
     assert run_main(capsys, "simulate", "--config", str(cfg_path)) == (2, line + "\n")
+
+
+# every numeric field of a document: (dotted path, list index or None, base
+# overrides); the harmonic base holds chi, the central_power one g and n
+CENTRAL = {"potential": {"kind": "central_power", "params": {"g": -1.0, "n": 1}}}
+NUMERIC_FIELDS = [
+    ("masses.m1", None, {}), ("masses.m2", None, {}),
+    ("initial.ztil", 0, {}), ("initial.ytil", 1, {}), ("circular.l2", None, CIRCULAR),
+    ("integrator.tol", None, {}), ("integrator.max_step", None, {}),
+    ("integrator.lambda_span", None, {}), ("integrator.lambda_span", 1, {}),
+    ("integrator.sample_interval", None, {}), ("shell.lambda", None, {}),
+    ("frame.k", 0, {"frame": {"k": [1.0, 0.0, 0.0, 0.0]}}),
+    ("potential.params.chi", None, {}),
+    ("potential.params.g", None, CENTRAL), ("potential.params.n", None, CENTRAL),
+]
+UNFIT = [math.nan, math.inf, -math.inf, 10 ** 400]  # 10 ** 400 has 401 digits
+
+
+@pytest.mark.parametrize("value", UNFIT, ids=["nan", "inf", "-inf", "401 digits"])
+@pytest.mark.parametrize("path, index, overrides", NUMERIC_FIELDS,
+                         ids=[f"{p}[{i}]" if i is not None else p for p, i, _ in NUMERIC_FIELDS])
+def test_numbers_no_float_holds_are_refused(tmp_path, capsys, monkeypatch,
+                                            path, index, overrides, value):
+    monkeypatch.delenv("PTB_OUTPUT_DIR", raising=False)
+    cfg = write_config(tmp_path / "base.json", **copy.deepcopy(overrides))
+    if index is not None and path == "integrator.lambda_span":
+        cfg["integrator"]["lambda_span"] = [0.0, 6.0]
+    *blocks, key = path.split(".")
+    block = cfg
+    for name in blocks:
+        block = block.setdefault(name, {})
+    if index is None:
+        block[key] = value
+    else:
+        block[key][index] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))  # NaN, Infinity and 401 digits in the JSON text
+    code, err = run_main(capsys, "simulate", "--config", str(cfg_path))
+    if (path, value) == ("integrator.max_step", math.inf):  # no cap: the default
+        assert (code, err) == (0, "")
+        return
+    assert code == 2
+    assert re.fullmatch(r"(ConfigError|BadParameter): [^\n]+\n", err), err
+    assert key in err, err
+
+
+def test_infinite_max_step_echoes_as_null_and_reruns(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PTB_OUTPUT_DIR", raising=False)
+    flags = ["simulate", "--potential", "harmonic", "--chi", "0.125", "--m1", "1", "--m2", "2",
+             "--ztil", "1,0,0", "--ytil", "0,0.5,0", "--lambda-span", "1", "--format", "json"]
+    uncapped, default, echo = (tmp_path / f"{name}.json" for name in ("inf", "default", "echo"))
+    assert main([*flags, "--max-step", "inf", "--out", str(uncapped)]) == 0
+    assert main([*flags, "--out", str(default)]) == 0
+    doc = json.loads(uncapped.read_text())
+    assert doc["scenario"]["integrator"]["max_step"] is None
+    assert doc["rows"] == json.loads(default.read_text())["rows"]
+    # the echoed document is a config of the same run
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(doc["scenario"]))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(echo)]) == 0
+    assert json.loads(echo.read_text())["rows"] == doc["rows"]
+    # a max_step that overflows to inf as it is read; the caller's dict is left as it was
+    cfg = json.loads(cfg_path.read_text().replace('"max_step": null', '"max_step": 1e400'))
+    assert cfg["integrator"]["max_step"] == math.inf
+    given = copy.deepcopy(cfg)
+    cfg["output"]["path"] = given["output"]["path"] = str(echo)
+    ptb.cli.run_scenario(ptb.cli.build_scenario(cfg))
+    assert cfg == given
+    assert json.loads(echo.read_text())["scenario"]["integrator"]["max_step"] is None
 
 
 # a second fault in each document: masses (1, 2) with shell.lambda = -10 break

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ptb.errors import NonTimelikeP
-from ptb.kinematics import noether_N
 from ptb.minkowski import FourVector, lorentz_dot
 
 from covariant import (
@@ -107,13 +106,6 @@ def test_angular_momentum_is_gram_determinant(rng):
         yr = boost_to_rest(ytil, P).spatial
         assert L2 == pytest.approx(float(np.cross(zr, yr) @ np.cross(zr, yr)),
                                    rel=1e-10, abs=1e-10)
-
-
-def test_noether_N_definition():
-    q = scalar_quintet(split(CanonicalState(
-        q1=FourVector(0, 1, 0, 0), q2=FourVector(0, 0, 0, 0),
-        p1=FourVector(2, 0.3, 0, 0), p2=FourVector(2, -0.3, 0, 0))))
-    assert noether_N(q, 0.25) == pytest.approx(q.ytil2 + 0.5, abs=1e-15)
 
 
 def test_center_of_mass_energy_weighted_mean_on_slice():

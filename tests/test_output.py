@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ptb.kinematics import noether_N
 from ptb.mass_shell import mass_shell_from_lambda
 from ptb.output import (
     COLUMNS,
@@ -24,10 +23,22 @@ from ptb.output import (
     write_json,
 )
 from ptb.potentials import HarmonicPotential
-from ptb.reduced import IntegratorOptions, ReducedState, integrate, rest_quintet, synchronize
+from ptb.reduced import IntegratorOptions, ReducedState, integrate, synchronize
 from ptb.minkowski import FourVector
 from ptb.worldline import export_lab_frame, worldlines
 from ptb_fixtures import Forwarding
+
+from covariant import (
+    CanonicalState,
+    add,
+    angular_momentum_L2,
+    scalar_quintet,
+    split,
+    sub,
+    tilde_project,
+)
+
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -271,10 +282,20 @@ def test_rows_are_the_columns(run):
     assert np.array_equal(rows[:, 4:10], traj.u[:, 0:6])
     assert np.array_equal(rows[:, 10:22], np.hstack((ws.x1, ws.x2, ws.Xi)))
     assert np.array_equal(rows[:, 22:], np.column_stack((N, L2, traj.dTdlambda)))
-    # the N and L2 columns are the scalar formulas applied sample by sample
-    for i, (z, y) in enumerate(zip(traj.ztil, traj.ytil)):
-        q = rest_quintet(z, y, traj.shell)
-        assert (N[i], L2[i]) == (noether_N(q, traj.model.evaluate(q).value), q.L2)
+    # the N and L2 columns agree with the covariant formulas on the state
+    # rebuilt from each sample's world-line points and rest-frame momenta
+    M, nu = traj.shell.M, traj.shell.nu
+    P = FourVector(M, 0.0, 0.0, 0.0)
+    for i, ytil in enumerate(traj.ytil):
+        y = FourVector(nu / M, *ytil.tolist())
+        ei = split(CanonicalState(q1=FourVector(*ws.x1[i]), q2=FourVector(*ws.x2[i]),
+                                  p1=add(0.5 * P, y), p2=sub(0.5 * P, y)))
+        q = scalar_quintet(ei)
+        V = traj.model.evaluate(q).value
+        L2_cov = angular_momentum_L2(tilde_project(ei.z, P), tilde_project(ei.y, P))
+        # 16 eps of the largest term of each sum
+        assert abs(N[i] - (q.ytil2 + 2.0 * V)) <= 16 * EPS * max(abs(q.ytil2), abs(2.0 * V))
+        assert abs(L2[i] - L2_cov) <= 16 * EPS * max(abs(q.ztil2 * q.ytil2), q.zy * q.zy)
 
 
 # tables of the values a row can hold: nan, signed zeros, integral values up

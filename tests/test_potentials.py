@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptb.errors import BadParameter, DomainError
-from ptb.kinematics import ScalarQuintet
 from ptb.potentials import (
     CentralPowerPotential,
     FreePotential,
     HarmonicPotential,
     PotentialSpec,
+    ScalarQuintet,
     builtin,
 )
 
@@ -118,7 +118,7 @@ def test_central_power_overflow_is_a_domain_error(n, z2):
     with pytest.raises(DomainError, match=message):
         model.partials_at(1.0, 0.0)(-z2, -0.1, -0.0)
     with pytest.raises(DomainError, match=message):
-        model.evaluate(ScalarQuintet.at_rest(1.0, 0.0, z2, 0.1, 0.0))
+        model.evaluate(ScalarQuintet(P2=1.0, ztil2=-z2, ytil2=-0.1, zy=-0.0, w=0.0))
 
 
 def test_parameter_validation():
