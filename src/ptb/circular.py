@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import BadParameter, DegenerateOrbit, DomainError, NoRoot, NotCentr
 from .mass_shell import MassShell
 from .potentials import PotentialSpec
 from .reduced import IntegratorOptions, ReducedState, dT_dlambda, integrate, rest_quintet
-from .reduced import synchronize  # noqa: F401 (unused; perfbench/tracing.py patches it)
+from .reduced import synchronize  # noqa: F401 (unused until perfbench/tracing.py stops patching it)
 from .roots import first_root
 
 __all__ = [
@@ -138,37 +139,36 @@ class PeriodicityReport:
 
 def verify_circular(orbit: CircularOrbit, model: PotentialSpec, shell: MassShell,
                     n_samples: int = 400) -> tuple[ConstancyReport, PeriodicityReport]:
-    """Integrate one lambda-period once at tol 1e-10, landing on n_samples
-    equal steps, and check it twice: the relative variation of ztil2, ytil2,
-    zy and the quadrature rates; the closure of zeta and eta, the T
-    advance against period_T and the largest residual of T from a fitted line.
-    The two reports, not the run, are kept on the orbit per model and shell
-    object and n_samples, so a second check integrates nothing."""
+    """Integrate one lambda-period at tol 1e-10, landing on n_samples equal
+    steps, and check it twice: the relative variation of ztil2, ytil2, zy and
+    the quadrature rates; the closure of zeta and eta, the T advance against
+    period_T and the largest residual of T from a fitted line.  Each call
+    integrates; nothing is kept."""
     if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
         raise BadParameter(f"n_samples must be an integer >= 1, got {n_samples!r}")
-    kept = orbit.__dict__.setdefault("_reports", {})
-    key = (id(model), id(shell), n_samples)  # the entry holds both, so the ids stay theirs
-    if key not in kept:
-        opts = IntegratorOptions(tol=1e-10, sample_interval=orbit.period_lambda / n_samples)
-        traj = integrate(orbit.initial_state(), shell, model, orbit.period_lambda, opts)
-        z, y, T, lam = traj.ztil, traj.ytil, traj.T, traj.lam
-        q = rest_quintet(z, y, shell)
-        cols = {name: getattr(traj if name in ("F", "G") else q, name) for name in _QUANTITIES}
-        scales = _scales(cols, shell.M2)
-        variations = {k: float((np.max(c) - np.min(c)) / scales[k]) for k, c in cols.items()}
-        residual = T - np.polyval(np.polyfit(lam, T, 1), lam)
-        kept[key] = model, shell, (
-            ConstancyReport(variations, max(variations.values())),
+    opts = IntegratorOptions(tol=1e-10, sample_interval=orbit.period_lambda / n_samples)
+    traj = integrate(orbit.initial_state(), shell, model, orbit.period_lambda, opts)
+    z, y, T, lam = traj.ztil, traj.ytil, traj.T, traj.lam
+    q = rest_quintet(z, y, shell)
+    cols = {name: getattr(traj if name in ("F", "G") else q, name) for name in _QUANTITIES}
+    scales = _scales(cols, shell.M2)
+    variations = {k: float((np.max(c) - np.min(c)) / scales[k]) for k, c in cols.items()}
+    residual = T - np.polyval(np.polyfit(lam, T, 1), lam)
+    return (ConstancyReport(variations, max(variations.values())),
             PeriodicityReport(float(np.max(np.abs(z[-1] - z[0]))),
                               float(np.max(np.abs(y[-1] - y[0]))),
                               float(abs((T[-1] - T[0]) - orbit.period_T)),
                               float(np.max(np.abs(residual)))))
-    return kept[key][2]
+
+
+# shims the benchmark calls one after the other, to go once it calls
+# verify_circular: they share the last pair, so the two integrate once
+_last_pair = lru_cache(maxsize=1)(verify_circular)
 
 
 def verify_constancy(orbit, model, shell, n_samples=400) -> ConstancyReport:
-    return verify_circular(orbit, model, shell, n_samples)[0]
+    return _last_pair(orbit, model, shell, n_samples)[0]
 
 
 def verify_periodicity(orbit, model, shell, n_samples=400) -> PeriodicityReport:
-    return verify_circular(orbit, model, shell, n_samples)[1]
+    return _last_pair(orbit, model, shell, n_samples)[1]

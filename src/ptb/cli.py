@@ -38,7 +38,7 @@ from .minkowski import FourVector
 from .output import diagnostics, format_float, json_payload, trajectory_rows, write_csv, write_json
 from .potentials import PotentialSpec, _float, builtin
 from .reduced import IntegratorOptions, ReducedState, Trajectory, integrate
-from .reduced import synchronize  # noqa: F401 (unused; perfbench/tracing.py patches it)
+from .reduced import synchronize  # noqa: F401 (unused until perfbench/tracing.py stops patching it)
 from .toy import ToyParams, analytic_T, analytic_state, initial_state, shell_for_toy
 from .worldline import export_lab_frame, worldlines
 

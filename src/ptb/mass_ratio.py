@@ -21,6 +21,7 @@ from typing import Sequence
 
 from .errors import BadParameter, InadmissibleAlpha
 from .mass_shell import _energies
+from .potentials import _float
 
 __all__ = ["RatioRow", "limit_report"]
 
@@ -46,9 +47,9 @@ def limit_report(m2: float, alpha: float, eps_sequence: Sequence[float]) -> list
     negative alpha (the heavy particle absorbs the center of energy
     entirely).
     """
+    m2, alpha = _float(m2, "m2"), _float(alpha, "alpha")
     if not (m2 > 0.0 and math.isfinite(m2)):
         raise BadParameter(f"need m2 > 0, got {m2!r}")
-    alpha = float(alpha)
     if not math.isfinite(alpha):
         raise BadParameter(f"need a finite alpha, got {alpha!r}")
     if alpha > 0.0:

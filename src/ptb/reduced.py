@@ -66,43 +66,32 @@ class IntegratorOptions:
 
 @dataclass(frozen=True)
 class ReducedState:
-    """Rest-frame internal state at one value of lambda.
-
-    ztil and ytil hold the spatial parts; the four-vector scalars follow the
-    sign map ztil2 = -|ztil|^2 etc.  intF and intG are the accumulated
-    quadratures from lambda = 0.
-    """
+    """Rest-frame internal state at one value of lambda: ztil and ytil hold
+    the spatial parts; the four-vector scalars follow the sign map
+    ztil2 = -|ztil|^2 etc."""
 
     lambda_: float
     ztil: np.ndarray
     ytil: np.ndarray
-    intF: float = 0.0
-    intG: float = 0.0
 
 
 @dataclass(frozen=True)
 class TrajectorySample:
-    """One sample as an object; see Trajectory.samples."""
+    """One sample as an object, a shim the benchmark reads; see Trajectory.samples."""
 
     state: ReducedState
-    F: float
-    G: float
-    tau1: float
-    tau2: float
     T: float
-    dTdlambda: float
-    flagged: bool
 
 
 class _SampleView(Sequence):
     """TrajectorySample objects over the rows of a trajectory, built on first
-    access: a convenience for callers outside the package, which itself reads
-    the columns."""
+    access: a shim that the benchmark reads, while the package reads the
+    columns.  T comes from equal_time_clock, the same floats as Trajectory.T."""
 
     def __init__(self, traj: "Trajectory"):
         # the columns, not the trajectory: a reference cycle would keep every
         # finished run in memory until the next full garbage collection
-        self._cols = traj.lam, traj.u, traj.F, traj.G, traj.shell
+        self._cols = traj.lam, traj.u, traj.shell
 
     def __len__(self) -> int:
         return len(self._cols[0])
@@ -112,13 +101,10 @@ class _SampleView(Sequence):
 
     @cached_property
     def _rows(self) -> tuple[TrajectorySample, ...]:
-        lam, u, F, G, _ = self._cols
-        clock = _clock_columns(*self._cols)[:4]
-        return tuple(
-            TrajectorySample(ReducedState(lam, u[0:3].copy(), u[3:6].copy(), float(u[6]),
-                                          float(u[7])), F, G, *c, flagged=not (c[3] > 0.0))
-            for lam, u, F, G, *c in zip(lam.tolist(), u, F.tolist(), G.tolist(),
-                                        *(c.tolist() for c in clock)))
+        lam, u, shell = self._cols
+        T = equal_time_clock(lam, u[:, 6], u[:, 7], shell)[3]
+        return tuple(TrajectorySample(ReducedState(at, row[0:3].copy(), row[3:6].copy()), t)
+                     for at, row, t in zip(lam.tolist(), u, T.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,8 +117,10 @@ class Trajectory:
     read: a replace gets its own.  dense is the solver's interpolant of the
     in-plane state over every accepted step; h_min, h_max and n_landed are
     its step-size range and the steps that end on a sample or on the end of
-    the span.  samples is a per-sample view of the same data, built on first
-    access; a tuple given explicitly is kept as it is.
+    the span.  samples, a per-sample view of lam, ztil, ytil and T built on
+    first access, is a shim the benchmark still reads and replaces (a tuple
+    given explicitly is kept as it is); it goes once the benchmark reads the
+    columns.
     """
 
     shell: MassShell
@@ -157,7 +145,13 @@ class Trajectory:
         if not isinstance(self.samples, tuple):
             object.__setattr__(self, "samples", _SampleView(self))
 
-    _clock = cached_property(lambda t: _clock_columns(t.lam, t.u, t.F, t.G, t.shell))
+    @cached_property
+    def _clock(self) -> tuple:
+        """tau1, tau2, T, the clock rate and monotone, from the columns."""
+        tau1, tau2, _, T = equal_time_clock(self.lam, self.u[:, 6], self.u[:, 7], self.shell)
+        rate = dT_dlambda(self.F, self.G, self.shell)
+        return tau1, tau2, T, rate, bool(np.all(rate > 0.0) and np.all(np.diff(T) > 0.0))
+
     tau1 = property(lambda t: t._clock[0])
     tau2 = property(lambda t: t._clock[1])
     T = property(lambda t: t._clock[2])
@@ -287,10 +281,8 @@ def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
     G are the solver's derivative at each sample.  synchronize checks strict mode."""
     if not (span > 0.0):
         raise ValueError(f"span must be positive, got {span!r}")
-    start = (initial.lambda_, initial.intF, initial.intG)
-    if start != (0.0, 0.0, 0.0):
-        raise ValueError("integration starts at lambda = 0 with both quadratures at 0, "
-                         f"got (lambda, intF, intG) = {start!r}")
+    if initial.lambda_ != 0.0:
+        raise ValueError(f"integration starts at lambda = 0, got {initial.lambda_!r}")
 
     z0, y0 = (np.asarray(v, dtype=float) for v in (initial.ztil, initial.ytil))
     _require_finite("at lambda = 0", ("ztil", z0.tolist()), ("ytil", y0.tolist()))
@@ -320,14 +312,6 @@ def equal_time_clock(lam, intF, intG, shell: MassShell):
     delta = -(2.0 / M2) * (nu * lam + intG)
     QdotP = 0.5 * nu * delta + 0.25 * M2 * lam + intF
     return 0.5 * (lam + delta), 0.5 * (lam - delta), QdotP, QdotP / M
-
-
-def _clock_columns(lam, u, F, G, shell: MassShell) -> tuple:
-    """tau1, tau2, T and the clock rate over the columns of a run, and
-    whether T rises at a positive rate throughout."""
-    tau1, tau2, _, T = equal_time_clock(lam, u[:, 6], u[:, 7], shell)
-    rate = dT_dlambda(F, G, shell)
-    return tau1, tau2, T, rate, bool(np.all(rate > 0.0) and np.all(np.diff(T) > 0.0))
 
 
 def synchronize(traj: Trajectory) -> Trajectory:

@@ -81,7 +81,7 @@ def first_root(f, grid, skip=()):
             continue
         if fx == 0.0:
             return x
-        if prev is not None and prev[1] * fx < 0.0:
-            return brent(f, prev[0], x)
+        if prev is not None and not math.isnan(fx) and (prev[1] < 0.0) != (fx < 0.0):
+            return brent(f, prev[0], x)  # signs, not a product, which can underflow
         prev = None if math.isnan(fx) else (x, fx)
     return None

@@ -158,9 +158,12 @@ def resample_uniform_T(traj: Trajectory, n: Optional[int] = None) -> Trajectory:
 
 
 def export_lab_frame(ws: WorldlineSet, k: FourVector) -> WorldlineSet:
-    """Boost all sampled points into the frame where the total momentum has
-    components k.  k must satisfy k.k = M^2 of the shell (1e-9 relative)."""
-    M2 = ws.traj.shell.M2
+    """Boost all sampled points of a rest-frame set into the frame where the
+    total momentum has components k.  k must satisfy k.k = M^2 of the shell
+    (1e-9 relative); a set already boosted is refused."""
+    M, M2 = ws.traj.shell.M, ws.traj.shell.M2
+    if ws.frame != FourVector(M, 0.0, 0.0, 0.0):
+        raise FrameMismatch(f"the world lines are in the frame {ws.frame}, not the rest frame")
     kk = lorentz_dot(k, k)
     if not (abs(kk - M2) <= 1e-9 * M2):
         raise FrameMismatch(f"k.k = {kk!r} but the shell has M^2 = {M2!r}")

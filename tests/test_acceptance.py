@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from ptb.circular import find_circular, verify_periodicity, verify_constancy
+from ptb.circular import find_circular, verify_circular
 from ptb.errors import NonMonotoneTime
 from ptb.mass_ratio import limit_report
 from ptb.mass_shell import mass_shell_from_lambda, nonrel_check
@@ -114,13 +114,12 @@ def test_criterion_04_toy_oracle_equivalence():
         IntegratorOptions(tol=1e-10, sample_interval=p.period / 16.0)))
     dev_state = 0.0
     dev_T = 0.0
-    for s in traj.samples:
-        lam = s.state.lambda_
+    for lam, z, y, T in zip(traj.lam.tolist(), traj.ztil, traj.ytil, traj.T.tolist()):
         za, ya = analytic_state(p, lam)
         dev_state = max(dev_state,
-                        float(np.max(np.abs(s.state.ztil - np.array(za)))),
-                        float(np.max(np.abs(s.state.ytil - np.array(ya)))))
-        dev_T = max(dev_T, abs(s.T - analytic_T(p, lam)))
+                        float(np.max(np.abs(z - np.array(za)))),
+                        float(np.max(np.abs(y - np.array(ya)))))
+        dev_T = max(dev_T, abs(T - analytic_T(p, lam)))
     elapsed = time.perf_counter() - t0
     ok = dev_state <= 1e-8 and dev_T <= 1e-8 and elapsed < 5.0
     record(4, ok,
@@ -172,8 +171,7 @@ def test_criterion_06_circular_orbit_theorem():
     parts = []
     for model in (HarmonicPotential(0.125), CentralPowerPotential(-1.0, 1)):
         orbit = find_circular(model, shell, 1.0)
-        constancy = verify_constancy(orbit, model, shell)
-        period = verify_periodicity(orbit, model, shell)
+        constancy, period = verify_circular(orbit, model, shell)
         good = (period.closure_ztil <= 1e-8 and period.closure_ytil <= 1e-8
                 and constancy.max_variation <= 1e-9
                 and period.linear_residual <= 1e-10
@@ -204,9 +202,8 @@ def test_criterion_07_academic_case():
         shell, PlainSpring(), 12.0,
         IntegratorOptions(tol=1e-12, sample_interval=0.25)))
     slope = 0.25 * shell.M - shell.nu ** 2 / shell.M ** 3
-    worst = max(abs(s.T - slope * s.state.lambda_) for s in traj.samples)
-    moved = float(np.max(np.abs(traj.samples[-1].state.ytil
-                                - traj.samples[0].state.ytil)))
+    worst = float(np.max(np.abs(traj.T - slope * traj.lam)))
+    moved = float(np.max(np.abs(traj.ytil[-1] - traj.ytil[0])))
     ok = worst <= 1e-12 and moved > 1e-3
     record(7, ok,
            f"force without P2/w coupling keeps T exactly linear: "
@@ -277,7 +274,7 @@ def test_criterion_10_clock_rate_positivity():
         traj = synchronize(integrate(
             state_of(p), shell, HarmonicPotential(p.chi), 2.0 * p.period,
             IntegratorOptions(tol=1e-11, sample_interval=p.period / 64.0)))
-        min_rate = min(s.dTdlambda for s in traj.samples)
+        min_rate = float(traj.dTdlambda.min())
         good = margin > 0.0 and min_rate > 0.0 and traj.monotone is True
         ok = ok and good
         details.append(f"margin {margin:.3f} -> min rate {min_rate:.3f}")

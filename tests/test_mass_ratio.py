@@ -118,6 +118,13 @@ def test_parameter_validation():
             limit_report(1.0, alpha, [1e-2])
 
 
+def test_integers_past_the_float_range_are_refused():
+    with pytest.raises(BadParameter, match="^alpha must fit a float, got 401 digits$"):
+        limit_report(1.0, 10**400, [0.01])
+    with pytest.raises(BadParameter, match="^m2 must fit a float, got 401 digits$"):
+        limit_report(10**400, 0.0, [0.01])
+
+
 @pytest.mark.parametrize("alpha", [1.4e154, 1e200, 1e308])
 def test_limit_is_one_half_once_beta_overflows(alpha):
     # alpha^2 overflows in beta; both energies are then about sqrt(lambda)

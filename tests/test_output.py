@@ -88,21 +88,20 @@ def test_format_float_17_digits():
 def test_rows_shape_and_alignment(run):
     traj, ws = run
     rows = trajectory_rows(traj, ws)
-    assert rows.n == len(traj.samples) and rows.ncols == 25
-    for row, s in zip(read_back(rows), traj.samples):
-        assert len(row) == 25
-        assert row[0] == s.state.lambda_
-        assert row[1] == s.T
-        assert tuple(row[4:7]) == tuple(s.state.ztil)
-        assert row[24] == s.dTdlambda
-        assert not any(math.isnan(v) for v in row)
+    assert rows.n == len(traj.lam) and rows.ncols == 25
+    back = read_back(rows)
+    assert back.shape == (len(traj.lam), 25)
+    assert np.array_equal(back[:, 0], traj.lam) and np.array_equal(back[:, 1], traj.T)
+    assert np.array_equal(back[:, 4:7], traj.ztil)
+    assert np.array_equal(back[:, 24], traj.dTdlambda)
+    assert not np.isnan(back).any()
 
 
 def test_rows_consistency_checks(run):
     traj, ws = run
     with pytest.raises(ValueError):
         trajectory_rows(traj, worldlines(synchronize(integrate(
-            traj.samples[0].state, traj.shell, traj.model, 6.0,
+            ReducedState(0.0, traj.ztil[0], traj.ytil[0]), traj.shell, traj.model, 6.0,
             IntegratorOptions(sample_interval=1.0)))))
 
 
@@ -132,11 +131,10 @@ def test_rows_belong_to_their_trajectory(run):
 def test_flagged_rows_blank_positions(flagged_run):
     traj, ws = flagged_run
     rows = read_back(trajectory_rows(traj, ws))
-    n_flagged = sum(1 for s in traj.samples if s.flagged)
-    assert n_flagged > 0
-    for row, s in zip(rows, traj.samples):
+    assert traj.flagged.any() and len(rows) == len(traj.lam)
+    for row, flagged in zip(rows, traj.flagged):
         pos = row[10:22]
-        if s.flagged:
+        if flagged:
             assert all(math.isnan(v) for v in pos)
             # lambda-parametrized columns stay valid
             assert not any(math.isnan(v) for v in row[:10])
@@ -164,7 +162,7 @@ def test_step_telemetry_on_a_sample_grid():
 def test_diagnostics_content(run):
     traj, _ = run
     d = diagnostics(traj)
-    assert d["n_samples"] == len(traj.samples)
+    assert d["n_samples"] == len(traj.lam)
     assert d["n_rhs"] == traj.n_rhs == 2 + 6 * (d["n_accepted"] + d["n_rejected"])
     assert d["lambda_span"] == [0.0, 6.0]
     assert d["N_drift"] < 1e-9
@@ -227,7 +225,7 @@ def test_json_payload(run):
     assert payload["frame"] == [traj.shell.M, 0.0, 0.0, 0.0]
     assert payload["columns"] == list(COLUMNS)
     assert payload["rows"] is trajectory_rows(traj, ws)
-    assert payload["rows"].n == len(traj.samples)
+    assert payload["rows"].n == len(traj.lam)
     assert payload["exit"] == 0
     assert payload["diagnostics"]["monotone"] is True
 

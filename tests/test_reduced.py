@@ -1,7 +1,7 @@
 import math
 import re
 from array import array
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from ptb.potentials import (
 from ptb.reduced import (
     IntegratorOptions,
     ReducedState,
+    TrajectorySample,
     dT_dlambda,
     equal_time_clock,
     integrate,
@@ -138,14 +139,12 @@ def test_free_motion_is_exact_drift():
                                  FreePotential(), 10.0,
                                  IntegratorOptions(sample_interval=1.0)))
     drift = 0.25 * shell.M - shell.nu ** 2 / shell.M ** 3
-    for s in traj.samples:
-        lam = s.state.lambda_
-        assert np.allclose(s.state.ztil, z0 + lam * y0, rtol=1e-13, atol=1e-13)
-        assert np.allclose(s.state.ytil, y0, rtol=0, atol=1e-14)
-        assert s.state.intF == 0.0 and s.state.intG == 0.0
-        assert s.T == pytest.approx(drift * lam, rel=1e-13, abs=1e-15)
-        assert s.tau1 == pytest.approx(0.5 * lam - shell.nu * lam / shell.M2,
-                                       rel=1e-13, abs=1e-15)
+    lam = traj.lam
+    assert np.allclose(traj.ztil, z0 + lam[:, None] * y0, rtol=1e-13, atol=1e-13)
+    assert np.allclose(traj.ytil, y0, rtol=0, atol=1e-14)
+    assert not traj.u[:, 6:8].any()
+    assert traj.T == pytest.approx(drift * lam, rel=1e-13, abs=1e-15)
+    assert traj.tau1 == pytest.approx(0.5 * lam - shell.nu * lam / shell.M2, rel=1e-13, abs=1e-15)
     assert traj.monotone is True
 
 
@@ -165,14 +164,13 @@ def test_harmonic_matches_toy_oracle():
     opts = IntegratorOptions(tol=1e-12, sample_interval=p.period / 8.0)
     traj = synchronize(integrate(state0(p), shell, HarmonicPotential(p.chi),
                                  2.0 * p.period, opts))
-    for s in traj.samples:
-        lam = s.state.lambda_
+    for lam, u, T in zip(traj.lam.tolist(), traj.u, traj.T):
         z, y = analytic_state(p, lam)
-        assert np.allclose(s.state.ztil, z, atol=5e-11)
-        assert np.allclose(s.state.ytil, y, atol=5e-11)
-        assert s.state.intF == pytest.approx(intF_analytic(p, lam), abs=5e-11)
-        assert s.state.intG == 0.0
-        assert s.T == pytest.approx(analytic_T(p, lam), abs=5e-11)
+        assert np.allclose(u[0:3], z, atol=5e-11)
+        assert np.allclose(u[3:6], y, atol=5e-11)
+        assert u[6] == pytest.approx(intF_analytic(p, lam), abs=5e-11)
+        assert u[7] == 0.0
+        assert T == pytest.approx(analytic_T(p, lam), abs=5e-11)
     assert traj.monotone is True
 
 
@@ -198,14 +196,14 @@ def test_dense_clock_matches_grid_samples():
     model = HarmonicPotential(p.chi)
     traj = synchronize(integrate(state0(p), shell, model, 5.0,
                                  IntegratorOptions(sample_interval=0.5)))
-    for s in traj.samples[1:]:
-        lam = s.state.lambda_
+    for lam, T0, tau10, rate in zip(traj.lam.tolist()[1:], traj.T[1:], traj.tau1[1:],
+                                    traj.dTdlambda[1:]):
         x = traj.dense(lam)
         tau1, _, _, T = equal_time_clock(lam, x[4], x[5], shell)
         F, G = rhs(x, shell, bound(shell, model))[4:6]
-        assert T == pytest.approx(s.T, rel=1e-12)
-        assert tau1 == pytest.approx(s.tau1, rel=1e-12)
-        assert dT_dlambda(F, G, shell) == pytest.approx(s.dTdlambda, rel=1e-12)
+        assert T == pytest.approx(T0, rel=1e-12)
+        assert tau1 == pytest.approx(tau10, rel=1e-12)
+        assert dT_dlambda(F, G, shell) == pytest.approx(rate, rel=1e-12)
 
 
 def test_w_coupled_quadrature_oracle():
@@ -228,16 +226,16 @@ def test_w_coupled_quadrature_oracle():
     span = 6.0
     traj = synchronize(integrate(ReducedState(0.0, z0, y0), shell, model, span,
                                  IntegratorOptions(tol=1e-12, sample_interval=1.5)))
-    for s in traj.samples[1:]:
-        lam = s.state.lambda_
-        assert np.allclose(s.state.ztil, zeta(lam), atol=1e-10)
+    for lam, u, tau1, tau2, T in zip(traj.lam.tolist()[1:], traj.u[1:], traj.tau1[1:],
+                                     traj.tau2[1:], traj.T[1:]):
+        assert np.allclose(u[0:3], zeta(lam), atol=1e-10)
         want_G, err = quad(G_rate, 0.0, lam, epsabs=1e-13, epsrel=1e-13)
-        assert s.state.intG == pytest.approx(want_G, abs=1e-9)
-        assert s.state.intF == 0.0
+        assert u[7] == pytest.approx(want_G, abs=1e-9)
+        assert u[6] == 0.0
         delta = -(2.0 / shell.M2) * (shell.nu * lam + want_G)
-        assert (s.tau1 - s.tau2) == pytest.approx(delta, abs=1e-9)
+        assert (tau1 - tau2) == pytest.approx(delta, abs=1e-9)
         want_T = (0.5 * shell.nu * delta + 0.25 * shell.M2 * lam) / shell.M
-        assert s.T == pytest.approx(want_T, abs=1e-9)
+        assert T == pytest.approx(want_T, abs=1e-9)
 
 
 def test_quadrature_free_force_keeps_T_linear():
@@ -249,11 +247,9 @@ def test_quadrature_free_force_keeps_T_linear():
         shell, model, 12.0, IntegratorOptions(tol=1e-12, sample_interval=1.0)))
     drift = 0.25 * shell.M - shell.nu ** 2 / shell.M ** 3
     # the force is active: eta is not constant
-    assert not np.allclose(traj.samples[-1].state.ytil,
-                           traj.samples[0].state.ytil, atol=1e-3)
-    for s in traj.samples:
-        assert s.F == 0.0 and s.G == 0.0
-        assert s.T == pytest.approx(drift * s.state.lambda_, rel=1e-12, abs=1e-12)
+    assert not np.allclose(traj.ytil[-1], traj.ytil[0], atol=1e-3)
+    assert not traj.F.any() and not traj.G.any()
+    assert traj.T == pytest.approx(drift * traj.lam, rel=1e-12, abs=1e-12)
 
 
 def test_central_motion_stays_planar():
@@ -265,9 +261,8 @@ def test_central_motion_stays_planar():
     normal /= np.linalg.norm(normal)
     traj = integrate(ReducedState(0.0, z0, y0), shell,
                      HarmonicPotential(0.25), 25.0, IntegratorOptions(tol=1e-11))
-    for s in traj.samples:
-        assert abs(float(s.state.ztil @ normal)) < 1e-9
-        assert abs(float(s.state.ytil @ normal)) < 1e-9
+    assert np.abs(traj.ztil @ normal).max() < 1e-9
+    assert np.abs(traj.ytil @ normal).max() < 1e-9
 
 
 def test_conserved_quantities_drift_slowly():
@@ -276,10 +271,9 @@ def test_conserved_quantities_drift_slowly():
     traj = integrate(state0(p), shell, model, 3.0 * p.period,
                      IntegratorOptions(tol=1e-11))
     Ns, L2s = [], []
-    for s in traj.samples:
-        q = rest_quintet(s.state.ztil, s.state.ytil, shell)
+    for z, y in zip(traj.ztil, traj.ytil):
+        q = rest_quintet(z, y, shell)
         Ns.append(q.ytil2 + 2.0 * model.evaluate(q).value)
-        z, y = s.state.ztil, s.state.ytil
         L2s.append(float((z @ z) * (y @ y) - (z @ y) ** 2))
     assert max(Ns) - min(Ns) < 1e-9
     assert max(L2s) - min(L2s) < 1e-9
@@ -396,7 +390,7 @@ def test_replaced_columns_get_a_fresh_clock():
     assert np.array_equal(moved.dTdlambda, dT_dlambda(F, traj.G, shell))
     assert traj.monotone is True and moved.monotone is False
     assert list(np.flatnonzero(moved.flagged)) == [3]
-    assert moved.samples[3].flagged and moved.samples[3].T == moved.T[3]
+    assert moved.samples[3].T == moved.T[3]
 
 
 def test_relaxed_mode_flags_instead():
@@ -405,8 +399,8 @@ def test_relaxed_mode_flags_instead():
     traj = synchronize(integrate(big, shell, HarmonicPotential(1.0), 5.0,
                                  IntegratorOptions(sample_interval=0.5)))
     assert traj.monotone is False
-    assert any(s.flagged for s in traj.samples)
-    assert all(not (s.dTdlambda > 0.0) for s in traj.samples if s.flagged)
+    assert traj.flagged.any()
+    assert not (traj.dTdlambda[traj.flagged] > 0.0).any()
 
 
 def test_dT_dlambda_formula():
@@ -422,21 +416,12 @@ def test_integration_preconditions():
     st = ReducedState(0.0, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
     with pytest.raises(ValueError):
         integrate(st, shell, FreePotential(), 0.0)
-    with pytest.raises(ValueError):
-        integrate(ReducedState(1.0, st.ztil, st.ytil), shell, FreePotential(), 1.0)
+    for lam in (1.0, math.nan):
+        with pytest.raises(ValueError, match=f"starts at lambda = 0, got {lam!r}$"):
+            integrate(ReducedState(lam, st.ztil, st.ytil), shell, FreePotential(), 1.0)
     with pytest.raises(ValueError):
         integrate(st, shell, FreePotential(), 1.0,
                   IntegratorOptions(sample_interval=-1.0))
-
-
-@pytest.mark.parametrize("intF, intG", [(5.0, 2.0), (5.0, 0.0), (0.0, -2.0), (math.nan, 0.0)])
-def test_quadratures_must_start_at_zero(intF, intG):
-    # the clock takes both quadratures to vanish at lambda = 0; a shifted
-    # start would give T(0) = 2.5 and tau1(0) = -0.5 for (5, 2) here
-    shell = mass_shell_from_lambda(1.0, 1.0, 0.0)
-    st = ReducedState(0.0, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), intF=intF, intG=intG)
-    with pytest.raises(ValueError, match="both quadratures at 0"):
-        integrate(st, shell, FreePotential(), 1.0)
 
 
 @pytest.mark.parametrize("z, y, text", [
@@ -530,19 +515,14 @@ def test_sample_grid_includes_both_ends():
     st = ReducedState(0.0, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
     traj = integrate(st, shell, FreePotential(), 1.0,
                      IntegratorOptions(sample_interval=0.3))
-    lams = [s.state.lambda_ for s in traj.samples]
+    lams = traj.lam.tolist()
     assert lams[0] == 0.0
     assert lams[-1] == 1.0
     assert lams == sorted(lams)
     # interval wider than the span still emits both ends
     traj2 = integrate(st, shell, FreePotential(), 1.0,
                       IntegratorOptions(sample_interval=5.0))
-    assert [s.state.lambda_ for s in traj2.samples] == [0.0, 1.0]
-
-
-def _vector(s):
-    st = s.state
-    return np.concatenate((st.ztil, st.ytil, (st.intF, st.intG)))
+    assert traj2.lam.tolist() == [0.0, 1.0]
 
 
 @pytest.mark.parametrize("model, opts", [
@@ -555,13 +535,12 @@ def test_sample_rates_are_the_fsal_derivative(model, opts):
     shell = mass_shell_from_lambda(1.0, 2.0, 0.25)
     st = ReducedState(0.0, np.array([1.2, 0.1, 0.4]), np.array([-0.1, 0.6, 0.05]))
     traj = integrate(st, shell, model, 6.0, opts)
-    assert len(traj.samples) > 8
+    assert len(traj.lam) > 8
     x = sample_states(traj)
     assert np.array_equal(lift(x, traj.basis), traj.u)
     partials = bound(shell, model)
-    for s, xs in zip(traj.samples, x.tolist()):
-        F, G = rhs(xs, shell, partials)[4:6]
-        assert (s.F, s.G) == (F, G)
+    for F, G, xs in zip(traj.F.tolist(), traj.G.tolist(), x.tolist()):
+        assert (F, G) == rhs(xs, shell, partials)[4:6]
     # between samples the dense quadratures advance at the rates rhs gives
     lam, h = 2.345, 1e-4
     F, G = rhs(traj.dense(lam), shell, partials)[4:6]
@@ -583,9 +562,8 @@ def test_generic_rest_partials_give_the_same_run(fast, generic):
     opts = IntegratorOptions(sample_interval=0.5)
     a, b = (synchronize(integrate(st, shell, m, 20.0, opts)) for m in (fast, generic))
     assert (a.n_accepted, a.n_rejected, a.n_rhs) == (b.n_accepted, b.n_rejected, b.n_rhs)
-    for sa, sb in zip(a.samples, b.samples):
-        assert np.array_equal(_vector(sa), _vector(sb))
-        assert (sa.F, sa.G, sa.T, sa.dTdlambda) == (sb.F, sb.G, sb.T, sb.dTdlambda)
+    for name in ("lam", "u", "F", "G", "T", "dTdlambda"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
     assert (a.dense.t0, a.dense.h, a.dense.data) == (b.dense.t0, b.dense.h, b.dense.data)
 
 
@@ -648,20 +626,19 @@ def test_samples_view_follows_the_columns():
     # synchronize hands a trajectory back as it is, its clock included
     sync = synchronize(traj)
     assert sync is traj and synchronize(sync) is sync
+    # the view, a shim the benchmark reads, holds lambda, ztil, ytil and T
+    assert [f.name for f in fields(TrajectorySample)] == ["state", "T"]
+    assert [f.name for f in fields(ReducedState)] == ["lambda_", "ztil", "ytil"]
     assert len(sync.samples) == len(sync.lam) == 11
     for i, s in enumerate(sync.samples):
-        assert s.state.lambda_ == sync.lam[i]
-        assert np.array_equal(_vector(s), sync.u[i])
-        assert (s.F, s.G) == (sync.F[i], sync.G[i])
-        assert (s.tau1, s.tau2, s.T, s.dTdlambda) == \
-            (sync.tau1[i], sync.tau2[i], sync.T[i], sync.dTdlambda[i])
-        assert s.flagged == sync.flagged[i]
+        assert s.state.lambda_ == sync.lam[i] and s.T == sync.T[i]
+        assert np.array_equal(s.state.ztil, sync.ztil[i])
+        assert np.array_equal(s.state.ytil, sync.ytil[i])
     # the column clock is the scalar formulas applied sample by sample
-    for s in sync.samples:
-        st = s.state
-        assert (s.tau1, s.tau2, s.T) == tuple(
-            equal_time_clock(st.lambda_, st.intF, st.intG, shell)[i] for i in (0, 1, 3))
-        assert s.dTdlambda == dT_dlambda(s.F, s.G, shell)
+    for lam, u, F, G, *clock in zip(*(c.tolist() for c in (
+            sync.lam, sync.u, sync.F, sync.G, sync.tau1, sync.tau2, sync.T, sync.dTdlambda))):
+        assert clock == [*(equal_time_clock(lam, u[6], u[7], shell)[i] for i in (0, 1, 3)),
+                         dT_dlambda(F, G, shell)]
     # a replaced trajectory gets a view of its own columns, unless given one
     shifted = replace(sync, lam=sync.lam + 1.0)
     assert shifted.samples[0].state.lambda_ == 1.0

@@ -133,6 +133,13 @@ def test_first_root_holes_break_brackets():
         pytest.approx(2.0, abs=1e-15)
 
 
+def test_first_root_brackets_values_whose_product_underflows():
+    # f(-1) * f(1) underflows to -0.0, yet the two values differ in sign
+    assert first_root(lambda x: 1e-200 * x, [-1.0, 1.0]) == 0.0
+    assert first_root(lambda x: 1e-200 * (x - 0.25), [-1.0, 1.0]) == \
+        pytest.approx(0.25, abs=1e-15)
+
+
 def test_first_root_propagates_unskipped_errors():
     def f(x):
         raise ZeroDivisionError("bug")

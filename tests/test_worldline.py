@@ -73,8 +73,7 @@ def test_center_line_is_straight_and_at_rest(toy_traj):
 
 
 def test_lambda_from_T_round_trip(toy_traj):
-    T_lo = toy_traj.samples[0].T
-    T_hi = toy_traj.samples[-1].T
+    T_lo, T_hi = toy_traj.T[[0, -1]].tolist()
     for T in np.linspace(T_lo, T_hi, 23):
         lam = lambda_from_T(toy_traj, float(T))
         x = toy_traj.dense(lam)
@@ -199,7 +198,7 @@ def test_resample_inverts_the_clock_once(toy_traj, monkeypatch):
 
 def test_resample_uniform_T(toy_traj):
     res = resample_uniform_T(toy_traj, 41)
-    Ts = np.array([s.T for s in res.samples])
+    Ts = res.T
     assert len(Ts) == 41
     steps = np.diff(Ts)
     assert np.allclose(steps, steps[0], rtol=0, atol=1e-9)
@@ -285,6 +284,14 @@ def test_export_lab_frame_validates_k(toy_traj):
         export_lab_frame(ws, FourVector(2.0 * M, 0.0, 0.0, 0.0))
     with pytest.raises(FrameMismatch):
         export_lab_frame(ws, FourVector(-M, 0.0, 0.0, 0.0))
+    # a boosted set is not boosted again, not even to its own frame
+    k = FourVector(1.25 * M, 0.75 * M, 0.0, 0.0)
+    lab = export_lab_frame(ws, k)
+    with pytest.raises(FrameMismatch, match="not the rest frame"):
+        export_lab_frame(lab, k)
+    # the rest frame itself is a rest-frame set
+    rest = export_lab_frame(ws, FourVector(M, 0.0, 0.0, 0.0))
+    assert np.array_equal(export_lab_frame(rest, k).x1, lab.x1)
 
 
 def test_center_line_moves_on_k_direction(toy_traj):
