@@ -196,6 +196,8 @@ def build_scenario(cfg: dict) -> Scenario:
         e0 = _vec(init.get("ytil"), 3, "initial.ytil")
         if not math.isfinite(sum(c * c for c in z0 + e0)):  # which also bounds ztil.ytil
             raise ConfigError("initial.ztil and initial.ytil overflow: |ztil|^2 + |ytil|^2 = inf")
+        if not math.isfinite(sum(c * c for c in z0) * sum(c * c for c in e0)):  # L2's terms
+            raise ConfigError("initial.ztil and initial.ytil overflow: |ztil|^2 |ytil|^2 = inf")
         if span is None:
             raise ConfigError("integrator.lambda_span is required with \"initial\"")
     else:

@@ -14,7 +14,7 @@ error estimate.  The dense output is one flat buffer of groups of six blocks
 of n floats: group 0 is (y0, 0, 0, 0, 0, k1) and each accepted step appends
 (y_new, k3, k4, k5, k6, k7), packed by the attempt.  Step i takes y and k1
 from group i (FSAL) and the rest from group i + 1; k2 has no dense weight.
-The step sizes are the differences of consecutive step starts and t1.
+Step i runs from t[i] to t[i + 1] of the step grid t.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import OutOfRange, StepFailure
 
-__all__ = ["MAX_STEPS", "MAX_DENSE_BYTES", "DenseOutput", "DopriResult", "dense_steps",
-           "solve_dopri5"]
+__all__ = ["MAX_STEPS", "MAX_DENSE_BYTES", "DenseOutput", "SolveStats", "DopriResult",
+           "dense_steps", "solve_dopri5"]
 
 MAX_STEPS = 10_000_000  # budget of accepted plus rejected steps
 MAX_DENSE_BYTES = 2 ** 30  # budget of the dense output; see dense_steps
@@ -70,16 +70,14 @@ _FAC_GROW = 10.0    # nor grows by more
 class DenseOutput:
     """Quartic interpolant over the m accepted steps of one run.
 
-    t0 and h hold the start and size of each step and t1 the end of the
-    last; data is the dense buffer described in the module docstring,
-    (m + 1) groups of six blocks of n floats.
+    t holds the m + 1 step boundaries, each step's start and then the end
+    of the last; data is the dense buffer described in the module
+    docstring, (m + 1) groups of six blocks of n floats.
     """
 
-    t0: array
-    h: array
+    t: array
     data: array
     n: int
-    t1: float
 
     @property
     def groups(self) -> np.ndarray:
@@ -89,7 +87,7 @@ class DenseOutput:
     def __call__(self, t):
         """State at t on the step that contains it: a list of floats for a
         scalar t, a (len(t), n) array for an array of t.  A t outside
-        [t0[0], t1] raises OutOfRange."""
+        [t[0], t[-1]] raises OutOfRange."""
         theta, _, y, r2, r3, r4, r5 = self._quartic(t)
         out = y + theta * (r2 + (1.0 - theta) * (r3 + theta * (r4 + (1.0 - theta) * r5)))
         return out[:, 0].tolist() if np.ndim(t) == 0 else out.T
@@ -105,22 +103,33 @@ class DenseOutput:
         """theta, h and the rows of the quartic in theta on the step that
         holds each t: r1 = y, r2 = y_new - y, r3 = h k1 - r2,
         r4 = r2 - h k7 - r3 and r5 = h D.k, each (n, len(t))."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        starts, sizes = np.frombuffer(self.t0), np.frombuffer(self.h)
-        outside = ~((starts[0] <= t) & (t <= self.t1))
+        t, grid = np.atleast_1d(np.asarray(t, dtype=float)), np.frombuffer(self.t)
+        outside = ~((grid[0] <= t) & (t <= grid[-1]))
         if outside.any():
             raise OutOfRange(f"t = {float(t[outside.argmax()])!r} outside "
-                             f"[{self.t0[0]!r}, {self.t1!r}]")
-        i = np.searchsorted(starts, t, side="right") - 1
+                             f"[{self.t[0]!r}, {self.t[-1]!r}]")
+        i = np.searchsorted(grid[:-1], t, side="right") - 1
         # blocks as (6, n, len(t)), so that every operation runs along t
         y, _, _, _, _, k1 = self.groups[i].transpose(1, 2, 0)
         y1, k3, k4, k5, k6, k7 = self.groups[i + 1].transpose(1, 2, 0)
-        h = sizes[i]
+        h = grid[i + 1] - grid[i]
         r2 = y1 - y
         r3 = h * k1 - r2
         r4 = r2 - h * k7 - r3
         r5 = h * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7)
-        return (t - starts[i]) / h, h, y, r2, r3, r4, r5
+        return (t - grid[i]) / h, h, y, r2, r3, r4, r5
+
+
+@dataclass(frozen=True)
+class SolveStats:
+    """The counters of one run."""
+
+    n_accepted: int
+    n_rejected: int
+    n_rhs: int               # evaluations of f
+    h_min: float             # smallest and largest accepted step
+    h_max: float
+    n_landed: int            # accepted steps that end on a sample or on t1
 
 
 @dataclass
@@ -129,12 +138,7 @@ class DopriResult:
     y: np.ndarray            # (len(t), n) sample states
     dy: np.ndarray           # (len(t), n) derivatives f(t, y) at the samples
     dense: DenseOutput
-    n_accepted: int
-    n_rejected: int
-    n_rhs: int               # evaluations of f
-    h_min: float             # smallest and largest accepted step
-    h_max: float
-    n_landed: int            # accepted steps that end on a sample or on t1
+    stats: SolveStats
 
 
 @cache
@@ -180,12 +184,16 @@ def _attempt(n: int, stage: tuple[str, str, tuple] | None = None):
 
 
 def dense_steps(n: int) -> int:
-    """The most accepted steps whose dense output, 8 (6 n + 2) bytes each, fits."""
+    """The most accepted steps whose dense output and size, 8 (6 n + 2) bytes each, fit."""
     return MAX_DENSE_BYTES // (8 * (6 * n + 2))
 
 
-def _rms(v, scale) -> float:
-    return math.sqrt(sum((a / s) ** 2 for a, s in zip(v, scale)) / len(scale))
+def _rms(v, scale, t0: float, probe: str) -> float:
+    try:
+        return math.sqrt(sum((a / s) ** 2 for a, s in zip(v, scale)) / len(scale))
+    except OverflowError:  # a square past the largest float: as inf, it would make h0 = 0
+        raise StepFailure(f"scaled norm of {probe} overflows in the first-step probe "
+                          f"at t0 = {t0!r}") from None
 
 
 def _require_finite(where: str, *named) -> None:
@@ -200,10 +208,10 @@ def _require_finite(where: str, *named) -> None:
 def _initial_step(f, t0, y0, f0, tol, max_step, span):
     """Classic two-probe heuristic for the first step size."""
     sc = [tol + tol * abs(v) for v in y0]
-    d0, d1 = _rms(y0, sc), _rms(f0, sc)
+    d0, d1 = _rms(y0, sc, t0, "y0"), _rms(f0, sc, t0, "f(t0, y0)")
     h0 = min(1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1, span, max_step)
     f1 = f(t0 + h0, [v + h0 * d for v, d in zip(y0, f0)])
-    d2 = _rms([a - b for a, b in zip(f1, f0)], sc) / h0
+    d2 = _rms([a - b for a, b in zip(f1, f0)], sc, t0, "f(t0 + h0) - f(t0, y0)") / h0
     d12 = max(d1, d2)
     h1 = max(1e-6, h0 * 1e-3) if d12 <= 1e-15 else (0.01 / d12) ** 0.25
     return min(100.0 * h0, h1, span, max_step)
@@ -252,8 +260,8 @@ def solve_dopri5(
     attempt, c = (_attempt(n), f) if stage is None else (_attempt(n, stage[0]), stage[1])
     max_accepted = dense_steps(n)
 
-    data, starts = array("d", (*y, *[0.0] * (4 * n), *k1)), array("d")
-    extend, add_start = data.frombytes, starts.append  # for an accepted step's group and t
+    data, grid = array("d", (*y, *[0.0] * (4 * n), *k1)), array("d")
+    extend, add_t = data.frombytes, grid.append  # for an accepted step's group and start
 
     t, start, facold, just_rejected = t0, (*y, *k1), 1e-4, False
     n_accepted = n_rejected = n_landed = eval_idx = 0  # eval_idx: the next point to land on
@@ -283,7 +291,7 @@ def solve_dopri5(
         err = math.sqrt(s / n) / tol
 
         if err <= 1.0:
-            add_start(t)
+            add_t(t)
             extend(group)
             n_accepted += 1
             n_landed += landed
@@ -310,12 +318,11 @@ def solve_dopri5(
             h = h_used / (fac if fac < _FAC_SHRINK else _FAC_SHRINK)
             just_rejected = True
 
-    times = np.append(np.frombuffer(starts), t)  # its diff: each step's t_new - t, bit for bit
-    dense = DenseOutput(starts, array("d", (hs := np.diff(times)).tobytes()), data, n, t)
+    add_t(t)
+    dense, times = DenseOutput(grid, data, n), np.frombuffer(grid)
+    hs = np.diff(times)  # each step's t_new - t, bit for bit
     # an emitted sample is a step end: group j holds the state after j accepted steps
     rows = np.arange(n_accepted + 1) if t_eval is None else np.searchsorted(times, pts)
-    return DopriResult(
-        t=times[rows], y=dense.groups[rows, 0], dy=dense.groups[rows, 5], dense=dense,
-        n_accepted=n_accepted, n_rejected=n_rejected, n_rhs=2 + 6 * (n_accepted + n_rejected),
-        h_min=float(hs.min()), h_max=float(hs.max()), n_landed=n_landed,
-    )
+    stats = SolveStats(n_accepted, n_rejected, 2 + 6 * (n_accepted + n_rejected),
+                       float(hs.min()), float(hs.max()), n_landed)
+    return DopriResult(times[rows], dense.groups[rows, 0], dense.groups[rows, 5], dense, stats)

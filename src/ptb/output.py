@@ -13,6 +13,7 @@ import json
 import math
 import re
 from contextlib import nullcontext
+from dataclasses import asdict
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -102,12 +103,7 @@ def diagnostics(traj: Trajectory) -> dict:
     L2_scale = max(abs(float(L2[0])), 1e-300)
     return {
         "n_samples": len(traj.lam),
-        "n_accepted": traj.n_accepted,
-        "n_rejected": traj.n_rejected,
-        "n_rhs": traj.n_rhs,
-        "h_min": traj.h_min,
-        "h_max": traj.h_max,
-        "n_landed": traj.n_landed,
+        **asdict(traj.stats),
         "lambda_span": [float(traj.lam[0]), float(traj.lam[-1])],
         "N_drift": float(np.abs(N - N[0]).max()) / N_scale,
         "L2_drift": float(np.abs(L2 - L2[0]).max()) / L2_scale,

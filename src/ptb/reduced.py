@@ -28,7 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dopri import MAX_STEPS, DenseOutput, _attempt, _require_finite, dense_steps, solve_dopri5
+from .dopri import (MAX_STEPS, DenseOutput, SolveStats, _attempt, _require_finite, dense_steps,
+                    solve_dopri5)
 from .errors import NonMonotoneTime, StepFailure
 from .mass_shell import MassShell
 from .potentials import PotentialSpec, ScalarQuintet, _KernelModel
@@ -115,9 +116,8 @@ class Trajectory:
     quadrature rates F, G (n).  The clock, tau1, tau2, T, its rate
     dTdlambda, flagged (n each) and monotone, is built from them on first
     read: a replace gets its own.  dense is the solver's interpolant of the
-    in-plane state over every accepted step; h_min, h_max and n_landed are
-    its step-size range and the steps that end on a sample or on the end of
-    the span.  samples, a per-sample view of lam, ztil, ytil and T built on
+    in-plane state over every accepted step and stats its counters.
+    samples, a per-sample view of lam, ztil, ytil and T built on
     first access, is a shim the benchmark still reads and replaces (a tuple
     given explicitly is kept as it is); it goes once the benchmark reads the
     columns.
@@ -131,12 +131,7 @@ class Trajectory:
     G: np.ndarray
     dense: DenseOutput
     basis: np.ndarray
-    n_accepted: int
-    n_rejected: int
-    n_rhs: int
-    h_min: float
-    h_max: float
-    n_landed: int
+    stats: SolveStats
     opts: IntegratorOptions
     samples: Sequence[TrajectorySample] = field(default=None, repr=False)
 
@@ -161,6 +156,9 @@ class Trajectory:
 
     ztil = property(lambda t: t.u[:, 0:3])
     ytil = property(lambda t: t.u[:, 3:6])
+    # benchmark shims, as samples is: they go with ROADMAP item 6
+    n_accepted = property(lambda t: t.stats.n_accepted)
+    n_rejected = property(lambda t: t.stats.n_rejected)
 
     @cached_property
     def first_integrals(self) -> tuple[np.ndarray, np.ndarray]:
@@ -295,10 +293,7 @@ def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
 
     return synchronize(Trajectory(
         shell=shell, model=model, lam=sol.t, u=lift(sol.y, basis), F=sol.dy[:, 4],
-        G=sol.dy[:, 5], dense=sol.dense, basis=basis, n_accepted=sol.n_accepted,
-        n_rejected=sol.n_rejected, n_rhs=sol.n_rhs, h_min=sol.h_min, h_max=sol.h_max,
-        n_landed=sol.n_landed, opts=opts,
-    ))
+        G=sol.dy[:, 5], dense=sol.dense, basis=basis, stats=sol.stats, opts=opts))
 
 
 def equal_time_clock(lam, intF, intG, shell: MassShell):
@@ -325,10 +320,9 @@ def synchronize(traj: Trajectory) -> Trajectory:
     rate = dT_dlambda(dense.groups[:, 5, 4], dense.groups[:, 5, 5], traj.shell)
     j = int(np.argmin(rate > 0.0))  # the first rate that is not positive
     if not rate[j] > 0.0:
-        lam = dense.t0[j] if j < len(dense.t0) else dense.t1
-        step = f" after a step of h = {dense.h[j - 1]!r}" if j else ""
-        raise NonMonotoneTime(f"dT/dlambda = {float(rate[j])!r} at lambda = {lam!r}{step} "
-                              "(strict mode)")
+        step = f" after a step of h = {dense.t[j] - dense.t[j - 1]!r}" if j else ""
+        raise NonMonotoneTime(f"dT/dlambda = {float(rate[j])!r} at lambda = {dense.t[j]!r}"
+                              f"{step} (strict mode)")
     if not traj.monotone:
         raise NonMonotoneTime(f"min dT/dlambda = {float(traj.dTdlambda.min())!r} (strict mode)")
     return traj

@@ -146,8 +146,8 @@ def resample_uniform_T(traj: Trajectory, n: Optional[int] = None) -> Trajectory:
     lambdas become non-uniform, and the two end samples are kept exactly."""
     if n is None:
         n = len(traj.lam)
-    if n < 2:
-        raise ValueError("need at least two samples")
+    if not (isinstance(n, (int, np.integer)) and n >= 2):
+        raise ValueError(f"need an integer of at least two samples, got n = {n!r}")
     inner = lambda_from_T(traj, np.linspace(traj.T[0], traj.T[-1], n)[1:-1])
     lam = np.concatenate((traj.lam[:1], inner, traj.lam[-1:]))
     x = np.insert(traj.dense.groups[[0, -1], 0], 1, traj.dense(inner), axis=0)  # in-plane

@@ -152,12 +152,12 @@ def test_criterion_05_conservation_suite():
     parts = []
     for name, traj, diag in (("harmonic", traj_h, diag_h),
                              ("central_power(1,1)", traj_c, diag_c)):
-        good = (traj.n_accepted >= 10_000
+        good = (traj.stats.n_accepted >= 10_000
                 and diag["N_drift"] <= 1e-9
                 and diag["L2_drift"] <= 1e-9
                 and diag["planarity_residual"] <= 1e-10)
         ok = ok and good
-        parts.append(f"{name}: {traj.n_accepted} steps, "
+        parts.append(f"{name}: {traj.stats.n_accepted} steps, "
                      f"N drift {diag['N_drift']:.2e}, L2 drift {diag['L2_drift']:.2e}, "
                      f"planarity {diag['planarity_residual']:.2e}")
     record(5, ok, "first integrals over 1e4 accepted steps "

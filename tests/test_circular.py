@@ -361,6 +361,6 @@ def test_a_landed_period_takes_one_step_per_sample():
     opts = IntegratorOptions(tol=1e-10, sample_interval=orbit.period_lambda / 400)
     traj = integrate(orbit.initial_state(), shell, model, orbit.period_lambda, opts)
     assert len(traj.lam) == 401
-    assert traj.n_accepted <= 440 and traj.n_rejected == 0
+    assert traj.stats.n_accepted <= 440 and traj.stats.n_rejected == 0
     constancy, period = verify_circular(orbit, model, shell)
     assert constancy.ok() and period.ok()

@@ -501,6 +501,15 @@ def test_near_collision_is_a_run_failure(tmp_path):
     assert "n = 3" in r.stderr
 
 
+def test_an_overflowing_first_step_probe_is_a_run_failure(tmp_path, capsys):
+    # |ytil| = 1e145 overflows the square in the scaled norm of f(t0, y0) that
+    # picks the first step: it used to end in an OverflowError traceback
+    assert run_main(capsys, "simulate", "--m1", "1", "--m2", "2", "--potential", "free",
+                    "--ztil", "1,0,0", "--ytil", "0,1e145,0", "--lambda-span", "1",
+                    "--out", str(tmp_path / "out.csv")) == (
+        4, "StepFailure: scaled norm of f(t0, y0) overflows in the first-step probe at t0 = 0.0\n")
+
+
 @pytest.mark.parametrize("argv, points", [
     (["simulate", "--sample-interval", "1e-12"], "6e+12"),
     (["circular", "--potential", "harmonic", "--chi", "0.125", "--l2", "1", "--M", "4",
@@ -891,6 +900,10 @@ FLAG_ERRORS = [
     (["simulate", "--m1", "1", "--m2", "2", "--potential", "harmonic", "--chi", "0.125",
       "--ytil", "0,0.5,0", "--lambda-span", "20", "--ztil", "1e200,0,0"],
      "ConfigError: initial.ztil and initial.ytil overflow: |ztil|^2 + |ytil|^2 = inf"),
+    # each square is finite, but the L2 column would be inf
+    (["simulate", "--m1", "1", "--m2", "2", "--potential", "free", "--ytil", "0,2,0",
+      "--lambda-span", "1", "--ztil", "1e154,0,0"],
+     "ConfigError: initial.ztil and initial.ytil overflow: |ztil|^2 |ytil|^2 = inf"),
 ]
 
 

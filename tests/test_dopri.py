@@ -32,9 +32,9 @@ def test_shm_against_closed_form():
     res = solve_dopri5(shm, (0.0, 20.0 * math.pi), np.array([1.0, 0.0]), tol=1e-10)
     err = abs(res.y[-1] - shm_exact(20.0 * math.pi)).max()
     assert err < 1e-8
-    assert res.n_accepted == len(res.dense.t0) == len(res.dense.h)
-    assert res.dense.t0[0] == 0.0
-    assert res.dense.t0[-1] + res.dense.h[-1] == pytest.approx(20.0 * math.pi)
+    assert res.stats.n_accepted == len(res.dense.t) - 1
+    assert res.dense.t[0] == 0.0
+    assert res.dense.t[-1] == 20.0 * math.pi
 
 
 def test_tolerance_scaling_is_per_unit_time():
@@ -57,25 +57,25 @@ def test_dense_output_accuracy():
     ts = np.linspace(0.0, 10.0, 401)
     worst = 0.0
     for t in ts:
-        i = max(bisect.bisect_right(dense.t0, t) - 1, 0)
-        assert dense.t0[i] <= t <= dense.t0[i] + dense.h[i] * (1 + 1e-15)
+        i = max(bisect.bisect_right(dense.t, t, hi=len(dense.t) - 1) - 1, 0)
+        assert dense.t[i] <= t <= dense.t[i + 1]
         worst = max(worst, abs(np.array(dense(t)) - shm_exact(t)).max())
     assert worst < 1e-8
 
 
 def test_dense_segments_interpolate_step_ends():
     res = solve_dopri5(shm, (0.0, 3.0), np.array([1.0, 0.0]), tol=1e-10)
-    for t0, h, y0, y1 in zip(res.dense.t0, res.dense.h, res.y, res.y[1:]):
+    for t0, t1, y0, y1 in zip(res.dense.t, res.dense.t[1:], res.y, res.y[1:]):
         assert np.array_equal(res.dense(t0), y0)
-        assert np.allclose(res.dense(t0 + h), y1, rtol=0, atol=1e-15)
+        assert np.allclose(res.dense(t0 + (t1 - t0)), y1, rtol=0, atol=1e-15)
 
 
 def scalar_quartic(dense, t):
     """The dense output at one t as a loop over components in float
     arithmetic: the reference for the array evaluation."""
-    i = min(max(bisect.bisect_right(dense.t0, t) - 1, 0), len(dense.t0) - 1)
-    n, data, h = dense.n, dense.data, dense.h[i]
-    theta = (t - dense.t0[i]) / h
+    i = min(max(bisect.bisect_right(dense.t, t) - 1, 0), len(dense.t) - 2)
+    n, data, h = dense.n, dense.data, dense.t[i + 1] - dense.t[i]
+    theta = (t - dense.t[i]) / h
     th1 = 1.0 - theta
     b = 6 * n * i
     y, k1 = data[b:b + n], data[b + 5 * n:b + 6 * n]
@@ -111,7 +111,7 @@ def test_dense_output_of_an_array_is_the_scalar_quartic(ts):
 @pytest.mark.parametrize("t", [-1e-300, -1.0, math.nextafter(8.0, 9.0), 9.0, math.nan])
 def test_dense_output_refuses_t_outside_the_span(t):
     res = solve_dopri5(kepler, (0.0, 8.0), [0.5, 0.0, 0.0, 1.6], tol=1e-9)
-    assert res.dense.t1 == 8.0
+    assert res.dense.t[-1] == 8.0
     line = f"t = {t!r} outside [0.0, 8.0]"
     with pytest.raises(OutOfRange, match=re.escape(line)):
         res.dense(t)
@@ -125,7 +125,7 @@ def test_dense_output_refuses_t_outside_the_span(t):
 def test_dense_rate_is_the_derivative_of_the_quartic():
     res = solve_dopri5(kepler, (0.0, 8.0), [0.5, 0.0, 0.0, 1.6], tol=1e-9)
     dense = res.dense
-    t0, h = np.frombuffer(dense.t0), np.frombuffer(dense.h)
+    t0, h = np.frombuffer(dense.t)[:-1], np.diff(dense.t)
     # the step ends reproduce the FSAL stages k1 and k7 of each step
     k = dense.groups[:, 5]
     scale = 1.0 + np.abs(k).max()
@@ -169,9 +169,9 @@ def test_t_eval_ends_on_the_span():
 def test_max_step_is_respected():
     res = solve_dopri5(shm, (0.0, 10.0), np.array([1.0, 0.0]),
                        tol=1e-6, max_step=0.01)
-    hs = np.array(res.dense.h)
+    hs = np.diff(res.dense.t)
     assert hs.max() <= 0.01 + 1e-12
-    assert res.n_accepted >= 1000
+    assert res.stats.n_accepted >= 1000
 
 
 def test_blowup_raises_step_failure():
@@ -203,10 +203,11 @@ def test_rhs_count_is_exact(rate):
         return [-rate * (y[0] - math.cos(t))]
 
     res = solve_dopri5(relax, (0.0, 3.0), np.array([0.0]), tol=1e-6)
-    assert res.n_rejected > 0  # the identity must hold across rejections
+    stats = res.stats
+    assert stats.n_rejected > 0  # the identity must hold across rejections
     # the first derivative, the probe of the initial step, six new stages
     # per attempted step
-    assert res.n_rhs == len(calls) == 2 + 6 * (res.n_accepted + res.n_rejected)
+    assert stats.n_rhs == len(calls) == 2 + 6 * (stats.n_accepted + stats.n_rejected)
 
 
 def test_sample_derivatives_are_the_fsal_stage():
@@ -223,7 +224,7 @@ def test_dense_output_budget(monkeypatch):
     # would pass the budget is refused before it is attempted
     assert dopri.MAX_DENSE_BYTES == 2 ** 30 and dopri.dense_steps(8) == 2_684_354
     full = solve_dopri5(shm, (0.0, 3.0), [1.0, 0.0], tol=1e-6)
-    k = full.n_accepted
+    k = full.stats.n_accepted
     monkeypatch.setattr(dopri, "MAX_DENSE_BYTES", 8 * 14 * k + 111)
     assert dopri.dense_steps(2) == k
     again = solve_dopri5(shm, (0.0, 3.0), [1.0, 0.0], tol=1e-6)
@@ -232,14 +233,14 @@ def test_dense_output_budget(monkeypatch):
     with pytest.raises(StepFailure) as info:
         solve_dopri5(shm, (0.0, 3.0), [1.0, 0.0], tol=1e-6)
     assert str(info.value) == (f"dense output budget {8 * 14 * k - 1} bytes full "
-                               f"at t = {full.dense.t0[-1]!r}")
+                               f"at t = {full.dense.t[-2]!r}")
 
 
 def test_linear_problem_is_cheap():
     res = solve_dopri5(lambda t, y: [2.0], (0.0, 5.0),
                        np.array([1.0]), tol=1e-10)
     assert res.y[-1][0] == pytest.approx(11.0, rel=1e-13)
-    assert res.n_accepted < 30
+    assert res.stats.n_accepted < 30
 
 
 def test_decay_accuracy():
@@ -281,7 +282,7 @@ def test_a_bad_tol_or_max_step_is_refused_before_f(monkeypatch, option, value):
                               IntegratorOptions(**{option: value})))
     for run in runs:
         if (option, value) == ("max_step", math.inf):
-            assert run().h_max < math.inf and calls
+            assert run().stats.h_max < math.inf and calls
         else:
             with pytest.raises(ValueError, match=re.escape(f"{option}={value!r}")):
                 run()
@@ -301,6 +302,19 @@ def test_non_finite_state_stops_at_once(monkeypatch, f, y0, line):
     msg = str(info.value)
     assert msg.startswith(line)
     assert "budget" not in msg
+
+
+@pytest.mark.parametrize("f, y0, tol, probe", [
+    (lambda t, y: [1e150, 0.0], [1.0, 0.0], 1e-10, "f(t0, y0)"),
+    (lambda t, y: [1.0, 0.0], [1e100, 0.0], 1e-300, "y0"),
+    (lambda t, y: [1e160 if t > 0.5 else 1.0, 0.0], [1e10, 0.0], 1e-10, "f(t0 + h0) - f(t0, y0)"),
+], ids=["f0", "y0", "probe"])
+def test_an_overflowing_scaled_norm_stops_at_once(f, y0, tol, probe):
+    # (a / s) ** 2 raised OverflowError; a square taken as inf would make the
+    # first trial step 0 and the second probe divide by it
+    with pytest.raises(StepFailure) as info:
+        solve_dopri5(f, (0.5, 1.0), y0, tol=tol)
+    assert str(info.value) == f"scaled norm of {probe} overflows in the first-step probe at t0 = 0.5"
 
 
 def test_nan_inside_the_run_names_the_stage_and_the_step():
@@ -337,8 +351,9 @@ def test_unrolled_attempt_is_the_reference_step(n, data):
 @pytest.mark.parametrize("kw", [{"tol": 1e-9}, {"tol": 1e-9, "t_eval": np.linspace(0.0, 8.0, 23)},
                                 {"tol": 1e-6}], ids=["free", "landed", "rejecting"])
 def test_step_sizes_are_the_steps_the_loop_took(monkeypatch, kw):
-    # dense.h is built from consecutive starts after the loop: bit for bit the
-    # h = t_new - t each accepted attempt was given; an attempt is accepted
+    # the step grid dense.t is each accepted attempt's t, then the end, and its
+    # differences are bit for bit the h = t_new - t each accepted attempt was
+    # given; an attempt is accepted
     # when the next one starts where it ended, or when it is the last
     seen, make = [], dopri._attempt.__wrapped__
 
@@ -349,11 +364,12 @@ def test_step_sizes_are_the_steps_the_loop_took(monkeypatch, kw):
 
     monkeypatch.setattr(dopri, "_attempt", recording)
     res = solve_dopri5(kepler, (0.0, 8.0), [0.5, 0.0, 0.0, 1.6], **kw)
-    assert len(seen) == res.n_accepted + res.n_rejected
-    assert (res.n_rejected > 0) == (kw["tol"] == 1e-6)
-    assert res.n_landed == (22 if "t_eval" in kw else 1)  # the 22 points past t = 0, or t1
+    stats = res.stats
+    assert len(seen) == stats.n_accepted + stats.n_rejected
+    assert (stats.n_rejected > 0) == (kw["tol"] == 1e-6)
+    assert stats.n_landed == (22 if "t_eval" in kw else 1)  # the 22 points past t = 0, or t1
     accepted = [(t, h) for (t, h, t_new), (t_next, *_) in zip(seen, seen[1:] + [(8.0,)])
                 if t_next == t_new]
     assert all(h == t_new - t for t, h, t_new in seen)
-    assert np.frombuffer(res.dense.t0).tolist() == [t for t, _ in accepted]
-    assert np.frombuffer(res.dense.h).tobytes() == array("d", [h for _, h in accepted]).tobytes()
+    assert res.dense.t.tolist() == [t for t, _ in accepted] + [8.0]
+    assert np.diff(res.dense.t).tobytes() == array("d", [h for _, h in accepted]).tobytes()

@@ -133,6 +133,6 @@ def test_a_sample_grid_costs_at_most_one_attempt_per_point(e, a, E0, tilt, node,
     kepler, free, _ = kepler_run(zeta0, eta0, shell, sample_interval=None)
     span = float(free.lam[-1])
     _, landed, bound = kepler_run(zeta0, eta0, shell, span, span / points)
-    assert landed.n_accepted + landed.n_rejected <= \
-        free.n_accepted + free.n_rejected + len(landed.lam) - 1
+    assert landed.stats.n_accepted + landed.stats.n_rejected <= \
+        free.stats.n_accepted + free.stats.n_rejected + len(landed.lam) - 1
     assert_follows_kepler(kepler, landed, bound)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ptb.dopri
+import ptb.reduced
 from ptb.mass_shell import mass_shell_from_lambda
 from ptb.output import (
     COLUMNS,
@@ -151,19 +154,44 @@ def test_step_telemetry_on_a_sample_grid():
     traj = integrate(state, shell, HarmonicPotential(0.125), 6.0,
                      IntegratorOptions(sample_interval=0.5, max_step=0.05))
     d = diagnostics(traj)
-    assert d["n_landed"] == traj.n_landed == len(traj.lam) - 1 == 12
-    assert 0.0 < d["h_min"] == traj.h_min <= d["h_max"] == traj.h_max <= 0.05
-    assert traj.h_min == min(traj.dense.h) and traj.h_max == max(traj.dense.h)
+    assert d["n_landed"] == traj.stats.n_landed == len(traj.lam) - 1 == 12
+    assert 0.0 < d["h_min"] == traj.stats.h_min <= d["h_max"] == traj.stats.h_max <= 0.05
+    hs = np.diff(traj.dense.t)
+    assert traj.stats.h_min == hs.min() and traj.stats.h_max == hs.max()
     free = integrate(state, shell, HarmonicPotential(0.125), 6.0, IntegratorOptions())
-    assert free.n_landed == 1
-    assert free.h_min <= free.h_max <= 6.0
+    assert free.stats.n_landed == 1
+    assert free.stats.h_min <= free.stats.h_max <= 6.0
+
+
+def test_diagnostics_keys_and_the_solver_counters(monkeypatch):
+    # the key order fixes the JSON bytes and the simulate stdout; the
+    # counters are the solver's own record, and the two shims read it
+    solved = []
+
+    def recording(*args, **kwargs):
+        solved.append(ptb.dopri.solve_dopri5(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(ptb.reduced, "solve_dopri5", recording)
+    shell = mass_shell_from_lambda(math.sqrt(2.75), math.sqrt(2.75), 1.25)
+    traj = integrate(ReducedState(0.0, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.0])),
+                     shell, HarmonicPotential(0.125), 6.0, IntegratorOptions(sample_interval=0.5))
+    d = diagnostics(traj)
+    assert list(d) == [
+        "n_samples", "n_accepted", "n_rejected", "n_rhs", "h_min", "h_max", "n_landed",
+        "lambda_span", "N_drift", "L2_drift", "N_plus_lambda", "planarity_residual",
+        "monotonicity_margin", "T_span", "min_dT_dlambda", "monotone", "n_flagged"]
+    [sol] = solved
+    assert traj.stats is sol.stats
+    assert (traj.n_accepted, traj.n_rejected) == (sol.stats.n_accepted, sol.stats.n_rejected)
+    assert [d[k] for k in list(d)[1:7]] == list(dataclasses.astuple(sol.stats))
 
 
 def test_diagnostics_content(run):
     traj, _ = run
     d = diagnostics(traj)
     assert d["n_samples"] == len(traj.lam)
-    assert d["n_rhs"] == traj.n_rhs == 2 + 6 * (d["n_accepted"] + d["n_rejected"])
+    assert d["n_rhs"] == traj.stats.n_rhs == 2 + 6 * (d["n_accepted"] + d["n_rejected"])
     assert d["lambda_span"] == [0.0, 6.0]
     assert d["N_drift"] < 1e-9
     assert d["L2_drift"] < 1e-9
@@ -264,11 +292,11 @@ def test_N_takes_one_model_evaluation_per_sample():
         ReducedState(0.0, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.0])),
         shell, model, 6.0, IntegratorOptions(sample_interval=0.5)))
     ws = worldlines(traj)
-    assert model.calls == traj.n_rhs  # the call path: one evaluate per rhs
+    assert model.calls == traj.stats.n_rhs  # the call path: one evaluate per rhs
     trajectory_rows(traj, ws)
     diagnostics(traj)
     json_payload(traj, ws)
-    assert model.calls - traj.n_rhs == len(traj.lam) == 13
+    assert model.calls - traj.stats.n_rhs == len(traj.lam) == 13
 
 
 def test_rows_are_the_columns(run):

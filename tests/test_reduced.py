@@ -71,7 +71,7 @@ def sample_states(traj):
     """The solver's in-plane state at each sample: the dense group that
     starts (or, for the last, ends) the step at the sample's lambda."""
     dense = traj.dense
-    return dense.groups[np.searchsorted(np.append(dense.t0, dense.t1), traj.lam), 0]
+    return dense.groups[np.searchsorted(dense.t, traj.lam), 0]
 
 
 def bound(shell, model):
@@ -315,7 +315,7 @@ def strict_verdict(traj):
     in the order the steps were taken; then the samples."""
     dense, shell = traj.dense, traj.shell
     last = None
-    for lam, k in zip([dense.t0[0], *dense.t0[1:], dense.t1], dense.groups[:, 5].tolist()):
+    for lam, k in zip(dense.t, dense.groups[:, 5].tolist()):
         rate = dT_dlambda(k[4], k[5], shell)
         if not rate > 0.0:
             step = "" if last is None else f" after a step of h = {lam - last!r}"
@@ -561,10 +561,10 @@ def test_generic_rest_partials_give_the_same_run(fast, generic):
     st = ReducedState(0.0, np.array([1.0, 0.2, -0.1]), np.array([0.05, 0.3, 0.1]))
     opts = IntegratorOptions(sample_interval=0.5)
     a, b = (synchronize(integrate(st, shell, m, 20.0, opts)) for m in (fast, generic))
-    assert (a.n_accepted, a.n_rejected, a.n_rhs) == (b.n_accepted, b.n_rejected, b.n_rhs)
+    assert a.stats == b.stats
     for name in ("lam", "u", "F", "G", "T", "dTdlambda"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
-    assert (a.dense.t0, a.dense.h, a.dense.data) == (b.dense.t0, b.dense.h, b.dense.data)
+    assert (a.dense.t, a.dense.data) == (b.dense.t, b.dense.data)
 
 
 _UNIT = st.floats(-1.0, 1.0)
@@ -592,10 +592,10 @@ def test_dense_output_follows_the_oscillator(chi, M, nu_frac, A, B, probes):
         assert np.abs(u[3:6] - y).max() <= tol * span
         assert abs(u[6] - intF_analytic(p, lam)) <= tol * span
     dense = traj.dense
-    assert len(dense.t0) == traj.n_accepted == len(traj.lam) - 1
-    for i, (t0, h) in enumerate(zip(dense.t0, dense.h)):
+    assert len(dense.t) - 1 == traj.stats.n_accepted == len(traj.lam) - 1
+    for i, (t0, t1) in enumerate(zip(dense.t, dense.t[1:])):
         assert np.array_equal(dense_u(traj, t0), traj.u[i])
-        assert np.abs(dense_u(traj, t0 + h) - traj.u[i + 1]).max() <= 1e-15
+        assert np.abs(dense_u(traj, t0 + (t1 - t0)) - traj.u[i + 1]).max() <= 1e-15
 
 
 @pytest.mark.parametrize("base, args", [(HarmonicPotential, (0.125,)),
@@ -615,7 +615,7 @@ def test_kernel_sees_python_floats_only(base, args):
     st0 = ReducedState(0.0, np.array([1.2, 0.1, 0.4]), np.array([-0.1, 0.6, 0.05]))
     traj = integrate(st0, shell, Recording(base(*args)), 6.0,
                      IntegratorOptions(sample_interval=0.5, strict_time=True))
-    assert traj.n_accepted > 10 and len(traj.lam) == 13
+    assert traj.stats.n_accepted > 10 and len(traj.lam) == 13
     assert seen == {float}
 
 
@@ -762,7 +762,7 @@ def test_a_source_that_binds_a_name_of_the_fused_stage_is_refused(monkeypatch, n
     assert calls == []
     a, b = (integrate(st0, shell, m, 5.0)
             for m in (Forwarding(model), HarmonicPotential(0.125)))
-    assert a.n_accepted == b.n_accepted > 10 and np.array_equal(a.u, b.u)
+    assert a.stats.n_accepted == b.stats.n_accepted > 10 and np.array_equal(a.u, b.u)
 
 
 def test_a_fused_run_keeps_intG_at_zero():
@@ -885,8 +885,8 @@ def test_rhs_is_the_call_for_k1_the_probe_and_each_resample(monkeypatch):
                   Forwarding(HarmonicPotential(0.3))):
         calls.clear()
         traj = integrate(st0, shell, model, 5.0)
-        assert len(calls) == (traj.n_rhs if isinstance(model, Forwarding) else 2)
-        assert traj.n_rhs > 2
+        assert len(calls) == (traj.stats.n_rhs if isinstance(model, Forwarding) else 2)
+        assert traj.stats.n_rhs > 2
         calls.clear()
         resample_uniform_T(traj, 37)
         assert len(calls) == 37
@@ -898,7 +898,7 @@ def test_a_new_source_is_fused_and_read_by_every_layer():
     shell = mass_shell_from_lambda(1.0, 2.0, 0.1)
     st0 = ReducedState(0.0, np.array([1.0, 0.2, 0.0]), np.array([0.0, 0.4, 0.1]))
     a, b = (integrate(st0, shell, m, 5.0) for m in (Quartic(0.3), Forwarding(Quartic(0.3))))
-    assert (a.n_accepted, a.n_rhs) == (b.n_accepted, b.n_rhs) and a.n_accepted > 10
+    assert (a.stats.n_accepted, a.stats.n_rhs) == (b.stats.n_accepted, b.stats.n_rhs) and a.stats.n_accepted > 10
     assert np.array_equal(a.u, b.u) and np.array_equal(a.F, b.F)
     assert a.first_integrals[0].tobytes() == b.first_integrals[0].tobytes()
     # and that V is the new one, not the harmonic model's it derives from
@@ -913,7 +913,7 @@ def test_the_fused_attempt_compiles_once_per_model_class():
     size = dopri._attempt.cache_info().currsize
     traj = integrate(st0, mass_shell_from_lambda(1.5, 2.5, -0.2), CentralPowerPotential(0.3, 3),
                      2.0)
-    assert traj.n_accepted > 0
+    assert traj.stats.n_accepted > 0
     assert dopri._attempt.cache_info().currsize == size
 
 
@@ -941,11 +941,11 @@ def test_an_evaluate_only_model_goes_through_the_module_rhs(monkeypatch):
     shell = mass_shell_from_lambda(1.0, 2.0, 0.1)
     st0 = ReducedState(0.0, np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.4, 0.0]))
     traj = integrate(st0, shell, BareSpring(0.2), 2.0)
-    assert len(calls) == traj.n_rhs > 0
+    assert len(calls) == traj.stats.n_rhs > 0
     # a builtin runs its stages fused and calls the module rhs for k1 and
     # the first-step probe alone
     integrate(st0, shell, HarmonicPotential(0.2), 2.0)
-    assert len(calls) == traj.n_rhs + 2
+    assert len(calls) == traj.stats.n_rhs + 2
 
 
 # the in-plane integration against the eight-component reference of
@@ -1020,9 +1020,9 @@ def test_a_rotated_start_gives_the_rotated_run(model, lam, m2, z, y, q, grid):
     shell = mass_shell_from_lambda(1.0, m2, lam)
     opts = IntegratorOptions(sample_interval=0.5 if grid else None)
     a = integrate(_orbit_start(z, y), shell, model, 6.0, opts)
-    assume(a.n_accepted <= 2000)
+    assume(a.stats.n_accepted <= 2000)
     b = integrate(ReducedState(0.0, R @ z, R @ y), shell, model, 6.0, opts)
-    assert (a.n_accepted, a.n_rejected) == (b.n_accepted, b.n_rejected)
+    assert (a.stats.n_accepted, a.stats.n_rejected) == (b.stats.n_accepted, b.stats.n_rejected)
     rows = slice(None) if grid else [0, -1]
     assert np.array_equal(a.lam[rows], b.lam[rows])
     u = a.u[rows]

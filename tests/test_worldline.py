@@ -210,6 +210,16 @@ def test_resample_uniform_T(toy_traj):
         resample_uniform_T(toy_traj, 1)
 
 
+def test_resample_uniform_T_refuses_a_non_integer_n(toy_traj):
+    # 2.5 used to reach np.linspace and raise its TypeError
+    for n in (2.5, 41.0, "41", 1, np.int64(1)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"need an integer of at least two samples, got n = {n!r}")):
+            resample_uniform_T(toy_traj, n)
+    # numpy integers stay accepted
+    assert len(resample_uniform_T(toy_traj, np.int64(5)).lam) == 5
+
+
 def test_nonmonotone_trajectory_refuses_T_queries():
     shell = mass_shell_from_lambda(1.0, 1.0, 0.01)
     big = ReducedState(0.0, np.array([0.0, 8.0, 0.0]), np.array([0.5, 0.0, 0.0]))
