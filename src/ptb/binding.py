@@ -18,7 +18,7 @@ import math
 from typing import Callable, Sequence, Tuple
 
 from .circular import CircularOrbit, find_circular
-from .errors import NoRoot, PtbError
+from .errors import BadParameter, NoRoot, PtbError
 from .mass_shell import _REL_SLACK, MassShell, _check_masses, mass_shell_from_lambda
 from .potentials import PotentialSpec
 from .roots import first_root
@@ -108,7 +108,12 @@ def self_consistent_shell(m1: float, m2: float, model: PotentialSpec,
 
     if model.p2_independent and model.w_independent:
         # lambda does not feed back into itself; one pass is exact
-        return mass_shell_from_lambda(m1, m2, lam((m1 + m2) ** 2))
+        try:
+            M2 = (m1 + m2) ** 2
+        except OverflowError:
+            raise BadParameter(f"need a finite M^2 = (m1 + m2)^2, got m1 = {m1!r}, "
+                               f"m2 = {m2!r}") from None
+        return mass_shell_from_lambda(m1, m2, lam(M2))
     shell, _ = _closed_shell(m1, m2, lambda shell: (lam(shell.M2), None))
     return shell
 

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import OutOfRange, StepFailure
 
 __all__ = ["MAX_STEPS", "MAX_DENSE_BYTES", "DenseOutput", "SolveStats", "DopriResult",
-           "dense_steps", "solve_dopri5"]
+           "dense_steps", "quartic", "solve_dopri5"]
 
 MAX_STEPS = 10_000_000  # budget of accepted plus rejected steps
 MAX_DENSE_BYTES = 2 ** 30  # budget of the dense output; see dense_steps
@@ -88,28 +88,33 @@ class DenseOutput:
         """State at t on the step that contains it: a list of floats for a
         scalar t, a (len(t), n) array for an array of t.  A t outside
         [t[0], t[-1]] raises OutOfRange."""
-        theta, _, y, r2, r3, r4, r5 = self._quartic(t)
-        out = y + theta * (r2 + (1.0 - theta) * (r3 + theta * (r4 + (1.0 - theta) * r5)))
+        theta, _, rows = self._quartic(t)
+        out = quartic(theta, *rows)
         return out[:, 0].tolist() if np.ndim(t) == 0 else out.T
 
     def rate(self, t) -> np.ndarray:
         """Derivative d/dt of the interpolant at an array of t, (len(t), n)."""
-        theta, h, _, r2, r3, r4, r5 = self._quartic(t)
+        theta, h, (_, r2, r3, r4, r5) = self._quartic(t)
         th1 = 1.0 - theta
         return ((r2 + (th1 - theta) * (r3 + 2.0 * theta * th1 * r5)
                  + theta * (2.0 - 3.0 * theta) * r4) / h).T
 
     def _quartic(self, t):
-        """theta, h and the rows of the quartic in theta on the step that
-        holds each t: r1 = y, r2 = y_new - y, r3 = h k1 - r2,
-        r4 = r2 - h k7 - r3 and r5 = h D.k, each (n, len(t))."""
+        """theta, h and the rows of the step that holds each t."""
         t, grid = np.atleast_1d(np.asarray(t, dtype=float)), np.frombuffer(self.t)
         outside = ~((grid[0] <= t) & (t <= grid[-1]))
         if outside.any():
             raise OutOfRange(f"t = {float(t[outside.argmax()])!r} outside "
                              f"[{self.t[0]!r}, {self.t[-1]!r}]")
-        i = np.searchsorted(grid[:-1], t, side="right") - 1
-        # blocks as (6, n, len(t)), so that every operation runs along t
+        start, h, rows = self.rows(np.searchsorted(grid[:-1], t, side="right") - 1)
+        return (t - start) / h, h, rows
+
+    def rows(self, i):
+        """Start, size h and the rows (y, r2, r3, r4, r5) of the quartic in
+        theta of the steps i, an index array: r2 = y_new - y, r3 = h k1 - r2,
+        r4 = r2 - h k7 - r3 and r5 = h D.k, each (n, len(i))."""
+        grid = np.frombuffer(self.t)
+        # blocks as (6, n, len(i)), so that every operation runs along i
         y, _, _, _, _, k1 = self.groups[i].transpose(1, 2, 0)
         y1, k3, k4, k5, k6, k7 = self.groups[i + 1].transpose(1, 2, 0)
         h = grid[i + 1] - grid[i]
@@ -117,7 +122,12 @@ class DenseOutput:
         r3 = h * k1 - r2
         r4 = r2 - h * k7 - r3
         r5 = h * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7)
-        return (t - grid[i]) / h, h, y, r2, r3, r4, r5
+        return grid[i], h, (y, r2, r3, r4, r5)
+
+
+def quartic(theta, y, r2, r3, r4, r5):
+    """The dense quartic at theta in [0, 1] of its step, from the step's rows."""
+    return y + theta * (r2 + (1.0 - theta) * (r3 + theta * (r4 + (1.0 - theta) * r5)))
 
 
 @dataclass(frozen=True)
@@ -240,8 +250,8 @@ def solve_dopri5(
     if not (0.0 < tol < math.inf and max_step > 0.0):
         raise ValueError(f"need 0 < tol < inf and max_step > 0, got {tol=!r}, {max_step=!r}")
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise ValueError(f"need t1 > t0, got {t_span!r}")
+    if not -math.inf < t0 < t1 < math.inf:
+        raise ValueError(f"need finite t0 < t1, got {t_span!r}")
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim != 1:
         raise ValueError("y0 must be one-dimensional")

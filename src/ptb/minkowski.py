@@ -60,6 +60,8 @@ def boost_from_rest(v, k: FourVector):
     array whose last axis holds (t, x, y, z), to the frame in which the
     momentum has components k: it maps (sqrt(k.k), 0, 0, 0) to k and leaves
     spatial directions orthogonal to k's velocity untouched."""
+    if not all(map(math.isfinite, k)):
+        raise NonTimelikeP(f"boost axis must be finite, got k = {k}")
     m2 = lorentz_dot(k, k)
     if m2 <= 0.0:
         raise NonTimelikeP(f"boost axis must be timelike, k.k = {m2!r}")

@@ -277,8 +277,8 @@ def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
     plane_basis, the model's partials bound once for rhs and _stage, and lift
     the samples back.  The quadratures share the in-plane error control; F and
     G are the solver's derivative at each sample.  synchronize checks strict mode."""
-    if not (span > 0.0):
-        raise ValueError(f"span must be positive, got {span!r}")
+    if not 0.0 < span < math.inf:
+        raise ValueError(f"span must be positive and finite, got {span!r}")
     if initial.lambda_ != 0.0:
         raise ValueError(f"integration starts at lambda = 0, got {initial.lambda_!r}")
 

@@ -21,7 +21,8 @@ import numpy as np
 from . import reduced
 from .errors import FrameMismatch, NoRoot, NonMonotoneTime, OutOfRange
 from .minkowski import FourVector, boost_from_rest, lorentz_dot
-from .reduced import Trajectory, dT_dlambda, equal_time_clock, synchronize
+from .dopri import quartic
+from .reduced import Trajectory, equal_time_clock, synchronize
 
 __all__ = [
     "WorldlineSet",
@@ -31,9 +32,7 @@ __all__ = [
     "export_lab_frame",
 ]
 
-_EPS = float(np.finfo(float).eps)
 _ORIGIN = (0.0, 0.0, 0.0)  # adding it turns a -0 of zeta into +0 in the x1 and x2 columns
-_NEWTON_MAXITER = 60  # bisection alone narrows any bracket 2^60-fold
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,16 +70,15 @@ def lambda_from_T(traj: Trajectory, T_query):
     float comes back) or an array of them (an array of the same shape).
 
     A sampled T maps to its own lambda.  The other queries are solved
-    together by Newton steps on the dense output, T'(lambda) being the clock
-    rate of the dense quadratures: the samples on either side bracket each
-    root, and a step that leaves its bracket bisects it instead.  So
-    |T(result) - T_query| ends at rounding level.  A bracket whose ends do
-    not straddle its query, a nan clock, or a query still open at the
-    iteration cap raises NoRoot naming that query.
+    together on the dense output: T at every step end must not fall, or
+    NonMonotoneTime names the step, and each query is found on the step whose
+    ends bracket it, else NoRoot names it.  There T is the quartic whose rows
+    are the clock of the state's rows (T is linear in lambda, intF and intG),
+    and 60 halvings of theta in [0, 1], past its float spacing, pin the root.
     """
     if not traj.monotone:
         raise NonMonotoneTime("T(lambda) is not invertible on a flagged trajectory")
-    Ts, lams = traj.T, traj.lam
+    Ts, lams, dense, shell = traj.T, traj.lam, traj.dense, traj.shell
     shape = np.shape(T_query)
     Tq = np.asarray(T_query, dtype=float).ravel()
     outside = ~((Ts[0] <= Tq) & (Tq <= Ts[-1]))
@@ -91,53 +89,26 @@ def lambda_from_T(traj: Trajectory, T_query):
     lam = lams[i]  # a copy: i is an index array
     open_ = np.flatnonzero(Ts[i] != Tq)
     if open_.size:
-        lam[open_] = _newton(traj, Tq[open_], lams[i[open_] - 1], lams[i[open_]])
+        Tq, ends = Tq[open_], dense.groups[:, 0]
+        T_ends = equal_time_clock(np.frombuffer(dense.t), ends[:, 4], ends[:, 5], shell)[3]
+        if (dips := np.flatnonzero(np.diff(T_ends) < 0.0)).size:
+            j = int(dips[0])
+            raise NonMonotoneTime(f"T falls from {float(T_ends[j])!r} to {float(T_ends[j + 1])!r} "
+                                  f"between lambda = {dense.t[j]!r} and {dense.t[j + 1]!r}")
+        step = np.searchsorted(T_ends, Tq) - 1
+        if (bad := (step < 0) | (step >= len(T_ends) - 1)).any():
+            raise NoRoot(f"T = {float(Tq[bad.argmax()])!r} is not bracketed: the dense clock "
+                         f"runs from {float(T_ends[0])!r} to {float(T_ends[-1])!r}")
+        start, h, rows = dense.rows(step)
+        T_rows = [equal_time_clock(at, r[4], r[5], shell)[3]
+                  for at, r in zip((start, h, 0.0, 0.0, 0.0), rows)]
+        lo, hi = np.zeros_like(Tq), np.ones_like(Tq)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            up = quartic(mid, *T_rows) >= Tq
+            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+        lam[open_] = start + hi * h
     return float(lam[0]) if not shape else lam.reshape(shape)
-
-
-def _newton(traj: Trajectory, Tq: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Roots of T(lambda) = Tq on the dense output, one in each [lo, hi]."""
-    shell = traj.shell
-    M, M2, nu = shell.M, shell.M2, shell.nu
-
-    def residual(lam: np.ndarray, T: np.ndarray):
-        x = traj.dense(lam)
-        return equal_time_clock(lam, x[:, 4], x[:, 5], shell)[3] - T, x
-
-    r_lo, r_hi = residual(lo, Tq)[0], residual(hi, Tq)[0]
-    bad = ~((r_lo <= 0.0) & (r_hi >= 0.0))
-    if bad.any():
-        j = int(bad.argmax())
-        raise NoRoot(f"T = {float(Tq[j])!r} is not bracketed: the dense clock runs from "
-                     f"{float(Tq[j] + r_lo[j])!r} to {float(Tq[j] + r_hi[j])!r} over "
-                     f"lambda in [{float(lo[j])!r}, {float(hi[j])!r}]")
-    out = np.empty_like(Tq)
-    todo = np.arange(Tq.size)
-    lam = lo - r_lo * ((hi - lo) / (r_hi - r_lo))
-    for _ in range(_NEWTON_MAXITER):
-        r, x = residual(lam, Tq[todo])
-        if (nan := np.isnan(r)).any():
-            j = int(nan.argmax())
-            raise NoRoot(f"T(lambda) is nan at lambda = {float(lam[j])!r} "
-                         f"(T = {float(Tq[todo[j]])!r})")
-        dx = traj.dense.rate(lam)
-        rate = dT_dlambda(dx[:, 4], dx[:, 5], shell)
-        lo, hi = np.where(r < 0.0, lam, lo), np.where(r > 0.0, lam, hi)
-        step = lam - r / rate
-        inside = (lo <= step) & (step <= hi)
-        # |r| cannot fall below the rounding of the terms of T and the
-        # spacing of lambda: a query that reaches that floor is solved
-        a = np.abs(lam)
-        terms = 0.25 * M2 * a + np.abs(x[:, 4]) + (nu * nu * a + np.abs(nu * x[:, 5])) / M2
-        done = np.abs(r) <= 8.0 * _EPS * (terms / M + np.abs(rate) * a)
-        out[todo[done]] = np.where(inside, step, lam)[done]
-        keep = ~done
-        if not keep.any():
-            return out
-        todo, lo, hi = todo[keep], lo[keep], hi[keep]
-        lam = np.where(inside[keep], step[keep], 0.5 * (lo + hi))
-    raise NoRoot(f"T = {float(Tq[todo[0]])!r} still open after {_NEWTON_MAXITER} "
-                 f"Newton steps, in lambda [{float(lo[0])!r}, {float(hi[0])!r}]")
 
 
 def resample_uniform_T(traj: Trajectory, n: Optional[int] = None) -> Trajectory:

@@ -904,6 +904,10 @@ FLAG_ERRORS = [
     (["simulate", "--m1", "1", "--m2", "2", "--potential", "free", "--ytil", "0,2,0",
       "--lambda-span", "1", "--ztil", "1e154,0,0"],
      "ConfigError: initial.ztil and initial.ytil overflow: |ztil|^2 |ytil|^2 = inf"),
+    # the free model's one-pass shell squared m1 + m2 and ended in an OverflowError
+    (["simulate", "--m1", "1", "--potential", "free", "--ztil", "1,0,0", "--ytil", "0,1,0",
+      "--lambda-span", "1", "--out", os.devnull, "--m2", "1e200"],
+     "BadParameter: need a finite M^2 = (m1 + m2)^2, got m1 = 1.0, m2 = 1e+200"),
 ]
 
 

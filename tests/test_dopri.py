@@ -261,6 +261,23 @@ def test_input_validation():
         solve_dopri5(shm, (0.0, 1.0), np.array([[1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("span", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
+def test_a_non_finite_span_is_refused_before_f(monkeypatch, span):
+    # (0, inf) stepped until the step budget ran out, some 3.5 million steps
+    # for integrate's six components, and (-inf, 0) reported a step size
+    # underflow at t = -inf; the budget is cut here so a regression is quick
+    monkeypatch.setattr(dopri, "MAX_STEPS", 1000)
+    calls = []
+    with pytest.raises(ValueError, match=re.escape(f"need finite t0 < t1, got {span!r}")):
+        solve_dopri5(lambda t, y: calls.append(t) or shm(t, y), span, [1.0, 0.0])
+    assert calls == []
+    shell = mass_shell_from_lambda(1.0, 2.0, 0.1)
+    st0 = ReducedState(0.0, np.array([1.0, 0.2, 0.0]), np.array([0.0, 0.4, 0.1]))
+    with pytest.raises(ValueError, match=re.escape(
+            f"span must be positive and finite, got {span[1] - span[0]!r}")):
+        integrate(st0, shell, HarmonicPotential(0.3), span[1] - span[0])
+
+
 @pytest.mark.parametrize("option, value", [
     ("tol", math.nan), ("tol", -1e-10), ("tol", 0.0), ("tol", math.inf),
     ("max_step", 0.0), ("max_step", -1.0), ("max_step", math.nan), ("max_step", math.inf),

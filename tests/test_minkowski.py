@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,15 @@ def test_boost_rejects_spacelike_and_past_pointing():
         boost_to_rest(v, FourVector(1.0, 2.0, 0.0, 0.0))
     with pytest.raises(NonTimelikeP):
         boost_to_rest(v, FourVector(-2.0, 0.5, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("k", [(math.nan, 0.0, 0.0, 0.0), (2.0, math.nan, 0.0, 0.0),
+                               (math.inf, 1.0, 0.0, 0.0), (math.inf, math.inf, 0.0, 0.0)])
+def test_boost_rejects_a_non_finite_axis(k):
+    # a nan component gave all-nan rows, and k.t = inf returned v unchanged
+    k = FourVector(*k)
+    with pytest.raises(NonTimelikeP, match=re.escape(f"boost axis must be finite, got k = {k}")):
+        boost_from_rest(np.ones((3, 4)), k)
 
 
 def test_tilde_projection_kills_P_component(rng):

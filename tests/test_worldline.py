@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import ptb.worldline
 from ptb.errors import FrameMismatch, NoRoot, NonMonotoneTime, OutOfRange
-from ptb.mass_shell import mass_shell_from_lambda
+from ptb.mass_shell import mass_shell_from_lambda, shell_from_M
 from ptb.minkowski import FourVector, boost_from_rest, lorentz_dot
 from ptb.potentials import HarmonicPotential
 from ptb.reduced import (
@@ -163,9 +163,9 @@ def test_array_queries_name_the_offending_one(toy_traj):
 
 
 @pytest.mark.parametrize("factor", [20.0, 100.0])
-def test_newton_keeps_to_the_bracket_on_a_wild_clock(toy_traj, factor):
+def test_the_inverse_keeps_to_the_bracket_on_a_wild_clock(toy_traj, factor):
     # scaled stages of intF bend the dense clock between step ends, which
-    # stay put: plain Newton leaves the bracket there, the bisection does not
+    # stay put: the root stays on the step whose ends bracket its T
     groups = toy_traj.dense.groups.copy()
     groups[:, 1:, 4] *= factor
     groups[0, 5, 4] *= factor
@@ -175,13 +175,6 @@ def test_newton_keeps_to_the_bracket_on_a_wild_clock(toy_traj, factor):
     i = np.searchsorted(toy_traj.T, Tq)
     assert np.all((toy_traj.lam[i - 1] <= lam) & (lam <= toy_traj.lam[i]))
     assert max(abs(dense_T(wild, x) - T) for x, T in zip(lam.tolist(), Tq.tolist())) <= 1e-13
-
-
-def test_newton_iteration_cap_raises(toy_traj, monkeypatch):
-    Tq = np.linspace(float(toy_traj.T[0]), float(toy_traj.T[-1]), 7)[1:-1]
-    monkeypatch.setattr(ptb.worldline, "_NEWTON_MAXITER", 1)
-    with pytest.raises(NoRoot, match="still open after 1 Newton steps"):
-        lambda_from_T(toy_traj, Tq)
 
 
 def test_resample_inverts_the_clock_once(toy_traj, monkeypatch):
@@ -235,6 +228,23 @@ def test_nonmonotone_trajectory_refuses_T_queries():
     # worldline export still works, flags carried through
     ws = worldlines(traj)
     assert ws.traj.flagged.any()
+
+
+def test_a_clock_that_dips_between_samples_is_refused():
+    # T rises from sample to sample, but falls between two step ends inside
+    # the second period: the sampled clock cannot see the dip, the steps can
+    p = ToyParams(chi=0.125, M=4.0, A=(3.0, 0.0, 0.0), B=(0.0, 0.5, 0.0))
+    z, y = initial_state(p)
+    traj = integrate(ReducedState(0.0, np.array(z), np.array(y)), shell_from_M(4.0, 0.0, 0.0),
+                     HarmonicPotential(p.chi), 4.0 * p.period,
+                     IntegratorOptions(sample_interval=p.period))
+    assert len(traj.lam) == 5 and traj.monotone and traj.dTdlambda.min() > 0.9
+    number = r"-?\d+\.\d+(e-?\d+)?"
+    line = f"T falls from {number} to {number} between lambda = {number} and {number}$"
+    with pytest.raises(NonMonotoneTime, match=line):
+        lambda_from_T(traj, 0.5 * (traj.T[1] + traj.T[2]))
+    with pytest.raises(NonMonotoneTime, match=line):
+        resample_uniform_T(traj, 9)
 
 
 def test_export_lab_frame(toy_traj):
