@@ -166,9 +166,13 @@ def verify_circular(orbit: CircularOrbit, model: PotentialSpec, shell: MassShell
 _last_pair = lru_cache(maxsize=1)(verify_circular)
 
 
+def _pair(*args):  # a type that cannot hash, such as a plain @dataclass, integrates afresh
+    return _last_pair(*args) if all(type(a).__hash__ for a in args) else verify_circular(*args)
+
+
 def verify_constancy(orbit, model, shell, n_samples=400) -> ConstancyReport:
-    return _last_pair(orbit, model, shell, n_samples)[0]
+    return _pair(orbit, model, shell, n_samples)[0]
 
 
 def verify_periodicity(orbit, model, shell, n_samples=400) -> PeriodicityReport:
-    return _last_pair(orbit, model, shell, n_samples)[1]
+    return _pair(orbit, model, shell, n_samples)[1]

@@ -14,6 +14,7 @@ import math
 import re
 from contextlib import nullcontext
 from dataclasses import asdict
+from functools import cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -42,13 +43,11 @@ def format_float(x: float) -> str:
 
 
 class RowTable:
-    """Rows of ncols floats (a 2-d array, or a list of rows: "%" refuses one
-    of another length with a TypeError), formatted on first use as CSV lines
-    in "%.17g" and kept in blocks of 1024 lines; the rows are then dropped.
-    From each block's floats it records in json_lines the lines JSON must fix,
-    those with a nan or an integral value below 1e17 in magnitude ("%.17g"
-    spells these with digits and a sign only, ±0 included), and in inf the
-    first infinite value in row order, or None."""
+    """Rows of ncols floats (a 2-d array, or a list of rows: a TypeError
+    refuses one of another length), formatted on first use as "%.17g" CSV
+    lines in blocks of 1024; the rows are then dropped.  json_lines lists per
+    block the lines with a nan or a value spelled in digits and a sign only
+    (±0 and integers below 1e17); inf is the first infinite value, or None."""
 
     def __init__(self, rows, ncols: int):
         self.rows, self.ncols, self.n, self._blocks = rows, ncols, len(rows), None
@@ -56,24 +55,99 @@ class RowTable:
 
     def blocks(self) -> list[str]:
         if self._blocks is None:
-            line = ",".join(["%.17g"] * self.ncols) + "\n"
             blocks, lines, infs = [], [], []
             for i in range(0, self.n, 1024):
                 rows = self.rows[i:i + 1024]
-                blocks.append(_format(line, rows))
-                a = np.asarray(rows, dtype=float)
-                fix = np.isnan(a) | ((np.abs(a) < 1e17) & (a == np.trunc(a)))
-                lines.append(np.flatnonzero(fix.any(axis=1)).tolist())
-                infs.extend(a[np.isinf(a)][:1].tolist())
+                if not isinstance(rows, np.ndarray) and any(len(r) != self.ncols for r in rows):
+                    raise TypeError(f"every row of this table holds {self.ncols} values")
+                text, fix, inf = _spell(np.asarray(rows, float).reshape(len(rows), self.ncols))
+                blocks.append(text)
+                lines.append(np.flatnonzero(fix).tolist())
+                infs.extend(inf)
             self._blocks, self.json_lines, self.inf = blocks, lines, (infs + [None])[0]
             self.rows = None
         return self._blocks
 
 
-def _format(line: str, rows) -> str:
-    if isinstance(rows, np.ndarray):
-        return line * len(rows) % tuple(rows.ravel().tolist())
-    return "".join([line % tuple(row) for row in rows])
+@cache
+def _tables():
+    """_spell's tables, built on first use: 10^(16 - e) = hi + lo and the
+    exponent text per e; "0000" to "9999" and their trailing zeros; per class
+    min(max(e, -5), 17) + 5 and count k of significant digits, the masks and
+    shift of a cell's bytes: for e in [0, 16] the digits after digit e move one
+    byte, behind the point; for e in [-4, -1] all move five, behind "0.000"
+    cut to -e - 1 zeros; for an exponent the point follows the first digit."""
+    e = np.arange(-284, 285)
+    nd = [(10 ** max(p, 0), 10 ** max(-p, 0)) for p in (16 - e).tolist()]  # 10^p = n / d
+    hi, lo = np.array([(h := n / d, (n * (r := h.as_integer_ratio())[1] - r[0] * d) / (d * r[1]))
+                       for n, d in nd]).T
+    words = lambda b: np.ascontiguousarray(b, np.uint8).view("<u8").astype(np.uint64)  # noqa: E731
+    g = np.arange(10000)
+    pairs = (g[:100] // 10 + 48 | (g[:100] % 10 + 48) << 8).astype(np.uint64)
+    c, k, j = np.ogrid[:23, :18, :24]
+    B, P = (c >= 1) & (c <= 4), np.where((c >= 5) & (c <= 21), c - 4, 1)
+    keep = np.where(B, (j >= 5) & (j < 5 + k), (j < np.maximum(k, P) + (k > P)) & (j != P))
+    put = np.where(B, 48 * ((j == 0) | (j > c) & (j < 5)) + 46 * (j == 1), 46 * (j == P) * (k > P))
+    return (hi, lo, 134217729.0 * hi - (134217729.0 * hi - hi),
+            words([list(b"\0\0e%+03d\0\0" % x if x < -4 or x > 16 else bytes(8))[:8]
+                   for x in e.tolist()])[:, 0], pairs[g // 100] | pairs[g % 100] << np.uint64(16),
+            sum((g % 10 ** i == 0).astype(np.uint8) for i in range(1, 5)),
+            *[words(m).reshape(-1, 3).T.copy() for m in
+              (((j < P) & ~B & (k >= 0)) * 255, keep * 255, put)],
+            np.repeat(np.where(B, 40, 8), 18).astype(np.uint64))
+
+
+def _spell(x: np.ndarray) -> tuple[str, np.ndarray, list]:
+    """The CSV lines of the rows of x as format_float spells them, the lines
+    JSON must fix and a list of the first infinite value, built in one buffer
+    128 rows at a time.  D = round(|x| 10^(16 - e)) is exact by Dekker's
+    product, with e where 1e16 - 1e-6 <= |x| 10^(16 - e) < 1e17 (in the slack
+    e - 1 gives the same D) and 10^17 carried.  format_float spells the cells
+    within 1e-6 of a tie and the nonzero finite ones out of [1e-280, 1e280]."""
+    HI, LO, HH, SUFFIX, DIGITS, TZ, SEL, KEEP, PUT, SHIFT = _tables()
+    (rows, ncols), flat = x.shape, x.ravel()
+    buf = np.frombuffer(raw := bytearray(32 * flat.size + 1), "<u8", 4 * flat.size).reshape(-1, 4)
+    fixes = np.zeros(flat.size, bool)
+    for j in range(0, flat.size, 128 * ncols or 1):
+        x, cells, fix = flat[j:j + 128 * ncols], buf[j:j + 128 * ncols], fixes[j:j + 128 * ncols]
+        a = np.where(ok := (np.abs(x) >= 1e-280) & (np.abs(x) <= 1e280), np.abs(x), 1.0)
+        e = np.floor(np.log10(a)).astype(np.intp)
+        al = a - (ah := (c := 134217729.0 * a) - (c - a))
+        for _ in range(3):
+            hh, hl, p = HH[e + 284], HI[e + 284] - HH[e + 284], a * HI[e + 284]
+            r = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * LO[e + 284]
+            up, down = (p > 1e17) | (p == 1e17) & (r >= 0), (p < 1e16) | (p == 1e16) & (r < -1e-6)
+            if not (moved := up | down).any():
+                break
+            e += up.astype(np.intp) - down
+        D = p.astype(np.int64) + (rr := np.rint(r)).astype(np.int64)
+        fb = np.where(ok, moved | (np.abs(r - rr) > 0.5 - 1e-6), np.isfinite(x) & (x != 0))
+        e += (carry := D == 10 ** 17)
+        D[carry] = 10 ** 16
+        q, d = np.divmod(D, 10)  # q as two groups of eight digits, each two of four
+        ge, g = np.divmod(np.stack(np.divmod(q, 10 ** 8)), 10000)
+        w = np.vstack([DIGITS[ge] | DIGITS[g] << np.uint64(32), (d + 48).astype(np.uint64)])
+        (t0, t2), (t1, t3) = TZ[ge], TZ[g]  # k: the significant digits
+        k = 17 - (d == 0) * (1 + t3 + (t3 == 4) * (t2 + (t2 == 4) * (t1 + (t1 == 4) * t0)))
+        # a cell: separator, sign, 24 bytes from w before the split and shifted after it
+        i = (np.minimum(np.maximum(e, -5), 17) + 5) * 18 + k
+        h = w << SHIFT[i]
+        h[1:] |= w[:2] >> (np.uint64(64) - SHIFT[i])
+        w = ((w ^ h) & np.take(SEL, i, 1) ^ h) & np.take(KEEP, i, 1) | np.take(PUT, i, 1)
+        w[2] |= SUFFIX[e + 284]
+        s = np.flatnonzero(~np.isfinite(x) | (x == 0))  # "0", "nan", "inf"
+        w[0, s] = np.array([48, 0x6E616E, 0x666E69], np.uint64)[np.isnan(x[s]) + 2 * np.isinf(x[s])]
+        cells[:, 1:] = w.T
+        cells[:, 0] = np.where(np.signbit(x) & ~np.isnan(x), np.uint64(0x2D << 56), np.uint64(0))
+        cells[:, 0] |= np.array([10] + [44] * (ncols - 1), np.uint64)[np.arange(len(x)) % ncols]
+        fix[:] = (k <= e + 1) & (e <= 16) & ~np.isinf(x)
+        for f in np.flatnonzero(fb).tolist():
+            s = format_float(x[f]).encode()
+            cells.view(np.uint8)[f, 7:] = list(s.ljust(25, b"\0"))
+            fix[f] = s.lstrip(b"-").isdigit()
+    raw[0], raw[-1] = 0, 10  # no newline before the first line, one after the last
+    text = raw.translate(None, b"\0").decode("ascii") if ncols else "\n" * rows
+    return text, fixes.reshape(rows, ncols).any(axis=1), flat[np.isinf(flat)][:1].tolist()
 
 
 def trajectory_rows(traj: Trajectory, ws: WorldlineSet) -> RowTable:

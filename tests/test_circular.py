@@ -300,6 +300,21 @@ def test_other_arguments_integrate_afresh(shell, integrations):
         verify_circular(orbit, model, shell)[0]
 
 
+def test_a_model_that_cannot_hash_is_verified_afresh(integrations):
+    # a plain @dataclass sets __hash__ to None; the shims once raised
+    # "TypeError: unhashable type: 'Spring'" where verify_circular passed
+    @dataclasses.dataclass
+    class Spring(WSpring):
+        eps: float
+
+    model, shell = Spring(0.9), mass_shell_from_lambda(1.0, 2.0, 0.5)
+    orbit = find_circular(model, shell, 1.7)
+    want = verify_circular(orbit, model, shell)
+    assert verify_constancy(orbit, model, shell) == want[0]
+    assert verify_periodicity(orbit, model, shell) == want[1]
+    assert len(integrations) == 3
+
+
 @pytest.mark.parametrize("n_samples", [0, -3, 2.5, 400.0, math.nan, "400", None])
 def test_verify_circular_refuses_a_sample_count_that_is_no_positive_integer(
         shell, integrations, n_samples):

@@ -4,6 +4,8 @@ import json
 import math
 import re
 import struct
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ptb.dopri
+import ptb.output
 import ptb.reduced
 from ptb.mass_shell import mass_shell_from_lambda
 from ptb.output import (
@@ -338,12 +341,15 @@ def tables(ncols):
     return st.lists(st.lists(values, min_size=ncols, max_size=ncols), max_size=12)
 
 
+def csv_text(rows) -> str:
+    """The CSV lines of rows as a per-value loop over format_float."""
+    return "".join(",".join(format_float(x) for x in row) + "\n" for row in rows)
+
+
 def csv_reference(path, rows, columns):
     """write_csv as a per-value loop over format_float."""
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(format_float(x) for x in row) + "\n")
+        fh.write(",".join(columns) + "\n" + csv_text(rows))
 
 
 def json_reference(path, payload):
@@ -536,6 +542,114 @@ def test_the_table_lists_the_lines_json_must_fix(rows):
     assert type(table.inf) is (float if infs else type(None))
 
 
+def assert_spelled_like_format_float(a: np.ndarray):
+    """A table of the rows of a, as an array and as a list, spells each value
+    as format_float does."""
+    want = csv_text(a.tolist())
+    for rows in (a, a.tolist()):
+        assert "".join(RowTable(rows, a.shape[1]).blocks()) == want
+
+
+# every class of float: nan, ±0, ±inf, subnormals, the ends of the range,
+# powers of ten, and the magnitudes "%.17g" writes in fixed notation
+FLOAT_CLASSES = st.one_of(
+    st.floats(), st.sampled_from(EDGE + [math.inf, -math.inf, 1e20, 1e-4, 1e-5, 1e280, 1e-280]),
+    st.floats(-1e-300, 1e-300), st.integers(-10 ** 18, 10 ** 18).map(float),
+    st.integers(-400, 400).map(lambda k: 10.0 ** (k / 20)))
+
+
+@st.composite
+def big_tables(draw):
+    """At least 1,024 cells in 1 to 8 columns: half of them raw bit patterns,
+    half of them of magnitude 1e-22 to 1e22, and up to 64 drawn classes."""
+    ncols = draw(st.integers(1, 8))
+    n = ncols * -(-draw(st.integers(1024, 1300)) // ncols)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = np.where(rng.random(n) < 0.5, np.frombuffer(rng.bytes(8 * n), np.float64),
+                 rng.standard_normal(n) * 10.0 ** rng.integers(-22, 23, size=n))
+    for i, x in draw(st.lists(st.tuples(st.integers(0, n - 1), FLOAT_CLASSES), max_size=64)):
+        a[i] = x
+    return a.reshape(-1, ncols)
+
+
+@given(big_tables())
+def test_every_float_class_is_spelled_as_format_float_spells_it(a):
+    assert_spelled_like_format_float(a)
+
+
+def test_powers_of_ten_and_their_neighbours(monkeypatch):
+    # 4 ulps either side of each power of ten: where floor(log10) errs, where
+    # 10^(16 - e) is inexact (for 1e20 the rest r comes out at -5.6e-17, and e
+    # must not move down), and where "%.17g" turns to an exponent (the digits
+    # of 9.9999999999999991e-05 stay below 1e-4, so it is no 0.0000999...)
+    p = np.array([float(f"1e{k}") for k in range(-307, 309)])
+    near = [p]
+    for _ in range(4):
+        near = [np.nextafter(near[0], 0.0), *near, np.nextafter(near[-1], np.inf)]
+    a = np.concatenate(near)
+    a = a[np.isfinite(a)]
+    assert_spelled_like_format_float(np.concatenate([a, -a]).reshape(-1, 1))
+    spelled = []
+    monkeypatch.setattr(ptb.output, "format_float", lambda x: spelled.append(x) or format_float(x))
+    assert "".join(RowTable([[1e20, 9.9999999999999991e-05]], 2).blocks()) == \
+        "1e+20,9.9999999999999991e-05\n"
+    assert spelled == []  # 1e20 settles in the slack below 1e16, though 10^-4 is inexact
+
+
+def dyadic_ties():
+    """Floats n / 2^j, n odd, with exactly 18 significant digits (those of
+    n 5^j): exact ties of the 17-digit rounding, which format_float rounds to
+    even.  j runs to 25, where 10^(16 - e) is inexact (e = -7 and -8)."""
+    out = []
+    for j in range(1, 26):
+        lo, hi = -(-10 ** 17 // 5 ** j), min(10 ** 18 // 5 ** j, 2 ** 53)
+        out += [n / 2.0 ** j for n in np.linspace(lo, hi - 1, 60).astype(np.int64).tolist()
+                if n % 2 and len(Decimal(n / 2.0 ** j).as_tuple().digits) == 18]
+    return out
+
+
+def test_ties_and_near_ties_of_the_17th_digit(monkeypatch):
+    ties = np.array(dyadic_ties())
+    assert ties.min() < 1e-7 and ties.max() > 1e15
+    assert format_float(1.00000762939453125) == "1.0000076293945312"  # a tie, to even
+    # the floats nearest (D + 1/2) 10^k, a 17-digit D, across the range
+    rng = np.random.default_rng(17)
+    near = np.array([float(Fraction(2 * int(d) + 1, 2) * Fraction(10) ** int(k))
+                     for d, k in zip(rng.integers(10 ** 16, 10 ** 17, size=4000),
+                                     rng.integers(-320, 292, size=4000))])
+    spelled = []
+    monkeypatch.setattr(ptb.output, "format_float", lambda x: spelled.append(x) or format_float(x))
+    assert_spelled_like_format_float(np.concatenate([ties, -ties]).reshape(-1, 2))
+    assert sorted(spelled) == sorted(np.concatenate([ties, -ties]).tolist() * 2)  # ties only
+    assert_spelled_like_format_float(np.concatenate([near, -near]).reshape(-1, 2))
+
+
+@pytest.mark.parametrize("kind", [list, np.array])
+def test_empty_narrow_and_one_column_tables(kind):
+    assert RowTable(kind([]), 3).blocks() == []
+    assert RowTable(np.zeros((0, 3)), 3).blocks() == []
+    table = RowTable([[], [], []] if kind is list else np.zeros((3, 0)), 0)
+    assert table.blocks() == ["\n\n\n"] and table.json_lines == [[]]
+    one = RowTable(kind([[1.5], [math.nan], [-0.0], [math.inf], [1e-7]]), 1)
+    assert one.blocks() == ["1.5\nnan\n-0\ninf\n9.9999999999999995e-08\n"]
+    assert one.json_lines == [[1, 2]] and one.inf == math.inf
+
+
+@pytest.mark.parametrize("kind", [list, np.array])
+def test_json_lines_and_inf_follow_the_float_definition(kind):
+    # each pair of EDGE values and infinities in a row, 1,024 rows to a block
+    values = EDGE + [math.inf, -math.inf, 0.5]
+    rows = [[x, y, 0.25] for x in values for y in values] * 5
+    table = RowTable(kind(rows), 3)
+    table.blocks()
+    a = np.array(rows)
+    fix = np.isnan(a) | ((np.abs(a) < 1e17) & (a == np.trunc(a)))
+    lines = np.flatnonzero(fix.any(axis=1))
+    assert table.json_lines == [(lines[(lines >= i) & (lines < i + 1024)] - i).tolist()
+                                for i in range(0, len(rows), 1024)]
+    assert table.inf == a[np.isinf(a)][0] == math.inf and type(table.inf) is float
+
+
 def test_numpy_scalars_round_trip_as_their_python_values(tmp_path):
     payload = {"n": np.int64(3), "ok": np.bool_(True), "no": [np.bool_(False)],
                "x": np.float32(0.5), "gap": np.float64(math.nan), "rows": RowTable([[1.0]], 1)}
@@ -546,14 +660,18 @@ def test_numpy_scalars_round_trip_as_their_python_values(tmp_path):
 
 
 def test_ragged_rows_are_refused_before_writing(tmp_path):
-    # a row table is rectangular: "%" refuses a row of another length before
-    # the file opens, so a file already at the path stays as it was
+    # a row table is rectangular: a row of another length is refused before
+    # the file opens, so a file already at the path stays as it was; also
+    # deep in the first block of 1,024 rows and in a later one
     path = tmp_path / "out"
     path.write_text("before\n")
     with pytest.raises(TypeError):
         write_json(path, {"schema": 1, "rows": RowTable([[1.0], []], 1)})
     with pytest.raises(TypeError):
         write_csv(path, [[1.0, 2.0], [3.0]], ["a", "b"])
+    for n in (300, 1500):
+        with pytest.raises(TypeError, match="holds 2 values"):
+            write_csv(path, [[1.0, 2.0]] * n + [[3.0, 4.0, 5.0]], ["a", "b"])
     with pytest.raises(ValueError, match="columns"):
         write_csv(path, RowTable(np.zeros((2, 3)), 3), ["a", "b"])
     assert path.read_text() == "before\n"
