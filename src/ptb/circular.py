@@ -26,15 +26,8 @@ from .reduced import IntegratorOptions, ReducedState, dT_dlambda, integrate, res
 from .reduced import synchronize  # noqa: F401 (unused until perfbench/tracing.py stops patching it)
 from .roots import first_root
 
-__all__ = [
-    "CircularOrbit",
-    "ConstancyReport",
-    "PeriodicityReport",
-    "find_circular",
-    "verify_circular",
-    "verify_constancy",
-    "verify_periodicity",
-]
+__all__ = ["CircularOrbit", "ConstancyReport", "PeriodicityReport", "find_circular",
+           "verify_circular", "verify_constancy", "verify_periodicity"]
 
 # radii scanned for the first sign change of the equilibrium residual
 _RADII = tuple(np.logspace(-6.0, 6.0, 241).tolist())
@@ -166,8 +159,12 @@ def verify_circular(orbit: CircularOrbit, model: PotentialSpec, shell: MassShell
 _last_pair = lru_cache(maxsize=1)(verify_circular)
 
 
-def _pair(*args):  # a type that cannot hash, such as a plain @dataclass, integrates afresh
-    return _last_pair(*args) if all(type(a).__hash__ for a in args) else verify_circular(*args)
+def _pair(*args):  # arguments that cannot hash (a plain @dataclass, a list field) integrate afresh
+    try:
+        hash(args)
+    except TypeError:
+        return verify_circular(*args)
+    return _last_pair(*args)
 
 
 def verify_constancy(orbit, model, shell, n_samples=400) -> ConstancyReport:

@@ -170,6 +170,8 @@ def diagnostics(traj: Trajectory) -> dict:
 
     Drifts are relative to the scale of the first sample.  A positive
     monotonicity_margin guarantees dT/dlambda > 0 for any state on the shell.
+    min_dT_dlambda and monotone read the samples and every step end;
+    n_flagged counts the samples with a non-positive rate.
     """
     shell = traj.shell
     N, L2 = traj.first_integrals
@@ -185,7 +187,7 @@ def diagnostics(traj: Trajectory) -> dict:
         "planarity_residual": _planarity(traj),
         "monotonicity_margin": monotonicity_margin(shell.M2, shell.nu, shell.lambda_),
         "T_span": [float(traj.T[0]), float(traj.T[-1])],
-        "min_dT_dlambda": float(np.min(traj.dTdlambda)),
+        "min_dT_dlambda": float(min(np.min(traj.dTdlambda), np.min(traj.clock_ends[1]))),
         "monotone": traj.monotone,
         "n_flagged": int(np.count_nonzero(traj.flagged)),
     }

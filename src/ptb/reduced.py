@@ -34,20 +34,9 @@ from .errors import NonMonotoneTime, StepFailure
 from .mass_shell import MassShell
 from .potentials import PotentialSpec, ScalarQuintet, _KernelModel
 
-__all__ = [
-    "IntegratorOptions",
-    "ReducedState",
-    "TrajectorySample",
-    "Trajectory",
-    "plane_basis",
-    "lift",
-    "rest_quintet",
-    "rhs",
-    "dT_dlambda",
-    "equal_time_clock",
-    "integrate",
-    "synchronize",
-]
+__all__ = ["IntegratorOptions", "ReducedState", "TrajectorySample", "Trajectory", "plane_basis",
+           "lift", "rest_quintet", "rhs", "dT_dlambda", "equal_time_clock", "integrate",
+           "synchronize"]
 
 
 @dataclass(frozen=True)
@@ -56,7 +45,7 @@ class IntegratorOptions:
     so end-to-end deviations scale like tol times the integrated span.
 
     sample_interval = None emits every accepted step.  strict_time makes a
-    non-positive dT/dlambda raise NonMonotoneTime instead of flagging.
+    clock that is not monotone raise NonMonotoneTime instead of flagging.
     """
 
     tol: float = 1e-10
@@ -113,11 +102,12 @@ class Trajectory:
     """A reduced run as columns over its n samples: lam (n), the rest-frame
     state u = (zeta, eta, intF, intG) (n, 8), lifted from the solver's
     in-plane samples on basis, the orbital plane's rows (e1, e2), and the
-    quadrature rates F, G (n).  The clock, tau1, tau2, T, its rate
-    dTdlambda, flagged (n each) and monotone, is built from them on first
-    read: a replace gets its own.  dense is the solver's interpolant of the
-    in-plane state over every accepted step and stats its counters.
-    samples, a per-sample view of lam, ztil, ytil and T built on
+    quadrature rates F, G (n).  dense is the solver's interpolant of the
+    in-plane state over every accepted step and stats its counters.  The
+    clock is built on first read (a replace gets its own): tau1, tau2, T, its
+    rate dTdlambda and flagged (n each) from the columns, clock_ends from
+    dense, and monotone, true unless faults names a fault at a step end or
+    sample.  samples, a per-sample view of lam, ztil, ytil and T built on
     first access, is a shim the benchmark still reads and replaces (a tuple
     given explicitly is kept as it is); it goes once the benchmark reads the
     columns.
@@ -142,21 +132,43 @@ class Trajectory:
 
     @cached_property
     def _clock(self) -> tuple:
-        """tau1, tau2, T, the clock rate and monotone, from the columns."""
+        """tau1, tau2, T and the clock rate, from the columns."""
         tau1, tau2, _, T = equal_time_clock(self.lam, self.u[:, 6], self.u[:, 7], self.shell)
-        rate = dT_dlambda(self.F, self.G, self.shell)
-        return tau1, tau2, T, rate, bool(np.all(rate > 0.0) and np.all(np.diff(T) > 0.0))
+        return tau1, tau2, T, dT_dlambda(self.F, self.G, self.shell)
+
+    @cached_property
+    def clock_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """T and dT/dlambda at lambda = 0 and every accepted step end, from the
+        state and FSAL blocks of dense.groups: the one read of the clock there."""
+        lam, g = np.frombuffer(self.dense.t), self.dense.groups
+        return (equal_time_clock(lam, g[:, 0, 4], g[:, 0, 5], self.shell)[3],
+                dT_dlambda(g[:, 5, 4], g[:, 5, 5], self.shell))
+
+    @cached_property
+    def faults(self) -> tuple[Optional[str], Optional[str], Optional[str]]:
+        """The clock's faults as messages, None where it holds: the first step
+        end with a non-positive rate, the first pair of step ends between which
+        T does not rise, and the samples, whose rates must be positive and T rise."""
+        lam, (T, rate), rate_s = self.dense.t, self.clock_ends, self.dTdlambda
+        j, k = int(np.argmin(rate > 0.0)), int(np.argmin(np.diff(T) > 0.0))
+        step = f" after a step of h = {lam[j] - lam[j - 1]!r}" if j else ""
+        ends_rate = f"dT/dlambda = {float(rate[j])!r} at lambda = {lam[j]!r}{step}"
+        ends_rise = (f"T falls from {float(T[k])!r} to {float(T[k + 1])!r} "
+                     f"between lambda = {lam[k]!r} and {lam[k + 1]!r}")
+        sampled = np.all(rate_s > 0.0) and np.all(np.diff(self.T) > 0.0)
+        return (None if rate[j] > 0.0 else ends_rate, None if T[k + 1] > T[k] else ends_rise,
+                None if sampled else f"min dT/dlambda = {float(rate_s.min())!r}")
 
     tau1 = property(lambda t: t._clock[0])
     tau2 = property(lambda t: t._clock[1])
     T = property(lambda t: t._clock[2])
     dTdlambda = property(lambda t: t._clock[3])
-    monotone = property(lambda t: t._clock[4], doc="T rises at a positive rate throughout.")
+    monotone = property(lambda t: not any(t.faults), doc="T rises at a positive rate throughout.")
     flagged = property(lambda t: ~(t._clock[3] > 0.0), doc="Samples with a non-positive rate.")
 
     ztil = property(lambda t: t.u[:, 0:3])
     ytil = property(lambda t: t.u[:, 3:6])
-    # benchmark shims, as samples is: they go with ROADMAP item 6
+    # benchmark shims, as samples is: they go with ROADMAP item 9
     n_accepted = property(lambda t: t.stats.n_accepted)
     n_rejected = property(lambda t: t.stats.n_rejected)
 
@@ -310,19 +322,11 @@ def equal_time_clock(lam, intF, intG, shell: MassShell):
 
 
 def synchronize(traj: Trajectory) -> Trajectory:
-    """traj itself, unless it is strict and T does not rise at a positive
-    rate throughout: then NonMonotoneTime.  The rate is checked at lambda = 0
-    and at the end of every accepted step, from the FSAL stages that the
-    dense output keeps, and T is checked to rise between the samples."""
-    if not traj.opts.strict_time:
-        return traj
-    dense = traj.dense
-    rate = dT_dlambda(dense.groups[:, 5, 4], dense.groups[:, 5, 5], traj.shell)
-    j = int(np.argmin(rate > 0.0))  # the first rate that is not positive
-    if not rate[j] > 0.0:
-        step = f" after a step of h = {dense.t[j] - dense.t[j - 1]!r}" if j else ""
-        raise NonMonotoneTime(f"dT/dlambda = {float(rate[j])!r} at lambda = {dense.t[j]!r}"
-                              f"{step} (strict mode)")
-    if not traj.monotone:
-        raise NonMonotoneTime(f"min dT/dlambda = {float(traj.dTdlambda.min())!r} (strict mode)")
+    """traj itself, unless it is strict and its clock is not monotone: then
+    NonMonotoneTime names the first of traj.faults, a non-positive rate at
+    lambda = 0 or at the end of an accepted step, a fall of T from one step
+    end to the next, or the samples."""
+    fault = traj.opts.strict_time and next(filter(None, traj.faults), None)
+    if fault:
+        raise NonMonotoneTime(f"{fault} (strict mode)")
     return traj

@@ -24,13 +24,7 @@ from .minkowski import FourVector, boost_from_rest, lorentz_dot
 from .dopri import quartic
 from .reduced import Trajectory, equal_time_clock, synchronize
 
-__all__ = [
-    "WorldlineSet",
-    "worldlines",
-    "lambda_from_T",
-    "resample_uniform_T",
-    "export_lab_frame",
-]
+__all__ = ["WorldlineSet", "worldlines", "lambda_from_T", "resample_uniform_T", "export_lab_frame"]
 
 _ORIGIN = (0.0, 0.0, 0.0)  # adding it turns a -0 of zeta into +0 in the x1 and x2 columns
 
@@ -66,18 +60,22 @@ def worldlines(traj: Trajectory) -> WorldlineSet:
 
 
 def lambda_from_T(traj: Trajectory, T_query):
-    """Invert the clock map T(lambda) on a monotone trajectory, for one T (a
-    float comes back) or an array of them (an array of the same shape).
+    """Invert the clock map T(lambda), for one T (a float comes back) or an
+    array of them (an array of the same shape).
 
+    T must rise from each step end to the next, or NonMonotoneTime names the
+    two lambdas, and over the samples (traj.faults); a non-positive rate at a
+    step end alone is no refusal, since the step ends still bracket each T.
     A sampled T maps to its own lambda.  The other queries are solved
-    together on the dense output: T at every step end must not fall, or
-    NonMonotoneTime names the step, and each query is found on the step whose
-    ends bracket it, else NoRoot names it.  There T is the quartic whose rows
-    are the clock of the state's rows (T is linear in lambda, intF and intG),
-    and 60 halvings of theta in [0, 1], past its float spacing, pin the root.
+    together on the dense output: each is found on the step whose ends
+    bracket it in traj.clock_ends, else NoRoot names it.  There T is the
+    quartic whose rows are the clock of the state's rows (T is linear in
+    lambda, intF and intG), and 60 halvings of theta in [0, 1], past its
+    float spacing, pin the root.
     """
-    if not traj.monotone:
-        raise NonMonotoneTime("T(lambda) is not invertible on a flagged trajectory")
+    _, fall, sampled = traj.faults
+    if fall or sampled:
+        raise NonMonotoneTime(fall or "T(lambda) is not invertible on a flagged trajectory")
     Ts, lams, dense, shell = traj.T, traj.lam, traj.dense, traj.shell
     shape = np.shape(T_query)
     Tq = np.asarray(T_query, dtype=float).ravel()
@@ -89,12 +87,7 @@ def lambda_from_T(traj: Trajectory, T_query):
     lam = lams[i]  # a copy: i is an index array
     open_ = np.flatnonzero(Ts[i] != Tq)
     if open_.size:
-        Tq, ends = Tq[open_], dense.groups[:, 0]
-        T_ends = equal_time_clock(np.frombuffer(dense.t), ends[:, 4], ends[:, 5], shell)[3]
-        if (dips := np.flatnonzero(np.diff(T_ends) < 0.0)).size:
-            j = int(dips[0])
-            raise NonMonotoneTime(f"T falls from {float(T_ends[j])!r} to {float(T_ends[j + 1])!r} "
-                                  f"between lambda = {dense.t[j]!r} and {dense.t[j + 1]!r}")
+        Tq, T_ends = Tq[open_], traj.clock_ends[0]
         step = np.searchsorted(T_ends, Tq) - 1
         if (bad := (step < 0) | (step >= len(T_ends) - 1)).any():
             raise NoRoot(f"T = {float(Tq[bad.argmax()])!r} is not bracketed: the dense clock "

@@ -301,18 +301,26 @@ def test_other_arguments_integrate_afresh(shell, integrations):
 
 
 def test_a_model_that_cannot_hash_is_verified_afresh(integrations):
-    # a plain @dataclass sets __hash__ to None; the shims once raised
-    # "TypeError: unhashable type: 'Spring'" where verify_circular passed
+    # a plain @dataclass sets __hash__ to None, and a frozen one hashes its
+    # fields, a list among them; the shims once raised "TypeError: unhashable
+    # type: 'Spring'" and "... 'list'" where verify_circular passed
     @dataclasses.dataclass
     class Spring(WSpring):
         eps: float
 
-    model, shell = Spring(0.9), mass_shell_from_lambda(1.0, 2.0, 0.5)
-    orbit = find_circular(model, shell, 1.7)
-    want = verify_circular(orbit, model, shell)
-    assert verify_constancy(orbit, model, shell) == want[0]
-    assert verify_periodicity(orbit, model, shell) == want[1]
-    assert len(integrations) == 3
+    @dataclasses.dataclass(frozen=True)
+    class TaggedSpring(WSpring):
+        eps: float
+        tags: list
+
+    shell = mass_shell_from_lambda(1.0, 2.0, 0.5)
+    for model in (Spring(0.9), TaggedSpring(0.9, ["soft"])):
+        integrations.clear()
+        orbit = find_circular(model, shell, 1.7)
+        want = verify_circular(orbit, model, shell)
+        assert verify_constancy(orbit, model, shell) == want[0]
+        assert verify_periodicity(orbit, model, shell) == want[1]
+        assert len(integrations) == 3
 
 
 @pytest.mark.parametrize("n_samples", [0, -3, 2.5, 400.0, math.nan, "400", None])

@@ -15,7 +15,8 @@ from ptb import dopri
 from ptb.circular import find_circular
 from ptb.dopri import MAX_STEPS, dense_steps
 from ptb.errors import BadParameter, DomainError, NonMonotoneTime, OutOfRange, StepFailure
-from ptb.mass_shell import mass_shell_from_lambda
+from ptb.mass_shell import mass_shell_from_lambda, shell_from_M
+from ptb.output import diagnostics
 from ptb.potentials import (
     CentralPowerPotential,
     FreePotential,
@@ -312,7 +313,8 @@ def test_strict_clock_is_checked_at_lambda_0():
 def strict_verdict(traj):
     """The strict check as scalar loops: the clock rate of each FSAL stage
     of the dense output, at lambda = 0 and then at each accepted step end,
-    in the order the steps were taken; then the samples."""
+    in the order the steps were taken; then T from each step end to the
+    next, from the state blocks; then the samples."""
     dense, shell = traj.dense, traj.shell
     last = None
     for lam, k in zip(dense.t, dense.groups[:, 5].tolist()):
@@ -321,6 +323,12 @@ def strict_verdict(traj):
             step = "" if last is None else f" after a step of h = {lam - last!r}"
             return f"dT/dlambda = {rate!r} at lambda = {lam!r}{step} (strict mode)"
         last = lam
+    ends = [(lam, equal_time_clock(lam, y[4], y[5], shell)[3])
+            for lam, y in zip(dense.t, dense.groups[:, 0].tolist())]
+    for (lam0, T0), (lam1, T1) in zip(ends, ends[1:]):
+        if not T1 > T0:
+            return (f"T falls from {T0!r} to {T1!r} between lambda = {lam0!r} and {lam1!r}"
+                    " (strict mode)")
     rates, T = traj.dTdlambda.tolist(), traj.T.tolist()
     if not (all(r > 0.0 for r in rates) and all(b > a for a, b in zip(T, T[1:]))):
         return f"min dT/dlambda = {min(rates)!r} (strict mode)"
@@ -349,6 +357,52 @@ def test_strict_check_is_the_scalar_loop(shell_lambda, chi, z, y, sample_interva
         with pytest.raises(NonMonotoneTime) as info:
             run(True)
         assert str(info.value) == want
+
+
+@given(chi=st.floats(0.05, 1.0), M=st.floats(0.5, 6.0), nu_frac=st.floats(-0.49, 0.0),
+       A=st.tuples(*[st.floats(-3.0, 3.0)] * 3), B=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+       own=st.floats(0.01, 0.99) | st.none(), lam_frac=st.floats(-1.0, 0.99),
+       periods=st.floats(0.5, 3.0), k=st.integers(1, 6) | st.none(),
+       tol=st.sampled_from([1e-10, 1e-7]))
+def test_monotone_is_the_scalar_loop_over_step_ends_and_samples(
+        chi, M, nu_frac, A, B, own, lam_frac, periods, k, tol):
+    # a toy on its own shell, scaled so that its lambda is the fraction own
+    # of E1^2, keeps a positive margin; on a foreign shell its clock may turn
+    # at a step end, between step ends or between samples only
+    nu = nu_frac * M * M
+    E1_sq = (0.5 * M + nu / M) ** 2
+    p = ToyParams(chi=chi, M=M, A=A, B=B, nu=nu)
+    if own is not None:
+        assume(p.a2 + p.b2 > 0.0)
+        scale = math.sqrt(own * E1_sq / p.Lambda)
+        p = ToyParams(chi=chi, M=M, A=tuple(scale * np.array(A)), B=tuple(scale * np.array(B)),
+                      nu=nu)
+    shell = shell_for_toy(p) if own is not None else shell_from_M(M, nu, lam_frac * E1_sq)
+    traj = integrate(state0(p), shell, HarmonicPotential(chi), periods * p.period,
+                     IntegratorOptions(tol=tol, sample_interval=None if k is None else p.period / k))
+    assert traj.monotone is (strict_verdict(traj) is None)
+    if own is not None:
+        assert traj.monotone is True
+    rates = [dT_dlambda(g[4], g[5], shell) for g in traj.dense.groups[:, 5].tolist()]
+    assert diagnostics(traj)["min_dT_dlambda"] == min(rates + traj.dTdlambda.tolist())
+
+
+def test_a_clock_that_dips_between_samples_is_not_monotone():
+    # sampled once a period, the toy's clock looks clean at every sample,
+    # while its rate falls to the analytic minimum -0.125 at step ends
+    p = ToyParams(chi=0.125, M=4.0, A=(3.0, 0.0, 0.0), B=(0.0, 0.5, 0.0))
+    start, shell = state0(p), shell_from_M(4.0, 0.0, 0.0)
+    traj = integrate(start, shell, HarmonicPotential(p.chi), 4.0 * p.period,
+                     IntegratorOptions(sample_interval=p.period))
+    d = diagnostics(traj)
+    assert len(traj.lam) == 5 and traj.dTdlambda.min() > 0.9
+    assert traj.monotone is False and d["monotone"] is False
+    assert abs(d["min_dT_dlambda"] - min_dT_dlambda(p)) <= 1e-5 and min_dT_dlambda(p) == -0.125
+    assert d["n_flagged"] == 0 and not traj.flagged.any()
+    with pytest.raises(NonMonotoneTime, match=r"^dT/dlambda = -\S+ at lambda = \S+ after a step "
+                                              r"of h = \S+ \(strict mode\)$"):
+        integrate(start, shell, HarmonicPotential(p.chi), 4.0 * p.period,
+                  IntegratorOptions(sample_interval=p.period, strict_time=True))
 
 
 def test_strict_integrate_checks_its_own_samples(monkeypatch):
