@@ -32,7 +32,7 @@ from . import __version__
 from .binding import binding_energy, self_consistent_circular, self_consistent_shell
 from .circular import CircularOrbit, find_circular, verify_circular
 from .errors import ConfigError, PtbError
-from .mass_ratio import RatioRow, limit_report
+from .mass_ratio import RatioRow, _checked, limit_report
 from .mass_shell import MassShell, mass_shell_from_lambda, shell_from_M
 from .minkowski import FourVector
 from .output import diagnostics, format_float, json_payload, trajectory_rows, write_csv, write_json
@@ -354,14 +354,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         codes = []
         for path in args.sweep:  # in sequence; a failed member does not stop the rest
             try:
-                out_path, diag, _ = run_scenario(build_scenario(load_config(path)))
+                out_path, diag, traj = run_scenario(build_scenario(load_config(path)))
             except (PtbError, OSError) as e:
                 codes.append(getattr(e, "exit_code", 2))
                 print(f"{path}: exit {codes[-1]}: {_error_line(e)}")
                 continue
             codes.append(0)
-            flagged = "" if diag["monotone"] else f" [flagged: {diag['n_flagged']}]"
-            print(f"{path}: ok: wrote {out_path} ({diag['n_samples']} samples){flagged}")
+            fault = next(filter(None, traj.faults), None)  # None when the clock is monotone
+            note = f" [flagged: {diag['n_flagged']}; {fault}]" if fault else ""
+            print(f"{path}: ok: wrote {out_path} ({diag['n_samples']} samples){note}")
         return max(codes)
 
     cfg = _apply_overrides(load_config(args.config) if args.config else {}, args)
@@ -429,6 +430,7 @@ def cmd_circular(args: argparse.Namespace) -> int:
 
 def cmd_mass_ratio(args: argparse.Namespace) -> int:
     eps_list = _parse_floats(args.eps, None, "--eps")
+    _checked(args.m2, args.alpha, eps_list)  # before --out makes its directory
     path = _resolve_out(args.out) if args.out else sys.stdout
     rows = [astuple(r) for r in limit_report(args.m2, args.alpha, eps_list)]
     write_csv(path, rows, [f.name for f in fields(RatioRow)])

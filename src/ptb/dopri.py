@@ -72,7 +72,9 @@ class DenseOutput:
 
     t holds the m + 1 step boundaries, each step's start and then the end
     of the last; data is the dense buffer described in the module
-    docstring, (m + 1) groups of six blocks of n floats.
+    docstring, (m + 1) groups of six blocks of n floats.  rows and quartic
+    are the one spelling of a step's polynomial: a caller that needs the
+    rate differentiates the quartic of rows(i) in theta and divides by h.
     """
 
     t: array
@@ -88,26 +90,14 @@ class DenseOutput:
         """State at t on the step that contains it: a list of floats for a
         scalar t, a (len(t), n) array for an array of t.  A t outside
         [t[0], t[-1]] raises OutOfRange."""
-        theta, _, rows = self._quartic(t)
-        out = quartic(theta, *rows)
-        return out[:, 0].tolist() if np.ndim(t) == 0 else out.T
-
-    def rate(self, t) -> np.ndarray:
-        """Derivative d/dt of the interpolant at an array of t, (len(t), n)."""
-        theta, h, (_, r2, r3, r4, r5) = self._quartic(t)
-        th1 = 1.0 - theta
-        return ((r2 + (th1 - theta) * (r3 + 2.0 * theta * th1 * r5)
-                 + theta * (2.0 - 3.0 * theta) * r4) / h).T
-
-    def _quartic(self, t):
-        """theta, h and the rows of the step that holds each t."""
-        t, grid = np.atleast_1d(np.asarray(t, dtype=float)), np.frombuffer(self.t)
-        outside = ~((grid[0] <= t) & (t <= grid[-1]))
+        ts, grid = np.atleast_1d(np.asarray(t, dtype=float)), np.frombuffer(self.t)
+        outside = ~((grid[0] <= ts) & (ts <= grid[-1]))
         if outside.any():
-            raise OutOfRange(f"t = {float(t[outside.argmax()])!r} outside "
+            raise OutOfRange(f"t = {float(ts[outside.argmax()])!r} outside "
                              f"[{self.t[0]!r}, {self.t[-1]!r}]")
-        start, h, rows = self.rows(np.searchsorted(grid[:-1], t, side="right") - 1)
-        return (t - start) / h, h, rows
+        start, h, rows = self.rows(np.searchsorted(grid[:-1], ts, side="right") - 1)
+        out = quartic((ts - start) / h, *rows)
+        return out[:, 0].tolist() if np.ndim(t) == 0 else out.T
 
     def rows(self, i):
         """Start, size h and the rows (y, r2, r3, r4, r5) of the quartic in
@@ -264,11 +254,15 @@ def solve_dopri5(
         raise ValueError(f"t_eval must lie within t_span {t_span!r}")
     eval_pts = [*pts[pts > t0].tolist(), t1]  # the points to land on, then t1
 
+    max_accepted = dense_steps(n)
+    budget = min(MAX_STEPS, max_accepted)  # each accepted step is at most max_step
+    if (t1 - t0) / max_step > budget:
+        raise StepFailure(f"max_step = {max_step!r} over a span of {t1 - t0!r} needs more "
+                          f"accepted steps than the step budget of {budget}")
     k1 = f(t0, y)
     _require_finite(f"at t = {t0!r}", ("y0", y), ("f(t0, y0)", k1))
     h = _initial_step(f, t0, y, k1, tol, max_step, t1 - t0)
     attempt, c = (_attempt(n), f) if stage is None else (_attempt(n, stage[0]), stage[1])
-    max_accepted = dense_steps(n)
 
     data, grid = array("d", (*y, *[0.0] * (4 * n), *k1)), array("d")
     extend, add_t = data.frombytes, grid.append  # for an accepted step's group and start

@@ -38,8 +38,8 @@ class BadParameter(PtbError):
 
 
 class StepFailure(PtbError):
-    """The integrator gave up: step size underflow, a non-finite stage, or the
-    step, dense-output or sample-grid budget exhausted (dopri, reduced)."""
+    """The integrator gave up: step size underflow, a non-finite stage, the step
+    or dense-output budget exhausted, or a sample grid or max_step too fine for it."""
 
 
 class NonMonotoneTime(PtbError):

@@ -36,6 +36,22 @@ class RatioRow:
     residual: float
 
 
+def _checked(m2, alpha, eps_sequence: Sequence[float]) -> tuple[float, float]:
+    """m2 and alpha as floats, once they and each eps are fit for limit_report."""
+    m2, alpha = _float(m2, "m2"), _float(alpha, "alpha")
+    if not (m2 > 0.0 and math.isfinite(m2)):
+        raise BadParameter(f"need m2 > 0, got {m2!r}")
+    if not math.isfinite(alpha):
+        raise BadParameter(f"need a finite alpha, got {alpha!r}")
+    for eps in eps_sequence:
+        if not (0.0 < eps <= 1.0):
+            raise BadParameter(f"need eps in (0, 1], got {eps!r}")
+        if not (alpha > -eps + 1e-12 * eps):
+            raise InadmissibleAlpha(
+                f"requires alpha > -eps (i.e. m1^2 + lambda > 0), got alpha = {alpha!r}")
+    return m2, alpha
+
+
 def limit_report(m2: float, alpha: float, eps_sequence: Sequence[float]) -> list[RatioRow]:
     """One row per eps: the offset E1/M of the shell with m1 = sqrt(eps) m2
     and lambda = alpha m2^2, its limit as eps -> 0 at this alpha, and the
@@ -47,21 +63,12 @@ def limit_report(m2: float, alpha: float, eps_sequence: Sequence[float]) -> list
     negative alpha (the heavy particle absorbs the center of energy
     entirely).
     """
-    m2, alpha = _float(m2, "m2"), _float(alpha, "alpha")
-    if not (m2 > 0.0 and math.isfinite(m2)):
-        raise BadParameter(f"need m2 > 0, got {m2!r}")
-    if not math.isfinite(alpha):
-        raise BadParameter(f"need a finite alpha, got {alpha!r}")
+    m2, alpha = _checked(m2, alpha, eps_sequence)
     if alpha > 0.0:
         beta = 2.0 * alpha + 2.0 * math.sqrt(alpha * alpha + alpha)
         beta_limit = beta / (2.0 * (1.0 + beta)) if math.isfinite(beta) else 0.5
     rows = []
     for eps in eps_sequence:
-        if not (0.0 < eps <= 1.0):
-            raise BadParameter(f"need eps in (0, 1], got {eps!r}")
-        if not (alpha > -eps + 1e-12 * eps):
-            raise InadmissibleAlpha(
-                f"requires alpha > -eps (i.e. m1^2 + lambda > 0), got alpha = {alpha!r}")
         gamma = math.sqrt(eps)
         *_, E1, E2 = _energies(gamma * m2, m2, alpha * (m2 * m2))
         offset = E1 / (E1 + E2)

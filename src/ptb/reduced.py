@@ -20,7 +20,6 @@ tau1 - tau2, and the center-of-mass clock is T = Q.P / M.
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -235,15 +234,11 @@ def rhs(x: Sequence[float], shell: MassShell, partials) -> tuple[float, ...]:
 @cache
 def _kernel_stage(cls, cells: tuple[str, ...]):
     """The DOPRI5 stage (head, body, names) of rhs for a kernel model class, which
-    sets no rate G = 0.  A _source binding a name of the stage or attempt is refused."""
+    sets no rate G = 0: its lines per ztil2 run as written, the text that
+    partials_at compiles.  A _source binding a name of the stage or attempt is refused."""
     body, names, bound = cls._stage_text
     if clash := sorted(bound & {"M2x2", *_attempt(6).__code__.co_varnames}):
         raise TypeError(f"{cls.__name__}'s _source binds {clash[0]}, a name of the fused stage")
-    # the stage reads no V: a line per ztil2 that assigns it alone by sums and
-    # products, which cannot fail, is left out when no other line reads it
-    rest = "".join(s for s in body.splitlines(True)
-                   if not re.match(r"V = (?!.*\*\*)[\w .+*-]+\n", s))
-    body = body if re.search(r"\bV\b", rest) else rest
     return (f"M2x2, {''.join(v + ', ' for v in cells)}= c\n",
             f"ztil2 = -($u_0 * $u_0 + $u_1 * $u_1)\n{body}b = -2.0 * dztil2\n"
             "$k_0 = $u_2; $k_1 = $u_3; $k_2 = b * $u_0; $k_3 = b * $u_1\n"

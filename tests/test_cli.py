@@ -343,6 +343,26 @@ def test_sweep_propagates_worst_exit(tmp_path):
     assert not (tmp_path / "b.csv").exists()
 
 
+def test_a_sweep_line_names_the_clock_fault_of_a_member(tmp_path, capsys, monkeypatch):
+    # the clock dips between step ends while every sample rate stays positive:
+    # nothing is flagged, yet the member is not monotone, and its line says why
+    monkeypatch.delenv("PTB_OUTPUT_DIR", raising=False)
+    dip, good = tmp_path / "dip.json", tmp_path / "good.json"
+    write_config(dip, masses={"m1": 2.0, "m2": 2.0}, shell={"lambda": 0.0},
+                 initial={"ztil": [0.0, 0.5, 0.0], "ytil": [3.0, 0.0, 0.0]},
+                 integrator={"lambda_span": 8 * math.pi, "sample_interval": 2 * math.pi},
+                 output={"format": "csv", "path": str(tmp_path / "dip.csv")})
+    write_config(good, output={"format": "csv", "path": str(tmp_path / "good.csv")})
+    assert main(["simulate", "--sweep", str(dip), str(good)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    cfg = ptb.cli.build_scenario(ptb.cli.load_config(str(dip)))
+    traj = integrate(cfg.initial, cfg.shell, cfg.model, cfg.span, cfg.opts)
+    assert not traj.monotone and not traj.flagged.any()
+    assert lines[0] == (f"{dip}: ok: wrote {tmp_path / 'dip.csv'} (5 samples) "
+                        f"[flagged: 0; {traj.faults[0]}]")
+    assert lines[1] == f"{good}: ok: wrote {tmp_path / 'good.csv'} (13 samples)"
+
+
 def parse_report(stdout):
     report = {}
     for line in stdout.strip().splitlines():
@@ -452,6 +472,21 @@ def test_mass_ratio_stdout_is_the_csv_file(capsys, tmp_path, monkeypatch):
     out = capsys.readouterr().out
     assert main(args + ["--out", str(tmp_path / "r.csv")]) == 0
     assert (tmp_path / "r.csv").read_text() == out
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--eps", "2"], "BadParameter: need eps in (0, 1], got 2.0"),
+    (["--alpha", "-1", "--eps", "0.5"], "InadmissibleAlpha: requires alpha > -eps"),
+    (["--m2", "0"], "BadParameter: need m2 > 0, got 0.0"),
+])
+def test_mass_ratio_checks_its_inputs_before_it_makes_the_out_directory(
+        tmp_path, capsys, monkeypatch, argv, error):
+    # a refused input used to leave the new directories of --out behind, empty
+    monkeypatch.delenv("PTB_OUTPUT_DIR", raising=False)
+    out = tmp_path / "D" / "deep" / "out.csv"
+    code, err = run_main(capsys, "mass-ratio", *argv, "--out", str(out))
+    assert err.startswith(error) and err.count("\n") == 1 and code in (2, 3)
+    assert not (tmp_path / "D").exists()
 
 
 def test_mass_ratio_inadmissible():

@@ -116,25 +116,9 @@ def test_dense_output_refuses_t_outside_the_span(t):
     with pytest.raises(OutOfRange, match=re.escape(line)):
         res.dense(t)
     # an array query names its first t outside the span
-    for query in (res.dense, res.dense.rate):
-        with pytest.raises(OutOfRange, match=re.escape(line)):
-            query(np.array([0.0, 4.0, t, -2.0, 8.0]))
+    with pytest.raises(OutOfRange, match=re.escape(line)):
+        res.dense(np.array([0.0, 4.0, t, -2.0, 8.0]))
     assert res.dense(np.array([0.0, 8.0])).shape == (2, 4)
-
-
-def test_dense_rate_is_the_derivative_of_the_quartic():
-    res = solve_dopri5(kepler, (0.0, 8.0), [0.5, 0.0, 0.0, 1.6], tol=1e-9)
-    dense = res.dense
-    t0, h = np.frombuffer(dense.t)[:-1], np.diff(dense.t)
-    # the step ends reproduce the FSAL stages k1 and k7 of each step
-    k = dense.groups[:, 5]
-    scale = 1.0 + np.abs(k).max()
-    assert np.abs(dense.rate(t0) - k[:-1]).max() <= 1e-12 * scale
-    assert np.abs(dense.rate(t0 + h) - k[1:]).max() <= 1e-12 * scale
-    # and a central difference inside each step
-    mid, eps = t0 + 0.37 * h, 1e-6 * h
-    fd = (dense(mid + eps) - dense(mid - eps)) / (2.0 * eps[:, None])
-    assert np.abs(dense.rate(mid) - fd).max() <= 1e-6 * scale
 
 
 def test_t_eval_lands_exactly():
@@ -234,6 +218,27 @@ def test_dense_output_budget(monkeypatch):
         solve_dopri5(shm, (0.0, 3.0), [1.0, 0.0], tol=1e-6)
     assert str(info.value) == (f"dense output budget {8 * 14 * k - 1} bytes full "
                                f"at t = {full.dense.t[-2]!r}")
+
+
+def test_a_max_step_too_fine_for_the_budget_is_refused_before_f(monkeypatch):
+    # each accepted step is at most max_step; such a run used to step until a
+    # budget ran out, at the real dense budget some 3.5 million steps
+    monkeypatch.setattr(dopri, "MAX_DENSE_BYTES", 2 ** 20)
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return shm(t, y)
+
+    assert dopri.dense_steps(2) == 9362
+    with pytest.raises(StepFailure) as info:
+        solve_dopri5(counted, (0.0, 100.0), [1.0, 0.0], max_step=0.01)
+    assert str(info.value) == ("max_step = 0.01 over a span of 100.0 needs more accepted "
+                               "steps than the step budget of 9362")
+    monkeypatch.setattr(dopri, "MAX_STEPS", 100)
+    with pytest.raises(StepFailure, match="than the step budget of 100$"):
+        solve_dopri5(counted, (0.0, 10.0), [1.0, 0.0], max_step=0.09)
+    assert calls == []
 
 
 def test_linear_problem_is_cheap():

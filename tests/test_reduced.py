@@ -1,7 +1,7 @@
 import math
-import re
 from array import array
 from dataclasses import astuple, fields, replace
+from textwrap import dedent
 
 import numpy as np
 import pytest
@@ -884,18 +884,13 @@ def test_the_head_runs_once_per_call_of(consume):
     assert model.heads == [shell.M2]
 
 
-def test_the_fused_stage_leaves_out_a_V_it_never_reads():
-    # the harmonic V is a line of its own that no other line reads; the
-    # central_power V feeds dztil2 and dP2, so it stays
+def test_the_fused_stage_runs_each_kernel_line_as_written():
+    # the stage inlines the lines per ztil2 that partials_at compiles, V included
     shell = mass_shell_from_lambda(1.0, 2.0, 0.1)
-    harmonic = fused_stage(shell, HarmonicPotential(0.3))[0][1]
-    assert "V" not in re.findall(r"\w+", harmonic) and "dP2 = chi * ztil2 / root2" in harmonic
-    central = fused_stage(shell, CentralPowerPotential(-0.5, 1))[0][1]
-    assert "V = scale * rho2 ** power" in central and "dP2 = V / P2x2" in central
-    # a V line that could raise (a division, a power, a call) stays with its error
-    source = HarmonicPotential._source.replace("V = dztil2 * ztil2", "V = dztil2 * ztil2 / root2")
-    divided = type("Divided", (HarmonicPotential,), {"_source": source})(0.3)
-    assert "V = dztil2 * ztil2 / root2" in fused_stage(shell, divided)[0][1]
+    for model in (FreePotential(), HarmonicPotential(0.3), CentralPowerPotential(-0.5, 1)):
+        lines = dedent(type(model)._source).split("# per ztil2\n")[1]
+        assert lines in fused_stage(shell, model)[0][1]
+    assert "V = dztil2 * ztil2\n" in fused_stage(shell, HarmonicPotential(0.3))[0][1]
 
 
 class PlainHarmonic(HarmonicPotential):
