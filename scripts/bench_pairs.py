@@ -9,7 +9,9 @@ alternates from pair to pair (the parent first in even pairs), and pair i uses
 seed i modulo the seed list.  A run that reports ``correct: false`` or
 ``failed > 0`` stops the script.  For each end-to-end metric of
 BENCHMARK.json it prints each side's median and quartiles, the pairs the
-change won and the median of the per-pair ratios change / parent.
+change won and the median of the per-pair ratios change / parent.  The last
+line of the output is one JSON object: the arguments ("args"), that table
+("summary") and each pair's seed, first side and raw metrics ("pairs").
 """
 
 from __future__ import annotations
@@ -90,7 +92,7 @@ def main(argv=None) -> int:
             pair = {side: metrics_of(run_once(trees[side], args.workload, seed, args.seconds),
                                      f"pair {i}, {side}, seed {seed}")
                     for side in order(i)}
-            pairs.append(pair)
+            pairs.append(dict(pair, seed=seed, first=order(i)[0]))
             print(f"pair {i} seed {seed} first {order(i)[0]}: run_s parent "
                   f"{pair['parent']['run_s']:.4f} change {pair['change']['run_s']:.4f}", flush=True)
     except RefusedRun as exc:
@@ -98,10 +100,14 @@ def main(argv=None) -> int:
         return 1
     print(f"{args.workload}: {len(pairs)} pairs, seeds {args.seeds}, --seconds {args.seconds}")
     print(f"{'metric':<14}{'parent q1/med/q3':>34}{'change q1/med/q3':>34}  wins  ratio")
-    for name, s in summarize(pairs, better).items():
+    summary = summarize(pairs, better)
+    for name, s in summary.items():
         fmt = lambda q: "/".join(f"{v:.4g}" for v in q)  # noqa: E731
         print(f"{name:<14}{fmt(s['parent']):>34}{fmt(s['change']):>34}"
               f"  {s['wins']:>2}/{s['pairs']}  {s['ratio']:.3f}")
+    print(json.dumps({"args": {k: str(v) if isinstance(v, pathlib.Path) else v
+                               for k, v in vars(args).items()},
+                      "summary": summary, "pairs": pairs}))
     return 0
 
 

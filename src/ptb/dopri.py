@@ -10,11 +10,11 @@ f(t, y) receives the state as a list of Python floats and returns a
 sequence of Python floats; the step loop calls no numpy, which at length 6
 costs more than the arithmetic, and a numpy scalar from f would slow every
 later stage.  The error norm is the RMS over the n scaled components of the
-error estimate.  The dense output is one flat buffer of groups of six blocks
-of n floats: group 0 is (y0, 0, 0, 0, 0, k1) and each accepted step appends
-(y_new, k3, k4, k5, k6, k7), packed by the attempt.  Step i takes y and k1
-from group i (FSAL) and the rest from group i + 1; k2 has no dense weight.
-Step i runs from t[i] to t[i + 1] of the step grid t.
+error estimate.  The dense output is (m + 1) groups of six blocks of n
+floats, one flat buffer in the loop: group 0 is (y0, 0, 0, 0, 0, k1) and each
+accepted step appends (y_new, k3, k4, k5, k6, k7), packed by the attempt.  Step
+i takes y and k1 from group i (FSAL) and the rest from group i + 1; k2 has no
+dense weight.  Step i runs from t[i] to t[i + 1] of the step grid t.
 """
 
 from __future__ import annotations
@@ -70,31 +70,25 @@ _FAC_GROW = 10.0    # nor grows by more
 class DenseOutput:
     """Quartic interpolant over the m accepted steps of one run.
 
-    t holds the m + 1 step boundaries, each step's start and then the end
-    of the last; data is the dense buffer described in the module
-    docstring, (m + 1) groups of six blocks of n floats.  rows and quartic
-    are the one spelling of a step's polynomial: a caller that needs the
-    rate differentiates the quartic of rows(i) in theta and divides by h.
+    t holds the m + 1 step boundaries, each step's start and then the end of
+    the last; groups, the (m + 1, 6, n) groups of the module docstring.  Both
+    are numpy views of the step loop's buffers.  rows and quartic are the one
+    spelling of a step's polynomial: a caller that needs the rate
+    differentiates the quartic of rows(i) in theta and divides by h.
     """
 
-    t: array
-    data: array
-    n: int
-
-    @property
-    def groups(self) -> np.ndarray:
-        """The buffer as an (m + 1, 6, n) array view."""
-        return np.frombuffer(self.data).reshape(-1, 6, self.n)
+    t: np.ndarray
+    groups: np.ndarray
 
     def __call__(self, t):
         """State at t on the step that contains it: a list of floats for a
         scalar t, a (len(t), n) array for an array of t.  A t outside
         [t[0], t[-1]] raises OutOfRange."""
-        ts, grid = np.atleast_1d(np.asarray(t, dtype=float)), np.frombuffer(self.t)
+        ts, grid = np.atleast_1d(np.asarray(t, dtype=float)), self.t
         outside = ~((grid[0] <= ts) & (ts <= grid[-1]))
         if outside.any():
             raise OutOfRange(f"t = {float(ts[outside.argmax()])!r} outside "
-                             f"[{self.t[0]!r}, {self.t[-1]!r}]")
+                             f"[{float(grid[0])!r}, {float(grid[-1])!r}]")
         start, h, rows = self.rows(np.searchsorted(grid[:-1], ts, side="right") - 1)
         out = quartic((ts - start) / h, *rows)
         return out[:, 0].tolist() if np.ndim(t) == 0 else out.T
@@ -103,16 +97,15 @@ class DenseOutput:
         """Start, size h and the rows (y, r2, r3, r4, r5) of the quartic in
         theta of the steps i, an index array: r2 = y_new - y, r3 = h k1 - r2,
         r4 = r2 - h k7 - r3 and r5 = h D.k, each (n, len(i))."""
-        grid = np.frombuffer(self.t)
         # blocks as (6, n, len(i)), so that every operation runs along i
         y, _, _, _, _, k1 = self.groups[i].transpose(1, 2, 0)
         y1, k3, k4, k5, k6, k7 = self.groups[i + 1].transpose(1, 2, 0)
-        h = grid[i + 1] - grid[i]
+        h = self.t[i + 1] - self.t[i]
         r2 = y1 - y
         r3 = h * k1 - r2
         r4 = r2 - h * k7 - r3
         r5 = h * (_D1 * k1 + _D3 * k3 + _D4 * k4 + _D5 * k5 + _D6 * k6 + _D7 * k7)
-        return grid[i], h, (y, r2, r3, r4, r5)
+        return self.t[i], h, (y, r2, r3, r4, r5)
 
 
 def quartic(theta, y, r2, r3, r4, r5):
@@ -224,18 +217,19 @@ def solve_dopri5(
     *,
     tol: float = 1e-10,
     max_step: float = math.inf,
-    t_eval: Sequence[float] | None = None,
+    sample_interval: float | None = None,
     stage: tuple[tuple[str, str, tuple], tuple] | None = None,
 ) -> DopriResult:
     """Integrate y' = f(t, y) from t_span[0] to t_span[1], f as the module
     docstring says.  tol is the error target per unit t, absolute and
-    relative alike, so the deviation scales like tol times span.  With
-    t_eval (sorted, inside the span) steps are cut short to land on each
-    entry, whose state is emitted; otherwise every accepted step is.  A cut
-    step keeps the step size proposed before the cut and the PI memory
-    facold for the next, unless its error exceeds facold, so the grid costs
-    at most one extra attempt per point.  dy holds the derivative (the FSAL
-    stage) of every emitted sample.  stage = (source, c) runs the stages
+    relative alike, so the deviation scales like tol times span.  With a
+    sample_interval d, steps are cut short to land on each t0 + k d of the
+    span, t1 in place of a last point within 1e-12 span of it, and these
+    states, t0 and t1 included, are emitted; otherwise every accepted step
+    is.  A cut step keeps the step size proposed before the cut and the PI
+    memory facold for the next, unless its error exceeds facold, so the grid
+    costs at most one extra attempt per point.  dy holds the derivative (the
+    FSAL stage) of every emitted sample.  stage = (source, c) runs the stages
     inline, with constants c, as f would."""
     if not (0.0 < tol < math.inf and max_step > 0.0):
         raise ValueError(f"need 0 < tol < inf and max_step > 0, got {tol=!r}, {max_step=!r}")
@@ -245,29 +239,37 @@ def solve_dopri5(
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim != 1:
         raise ValueError("y0 must be one-dimensional")
-    y, n = y0.tolist(), len(y0)
-
-    pts = np.array([] if t_eval is None else t_eval, dtype=float)
-    if (pts[1:] <= pts[:-1]).any():
-        raise ValueError("t_eval must be strictly increasing")
-    if not ((t0 <= pts) & (pts <= t1)).all():
-        raise ValueError(f"t_eval must lie within t_span {t_span!r}")
-    eval_pts = [*pts[pts > t0].tolist(), t1]  # the points to land on, then t1
+    y, n, span = y0.tolist(), len(y0), t1 - t0
 
     max_accepted = dense_steps(n)
-    budget = min(MAX_STEPS, max_accepted)  # each accepted step is at most max_step
-    if (t1 - t0) / max_step > budget:
-        raise StepFailure(f"max_step = {max_step!r} over a span of {t1 - t0!r} needs more "
+    budget = min(MAX_STEPS, max_accepted)  # each point past t0 ends an accepted step of its own
+    pts = np.array([t0, t1])  # t0, then the points to land on
+    if sample_interval is not None:
+        if not sample_interval > 0.0:
+            raise ValueError(f"sample_interval must be positive, got {sample_interval!r}")
+        points = span / sample_interval + 1e-9
+        if not points < budget + 1:
+            raise StepFailure(f"a sample grid of {points + 1:.4g} points needs more accepted "
+                              f"steps than the step budget of {budget}")
+        pts = t0 + np.arange(math.floor(points) + 1) * sample_interval
+        # t1 ends the grid, in place of a last point within rounding of it
+        pts = np.append(pts[:-1] if t1 - pts[-1] <= 1e-12 * span else pts, t1)
+        if not (pts[1:] > pts[:-1]).all():
+            raise ValueError(f"sample_interval = {sample_interval!r} is below the float "
+                             f"spacing of t in {t_span!r}")
+    if span / max_step > budget:  # each accepted step is at most max_step
+        raise StepFailure(f"max_step = {max_step!r} over a span of {span!r} needs more "
                           f"accepted steps than the step budget of {budget}")
     k1 = f(t0, y)
     _require_finite(f"at t = {t0!r}", ("y0", y), ("f(t0, y0)", k1))
-    h = _initial_step(f, t0, y, k1, tol, max_step, t1 - t0)
+    h = _initial_step(f, t0, y, k1, tol, max_step, span)
     attempt, c = (_attempt(n), f) if stage is None else (_attempt(n, stage[0]), stage[1])
 
     data, grid = array("d", (*y, *[0.0] * (4 * n), *k1)), array("d")
     extend, add_t = data.frombytes, grid.append  # for an accepted step's group and start
 
     t, start, facold, just_rejected = t0, (*y, *k1), 1e-4, False
+    eval_pts = pts[1:].tolist()
     n_accepted = n_rejected = n_landed = eval_idx = 0  # eval_idx: the next point to land on
     h_used = err = math.nan
 
@@ -278,14 +280,14 @@ def solve_dopri5(
                               f"(last h = {h_used!r}, last error estimate = {err!r})")
         if n_accepted == max_accepted:
             raise StepFailure(f"dense output budget {MAX_DENSE_BYTES} bytes full at t = {t!r}")
-        if h < 1e-14 * (t if t > 1.0 else -t if t < -1.0 else 1.0):
-            raise StepFailure(f"step size underflow at t = {t!r} "
-                              f"(h = {h!r}, last error estimate = {err!r})")
 
         # shorten to land exactly on the next target (sample point or t1)
         target = eval_pts[eval_idx]
         h_try = max_step if max_step < h else h
         landed = target - t <= h_try
+        if h < 1e-14 * (t if t > 1.0 else -t if t < -1.0 else 1.0) and not landed:
+            raise StepFailure(f"step size underflow at t = {t!r} "
+                              f"(h = {h!r}, last error estimate = {err!r})")
         t_new = target if landed else t + h_try
         h_used = t_new - t
 
@@ -323,10 +325,10 @@ def solve_dopri5(
             just_rejected = True
 
     add_t(t)
-    dense, times = DenseOutput(grid, data, n), np.frombuffer(grid)
-    hs = np.diff(times)  # each step's t_new - t, bit for bit
+    dense = DenseOutput(np.frombuffer(grid), np.frombuffer(data).reshape(-1, 6, n))
+    hs = np.diff(dense.t)  # each step's t_new - t, bit for bit
     # an emitted sample is a step end: group j holds the state after j accepted steps
-    rows = np.arange(n_accepted + 1) if t_eval is None else np.searchsorted(times, pts)
+    rows = np.arange(n_accepted + 1) if sample_interval is None else np.searchsorted(dense.t, pts)
     stats = SolveStats(n_accepted, n_rejected, 2 + 6 * (n_accepted + n_rejected),
                        float(hs.min()), float(hs.max()), n_landed)
-    return DopriResult(times[rows], dense.groups[rows, 0], dense.groups[rows, 5], dense, stats)
+    return DopriResult(dense.t[rows], dense.groups[rows, 0], dense.groups[rows, 5], dense, stats)

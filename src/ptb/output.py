@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .mass_shell import monotonicity_margin
-from .reduced import Trajectory
+from .reduced import Trajectory, rest_quintet
 from .worldline import WorldlineSet
 
 __all__ = ["COLUMNS", "format_float", "RowTable", "trajectory_rows", "diagnostics",
@@ -168,22 +168,25 @@ def trajectory_rows(traj: Trajectory, ws: WorldlineSet) -> RowTable:
 def diagnostics(traj: Trajectory) -> dict:
     """First-integral drifts and clock-rate checks for a finished run.
 
-    Drifts are relative to the scale of the first sample.  A positive
+    Drifts are relative to the value at the first sample; one that is not 0
+    is None where rounding alone sets that value: within 8 eps of its terms
+    (ytil2 and 2 V for N, ztil2 ytil2 for L2).  A positive
     monotonicity_margin guarantees dT/dlambda > 0 for any state on the shell.
     min_dT_dlambda and monotone read the samples and every step end;
     n_flagged counts the samples with a non-positive rate.
     """
     shell = traj.shell
     N, L2 = traj.first_integrals
-    N_scale = max(abs(float(N[0])), 1e-300)
-    L2_scale = max(abs(float(L2[0])), 1e-300)
+    q = rest_quintet(traj.ztil[0], traj.ytil[0], shell)
+    N_floor, L2_floor = abs(q.ytil2) + abs(N[0] - q.ytil2), abs(q.ztil2 * q.ytil2)
     return {
         "n_samples": len(traj.lam),
         **asdict(traj.stats),
         "lambda_span": [float(traj.lam[0]), float(traj.lam[-1])],
-        "N_drift": float(np.abs(N - N[0]).max()) / N_scale,
-        "L2_drift": float(np.abs(L2 - L2[0]).max()) / L2_scale,
-        "N_plus_lambda": float(np.abs(N + shell.lambda_).max()) / max(N_scale, abs(shell.lambda_)),
+        "N_drift": _relative(np.abs(N - N[0]).max(), abs(N[0]), N_floor),
+        "L2_drift": _relative(np.abs(L2 - L2[0]).max(), abs(L2[0]), L2_floor),
+        "N_plus_lambda": _relative(np.abs(N + shell.lambda_).max(),
+                                   max(abs(N[0]), abs(shell.lambda_)), N_floor),
         "planarity_residual": _planarity(traj),
         "monotonicity_margin": monotonicity_margin(shell.M2, shell.nu, shell.lambda_),
         "T_span": [float(traj.T[0]), float(traj.T[-1])],
@@ -191,6 +194,13 @@ def diagnostics(traj: Trajectory) -> dict:
         "monotone": traj.monotone,
         "n_flagged": int(np.count_nonzero(traj.flagged)),
     }
+
+
+def _relative(drift, value, terms) -> Optional[float]:
+    """drift / value; None where value is within 8 eps terms and drift is not 0."""
+    if value > 8.0 * np.finfo(float).eps * terms:
+        return float(drift) / float(value)
+    return 0.0 if drift == 0.0 else None
 
 
 def _planarity(traj: Trajectory) -> float:

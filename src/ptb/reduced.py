@@ -27,9 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dopri import (MAX_STEPS, DenseOutput, SolveStats, _attempt, _require_finite, dense_steps,
-                    solve_dopri5)
-from .errors import NonMonotoneTime, StepFailure
+from .dopri import DenseOutput, SolveStats, _attempt, _require_finite, solve_dopri5
+from .errors import NonMonotoneTime
 from .mass_shell import MassShell
 from .potentials import PotentialSpec, ScalarQuintet, _KernelModel
 
@@ -43,8 +42,9 @@ class IntegratorOptions:
     """tol is the error target per unit lambda (absolute and relative alike),
     so end-to-end deviations scale like tol times the integrated span.
 
-    sample_interval = None emits every accepted step.  strict_time makes a
-    clock that is not monotone raise NonMonotoneTime instead of flagging.
+    sample_interval = None emits every accepted step, else solve_dopri5's
+    grid.  strict_time makes a clock that is not monotone raise
+    NonMonotoneTime instead of flagging.
     """
 
     tol: float = 1e-10
@@ -139,7 +139,7 @@ class Trajectory:
     def clock_ends(self) -> tuple[np.ndarray, np.ndarray]:
         """T and dT/dlambda at lambda = 0 and every accepted step end, from the
         state and FSAL blocks of dense.groups: the one read of the clock there."""
-        lam, g = np.frombuffer(self.dense.t), self.dense.groups
+        lam, g = self.dense.t, self.dense.groups
         return (equal_time_clock(lam, g[:, 0, 4], g[:, 0, 5], self.shell)[3],
                 dT_dlambda(g[:, 5, 4], g[:, 5, 5], self.shell))
 
@@ -150,10 +150,10 @@ class Trajectory:
         T does not rise, and the samples, whose rates must be positive and T rise."""
         lam, (T, rate), rate_s = self.dense.t, self.clock_ends, self.dTdlambda
         j, k = int(np.argmin(rate > 0.0)), int(np.argmin(np.diff(T) > 0.0))
-        step = f" after a step of h = {lam[j] - lam[j - 1]!r}" if j else ""
-        ends_rate = f"dT/dlambda = {float(rate[j])!r} at lambda = {lam[j]!r}{step}"
+        step = f" after a step of h = {float(lam[j] - lam[j - 1])!r}" if j else ""
+        ends_rate = f"dT/dlambda = {float(rate[j])!r} at lambda = {float(lam[j])!r}{step}"
         ends_rise = (f"T falls from {float(T[k])!r} to {float(T[k + 1])!r} "
-                     f"between lambda = {lam[k]!r} and {lam[k + 1]!r}")
+                     f"between lambda = {float(lam[k])!r} and {float(lam[k + 1])!r}")
         sampled = np.all(rate_s > 0.0) and np.all(np.diff(self.T) > 0.0)
         return (None if rate[j] > 0.0 else ends_rate, None if T[k + 1] > T[k] else ends_rise,
                 None if sampled else f"min dT/dlambda = {float(rate_s.min())!r}")
@@ -262,28 +262,13 @@ def dT_dlambda(F, G, shell: MassShell):
     return 0.25 * M - shell.nu ** 2 / M3 - shell.nu * G / M3 + F / M
 
 
-def _sample_grid(span: float, interval: Optional[float], n: int) -> Optional[np.ndarray]:
-    if interval is None:
-        return None
-    if not (interval > 0.0):
-        raise ValueError(f"sample_interval must be positive, got {interval!r}")
-    points = span / interval + 1e-9
-    # each point past lambda = 0 ends an accepted step of its own
-    budget = min(MAX_STEPS, dense_steps(n))
-    if not (points < budget + 1):
-        raise StepFailure(f"a sample grid of {points + 1:.4g} points needs more accepted "
-                          f"steps than the step budget of {budget}")
-    grid = np.arange(math.floor(points) + 1) * interval
-    # span ends the grid, in place of a last point within rounding of it
-    return np.append(grid[:-1] if span - grid[-1] <= 1e-12 * span else grid, span)
-
-
 def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
               span: float, opts: IntegratorOptions = IntegratorOptions()) -> Trajectory:
     """Advance the reduced system over lambda in [0, span] in the plane of
     plane_basis, the model's partials bound once for rhs and _stage, and lift
-    the samples back.  The quadratures share the in-plane error control; F and
-    G are the solver's derivative at each sample.  synchronize checks strict mode."""
+    the samples back, on solve_dopri5's sample grid.  The quadratures share the
+    in-plane error control; F and G are the solver's derivative at each sample.
+    synchronize checks strict mode."""
     if not 0.0 < span < math.inf:
         raise ValueError(f"span must be positive and finite, got {span!r}")
     if initial.lambda_ != 0.0:
@@ -295,8 +280,8 @@ def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
     x0 = (*(basis @ z0).tolist(), *(basis @ y0).tolist(), 0.0, 0.0)
     partials = model.partials_at(shell.M2, shell.nu)
     sol = solve_dopri5(lambda lam, x: rhs(x, shell, partials), (0.0, span), x0, tol=opts.tol,
-                       max_step=opts.max_step, stage=_stage(shell, model, partials),
-                       t_eval=_sample_grid(span, opts.sample_interval, len(x0)))
+                       max_step=opts.max_step, sample_interval=opts.sample_interval,
+                       stage=_stage(shell, model, partials))
 
     return synchronize(Trajectory(
         shell=shell, model=model, lam=sol.t, u=lift(sol.y, basis), F=sol.dy[:, 4],

@@ -25,6 +25,14 @@ def random_shell_args(rng, n):
     return out
 
 
+def reference_sample_grid(span, interval):
+    """The sample grid that ptb.reduced built and handed to the solver before
+    the solver built it: the reference for the landing points."""
+    points = span / interval + 1e-9
+    grid = np.arange(math.floor(points) + 1) * interval
+    return np.append(grid[:-1] if span - grid[-1] <= 1e-12 * span else grid, span)
+
+
 def quartic(m1, m2, lam, M2):
     """The shell quartic M^4 - 4 (mu + lambda) M^2 + 4 nu^2 at M2 = M^2."""
     mu = 0.5 * (m1 * m1 + m2 * m2)

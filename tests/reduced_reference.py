@@ -16,7 +16,7 @@ import numpy as np
 from ptb.dopri import solve_dopri5
 from ptb.mass_shell import MassShell
 from ptb.potentials import PotentialSpec
-from ptb.reduced import ReducedState, _sample_grid
+from ptb.reduced import ReducedState
 
 
 def rhs(u: Sequence[float], shell: MassShell, partials) -> tuple[float, ...]:
@@ -41,4 +41,4 @@ def solve(initial: ReducedState, shell: MassShell, model: PotentialSpec, span: f
     u0 = np.concatenate((initial.ztil, initial.ytil, (0.0, 0.0)))
     partials = model.partials_at(shell.M2, shell.nu)
     return solve_dopri5(lambda lam, u: rhs(u, shell, partials), (0.0, span), u0, tol=tol,
-                        t_eval=_sample_grid(span, sample_interval, len(u0)))
+                        sample_interval=sample_interval)

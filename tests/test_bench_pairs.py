@@ -2,6 +2,7 @@
 benchmark runs here."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -46,3 +47,39 @@ def test_quartiles_wins_and_the_median_ratio():
     assert got["peak_rss_mb"]["wins"] == 0
     # a metric where higher is better counts the other way
     assert bench_pairs.summarize(pairs, {"run_s": "higher"})["run_s"]["wins"] == 1
+
+
+def test_the_last_line_is_the_run_as_json(tmp_path, monkeypatch, capsys):
+    # canned runs stand in for perfbench: run_s 0.1 + seed/100 in the parent,
+    # 0.9 of that in the change
+    trees = {}
+    for side in ("parent", "change"):
+        trees[side] = tmp_path / side
+        trees[side].mkdir()
+    (trees["change"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "run_s", "better": "lower"}, {"name": "peak_rss_mb", "better": "lower"}]}))
+    runs = []
+
+    def run_once(tree, workload, seed, seconds):
+        runs.append((tree.name, workload, seed, seconds))
+        run_s = (0.1 + seed / 100) * (0.9 if tree.name == "change" else 1.0)
+        return result(run_s, 60.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = [str(trees["parent"]), str(trees["change"]), "--workload", "orbit_strict",
+            "--pairs", "3", "--seeds", "0,1", "--seconds", "2"]
+    assert bench_pairs.main(argv) == 0
+    assert [r[:3] for r in runs] == [("parent", "orbit_strict", 0), ("change", "orbit_strict", 0),
+                                     ("change", "orbit_strict", 1), ("parent", "orbit_strict", 1),
+                                     ("parent", "orbit_strict", 0), ("change", "orbit_strict", 0)]
+    line = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert line["args"] == {"parent": str(trees["parent"]), "change": str(trees["change"]),
+                            "workload": "orbit_strict", "pairs": 3, "seeds": "0,1",
+                            "seconds": 2.0}
+    assert [(p["seed"], p["first"]) for p in line["pairs"]] == [
+        (0, "parent"), (1, "change"), (0, "parent")]
+    assert [p["parent"]["run_s"] for p in line["pairs"]] == [0.1, 0.11, 0.1]
+    assert [p["change"]["run_s"] for p in line["pairs"]] == [0.1 * 0.9, 0.11 * 0.9, 0.1 * 0.9]
+    summary = bench_pairs.summarize(line["pairs"], {"run_s": "lower", "peak_rss_mb": "lower"})
+    assert line["summary"] == json.loads(json.dumps(summary))
+    assert line["summary"]["run_s"]["wins"] == 3 and line["summary"]["peak_rss_mb"]["wins"] == 0

@@ -561,6 +561,18 @@ def test_a_sample_grid_beyond_the_step_budget_is_a_run_failure(tmp_path, capsys,
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_a_span_below_the_underflow_scale_runs(tmp_path, capsys):
+    # the whole span is one step that lands on its end; it was refused with
+    # StepFailure: step size underflow at t = 0.0 (h = 1e-15, ...)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, masses={"m1": 1.0, "m2": 2.0},
+                 integrator={"lambda_span": 1e-15})
+    assert main(["simulate", "--config", str(cfg_path)]) == 0
+    assert "n_samples = 2\n" in capsys.readouterr().out
+    assert main(["verify-toy", "--periods", "1e-16"]) == 0
+    assert "samples = 2," in capsys.readouterr().out
+
+
 def run_main(capsys, *args):
     """(exit code, stderr) of the CLI run in this process."""
     code = main(list(args))

@@ -18,6 +18,7 @@ from ptb.potentials import HarmonicPotential
 from ptb.reduced import IntegratorOptions, ReducedState, integrate
 
 from dopri_reference import attempt as reference_attempt
+from ptb_fixtures import reference_sample_grid
 
 
 def shm(t, y):
@@ -73,14 +74,12 @@ def test_dense_segments_interpolate_step_ends():
 def scalar_quartic(dense, t):
     """The dense output at one t as a loop over components in float
     arithmetic: the reference for the array evaluation."""
-    i = min(max(bisect.bisect_right(dense.t, t) - 1, 0), len(dense.t) - 2)
-    n, data, h = dense.n, dense.data, dense.t[i + 1] - dense.t[i]
-    theta = (t - dense.t[i]) / h
+    grid = dense.t.tolist()
+    i = min(max(bisect.bisect_right(grid, t) - 1, 0), len(grid) - 2)
+    h = grid[i + 1] - grid[i]
+    theta = (t - grid[i]) / h
     th1 = 1.0 - theta
-    b = 6 * n * i
-    y, k1 = data[b:b + n], data[b + 5 * n:b + 6 * n]
-    b += 6 * n
-    y1, k3, k4, k5, k6, k7 = (data[b + j * n:b + (j + 1) * n] for j in range(6))
+    (y, _, _, _, _, k1), (y1, k3, k4, k5, k6, k7) = dense.groups[i:i + 2].tolist()
     out = []
     for y0c, y1c, c1, c3, c4, c5, c6, c7 in zip(y, y1, k1, k3, k4, k5, k6, k7):
         r2 = y1c - y0c
@@ -121,33 +120,66 @@ def test_dense_output_refuses_t_outside_the_span(t):
     assert res.dense(np.array([0.0, 8.0])).shape == (2, 4)
 
 
-def test_t_eval_lands_exactly():
-    grid = [0.0, 0.31, 1.0, 2.5, math.pi, 5.0]
-    res = solve_dopri5(shm, (0.0, 5.0), np.array([1.0, 0.0]), t_eval=grid)
-    assert list(res.t) == grid  # bitwise: the stepper lands on each point
+def test_a_sample_grid_lands_exactly():
+    res = solve_dopri5(shm, (0.0, 5.0), np.array([1.0, 0.0]), sample_interval=0.31)
+    assert res.t.tolist() == [k * 0.31 for k in range(17)] + [5.0]  # bitwise: landed on
     for t, y in zip(res.t, res.y):
         assert abs(y - shm_exact(t)).max() < 1e-9
 
 
-def test_t_eval_validation():
-    with pytest.raises(ValueError):
-        solve_dopri5(shm, (0.0, 1.0), np.array([1.0, 0.0]), t_eval=[0.5, 0.5])
-    with pytest.raises(ValueError):
-        solve_dopri5(shm, (0.0, 1.0), np.array([1.0, 0.0]), t_eval=[0.0, 2.0])
+@pytest.mark.parametrize("interval", [0.0, -0.5, math.nan, -math.inf])
+def test_a_sample_interval_that_is_not_positive_is_refused_before_f(interval):
+    calls = []
+    with pytest.raises(ValueError, match=re.escape(
+            f"sample_interval must be positive, got {interval!r}")):
+        solve_dopri5(lambda t, y: calls.append(t) or shm(t, y), (0.0, 1.0), [1.0, 0.0],
+                     sample_interval=interval)
+    assert calls == []
 
 
-def test_t_eval_ends_on_the_span():
-    # the last point may be t1 on a negative span, and nothing past it, not
-    # even by one ulp: that point used to be accepted and then dropped
-    res = solve_dopri5(shm, (-2.0, -1.0), [1.0, 0.0], t_eval=[-1.5, -1.0])
-    assert list(res.t) == [-1.5, -1.0]
-    with pytest.raises(ValueError, match="t_eval must lie within t_span"):
-        solve_dopri5(shm, (0.0, 1.0), [1.0, 0.0], t_eval=[0.5, 1.0000000000000002])
-    with pytest.raises(ValueError, match="t_eval must lie within t_span"):
-        solve_dopri5(shm, (-2.0, -1.0), [1.0, 0.0], t_eval=[-2.0000000000000004, -1.5])
-    # nan passes any ordering test; it used to drop every point after it
-    with pytest.raises(ValueError, match="t_eval must lie within t_span"):
-        solve_dopri5(shm, (0.0, 1.0), [1.0, 0.0], t_eval=[0.25, math.nan, 0.5])
+def test_a_sample_interval_below_the_spacing_of_t_is_refused_before_f():
+    # 1e10 + k 1e-6 rounds to repeated points, which would be steps of size 0
+    calls = []
+    with pytest.raises(ValueError, match=re.escape(
+            "sample_interval = 1e-06 is below the float spacing of t in (10000000000.0, "
+            "10000000001.0)")):
+        solve_dopri5(lambda t, y: calls.append(t) or shm(t, y), (1e10, 1e10 + 1.0),
+                     [1.0, 0.0], sample_interval=1e-6)
+    assert calls == []
+
+
+def test_a_sample_grid_ends_on_the_span():
+    # a negative span lands on t0 + k d; the last point is t1, in place of a
+    # point within 1e-12 of the span of it, and t1 also follows a wider gap
+    res = solve_dopri5(shm, (-2.0, -1.0), [1.0, 0.0], sample_interval=0.5)
+    assert res.t.tolist() == [-2.0, -1.5, -1.0]
+    for d in (0.5 - 1e-13, 0.5 + 1e-13):
+        res = solve_dopri5(shm, (0.0, 1.0), [1.0, 0.0], sample_interval=d)
+        assert res.t.tolist() == [0.0, d, 1.0]
+    assert solve_dopri5(shm, (0.0, 1.0), [1.0, 0.0], sample_interval=5.0).t.tolist() == [0.0, 1.0]
+
+
+def draw_interval(data, span):
+    """An interval wider than the span, within 1e-9 of span / k, or any."""
+    k = data.draw(st.integers(1, 300))
+    return data.draw(st.one_of(
+        st.floats(1.0, 1e3).map(lambda x: x * span),
+        st.floats(-1e-9, 1e-9).map(lambda e: span / k * (1.0 + e)),
+        st.floats(0.5, 2.0).map(lambda x: x * span / k)))
+
+
+@given(st.floats(1e-6, 1e4), st.floats(-1e3, 1e3), st.data())
+def test_the_solver_lands_on_the_grid_integrate_built(span, t0, data):
+    interval = draw_interval(data, span)
+    res = solve_dopri5(lambda t, y: [1.0], (0.0, span), [0.0], sample_interval=interval)
+    assert res.t.tobytes() == reference_sample_grid(span, interval).tobytes()
+    # from t0, the points t0 + k d, and t1 in place of the last within rounding
+    t1 = t0 + span
+    res = solve_dopri5(lambda t, y: [1.0], (t0, t1), [0.0], sample_interval=interval)
+    want = [t0 + k * interval for k in range(math.floor((t1 - t0) / interval + 1e-9) + 1)]
+    if t1 - want[-1] <= 1e-12 * (t1 - t0):
+        want.pop()
+    assert res.t.tolist() == want + [t1]
 
 
 def test_max_step_is_respected():
@@ -166,6 +198,16 @@ def test_blowup_raises_step_failure():
     assert "underflow at t = 0.99" in msg
     assert "h = " in msg and "last error estimate = " in msg
     assert "nan" not in msg
+
+
+@pytest.mark.parametrize("t_span", [(0.0, 1e-15), (1e3, 1e3 + 1e-12), (-5e3, -5e3 + 1e-12)])
+def test_a_span_below_the_underflow_scale_is_one_landed_step(t_span):
+    # the underflow guard h < 1e-14 max(1, |t|) refused the first step of
+    # such a span, though that step lands on t1; a step that lands is no underflow
+    free = solve_dopri5(shm, t_span, [1.0, 0.0])
+    for res in (free, solve_dopri5(shm, t_span, [1.0, 0.0], sample_interval=1.0)):
+        assert res.t.tolist() == list(t_span)
+        assert res.stats.n_accepted == res.stats.n_landed == 1
 
 
 def test_max_steps_budget(monkeypatch):
@@ -195,9 +237,8 @@ def test_rhs_count_is_exact(rate):
 
 
 def test_sample_derivatives_are_the_fsal_stage():
-    grid = [0.0, 0.31, 1.0, 2.5, 3.0]
-    for t_eval in (None, grid):
-        res = solve_dopri5(shm, (0.0, 3.0), np.array([1.0, 0.0]), t_eval=t_eval)
+    for interval in (None, 0.31):
+        res = solve_dopri5(shm, (0.0, 3.0), np.array([1.0, 0.0]), sample_interval=interval)
         assert res.dy.shape == res.y.shape
         for t, y, dy in zip(res.t, res.y, res.dy):
             assert np.array_equal(dy, shm(t, y))  # bit for bit
@@ -212,12 +253,12 @@ def test_dense_output_budget(monkeypatch):
     monkeypatch.setattr(dopri, "MAX_DENSE_BYTES", 8 * 14 * k + 111)
     assert dopri.dense_steps(2) == k
     again = solve_dopri5(shm, (0.0, 3.0), [1.0, 0.0], tol=1e-6)
-    assert again.dense.data == full.dense.data
+    assert np.array_equal(again.dense.groups, full.dense.groups)
     monkeypatch.setattr(dopri, "MAX_DENSE_BYTES", 8 * 14 * k - 1)
     with pytest.raises(StepFailure) as info:
         solve_dopri5(shm, (0.0, 3.0), [1.0, 0.0], tol=1e-6)
     assert str(info.value) == (f"dense output budget {8 * 14 * k - 1} bytes full "
-                               f"at t = {full.dense.t[-2]!r}")
+                               f"at t = {float(full.dense.t[-2])!r}")
 
 
 def test_a_max_step_too_fine_for_the_budget_is_refused_before_f(monkeypatch):
@@ -370,7 +411,7 @@ def test_unrolled_attempt_is_the_reference_step(n, data):
     assert group == Struct(f"{6 * n}d").pack(*y_new, *k3, *k4, *k5, *k6, *k7)
 
 
-@pytest.mark.parametrize("kw", [{"tol": 1e-9}, {"tol": 1e-9, "t_eval": np.linspace(0.0, 8.0, 23)},
+@pytest.mark.parametrize("kw", [{"tol": 1e-9}, {"tol": 1e-9, "sample_interval": 8.0 / 22},
                                 {"tol": 1e-6}], ids=["free", "landed", "rejecting"])
 def test_step_sizes_are_the_steps_the_loop_took(monkeypatch, kw):
     # the step grid dense.t is each accepted attempt's t, then the end, and its
@@ -389,7 +430,7 @@ def test_step_sizes_are_the_steps_the_loop_took(monkeypatch, kw):
     stats = res.stats
     assert len(seen) == stats.n_accepted + stats.n_rejected
     assert (stats.n_rejected > 0) == (kw["tol"] == 1e-6)
-    assert stats.n_landed == (22 if "t_eval" in kw else 1)  # the 22 points past t = 0, or t1
+    assert stats.n_landed == (22 if "sample_interval" in kw else 1)  # 22 points past 0, or t1
     accepted = [(t, h) for (t, h, t_new), (t_next, *_) in zip(seen, seen[1:] + [(8.0,)])
                 if t_next == t_new]
     assert all(h == t_new - t for t, h, t_new in seen)

@@ -28,7 +28,8 @@ from ptb.output import (
     write_csv,
     write_json,
 )
-from ptb.potentials import HarmonicPotential
+from ptb.binding import self_consistent_shell
+from ptb.potentials import CentralPowerPotential, FreePotential, HarmonicPotential
 from ptb.reduced import IntegratorOptions, ReducedState, integrate, synchronize
 from ptb.minkowski import FourVector
 from ptb.worldline import export_lab_frame, worldlines
@@ -707,3 +708,35 @@ def test_run_payloads_match_json_dump(run, flagged_run, tmp_path):
         write_csv(tmp_path / "got.csv", trajectory_rows(traj, ws))
         csv_reference(tmp_path / "want.csv", rows, COLUMNS)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("model, ytil, span, nulls", [
+    (HarmonicPotential(0.125), (0.3, 0.0, 0.0), 20.0, {"L2_drift"}),
+    (CentralPowerPotential(-1.0, 1), (0.0, math.sqrt(6.0), 0.0), 5.0,
+     {"N_drift", "N_plus_lambda"}),
+], ids=["radial", "marginal"])
+def test_a_first_integral_at_rounding_level_has_no_relative_drift(tmp_path, model, ytil, span,
+                                                                  nulls):
+    # L2 of a radial orbit starts at 0, and N of a marginally bound orbit
+    # (lambda = -5e-16) within rounding of its terms 6 and -6: the drifts
+    # were divided by 1e-300 or by that rounding, giving 1.1e284, 6.9e288
+    # and 13825
+    shell = self_consistent_shell(1.0, 2.0, model, (1.0, 0.0, 0.0), ytil)
+    traj = integrate(ReducedState(0.0, np.array([1.0, 0.0, 0.0]), np.array(ytil)),
+                     shell, model, span)
+    d = diagnostics(traj)
+    drifts = {k: d[k] for k in ("N_drift", "L2_drift", "N_plus_lambda")}
+    assert {k for k, v in drifts.items() if v is None} == nulls
+    assert all(0.0 < v < 1e-9 for k, v in drifts.items() if k not in nulls)
+    write_json(tmp_path / "run.json", json_payload(traj, worldlines(traj)))
+    written = json.loads((tmp_path / "run.json").read_text())["diagnostics"]
+    assert {k for k in drifts if written[k] is None} == nulls
+
+
+def test_a_first_integral_that_stays_at_zero_drifts_by_zero():
+    # at rest in the free model N and L2 are 0 with terms 0: no drift is 0.0
+    shell = mass_shell_from_lambda(1.0, 2.0, 0.0)
+    traj = integrate(ReducedState(0.0, np.array([1.0, 0.0, 0.0]), np.zeros(3)),
+                     shell, FreePotential(), 3.0)
+    d = diagnostics(traj)
+    assert (d["N_drift"], d["L2_drift"], d["N_plus_lambda"]) == (0.0, 0.0, 0.0)

@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 import ptb.reduced
 from ptb import dopri
 from ptb.circular import find_circular
-from ptb.dopri import MAX_STEPS, dense_steps
+from ptb.dopri import MAX_STEPS, dense_steps, solve_dopri5
 from ptb.errors import BadParameter, DomainError, NonMonotoneTime, OutOfRange, StepFailure
 from ptb.mass_shell import mass_shell_from_lambda, shell_from_M
 from ptb.output import diagnostics
@@ -49,7 +49,7 @@ from ptb.toy import (
 )
 from ptb.worldline import resample_uniform_T
 import reduced_reference
-from ptb_fixtures import Forwarding
+from ptb_fixtures import Forwarding, reference_sample_grid
 
 
 def toy_setup():
@@ -317,14 +317,14 @@ def strict_verdict(traj):
     next, from the state blocks; then the samples."""
     dense, shell = traj.dense, traj.shell
     last = None
-    for lam, k in zip(dense.t, dense.groups[:, 5].tolist()):
+    for lam, k in zip(dense.t.tolist(), dense.groups[:, 5].tolist()):
         rate = dT_dlambda(k[4], k[5], shell)
         if not rate > 0.0:
             step = "" if last is None else f" after a step of h = {lam - last!r}"
             return f"dT/dlambda = {rate!r} at lambda = {lam!r}{step} (strict mode)"
         last = lam
     ends = [(lam, equal_time_clock(lam, y[4], y[5], shell)[3])
-            for lam, y in zip(dense.t, dense.groups[:, 0].tolist())]
+            for lam, y in zip(dense.t.tolist(), dense.groups[:, 0].tolist())]
     for (lam0, T0), (lam1, T1) in zip(ends, ends[1:]):
         if not T1 > T0:
             return (f"T falls from {T0!r} to {T1!r} between lambda = {lam0!r} and {lam1!r}"
@@ -352,7 +352,7 @@ def test_strict_check_is_the_scalar_loop(shell_lambda, chi, z, y, sample_interva
     relaxed = run(False)
     want = strict_verdict(relaxed)
     if want is None:
-        assert run(True).dense.data == relaxed.dense.data
+        assert np.array_equal(run(True).dense.groups, relaxed.dense.groups)
     else:
         with pytest.raises(NonMonotoneTime) as info:
             run(True)
@@ -491,21 +491,14 @@ def test_a_non_finite_start_is_named_in_the_rest_frame(z, y, text):
 
 
 def grid_of(span, interval):
-    """The sample grid integrate hands to the solver, or the error it raises."""
+    """The samples of a free run on the grid of interval, or the StepFailure it raises."""
     shell = mass_shell_from_lambda(1.0, 1.0, 0.0)
     st = ReducedState(0.0, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
-    seen = []
-
-    def solve(f, span, y0, *, t_eval, **kwargs):
-        seen.append(t_eval)
-        raise StepFailure("the solver ran")
-
     try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ptb.reduced, "solve_dopri5", solve)
-            integrate(st, shell, FreePotential(), span, IntegratorOptions(sample_interval=interval))
+        return integrate(st, shell, FreePotential(), span,
+                         IntegratorOptions(sample_interval=interval)).lam
     except StepFailure as e:
-        return seen[0] if seen else str(e)
+        return str(e)
 
 
 @pytest.mark.parametrize("span, interval", [(1.0, 1e-12), (1e3, 1e-9), (1.0, 5e-324)])
@@ -519,49 +512,60 @@ def test_a_sample_grid_beyond_the_step_budget_is_refused(span, interval):
     assert msg.endswith("points needs more accepted steps than the step budget of 3532045")
 
 
-def test_the_grid_budget_is_that_of_the_state_the_solver_runs(monkeypatch):
+def test_the_grid_budget_is_that_of_the_state_the_solver_runs():
     # the refusal names min(MAX_STEPS, dense_steps(n)) for the n components
-    # that the solver is handed, whatever n is
-    lengths = []
-
-    def solve(f, span, y0, **kwargs):
-        lengths.append(len(y0))
-        raise StepFailure("the solver ran")
-
-    monkeypatch.setattr(ptb.reduced, "solve_dopri5", solve)
-    shell = mass_shell_from_lambda(1.0, 1.0, 0.0)
-    st0 = ReducedState(0.0, np.array([1.0, 0, 0]), np.array([0, 1.0, 0]))
-    for interval in (0.5, 1e-12):
-        with pytest.raises(StepFailure) as info:
-            integrate(st0, shell, FreePotential(), 1.0, IntegratorOptions(sample_interval=interval))
-    assert lengths == [6]
-    assert str(info.value).endswith(f"the step budget of {dense_steps(6)}")
+    # that the solver is handed, whatever n is, before f is called
+    calls = []
+    assert grid_of(1.0, 1e-12).endswith(f"the step budget of {dense_steps(6)}")
     for n in (1, 2, 6, 8):
         budget = min(MAX_STEPS, dense_steps(n))
         with pytest.raises(StepFailure, match=f"the step budget of {budget}$"):
-            ptb.reduced._sample_grid(1.0, 1e-12, n)
+            solve_dopri5(lambda t, y: calls.append(t) or y, (0.0, 1.0), [1.0] * n,
+                         sample_interval=1e-12)
+    assert calls == []
     assert min(MAX_STEPS, dense_steps(1)) == MAX_STEPS
 
 
 def test_the_grid_bound_is_the_step_budget(monkeypatch):
-    monkeypatch.setattr(ptb.reduced, "MAX_STEPS", 10)
-    assert grid_of(1.0, 0.1).tolist() == [i * 0.1 for i in range(10)] + [1.0]
-    assert grid_of(1.0, 0.099).tolist() == [i * 0.099 for i in range(11)] + [1.0]
+    # 1 / 0.099 = 10.1 intervals pass the bound of 10 steps; such a run then
+    # stops on the step budget itself
+    monkeypatch.setattr(ptb.dopri, "MAX_STEPS", 10)
+    for interval in (0.1, 0.099):
+        assert grid_of(1.0, interval).startswith("step budget 10 exhausted at t = ")
     assert grid_of(1.0, 0.09) == ("a sample grid of 12.11 points needs more accepted steps "
                                   "than the step budget of 10")
-    assert ptb.dopri.MAX_STEPS == MAX_STEPS == 10_000_000
+    monkeypatch.undo()
+    assert grid_of(1.0, 0.1).tolist() == [i * 0.1 for i in range(10)] + [1.0]
+    assert grid_of(1.0, 0.099).tolist() == [i * 0.099 for i in range(11)] + [1.0]
 
 
 def test_the_grid_bound_is_the_dense_budget(monkeypatch):
     # a grid is refused when its steps would pass the dense output budget,
     # 8 (6 * 6 + 2) = 304 bytes a step for the six-component in-plane state
     monkeypatch.setattr(ptb.dopri, "MAX_DENSE_BYTES", 3343)
-    assert grid_of(1.0, 0.1).tolist() == [i * 0.1 for i in range(10)] + [1.0]
+    assert grid_of(1.0, 0.1).startswith("dense output budget 3343 bytes full at t = ")
     assert grid_of(1.0, 0.09) == ("a sample grid of 12.11 points needs more accepted steps "
                                   "than the step budget of 10")
     monkeypatch.undo()
     assert grid_of(1.0, 1.0 / 3_532_046) == ("a sample grid of 3.532e+06 points needs more "
                                              "accepted steps than the step budget of 3532045")
+
+
+@settings(max_examples=20)
+@given(span=st.floats(0.1, 30.0), k=st.integers(1, 60), stretch=st.floats(0.5, 2.0))
+def test_integrate_samples_the_grid_it_built(span, k, stretch):
+    # the samples of a grid run: the reference grid's points, each the state
+    # of the step that ends there, and its FSAL rates
+    shell = mass_shell_from_lambda(1.0, 2.0, 0.25)
+    model, interval = HarmonicPotential(0.125), stretch * span / k
+    traj = integrate(ReducedState(0.0, np.array([1.2, 0.1, 0.4]), np.array([-0.1, 0.6, 0.05])),
+                     shell, model, span, IntegratorOptions(sample_interval=interval))
+    assert traj.lam.tobytes() == reference_sample_grid(span, interval).tobytes()
+    x = sample_states(traj)
+    assert np.array_equal(lift(x, traj.basis), traj.u)
+    partials = bound(shell, model)
+    assert [rhs(xs, shell, partials)[4:6] for xs in x.tolist()] == list(zip(
+        traj.F.tolist(), traj.G.tolist()))
 
 
 def test_sample_grid_includes_both_ends():
@@ -618,7 +622,8 @@ def test_generic_rest_partials_give_the_same_run(fast, generic):
     assert a.stats == b.stats
     for name in ("lam", "u", "F", "G", "T", "dTdlambda"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
-    assert (a.dense.t, a.dense.data) == (b.dense.t, b.dense.data)
+    assert np.array_equal(a.dense.t, b.dense.t)
+    assert np.array_equal(a.dense.groups, b.dense.groups)
 
 
 _UNIT = st.floats(-1.0, 1.0)

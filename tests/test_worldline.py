@@ -1,6 +1,5 @@
 import math
 import re
-from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -91,7 +90,7 @@ def test_lambda_from_T_maps_each_sample_to_its_lambda(toy_traj):
     # by a few ulps of T
     groups = toy_traj.dense.groups.copy()
     groups[-1, 0, 4] += 8.0 * np.spacing(toy_traj.shell.M * toy_traj.T[-1])
-    nudged = replace(toy_traj, dense=replace(toy_traj.dense, data=array("d", groups.tobytes())))
+    nudged = replace(toy_traj, dense=replace(toy_traj.dense, groups=groups))
     assert lambda_from_T(nudged, float(nudged.T[-1])) == nudged.lam[-1]
 
 
@@ -100,7 +99,7 @@ def test_lambda_from_T_refuses_a_bracket_without_a_root(toy_traj):
     # no lambda between two samples reaches a T between them
     groups = toy_traj.dense.groups.copy()
     groups[:, 0, 4] += 10.0 * toy_traj.shell.M * (toy_traj.T[-1] - toy_traj.T[0])
-    bad = replace(toy_traj, dense=replace(toy_traj.dense, data=array("d", groups.tobytes())))
+    bad = replace(toy_traj, dense=replace(toy_traj.dense, groups=groups))
     with pytest.raises(NoRoot):
         lambda_from_T(bad, 0.5 * float(toy_traj.T[3] + toy_traj.T[4]))
 
@@ -156,7 +155,7 @@ def test_array_queries_name_the_offending_one(toy_traj):
             lambda_from_T(toy_traj, np.array(inside + [bad] + inside))
     groups = toy_traj.dense.groups.copy()
     groups[:, 0, 4] += 10.0 * toy_traj.shell.M * (toy_traj.T[-1] - toy_traj.T[0])
-    shifted = replace(toy_traj, dense=replace(toy_traj.dense, data=array("d", groups.tobytes())))
+    shifted = replace(toy_traj, dense=replace(toy_traj.dense, groups=groups))
     query = 0.5 * float(toy_traj.T[3] + toy_traj.T[4])
     with pytest.raises(NoRoot, match=re.escape(f"T = {query!r} is not bracketed")):
         lambda_from_T(shifted, np.array([float(toy_traj.T[1]), query, float(toy_traj.T[5])]))
@@ -169,7 +168,7 @@ def test_the_inverse_keeps_to_the_bracket_on_a_wild_clock(toy_traj, factor):
     groups = toy_traj.dense.groups.copy()
     groups[:, 1:, 4] *= factor
     groups[0, 5, 4] *= factor
-    wild = replace(toy_traj, dense=replace(toy_traj.dense, data=array("d", groups.tobytes())))
+    wild = replace(toy_traj, dense=replace(toy_traj.dense, groups=groups))
     Tq = np.linspace(float(toy_traj.T[0]), float(toy_traj.T[-1]), 301)[1:-1]
     lam = lambda_from_T(wild, Tq)
     i = np.searchsorted(toy_traj.T, Tq)
