@@ -56,9 +56,9 @@ _D1, _D3, _D4, _D5, _D6, _D7 = (
     -10690763975 / 1880347072, 701980252875 / 199316789632,
     -1453857185 / 822651844, 69997945 / 29380423)
 
-# controller constants; the estimate is compared against tol * h (error per
-# unit t), so the controlled quantity err/h scales like h^4 and the PI
-# exponent follows the effective order 4
+# controller constants; the estimate is compared against tol * h (error per unit t), so
+# err/h scales like h^4 and the PI exponent follows the effective order 4.  An estimate
+# below 1e-4 is near the stages' rounding (~1e-6 at tol 1e-10): the update reads 1e-4
 _SAFETY = 0.9
 _BETA = 0.04
 _EXPO1 = 0.25 - _BETA * 0.75
@@ -305,11 +305,11 @@ def solve_dopri5(
             t, start = t_new, end
             # PI update (Lund stabilization); a landing cut no worse than facold keeps h, facold
             if not (landed and h_used < h_try and err <= facold):
-                fac = err ** _EXPO1 / facold ** _BETA / _SAFETY
+                fac = (e := 1e-4 if 1e-4 > err else err) ** _EXPO1 / facold ** _BETA / _SAFETY
                 fac = fac if fac < _FAC_SHRINK else _FAC_SHRINK
                 h = h_used / (fac if fac > 1.0 / _FAC_GROW else 1.0 / _FAC_GROW)
                 h = h_used if just_rejected and h_used < h else h
-                facold = 1e-4 if 1e-4 > err else err
+                facold = e
             just_rejected = False
         else:
             if err != err:

@@ -289,6 +289,18 @@ def test_linear_problem_is_cheap():
     assert res.stats.n_accepted < 30
 
 
+def test_an_error_estimate_at_rounding_level_sets_one_next_step():
+    # y' = 1 + a t^4 from y = 0: every run starts with h = 1e-4, whose error
+    # estimate is 0 at a = 0, 6.9e-8 of tol at a = 100 (rounding) and about
+    # 2.6e-10 a of tol from a = 1e4 on.  Below 1e-4 each run proposes the
+    # second step that 1e-4 gives, and not one that follows the estimate
+    def second_step(a):
+        return np.diff(solve_dopri5(lambda t, y: [1.0 + a * t ** 4], (0.0, 1.0), [0.0]).dense.t)[1]
+
+    assert {second_step(a) for a in (0.0, 1e2, 1e4, 3e4, 1e5)} == {second_step(2e5)}
+    assert second_step(1e6) < second_step(0.0)  # 2.6e-4 is above the floor
+
+
 def test_decay_accuracy():
     res = solve_dopri5(lambda t, y: [-5.0 * y[0]], (0.0, 1.0),
                        np.array([1.0]), tol=1e-10)
