@@ -248,12 +248,13 @@ def solve_dopri5(
         if not sample_interval > 0.0:
             raise ValueError(f"sample_interval must be positive, got {sample_interval!r}")
         points = span / sample_interval + 1e-9
-        if not points < budget + 1:
+        k = math.floor(min(points, budget + 1))  # the last multiple, or one past the budget
+        # t1 ends the grid, in place of a last multiple within rounding of it
+        kept = not t1 - (t0 + k * sample_interval) <= 1e-12 * span
+        if k + kept > budget:
             raise StepFailure(f"a sample grid of {points + 1:.4g} points needs more accepted "
                               f"steps than the step budget of {budget}")
-        pts = t0 + np.arange(math.floor(points) + 1) * sample_interval
-        # t1 ends the grid, in place of a last point within rounding of it
-        pts = np.append(pts[:-1] if t1 - pts[-1] <= 1e-12 * span else pts, t1)
+        pts = np.append(t0 + np.arange(k + kept) * sample_interval, t1)
         if not (pts[1:] > pts[:-1]).all():
             raise ValueError(f"sample_interval = {sample_interval!r} is below the float "
                              f"spacing of t in {t_span!r}")

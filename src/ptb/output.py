@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .mass_shell import monotonicity_margin
-from .reduced import Trajectory, rest_quintet
+from .reduced import Trajectory
 from .worldline import WorldlineSet
 
 __all__ = ["COLUMNS", "format_float", "RowTable", "trajectory_rows", "diagnostics",
@@ -176,9 +176,7 @@ def diagnostics(traj: Trajectory) -> dict:
     n_flagged counts the samples with a non-positive rate.
     """
     shell = traj.shell
-    N, L2 = traj.first_integrals
-    q = rest_quintet(traj.ztil[0], traj.ytil[0], shell)
-    N_floor, L2_floor = abs(q.ytil2) + abs(N[0] - q.ytil2), abs(q.ztil2 * q.ytil2)
+    (N, L2), (N_floor, L2_floor) = traj.first_integrals, traj.first_integral_terms
     return {
         "n_samples": len(traj.lam),
         **asdict(traj.stats),
@@ -198,9 +196,8 @@ def diagnostics(traj: Trajectory) -> dict:
 
 def _relative(drift, value, terms) -> Optional[float]:
     """drift / value; None where value is within 8 eps terms and drift is not 0."""
-    if value > 8.0 * np.finfo(float).eps * terms:
-        return float(drift) / float(value)
-    return 0.0 if drift == 0.0 else None
+    above = value > 8.0 * np.finfo(float).eps * terms
+    return float(drift) / float(value) if above else 0.0 if drift == 0.0 else None
 
 
 def _planarity(traj: Trajectory) -> float:

@@ -42,9 +42,8 @@ class IntegratorOptions:
     """tol is the error target per unit lambda (absolute and relative alike),
     so end-to-end deviations scale like tol times the integrated span.
 
-    sample_interval = None emits every accepted step, else solve_dopri5's
-    grid.  strict_time makes a clock that is not monotone raise
-    NonMonotoneTime instead of flagging.
+    sample_interval = None emits every accepted step, else solve_dopri5's grid.
+    strict_time makes a clock that is not monotone raise NonMonotoneTime instead of flagging.
     """
 
     tol: float = 1e-10
@@ -172,13 +171,17 @@ class Trajectory:
     n_rejected = property(lambda t: t.stats.n_rejected)
 
     @cached_property
-    def first_integrals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Columns of N = ytil2 + 2 V (conserved at -lambda) and L2 = ztil2 ytil2 - zy^2,
-        once per trajectory: V maps the model's partials, bound on the shell, over the samples."""
+    def _integrals(self) -> tuple:
+        """Columns of N = ytil2 + 2 V (conserved at -lambda) and L2 = ztil2 ytil2 - zy^2, then
+        |ytil2| + |2 V| and |ztil2 ytil2|, the sizes of their terms at the first sample."""
         q = rest_quintet(self.ztil, self.ytil, self.shell)
         partials = self.model.partials_at(self.shell.M2, self.shell.nu)
         V = [p[0] for p in map(partials, q.ztil2.tolist(), q.ytil2.tolist(), q.zy.tolist())]
-        return q.ytil2 + 2.0 * np.array(V), q.ztil2 * q.ytil2 - q.zy * q.zy
+        V2, z2y2 = 2.0 * np.array(V), q.ztil2 * q.ytil2
+        return q.ytil2 + V2, z2y2 - q.zy * q.zy, abs(q.ytil2[0]) + abs(V2[0]), abs(z2y2[0])
+
+    first_integrals = property(lambda t: t._integrals[:2])
+    first_integral_terms = property(lambda t: t._integrals[2:])
 
 
 def _dot(a: np.ndarray, b: np.ndarray):
@@ -264,11 +267,10 @@ def dT_dlambda(F, G, shell: MassShell):
 
 def integrate(initial: ReducedState, shell: MassShell, model: PotentialSpec,
               span: float, opts: IntegratorOptions = IntegratorOptions()) -> Trajectory:
-    """Advance the reduced system over lambda in [0, span] in the plane of
-    plane_basis, the model's partials bound once for rhs and _stage, and lift
-    the samples back, on solve_dopri5's sample grid.  The quadratures share the
-    in-plane error control; F and G are the solver's derivative at each sample.
-    synchronize checks strict mode."""
+    """Advance the reduced system over lambda in [0, span] in the plane of plane_basis, the
+    model's partials bound once for rhs and _stage, and lift the samples of solve_dopri5's
+    grid back.  The quadratures share the in-plane error control; F and G are the solver's
+    derivative at each sample.  synchronize checks strict mode."""
     if not 0.0 < span < math.inf:
         raise ValueError(f"span must be positive and finite, got {span!r}")
     if initial.lambda_ != 0.0:

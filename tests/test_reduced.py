@@ -527,11 +527,20 @@ def test_the_grid_budget_is_that_of_the_state_the_solver_runs():
 
 
 def test_the_grid_bound_is_the_step_budget(monkeypatch):
-    # 1 / 0.099 = 10.1 intervals pass the bound of 10 steps; such a run then
-    # stops on the step budget itself
+    # each point past lambda = 0 ends a step: a grid of 0.1 on (0, 1) lands
+    # on 10 points, 1 in place of 10 * 0.1, and passes the bound of 10 steps
+    # (the run then stops on the step budget itself); one of 0.099 lands on
+    # 11, 0.99 and 1, and is refused before f is called
     monkeypatch.setattr(ptb.dopri, "MAX_STEPS", 10)
-    for interval in (0.1, 0.099):
-        assert grid_of(1.0, interval).startswith("step budget 10 exhausted at t = ")
+    assert grid_of(1.0, 0.1).startswith("step budget 10 exhausted at t = ")
+    calls = []
+    for interval, points in ((0.099, "11.1"), (0.09, "12.11")):
+        with pytest.raises(StepFailure) as info:
+            solve_dopri5(lambda t, y: calls.append(t) or y, (0.0, 1.0), [1.0],
+                         sample_interval=interval)
+        assert str(info.value) == (f"a sample grid of {points} points needs more accepted "
+                                   "steps than the step budget of 10")
+    assert calls == []
     assert grid_of(1.0, 0.09) == ("a sample grid of 12.11 points needs more accepted steps "
                                   "than the step budget of 10")
     monkeypatch.undo()
